@@ -30,6 +30,8 @@ const char* StatusCodeToString(StatusCode code) {
       return "unavailable";
     case StatusCode::kDeadlineExceeded:
       return "deadline_exceeded";
+    case StatusCode::kFailedPrecondition:
+      return "failed_precondition";
   }
   return "unknown";
 }

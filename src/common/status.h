@@ -28,7 +28,12 @@ enum class StatusCode {
   kInternal,          // Invariant violation; indicates a library bug.
   kUnavailable,       // Transient failure (transport/sink hiccup); retryable.
   kDeadlineExceeded,  // Cooperative cancellation: a deadline expired mid-work.
+  kFailedPrecondition,  // Valid request the current state cannot serve.
 };
+
+// The highest StatusCode: decoders of persisted codes accept up to it, so
+// new codes go at the end of the enum and this moves with them.
+inline constexpr StatusCode kLastStatusCode = StatusCode::kFailedPrecondition;
 
 // Returns a stable lower-case name for `code` (e.g. "parse_error").
 const char* StatusCodeToString(StatusCode code);
@@ -83,6 +88,9 @@ class Status {
   }
   static Status DeadlineExceeded(std::string msg) {
     return Status(StatusCode::kDeadlineExceeded, std::move(msg));
+  }
+  static Status FailedPrecondition(std::string msg) {
+    return Status(StatusCode::kFailedPrecondition, std::move(msg));
   }
 
   bool ok() const { return code_ == StatusCode::kOk; }

@@ -78,18 +78,24 @@ std::string EncodeQueriesSegment(const EngineCheckpoint& image) {
 }
 
 std::string EncodeStreamSegment(const std::string& name,
-                                const std::vector<StreamElement>& elements) {
+                                const StreamCheckpoint& stream) {
   std::string out;
   AppendFileHeader(&out);
+  // Format v2: the retained suffix sits at absolute positions from
+  // base_offset on; max and trimmed-through timestamps outlive the
+  // trimmed prefix (docs/INTERNALS.md, "Stream retention").
   Encoder meta;
   meta.PutString(name);
-  meta.PutU32(static_cast<uint32_t>(elements.size()));
+  meta.PutU64(static_cast<uint64_t>(stream.base_offset));
+  meta.PutI64(stream.max_timestamp.millis());
+  meta.PutI64(stream.trimmed_through.millis());
+  meta.PutU32(static_cast<uint32_t>(stream.elements.size()));
   AppendFrame(meta.buffer(), &out);
   // Frame-per-element: a torn tail corrupts one frame, and the CRC of
   // every earlier element still verifies (recovery rejects the file
   // either way — the manifest is the commit point — but inspection can
   // localize the damage).
-  for (const StreamElement& element : elements) {
+  for (const StreamElement& element : stream.elements) {
     Encoder enc;
     WriteStreamElement(element, &enc);
     AppendFrame(enc.buffer(), &out);
@@ -123,9 +129,14 @@ CheckpointManager::CheckpointManager(CheckpointOptions options)
   if (options_.keep < 1) options_.keep = 1;
 }
 
-void CheckpointManager::BindQueue(std::string consumer,
-                                  const EventQueue* queue) {
+void CheckpointManager::BindQueue(std::string consumer, EventQueue* queue) {
   queues_.emplace_back(std::move(consumer), queue);
+  // Recovery may re-seek the consumer to any offset a generation records,
+  // so nothing may be trimmed before ManageRetention ties the horizon to
+  // committed generations.
+  if (queue->checkpoint_horizon() == EventQueue::kNoCheckpointHorizon) {
+    queue->SetCheckpointHorizon(0);
+  }
 }
 
 void CheckpointManager::BindDeadLetter(const DeadLetterQueue* dead_letter) {
@@ -205,11 +216,11 @@ Status CheckpointManager::CommitImage(const EngineCheckpoint& image,
                       SegmentFileName(SegmentRole::kQueries, 0, seq),
                       EncodeQueriesSegment(image)});
   size_t stream_index = 0;
-  for (const auto& [name, elements] : image.streams) {
+  for (const auto& [name, stream] : image.streams) {
     segments.push_back(
         {SegmentRole::kStream,
          SegmentFileName(SegmentRole::kStream, stream_index, seq),
-         EncodeStreamSegment(name, elements)});
+         EncodeStreamSegment(name, stream)});
     ++stream_index;
   }
   {

@@ -5,7 +5,9 @@
 // increasing sequence:
 //
 //   <dir>/queries-<seq>.seg    engine meta + one frame per query state
-//   <dir>/stream-<i>-<seq>.seg one file per stream (name + elements)
+//   <dir>/stream-<i>-<seq>.seg one file per stream (name, base offset,
+//                              max/trimmed-through timestamps, and the
+//                              retained suffix of elements)
 //   <dir>/offsets-<seq>.seg    committed consumer offsets
 //   <dir>/dlq-<seq>.seg        dead-letter entries
 //   <dir>/MANIFEST-<seq>       list of the above with sizes + CRCs
@@ -64,8 +66,11 @@ class CheckpointManager {
   explicit CheckpointManager(CheckpointOptions options);
 
   // Registers a consumer whose committed offset on `queue` is captured in
-  // every checkpoint (the StreamDriver's position). Not owned.
-  void BindQueue(std::string consumer, const EventQueue* queue);
+  // every checkpoint (the StreamDriver's position). A queue without a
+  // retention horizon gets horizon 0, so driver trims keep every entry a
+  // restore could re-seek to until ManageRetention couples retention to
+  // committed generations. Not owned.
+  void BindQueue(std::string consumer, EventQueue* queue);
 
   // Couples `queue`'s retention trim to the checkpoint horizon
   // (docs/INTERNALS.md, "Overload & backpressure" / "Durability &

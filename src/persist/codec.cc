@@ -151,8 +151,10 @@ Status FrameReader::ReadHeader() {
   if (magic != kMagic) return DecodeError("bad magic (not a checkpoint file)");
   SERAPH_ASSIGN_OR_RETURN(uint32_t version, dec.U32());
   if (version != kFormatVersion) {
-    return DecodeError("unsupported format version " +
-                       std::to_string(version));
+    return Status::FailedPrecondition(
+        "checkpoint decode: unsupported format version " +
+        std::to_string(version) + " (this build reads version " +
+        std::to_string(kFormatVersion) + ")");
   }
   pos_ += 8;
   return Status::OK();
@@ -388,7 +390,7 @@ void WriteStatus(const Status& status, Encoder* enc) {
 
 Status ReadStatus(Decoder* dec, Status* out) {
   SERAPH_ASSIGN_OR_RETURN(uint8_t code, dec->U8());
-  if (code > static_cast<uint8_t>(StatusCode::kUnavailable)) {
+  if (code > static_cast<uint8_t>(kLastStatusCode)) {
     return DecodeError("unknown status code " + std::to_string(code));
   }
   SERAPH_ASSIGN_OR_RETURN(std::string message, dec->String());

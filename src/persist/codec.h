@@ -40,8 +40,12 @@ namespace seraph {
 namespace persist {
 
 // "SRPH" in little-endian byte order, followed by the format version.
+// Version 2 stream segments carry only the retained suffix plus the
+// stream's base offset, max timestamp and trimmed-through timestamp
+// (docs/INTERNALS.md, "Stream retention"); version 1 files, which held
+// the whole prefix, are rejected with kFailedPrecondition.
 inline constexpr uint32_t kMagic = 0x48505253;
-inline constexpr uint32_t kFormatVersion = 1;
+inline constexpr uint32_t kFormatVersion = 2;
 
 // CRC-32 (IEEE 802.3 polynomial, the Kafka/zlib convention) of `data`.
 uint32_t Crc32(std::string_view data);
@@ -101,12 +105,15 @@ void AppendFileHeader(std::string* out);
 
 // Iterates the frames of a persisted file, verifying the header once and
 // each frame's length and CRC as it goes. Any mismatch (truncation, bit
-// flip, bad magic, future version) is a decode error.
+// flip, bad magic) is a decode error.
 class FrameReader {
  public:
   explicit FrameReader(std::string_view file) : data_(file) {}
 
   // Validates magic + version; must be called (and succeed) before Next.
+  // A well-formed file of another format version is not damage but a
+  // file this build cannot read: kFailedPrecondition, so recovery stops
+  // instead of falling back past it or cold-starting over it.
   Status ReadHeader();
 
   // The next frame's payload (valid while the backing file buffer lives),

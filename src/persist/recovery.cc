@@ -103,20 +103,26 @@ Status DecodeStreamSegment(std::string_view contents,
   SERAPH_ASSIGN_OR_RETURN(std::string_view meta_payload, reader.Next());
   Decoder meta(meta_payload);
   SERAPH_ASSIGN_OR_RETURN(std::string name, meta.String());
+  StreamCheckpoint stream;
+  SERAPH_ASSIGN_OR_RETURN(uint64_t base_offset, meta.U64());
+  stream.base_offset = static_cast<size_t>(base_offset);
+  SERAPH_ASSIGN_OR_RETURN(int64_t max_millis, meta.I64());
+  stream.max_timestamp = Timestamp::FromMillis(max_millis);
+  SERAPH_ASSIGN_OR_RETURN(int64_t trimmed_millis, meta.I64());
+  stream.trimmed_through = Timestamp::FromMillis(trimmed_millis);
   SERAPH_ASSIGN_OR_RETURN(uint32_t count, meta.U32());
-  std::vector<StreamElement> elements;
-  elements.reserve(count);
+  stream.elements.reserve(count);
   for (uint32_t i = 0; i < count; ++i) {
     SERAPH_ASSIGN_OR_RETURN(std::string_view payload, reader.Next());
     Decoder dec(payload);
     SERAPH_ASSIGN_OR_RETURN(StreamElement element, ReadStreamElement(&dec));
-    elements.push_back(std::move(element));
+    stream.elements.push_back(std::move(element));
   }
   if (engine->streams.contains(name)) {
     return Status::InvalidArgument("checkpoint decode: duplicate stream '" +
                                    name + "'");
   }
-  engine->streams.emplace(std::move(name), std::move(elements));
+  engine->streams.emplace(std::move(name), std::move(stream));
   return Status::OK();
 }
 
@@ -258,6 +264,14 @@ Result<CheckpointImage> LoadLatestCheckpoint(const std::string& dir) {
   for (uint64_t seq : seqs) {
     auto image = LoadGeneration(dir, seq, nullptr);
     if (image.ok()) return image;
+    // A generation of another format version is intact but unreadable
+    // here. Falling back past it would restore older state, and reporting
+    // kNotFound would let callers cold-start and re-emit everything.
+    if (image.status().code() == StatusCode::kFailedPrecondition) {
+      return Status::FailedPrecondition(
+          "checkpoint generation " + std::to_string(seq) + " in '" + dir +
+          "': " + image.status().message());
+    }
     // Corruption can only touch the newest generation after a crash
     // mid-commit (or bit rot anywhere): log it and fall back.
     SERAPH_LOG(WARNING) << "checkpoint generation " << seq
@@ -315,8 +329,8 @@ Result<RecoveryReport> RecoverAll(const std::string& dir,
   report.seq = image.seq;
   report.queries = image.engine.queries.size();
   report.streams = image.engine.streams.size();
-  for (const auto& [name, elements] : image.engine.streams) {
-    report.stream_elements += elements.size();
+  for (const auto& [name, stream] : image.engine.streams) {
+    report.stream_elements += stream.elements.size();
   }
   int64_t replayed = 0;
   for (const std::string& consumer : consumers) {

@@ -46,10 +46,11 @@ struct CheckpointImage {
 Result<CheckpointImage> LoadCheckpoint(const std::string& dir, uint64_t seq);
 
 // Loads the newest valid generation, falling back across corrupted ones;
-// kNotFound when the directory holds no loadable checkpoint. Carries the
-// "recovery.read" fault point (fired once per call, before any file is
-// read) so chaos tests can kill a process mid-recovery and assert the
-// retry succeeds.
+// kNotFound when the directory holds no loadable checkpoint, and
+// kFailedPrecondition (no fallback) on reaching a generation written in
+// another format version (persist/codec.h). Carries the "recovery.read"
+// fault point (fired once per call, before any file is read) so chaos
+// tests can kill a process mid-recovery and assert the retry succeeds.
 Result<CheckpointImage> LoadLatestCheckpoint(const std::string& dir);
 
 // Applies the image's engine state via ContinuousEngine::RestoreFrom.
@@ -77,7 +78,7 @@ struct RecoveryReport {
   uint64_t seq = 0;
   size_t queries = 0;
   size_t streams = 0;
-  size_t stream_elements = 0;
+  size_t stream_elements = 0;  // Retained (checkpointed) elements.
   size_t dead_letters = 0;
   // Consumer → elements past its restored offset (the replay backlog).
   std::map<std::string, size_t> replay_backlog;

@@ -4,6 +4,7 @@
 #include <chrono>
 #include <cstdlib>
 #include <future>
+#include <set>
 
 #include "common/cancel.h"
 #include "common/logging.h"
@@ -214,6 +215,27 @@ QueryMetricHandles MakeQueryMetrics(MetricsRegistry* registry,
   return m;
 }
 
+// The late-registration guard (docs/INTERNALS.md, "Stream retention"):
+// a window whose first instant reaches back to elements the stream has
+// already released would silently answer over a partial window.
+Status CheckFirstWindowRetained(const std::string& query,
+                                const std::string& stream,
+                                const WindowConfig& config,
+                                size_t base_offset,
+                                Timestamp trimmed_through) {
+  if (base_offset == 0) return Status::OK();
+  std::optional<TimeInterval> first = config.ActiveWindow(config.start);
+  if (!first.has_value() || first->start > trimmed_through) {
+    return Status::OK();
+  }
+  return Status::FailedPrecondition(
+      "query '" + query + "' cannot start at " + config.start.ToString() +
+      ": its first window over stream '" +
+      (stream.empty() ? std::string("<default>") : stream) + "' starts at " +
+      first->start.ToString() + ", but the stream is trimmed through " +
+      trimmed_through.ToString());
+}
+
 // Resolves each MATCH clause to the snapshot of its (stream, WITHIN)
 // window.
 class WindowGraphResolver final : public GraphResolver {
@@ -270,6 +292,12 @@ ContinuousEngine::StreamObs* ContinuousEngine::ObsFor(
     obs.lag_millis = metrics_.GaugeFor("seraph_stream_lag_millis", labels);
     obs.lag_max_millis =
         metrics_.GaugeFor("seraph_stream_lag_max_millis", labels);
+    obs.retained =
+        metrics_.GaugeFor("seraph_stream_retained_elements", labels);
+    obs.trimmed_total =
+        metrics_.GaugeFor("seraph_stream_trimmed_total", labels);
+    obs.retention_lag_millis =
+        metrics_.GaugeFor("seraph_stream_retention_lag_millis", labels);
     it = stream_obs_.emplace(stream, obs).first;
   }
   return &it->second;
@@ -287,6 +315,53 @@ void ContinuousEngine::UpdateLagGauges() {
       obs.lag_max_value = lag;
       obs.lag_max_millis->Set(lag);
     }
+  }
+}
+
+size_t ContinuousEngine::RetentionHorizon(
+    const std::string& name, const PropertyGraphStream& stream) const {
+  // A stream no live window reads keeps nothing.
+  size_t horizon = stream.size();
+  for (const auto& [query_name, state] : queries_) {
+    // A RETURN query that answered never reads again. A disabled query
+    // still pins its windows, so ReviveQuery's catch-up stays exact.
+    if (state->done) continue;
+    for (const auto& [key, ws] : state->windows) {
+      if (ws.stream != name) continue;
+      if (ws.snapshotter != nullptr && ws.snapshotter->started()) {
+        // The next Advance evicts [window_begin, new_lo) before it adds.
+        horizon = std::min(horizon, ws.snapshotter->window_begin());
+        continue;
+      }
+      // An unstarted (or rebuilt-per-evaluation) window reads from the
+      // start of the next active window on. A gap instant has none; the
+      // windows after it open later still.
+      std::optional<TimeInterval> window =
+          ws.config.ActiveWindow(state->next_eval);
+      horizon = std::min(horizon, stream.LowerBound(window.has_value()
+                                                        ? window->start
+                                                        : state->next_eval));
+    }
+  }
+  return horizon;
+}
+
+void ContinuousEngine::TrimStreams() {
+  const int64_t clock_ms = clock_started_ ? clock_.millis() : 0;
+  for (auto& [name, stream] : streams_) {
+    if (stream.empty()) continue;
+    const size_t horizon = RetentionHorizon(name, stream);
+    if (horizon > stream.base_offset()) {
+      stream.DropFront(horizon - stream.base_offset());
+    }
+    StreamObs* obs = ObsFor(name);
+    obs->retained->Set(static_cast<int64_t>(stream.retained()));
+    obs->trimmed_total->Set(static_cast<int64_t>(stream.base_offset()));
+    int64_t lag = 0;
+    if (stream.retained() > 0) {
+      lag = clock_ms - stream.at(stream.base_offset()).timestamp.millis();
+    }
+    obs->retention_lag_millis->Set(std::max<int64_t>(lag, 0));
   }
 }
 
@@ -449,6 +524,10 @@ Status ContinuousEngine::Register(RegisteredQuery query) {
     ws.config = WindowConfig{query.starting_at, *match->within, slide,
                              options_.semantics};
     SERAPH_RETURN_IF_ERROR(ws.config.Validate());
+    const PropertyGraphStream* stream = FindStreamOrEmpty(ws.stream);
+    SERAPH_RETURN_IF_ERROR(CheckFirstWindowRetained(
+        query.name, ws.stream, ws.config, stream->base_offset(),
+        stream->TrimmedThrough()));
     // Create the stream eagerly so streams_ never mutates during
     // evaluation: worker threads only ever read the map.
     MutableStream(match->from_stream);
@@ -776,6 +855,10 @@ Status ContinuousEngine::AdvanceTo(Timestamp now) {
     // already passed) must not move it backwards.
     if (!clock_started_ || t > clock_) clock_ = t;
     clock_started_ = true;
+    // Every window has moved past this instant: release what no live
+    // window can read again, so the checkpoint below carries only the
+    // retained suffix.
+    TrimStreams();
     // The clock moved: the per-stream lag (watermark − clock) shrank.
     UpdateLagGauges();
     ++batches_completed_;
@@ -792,6 +875,9 @@ Status ContinuousEngine::AdvanceTo(Timestamp now) {
   }
   clock_ = now;
   clock_started_ = true;
+  // Elements ingested since the last barrier into streams no live window
+  // reads go now, even when no instant was due.
+  TrimStreams();
   UpdateLagGauges();
   return Status::OK();
 }
@@ -802,7 +888,14 @@ EngineCheckpoint ContinuousEngine::CaptureCheckpoint() const {
   image.clock_started = clock_started_;
   image.evaluations_run = evaluations_run_;
   for (const auto& [name, stream] : streams_) {
-    image.streams.emplace(name, stream.elements());
+    StreamCheckpoint& suffix = image.streams[name];
+    suffix.base_offset = stream.base_offset();
+    suffix.max_timestamp = stream.MaxTimestamp();
+    suffix.trimmed_through = stream.TrimmedThrough();
+    suffix.elements.reserve(stream.retained());
+    for (size_t i = stream.base_offset(); i < stream.size(); ++i) {
+      suffix.elements.push_back(stream.at(i));
+    }
   }
   for (const auto& [name, state] : queries_) {
     QueryCheckpoint q;
@@ -834,6 +927,7 @@ Status ContinuousEngine::RestoreFrom(const EngineCheckpoint& checkpoint) {
   }
   // Definitions first, state second: every checkpointed query must already
   // be re-registered so its windows/metrics exist to overlay.
+  std::set<std::string> checkpointed;
   for (const QueryCheckpoint& q : checkpoint.queries) {
     if (!queries_.contains(q.name)) {
       return Status::InvalidArgument(
@@ -841,17 +935,34 @@ Status ContinuousEngine::RestoreFrom(const EngineCheckpoint& checkpoint) {
           "', which is not registered; re-register all queries before "
           "RestoreFrom");
     }
+    checkpointed.insert(q.name);
   }
-  // Rebuild the streams via direct appends: the checkpointed elements
-  // predate the restored clock, so IngestTo's clock guard (and its
-  // ingestion counters — restored elements were already counted in their
-  // first life) must not apply.
-  for (const auto& [name, elements] : checkpoint.streams) {
-    PropertyGraphStream* stream = MutableStream(name);
-    for (const StreamElement& element : elements) {
-      SERAPH_RETURN_IF_ERROR(stream->Append(element.graph,
-                                            element.timestamp));
+  // A query the checkpoint does not know starts fresh over the restored
+  // streams, so it is held to the late-registration rule.
+  for (const auto& [name, state] : queries_) {
+    if (checkpointed.contains(name)) continue;
+    for (const auto& [key, ws] : state->windows) {
+      auto it = checkpoint.streams.find(ws.stream);
+      if (it == checkpoint.streams.end()) continue;
+      SERAPH_RETURN_IF_ERROR(CheckFirstWindowRetained(
+          name, ws.stream, ws.config, it->second.base_offset,
+          it->second.trimmed_through));
     }
+  }
+  // Rebuild the streams at their checkpointed absolute positions,
+  // bypassing IngestTo: the checkpointed elements predate the restored
+  // clock, so its clock guard (and its ingestion counters — restored
+  // elements were already counted in their first life) must not apply.
+  // Arrival stamps are dropped: latency is a processing-time concern.
+  for (const auto& [name, suffix] : checkpoint.streams) {
+    std::vector<StreamElement> elements;
+    elements.reserve(suffix.elements.size());
+    for (const StreamElement& element : suffix.elements) {
+      elements.push_back(StreamElement{element.graph, element.timestamp});
+    }
+    SERAPH_RETURN_IF_ERROR(MutableStream(name)->Restore(
+        suffix.base_offset, suffix.trimmed_through, suffix.max_timestamp,
+        std::move(elements)));
   }
   for (const QueryCheckpoint& q : checkpoint.queries) {
     QueryState* state = queries_.at(q.name).get();
@@ -1303,10 +1414,14 @@ void ContinuousEngine::RecordEmitLatency(QueryState* state, Timestamp t,
   // emit — truthfully including the failed attempts' delay.
   const int64_t now = LatencyClock()->NowMicros();
   for (auto& [stream_name, cursor] : state->latency_cursors) {
-    const std::vector<StreamElement>& elements =
-        FindStreamOrEmpty(stream_name)->elements();
-    while (cursor < elements.size() && elements[cursor].timestamp <= t) {
-      const StreamElement& element = elements[cursor];
+    const PropertyGraphStream* stream = FindStreamOrEmpty(stream_name);
+    // Elements the retention trim released before this query charged
+    // them lay outside all of its windows (a gap between WITHIN and
+    // EVERY, or the stretch a failing evaluation slid past); they carry
+    // no emit latency for it.
+    cursor = std::max(cursor, stream->base_offset());
+    while (cursor < stream->size() && stream->at(cursor).timestamp <= t) {
+      const StreamElement& element = stream->at(cursor);
       ++cursor;
       if (element.arrival_micros <= 0) continue;  // Unstamped (restored).
       int64_t latency = now - element.arrival_micros;

@@ -253,6 +253,23 @@ struct QueryCheckpoint {
   QueryStats stats;
 };
 
+// One stream as checkpointed: the retained suffix plus what the trimmed
+// prefix leaves behind (docs/INTERNALS.md, "Stream retention").
+struct StreamCheckpoint {
+  // Absolute position of elements.front() (PropertyGraphStream::
+  // base_offset()); everything below it was trimmed before the cut.
+  size_t base_offset = 0;
+  // PropertyGraphStream::MaxTimestamp(): the interrupted-batch catch-up
+  // drains to it even when the retained suffix is empty.
+  Timestamp max_timestamp;
+  // PropertyGraphStream::TrimmedThrough() (meaningful when base_offset >
+  // 0): late registrations are checked against it.
+  Timestamp trimmed_through;
+  // The retained suffix, element graphs shared (not deep copied) with the
+  // live engine.
+  std::vector<StreamElement> elements;
+};
+
 // A full, consistent image of the engine's dynamic state, captured at a
 // batch barrier (CaptureCheckpoint) and reapplied to a freshly
 // constructed engine (RestoreFrom). persist/codec.h defines its binary
@@ -261,9 +278,9 @@ struct EngineCheckpoint {
   Timestamp clock;
   bool clock_started = false;
   int64_t evaluations_run = 0;
-  // Every stream's observed prefix, element graphs shared (not deep
-  // copied) with the live engine.
-  std::map<std::string, std::vector<StreamElement>> streams;
+  // Every stream's retained suffix, which holds every element a live
+  // window can still read.
+  std::map<std::string, StreamCheckpoint> streams;
   // Name-ordered, one entry per registered query.
   std::vector<QueryCheckpoint> queries;
 };
@@ -279,7 +296,11 @@ class ContinuousEngine {
 
   // ---- Query registry (REGISTER QUERY) ----
 
-  // Registers a parsed query. Fails with kAlreadyExists on name clashes.
+  // Registers a parsed query. Fails with kAlreadyExists on name clashes,
+  // and with kFailedPrecondition when the query's first window starts at
+  // or before the trimmed-through timestamp of a stream it reads: the
+  // retention trim already released elements that window would cover
+  // (docs/INTERNALS.md, "Stream retention").
   Status Register(RegisteredQuery query);
   // Parses and registers Seraph query text.
   Status RegisterText(std::string_view seraph_text);
@@ -366,6 +387,10 @@ class ContinuousEngine {
 
   // Advances the engine clock to `now`, running every due evaluation time
   // instant of every registered query in global chronological order.
+  // At each batch barrier (before the checkpoint callback fires) and once
+  // more before returning, every stream is trimmed to its retention
+  // horizon — the oldest element a live window can still add or evict —
+  // so memory and checkpoints are bounded by window contents, not uptime.
   // Instants are processed in batches (all queries due at the same
   // instant form one batch); with `eval_threads` > 1 a batch's
   // evaluations run concurrently, while delivery to sinks always happens
@@ -381,7 +406,8 @@ class ContinuousEngine {
   // of the fleet keeps running.
   Status AdvanceTo(Timestamp now);
 
-  // Advances to the latest timestamp across all streams.
+  // Advances to the latest timestamp ever ingested across all streams
+  // (MaxTimestamp, which survives trims and restores).
   Status Drain();
 
   // ---- Durability (docs/INTERNALS.md, "Durability & recovery") ----
@@ -395,6 +421,10 @@ class ContinuousEngine {
   // must be freshly constructed (no ingested elements, clock not started)
   // with every query named in the checkpoint already re-registered —
   // recovery re-creates definitions first, then overlays dynamic state.
+  // Streams come back at their checkpointed absolute positions. A
+  // registered query the checkpoint does not name is held to Register's
+  // late-registration rule against the restored streams
+  // (kFailedPrecondition).
   // After RestoreFrom, replaying the stream suffix past the checkpoint
   // clock produces output bit-identical to an uninterrupted run.
   Status RestoreFrom(const EngineCheckpoint& checkpoint);
@@ -468,6 +498,12 @@ class ContinuousEngine {
     int64_t watermark_value = 0;
     int64_t lag_max_value = 0;
     bool any_ingested = false;
+    // Stream retention (docs/INTERNALS.md, "Stream retention"), set by
+    // TrimStreams: elements held, elements released by trims, and engine
+    // clock − oldest retained timestamp.
+    Gauge* retained = nullptr;
+    Gauge* trimmed_total = nullptr;
+    Gauge* retention_lag_millis = nullptr;
   };
 
   PropertyGraphStream* MutableStream(const std::string& name);
@@ -507,6 +543,14 @@ class ContinuousEngine {
   // Refreshes every stream's lag gauge against the engine clock (called
   // at the batch barrier and at the end of AdvanceTo, where clock_ moved).
   void UpdateLagGauges();
+  // The absolute position of the oldest element of `stream` that a
+  // registered, not-done query can still add to or evict from one of its
+  // windows (stream.size() when there is none).
+  size_t RetentionHorizon(const std::string& name,
+                          const PropertyGraphStream& stream) const;
+  // Drops each stream's prefix below its RetentionHorizon, then refreshes
+  // the retention gauges (AdvanceTo: at each batch barrier and on return).
+  void TrimStreams();
   // The latency clock (options_.clock, defaulted to Clock::Steady()).
   const Clock* LatencyClock() const;
 

@@ -142,7 +142,7 @@ Status StatusFromString(const std::string& text, Status* out) {
   const std::string name = text.substr(0, sep);
   std::string message = text.substr(sep + 2);
   for (int code = static_cast<int>(StatusCode::kInvalidArgument);
-       code <= static_cast<int>(StatusCode::kUnavailable); ++code) {
+       code <= static_cast<int>(kLastStatusCode); ++code) {
     if (name == StatusCodeToString(static_cast<StatusCode>(code))) {
       *out = Status(static_cast<StatusCode>(code), std::move(message));
       return Status::OK();

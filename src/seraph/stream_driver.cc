@@ -62,7 +62,8 @@ void StreamDriver::UpdateDegradedState() {
   if (delivered_any_) {
     lag_millis = newest.millis() - delivered_horizon_.millis();
   } else if (queue_->depth() > 0) {
-    lag_millis = newest.millis() - queue_->log().at(0).timestamp.millis();
+    lag_millis = newest.millis() -
+                 queue_->log().at(queue_->base_offset()).timestamp.millis();
   } else {
     return;
   }
@@ -267,6 +268,11 @@ Result<int64_t> StreamDriver::PumpAll() {
     // but must still surface so the caller re-pumps the pending work.
     if (!error.ok()) return error;
   }
+  // Everything polled was handed off: release what every consumer has
+  // committed past, so a driver-fed queue holds only consumer lag. A
+  // checkpoint-coupled queue keeps its uncheckpointed suffix (the
+  // horizon is part of the trim floor).
+  queue_->TrimCommitted();
   UpdateBacklogGauges();
   if (delivered_any_ && options_.advance_engine_clock) {
     SERAPH_RETURN_IF_ERROR(engine_->AdvanceTo(delivered_horizon_));

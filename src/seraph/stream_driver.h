@@ -109,11 +109,13 @@ class StreamDriver {
   // Polls the queue until empty, delivering releasable elements to the
   // engine and advancing its clock to the delivered horizon (which
   // triggers due evaluations). Returns the number of elements delivered
-  // by this pump. On a transient failure that survives the retry policy
-  // the pump returns the error with nothing lost: unconsumed queue
-  // elements stay behind the (re-seeked) consumer offset, released
-  // elements stay in the pending queue, and the next PumpAll resumes
-  // exactly there.
+  // by this pump. A pump that hands off everything it polled ends with
+  // EventQueue::TrimCommitted, so the queue keeps only what some consumer
+  // (or the checkpoint horizon) still needs. On a transient failure that
+  // survives the retry policy the pump returns the error with nothing
+  // lost: unconsumed queue elements stay behind the (re-seeked) consumer
+  // offset, released elements stay in the pending queue, and the next
+  // PumpAll resumes exactly there.
   Result<int64_t> PumpAll();
 
   // Flushes any held out-of-order elements and runs the engine's final

@@ -34,7 +34,7 @@ Status EventQueue::Produce(std::shared_ptr<const PropertyGraph> graph,
 
 Status EventQueue::AdmitOne() {
   TrimCommitted();
-  if (log_.size() < options_.capacity) return Status::OK();
+  if (depth() < options_.capacity) return Status::OK();
 
   switch (options_.overflow_policy) {
     case OverflowPolicy::kReject:
@@ -64,7 +64,7 @@ Status EventQueue::AdmitOne() {
       while (waited_millis < options_.block_timeout_millis) {
         ++block_iterations_total_;
         TrimCommitted();
-        if (log_.size() < options_.capacity) {
+        if (depth() < options_.capacity) {
           blocked_millis_total_ += waited_millis;
           return Status::OK();
         }
@@ -93,17 +93,15 @@ Status EventQueue::AdmitOne() {
 }
 
 void EventQueue::ShedOldest() {
-  if (log_.empty()) return;
-  const StreamElement& victim = log_.at(0);
-  if (shed_callback_) shed_callback_(victim);
+  if (depth() == 0) return;
+  if (shed_callback_) shed_callback_(log_.at(log_.base_offset()));
   log_.DropFront(1);
-  ++base_;
   ++shed_total_;
   // Consumers that had not consumed the victim lose it; their committed
   // position moves to the new base so the next poll starts at the oldest
   // retained element. The loss is exactly the shed-accounted element.
   for (auto& [name, offset] : offsets_) {
-    offset = std::max(offset, base_);
+    offset = std::max(offset, log_.base_offset());
   }
 }
 
@@ -122,15 +120,13 @@ size_t EventQueue::TrimCommitted() {
   for (const auto& [name, offset] : offsets_) {
     floor = std::min(floor, offset);
   }
-  if (floor <= base_) return 0;
+  if (floor <= log_.base_offset()) return 0;
   // The floor can run ahead of what has been appended (a restored
   // checkpoint horizon while the tool is still re-producing the log
-  // prefix); clamp so base_ always equals the count of appended-and-
-  // discarded elements and offsets keep their meaning.
-  size_t n = std::min(floor - base_, log_.size());
-  if (n == 0) return 0;
-  log_.DropFront(n);
-  base_ += n;
+  // prefix); DropFront clamps to the retained elements, so the base
+  // always equals the count of appended-and-discarded elements and
+  // offsets keep their meaning.
+  const size_t n = log_.DropFront(floor - log_.base_offset());
   trimmed_total_ += static_cast<int64_t>(n);
   return n;
 }
@@ -152,10 +148,10 @@ Result<std::vector<StreamElement>> EventQueue::Poll(
   // A consumer below the retention base (first poll on a trimmed queue,
   // or its unconsumed prefix was shed) resumes at the oldest retained
   // element; shed losses were accounted at eviction time.
-  offset = std::max(offset, base_);
+  offset = std::max(offset, log_.base_offset());
   std::vector<StreamElement> out;
   while (offset < size() && out.size() < max_events) {
-    out.push_back(log_.at(offset - base_));
+    out.push_back(log_.at(offset));
     ++offset;
   }
   return out;
@@ -165,10 +161,10 @@ Status EventQueue::Seek(const std::string& consumer, size_t offset) {
   if (offset > size()) {
     return Status::OutOfRange("seek offset past end of queue");
   }
-  if (offset < base_) {
+  if (offset < log_.base_offset()) {
     return Status::OutOfRange(
         "seek offset " + std::to_string(offset) +
-        " below retention base " + std::to_string(base_) +
+        " below retention base " + std::to_string(log_.base_offset()) +
         " (entry trimmed or shed)");
   }
   offsets_[consumer] = offset;

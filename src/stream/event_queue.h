@@ -9,10 +9,10 @@
 // overflow policy, and retention-trims entries that every consumer has
 // committed past (and, when a CheckpointManager manages the queue, that
 // the checkpoint horizon covers) — queue memory is then proportional to
-// consumer lag, not stream length. Offsets are *absolute*: trimming moves
-// an internal base, never renumbers, so driver backlog math and
-// checkpointed offsets stay valid. See docs/INTERNALS.md, "Overload &
-// backpressure".
+// consumer lag, not stream length. Offsets are *absolute* (the log's
+// positions): trimming moves the log's base, never renumbers, so driver
+// backlog math and checkpointed offsets stay valid. See
+// docs/INTERNALS.md, "Overload & backpressure".
 #ifndef SERAPH_STREAM_EVENT_QUEUE_H_
 #define SERAPH_STREAM_EVENT_QUEUE_H_
 
@@ -87,7 +87,9 @@ class EventQueue {
 
   // Creates (or resets) a consumer at the oldest retained offset (0 on a
   // never-trimmed queue).
-  void Subscribe(const std::string& consumer) { offsets_[consumer] = base_; }
+  void Subscribe(const std::string& consumer) {
+    offsets_[consumer] = log_.base_offset();
+  }
 
   // Forgets a consumer's committed offset, releasing its hold on the
   // TrimCommitted retention floor. Returns whether it was registered.
@@ -130,11 +132,11 @@ class EventQueue {
   // Total elements ever appended (absolute offset of the next append).
   // `size() - OffsetOf(c)` is consumer c's backlog whether or not the
   // queue has been trimmed.
-  size_t size() const { return base_ + log_.size(); }
+  size_t size() const { return log_.size(); }
   // Elements currently retained in memory.
-  size_t depth() const { return log_.size(); }
+  size_t depth() const { return log_.retained(); }
   // Absolute offset of the oldest retained element.
-  size_t base_offset() const { return base_; }
+  size_t base_offset() const { return log_.base_offset(); }
   // Timestamp of the newest element ever appended (epoch when none).
   Timestamp MaxTimestamp() const { return log_.MaxTimestamp(); }
   const PropertyGraphStream& log() const { return log_; }
@@ -176,13 +178,13 @@ class EventQueue {
   // Evicts the oldest retained element (shed_oldest policy).
   void ShedOldest();
 
+  // Offsets are the log's absolute positions: log_ retains
+  // [log_.base_offset(), size()).
   PropertyGraphStream log_;
   std::map<std::string, size_t> offsets_;
   const Clock* clock_ = Clock::Steady();
   Options options_;
   ShedCallback shed_callback_;
-  // Absolute offset of log_.at(0): log_ stores offsets [base_, size()).
-  size_t base_ = 0;
   size_t checkpoint_horizon_ = kNoCheckpointHorizon;
   int64_t shed_total_ = 0;
   int64_t rejected_total_ = 0;

@@ -66,9 +66,15 @@ class IncrementalSnapshotter {
 
   const PropertyGraph& graph() const { return snapshot_; }
 
-  // Introspection for tests/benches: currently-covered element index range.
+  // The currently-covered range [window_begin(), window_end()) of
+  // absolute stream positions. The next Advance evicts from
+  // window_begin(), so a started snapshotter needs the stream to retain
+  // every position from there on (the engine's retention horizon).
   size_t window_begin() const { return lo_; }
   size_t window_end() const { return hi_; }
+  // Whether Advance ran at least once (before that, the range is empty
+  // and pins nothing).
+  bool started() const { return started_; }
 
   // Cumulative maintenance counters (monotone; callers diff snapshots).
   const SnapshotterStats& stats() const { return stats_; }
@@ -120,7 +126,8 @@ class IncrementalSnapshotter {
   std::vector<NodeId> last_dirty_nodes_;
   std::vector<RelId> last_dirty_rels_;
 
-  // Current half-open element index range [lo_, hi_) covered by the window.
+  // Current half-open absolute position range [lo_, hi_) covered by the
+  // window.
   size_t lo_ = 0;
   size_t hi_ = 0;
   bool started_ = false;

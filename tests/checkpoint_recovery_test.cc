@@ -17,6 +17,7 @@
 #include <map>
 #include <sstream>
 #include <string>
+#include <vector>
 
 #include "common/fault.h"
 #include "fault_doubles.h"
@@ -282,6 +283,17 @@ TEST_F(CheckpointRecoveryTest, FrameReaderRejectsCorruption) {
     FrameReader reader(alien);
     EXPECT_EQ(reader.ReadHeader().code(), StatusCode::kInvalidArgument);
   }
+  {
+    // Another format version: intact but unreadable by this build.
+    std::string older = file;
+    older[4] = 1;
+    FrameReader reader(older);
+    const Status header = reader.ReadHeader();
+    EXPECT_EQ(header.code(), StatusCode::kFailedPrecondition);
+    EXPECT_NE(header.message().find("unsupported format version 1"),
+              std::string::npos)
+        << header;
+  }
 }
 
 // ---------------------------------------------------------------------------
@@ -299,7 +311,7 @@ TEST_F(CheckpointRecoveryTest, CaptureRestoreRoundTripContinuesIdentically) {
   ASSERT_TRUE(original.AdvanceTo(T(11)).ok());
   EngineCheckpoint checkpoint = original.CaptureCheckpoint();
   EXPECT_EQ(checkpoint.queries.size(), 1u);
-  EXPECT_EQ(checkpoint.streams.at("").size(), 6u);
+  EXPECT_EQ(checkpoint.streams.at("").elements.size(), 6u);
 
   ContinuousEngine restored;
   ASSERT_TRUE(restored.RegisterText(kCountQuery).ok());
@@ -629,6 +641,182 @@ TEST_F(CheckpointRecoveryTest, MidBatchRestoreCompletesInterruptedBatch) {
 }
 
 // ---------------------------------------------------------------------------
+// Crash recovery after retention trims (docs/INTERNALS.md, "Stream
+// retention")
+// ---------------------------------------------------------------------------
+
+// A 10-minute window over a data lane that falls silent for longer than
+// the window while a heartbeat lane, feeding a stream no query reads,
+// keeps the clock moving. Each round produces to one lane and pumps only
+// that lane's driver (a driver advances the clock to its own delivered
+// horizon). Generations cut inside the silence hold an empty data suffix
+// and an empty heartbeat suffix.
+constexpr char kShortWindowQuery[] = R"(
+  REGISTER QUERY q STARTING AT '1970-01-01T00:05'
+  { MATCH (n:X) WITHIN PT10M EMIT n.id SNAPSHOT EVERY PT5M })";
+constexpr char kDataConsumer[] = "data";
+constexpr char kTickConsumer[] = "ticks";
+
+struct SilenceRound {
+  bool ticks;
+  std::vector<int64_t> minutes;
+};
+
+const std::vector<SilenceRound>& SilenceRounds() {
+  static const auto* rounds = new std::vector<SilenceRound>{
+      {false, {1, 2, 3, 4}}, {false, {6, 7, 9}}, {false, {11, 13}},
+      {true, {20}},          {true, {35}},        {true, {50}},
+      {false, {52, 53, 56}}, {false, {58, 61, 63}}};
+  return *rounds;
+}
+
+struct Lanes {
+  EventQueue data;
+  EventQueue ticks;
+};
+
+StreamDriver::Options LaneOptions(bool ticks) {
+  StreamDriver::Options options;
+  options.consumer = ticks ? kTickConsumer : kDataConsumer;
+  options.target_stream = ticks ? "ticks" : "";
+  return options;
+}
+
+void PumpSilenceRounds(Lanes* lanes, StreamDriver* data, StreamDriver* ticks,
+                       size_t from, size_t to) {
+  for (size_t r = from; r < to; ++r) {
+    const SilenceRound& round = SilenceRounds()[r];
+    for (int64_t minute : round.minutes) {
+      EventQueue& lane = round.ticks ? lanes->ticks : lanes->data;
+      ASSERT_TRUE(lane.Produce(Item(minute), T(minute)).ok());
+    }
+    auto pumped = (round.ticks ? ticks : data)->PumpAll();
+    ASSERT_TRUE(pumped.ok()) << pumped.status();
+  }
+}
+
+TimeVaryingTable SilenceOracle() {
+  Lanes lanes;
+  ContinuousEngine engine;
+  CollectingSink sink;
+  engine.AddSink(&sink);
+  EXPECT_TRUE(engine.RegisterText(kShortWindowQuery).ok());
+  StreamDriver data(&lanes.data, &engine, LaneOptions(false));
+  StreamDriver ticks(&lanes.ticks, &engine, LaneOptions(true));
+  PumpSilenceRounds(&lanes, &data, &ticks, 0, SilenceRounds().size());
+  return sink.ResultsFor("q");
+}
+
+// Runs the checkpointed victim for `rounds` rounds; with `arm_point` set,
+// every checkpoint of the last round dies there.
+void RunSilenceVictim(const std::string& dir, Lanes* lanes, size_t rounds,
+                      const char* arm_point, uint64_t* last_seq) {
+  EngineOptions options;
+  options.checkpoint_every = 1;
+  ContinuousEngine engine(options);
+  ASSERT_TRUE(engine.RegisterText(kShortWindowQuery).ok());
+  CheckpointOptions checkpoint_options;
+  checkpoint_options.dir = dir;
+  checkpoint_options.fsync = false;
+  CheckpointManager manager(checkpoint_options);
+  manager.BindQueue(kDataConsumer, &lanes->data);
+  manager.BindQueue(kTickConsumer, &lanes->ticks);
+  manager.AttachTo(&engine);
+  StreamDriver data(&lanes->data, &engine, LaneOptions(false));
+  StreamDriver ticks(&lanes->ticks, &engine, LaneOptions(true));
+  PumpSilenceRounds(lanes, &data, &ticks, 0, rounds - 1);
+  if (arm_point != nullptr) {
+    FaultInjector::Global().ArmProbability(arm_point, 1.0);
+  }
+  PumpSilenceRounds(lanes, &data, &ticks, rounds - 1, rounds);
+  FaultInjector::Global().Reset();
+  *last_seq = manager.last_seq();
+}
+
+// Recovers into a fresh engine over the same lanes (the manual
+// composition RecoverAll performs for one queue), replays the backlog and
+// the remaining rounds, and checks the output against the oracle suffix.
+void RecoverSilenceRun(const std::string& dir, Lanes* lanes,
+                       size_t rounds_done, const TimeVaryingTable& expected,
+                       bool* restored_empty_suffix) {
+  ContinuousEngine engine;
+  CollectingSink sink;
+  engine.AddSink(&sink);
+  ASSERT_TRUE(engine.RegisterText(kShortWindowQuery).ok());
+  size_t restored_evals = 0;
+  auto image = persist::LoadLatestCheckpoint(dir);
+  if (image.ok()) {
+    const StreamCheckpoint& data = image->engine.streams.at("");
+    if (data.elements.empty() && data.base_offset > 0) {
+      *restored_empty_suffix = true;
+    }
+    restored_evals =
+        static_cast<size_t>(image->engine.queries.at(0).stats.evaluations);
+    ASSERT_TRUE(persist::RestoreEngine(*image, &engine).ok());
+    // The interrupted batch ends at the heartbeat's max timestamp, which
+    // survives the trim of its stream to nothing.
+    ASSERT_TRUE(engine.Drain().ok());
+    ASSERT_TRUE(
+        persist::RestoreConsumer(*image, kDataConsumer, &lanes->data).ok());
+    ASSERT_TRUE(
+        persist::RestoreConsumer(*image, kTickConsumer, &lanes->ticks).ok());
+  } else {
+    ASSERT_EQ(image.status().code(), StatusCode::kNotFound) << image.status();
+    lanes->data.Subscribe(kDataConsumer);
+    lanes->ticks.Subscribe(kTickConsumer);
+  }
+  StreamDriver data(&lanes->data, &engine, LaneOptions(false));
+  StreamDriver ticks(&lanes->ticks, &engine, LaneOptions(true));
+  // The backlog sits in the crashed round's lane; an idle lane's pump
+  // delivers nothing and leaves the clock alone.
+  ASSERT_TRUE(data.PumpAll().ok());
+  ASSERT_TRUE(ticks.PumpAll().ok());
+  PumpSilenceRounds(lanes, &data, &ticks, rounds_done, SilenceRounds().size());
+  EXPECT_EQ(engine.stream().size(), lanes->data.size());
+  EXPECT_EQ(engine.stream("ticks").size(), lanes->ticks.size());
+  ExpectSuffixMatch(sink.ResultsFor("q"), expected, restored_evals);
+}
+
+// Crash at every fault point after every round of a run whose streams were
+// trimmed before the crash — including cuts inside the silence, where the
+// restored suffix is empty. "drop_newest" removes the newest manifest of
+// a clean run, so a round with several barriers restores a mid-batch cut
+// that only the interrupted-batch catch-up can complete.
+TEST_F(CheckpointRecoveryTest, CrashRecoveryEquivalenceAfterRetentionTrims) {
+  const TimeVaryingTable expected = SilenceOracle();
+  ASSERT_GT(expected.size(), 0u);
+  const char* only_point = std::getenv("SERAPH_CRASH_POINT");
+  bool restored_empty_suffix = false;
+  int case_id = 0;
+  for (const std::string point :
+       {"none", "drop_newest", "checkpoint.write", "checkpoint.rename"}) {
+    const std::string leg = point == "drop_newest" ? "none" : point;
+    if (only_point != nullptr && leg != only_point) continue;
+    for (size_t crash_round = 1; crash_round <= SilenceRounds().size();
+         ++crash_round) {
+      SCOPED_TRACE("point=" + point +
+                   " crash_round=" + std::to_string(crash_round));
+      FaultInjector::Global().Reset();
+      const std::string dir =
+          FreshDir("trim_equiv_" + std::to_string(case_id++));
+      Lanes lanes;
+      const bool faulty = leg != "none";
+      uint64_t last_seq = 0;
+      RunSilenceVictim(dir, &lanes, crash_round,
+                       faulty ? point.c_str() : nullptr, &last_seq);
+      if (point == "drop_newest") {
+        if (last_seq < 2) continue;
+        ASSERT_TRUE(
+            fs::remove(dir + "/" + persist::ManifestFileName(last_seq)));
+      }
+      RecoverSilenceRun(dir, &lanes, crash_round, expected,
+                        &restored_empty_suffix);
+    }
+  }
+  EXPECT_TRUE(restored_empty_suffix);
+}
+
+// ---------------------------------------------------------------------------
 // Driver resume under chaos (satellite): exactly-once with flaky
 // transport and flaky sinks on both sides of the crash
 // ---------------------------------------------------------------------------
@@ -878,6 +1066,94 @@ TEST_F(CheckpointRecoveryTest, ShardedFleetRecoversWhenOneShardCommitDies) {
       ExpectSuffixMatch(sink.ResultsFor(query), oracle_sink.ResultsFor(query),
                         restored_evals[query]);
     }
+  }
+}
+
+// Rewrites the header version of the manifests in `dir` (every one, or
+// only MANIFEST-<only_seq>), as a build with another kFormatVersion would
+// have written them. The header sits outside every frame CRC, so the
+// manifests stay otherwise intact.
+void StampManifestVersion(const std::string& dir, uint32_t version,
+                          uint64_t only_seq = 0) {
+  for (const auto& entry : fs::directory_iterator(dir)) {
+    uint64_t seq = 0;
+    if (!persist::ParseManifestFileName(entry.path().filename().string(),
+                                        &seq) ||
+        (only_seq != 0 && seq != only_seq)) {
+      continue;
+    }
+    std::fstream file(entry.path(),
+                      std::ios::in | std::ios::out | std::ios::binary);
+    ASSERT_TRUE(file.is_open());
+    Encoder stamp;
+    stamp.PutU32(version);
+    file.seekp(4);
+    file.write(stamp.buffer().data(),
+               static_cast<std::streamsize>(stamp.buffer().size()));
+  }
+}
+
+// A generation written in another format version is not damage: recovery
+// fails loudly instead of falling back past it or reporting kNotFound,
+// which callers treat as a cold start that re-emits every result the
+// earlier run already delivered.
+TEST_F(CheckpointRecoveryTest, OtherFormatVersionFailsRecoveryLoudly) {
+  {
+    SCOPED_TRACE("every generation from an older build");
+    const std::string dir = FreshDir("old_format");
+    EventQueue queue;
+    RunVictim(dir, &queue, 3, nullptr, nullptr);
+    StampManifestVersion(dir, 1);
+    auto latest = persist::LoadLatestCheckpoint(dir);
+    ASSERT_EQ(latest.status().code(), StatusCode::kFailedPrecondition)
+        << latest.status();
+    EXPECT_NE(latest.status().message().find("unsupported format version 1"),
+              std::string::npos)
+        << latest.status();
+    ContinuousEngine engine;
+    ASSERT_TRUE(engine.RegisterText(kCountQuery).ok());
+    auto report =
+        persist::RecoverAll(dir, &engine, &queue, {kConsumer}, nullptr);
+    EXPECT_EQ(report.status().code(), StatusCode::kFailedPrecondition)
+        << report.status();
+    EXPECT_EQ(engine.stream().size(), 0u);
+  }
+  {
+    SCOPED_TRACE("newest generation from a newer build");
+    const std::string dir = FreshDir("newer_format");
+    EventQueue queue;
+    uint64_t last_seq = 0;
+    RunVictim(dir, &queue, 3, nullptr, &last_seq);
+    ASSERT_GT(last_seq, 1u);
+    StampManifestVersion(dir, persist::kFormatVersion + 1, last_seq);
+    // The older generation still loads on its own, but restoring it would
+    // silently drop the newer generation's progress.
+    EXPECT_TRUE(persist::LoadCheckpoint(dir, last_seq - 1).ok());
+    auto latest = persist::LoadLatestCheckpoint(dir);
+    EXPECT_EQ(latest.status().code(), StatusCode::kFailedPrecondition)
+        << latest.status();
+  }
+  {
+    SCOPED_TRACE("sharded fleet");
+    const std::string dir = FreshDir("old_format_sharded");
+    shard::ShardedEngineOptions options;
+    options.shards = 2;
+    options.checkpoint_dir = dir;
+    options.checkpoint_every = 1;
+    options.checkpoint_fsync = false;
+    {
+      shard::ShardedEngine victim(options);
+      ConfigureFleet(&victim);
+      for (int i = 0; i < 6; ++i) {
+        ASSERT_TRUE(victim.Ingest(ShardedEvent(i), T(1 + i)).ok());
+        ASSERT_TRUE(victim.PumpAll().ok());
+      }
+    }
+    StampManifestVersion(dir + "/shard-1", 1);
+    shard::ShardedEngine recovered(options);
+    ConfigureFleet(&recovered);
+    const Status restored = recovered.Restore();
+    EXPECT_EQ(restored.code(), StatusCode::kFailedPrecondition) << restored;
   }
 }
 

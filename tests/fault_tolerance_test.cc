@@ -674,6 +674,14 @@ void OverloadChaosRun(OverflowPolicy policy, uint64_t seed) {
   CollectingSink sink;
   engine.AddSink(&sink);
   ASSERT_TRUE(engine.RegisterText(kCountQuery).ok());
+  // The engine releases elements no live window can read again; this
+  // window spans the whole run, so every delivered element stays readable
+  // for the partition check below.
+  ASSERT_TRUE(engine
+                  .RegisterText("REGISTER QUERY audit STARTING AT "
+                                "'1970-01-01T00:05' { MATCH (n:X) WITHIN "
+                                "PT2H EMIT n.id SNAPSHOT EVERY PT5M }")
+                  .ok());
   StreamDriver::Options options;
   options.poll_batch = 3;
   options.delivery_retry.max_attempts = 3;

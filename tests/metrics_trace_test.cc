@@ -362,6 +362,37 @@ TEST(EngineObservabilityTest, IngestionCountersPerStream) {
   EXPECT_EQ(ingested->value(), 8);
 }
 
+// The retention gauges (docs/INTERNALS.md, "Stream retention") describe
+// the trimmed stream: what it holds, what it released, and how far its
+// oldest element trails the engine clock.
+TEST(EngineObservabilityTest, RetentionGaugesTrackTheTrim) {
+  ContinuousEngine engine;
+  Replay(&engine, 12);
+  const PropertyGraphStream& stream = engine.stream();
+  const MetricLabels labels{{"stream", "<default>"}};
+  const Gauge* retained =
+      engine.metrics().FindGauge("seraph_stream_retained_elements", labels);
+  const Gauge* trimmed =
+      engine.metrics().FindGauge("seraph_stream_trimmed_total", labels);
+  const Gauge* lag =
+      engine.metrics().FindGauge("seraph_stream_retention_lag_millis", labels);
+  ASSERT_NE(retained, nullptr);
+  ASSERT_NE(trimmed, nullptr);
+  ASSERT_NE(lag, nullptr);
+  // A PT20M window over an hour of batches released the early ones.
+  EXPECT_GT(trimmed->value(), 0);
+  EXPECT_GT(retained->value(), 0);
+  EXPECT_EQ(trimmed->value(), static_cast<int64_t>(stream.base_offset()));
+  EXPECT_EQ(retained->value(), static_cast<int64_t>(stream.retained()));
+  EXPECT_EQ(retained->value() + trimmed->value(), 12);
+  const int64_t clock =
+      engine.metrics().FindGauge("seraph_engine_clock_millis")->value();
+  EXPECT_EQ(lag->value(),
+            clock - stream.at(stream.base_offset()).timestamp.millis());
+  // Nothing older than the window plus one slide is held.
+  EXPECT_LE(lag->value(), 25 * 60'000);
+}
+
 TEST(EngineObservabilityTest, SnapshotMaintenanceCounters) {
   ContinuousEngine engine;  // Incremental maintenance on by default.
   Replay(&engine, 12);

@@ -366,14 +366,89 @@ TEST(GraphStreamTest, DropFrontKeepsOrderAndMaxTimestamp) {
   for (int64_t m : {10, 20, 30}) {
     ASSERT_TRUE(s.Append(Tiny(m), T(m)).ok());
   }
-  s.DropFront(2);
-  ASSERT_EQ(s.size(), 1u);
-  EXPECT_EQ(s.at(0).timestamp, T(30));
+  EXPECT_EQ(s.DropFront(2), 2u);
+  // Positions are absolute: the survivor keeps position 2, and size()
+  // still counts every element ever appended.
+  ASSERT_EQ(s.size(), 3u);
+  EXPECT_EQ(s.base_offset(), 2u);
+  EXPECT_EQ(s.retained(), 1u);
+  EXPECT_EQ(s.at(2).timestamp, T(30));
+  EXPECT_EQ(s.TrimmedThrough(), T(20));
   EXPECT_EQ(s.MaxTimestamp(), T(30));
-  s.DropFront(5);  // Over-trim clears.
-  EXPECT_TRUE(s.empty());
+  EXPECT_EQ(s.DropFront(5), 1u);  // Over-trim clamps to what is retained.
+  EXPECT_EQ(s.retained(), 0u);
+  EXPECT_EQ(s.size(), 3u);
+  EXPECT_EQ(s.TrimmedThrough(), T(30));
   EXPECT_EQ(s.MaxTimestamp(), T(30));
   EXPECT_EQ(s.Append(Tiny(1), T(20)).code(), StatusCode::kOutOfRange);
+  ASSERT_TRUE(s.Append(Tiny(4), T(40)).ok());
+  EXPECT_EQ(s.at(3).timestamp, T(40));
+}
+
+TEST(GraphStreamTest, LowerBoundAndSubstreamUseAbsolutePositions) {
+  PropertyGraphStream s;
+  for (int64_t m : {10, 20, 30, 40}) {
+    ASSERT_TRUE(s.Append(Tiny(m), T(m)).ok());
+  }
+  s.DropFront(2);
+  // Below the retained suffix everything resolves to its first element.
+  EXPECT_EQ(s.LowerBound(T(5)), 2u);
+  EXPECT_EQ(s.LowerBound(T(30)), 2u);
+  EXPECT_EQ(s.LowerBound(T(31)), 3u);
+  EXPECT_EQ(s.LowerBound(T(99)), 4u);
+  auto sub = s.Substream(TimeInterval{T(0), T(99)},
+                         IntervalBounds::kLeftClosedRightOpen);
+  ASSERT_EQ(sub.size(), 2u);
+  EXPECT_EQ(sub[0].timestamp, T(30));
+}
+
+TEST(GraphStreamTest, InterleavedTrimsAndAppendsKeepPositions) {
+  // Every position read back must be the element appended there,
+  // whatever was dropped before it.
+  PropertyGraphStream s;
+  int64_t next = 0;
+  for (int round = 0; round < 50; ++round) {
+    for (int i = 0; i < 7; ++i, ++next) {
+      ASSERT_TRUE(s.Append(Tiny(next), T(next)).ok());
+    }
+    s.DropFront(static_cast<size_t>(round % 9));
+    ASSERT_EQ(s.size(), static_cast<size_t>(next));
+    for (size_t p = s.base_offset(); p < s.size(); ++p) {
+      ASSERT_EQ(s.at(p).timestamp, T(static_cast<int64_t>(p)));
+    }
+  }
+}
+
+TEST(GraphStreamTest, RestoreReinstatesSuffixAtItsOffsets) {
+  PropertyGraphStream s;
+  std::vector<StreamElement> suffix;
+  suffix.push_back(StreamElement{std::make_shared<const PropertyGraph>(Tiny(8)),
+                                 T(30)});
+  ASSERT_TRUE(s.Restore(7, T(20), T(30), suffix).ok());
+  EXPECT_EQ(s.size(), 8u);
+  EXPECT_EQ(s.base_offset(), 7u);
+  EXPECT_EQ(s.at(7).timestamp, T(30));
+  EXPECT_EQ(s.TrimmedThrough(), T(20));
+  EXPECT_EQ(s.Append(Tiny(9), T(25)).code(), StatusCode::kOutOfRange);
+  // Only a never-appended stream can be restored.
+  EXPECT_EQ(s.Restore(0, T(0), T(0), {}).code(),
+            StatusCode::kInvalidArgument);
+
+  // An empty suffix (a silence longer than every window) still carries
+  // the max timestamp.
+  PropertyGraphStream silent;
+  ASSERT_TRUE(silent.Restore(3, T(30), T(30), {}).ok());
+  EXPECT_EQ(silent.size(), 3u);
+  EXPECT_EQ(silent.retained(), 0u);
+  EXPECT_EQ(silent.MaxTimestamp(), T(30));
+
+  // A suffix that starts before its trimmed-through timestamp or does not
+  // end at its max timestamp is inconsistent.
+  PropertyGraphStream bad;
+  EXPECT_EQ(bad.Restore(1, T(40), T(30), suffix).code(),
+            StatusCode::kInvalidArgument);
+  EXPECT_EQ(bad.Restore(1, T(20), T(35), suffix).code(),
+            StatusCode::kInvalidArgument);
 }
 
 }  // namespace

@@ -10,7 +10,11 @@ Two file shapes are understood, matched by name:
   * google-benchmark JSON (BENCH_match.json, BENCH_parallel_queries.json,
     BENCH_recovery.json, BENCH_emit_latency.json, BENCH_overload.json):
     each benchmark's real_time is compared by name; a fresh run slower
-    than `baseline * threshold` fails.
+    than `baseline * threshold` fails. User counters named `*_bytes`
+    (BM_CheckpointWrite's checkpoint_bytes) are sizes, not times: the
+    same inputs encode to the same bytes on any machine, so they are held
+    to the tight BYTES_THRESHOLD — a return to checkpoints that grow with
+    the stream prefix fails even on the noisiest runner.
   * the latency harness's flat JSON (BENCH_latency.json): p50_us / p99_us
     / p999_us are compared against `baseline * latency-threshold`, and
     rate_achieved must stay above `baseline / latency-threshold`.
@@ -29,6 +33,9 @@ import argparse
 import json
 import os
 import sys
+
+# Max growth ratio for `*_bytes` user counters (deterministic sizes).
+BYTES_THRESHOLD = 1.25
 
 
 def load_json(path):
@@ -54,6 +61,33 @@ def benchmark_times(doc):
         scale = {"ns": 1.0, "us": 1e3, "ms": 1e6, "s": 1e9}.get(unit, 1.0)
         times[name] = float(real_time) * scale
     return times
+
+
+def benchmark_bytes(doc):
+    """(benchmark name, counter) -> value of every `*_bytes` user counter."""
+    sizes = {}
+    for bench in doc.get("benchmarks", []):
+        if bench.get("run_type") == "aggregate" or "name" not in bench:
+            continue
+        for key, value in bench.items():
+            if key.endswith("_bytes") and isinstance(value, (int, float)):
+                sizes[(bench["name"], key)] = float(value)
+    return sizes
+
+
+def compare_bytes(name, baseline, fresh, failures):
+    base_sizes = benchmark_bytes(baseline)
+    fresh_sizes = benchmark_bytes(fresh)
+    for key in sorted(base_sizes.keys() & fresh_sizes.keys()):
+        base = base_sizes[key]
+        cur = fresh_sizes[key]
+        ratio = cur / base if base > 0 else float("inf")
+        verdict = "ok"
+        if base > 0 and ratio > BYTES_THRESHOLD:
+            verdict = f"REGRESSION (> {BYTES_THRESHOLD:.2f}x)"
+            failures.append(f"{name}: {key[0]} {key[1]} {ratio:.2f}x larger")
+        print(f"  [{verdict:>10}] {key[0]} {key[1]}: {base:.0f} B ->"
+              f" {cur:.0f} B ({ratio:.2f}x)")
 
 
 def compare_google_benchmark(name, baseline, fresh, threshold, failures):
@@ -143,6 +177,7 @@ def main():
         if is_google_benchmark(baseline) and is_google_benchmark(fresh):
             compare_google_benchmark(file_name, baseline, fresh,
                                      args.threshold, failures)
+            compare_bytes(file_name, baseline, fresh, failures)
         else:
             compare_latency(file_name, baseline, fresh,
                             args.latency_threshold, failures)

@@ -190,11 +190,15 @@ int InspectCheckpoints(const std::string& dir) {
     if (!summary.image.has_value()) continue;
     const persist::CheckpointImage& image = *summary.image;
     std::cout << "  clock: " << image.engine.clock.ToString() << "\n";
-    size_t elements = 0;
     for (const auto& [name, stream] : image.engine.streams) {
-      elements += stream.size();
-      std::cout << "  stream '" << name << "': " << stream.size()
-                << " element(s)\n";
+      std::cout << "  stream '" << name << "': " << stream.elements.size()
+                << " retained element(s) from offset " << stream.base_offset
+                << ", max " << stream.max_timestamp.ToString();
+      if (stream.base_offset > 0) {
+        std::cout << ", trimmed through "
+                  << stream.trimmed_through.ToString();
+      }
+      std::cout << "\n";
     }
     for (const auto& [consumer, offset] : image.offsets) {
       std::cout << "  offset " << consumer << ": " << offset << "\n";
@@ -671,10 +675,9 @@ int main(int argc, char** argv) {
           if (s.ok()) break;
           if (s.code() != StatusCode::kUnavailable) return Fail(s.ToString());
           const int64_t trimmed_before = queue.trimmed_total();
-          auto drained = driver.PumpAll();
+          auto drained = driver.PumpAll();  // Trims what it handed off.
           if (!drained.ok()) return Fail(drained.status().ToString());
           delivered += *drained;
-          queue.TrimCommitted();
           if (*drained == 0 && queue.trimmed_total() == trimmed_before) {
             if (++stalled_retries >= 3) {
               return Fail(
