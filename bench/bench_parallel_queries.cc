@@ -1,7 +1,10 @@
 // Parallel multi-query evaluation: N copies of the same query over one
-// shared stream, evaluated with 1/2/4/8 worker threads. Since the copies
-// share the ET grid, every instant is one batch of N concurrent
-// evaluations — the best case the batch-barrier scheduler is built for.
+// shared stream, evaluated with 1/2/4/8 worker threads (16 copies), and
+// with 16/64/256 copies at 2 threads. Since the copies share the ET grid,
+// every instant is one batch of N concurrent evaluations — the best case
+// the batch-barrier scheduler is built for — and they share one window,
+// which the coordinator advances once per instant: the
+// snapshot_advances_per_instant counter reads 1 at every query count.
 // Each parallel run is also checked against the serial run for identical
 // results (content and delivery order), so the speedup numbers can never
 // come from dropping or reordering work.
@@ -13,6 +16,7 @@
 // thread counts on a multicore host.
 #include <benchmark/benchmark.h>
 
+#include <map>
 #include <string>
 #include <utility>
 #include <vector>
@@ -24,8 +28,6 @@
 namespace {
 
 using namespace seraph;
-
-constexpr int kQueries = 16;
 
 std::string CopyQuery(int index) {
   // A MATCH with a join so stage 3 has real CPU work to parallelize.
@@ -62,28 +64,44 @@ struct OrderSink : EmitSink {
   }
 };
 
-// Runs the fleet; `*ok` reports whether every step succeeded.
-std::vector<Delivery> RunFleet(int eval_threads, bool* ok) {
-  *ok = true;
+struct FleetRun {
+  bool ok = false;
+  std::vector<Delivery> calls;
+  // Shared-window advances across the fleet per evaluation instant (one
+  // batch per instant), read from the registry.
+  double advances_per_instant = 0;
+};
+
+// Runs `queries` copies on `eval_threads` workers.
+FleetRun RunFleet(int queries, int eval_threads) {
+  FleetRun run;
   EngineOptions options;
   options.eval_threads = eval_threads;
   ContinuousEngine engine(options);
   OrderSink sink;
   engine.AddSink(&sink);
-  for (int i = 0; i < kQueries; ++i) {
-    if (!engine.RegisterText(CopyQuery(i)).ok()) {
-      *ok = false;
-      return {};
-    }
+  for (int i = 0; i < queries; ++i) {
+    if (!engine.RegisterText(CopyQuery(i)).ok()) return run;
   }
   for (const auto& event : Events()) {
     (void)engine.Ingest(event.graph, event.timestamp);
   }
-  if (!engine.Drain().ok()) {
-    *ok = false;
-    return {};
+  if (!engine.Drain().ok()) return run;
+  const MetricsRegistry& registry = engine.metrics();
+  int64_t advances = 0;
+  for (const std::string& name : engine.QueryNames()) {
+    advances += registry
+                    .FindCounter("seraph_query_snapshots_incremental_total",
+                                 {{"query", name}})
+                    ->value();
   }
-  return std::move(sink.calls);
+  const int64_t instants =
+      registry.FindHistogram("seraph_engine_eval_batch_size")->count();
+  run.advances_per_instant =
+      instants > 0 ? static_cast<double>(advances) / instants : 0;
+  run.ok = true;
+  run.calls = std::move(sink.calls);
+  return run;
 }
 
 bool SameDeliveries(const std::vector<Delivery>& a,
@@ -98,39 +116,53 @@ bool SameDeliveries(const std::vector<Delivery>& a,
   return true;
 }
 
-void BM_ParallelQueryFleet(benchmark::State& state) {
-  const int threads = static_cast<int>(state.range(0));
-  // Serial oracle, computed once: the parallel engine must reproduce it
-  // exactly.
-  static auto* oracle = new std::vector<Delivery>([] {
-    bool ok = false;
-    auto calls = RunFleet(1, &ok);
-    if (!ok) calls.clear();
-    return calls;
-  }());
-  if (oracle->empty()) {
+// Times `queries` copies on `threads` workers against the serial run of
+// the same fleet (computed once per query count).
+void RunAgainstSerial(benchmark::State& state, int queries, int threads) {
+  static auto* oracles = new std::map<int, std::vector<Delivery>>();
+  auto [it, fresh] = oracles->try_emplace(queries);
+  if (fresh) {
+    FleetRun serial = RunFleet(queries, 1);
+    if (serial.ok) it->second = std::move(serial.calls);
+  }
+  if (it->second.empty()) {
     state.SkipWithError("serial oracle run failed");
     return;
   }
+  double advances_per_instant = 0;
   for (auto _ : state) {
-    bool ok = false;
-    std::vector<Delivery> got = RunFleet(threads, &ok);
-    if (!ok) {
+    FleetRun got = RunFleet(queries, threads);
+    if (!got.ok) {
       state.SkipWithError("fleet run failed");
       return;
     }
-    if (!SameDeliveries(got, *oracle)) {
+    if (!SameDeliveries(got.calls, it->second)) {
       state.SkipWithError("parallel run diverged from serial run");
       return;
     }
+    advances_per_instant = got.advances_per_instant;
     benchmark::DoNotOptimize(got);
   }
-  state.counters["queries"] = kQueries;
+  state.counters["queries"] = queries;
   state.counters["threads"] = threads;
-  state.SetLabel(std::to_string(kQueries) + " queries, " +
+  state.counters["snapshot_advances_per_instant"] = advances_per_instant;
+  state.SetLabel(std::to_string(queries) + " queries, " +
                  std::to_string(threads) + " thread(s)");
 }
+
+void BM_ParallelQueryFleet(benchmark::State& state) {
+  RunAgainstSerial(state, 16, static_cast<int>(state.range(0)));
+}
 BENCHMARK(BM_ParallelQueryFleet)->Arg(1)->Arg(2)->Arg(4)->Arg(8)
+    ->Unit(benchmark::kMillisecond)->MeasureProcessCPUTime()
+    ->UseRealTime();
+
+// Query count at 2 threads: with one shared window, snapshot work stays
+// constant in the number of queries.
+void BM_ParallelQueryCount(benchmark::State& state) {
+  RunAgainstSerial(state, static_cast<int>(state.range(0)), 2);
+}
+BENCHMARK(BM_ParallelQueryCount)->Arg(16)->Arg(64)->Arg(256)
     ->Unit(benchmark::kMillisecond)->MeasureProcessCPUTime()
     ->UseRealTime();
 

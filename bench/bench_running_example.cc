@@ -79,15 +79,12 @@ BENCHMARK(BM_Table2_OneTimeCypher);
 // Tables 5/6: full continuous replay (register, ingest 5 events, run the
 // 12-instant ET grid).
 void BM_Tables5and6_ContinuousReplay(benchmark::State& state) {
-  bool incremental = state.range(0) != 0;
   std::vector<workloads::Event> events =
       workloads::BuildRunningExampleStream();
   int64_t rows = 0;
   std::optional<ContinuousEngine> engine;
   for (auto _ : state) {
-    EngineOptions options;
-    options.incremental_snapshots = incremental;
-    engine.emplace(options);
+    engine.emplace();
     CollectingSink sink;
     engine->AddSink(&sink);
     (void)engine->RegisterText(workloads::RunningExampleSeraphQuery());
@@ -104,9 +101,8 @@ void BM_Tables5and6_ContinuousReplay(benchmark::State& state) {
   if (engine.has_value()) {
     benchsupport::AddStageCounters(state, *engine, "student_trick");
   }
-  state.SetLabel(incremental ? "incremental" : "rebuild");
 }
-BENCHMARK(BM_Tables5and6_ContinuousReplay)->Arg(0)->Arg(1);
+BENCHMARK(BM_Tables5and6_ContinuousReplay);
 
 // Observability overhead guard: the full continuous replay with (0) no
 // recorder attached, (1) a recorder attached but disabled — the

@@ -96,24 +96,47 @@ struct QueryMetricHandles {
   Gauge* delta_entries = nullptr;
 };
 
+// One window of the shared registry (docs/INTERNALS.md, "Shared
+// windows"). Snapshot reducibility (Def. 5.8) makes a window's snapshot a
+// function of its stream and its configuration (ω0, α, β) alone, so every
+// registered query reading that pair reads this one snapshot. The
+// coordinator advances it once per batch, before fan-out; evaluations only
+// read it.
+struct ContinuousEngine::SharedWindow {
+  SharedWindow(const PropertyGraphStream* source, std::string stream_name,
+               const WindowConfig& window_config)
+      : stream(std::move(stream_name)),
+        config(window_config),
+        snapshotter(source, window_config.bounds()) {}
+
+  std::string stream;
+  WindowConfig config;
+  IncrementalSnapshotter snapshotter;
+  // Registered queries holding this window (the refcount).
+  int readers = 0;
+  // The instant of the last advance and the batch (batches_completed_)
+  // it ran in: a reader due in that batch reads the snapshot; any other
+  // reader at or before advanced_to trails the window and catches up.
+  Timestamp advanced_to;
+  int64_t advanced_batch = -1;
+  Status advance_status;  // What the last advance returned.
+  // seraph_window_readers / seraph_window_snapshot_entities.
+  Gauge* readers_gauge = nullptr;
+  Gauge* entities_gauge = nullptr;
+};
+
 struct ContinuousEngine::QueryState {
   RegisteredQuery query;
   bool content_deterministic = false;
 
   // One window per distinct (stream, WITHIN width) pair a MATCH uses.
   struct WindowState {
-    std::string stream;
-    Duration width;
-    WindowConfig config;
-    std::unique_ptr<IncrementalSnapshotter> snapshotter;
-    PropertyGraph rebuilt;  // Used when incremental maintenance is off.
-    // Element index range covered at the previous evaluation (for the
-    // unchanged-window reuse check).
+    SharedWindow* shared = nullptr;
+    // Element position range covered at the previous evaluation (for the
+    // unchanged-window reuse check); cleared by a catch-up evaluation.
     size_t last_lo = 0;
     size_t last_hi = 0;
     bool has_last_range = false;
-    // Snapshotter counters as of the previous evaluation, for deltas.
-    SnapshotterStats last_maint;
   };
   // Keyed by "<stream>\n<width_ms>".
   std::map<std::string, WindowState> windows;
@@ -129,7 +152,6 @@ struct ContinuousEngine::QueryState {
   int consecutive_failures = 0;
   bool disabled = false;
   QueryStats stats;
-  Histogram eval_latency_micros;
   QueryMetricHandles metrics;
   // Emit-latency cursors, one per distinct stream among the query's
   // windows: the index of the first element whose latency has not been
@@ -153,10 +175,49 @@ std::string WindowKey(const std::string& stream, Duration width) {
   return stream + "\n" + std::to_string(width.millis());
 }
 
+std::string StreamLabel(const std::string& stream) {
+  return stream.empty() ? std::string("<default>") : stream;
+}
+
 // Human-readable window identifier for trace spans ("<stream>/PT..ms").
 std::string WindowLabel(const std::string& stream, Duration width) {
-  return (stream.empty() ? std::string("<default>") : stream) + "/" +
-         std::to_string(width.millis()) + "ms";
+  return StreamLabel(stream) + "/" + std::to_string(width.millis()) + "ms";
+}
+
+// The `window` label of a shared window's series, in query syntax.
+std::string WindowConfigLabel(const WindowConfig& config) {
+  return "WITHIN " + config.width.ToString() + " EVERY " +
+         config.slide.ToString() + " STARTING AT " + config.start.ToString();
+}
+
+// Shared-window registry key: the stream plus the whole configuration
+// (the label is exact to the millisecond).
+std::string SharedWindowKey(const std::string& stream,
+                            const WindowConfig& config) {
+  return stream + "\n" + WindowConfigLabel(config) +
+         (config.semantics == WindowSemantics::kLookback ? "" : "\nformal");
+}
+
+// The window an evaluation at `t` is annotated with: the active window,
+// or the empty window ending at t before the first one opens.
+TimeInterval AnnotatedWindow(const WindowConfig& config, Timestamp t) {
+  std::optional<TimeInterval> window = config.ActiveWindow(t);
+  return window.has_value() ? *window : TimeInterval{t, t};
+}
+
+// The interval whose elements the snapshot at `t` covers. Under
+// kPaperFormal the active window may extend past the evaluation instant;
+// elements there have not causally arrived yet, so selection is clamped
+// at t, inclusive of t itself (the +1ms keeps an element arriving exactly
+// at the instant inside the left-closed right-open selection).
+TimeInterval EffectiveWindow(const WindowConfig& config, Timestamp t) {
+  TimeInterval effective = AnnotatedWindow(config, t);
+  if (t < effective.end) effective.end = Timestamp::FromMillis(t.millis() + 1);
+  return effective;
+}
+
+int64_t EntityCount(const PropertyGraph& graph) {
+  return static_cast<int64_t>(graph.num_nodes() + graph.num_relationships());
 }
 
 QueryMetricHandles MakeQueryMetrics(MetricsRegistry* registry,
@@ -327,19 +388,22 @@ size_t ContinuousEngine::RetentionHorizon(
     // still pins its windows, so ReviveQuery's catch-up stays exact.
     if (state->done) continue;
     for (const auto& [key, ws] : state->windows) {
-      if (ws.stream != name) continue;
-      if (ws.snapshotter != nullptr && ws.snapshotter->started()) {
-        // The next Advance evicts [window_begin, new_lo) before it adds.
-        horizon = std::min(horizon, ws.snapshotter->window_begin());
-        continue;
+      const SharedWindow& window = *ws.shared;
+      if (window.stream != name) continue;
+      if (window.snapshotter.started()) {
+        // The next advance evicts [window_begin, new_lo) before it adds.
+        horizon = std::min(horizon, window.snapshotter.window_begin());
+        // A reader past the last advance reads through the next one.
+        if (state->next_eval > window.advanced_to) continue;
       }
-      // An unstarted (or rebuilt-per-evaluation) window reads from the
-      // start of the next active window on. A gap instant has none; the
-      // windows after it open later still.
-      std::optional<TimeInterval> window =
-          ws.config.ActiveWindow(state->next_eval);
-      horizon = std::min(horizon, stream.LowerBound(window.has_value()
-                                                        ? window->start
+      // The window is unstarted, or this reader trails it and builds its
+      // own snapshots: either way it reads from the start of its next
+      // active window on. A gap instant has none; the windows after it
+      // open later still.
+      std::optional<TimeInterval> active =
+          window.config.ActiveWindow(state->next_eval);
+      horizon = std::min(horizon, stream.LowerBound(active.has_value()
+                                                        ? active->start
                                                         : state->next_eval));
     }
   }
@@ -347,6 +411,19 @@ size_t ContinuousEngine::RetentionHorizon(
 }
 
 void ContinuousEngine::TrimStreams() {
+  // A started window no live query reads pins nothing, so the trim below
+  // may release what it covers: reset it first, and a later reader
+  // restarts it from empty instead of evicting released positions.
+  std::set<const SharedWindow*> live;
+  for (const auto& [name, state] : queries_) {
+    if (state->done) continue;
+    for (const auto& [key, ws] : state->windows) live.insert(ws.shared);
+  }
+  for (auto& [key, window] : windows_) {
+    if (window->snapshotter.started() && !live.contains(window.get())) {
+      ResetWindow(window.get());
+    }
+  }
   const int64_t clock_ms = clock_started_ ? clock_.millis() : 0;
   for (auto& [name, stream] : streams_) {
     if (stream.empty()) continue;
@@ -363,6 +440,45 @@ void ContinuousEngine::TrimStreams() {
     }
     obs->retention_lag_millis->Set(std::max<int64_t>(lag, 0));
   }
+}
+
+ContinuousEngine::SharedWindow* ContinuousEngine::AcquireWindow(
+    const std::string& stream, const WindowConfig& config) {
+  std::unique_ptr<SharedWindow>& slot =
+      windows_[SharedWindowKey(stream, config)];
+  if (slot == nullptr) {
+    slot = std::make_unique<SharedWindow>(MutableStream(stream), stream,
+                                          config);
+    const MetricLabels labels{{"stream", StreamLabel(stream)},
+                              {"window", WindowConfigLabel(config)}};
+    slot->readers_gauge = metrics_.GaugeFor("seraph_window_readers", labels);
+    slot->entities_gauge =
+        metrics_.GaugeFor("seraph_window_snapshot_entities", labels);
+    ResetWindow(slot.get());
+  }
+  slot->readers_gauge->Set(++slot->readers);
+  return slot.get();
+}
+
+void ContinuousEngine::ReleaseWindow(SharedWindow* window) {
+  window->readers_gauge->Set(--window->readers);
+  if (window->readers > 0) return;
+  // The series survive (like the per-query ones) at zero.
+  window->entities_gauge->Set(0);
+  windows_.erase(SharedWindowKey(window->stream, window->config));
+}
+
+void ContinuousEngine::ResetWindow(SharedWindow* window) {
+  window->snapshotter = IncrementalSnapshotter(MutableStream(window->stream),
+                                               window->config.bounds());
+  if (static_graph_ != nullptr) {
+    // The base is each of its entities' only contribution, so it cannot
+    // conflict with itself.
+    SERAPH_CHECK(window->snapshotter.SetBase(static_graph_).ok());
+  }
+  window->advanced_batch = -1;
+  window->advance_status = Status::OK();
+  window->entities_gauge->Set(EntityCount(window->snapshotter.graph()));
 }
 
 ContinuousEngine::~ContinuousEngine() = default;
@@ -504,11 +620,13 @@ Status ContinuousEngine::Register(RegisteredQuery query) {
   auto state = std::make_unique<QueryState>();
   state->next_eval = query.starting_at;
   state->content_deterministic = query.IsWindowContentDeterministic();
-  // One window state per distinct (stream, WITHIN width) pair.
+  // One window per distinct (stream, WITHIN width) pair, all validated
+  // before any joins the shared registry.
   Duration slide = query.mode == OutputMode::kEmitStream
                        ? query.every
                        : Duration::FromMillis(1);
   Duration max_width = Duration::FromMillis(0);
+  std::map<std::string, std::pair<std::string, WindowConfig>> wanted;
   for (const Clause& clause : query.clauses) {
     const auto* match = std::get_if<MatchClause>(&clause);
     if (match == nullptr) continue;
@@ -517,45 +635,35 @@ Status ContinuousEngine::Register(RegisteredQuery query) {
       max_width = *match->within;
       state->widest_key = key;
     }
-    if (state->windows.contains(key)) continue;
-    QueryState::WindowState ws;
-    ws.stream = match->from_stream;
-    ws.width = *match->within;
-    ws.config = WindowConfig{query.starting_at, *match->within, slide,
-                             options_.semantics};
-    SERAPH_RETURN_IF_ERROR(ws.config.Validate());
-    const PropertyGraphStream* stream = FindStreamOrEmpty(ws.stream);
+    if (wanted.contains(key)) continue;
+    WindowConfig config{query.starting_at, *match->within, slide,
+                        options_.semantics};
+    SERAPH_RETURN_IF_ERROR(config.Validate());
+    const PropertyGraphStream* stream = FindStreamOrEmpty(match->from_stream);
     SERAPH_RETURN_IF_ERROR(CheckFirstWindowRetained(
-        query.name, ws.stream, ws.config, stream->base_offset(),
+        query.name, match->from_stream, config, stream->base_offset(),
         stream->TrimmedThrough()));
-    // Create the stream eagerly so streams_ never mutates during
-    // evaluation: worker threads only ever read the map.
-    MutableStream(match->from_stream);
-    if (options_.incremental_snapshots) {
-      ws.snapshotter = std::make_unique<IncrementalSnapshotter>(
-          MutableStream(match->from_stream), ws.config.bounds());
-      if (static_graph_ != nullptr) {
-        SERAPH_RETURN_IF_ERROR(ws.snapshotter->SetBase(static_graph_));
-      }
-    }
-    state->windows.emplace(std::move(key), std::move(ws));
+    wanted.emplace(std::move(key),
+                   std::make_pair(match->from_stream, config));
+  }
+  // Acquiring creates the stream eagerly, so streams_ never mutates
+  // during evaluation: worker threads only ever read the map.
+  for (const auto& [key, window] : wanted) {
+    state->windows[key].shared = AcquireWindow(window.first, window.second);
   }
   state->query = std::move(query);
   state->metrics = MakeQueryMetrics(&metrics_, state->query.name);
-  // Delta matching needs the snapshotter dirty sets as its repair input,
-  // so it only engages alongside incremental snapshots. The MatchClause
-  // pointer stays valid: EvaluateAt's clause-vector move transfers the
-  // heap buffer without relocating elements.
-  if (options_.delta_matching && options_.incremental_snapshots &&
-      DeltaIndex::Eligible(state->query)) {
+  // The MatchClause pointer stays valid: EvaluateAt's clause-vector move
+  // transfers the heap buffer without relocating elements.
+  if (options_.delta_matching && DeltaIndex::Eligible(state->query)) {
     state->delta = std::make_unique<DeltaIndex>(
         std::get_if<MatchClause>(&state->query.clauses[0]));
   }
   // Emit-latency cursors start at the streams' current sizes: elements
   // ingested before the query existed are not part of its latency SLO.
   for (const auto& [key, ws] : state->windows) {
-    state->latency_cursors.emplace(ws.stream,
-                                   FindStreamOrEmpty(ws.stream)->size());
+    state->latency_cursors.emplace(
+        ws.shared->stream, FindStreamOrEmpty(ws.shared->stream)->size());
   }
   // Static parts of the intra-query parallelism spec; the scheduler fills
   // in `pool` per batch when it grants parallel matching.
@@ -581,9 +689,12 @@ Status ContinuousEngine::RegisterText(std::string_view seraph_text) {
 }
 
 Status ContinuousEngine::Unregister(const std::string& name) {
-  if (queries_.erase(name) == 0) {
+  auto it = queries_.find(name);
+  if (it == queries_.end()) {
     return Status::NotFound("query '" + name + "' is not registered");
   }
+  for (auto& [key, ws] : it->second->windows) ReleaseWindow(ws.shared);
+  queries_.erase(it);
   metrics_.GaugeFor("seraph_queries_registered")
       ->Set(static_cast<int64_t>(queries_.size()));
   return Status::OK();
@@ -606,11 +717,12 @@ Result<QueryStats> ContinuousEngine::StatsFor(const std::string& name) const {
 
 Result<HistogramSnapshot> ContinuousEngine::LatencyFor(
     const std::string& name) const {
-  auto it = queries_.find(name);
-  if (it == queries_.end()) {
-    return Status::NotFound("query '" + name + "' is not registered");
+  const Histogram* latency =
+      metrics_.FindHistogram("seraph_query_eval_micros", {{"query", name}});
+  if (latency == nullptr) {
+    return Status::NotFound("query '" + name + "' was never registered");
   }
-  return it->second->eval_latency_micros.Snapshot();
+  return latency->Snapshot();
 }
 
 Status ContinuousEngine::Ingest(PropertyGraph graph, Timestamp timestamp) {
@@ -747,6 +859,9 @@ Status ContinuousEngine::AdvanceTo(Timestamp now) {
 
     outputs.assign(batch.size(), PendingDelivery{});
     statuses.assign(batch.size(), Status::OK());
+    // Coordinator pre-pass: each shared window moves once, here; the
+    // evaluations below (on workers or not) only read the snapshots.
+    AdvanceSharedWindows(batch, t, &outputs);
     const bool parallel_queries = threads > 1 && batch.size() > 1;
     const bool parallel_match =
         match_threads > 1 && static_cast<int>(batch.size()) < pool_threads;
@@ -942,10 +1057,11 @@ Status ContinuousEngine::RestoreFrom(const EngineCheckpoint& checkpoint) {
   for (const auto& [name, state] : queries_) {
     if (checkpointed.contains(name)) continue;
     for (const auto& [key, ws] : state->windows) {
-      auto it = checkpoint.streams.find(ws.stream);
+      const SharedWindow& window = *ws.shared;
+      auto it = checkpoint.streams.find(window.stream);
       if (it == checkpoint.streams.end()) continue;
       SERAPH_RETURN_IF_ERROR(CheckFirstWindowRetained(
-          name, ws.stream, ws.config, it->second.base_offset,
+          name, window.stream, window.config, it->second.base_offset,
           it->second.trimmed_through));
     }
   }
@@ -974,9 +1090,10 @@ Status ContinuousEngine::RestoreFrom(const EngineCheckpoint& checkpoint) {
     state->has_previous = q.has_previous;
     state->previous_result = q.previous_result;
     state->stats = q.stats;
-    // Window state stays fresh: the next evaluation re-derives every
-    // window from the restored stream (has_last_range is false, so the
-    // unchanged-window reuse fast path cannot fire on stale bounds).
+    // Window state stays fresh: no batch ran yet, so the first one after
+    // the restore advances every shared window from the restored stream
+    // (has_last_range is false, so the unchanged-window reuse fast path
+    // cannot fire on stale bounds).
     // Latency cursors jump past the restored prefix: those elements'
     // emits happened in the first life (and their arrival stamps are not
     // persisted anyway — latency is a processing-time concern).
@@ -1028,6 +1145,60 @@ const char* PolicyName(ReportPolicy policy) {
 
 }  // namespace
 
+void ContinuousEngine::AdvanceSharedWindows(
+    const std::vector<QueryState*>& batch, Timestamp t,
+    std::vector<PendingDelivery>* outputs) {
+  TraceRecorder* tracer =
+      (options_.tracer != nullptr && options_.tracer->enabled())
+          ? options_.tracer
+          : nullptr;
+  for (size_t i = 0; i < batch.size(); ++i) {
+    QueryState* state = batch[i];
+    for (auto& [key, ws] : state->windows) {
+      SharedWindow* window = ws.shared;
+      // Advanced to t by an earlier reader of this batch, or already at
+      // or past t: this reader trails it and catches up in EvaluateAt.
+      if (window->snapshotter.started() && window->advanced_to >= t) {
+        continue;
+      }
+      const int64_t start = TraceRecorder::NowMicros();
+      const SnapshotterStats before = window->snapshotter.stats();
+      window->advance_status =
+          window->snapshotter.Advance(EffectiveWindow(window->config, t));
+      window->advanced_to = t;
+      window->advanced_batch = batches_completed_;
+      const int64_t micros = TraceRecorder::NowMicros() - start;
+      window->entities_gauge->Set(EntityCount(window->snapshotter.graph()));
+      // Charged once, to this reader: the first due one in name order, so
+      // serial, parallel and restored runs count alike.
+      const SnapshotterStats& after = window->snapshotter.stats();
+      const int64_t added = after.elements_added - before.elements_added;
+      const int64_t evicted =
+          after.elements_evicted - before.elements_evicted;
+      if (window->advance_status.ok()) {
+        ++state->stats.snapshots_incremental;
+        state->metrics.snapshots_incremental->Increment();
+      }
+      state->stats.window_elements_added += added;
+      state->stats.window_elements_evicted += evicted;
+      state->metrics.elements_added->Increment(added);
+      state->metrics.elements_evicted->Increment(evicted);
+      state->metrics.entities_recomputed->Increment(
+          after.entities_recomputed - before.entities_recomputed);
+      (*outputs)[i].charged_snapshot_micros += micros;
+      if (tracer != nullptr) {
+        tracer->AddComplete(
+            "shared_window", "engine", start, micros,
+            {{"stream", StreamLabel(window->stream)},
+             {"window", WindowConfigLabel(window->config)},
+             {"t", t.ToString()},
+             {"readers", std::to_string(window->readers)},
+             {"charged_to", state->query.name}});
+      }
+    }
+  }
+}
+
 Status ContinuousEngine::EvaluateAtNoThrow(QueryState* state, Timestamp t,
                                            PendingDelivery* out) {
   // On a worker thread the coordinator only wait()s on the task's future,
@@ -1049,8 +1220,9 @@ Status ContinuousEngine::EvaluateAt(QueryState* state, Timestamp t,
                                     PendingDelivery* out) {
   // Stages 1-3 of the pipeline. May run on a worker thread: everything
   // written here is per-query state (disjoint across a batch), and the
-  // shared state it reads (options_, streams_, static_graph_) is frozen
-  // during AdvanceTo. All stage timing shares one clock
+  // shared state it reads (options_, streams_, static_graph_, the shared
+  // windows the pre-pass advanced) is frozen while the batch runs. All
+  // stage timing shares one clock
   // (TraceRecorder::NowMicros) so the histogram breakdown and the trace
   // spans agree. The tracer pointer is resolved once; when tracing is off
   // the only extra work per stage is the clock read feeding the stage
@@ -1069,89 +1241,56 @@ Status ContinuousEngine::EvaluateAt(QueryState* state, Timestamp t,
   ++state->stats.evaluations;
   state->metrics.evaluations->Increment();
 
-  // 1. Identify each window's active interval and element range; advance /
-  //    rebuild its snapshot.
+  // 1. Read each window's snapshot: the shared one the batch pre-pass
+  //    advanced to t, or, for a reader trailing its window, one built for
+  //    this evaluation alone.
   std::map<std::string, const PropertyGraph*> snapshots;
+  std::map<std::string, PropertyGraph> catch_up_snapshots;
   std::optional<TimeInterval> widest_window;
   bool all_ranges_unchanged = true;
-  int64_t snapshot_micros = 0;
+  bool catching_up = false;
+  int64_t snapshot_micros = 0;  // This evaluation's own snapshot work.
   for (auto& [key, ws] : state->windows) {
-    std::optional<TimeInterval> window = ws.config.ActiveWindow(t);
-    if (!window.has_value()) {
-      // Before the first window of this width: match against the empty
-      // window ending at t.
-      window = TimeInterval{t, t};
+    const SharedWindow& window = *ws.shared;
+    if (key == state->widest_key) {
+      widest_window = AnnotatedWindow(window.config, t);
     }
-    if (key == state->widest_key) widest_window = window;
-    // Under kPaperFormal the active window may extend past the evaluation
-    // instant; elements there have not causally arrived yet, so the
-    // *effective* selection interval is clamped at t (the annotation
-    // keeps the full window).
-    TimeInterval effective = *window;
-    if (t < effective.end) {
-      // Clamp to "arrived by t", inclusive of t itself (the +1ms keeps an
-      // element arriving exactly at the instant inside the left-closed
-      // right-open selection).
-      effective.end = Timestamp::FromMillis(t.millis() + 1);
-    }
-    const PropertyGraphStream* stream = FindStreamOrEmpty(ws.stream);
-    // Covered element range, for the reuse check.
-    size_t lo, hi;
-    {
-      Timestamp start = effective.start;
-      Timestamp end = effective.end;
-      if (ws.config.bounds() == IntervalBounds::kLeftOpenRightClosed) {
-        lo = stream->LowerBound(Timestamp::FromMillis(start.millis() + 1));
-        hi = stream->LowerBound(Timestamp::FromMillis(end.millis() + 1));
-      } else {
-        lo = stream->LowerBound(start);
-        hi = stream->LowerBound(end);
-      }
-      hi = std::min(hi, stream->size());
-      lo = std::min(lo, hi);
-    }
-    if (!ws.has_last_range || ws.last_lo != lo || ws.last_hi != hi) {
-      all_ranges_unchanged = false;
-    }
-    ws.last_lo = lo;
-    ws.last_hi = hi;
-    ws.has_last_range = true;
-
     const int64_t snap_start = TraceRecorder::NowMicros();
-    if (ws.snapshotter != nullptr) {
-      SERAPH_RETURN_IF_ERROR(ws.snapshotter->Advance(effective));
+    const bool in_sync = window.advanced_batch == batches_completed_;
+    if (in_sync) {
+      SERAPH_RETURN_IF_ERROR(window.advance_status);
+      const IncrementalSnapshotter& shared = window.snapshotter;
       // Churn-proportional repair of the partial-match index from this
       // advance's dirty sets (eligible queries have exactly one window).
-      if (state->delta != nullptr) {
-        state->delta->ObserveAdvance(*ws.snapshotter);
+      if (state->delta != nullptr) state->delta->ObserveAdvance(shared);
+      snapshots[key] = &shared.graph();
+      if (!ws.has_last_range || ws.last_lo != shared.window_begin() ||
+          ws.last_hi != shared.window_end()) {
+        all_ranges_unchanged = false;
       }
-      snapshots[key] = &ws.snapshotter->graph();
-      ++state->stats.snapshots_incremental;
-      state->metrics.snapshots_incremental->Increment();
-      // Export this advance's maintenance delta (the snapshotter keeps
-      // cumulative counts).
-      const SnapshotterStats& maint = ws.snapshotter->stats();
-      int64_t added = maint.elements_added - ws.last_maint.elements_added;
-      int64_t evicted =
-          maint.elements_evicted - ws.last_maint.elements_evicted;
-      state->stats.window_elements_added += added;
-      state->stats.window_elements_evicted += evicted;
-      state->metrics.elements_added->Increment(added);
-      state->metrics.elements_evicted->Increment(evicted);
-      state->metrics.entities_recomputed->Increment(
-          maint.entities_recomputed - ws.last_maint.entities_recomputed);
-      ws.last_maint = maint;
+      ws.last_lo = shared.window_begin();
+      ws.last_hi = shared.window_end();
+      ws.has_last_range = true;
     } else {
+      // This reader trails its window (revived after a disable, or
+      // registered late on a window that already advanced): it reads a
+      // snapshot of its own, and its delta index and reuse check sit out
+      // until it catches up.
       SERAPH_ASSIGN_OR_RETURN(
           PropertyGraph snapshot,
-          BuildSnapshot(*stream, effective, ws.config.bounds()));
+          BuildSnapshot(*FindStreamOrEmpty(window.stream),
+                        EffectiveWindow(window.config, t),
+                        window.config.bounds()));
       if (static_graph_ != nullptr) {
         PropertyGraph with_base = *static_graph_;
         SERAPH_RETURN_IF_ERROR(MergeInto(&with_base, snapshot));
         snapshot = std::move(with_base);
       }
-      ws.rebuilt = std::move(snapshot);
-      snapshots[key] = &ws.rebuilt;
+      snapshots[key] = &(catch_up_snapshots[key] = std::move(snapshot));
+      catching_up = true;
+      all_ranges_unchanged = false;
+      ws.has_last_range = false;
+      if (state->delta != nullptr) state->delta->Invalidate();
       ++state->stats.snapshots_rebuilt;
       state->metrics.snapshots_rebuilt->Increment();
     }
@@ -1161,17 +1300,19 @@ Status ContinuousEngine::EvaluateAt(QueryState* state, Timestamp t,
       tracer->AddComplete(
           "snapshot", "engine", snap_start, snap_dur,
           {{"query", state->query.name},
-           {"window", WindowLabel(ws.stream, ws.width)},
-           {"mode", ws.snapshotter != nullptr ? "incremental" : "rebuild"}});
+           {"window", WindowLabel(window.stream, window.config.width)},
+           {"mode", in_sync ? "shared" : "catch_up"}});
     }
   }
   SERAPH_CHECK(widest_window.has_value());
   const PropertyGraph* base = snapshots.at(state->widest_key);
 
   const int64_t windows_end = TraceRecorder::NowMicros();
-  // "window" is the interval/range bookkeeping around the snapshot work.
+  // "window" is the bookkeeping around the snapshot work; the snapshot
+  // stage also carries the shared advances charged to this evaluation.
   const int64_t window_micros =
       (windows_end - eval_start) - snapshot_micros;
+  snapshot_micros += out->charged_snapshot_micros;
   state->stats.window_micros += window_micros;
   state->stats.snapshot_micros += snapshot_micros;
   state->metrics.stage_window->Record(window_micros);
@@ -1229,18 +1370,18 @@ Status ContinuousEngine::EvaluateAt(QueryState* state, Timestamp t,
       exec.cancellation = &*deadline;
     }
     bool delta_served = false;
-    if (state->delta != nullptr) {
+    if (state->delta != nullptr && !catching_up) {
       // Delta path: the MATCH-stage output comes from the partial-match
       // index (already repaired in stage 1), so only the projection runs
       // here. Any failure on this path is a normal evaluation failure —
       // no silent fallback within the instant — and additionally
       // invalidates the index (it may be mid-repair).
-      IncrementalSnapshotter* snap =
-          state->windows.begin()->second.snapshotter.get();
+      const IncrementalSnapshotter& shared =
+          state->windows.begin()->second.shared->snapshotter;
       const int64_t delta_start = TraceRecorder::NowMicros();
       const bool rebuilt = !state->delta->valid();
       Status delta_status =
-          rebuilt ? state->delta->Build(*base, snap->stats().advances, exec)
+          rebuilt ? state->delta->Build(*base, shared.stats().advances, exec)
                   : Status::OK();
       if (delta_status.ok() && rebuilt) {
         state->metrics.delta_rebuilds->Increment();
@@ -1381,7 +1522,10 @@ void ContinuousEngine::FinishDelivery(QueryState* state, Timestamp t,
   state->stats.sink_micros += sink_micros;
   state->metrics.stage_sink->Record(sink_micros);
 
-  const int64_t eval_micros = out.eval_end_micros - out.eval_start_micros;
+  // The shared advances charged to this evaluation ran on the coordinator
+  // before it started; they count toward its latency like its own stages.
+  const int64_t eval_micros = out.eval_end_micros - out.eval_start_micros +
+                              out.charged_snapshot_micros;
   const int64_t total_micros = eval_micros + sink_micros;
   if (tracer != nullptr) {
     tracer->AddComplete("sink", "engine", sink_start, sink_micros,
@@ -1396,7 +1540,6 @@ void ContinuousEngine::FinishDelivery(QueryState* state, Timestamp t,
                         {{"query", state->query.name},
                          {"t", t.ToString()}});
   }
-  state->eval_latency_micros.Record(total_micros);
   state->metrics.eval_total->Record(total_micros);
   if (options_.latency_stamping) {
     RecordEmitLatency(state, t, out, sink_micros);

@@ -10,8 +10,11 @@
 // Cypher query over the active window's snapshot graph; a property test
 // asserts this against the independent one-time execution path.
 //
-// Beyond the paper's core, the engine implements three items of its §6/§8
+// Beyond the paper's core, the engine implements four items of its §6/§8
 // roadmap:
+//  * multi-query window sharing (§6): one incrementally maintained
+//    snapshot per distinct (stream, window configuration), advanced once
+//    per evaluation instant for every query that reads it;
 //  * result reuse across evaluations whose window contents are unchanged
 //    ("avoidable re-executions on equal window contents", §6) — applied
 //    only to queries whose results are window-content-deterministic;
@@ -87,20 +90,15 @@ class CollectingSink final : public EmitSink {
 
 struct EngineOptions {
   WindowSemantics semantics = WindowSemantics::kLookback;
-  // Incremental window maintenance (IncrementalSnapshotter) vs. rebuilding
-  // each window's snapshot from scratch — ablated in
-  // bench_incremental_window.
-  bool incremental_snapshots = true;
   // Skip re-execution when every window's element range is unchanged
   // since the previous evaluation (and the query is window-content
   // deterministic) — ablated in bench_result_reuse.
   bool reuse_unchanged_windows = true;
   // Delta matching (docs/INTERNALS.md, "Incremental evaluation"): for
   // eligible single-pattern EMIT queries, keep a per-query partial-match
-  // index synchronized with the snapshotter's dirty sets so an
+  // index synchronized with its shared window's dirty sets so an
   // evaluation costs work proportional to the window churn instead of
-  // the window size — ablated in bench_delta. Requires
-  // incremental_snapshots (the dirty sets are the repair input).
+  // the window size — ablated in bench_delta.
   bool delta_matching = true;
   // Greedy MATCH join-order optimization — ablated in bench_match.
   bool optimize_match_order = true;
@@ -193,16 +191,18 @@ struct QueryStats {
   int64_t reused_results = 0;    // Evaluations served from the reuse cache.
   int64_t rows_emitted = 0;      // Rows delivered to sinks (post-policy).
   int64_t result_rows = 0;       // Rows computed (pre-policy, SNAPSHOT view).
-  // Window / snapshot maintenance.
-  int64_t snapshots_incremental = 0;  // Windows advanced by delta.
-  int64_t snapshots_rebuilt = 0;      // Windows re-merged from scratch.
-  int64_t window_elements_added = 0;    // Elements entering any window.
-  int64_t window_elements_evicted = 0;  // Elements leaving any window.
+  // Window / snapshot maintenance. A shared window's advance is charged
+  // once, to its first due reader in name order (docs/INTERNALS.md,
+  // "Shared windows"); its other readers at that instant count nothing.
+  int64_t snapshots_incremental = 0;  // Shared-window advances charged.
+  int64_t snapshots_rebuilt = 0;      // Catch-up snapshots built afresh.
+  int64_t window_elements_added = 0;    // Elements entering those advances.
+  int64_t window_elements_evicted = 0;  // Elements leaving them.
   // MATCH executions that actually ran (evaluations - reused_results).
   int64_t fresh_executions = 0;
   // Cumulative per-stage wall time (microseconds) across evaluations.
   int64_t window_micros = 0;    // Active-interval & element-range work.
-  int64_t snapshot_micros = 0;  // Snapshot advance / rebuild.
+  int64_t snapshot_micros = 0;  // Charged advances, repair, catch-up.
   int64_t match_micros = 0;     // Cypher clause evaluation (or reuse copy).
   int64_t policy_micros = 0;    // Report-policy delta computation.
   int64_t sink_micros = 0;      // Sink delivery.
@@ -300,7 +300,10 @@ class ContinuousEngine {
   // and with kFailedPrecondition when the query's first window starts at
   // or before the trimmed-through timestamp of a stream it reads: the
   // retention trim already released elements that window would cover
-  // (docs/INTERNALS.md, "Stream retention").
+  // (docs/INTERNALS.md, "Stream retention"). Each of its windows joins
+  // the shared window of the same (stream, STARTING AT, WITHIN, EVERY)
+  // when one exists; while the query's instants trail that window it
+  // evaluates over snapshots built for it alone, until it catches up.
   Status Register(RegisteredQuery query);
   // Parses and registers Seraph query text.
   Status RegisterText(std::string_view seraph_text);
@@ -311,8 +314,10 @@ class ContinuousEngine {
   // Execution counters of a registered query.
   Result<QueryStats> StatsFor(const std::string& name) const;
 
-  // Wall-clock evaluation latency distribution (microseconds) of a
-  // registered query.
+  // Wall-clock evaluation latency distribution (microseconds) of a query:
+  // the registry series `seraph_query_eval_micros{query=name}`, which
+  // survives Unregister like every other per-query series. kNotFound when
+  // no query of that name was ever registered.
   Result<HistogramSnapshot> LatencyFor(const std::string& name) const;
 
   // The engine-lifetime metrics registry: per-query pipeline-stage
@@ -392,9 +397,12 @@ class ContinuousEngine {
   // horizon — the oldest element a live window can still add or evict —
   // so memory and checkpoints are bounded by window contents, not uptime.
   // Instants are processed in batches (all queries due at the same
-  // instant form one batch); with `eval_threads` > 1 a batch's
-  // evaluations run concurrently, while delivery to sinks always happens
-  // sequentially on the calling thread in (timestamp, query name) order.
+  // instant form one batch). Before a batch fans out, the calling thread
+  // advances each shared window its queries read exactly once; the
+  // evaluations then only read those snapshots. With `eval_threads` > 1 a
+  // batch's evaluations run concurrently, while delivery to sinks always
+  // happens sequentially on the calling thread in (timestamp, query name)
+  // order.
   // With `match_threads` > 1 and a batch smaller than the pool, a query's
   // top-level seed scan additionally fans out in morsels on the spare
   // workers (results stay bit-identical to serial matching).
@@ -451,6 +459,7 @@ class ContinuousEngine {
 
  private:
   struct QueryState;
+  struct SharedWindow;
 
   // One registered sink plus its isolation state and cached metric
   // handles (resolved once at AddSink).
@@ -480,6 +489,10 @@ class ContinuousEngine {
     // (latency_eval_start − arrival), so both ends must come from the
     // same clock.
     int64_t latency_eval_start_micros = 0;
+    // Shared-window advances charged to this evaluation by the
+    // coordinator's pre-pass (AdvanceSharedWindows), for its snapshot
+    // stage.
+    int64_t charged_snapshot_micros = 0;
     int64_t stage_window_micros = 0;  // Window + snapshot maintenance.
     int64_t stage_match_micros = 0;   // Clause evaluation + report policy.
   };
@@ -511,10 +524,29 @@ class ContinuousEngine {
   // worker threads); unknown names resolve to a shared empty stream.
   const PropertyGraphStream* FindStreamOrEmpty(
       const std::string& name) const;
+  // The shared-window registry (docs/INTERNALS.md, "Shared windows").
+  // AcquireWindow finds or creates the window of (stream, config) and
+  // adds a reader; ReleaseWindow drops one and deletes the window with
+  // its last reader.
+  SharedWindow* AcquireWindow(const std::string& stream,
+                              const WindowConfig& config);
+  void ReleaseWindow(SharedWindow* window);
+  // Empties `window` back to its never-advanced state (the static graph
+  // only).
+  void ResetWindow(SharedWindow* window);
+  // The coordinator pre-pass of one batch: advances every window the
+  // batch's queries read to `t`, once, unless it is already there or
+  // ahead (its readers then catch up on their own), and charges each
+  // advance to the first such reader in batch (= name) order, whose
+  // snapshot-stage time lands in that reader's `outputs` entry.
+  void AdvanceSharedWindows(const std::vector<QueryState*>& batch,
+                            Timestamp t,
+                            std::vector<PendingDelivery>* outputs);
   // Stages 1-3 of the Fig. 5 pipeline (windows → snapshots → body →
-  // policy). Touches only per-query state plus read-only shared state,
-  // so distinct queries may run concurrently. The reported table lands
-  // in `out`; delivery happens separately on the coordinator.
+  // policy). Touches only per-query state and reads shared state (the
+  // shared windows included) that stays frozen while a batch runs, so
+  // distinct queries may run concurrently. The reported table lands in
+  // `out`; delivery happens separately on the coordinator.
   Status EvaluateAt(QueryState* state, Timestamp t, PendingDelivery* out);
   // EvaluateAt with escaping exceptions translated to kInternal statuses,
   // so a throw on a worker thread surfaces as an ordinary evaluation
@@ -544,12 +576,15 @@ class ContinuousEngine {
   // at the batch barrier and at the end of AdvanceTo, where clock_ moved).
   void UpdateLagGauges();
   // The absolute position of the oldest element of `stream` that a
-  // registered, not-done query can still add to or evict from one of its
-  // windows (stream.size() when there is none).
+  // registered, not-done query can still read: through a started shared
+  // window (its next advance evicts from window_begin()) or through a
+  // catch-up snapshot of its own (stream.size() when there is none).
   size_t RetentionHorizon(const std::string& name,
                           const PropertyGraphStream& stream) const;
-  // Drops each stream's prefix below its RetentionHorizon, then refreshes
-  // the retention gauges (AdvanceTo: at each batch barrier and on return).
+  // Resets every started shared window no live query reads (it pins
+  // nothing, so the trim may release what it covers), drops each
+  // stream's prefix below its RetentionHorizon, then refreshes the
+  // retention gauges (AdvanceTo: at each batch barrier and on return).
   void TrimStreams();
   // The latency clock (options_.clock, defaulted to Clock::Steady()).
   const Clock* LatencyClock() const;
@@ -562,6 +597,9 @@ class ContinuousEngine {
   std::map<std::string, PropertyGraphStream> streams_;
   std::shared_ptr<const PropertyGraph> static_graph_;
   std::map<std::string, std::unique_ptr<QueryState>> queries_;
+  // The shared windows, keyed on the stream plus the whole window
+  // configuration; each lives as long as a registered query reads it.
+  std::map<std::string, std::unique_ptr<SharedWindow>> windows_;
   std::vector<SinkState> sinks_;
   Timestamp clock_;
   bool clock_started_ = false;

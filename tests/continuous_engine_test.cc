@@ -457,6 +457,77 @@ TEST(ContinuousEngineTest, ParallelSchedulerMetrics) {
   EXPECT_EQ(batches.max, 4);
 }
 
+// Queries reading the same (stream, STARTING AT, WITHIN, EVERY) share one
+// window, which the coordinator advances once per instant however many
+// queries read it and however many threads evaluate them: the advances
+// charged across the fleet per instant equal the number of windows with a
+// live reader. The poisoned query's window stops once the error budget
+// disables its only reader.
+TEST(ContinuousEngineTest, SharedWindowsAdvanceOncePerInstant) {
+  const char* widths[] = {"PT5M", "PT10M", "PT15M"};
+  const char* policies[] = {"SNAPSHOT", "ON ENTERING", "ON EXITING"};
+  std::vector<std::vector<TimeAnnotatedTable>> serial;
+  for (int threads : {1, 2, 4}) {
+    SCOPED_TRACE("eval_threads=" + std::to_string(threads));
+    EngineOptions options;
+    options.eval_threads = threads;
+    options.query_error_budget = 2;
+    ContinuousEngine engine(options);
+    CollectingSink sink;
+    engine.AddSink(&sink);
+    for (int q = 0; q < 12; ++q) {
+      const std::string name = "q" + std::to_string(q);
+      ASSERT_TRUE(engine
+                      .RegisterText(CountQuery(name.c_str(),
+                                               q % 2 == 0 ? "X" : "Y",
+                                               widths[q % 3], "PT5M",
+                                               policies[(q / 3) % 3]))
+                      .ok());
+    }
+    ASSERT_TRUE(engine
+                    .RegisterText("REGISTER QUERY poison STARTING AT "
+                                  "'1970-01-01T00:05' { MATCH (n:X) WITHIN "
+                                  "PT20M EMIT n.id / 0 EVERY PT5M }")
+                    .ok());
+    for (int64_t m = 1; m <= 60; ++m) {
+      ASSERT_TRUE(engine.Ingest(Item(m, m % 2), T(m)).ok());
+    }
+    EXPECT_EQ(engine.metrics()
+                  .FindGauge("seraph_window_readers",
+                             {{"stream", "<default>"},
+                              {"window",
+                               "WITHIN PT5M EVERY PT5M STARTING AT "
+                               "1970-01-01T00:05"}})
+                  ->value(),
+              4);
+    int64_t charged = 0;
+    for (int64_t m = 5; m <= 60; m += 5) {
+      ASSERT_TRUE(engine.AdvanceTo(T(m)).ok());
+      int64_t total = 0;
+      for (const std::string& name : engine.QueryNames()) {
+        total += engine.metrics()
+                     .FindCounter("seraph_query_snapshots_incremental_total",
+                                  {{"query", name}})
+                     ->value();
+      }
+      // The poisoned window advanced at 5 and 10; then its reader is off.
+      EXPECT_EQ(total - charged, m <= 10 ? 4 : 3) << "at minute " << m;
+      charged = total;
+    }
+    EXPECT_TRUE(engine.QueryDisabled("poison"));
+    std::vector<std::vector<TimeAnnotatedTable>> results;
+    for (int q = 0; q < 12; ++q) {
+      results.push_back(sink.ResultsFor("q" + std::to_string(q)).entries());
+      EXPECT_EQ(results.back().size(), 12u);
+    }
+    if (serial.empty()) {
+      serial = std::move(results);
+    } else {
+      EXPECT_EQ(results, serial);
+    }
+  }
+}
+
 TEST(ContinuousEngineTest, DrainProcessesToLastElement) {
   ContinuousEngine engine;
   CollectingSink sink;

@@ -10,6 +10,7 @@
 #include "common/metrics.h"
 #include "common/trace.h"
 #include "seraph/continuous_engine.h"
+#include "stream/snapshot.h"
 #include "workloads/bike_sharing.h"
 
 namespace seraph {
@@ -402,14 +403,95 @@ TEST(EngineObservabilityTest, SnapshotMaintenanceCounters) {
   // Every stream element entered some window at some point.
   EXPECT_EQ(stats.window_elements_added, 12);
   EXPECT_GT(stats.window_elements_evicted, 0);  // PT20M window, 1h stream.
+}
 
-  EngineOptions rebuild;
-  rebuild.incremental_snapshots = false;
-  ContinuousEngine engine2(rebuild);
-  Replay(&engine2, 12);
-  QueryStats stats2 = *engine2.StatsFor("q");
-  EXPECT_EQ(stats2.snapshots_incremental, 0);
-  EXPECT_GT(stats2.snapshots_rebuilt, 0);
+// Two readers of one window: every instant advances the shared snapshot
+// once, charged to the first reader by name, and a reader registered after
+// the window advanced builds its own snapshots until it catches up. The
+// window gauges show the readers and the snapshot's size.
+TEST(EngineObservabilityTest, SharedWindowChargesOnceAndCatchUpRebuilds) {
+  workloads::BikeSharingConfig config;
+  config.num_events = 12;
+  auto events = workloads::GenerateBikeSharingStream(config);
+  ContinuousEngine engine;
+  ASSERT_TRUE(engine.RegisterText(kQuery).ok());
+  for (size_t i = 0; i < 4; ++i) {
+    ASSERT_TRUE(engine.Ingest(events[i].graph, events[i].timestamp).ok());
+  }
+  ASSERT_TRUE(engine.AdvanceTo(events[3].timestamp).ok());
+  const int64_t advanced = engine.StatsFor("q")->snapshots_incremental;
+  ASSERT_GT(advanced, 0);
+  // "p" sorts before "q", so from its first shared instant on it is the
+  // one charged.
+  std::string copy = kQuery;
+  copy.replace(copy.find("QUERY q"), 7, "QUERY p");
+  ASSERT_TRUE(engine.RegisterText(copy).ok());
+  const MetricLabels window{
+      {"stream", "<default>"},
+      {"window", "WITHIN PT20M EVERY PT5M STARTING AT 1970-01-01T00:05"}};
+  const Gauge* readers =
+      engine.metrics().FindGauge("seraph_window_readers", window);
+  const Gauge* entities =
+      engine.metrics().FindGauge("seraph_window_snapshot_entities", window);
+  ASSERT_NE(readers, nullptr);
+  ASSERT_NE(entities, nullptr);
+  EXPECT_EQ(readers->value(), 2);
+  for (size_t i = 4; i < events.size(); ++i) {
+    ASSERT_TRUE(engine.Ingest(events[i].graph, events[i].timestamp).ok());
+  }
+  ASSERT_TRUE(engine.Drain().ok());
+
+  const QueryStats q = *engine.StatsFor("q");
+  const QueryStats p = *engine.StatsFor("p");
+  // The late reader rebuilt exactly the instants the window had passed.
+  EXPECT_EQ(p.snapshots_rebuilt, advanced);
+  EXPECT_EQ(q.snapshots_rebuilt, 0);
+  EXPECT_EQ(p.evaluations, q.evaluations);
+  // One advance per instant across both readers.
+  EXPECT_EQ(q.snapshots_incremental + p.snapshots_incremental,
+            q.evaluations);
+  EXPECT_EQ(q.snapshots_incremental, advanced);
+  EXPECT_EQ(q.window_elements_added + p.window_elements_added, 12);
+  // The late reader's delta index sat out the catch-up (full matches)
+  // and was built once, against the shared snapshot.
+  auto delta = [&](const char* name, const std::string& query) {
+    return engine.metrics().FindCounter(name, {{"query", query}})->value();
+  };
+  EXPECT_EQ(delta("seraph_delta_fallbacks_total", "p"), advanced);
+  EXPECT_EQ(delta("seraph_delta_rebuilds_total", "p"), 1);
+  EXPECT_EQ(delta("seraph_delta_hits_total", "p"), p.evaluations - advanced);
+  EXPECT_EQ(delta("seraph_delta_fallbacks_total", "q"), 0);
+  EXPECT_EQ(delta("seraph_delta_hits_total", "q"), q.evaluations);
+  EXPECT_EQ(engine.metrics()
+                    .FindCounter("seraph_query_snapshots_incremental_total",
+                                 {{"query", "q"}})
+                    ->value() +
+                engine.metrics()
+                    .FindCounter("seraph_query_snapshots_incremental_total",
+                                 {{"query", "p"}})
+                    ->value(),
+            q.evaluations);
+  // The gauge counts the shared snapshot: the window ending at the last
+  // instant.
+  Timestamp last = Timestamp::FromMillis(5 * 60'000);
+  while (last + Duration::FromMinutes(5) <= events.back().timestamp) {
+    last = last + Duration::FromMinutes(5);
+  }
+  auto snapshot = BuildSnapshot(
+      engine.stream(), TimeInterval{last - Duration::FromMinutes(20), last},
+      IntervalBounds::kLeftOpenRightClosed);
+  ASSERT_TRUE(snapshot.ok());
+  EXPECT_GT(entities->value(), 0);
+  EXPECT_EQ(entities->value(),
+            static_cast<int64_t>(snapshot->num_nodes() +
+                                 snapshot->num_relationships()));
+
+  // The window goes with its last reader; its series stay, at zero.
+  ASSERT_TRUE(engine.Unregister("q").ok());
+  EXPECT_EQ(readers->value(), 1);
+  ASSERT_TRUE(engine.Unregister("p").ok());
+  EXPECT_EQ(readers->value(), 0);
+  EXPECT_EQ(entities->value(), 0);
 }
 
 TEST(EngineObservabilityTest, TracerCapturesPipelineSpans) {
@@ -421,14 +503,21 @@ TEST(EngineObservabilityTest, TracerCapturesPipelineSpans) {
   Replay(&engine, 8);
   ASSERT_GT(recorder.size(), 0u);
   bool saw_eval = false, saw_snapshot = false, saw_ingest = false;
+  int64_t shared_windows = 0;
   for (const auto& event : recorder.events()) {
     if (event.name == "evaluate") saw_eval = true;
     if (event.name == "snapshot") saw_snapshot = true;
     if (event.name == "ingest") saw_ingest = true;
+    if (event.name == "shared_window") {
+      ++shared_windows;
+      EXPECT_EQ(event.tid, 0) << "shared advances run on the coordinator";
+    }
   }
   EXPECT_TRUE(saw_eval);
   EXPECT_TRUE(saw_snapshot);
   EXPECT_TRUE(saw_ingest);
+  // One advance span per instant of the single window.
+  EXPECT_EQ(shared_windows, engine.StatsFor("q")->evaluations);
   // Span nesting: every 'sink' child must lie inside some 'evaluate'
   // parent. The evaluate span runs to the end of sink delivery precisely
   // so the merged trace nests even with a worker-to-coordinator

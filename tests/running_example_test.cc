@@ -75,10 +75,9 @@ TEST(RunningExampleTest, CypherQueryEarlierWindowsMatchNarrative) {
 
 class SeraphRunningExample : public ::testing::Test {
  protected:
-  void RunAll(WindowSemantics semantics, bool incremental) {
+  void RunAll(WindowSemantics semantics) {
     EngineOptions options;
     options.semantics = semantics;
-    options.incremental_snapshots = incremental;
     engine_ = std::make_unique<ContinuousEngine>(options);
     engine_->AddSink(&sink_);
     ASSERT_TRUE(
@@ -106,7 +105,7 @@ class SeraphRunningExample : public ::testing::Test {
 };
 
 TEST_F(SeraphRunningExample, Table5OutputAt1515) {
-  RunAll(WindowSemantics::kLookback, /*incremental=*/true);
+  RunAll(WindowSemantics::kLookback);
   Table expected({"r.user_id", "s.id", "r.val_time", "hops"});
   expected.Append(ExpectedRow(1234, 1, 14, 40, {2, 3}));
   EXPECT_EQ(ResultAt(15, 15), expected);
@@ -116,7 +115,7 @@ TEST_F(SeraphRunningExample, Table5OutputAt1515) {
 }
 
 TEST_F(SeraphRunningExample, Table6OutputAt1540OnlyNewMatch) {
-  RunAll(WindowSemantics::kLookback, /*incremental=*/true);
+  RunAll(WindowSemantics::kLookback);
   Table expected({"r.user_id", "s.id", "r.val_time", "hops"});
   expected.Append(ExpectedRow(5678, 2, 14, 58, {3, 4}));
   EXPECT_EQ(ResultAt(15, 40), expected);
@@ -125,7 +124,7 @@ TEST_F(SeraphRunningExample, Table6OutputAt1540OnlyNewMatch) {
 }
 
 TEST_F(SeraphRunningExample, NarrativeQuietEvaluations) {
-  RunAll(WindowSemantics::kLookback, /*incremental=*/true);
+  RunAll(WindowSemantics::kLookback);
   // 14:45, 14:50, ..., 15:10: no match yet. 15:20-15:35: no *new* match.
   for (auto [h, m] : std::vector<std::pair<int, int>>{
            {14, 45}, {14, 50}, {14, 55}, {15, 0}, {15, 5}, {15, 10},
@@ -138,7 +137,7 @@ TEST_F(SeraphRunningExample, NarrativeQuietEvaluations) {
 }
 
 TEST_F(SeraphRunningExample, Table4AnnotatedShape) {
-  RunAll(WindowSemantics::kLookback, /*incremental=*/true);
+  RunAll(WindowSemantics::kLookback);
   Table annotated = TimeAnnotatedTable{ResultAt(15, 40), WindowAt(15, 40)}
                         .WithAnnotations();
   ASSERT_EQ(annotated.size(), 1u);
@@ -148,14 +147,44 @@ TEST_F(SeraphRunningExample, Table4AnnotatedShape) {
   EXPECT_EQ(row.GetOrNull("r.user_id"), Value::Int(5678));
 }
 
-TEST_F(SeraphRunningExample, RebuildModeProducesIdenticalResults) {
-  RunAll(WindowSemantics::kLookback, /*incremental=*/false);
-  Table expected5({"r.user_id", "s.id", "r.val_time", "hops"});
-  expected5.Append(ExpectedRow(1234, 1, 14, 40, {2, 3}));
-  EXPECT_EQ(ResultAt(15, 15), expected5);
+// A copy of the query registered at 15:00 shares the original's window
+// but trails it: it catches up on 14:45..15:00 over snapshots built for it
+// alone, then reads the shared window, and answers exactly like the
+// original throughout.
+TEST_F(SeraphRunningExample, LateCopyCatchesUpWithIdenticalResults) {
+  engine_ = std::make_unique<ContinuousEngine>();
+  engine_->AddSink(&sink_);
+  const std::string text = workloads::RunningExampleSeraphQuery();
+  ASSERT_TRUE(engine_->RegisterText(text).ok());
+  std::string copy = text;
+  copy.replace(copy.find("student_trick"), 13, "student_trick_late");
+  for (const auto& event : workloads::BuildRunningExampleStream()) {
+    ASSERT_TRUE(engine_->Ingest(event.graph, event.timestamp).ok());
+  }
+  ASSERT_TRUE(engine_->AdvanceTo(Clock(15, 0)).ok());
+  ASSERT_TRUE(engine_->RegisterText(copy).ok());
+  ASSERT_TRUE(engine_->AdvanceTo(Clock(15, 40)).ok());
+
+  const TimeVaryingTable& original = sink_.ResultsFor("student_trick");
+  const TimeVaryingTable& late = sink_.ResultsFor("student_trick_late");
+  ASSERT_EQ(original.size(), 12u);
+  ASSERT_EQ(late.size(), 12u);
+  for (size_t i = 0; i < original.size(); ++i) {
+    EXPECT_EQ(late.entries()[i].table, original.entries()[i].table) << i;
+    EXPECT_EQ(late.entries()[i].window, original.entries()[i].window) << i;
+  }
   Table expected6({"r.user_id", "s.id", "r.val_time", "hops"});
   expected6.Append(ExpectedRow(5678, 2, 14, 58, {3, 4}));
-  EXPECT_EQ(ResultAt(15, 40), expected6);
+  EXPECT_EQ(sink_.ResultAt("student_trick_late", Clock(15, 40))->table,
+            expected6);
+  // 14:45..15:00 were built for the copy alone; from 15:05 on the shared
+  // window's advance is charged once, to the first reader by name.
+  const QueryStats first = *engine_->StatsFor("student_trick");
+  const QueryStats copied = *engine_->StatsFor("student_trick_late");
+  EXPECT_EQ(copied.snapshots_rebuilt, 4);
+  EXPECT_EQ(copied.snapshots_incremental, 0);
+  EXPECT_EQ(first.snapshots_rebuilt, 0);
+  EXPECT_EQ(first.snapshots_incremental, 12);
 }
 
 // ---------------------------------------------------------------------------
