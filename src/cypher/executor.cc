@@ -158,62 +158,32 @@ class Executor {
 
   // ---- WITH / RETURN projection ----
 
+  // The per-row half (RowProjection, or per group under aggregation)
+  // followed by the bag-level half (FinishProjection).
   Result<Table> ApplyProjection(const ProjectionBody& body,
                                 const Table& input) {
-    // Materialize the item list ('*' expands to every current field).
-    std::vector<const ProjectionItem*> items;
-    std::vector<ProjectionItem> star_items;
-    if (body.include_all) {
-      for (const std::string& field : input.fields()) {
-        ProjectionItem item;
-        item.expr = std::make_unique<VariableExpr>(field);
-        item.alias = field;
-        star_items.push_back(std::move(item));
-      }
-    }
-    for (const ProjectionItem& item : star_items) items.push_back(&item);
-    for (const ProjectionItem& item : body.items) items.push_back(&item);
-
-    bool has_aggregates = false;
-    for (const ProjectionItem* item : items) {
-      if (item->expr->ContainsAggregate()) has_aggregates = true;
-    }
-
-    std::set<std::string> fields;
-    for (const ProjectionItem* item : items) fields.insert(item->alias);
-    Table out(fields);
-
-    // For ORDER BY, Cypher lets sort keys reference pre-projection
-    // variables (unless eliminated by DISTINCT or aggregation); we keep
-    // the source record of each output row as sort context.
-    std::vector<Record> order_context;
-    if (!has_aggregates) {
+    RowProjection projection(body, input.fields());
+    Table out(projection.fields());
+    std::vector<Record> sort_context;
+    if (!projection.has_aggregates()) {
       for (const Record& row : input.rows()) {
-        ctx_.set_record(&row);
-        Record projected;
-        for (const ProjectionItem* item : items) {
-          SERAPH_ASSIGN_OR_RETURN(Value v, item->expr->Eval(ctx_));
-          projected.Set(item->alias, std::move(v));
-        }
+        SERAPH_ASSIGN_OR_RETURN(Record projected,
+                                projection.Project(row, ctx_));
         out.AppendUnchecked(std::move(projected));
-        order_context.push_back(row);
+        if (projection.keeps_sort_context()) sort_context.push_back(row);
       }
     } else {
       SERAPH_ASSIGN_OR_RETURN(
-          out, ApplyGroupedProjection(items, input, out, &order_context));
+          out, ApplyGroupedProjection(projection, input, std::move(out),
+                                      &sort_context));
     }
-
-    if (body.distinct) {
-      out = out.Distinct();
-      order_context.clear();  // No per-row source after dedup.
-    }
-    SERAPH_RETURN_IF_ERROR(ApplyOrderSkipLimit(body, &out, order_context));
-    return out;
+    return FinishProjection(body, std::move(out), sort_context, ctx_);
   }
 
-  Result<Table> ApplyGroupedProjection(
-      const std::vector<const ProjectionItem*>& items, const Table& input,
-      Table out, std::vector<Record>* order_context) {
+  Result<Table> ApplyGroupedProjection(const RowProjection& projection,
+                                       const Table& input, Table out,
+                                       std::vector<Record>* sort_context) {
+    const std::vector<const ProjectionItem*>& items = projection.items();
     // Split items into grouping keys (no aggregate inside) and aggregated
     // items; collect every aggregate call.
     std::vector<const ProjectionItem*> key_items;
@@ -304,84 +274,11 @@ class Executor {
       }
       ctx_.set_aggregate_results(nullptr);
       out.AppendUnchecked(std::move(projected));
-      order_context->push_back(group.representative);
+      if (projection.keeps_sort_context()) {
+        sort_context->push_back(group.representative);
+      }
     }
     return out;
-  }
-
-  Status ApplyOrderSkipLimit(const ProjectionBody& body, Table* table,
-                             const std::vector<Record>& order_context) {
-    if (!body.order_by.empty()) {
-      // Evaluate sort keys once per row against the projected record
-      // extended with its source record (projected aliases shadow source
-      // variables), so keys may reference pre-projection variables.
-      struct Keyed {
-        std::vector<Value> keys;
-        Record row;
-      };
-      bool has_context = order_context.size() == table->size();
-      std::vector<Keyed> keyed;
-      keyed.reserve(table->size());
-      for (size_t i = 0; i < table->rows().size(); ++i) {
-        const Record& row = table->rows()[i];
-        Record merged =
-            has_context ? order_context[i].Extended(row) : row;
-        ctx_.set_record(&merged);
-        Keyed k;
-        k.row = row;
-        for (const OrderByItem& item : body.order_by) {
-          SERAPH_ASSIGN_OR_RETURN(Value v, item.expr->Eval(ctx_));
-          k.keys.push_back(std::move(v));
-        }
-        keyed.push_back(std::move(k));
-      }
-      std::stable_sort(keyed.begin(), keyed.end(),
-                       [&body](const Keyed& a, const Keyed& b) {
-                         for (size_t i = 0; i < body.order_by.size(); ++i) {
-                           int c = Value::Compare(a.keys[i], b.keys[i]);
-                           if (c != 0) {
-                             return body.order_by[i].ascending ? c < 0 : c > 0;
-                           }
-                         }
-                         return false;
-                       });
-      Table sorted(table->fields());
-      for (Keyed& k : keyed) sorted.AppendUnchecked(std::move(k.row));
-      *table = std::move(sorted);
-    }
-    int64_t skip = 0;
-    int64_t limit = -1;
-    if (body.skip != nullptr) {
-      ctx_.set_record(nullptr);
-      SERAPH_ASSIGN_OR_RETURN(Value v, body.skip->Eval(ctx_));
-      if (!v.is_int() || v.AsInt() < 0) {
-        return Status::EvaluationError("SKIP requires a non-negative integer");
-      }
-      skip = v.AsInt();
-    }
-    if (body.limit != nullptr) {
-      ctx_.set_record(nullptr);
-      SERAPH_ASSIGN_OR_RETURN(Value v, body.limit->Eval(ctx_));
-      if (!v.is_int() || v.AsInt() < 0) {
-        return Status::EvaluationError(
-            "LIMIT requires a non-negative integer");
-      }
-      limit = v.AsInt();
-    }
-    if (skip > 0 || limit >= 0) {
-      Table sliced(table->fields());
-      int64_t index = 0;
-      for (const Record& row : table->rows()) {
-        if (index++ < skip) continue;
-        if (limit >= 0 &&
-            static_cast<int64_t>(sliced.size()) >= limit) {
-          break;
-        }
-        sliced.AppendUnchecked(row);
-      }
-      *table = std::move(sliced);
-    }
-    return Status::OK();
   }
 
   const GraphResolver& resolver_;
@@ -390,6 +287,112 @@ class Executor {
 };
 
 }  // namespace
+
+RowProjection::RowProjection(const ProjectionBody& body,
+                             const std::set<std::string>& input_fields) {
+  // '*' expands to every input field.
+  if (body.include_all) {
+    for (const std::string& field : input_fields) {
+      ProjectionItem item;
+      item.expr = std::make_unique<VariableExpr>(field);
+      item.alias = field;
+      star_items_.push_back(std::move(item));
+    }
+  }
+  for (const ProjectionItem& item : star_items_) items_.push_back(&item);
+  for (const ProjectionItem& item : body.items) items_.push_back(&item);
+  for (const ProjectionItem* item : items_) {
+    fields_.insert(item->alias);
+    if (item->expr->ContainsAggregate()) has_aggregates_ = true;
+  }
+  // Cypher lets ORDER BY keys reference pre-projection variables unless
+  // DISTINCT eliminated them.
+  keeps_sort_context_ = !body.order_by.empty() && !body.distinct;
+}
+
+Result<Record> RowProjection::Project(const Record& source,
+                                      EvalContext& ctx) const {
+  ctx.set_record(&source);
+  Record projected;
+  for (const ProjectionItem* item : items_) {
+    SERAPH_ASSIGN_OR_RETURN(Value v, item->expr->Eval(ctx));
+    projected.Set(item->alias, std::move(v));
+  }
+  return projected;
+}
+
+Result<Table> FinishProjection(const ProjectionBody& body, Table rows,
+                               const std::vector<Record>& sort_context,
+                               EvalContext& ctx) {
+  if (body.distinct) rows = rows.Distinct();
+  if (!body.order_by.empty()) {
+    // Evaluate sort keys once per row against the projected record
+    // extended with its source record (projected aliases shadow source
+    // variables), so keys may reference pre-projection variables.
+    struct Keyed {
+      std::vector<Value> keys;
+      Record row;
+    };
+    const bool has_context =
+        !body.distinct && sort_context.size() == rows.size();
+    std::vector<Keyed> keyed;
+    keyed.reserve(rows.size());
+    for (size_t i = 0; i < rows.rows().size(); ++i) {
+      const Record& row = rows.rows()[i];
+      Record merged = has_context ? sort_context[i].Extended(row) : row;
+      ctx.set_record(&merged);
+      Keyed k;
+      k.row = row;
+      for (const OrderByItem& item : body.order_by) {
+        SERAPH_ASSIGN_OR_RETURN(Value v, item.expr->Eval(ctx));
+        k.keys.push_back(std::move(v));
+      }
+      keyed.push_back(std::move(k));
+    }
+    std::stable_sort(keyed.begin(), keyed.end(),
+                     [&body](const Keyed& a, const Keyed& b) {
+                       for (size_t i = 0; i < body.order_by.size(); ++i) {
+                         int c = Value::Compare(a.keys[i], b.keys[i]);
+                         if (c != 0) {
+                           return body.order_by[i].ascending ? c < 0 : c > 0;
+                         }
+                       }
+                       return false;
+                     });
+    Table sorted(rows.fields());
+    for (Keyed& k : keyed) sorted.AppendUnchecked(std::move(k.row));
+    rows = std::move(sorted);
+  }
+  int64_t skip = 0;
+  int64_t limit = -1;
+  if (body.skip != nullptr) {
+    ctx.set_record(nullptr);
+    SERAPH_ASSIGN_OR_RETURN(Value v, body.skip->Eval(ctx));
+    if (!v.is_int() || v.AsInt() < 0) {
+      return Status::EvaluationError("SKIP requires a non-negative integer");
+    }
+    skip = v.AsInt();
+  }
+  if (body.limit != nullptr) {
+    ctx.set_record(nullptr);
+    SERAPH_ASSIGN_OR_RETURN(Value v, body.limit->Eval(ctx));
+    if (!v.is_int() || v.AsInt() < 0) {
+      return Status::EvaluationError("LIMIT requires a non-negative integer");
+    }
+    limit = v.AsInt();
+  }
+  if (skip > 0 || limit >= 0) {
+    Table sliced(rows.fields());
+    int64_t index = 0;
+    for (const Record& row : rows.rows()) {
+      if (index++ < skip) continue;
+      if (limit >= 0 && static_cast<int64_t>(sliced.size()) >= limit) break;
+      sliced.AppendUnchecked(row);
+    }
+    rows = std::move(sliced);
+  }
+  return rows;
+}
 
 Result<Table> ExecuteSingleQuery(const SingleQuery& query,
                                  const GraphResolver& resolver,

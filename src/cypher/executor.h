@@ -10,7 +10,9 @@
 
 #include <map>
 #include <optional>
+#include <set>
 #include <string>
+#include <vector>
 
 #include "common/result.h"
 #include "cypher/ast.h"
@@ -22,6 +24,7 @@ namespace seraph {
 
 struct MatchParallelism;  // cypher/matcher.h
 class CancellationToken;  // common/cancel.h
+class EvalContext;        // cypher/eval.h
 
 struct ExecutionOptions {
   // Values for $parameters.
@@ -72,6 +75,49 @@ class SingleGraphResolver final : public GraphResolver {
  private:
   const PropertyGraph& graph_;
 };
+
+// The two halves of a WITH/RETURN projection. The executor composes them;
+// a caller that keeps rows across evaluations (the delta index,
+// seraph/delta) runs the per-row half once per source row and the
+// bag-level half over the rows it kept.
+//
+// The per-row half: a body's items ('*' expanded to `input_fields`, the
+// fields of the rows it will see) evaluated over one source record.
+class RowProjection {
+ public:
+  RowProjection(const ProjectionBody& body,
+                const std::set<std::string>& input_fields);
+
+  // The projected rows' fields (the item aliases).
+  const std::set<std::string>& fields() const { return fields_; }
+  const std::vector<const ProjectionItem*>& items() const { return items_; }
+  // Whether an item aggregates; such a body is projected per group, not
+  // per row.
+  bool has_aggregates() const { return has_aggregates_; }
+  // Whether FinishProjection needs each row's source record: ORDER BY
+  // keys may reference pre-projection variables, unless DISTINCT
+  // eliminated them.
+  bool keeps_sort_context() const { return keeps_sort_context_; }
+
+  // `source`'s projected record. `ctx` supplies the graph, parameters and
+  // instant; its record binding is overwritten.
+  Result<Record> Project(const Record& source, EvalContext& ctx) const;
+
+ private:
+  std::vector<ProjectionItem> star_items_;
+  std::vector<const ProjectionItem*> items_;  // Into star_items_ and body.
+  std::set<std::string> fields_;
+  bool has_aggregates_ = false;
+  bool keeps_sort_context_ = false;
+};
+
+// The bag-level half: DISTINCT, ORDER BY, SKIP and LIMIT over the
+// projected `rows`. `sort_context` is empty, or holds each row's source
+// record when RowProjection::keeps_sort_context(); ORDER BY keys then see
+// the row extended with it.
+Result<Table> FinishProjection(const ProjectionBody& body, Table rows,
+                               const std::vector<Record>& sort_context,
+                               EvalContext& ctx);
 
 // Evaluates one clause chain against `input` (Section 3.2's functional
 // composition); `input` is normally Table::Unit().

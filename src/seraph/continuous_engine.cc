@@ -88,11 +88,13 @@ struct QueryMetricHandles {
   Histogram* lat_deliver = nullptr;  // Sink delivery.
   // Delta matching (seraph/delta): evaluations served from the
   // partial-match index, full executions taken while delta matching was
-  // enabled (ineligible query or invalidated index), index rebuilds, and
-  // the current index population.
+  // enabled (ineligible query or invalidated index), index rebuilds,
+  // matches whose output row was computed, and the current index
+  // population.
   Counter* delta_hits = nullptr;
   Counter* delta_fallbacks = nullptr;
   Counter* delta_rebuilds = nullptr;
+  Counter* delta_rows_projected = nullptr;
   Gauge* delta_entries = nullptr;
 };
 
@@ -272,6 +274,8 @@ QueryMetricHandles MakeQueryMetrics(MetricsRegistry* registry,
   m.delta_fallbacks =
       registry->CounterFor("seraph_delta_fallbacks_total", q);
   m.delta_rebuilds = registry->CounterFor("seraph_delta_rebuilds_total", q);
+  m.delta_rows_projected =
+      registry->CounterFor("seraph_delta_rows_projected_total", q);
   m.delta_entries = registry->GaugeFor("seraph_delta_index_entries", q);
   return m;
 }
@@ -653,11 +657,15 @@ Status ContinuousEngine::Register(RegisteredQuery query) {
   }
   state->query = std::move(query);
   state->metrics = MakeQueryMetrics(&metrics_, state->query.name);
-  // The MatchClause pointer stays valid: EvaluateAt's clause-vector move
-  // transfers the heap buffer without relocating elements.
-  if (options_.delta_matching && DeltaIndex::Eligible(state->query)) {
+  // The MatchClause and projection pointers stay valid: EvaluateAt's
+  // clause-vector and body moves transfer heap buffers without relocating
+  // elements. An entity-valued parameter rules the index out: its cached
+  // rows could read an entity no match binds.
+  if (options_.delta_matching && DeltaIndex::Eligible(state->query) &&
+      DeltaIndex::ParametersAdmit(options_.parameters)) {
     state->delta = std::make_unique<DeltaIndex>(
-        std::get_if<MatchClause>(&state->query.clauses[0]));
+        std::get_if<MatchClause>(&state->query.clauses[0]),
+        &state->query.projection);
   }
   // Emit-latency cursors start at the streams' current sizes: elements
   // ingested before the query existed are not part of its latency SLO.
@@ -1371,53 +1379,37 @@ Status ContinuousEngine::EvaluateAt(QueryState* state, Timestamp t,
     }
     bool delta_served = false;
     if (state->delta != nullptr && !catching_up) {
-      // Delta path: the MATCH-stage output comes from the partial-match
-      // index (already repaired in stage 1), so only the projection runs
-      // here. Any failure on this path is a normal evaluation failure —
-      // no silent fallback within the instant — and additionally
-      // invalidates the index (it may be mid-repair).
+      // Delta path: the partial-match index (already repaired in stage 1)
+      // hands out its cached output rows, projecting only the matches
+      // indexed since the last evaluation. Any failure here is a normal
+      // evaluation failure — no silent fallback within the instant — and
+      // HandleEvalFailure invalidates the index.
       const IncrementalSnapshotter& shared =
           state->windows.begin()->second.shared->snapshotter;
       const int64_t delta_start = TraceRecorder::NowMicros();
       const bool rebuilt = !state->delta->valid();
-      Status delta_status =
-          rebuilt ? state->delta->Build(*base, shared.stats().advances, exec)
-                  : Status::OK();
-      if (delta_status.ok() && rebuilt) {
+      if (rebuilt) {
+        SERAPH_RETURN_IF_ERROR(
+            state->delta->Build(*base, shared.stats().advances, exec));
         state->metrics.delta_rebuilds->Increment();
       }
-      if (delta_status.ok()) {
-        auto matched = state->delta->Emit(*base, exec);
-        if (matched.ok()) {
-          SingleQuery single;  // Empty clauses: projection only.
-          single.ret.body = std::move(state->query.projection);
-          auto result = ExecuteSingleQuery(single, resolver,
-                                           std::move(matched).value(), exec);
-          state->query.projection = std::move(single.ret.body);
-          if (!result.ok()) {
-            state->delta->Invalidate();
-            return result.status();
-          }
-          current = std::move(result).value();
-          delta_served = true;
-          state->metrics.delta_hits->Increment();
-          state->metrics.delta_entries->Set(
-              static_cast<int64_t>(state->delta->size()));
-          if (tracer != nullptr) {
-            tracer->AddComplete(
-                "delta", "engine", delta_start,
-                TraceRecorder::NowMicros() - delta_start,
-                {{"query", state->query.name},
-                 {"mode", rebuilt ? "rebuild" : "incremental"},
-                 {"entries", std::to_string(state->delta->size())}});
-          }
-        } else {
-          delta_status = matched.status();
-        }
-      }
-      if (!delta_status.ok()) {
-        state->delta->Invalidate();
-        return delta_status;
+      const int64_t projected_before = state->delta->rows_projected();
+      SERAPH_ASSIGN_OR_RETURN(current, state->delta->Output(*base, exec));
+      const int64_t projected =
+          state->delta->rows_projected() - projected_before;
+      delta_served = true;
+      state->metrics.delta_hits->Increment();
+      state->metrics.delta_rows_projected->Increment(projected);
+      state->metrics.delta_entries->Set(
+          static_cast<int64_t>(state->delta->size()));
+      if (tracer != nullptr) {
+        tracer->AddComplete(
+            "delta", "engine", delta_start,
+            TraceRecorder::NowMicros() - delta_start,
+            {{"query", state->query.name},
+             {"mode", rebuilt ? "rebuild" : "incremental"},
+             {"entries", std::to_string(state->delta->size())},
+             {"projected", std::to_string(projected)}});
       }
     }
     if (!delta_served) {

@@ -98,7 +98,9 @@ struct EngineOptions {
   // eligible single-pattern EMIT queries, keep a per-query partial-match
   // index synchronized with its shared window's dirty sets so an
   // evaluation costs work proportional to the window churn instead of
-  // the window size — ablated in bench_delta.
+  // the window size — ablated in bench_delta. Not used while a
+  // `parameters` value holds a node, relationship or path
+  // (DeltaIndex::ParametersAdmit).
   bool delta_matching = true;
   // Greedy MATCH join-order optimization — ablated in bench_match.
   bool optimize_match_order = true;

@@ -52,6 +52,35 @@ bool ContainsVariable(const Expr& e) {
   });
 }
 
+// An expression context over `graph` with `exec`'s parameters, instant,
+// window and deadline.
+EvalContext ContextFor(const PropertyGraph& graph,
+                       const ExecutionOptions& exec) {
+  EvalContext ctx(&graph, nullptr);
+  ctx.set_parameters(&exec.parameters);
+  ctx.set_now(exec.now);
+  ctx.set_window(exec.window);
+  ctx.set_cancellation(exec.cancellation);
+  return ctx;
+}
+
+// Whether `v` is, or (in a list or map) contains, a node, relationship or
+// path.
+bool HoldsEntity(const Value& v) {
+  if (v.is_node() || v.is_relationship() || v.is_path()) return true;
+  if (v.is_list()) {
+    for (const Value& item : v.AsList()) {
+      if (HoldsEntity(item)) return true;
+    }
+  }
+  if (v.is_map()) {
+    for (const auto& [key, item] : v.AsMap()) {
+      if (HoldsEntity(item)) return true;
+    }
+  }
+  return false;
+}
+
 // Forward/backward incident-edge enumeration mirroring the serial
 // matcher's ForEachIncident exactly, including its self-loop quirks:
 // under kIncoming a self-loop never matches; under kUndirected a
@@ -150,11 +179,15 @@ bool DeltaIndex::Eligible(const RegisteredQuery& query) {
       if (ContainsVariable(*expr) || ContainsExists(*expr)) return false;
     }
   }
-  // WHERE may reference the pattern variables freely (it is re-evaluated
-  // at every Emit against the live snapshot), but an exists() predicate
-  // would re-introduce full pattern matching per row — excluded.
+  // WHERE and the projection may reference the pattern variables freely:
+  // a match's output is computed once and cached, and repair re-inserts
+  // the match (so recomputes it) whenever one of its entities changes.
+  // An exists() predicate would read entities outside the match and
+  // re-introduce full pattern matching per row — excluded.
   if (match->where != nullptr && ContainsExists(*match->where)) return false;
   // Projection: aggregation is follow-on work; exists() as above.
+  // DISTINCT, ORDER BY, SKIP and LIMIT run over the cached rows each
+  // evaluation (the bag-level half).
   const ProjectionBody& body = query.projection;
   for (const ProjectionItem& item : body.items) {
     if (item.expr->ContainsAggregate()) return false;
@@ -169,14 +202,30 @@ bool DeltaIndex::Eligible(const RegisteredQuery& query) {
   return true;
 }
 
+bool DeltaIndex::ParametersAdmit(
+    const std::map<std::string, Value>& parameters) {
+  for (const auto& [name, value] : parameters) {
+    if (HoldsEntity(value)) return false;
+  }
+  return true;
+}
+
 DeltaIndex::DeltaIndex(const MatchClause* match)
     : match_(match),
       pattern_(&match->patterns[0]),
       new_vars_(ClausePatternVariables(match->patterns)) {}
 
+DeltaIndex::DeltaIndex(const MatchClause* match,
+                       const ProjectionBody* projection)
+    : DeltaIndex(match) {
+  body_ = projection;
+  projection_.emplace(*projection, new_vars_);
+}
+
 void DeltaIndex::Invalidate() {
   valid_ = false;
   applied_advances_ = 0;
+  pending_.clear();
   matches_.clear();
   node_keys_.clear();
   rel_keys_.clear();
@@ -203,21 +252,22 @@ DeltaIndex::Key DeltaIndex::KeyFor(const PathValue& trail,
   return key;
 }
 
-void DeltaIndex::InsertMatch(const PathValue& trail,
-                             const PropertyGraph& graph) {
-  Key key = KeyFor(trail, graph);
-  auto [it, inserted] = matches_.emplace(std::move(key), trail);
+void DeltaIndex::AddMatch(Key key, PathValue trail) {
+  auto [it, inserted] = matches_.try_emplace(std::move(key));
   if (!inserted) return;
+  it->second.trail = std::move(trail);
   const Key* kp = &it->first;
-  for (NodeId n : it->second.nodes) node_keys_[n].insert(kp);
-  for (RelId r : it->second.rels) rel_keys_[r].insert(kp);
+  for (NodeId n : it->second.trail.nodes) node_keys_[n].insert(kp);
+  for (RelId r : it->second.trail.rels) rel_keys_[r].insert(kp);
+  if (projection_.has_value()) pending_.insert(pending_.end(), it);
 }
 
 void DeltaIndex::RemoveMatch(const Key& key) {
   auto it = matches_.find(key);
   if (it == matches_.end()) return;
+  pending_.erase(it);
   const Key* kp = &it->first;
-  const PathValue& trail = it->second;
+  const PathValue& trail = it->second.trail;
   for (NodeId n : trail.nodes) {
     auto nit = node_keys_.find(n);
     if (nit != node_keys_.end()) {
@@ -348,22 +398,17 @@ struct DeltaIndex::Search {
 };
 
 Status DeltaIndex::RecordMatch(const Search& s) {
+  Key key;
+  key.reserve(1 + 2 * s.rels.size());
+  key.push_back(s.nodes[0].value);
+  for (size_t i = 0; i < s.rels.size(); ++i) {
+    key.push_back(s.buckets[i]);
+    key.push_back(s.rels[i].value);
+  }
   PathValue trail;
   trail.nodes = s.nodes;
   trail.rels = s.rels;
-  Key key;
-  key.reserve(1 + 2 * trail.rels.size());
-  key.push_back(trail.nodes[0].value);
-  for (size_t i = 0; i < trail.rels.size(); ++i) {
-    key.push_back(s.buckets[i]);
-    key.push_back(trail.rels[i].value);
-  }
-  auto [it, inserted] = matches_.emplace(std::move(key), std::move(trail));
-  if (inserted) {
-    const Key* kp = &it->first;
-    for (NodeId n : it->second.nodes) node_keys_[n].insert(kp);
-    for (RelId r : it->second.rels) rel_keys_[r].insert(kp);
-  }
+  AddMatch(std::move(key), std::move(trail));
   return Status::OK();
 }
 
@@ -494,16 +539,15 @@ Status DeltaIndex::Build(const PropertyGraph& graph, int64_t advances,
   // Full serial match with trail capture: the emitted order is the
   // canonical order the keyed map reproduces, and the records it would
   // emit are reconstructible from the trails.
-  EvalContext ctx(&graph, nullptr);
-  ctx.set_parameters(&exec.parameters);
-  ctx.set_now(exec.now);
-  ctx.set_window(exec.window);
-  ctx.set_cancellation(exec.cancellation);
+  EvalContext ctx = ContextFor(graph, exec);
   std::vector<Record> records;
   std::vector<PathValue> trails;
   SERAPH_RETURN_IF_ERROR(MatchPatternWithTrails(*pattern_, graph, Record(),
                                                 ctx, &records, &trails));
-  for (const PathValue& trail : trails) InsertMatch(trail, graph);
+  for (PathValue& trail : trails) {
+    Key key = KeyFor(trail, graph);
+    AddMatch(std::move(key), std::move(trail));
+  }
   applied_advances_ = advances;
   valid_ = true;
   return Status::OK();
@@ -594,15 +638,11 @@ Result<Table> DeltaIndex::Emit(const PropertyGraph& graph,
   // variables, WHERE filters each reconstructed match against the live
   // snapshot, and every variable is padded (all are bound here, but the
   // loop keeps the parity explicit).
-  EvalContext ctx(&graph, nullptr);
-  ctx.set_parameters(&exec.parameters);
-  ctx.set_now(exec.now);
-  ctx.set_window(exec.window);
-  ctx.set_cancellation(exec.cancellation);
+  EvalContext ctx = ContextFor(graph, exec);
   Table out(new_vars_);
-  for (const auto& [key, trail] : matches_) {
+  for (const auto& [key, entry] : matches_) {
     SERAPH_RETURN_IF_ERROR(ctx.CheckCancelled());
-    Record m = ReconstructRecord(trail);
+    Record m = ReconstructRecord(entry.trail);
     if (match_->where != nullptr) {
       ctx.set_record(&m);
       SERAPH_ASSIGN_OR_RETURN(Value cond, match_->where->Eval(ctx));
@@ -614,6 +654,52 @@ Result<Table> DeltaIndex::Emit(const PropertyGraph& graph,
     out.AppendUnchecked(std::move(m));
   }
   return out;
+}
+
+Result<Table> DeltaIndex::Output(const PropertyGraph& graph,
+                                 const ExecutionOptions& exec) {
+  if (!valid_) return Status::Internal("Output on an invalid delta index");
+  if (!projection_.has_value()) {
+    return Status::Internal("Output on a delta index without a projection");
+  }
+  EvalContext ctx = ContextFor(graph, exec);
+  // The full path runs WHERE over every match before projecting any, so
+  // do the same over the new matches; cached matches raise no error
+  // (their output was computed without one, and nothing they read
+  // changed since).
+  std::vector<std::pair<Entry*, Record>> survivors;
+  for (Matches::iterator it : pending_) {
+    SERAPH_RETURN_IF_ERROR(ctx.CheckCancelled());
+    Entry& entry = it->second;
+    Record m = ReconstructRecord(entry.trail);
+    entry.passes = false;
+    if (match_->where != nullptr) {
+      ctx.set_record(&m);
+      SERAPH_ASSIGN_OR_RETURN(Value cond, match_->where->Eval(ctx));
+      if (!IsTruthy(cond)) continue;
+    }
+    survivors.emplace_back(&entry, std::move(m));
+  }
+  for (auto& [entry, m] : survivors) {
+    SERAPH_RETURN_IF_ERROR(ctx.CheckCancelled());
+    SERAPH_ASSIGN_OR_RETURN(entry->row, projection_->Project(m, ctx));
+    entry->passes = true;
+  }
+  rows_projected_ += static_cast<int64_t>(pending_.size());
+  pending_.clear();
+
+  // A row's sort context is its match's record, rebuilt from the trail
+  // rather than cached: only bodies that sort need it, and they evaluate
+  // their sort keys over every row anyway.
+  const bool keeps_context = projection_->keeps_sort_context();
+  Table rows(projection_->fields());
+  std::vector<Record> sort_context;
+  for (const auto& [key, entry] : matches_) {
+    if (!entry.passes) continue;
+    rows.AppendUnchecked(entry.row);
+    if (keeps_context) sort_context.push_back(ReconstructRecord(entry.trail));
+  }
+  return FinishProjection(*body_, std::move(rows), sort_context, ctx);
 }
 
 }  // namespace seraph

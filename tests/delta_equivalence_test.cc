@@ -3,10 +3,12 @@
 // timeline bit-identical — content *and* row order, per emission — to an
 // engine that fully re-matches every instant, across query shapes
 // (directions, labels, property anchors, path variables, repeated
-// variables, WHERE), churn patterns (append-only, hot-set updates,
+// variables, WHERE, DISTINCT / ORDER BY / SKIP / LIMIT, entity functions,
+// runtime errors), churn patterns (append-only, hot-set updates,
 // relationship rewires, window evictions), report policies, morsel
 // parallelism, evaluation deadlines with injected failures, and
-// checkpoint/restore.
+// checkpoint/restore. The index's cached output rows are also checked
+// directly against the reference projection over DeltaIndex::Emit.
 #include <gtest/gtest.h>
 
 #include <cstdlib>
@@ -18,8 +20,13 @@
 #include <vector>
 
 #include "common/fault.h"
+#include "cypher/executor.h"
 #include "graph/graph_builder.h"
 #include "seraph/continuous_engine.h"
+#include "seraph/delta/delta_index.h"
+#include "seraph/seraph_parser.h"
+#include "stream/snapshot.h"
+#include "stream/window.h"
 
 namespace seraph {
 namespace {
@@ -114,6 +121,9 @@ std::vector<Event> ChurnEvents(uint32_t seed, int count) {
 // Delta-eligible MATCH shapes (single fixed-length pattern, EMIT): the
 // delta path must serve all of these. The trailing two are deliberately
 // ineligible (variable-length, aggregation) and exercise the fallback.
+// "type_error" fails at some instants, in WHERE or in the projection with
+// a message that depends on the failing match, so both engines must
+// report the same first error.
 struct Shape {
   const char* name;
   const char* body;  // "MATCH ... EMIT ..." without the policy suffix.
@@ -133,11 +143,34 @@ const Shape kShapes[] = {
     {"filtered",
      "MATCH (a:A)-[r:R]->(b) WITHIN PT10M WHERE a.v < b.v EMIT a.v AS av, "
      "b.v AS bv"},
+    {"distinct", "MATCH (a:A)-[r:R]->(b) WITHIN PT10M EMIT DISTINCT b.v AS bv"},
+    {"ordered",
+     "MATCH (a:A)-[r:R]->(b) WITHIN PT10M EMIT a.v AS av ORDER BY b.v DESC, "
+     "av"},
+    {"paged",
+     "MATCH (a)-[r]->(b) WITHIN PT10M EMIT a.v AS av, b.v AS bv ORDER BY bv "
+     "SKIP 1 LIMIT 3"},
+    {"entity_fns",
+     "MATCH (a:A)-[r]->(b) WITHIN PT10M EMIT labels(a) AS la, properties(b) "
+     "AS pb, keys(r) AS kr, startNode(r).v AS sv, endNode(r).v AS ev"},
+    {"dups", "MATCH (a)-[r]->(b) WITHIN PT10M EMIT a.v % 2 AS parity"},
+    {"type_error",
+     "MATCH (a:A)-[r:R]->(b) WITHIN PT10M WHERE size(CASE WHEN a.v = 0 AND "
+     "r.w < 3 THEN a.v ELSE 'ok' END) > 0 EMIT labels(CASE WHEN a.v = 9 AND "
+     "r.w = 4 THEN b.v WHEN a.v = 8 AND r.w = 4 THEN 'x' ELSE a END) AS l"},
     {"varlen", "MATCH (a:A)-[rs:R*1..2]->(b) WITHIN PT10M EMIT b.v AS bv"},
     {"agg", "MATCH (a:A)-[r:R]->(b) WITHIN PT10M EMIT count(r) AS c"},
 };
 
 const char* const kPolicies[] = {"SNAPSHOT", "ON ENTERING", "ON EXITING"};
+
+const Shape& ShapeNamed(const std::string& name) {
+  for (const Shape& shape : kShapes) {
+    if (shape.name == name) return shape;
+  }
+  ADD_FAILURE() << "no shape " << name;
+  return kShapes[0];
+}
 
 std::string QueryText(const Shape& shape, const char* policy,
                       const std::string& suffix) {
@@ -170,10 +203,14 @@ std::vector<std::string> FleetNames() {
 
 using Timeline = std::vector<std::pair<std::string, TimeVaryingTable>>;
 
+// Per query: evaluation failures and the last error, in `names` order.
+using Failures = std::vector<std::pair<int64_t, Status>>;
+
 Timeline RunEngine(const EngineOptions& options,
                    const std::vector<std::string>& fleet,
                    const std::vector<std::string>& names,
-                   const std::vector<Event>& events) {
+                   const std::vector<Event>& events,
+                   Failures* failures = nullptr) {
   ContinuousEngine engine(options);
   CollectingSink sink;
   engine.AddSink(&sink);
@@ -187,6 +224,10 @@ Timeline RunEngine(const EngineOptions& options,
   Timeline out;
   for (const std::string& name : names) {
     out.emplace_back(name, sink.ResultsFor(name));
+    if (failures != nullptr) {
+      QueryStats stats = *engine.StatsFor(name);
+      failures->emplace_back(stats.eval_failures, stats.last_error);
+    }
   }
   return out;
 }
@@ -217,6 +258,7 @@ void ExpectTimelinesIdentical(const Timeline& full, const Timeline& delta,
 TEST(DeltaEquivalenceTest, TimelineIdenticalAcrossShapesPoliciesAndChurn) {
   const std::vector<std::string> fleet = FullFleet();
   const std::vector<std::string> names = FleetNames();
+  int64_t type_errors = 0;
   for (int round = 0; round < FuzzRounds(3); ++round) {
     std::vector<Event> events =
         ChurnEvents(/*seed=*/101 + static_cast<uint32_t>(round), /*count=*/50);
@@ -224,11 +266,24 @@ TEST(DeltaEquivalenceTest, TimelineIdenticalAcrossShapesPoliciesAndChurn) {
     full_opts.delta_matching = false;
     EngineOptions delta_opts;
     delta_opts.delta_matching = true;
-    Timeline full = RunEngine(full_opts, fleet, names, events);
-    Timeline delta = RunEngine(delta_opts, fleet, names, events);
-    ExpectTimelinesIdentical(full, delta,
-                             "round " + std::to_string(round));
+    Failures full_failures, delta_failures;
+    Timeline full = RunEngine(full_opts, fleet, names, events, &full_failures);
+    Timeline delta =
+        RunEngine(delta_opts, fleet, names, events, &delta_failures);
+    const std::string context = "round " + std::to_string(round);
+    ExpectTimelinesIdentical(full, delta, context);
+    for (size_t q = 0; q < names.size(); ++q) {
+      EXPECT_EQ(full_failures[q].first, delta_failures[q].first)
+          << context << " " << names[q];
+      EXPECT_EQ(full_failures[q].second, delta_failures[q].second)
+          << context << " " << names[q];
+      if (names[q].starts_with("type_error")) {
+        type_errors += full_failures[q].first;
+      }
+    }
   }
+  // The erroring shape did fail somewhere (else it compares nothing).
+  EXPECT_GT(type_errors, 0);
 }
 
 TEST(DeltaEquivalenceTest, IdenticalUnderMorselAndEvalParallelism) {
@@ -344,8 +399,8 @@ TEST_F(DeltaFaultTest, IdenticalAfterInjectedDeadlineFailure) {
   // consumed that advance's dirty sets) and the next instant rebuilds.
   // Both arms see the same deterministic fault schedule, so the
   // timelines — including the gap at the failed instant — must agree.
-  const std::vector<std::string> fleet = {QueryText(kShapes[0], "SNAPSHOT",
-                                                    "_p0")};
+  const std::vector<std::string> fleet = {
+      QueryText(ShapeNamed("hop"), "SNAPSHOT", "_p0")};
   const std::vector<std::string> names = {"hop_p0"};
   std::vector<Event> events = ChurnEvents(/*seed=*/55, /*count=*/40);
   EngineOptions full_opts;
@@ -375,9 +430,11 @@ TEST(DeltaEquivalenceTest, MetricsDistinguishHitsRebuildsAndFallbacks) {
   engine.AddSink(&sink);
   // One eligible query and one ineligible (variable-length) query.
   ASSERT_TRUE(
-      engine.RegisterText(QueryText(kShapes[0], "SNAPSHOT", "_m")).ok());
+      engine.RegisterText(QueryText(ShapeNamed("hop"), "SNAPSHOT", "_m"))
+          .ok());
   ASSERT_TRUE(
-      engine.RegisterText(QueryText(kShapes[8], "SNAPSHOT", "_m")).ok());
+      engine.RegisterText(QueryText(ShapeNamed("varlen"), "SNAPSHOT", "_m"))
+          .ok());
   std::vector<Event> events = ChurnEvents(/*seed=*/9, /*count=*/30);
   for (const Event& event : events) {
     ASSERT_TRUE(engine.Ingest(event.graph, T(event.minute)).ok());
@@ -396,6 +453,190 @@ TEST(DeltaEquivalenceTest, MetricsDistinguishHitsRebuildsAndFallbacks) {
   // The hit path repaired incrementally: far fewer rebuilds than hits.
   EXPECT_LT(counter("seraph_delta_rebuilds_total", "hop_m"),
             counter("seraph_delta_hits_total", "hop_m"));
+}
+
+TEST(DeltaEquivalenceTest, RowsProjectedGrowWithNewMatchesNotTheWindow) {
+  // One fresh (a)-[:R]->(b) pair per minute under a 10-minute window: each
+  // instant indexes one new match while the index holds about ten, so the
+  // projection counter grows by one per instant; a rebuild projects the
+  // whole index once.
+  EngineOptions options;
+  options.delta_matching = true;
+  ContinuousEngine engine(options);
+  CollectingSink sink;
+  engine.AddSink(&sink);
+  ASSERT_TRUE(engine
+                  .RegisterText(
+                      "REGISTER QUERY rows STARTING AT '1970-01-01T00:10' { "
+                      "MATCH (a:A)-[r:R]->(b) WITHIN PT10M EMIT a.v AS av "
+                      "SNAPSHOT EVERY PT1M }")
+                  .ok());
+  for (int64_t m = 0; m < 30; ++m) {
+    GraphBuilder builder;
+    builder.Node(1000 + 2 * m, {"A"}, {{"v", Value::Int(m)}});
+    builder.Node(1001 + 2 * m, {"B"}, {{"v", Value::Int(m)}});
+    builder.Rel(m + 1, 1000 + 2 * m, 1001 + 2 * m, "R");
+    ASSERT_TRUE(engine.Ingest(builder.Build(), T(m)).ok());
+  }
+  const MetricLabels q{{"query", "rows"}};
+  auto projected = [&] {
+    return engine.metrics()
+        .CounterFor("seraph_delta_rows_projected_total", q)
+        ->value();
+  };
+  auto entries = [&] {
+    return engine.metrics().GaugeFor("seraph_delta_index_entries", q)->value();
+  };
+  ASSERT_TRUE(engine.AdvanceTo(T(10)).ok());
+  EXPECT_GE(entries(), 10);
+  EXPECT_EQ(projected(), entries());  // The first build, whole.
+  for (int64_t m = 11; m < 20; ++m) {
+    const int64_t before = projected();
+    ASSERT_TRUE(engine.AdvanceTo(T(m)).ok());
+    EXPECT_EQ(projected() - before, 1) << "minute " << m;
+    EXPECT_GE(entries(), 10) << "minute " << m;
+  }
+  // ReviveQuery invalidates the index: the next instant rebuilds it and
+  // projects every match once, then steady state resumes.
+  ASSERT_TRUE(engine.ReviveQuery("rows").ok());
+  int64_t before = projected();
+  ASSERT_TRUE(engine.AdvanceTo(T(20)).ok());
+  EXPECT_EQ(projected() - before, entries());
+  before = projected();
+  ASSERT_TRUE(engine.AdvanceTo(T(21)).ok());
+  EXPECT_EQ(projected() - before, 1);
+  EXPECT_EQ(engine.metrics()
+                .CounterFor("seraph_delta_rebuilds_total", q)
+                ->value(),
+            2);
+}
+
+TEST(DeltaEquivalenceTest, EntityParameterKeepsQueryOnFullPath) {
+  // $ref holds node 5, which the stream updates mid-window while the one
+  // match (1)-[:R]->(2) stays unchanged: a cached WHERE outcome would go
+  // stale (the update re-inserts no match), so no delta index may serve
+  // the query.
+  std::vector<Event> events;
+  {
+    GraphBuilder builder;
+    builder.Node(1, {"A"}, {{"v", Value::Int(3)}});
+    builder.Node(2, {"B"}, {{"v", Value::Int(0)}});
+    builder.Rel(1, 1, 2, "R");
+    builder.Node(5, {"Ref"}, {{"v", Value::Int(10)}});
+    events.push_back({0, builder.Build()});
+  }
+  for (int64_t m = 1; m <= 6; ++m) {
+    GraphBuilder builder;
+    builder.Node(100 + m, {"C"}, {{"v", Value::Int(m)}});
+    if (m == 3) builder.Node(5, {"Ref"}, {{"v", Value::Int(1)}});
+    events.push_back({m, builder.Build()});
+  }
+  const std::string text =
+      "REGISTER QUERY ref STARTING AT '1970-01-01T00:01' { MATCH "
+      "(a:A)-[r:R]->(b) WITHIN PT10M WHERE a.v < $ref.v EMIT a.v AS av "
+      "SNAPSHOT EVERY PT1M }";
+  EngineOptions full_opts;
+  full_opts.delta_matching = false;
+  full_opts.parameters["ref"] = Value::Node(NodeId{5});
+  EngineOptions delta_opts = full_opts;
+  delta_opts.delta_matching = true;
+  auto run = [&](const EngineOptions& options, int64_t* hits) {
+    ContinuousEngine engine(options);
+    CollectingSink sink;
+    engine.AddSink(&sink);
+    EXPECT_TRUE(engine.RegisterText(text).ok());
+    for (const Event& event : events) {
+      EXPECT_TRUE(engine.Ingest(event.graph, T(event.minute)).ok());
+    }
+    EXPECT_TRUE(engine.AdvanceTo(T(6)).ok());
+    *hits = engine.metrics()
+                .CounterFor("seraph_delta_hits_total", {{"query", "ref"}})
+                ->value();
+    return Timeline{{"ref", sink.ResultsFor("ref")}};
+  };
+  int64_t full_hits = 0, delta_hits = 0;
+  Timeline full = run(full_opts, &full_hits);
+  Timeline delta = run(delta_opts, &delta_hits);
+  EXPECT_EQ(delta_hits, 0);
+  ExpectTimelinesIdentical(full, delta, "entity parameter");
+  // The update took effect: the row is there before minute 3, gone after.
+  const auto& entries = full[0].second.entries();
+  ASSERT_EQ(entries.size(), 6u);
+  EXPECT_EQ(entries.front().table.size(), 1u);
+  EXPECT_EQ(entries.back().table.size(), 0u);
+}
+
+TEST(DeltaEquivalenceTest, CachedOutputEqualsProjectionOverEmit) {
+  // Index level: after every advance, Output (the cached rows plus the
+  // bag-level half) must equal the projection alone executed over the
+  // MATCH-stage reference Emit — row for row, or with the same error. A
+  // failed Output is left as is (no Invalidate), so the next call must
+  // recompute the matches it left pending.
+  int shapes = 0;
+  for (const Shape& shape : kShapes) {
+    auto query = ParseSeraphQuery(QueryText(shape, "SNAPSHOT", ""));
+    ASSERT_TRUE(query.ok()) << shape.name;
+    if (!DeltaIndex::Eligible(*query)) continue;
+    ++shapes;
+    const auto* match = std::get_if<MatchClause>(&query->clauses[0]);
+    for (int round = 0; round < FuzzRounds(2); ++round) {
+      const std::string context =
+          std::string(shape.name) + " round " + std::to_string(round);
+      PropertyGraphStream stream;
+      for (const Event& event :
+           ChurnEvents(/*seed=*/501 + static_cast<uint32_t>(round), 60)) {
+        ASSERT_TRUE(stream.Append(event.graph, T(event.minute)).ok());
+      }
+      WindowConfig config{query->starting_at, *match->within, query->every,
+                          WindowSemantics::kLookback};
+      IncrementalSnapshotter snapshotter(&stream, config.bounds());
+      DeltaIndex index(match, &query->projection);
+      int64_t projected = 0;
+      for (Timestamp t = query->starting_at;
+           t <= stream.MaxTimestamp() + *match->within; t = t + query->every) {
+        const TimeInterval window =
+            config.ActiveWindow(t).value_or(TimeInterval{t, t});
+        ASSERT_TRUE(snapshotter.Advance(window).ok()) << context;
+        const PropertyGraph& graph = snapshotter.graph();
+        ExecutionOptions exec;
+        exec.now = t;
+        exec.window = window;
+        index.ObserveAdvance(snapshotter);
+        if (!index.valid()) {
+          ASSERT_TRUE(
+              index.Build(graph, snapshotter.stats().advances, exec).ok());
+        }
+        Result<Table> expected = index.Emit(graph, exec);
+        if (expected.ok()) {
+          SingleQuery single;
+          single.ret.body = std::move(query->projection);
+          expected = ExecuteSingleQuery(single, SingleGraphResolver(graph),
+                                        *expected, exec);
+          query->projection = std::move(single.ret.body);
+        }
+        Result<Table> cached = index.Output(graph, exec);
+        const std::string where = context + " at " + t.ToString();
+        ASSERT_EQ(expected.ok(), cached.ok()) << where;
+        if (!expected.ok()) {
+          EXPECT_EQ(expected.status(), cached.status()) << where;
+          continue;
+        }
+        EXPECT_EQ(expected->fields(), cached->fields()) << where;
+        ASSERT_EQ(expected->size(), cached->size()) << where;
+        for (size_t r = 0; r < expected->size(); ++r) {
+          EXPECT_EQ(expected->rows()[r], cached->rows()[r])
+              << where << " row " << r;
+        }
+        // Never more than the index: each match is projected once per
+        // insertion, not once per evaluation.
+        EXPECT_LE(index.rows_projected() - projected,
+                  static_cast<int64_t>(index.size()))
+            << where;
+        projected = index.rows_projected();
+      }
+    }
+  }
+  EXPECT_EQ(shapes, 14);
 }
 
 }  // namespace
