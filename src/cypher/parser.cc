@@ -1,5 +1,6 @@
 #include "cypher/parser.h"
 
+#include <optional>
 #include <utility>
 
 #include "common/strings.h"
@@ -461,15 +462,16 @@ Result<Timestamp> Parser::ParseDateTimeLiteral() {
 // Expressions
 // ---------------------------------------------------------------------------
 
+Status Parser::Nesting::status() const {
+  if (*depth_ <= kMaxExpressionDepth) return Status::OK();
+  return Status::ParseError("expression nesting exceeds the maximum depth of " +
+                            std::to_string(kMaxExpressionDepth));
+}
+
 Result<ExprPtr> Parser::ParseExpression() {
-  if (expr_depth_ >= kMaxExpressionDepth) {
-    return Status::ParseError("expression nesting exceeds the maximum depth of " +
-                              std::to_string(kMaxExpressionDepth));
-  }
-  ++expr_depth_;
-  auto result = ParseOr();
-  --expr_depth_;
-  return result;
+  Nesting level(&expr_depth_);
+  SERAPH_RETURN_IF_ERROR(level.status());
+  return ParseOr();
 }
 
 Result<ExprPtr> Parser::ParseStandaloneExpression() {
@@ -509,11 +511,11 @@ Result<ExprPtr> Parser::ParseAnd() {
 }
 
 Result<ExprPtr> Parser::ParseNot() {
-  if (ConsumeKeyword("NOT")) {
-    SERAPH_ASSIGN_OR_RETURN(ExprPtr operand, ParseNot());
-    return std::make_unique<UnaryExpr>(UnaryOp::kNot, std::move(operand));
-  }
-  return ParseComparison();
+  if (!ConsumeKeyword("NOT")) return ParseComparison();
+  Nesting level(&expr_depth_);
+  SERAPH_RETURN_IF_ERROR(level.status());
+  SERAPH_ASSIGN_OR_RETURN(ExprPtr operand, ParseNot());
+  return std::make_unique<UnaryExpr>(UnaryOp::kNot, std::move(operand));
 }
 
 namespace {
@@ -562,33 +564,26 @@ Result<ExprPtr> Parser::ParseComparison() {
 Result<ExprPtr> Parser::ParsePredicate() {
   SERAPH_ASSIGN_OR_RETURN(ExprPtr lhs, ParseAddSub());
   while (true) {
+    // One right-hand side parse serves every binary predicate, which keeps
+    // this frame (paid at every nesting level) small.
+    std::optional<BinaryOp> op;
     if (ConsumeKeyword("IN")) {
-      SERAPH_ASSIGN_OR_RETURN(ExprPtr rhs, ParseAddSub());
-      lhs = std::make_unique<BinaryExpr>(BinaryOp::kIn, std::move(lhs),
-                                         std::move(rhs));
-      continue;
+      op = BinaryOp::kIn;
+    } else if (PeekIsKeyword("STARTS") && PeekIsKeyword("WITH", 1)) {
+      Advance();
+      Advance();
+      op = BinaryOp::kStartsWith;
+    } else if (PeekIsKeyword("ENDS") && PeekIsKeyword("WITH", 1)) {
+      Advance();
+      Advance();
+      op = BinaryOp::kEndsWith;
+    } else if (PeekIsKeyword("CONTAINS")) {
+      Advance();
+      op = BinaryOp::kContains;
     }
-    if (PeekIsKeyword("STARTS") && PeekIsKeyword("WITH", 1)) {
-      Advance();
-      Advance();
+    if (op.has_value()) {
       SERAPH_ASSIGN_OR_RETURN(ExprPtr rhs, ParseAddSub());
-      lhs = std::make_unique<BinaryExpr>(BinaryOp::kStartsWith, std::move(lhs),
-                                         std::move(rhs));
-      continue;
-    }
-    if (PeekIsKeyword("ENDS") && PeekIsKeyword("WITH", 1)) {
-      Advance();
-      Advance();
-      SERAPH_ASSIGN_OR_RETURN(ExprPtr rhs, ParseAddSub());
-      lhs = std::make_unique<BinaryExpr>(BinaryOp::kEndsWith, std::move(lhs),
-                                         std::move(rhs));
-      continue;
-    }
-    if (PeekIsKeyword("CONTAINS")) {
-      Advance();
-      SERAPH_ASSIGN_OR_RETURN(ExprPtr rhs, ParseAddSub());
-      lhs = std::make_unique<BinaryExpr>(BinaryOp::kContains, std::move(lhs),
-                                         std::move(rhs));
+      lhs = std::make_unique<BinaryExpr>(*op, std::move(lhs), std::move(rhs));
       continue;
     }
     if (PeekIsKeyword("IS")) {
@@ -613,17 +608,16 @@ Result<ExprPtr> Parser::ParsePredicate() {
 Result<ExprPtr> Parser::ParseAddSub() {
   SERAPH_ASSIGN_OR_RETURN(ExprPtr lhs, ParseMulDiv());
   while (true) {
+    BinaryOp op;
     if (Consume(TokenKind::kPlus)) {
-      SERAPH_ASSIGN_OR_RETURN(ExprPtr rhs, ParseMulDiv());
-      lhs = std::make_unique<BinaryExpr>(BinaryOp::kAdd, std::move(lhs),
-                                         std::move(rhs));
+      op = BinaryOp::kAdd;
     } else if (Consume(TokenKind::kMinus)) {
-      SERAPH_ASSIGN_OR_RETURN(ExprPtr rhs, ParseMulDiv());
-      lhs = std::make_unique<BinaryExpr>(BinaryOp::kSubtract, std::move(lhs),
-                                         std::move(rhs));
+      op = BinaryOp::kSubtract;
     } else {
       return lhs;
     }
+    SERAPH_ASSIGN_OR_RETURN(ExprPtr rhs, ParseMulDiv());
+    lhs = std::make_unique<BinaryExpr>(op, std::move(lhs), std::move(rhs));
   }
 }
 
@@ -647,25 +641,28 @@ Result<ExprPtr> Parser::ParseMulDiv() {
 
 Result<ExprPtr> Parser::ParsePower() {
   SERAPH_ASSIGN_OR_RETURN(ExprPtr lhs, ParseUnary());
-  if (Consume(TokenKind::kCaret)) {
-    // Right-associative.
-    SERAPH_ASSIGN_OR_RETURN(ExprPtr rhs, ParsePower());
-    return std::make_unique<BinaryExpr>(BinaryOp::kPower, std::move(lhs),
-                                        std::move(rhs));
-  }
-  return lhs;
+  if (!Consume(TokenKind::kCaret)) return lhs;
+  // Right-associative.
+  Nesting level(&expr_depth_);
+  SERAPH_RETURN_IF_ERROR(level.status());
+  SERAPH_ASSIGN_OR_RETURN(ExprPtr rhs, ParsePower());
+  return std::make_unique<BinaryExpr>(BinaryOp::kPower, std::move(lhs),
+                                      std::move(rhs));
 }
 
 Result<ExprPtr> Parser::ParseUnary() {
+  UnaryOp op;
   if (Consume(TokenKind::kMinus)) {
-    SERAPH_ASSIGN_OR_RETURN(ExprPtr operand, ParseUnary());
-    return std::make_unique<UnaryExpr>(UnaryOp::kNegate, std::move(operand));
+    op = UnaryOp::kNegate;
+  } else if (Consume(TokenKind::kPlus)) {
+    op = UnaryOp::kPlus;
+  } else {
+    return ParsePostfix();
   }
-  if (Consume(TokenKind::kPlus)) {
-    SERAPH_ASSIGN_OR_RETURN(ExprPtr operand, ParseUnary());
-    return std::make_unique<UnaryExpr>(UnaryOp::kPlus, std::move(operand));
-  }
-  return ParsePostfix();
+  Nesting level(&expr_depth_);
+  SERAPH_RETURN_IF_ERROR(level.status());
+  SERAPH_ASSIGN_OR_RETURN(ExprPtr operand, ParseUnary());
+  return std::make_unique<UnaryExpr>(op, std::move(operand));
 }
 
 Result<ExprPtr> Parser::ParsePostfix() {
@@ -719,17 +716,28 @@ Result<ExprPtr> Parser::ParseAtom() {
       return inner;
     }
     case TokenKind::kLBracket:
-      return ParseListAtom();
     case TokenKind::kLBrace: {
+      // A list or map level costs up to twice a parenthesised level's
+      // stack, so it takes a second nesting level.
+      Nesting level(&expr_depth_);
+      SERAPH_RETURN_IF_ERROR(level.status());
+      if (t.kind == TokenKind::kLBracket) return ParseListAtom();
       SERAPH_ASSIGN_OR_RETURN(auto entries, ParsePropertyMap());
       return std::make_unique<MapExpr>(std::move(entries));
     }
     case TokenKind::kIdentifier:
-      break;
+      return ParseNamedAtom();
     default:
       return ErrorHere("expected expression");
   }
-  // Identifier-led atoms.
+}
+
+Result<ExprPtr> Parser::ParseNamedAtom() {
+  // Calls, CASE, quantifiers, reduce and exists() cost up to twice a
+  // parenthesised level's stack, so a named atom takes a second level.
+  Nesting level(&expr_depth_);
+  SERAPH_RETURN_IF_ERROR(level.status());
+  const Token& t = Peek();
   if (PeekIsKeyword("true")) {
     Advance();
     return std::make_unique<LiteralExpr>(Value::Bool(true));

@@ -1635,13 +1635,4 @@ int MatchThreadsFromEnv(int fallback) {
   return ThreadsFromEnvVar("SERAPH_MATCH_THREADS", fallback);
 }
 
-int64_t EvalDeadlineMillisFromEnv(int64_t fallback) {
-  const char* raw = std::getenv("SERAPH_EVAL_DEADLINE_MS");
-  if (raw == nullptr || *raw == '\0') return fallback;
-  char* end = nullptr;
-  const long long value = std::strtoll(raw, &end, 10);
-  if (end == raw || *end != '\0' || value < 0) return fallback;
-  return static_cast<int64_t>(value);
-}
-
 }  // namespace seraph

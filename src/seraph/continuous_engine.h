@@ -636,12 +636,6 @@ int EvalThreadsFromEnv(int fallback);
 // Same contract for SERAPH_MATCH_THREADS (intra-query parallel matching).
 int MatchThreadsFromEnv(int fallback);
 
-// The value of SERAPH_EVAL_DEADLINE_MS (a non-negative millisecond
-// count; 0 = no deadline), or `fallback` when unset or malformed — the
-// environment mirror of EngineOptions::eval_deadline_millis /
-// `--eval-deadline-ms`.
-int64_t EvalDeadlineMillisFromEnv(int64_t fallback);
-
 }  // namespace seraph
 
 #endif  // SERAPH_SERAPH_CONTINUOUS_ENGINE_H_

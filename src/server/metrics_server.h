@@ -22,8 +22,8 @@
 // Threading contract: every handler (and queries_json) runs on the
 // server thread. /metrics reads the registry (whose instruments are
 // atomic, so scraping a live engine is race-free); anything else the
-// handlers touch must be synchronized by the caller (seraph_serve keeps
-// one mutex around the fleet).
+// handlers touch must be synchronized by the caller (seraph_serve's
+// handlers are the only code touching its fleet while the server runs).
 #ifndef SERAPH_SERVER_METRICS_SERVER_H_
 #define SERAPH_SERVER_METRICS_SERVER_H_
 
@@ -159,7 +159,7 @@ class MetricsServer {
 // summary (count/p50/p99/p999 micros). Reads engine state without
 // synchronization, so call it only from the engine's own thread at a
 // quiescent point and publish the returned string to the server's
-// queries_json callback (see tools/seraph_run.cc).
+// queries_json callback (see runtime/runtime.h).
 std::string QueriesStatusJson(const ContinuousEngine& engine);
 
 // JSON string escaping shared by the status documents.

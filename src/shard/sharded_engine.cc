@@ -556,6 +556,21 @@ int64_t ShardedEngine::FleetWatermarkMillis() const {
   return any ? fleet : 0;
 }
 
+OverloadLedger ShardedEngine::Overload() const {
+  OverloadLedger ledger;
+  for (const auto& shard : shards_) {
+    for (const auto& [stream, lane] : shard->lanes) {
+      ledger.queue_shed += lane->queue->shed_total();
+      ledger.rejected += lane->queue->rejected_total();
+      ledger.trimmed += lane->queue->trimmed_total();
+      ledger.driver_shed += lane->driver->shed_total();
+      ledger.degraded_entries += lane->driver->degraded_entries();
+    }
+    ledger.dead_letters += static_cast<int64_t>(shard->dead_letters.size());
+  }
+  return ledger;
+}
+
 ContinuousEngine* ShardedEngine::shard_engine(int shard_index) {
   if (shard_index < 0 || shard_index >= num_shards()) return nullptr;
   return shards_[static_cast<size_t>(shard_index)]->engine.get();

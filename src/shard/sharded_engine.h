@@ -74,6 +74,16 @@ struct ShardedEngineOptions {
   int64_t checkpoint_every = 0;
 };
 
+// Overload counters summed over a fleet's lanes (ShardedEngine::Overload).
+struct OverloadLedger {
+  int64_t queue_shed = 0;   // Evicted by a full shed_oldest queue.
+  int64_t rejected = 0;     // Produces a full queue refused.
+  int64_t trimmed = 0;      // Released by retention.
+  int64_t driver_shed = 0;  // Sampled out by a degraded driver.
+  int64_t degraded_entries = 0;
+  int64_t dead_letters = 0;
+};
+
 // Where a query was placed (the shard set its partitioners imply).
 struct QueryPlacement {
   std::string name;
@@ -187,6 +197,9 @@ class ShardedEngine {
   int64_t FleetWatermarkMillis() const;
   // Merged emissions released to sinks so far.
   int64_t released_total() const { return released_total_; }
+  // Every lane's queue and driver overload counters, plus every shard's
+  // dead letters.
+  OverloadLedger Overload() const;
 
  private:
   struct Lane {

@@ -781,15 +781,17 @@ void RecoverSilenceRun(const std::string& dir, Lanes* lanes,
 // trimmed before the crash — including cuts inside the silence, where the
 // restored suffix is empty. "drop_newest" removes the newest manifest of
 // a clean run, so a round with several barriers restores a mid-batch cut
-// that only the interrupted-batch catch-up can complete.
+// that only the interrupted-batch catch-up can complete. "recovery.read"
+// kills the first recovery of a clean run before it reads a file, then
+// retries it.
 TEST_F(CheckpointRecoveryTest, CrashRecoveryEquivalenceAfterRetentionTrims) {
   const TimeVaryingTable expected = SilenceOracle();
   ASSERT_GT(expected.size(), 0u);
   const char* only_point = std::getenv("SERAPH_CRASH_POINT");
   bool restored_empty_suffix = false;
   int case_id = 0;
-  for (const std::string point :
-       {"none", "drop_newest", "checkpoint.write", "checkpoint.rename"}) {
+  for (const std::string point : {"none", "drop_newest", "checkpoint.write",
+                                   "checkpoint.rename", "recovery.read"}) {
     const std::string leg = point == "drop_newest" ? "none" : point;
     if (only_point != nullptr && leg != only_point) continue;
     for (size_t crash_round = 1; crash_round <= SilenceRounds().size();
@@ -800,14 +802,21 @@ TEST_F(CheckpointRecoveryTest, CrashRecoveryEquivalenceAfterRetentionTrims) {
       const std::string dir =
           FreshDir("trim_equiv_" + std::to_string(case_id++));
       Lanes lanes;
-      const bool faulty = leg != "none";
+      const bool writer_fault = point.starts_with("checkpoint.");
       uint64_t last_seq = 0;
       RunSilenceVictim(dir, &lanes, crash_round,
-                       faulty ? point.c_str() : nullptr, &last_seq);
+                       writer_fault ? point.c_str() : nullptr, &last_seq);
       if (point == "drop_newest") {
         if (last_seq < 2) continue;
         ASSERT_TRUE(
             fs::remove(dir + "/" + persist::ManifestFileName(last_seq)));
+      }
+      if (point == "recovery.read") {
+        FaultInjector::Global().ArmNext("recovery.read", 1);
+        auto killed = persist::LoadLatestCheckpoint(dir);
+        ASSERT_FALSE(killed.ok());
+        EXPECT_TRUE(killed.status().IsTransient()) << killed.status();
+        FaultInjector::Global().Reset();
       }
       RecoverSilenceRun(dir, &lanes, crash_round, expected,
                         &restored_empty_suffix);

@@ -4,6 +4,7 @@
 #include <gtest/gtest.h>
 
 #include <cstdlib>
+#include <optional>
 #include <random>
 
 #include "cypher/executor.h"
@@ -173,6 +174,51 @@ TEST(ParserRobustnessTest, PathologicalNestingIsARejectedParseError) {
       "PT1H WHERE ";
   for (int i = 0; i < kDepth; ++i) seraph += '(';
   EXPECT_FALSE(ParseSeraphQuery(seraph).ok());
+
+  // NOT, sign and power chains recurse without nesting brackets; a long
+  // enough chain used to overflow the stack outside any guard.
+  for (const char* link : {"NOT ", "- ", "+ ", "2^"}) {
+    for (int depth : {kDepth, 200'000}) {
+      std::string chain = "RETURN ";
+      for (int i = 0; i < depth; ++i) chain += link;
+      chain += "1";
+      auto parsed = ParseCypherQuery(chain);
+      ASSERT_FALSE(parsed.ok()) << link << " x " << depth;
+      EXPECT_EQ(parsed.status().code(), StatusCode::kParseError);
+    }
+  }
+}
+
+// The deepest chain the guard accepts must also survive the recursive
+// walks after parsing: evaluation and destruction of the expression tree.
+TEST(ParserRobustnessTest, DeepestAcceptedChainEvaluatesAndIsDestroyed) {
+  PropertyGraph empty;
+  for (const char* link : {"NOT ", "- "}) {
+    int accepted = 0;
+    std::optional<Query> query;
+    for (int depth = Parser::kMaxExpressionDepth; depth > 0; --depth) {
+      std::string chain = "RETURN ";
+      for (int i = 0; i < depth; ++i) chain += link;
+      chain += std::string(link) == "NOT " ? "true AS v" : "1 AS v";
+      auto parsed = ParseCypherQuery(chain);
+      if (!parsed.ok()) {
+        EXPECT_EQ(parsed.status().code(), StatusCode::kParseError);
+        continue;
+      }
+      accepted = depth;
+      query = std::move(parsed).value();
+      break;
+    }
+    ASSERT_GT(accepted, Parser::kMaxExpressionDepth - 4) << link;
+    auto result = ExecuteQueryOnGraph(*query, empty, ExecutionOptions{});
+    ASSERT_TRUE(result.ok()) << link << result.status();
+    ASSERT_EQ(result->size(), 1u);
+    const Value expected = std::string(link) == "NOT "
+                               ? Value::Bool(accepted % 2 == 0)
+                               : Value::Int(accepted % 2 == 0 ? 1 : -1);
+    EXPECT_EQ(result->rows()[0].GetOrNull("v"), expected) << link;
+    query.reset();  // Destroys the deepest tree.
+  }
 }
 
 // ---------------------------------------------------------------------------

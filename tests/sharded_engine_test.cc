@@ -296,6 +296,28 @@ TEST(ShardedEngineTest, UnroutedElementsAreCountedAsDropped) {
   EXPECT_EQ(routed_counter->value(), 2);  // One element, two shards.
 }
 
+// The overload ledger sums every lane: a bounded shed_oldest lane per
+// shard evicts (and dead-letters) what does not fit, and a pump trims
+// what it delivered.
+TEST(ShardedEngineTest, OverloadLedgerSumsEveryLane) {
+  ShardedEngineOptions options;
+  options.shards = 2;
+  options.queue.capacity = 2;
+  options.queue.overflow_policy = OverflowPolicy::kShedOldest;
+  ShardedEngine fleet(options);
+  for (int i = 1; i <= 5; ++i) ASSERT_TRUE(fleet.Ingest(Item(i), T(i)).ok());
+  OverloadLedger ledger = fleet.Overload();
+  EXPECT_EQ(ledger.queue_shed, 6);  // 3 per broadcast lane.
+  EXPECT_EQ(ledger.dead_letters, 6);
+  EXPECT_EQ(ledger.rejected, 0);
+  EXPECT_EQ(ledger.trimmed, 0);
+  ASSERT_TRUE(fleet.PumpAll().ok());
+  ledger = fleet.Overload();
+  EXPECT_EQ(ledger.trimmed, 4);  // The 2 survivors of each lane.
+  EXPECT_EQ(ledger.driver_shed, 0);
+  EXPECT_EQ(ledger.degraded_entries, 0);
+}
+
 // ---------------------------------------------------------------------------
 // Cross-shard stats, disable/revive, capture/restore
 // ---------------------------------------------------------------------------

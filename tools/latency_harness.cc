@@ -1,85 +1,43 @@
 // latency_harness — steady-state emit-latency measurement for the
 // end-to-end pipeline (docs/INTERNALS.md, "Latency accounting & lag").
+// `latency_harness --help` lists the flags.
 //
-//   latency_harness [--rate=<events/sec>] [--duration-sec=<n>]
-//                   [--queries=<n>] [--out=<path>] [--shards=<n>]
-//                   [--metrics-port=<p>] [--stats-interval=<sec>]
-//                   [--queue-capacity=<n>] [--overflow-policy=<policy>]
-//                   [--shed-lag-ms=<n>]
+// The harness is a load generator over the serving runtime
+// (runtime/runtime.h): it produces synthetic person-sighting events at a
+// sustained target rate (paced against the wall clock, catching up after
+// scheduling hiccups rather than drifting) into <n> identical
+// sliding-window queries, pumping as it goes, and reports the resulting
+// ingest→emit latency distribution: p50 / p99 / p999 / max microseconds,
+// the achieved rate, the maximum event-time lag, the overload ledger
+// (shed / rejected / trimmed / producer retries / degraded entries, and
+// the dead letters that account for every shed element) and the process
+// RSS. Results go to stdout and, as JSON, to --out.
 //
-// The harness produces synthetic person-sighting events into an
-// EventQueue at a sustained target rate (paced against the wall clock,
-// catching up after scheduling hiccups rather than drifting), pumps them
-// through a StreamDriver into a ContinuousEngine running <n> identical
-// sliding-window queries, and reports the resulting ingest→emit latency
-// distribution: p50 / p99 / p999 / max microseconds, the achieved rate,
-// and the maximum event-time lag. Results go to stdout and, as JSON, to
-// --out (default BENCH_latency.json) for the bench-baseline CI diff.
+// With --shards=N (N > 1) the runtime drives a ShardedEngine: events are
+// broadcast through the fleet's default route, each query lands on its
+// home shard, and the latency distribution merges the shards'
+// `seraph_engine_emit_latency_micros` histograms. The report is the same
+// at every shard count; the fleet's lanes have no degraded mode, so
+// --shed-lag-ms needs --shards=1.
 //
-// With --metrics-port the live observability endpoint is served during
-// the run (GET /metrics, /healthz, /queries), which is how CI's
-// latency-smoke job scrapes `seraph_emit_latency_micros` buckets
-// mid-flight. --stats-interval prints the one-line status
-// (in/out/p99/lag/dlq) every interval, like seraph_run.
-//
-// Overload protection (docs/INTERNALS.md, "Overload & backpressure"):
-// --queue-capacity bounds the EventQueue (0 = unbounded); a refused
-// produce pumps the driver and retries — the producer-side backpressure
-// loop CI's overload-soak job exercises at 2x a sustainable rate.
-// --overflow-policy picks block / reject / shed_oldest (shed elements
-// are dead-lettered and counted, never silently lost); --shed-lag-ms
-// arms the driver's degraded mode. The JSON report adds the overload
-// ledger (shed/rejected/trimmed/retries/degraded) and the process RSS so
-// CI can assert memory stays bounded under sustained overload.
-// SERAPH_QUEUE_CAPACITY / SERAPH_OVERFLOW_POLICY / SERAPH_SHED_LAG_MS
-// supply defaults for the corresponding flags.
-//
-// With --shards=N (N > 1) the harness drives a ShardedEngine instead
-// (docs/INTERNALS.md, "Sharded serving tier"): events are broadcast
-// through the fleet's default route, each query lands on its home shard,
-// and the reported latency distribution is the per-shard
-// `seraph_engine_emit_latency_micros` histograms merged fleet-wide. The
-// JSON report keeps the same field names (the per-queue overload ledger
-// is internal to the fleet's lanes and reports as zero).
-#include <algorithm>
+// --metrics-port serves /metrics, /healthz and /queries during the run
+// (CI's latency-smoke job scrapes them mid-flight); --stats-interval
+// prints the runtime's status line.
 #include <chrono>
 #include <cstdio>
 #include <cstdlib>
 #include <fstream>
 #include <iostream>
-#include <mutex>
 #include <string>
 #include <thread>
-#include <vector>
 
 #include "graph/graph_builder.h"
-#include "seraph/continuous_engine.h"
-#include "seraph/dead_letter.h"
-#include "seraph/stream_driver.h"
-#include "server/metrics_server.h"
-#include "shard/sharded_engine.h"
-#include "stream/event_queue.h"
-#include "stream/overflow_policy.h"
+#include "runtime/flags.h"
+#include "runtime/runtime.h"
 
 namespace {
 
 using namespace seraph;
-
-int Fail(const std::string& message) {
-  std::cerr << "latency_harness: " << message << "\n";
-  return 1;
-}
-
-// Non-negative integer environment default for an overload knob;
-// malformed or negative values fall back.
-int64_t Int64FromEnvVar(const char* name, int64_t fallback) {
-  const char* env = std::getenv(name);
-  if (env == nullptr || *env == '\0') return fallback;
-  char* end = nullptr;
-  long long parsed = std::strtoll(env, &end, 10);
-  if (end == env || *end != '\0' || parsed < 0) return fallback;
-  return static_cast<int64_t>(parsed);
-}
 
 // Resident set size in MiB from /proc/self/status (VmRSS), or -1 when
 // the file is unavailable. Good enough for CI's bounded-memory assert.
@@ -92,13 +50,6 @@ double RssMb() {
     }
   }
   return -1.0;
-}
-
-bool FlagValue(const std::string& arg, const std::string& prefix,
-               std::string* value) {
-  if (arg.rfind(prefix, 0) != 0) return false;
-  *value = arg.substr(prefix.size());
-  return true;
 }
 
 // One synthetic event: a person sighted in a room — enough structure for
@@ -132,8 +83,10 @@ class CountingSink final : public EmitSink {
   int64_t rows_ = 0;
 };
 
-// Registered query text shared by both paths: a sliding 10 s window,
-// evaluated every second of event time.
+// A sliding 10 s window, evaluated every second of event time. Event time
+// advances at one simulated millisecond per produced event scaled to the
+// target rate, so each harness second triggers about one evaluation per
+// query regardless of rate.
 std::string QueryText(int index) {
   return "REGISTER QUERY lat_q" + std::to_string(index) +
          " STARTING AT '1970-01-01T00:00:01' {\n"
@@ -142,101 +95,91 @@ std::string QueryText(int index) {
          "}\n";
 }
 
-// The --shards path: same pacing and reporting, driven through a
-// ShardedEngine so the latency-smoke CI leg exercises partitioned
-// ingest, independent shard barriers, and the ordered merge.
-int RunSharded(int shards, double rate, int duration_sec, int queries,
-               const std::string& out_path, size_t queue_capacity,
-               OverflowPolicy overflow_policy, int metrics_port,
-               int stats_interval) {
-  shard::ShardedEngineOptions fleet_options;
-  fleet_options.shards = shards;
-  fleet_options.queue.capacity = queue_capacity;
-  fleet_options.queue.overflow_policy = overflow_policy;
-  shard::ShardedEngine fleet(fleet_options);
+}  // namespace
+
+int main(int argc, char** argv) {
+  double rate = 2000.0;
+  int duration_sec = 5;
+  int queries = 1;
+  std::string out_path = "BENCH_latency.json";
+  runtime::RuntimeOptions options;
+  options.tool = "latency_harness";
+  options.poll_batch = 256;
+  runtime::CommandLine cli("latency_harness", "[flags]", {
+      {"--rate=<events/sec>", &rate, "target production rate", 0},
+      {"--duration-sec=<n>", &duration_sec, "sustained production window",
+       1},
+      {"--queries=<n>", &queries, "identical queries sharing the stream", 1},
+      {"--out=<path>", &out_path, "JSON report (default BENCH_latency.json)"},
+      {"--shards=<n>", &options.shards,
+       "engine shards; > 1 drives a ShardedEngine", 1},
+      {"--metrics-port=<p>", &options.metrics_port,
+       "serve /metrics, /healthz, /queries on 127.0.0.1:<p> (0 = ephemeral)",
+       0, 65535},
+      {"--stats-interval=<sec>", &options.stats_interval_sec,
+       "print a status line every <sec> seconds", 1},
+      {"--queue-capacity=<n>", &options.queue.capacity,
+       "bound each lane's queue (default unbounded)", 1, runtime::kNoMax,
+       "SERAPH_QUEUE_CAPACITY"},
+      {"--overflow-policy=<block|reject|shed_oldest>",
+       &options.queue.overflow_policy, "what a full queue does (default block)",
+       0, runtime::kNoMax, "SERAPH_OVERFLOW_POLICY"},
+      {"--shed-lag-ms=<n>", &options.shed_lag_millis,
+       "driver degraded-mode lag threshold (0 = off)", 0, runtime::kNoMax,
+       "SERAPH_SHED_LAG_MS"},
+  });
+  if (auto exit_code = cli.Parse(argc, argv)) return *exit_code;
+  options.fleet = options.shards > 1;
+
+  runtime::Runtime rt(options);
   CountingSink sink;
-  fleet.AddSink(&sink);
+  rt.AddSink(&sink);
   for (int q = 0; q < queries; ++q) {
-    auto placement = fleet.RegisterText(QueryText(q));
-    if (!placement.ok()) return Fail(placement.status().ToString());
+    auto placement = rt.Register(QueryText(q));
+    if (!placement.ok()) return cli.Fail(placement.status().ToString());
   }
-
-  MetricsServer::Options server_options;
-  server_options.port = metrics_port < 0 ? 0 : metrics_port;
-  server_options.registry = &fleet.metrics();
-  server_options.queries_json = [&fleet]() -> std::string {
-    // The serve loop races the pump loop here, but this harness only
-    // reads the endpoint between runs; seraph_serve is the synchronized
-    // serving path.
-    return fleet.QueriesStatusJson();
-  };
-  MetricsServer server(server_options);
-  if (metrics_port >= 0) {
-    if (Status s = server.Start(); !s.ok()) return Fail(s.ToString());
-    std::cerr << "[latency_harness] metrics on http://127.0.0.1:"
-              << server.port() << "/metrics (" << shards << " shards)\n";
-  }
-
-  // Fleet-wide emit latency: per-shard engine histograms merged.
-  auto merged_latency = [&fleet]() {
-    HistogramSnapshot merged;
-    for (int i = 0; i < fleet.num_shards(); ++i) {
-      const Histogram* h = fleet.shard_engine(i)->metrics().FindHistogram(
-          "seraph_engine_emit_latency_micros");
-      if (h != nullptr) MergeHistogramSnapshot(&merged, h->Snapshot());
-    }
-    return merged;
-  };
-  auto max_lag_ms = [&fleet]() {
-    int64_t max_lag = 0;
-    for (int i = 0; i < fleet.num_shards(); ++i) {
-      const Gauge* g = fleet.shard_engine(i)->metrics().FindGauge(
-          "seraph_stream_lag_max_millis", {{"stream", "<default>"}});
-      if (g != nullptr) max_lag = std::max(max_lag, g->value());
-    }
-    return max_lag;
-  };
+  if (Status s = rt.Start(); !s.ok()) return cli.Fail(s.ToString());
 
   using clock = std::chrono::steady_clock;
   const auto start = clock::now();
   const auto deadline = start + std::chrono::seconds(duration_sec);
   const double event_millis_per_event = 1000.0 / rate;
   int64_t produced = 0;
-  int64_t next_stats_at = stats_interval;
   while (clock::now() < deadline) {
     const double elapsed_sec =
         std::chrono::duration<double>(clock::now() - start).count();
+    // Catch-up pacing: produce the deficit between the schedule and what
+    // has been produced so far, then deliver it.
     const int64_t due = static_cast<int64_t>(elapsed_sec * rate);
-    bool idle = produced >= due;
-    while (produced < due) {
+    const bool idle = produced >= due;
+    for (; produced < due; ++produced) {
       const int64_t t_ms =
           1000 + static_cast<int64_t>(produced * event_millis_per_event);
-      auto delivered = fleet.Ingest(MakeEvent(produced),
-                                    Timestamp::FromMillis(t_ms));
-      if (!delivered.ok()) return Fail(delivered.status().ToString());
-      ++produced;
+      auto delivered =
+          rt.Produce(std::make_shared<const PropertyGraph>(MakeEvent(produced)),
+                     Timestamp::FromMillis(t_ms));
+      if (!delivered.ok()) return cli.Fail(delivered.status().ToString());
     }
-    if (Status s = fleet.PumpAll(); !s.ok()) return Fail(s.ToString());
-    if (stats_interval > 0 && elapsed_sec >= next_stats_at) {
-      next_stats_at += stats_interval;
-      HistogramSnapshot lat = merged_latency();
-      std::cerr << "[latency_harness] in=" << produced
-                << " emits=" << sink.emits() << " p99_emit_us=" << lat.p99
-                << " max_lag_ms=" << max_lag_ms()
-                << " watermark_ms=" << fleet.FleetWatermarkMillis() << "\n";
-    }
+    if (Status s = rt.Pump(); !s.ok()) return cli.Fail(s.ToString());
     if (idle) std::this_thread::sleep_for(std::chrono::microseconds(200));
   }
-  if (Status s = fleet.Finish(); !s.ok()) return Fail(s.ToString());
+  if (Status s = rt.Finish(); !s.ok()) return cli.Fail(s.ToString());
 
   const double wall_sec =
       std::chrono::duration<double>(clock::now() - start).count();
-  HistogramSnapshot latency = merged_latency();
+  const HistogramSnapshot latency = rt.EmitLatency();
   if (latency.count == 0) {
-    return Fail("no emit-latency samples were recorded — the run produced "
-                "no delivered evaluations (rate/duration too small?)");
+    return cli.Fail("no emit-latency samples were recorded — the run "
+                    "produced no delivered evaluations (rate/duration too "
+                    "small?)");
   }
   const double achieved = static_cast<double>(produced) / wall_sec;
+  // The overload ledger: every element a bounded queue evicted and every
+  // one a degraded driver sampled out is counted here and dead-lettered,
+  // so delivered + shed partitions the input.
+  const shard::OverloadLedger ledger = rt.Overload();
+  const long long shed_total = ledger.queue_shed + ledger.driver_shed;
+  const long long max_lag_ms = rt.MaxLagMillis();
   const double rss_mb = RssMb();
 
   char line[640];
@@ -245,300 +188,33 @@ int RunSharded(int shards, double rate, int duration_sec, int queries,
                 "  emits=%lld  rows=%lld\n"
                 "emit latency (us): p50=%lld p99=%lld p999=%lld max=%lld"
                 "  samples=%lld\n"
-                "max lag: %lld ms  fleet watermark: %lld ms"
-                "  merged emissions: %lld  rss=%.1f MiB\n",
-                static_cast<long long>(produced), achieved, rate, shards,
-                queries, static_cast<long long>(sink.emits()),
-                static_cast<long long>(sink.rows()),
-                static_cast<long long>(latency.p50),
-                static_cast<long long>(latency.p99),
-                static_cast<long long>(latency.p999),
-                static_cast<long long>(latency.max),
-                static_cast<long long>(latency.count),
-                static_cast<long long>(max_lag_ms()),
-                static_cast<long long>(fleet.FleetWatermarkMillis()),
-                static_cast<long long>(fleet.released_total()), rss_mb);
-  std::cout << line;
-
-  std::ofstream out(out_path);
-  if (!out) return Fail("cannot open '" + out_path + "'");
-  out << "{\n"
-      << "  \"rate_target\": " << rate << ",\n"
-      << "  \"rate_achieved\": " << achieved << ",\n"
-      << "  \"duration_sec\": " << duration_sec << ",\n"
-      << "  \"shards\": " << shards << ",\n"
-      << "  \"queries\": " << queries << ",\n"
-      << "  \"events\": " << produced << ",\n"
-      << "  \"emits\": " << sink.emits() << ",\n"
-      << "  \"rows\": " << sink.rows() << ",\n"
-      << "  \"latency_samples\": " << latency.count << ",\n"
-      << "  \"p50_us\": " << latency.p50 << ",\n"
-      << "  \"p99_us\": " << latency.p99 << ",\n"
-      << "  \"p999_us\": " << latency.p999 << ",\n"
-      << "  \"max_us\": " << latency.max << ",\n"
-      << "  \"max_lag_ms\": " << max_lag_ms() << ",\n"
-      << "  \"dead_letters\": 0,\n"
-      << "  \"queue_capacity\": " << queue_capacity << ",\n"
-      << "  \"overflow_policy\": \"" << OverflowPolicyName(overflow_policy)
-      << "\",\n"
-      << "  \"shed_total\": 0,\n"
-      << "  \"rejected_total\": 0,\n"
-      << "  \"trimmed_total\": 0,\n"
-      << "  \"producer_retries\": 0,\n"
-      << "  \"degraded_entries\": 0,\n"
-      << "  \"rss_mb\": " << rss_mb << "\n"
-      << "}\n";
-  std::cerr << "[latency_harness] wrote " << out_path << "\n";
-  return 0;
-}
-
-}  // namespace
-
-int main(int argc, char** argv) {
-  double rate = 2000.0;       // Events per second.
-  int duration_sec = 5;       // Sustained production window.
-  int queries = 1;            // Identical queries sharing the stream.
-  int shards = 1;             // > 1 drives a ShardedEngine fleet.
-  std::string out_path = "BENCH_latency.json";
-  int metrics_port = -1;      // -1 = endpoint off; 0 = ephemeral.
-  int stats_interval = 0;     // Seconds; 0 = off.
-  // Overload knobs: flag beats environment beats off/unbounded.
-  size_t queue_capacity =
-      static_cast<size_t>(Int64FromEnvVar("SERAPH_QUEUE_CAPACITY", 0));
-  OverflowPolicy overflow_policy = OverflowPolicy::kBlock;
-  if (const char* env = std::getenv("SERAPH_OVERFLOW_POLICY")) {
-    ParseOverflowPolicy(env, &overflow_policy);
-  }
-  int64_t shed_lag_ms = Int64FromEnvVar("SERAPH_SHED_LAG_MS", 0);
-  for (int i = 1; i < argc; ++i) {
-    const std::string arg = argv[i];
-    std::string value;
-    if (FlagValue(arg, "--rate=", &value)) {
-      rate = std::atof(value.c_str());
-      if (rate <= 0) return Fail("--rate expects a positive events/sec");
-    } else if (FlagValue(arg, "--duration-sec=", &value)) {
-      duration_sec = std::atoi(value.c_str());
-      if (duration_sec <= 0) {
-        return Fail("--duration-sec expects a positive second count");
-      }
-    } else if (FlagValue(arg, "--queries=", &value)) {
-      queries = std::atoi(value.c_str());
-      if (queries <= 0) return Fail("--queries expects a positive count");
-    } else if (FlagValue(arg, "--shards=", &value)) {
-      shards = std::atoi(value.c_str());
-      if (shards <= 0) return Fail("--shards expects a positive count");
-    } else if (FlagValue(arg, "--out=", &value)) {
-      out_path = value;
-      if (out_path.empty()) return Fail("--out expects a file path");
-    } else if (FlagValue(arg, "--metrics-port=", &value)) {
-      metrics_port = std::atoi(value.c_str());
-      if (metrics_port < 0 || metrics_port > 65535) {
-        return Fail("--metrics-port expects a port number (0 = ephemeral)");
-      }
-    } else if (FlagValue(arg, "--stats-interval=", &value)) {
-      stats_interval = std::atoi(value.c_str());
-      if (stats_interval <= 0) {
-        return Fail("--stats-interval expects a positive second count");
-      }
-    } else if (FlagValue(arg, "--queue-capacity=", &value)) {
-      const long long parsed = std::atoll(value.c_str());
-      if (parsed <= 0) {
-        return Fail("--queue-capacity expects a positive element count");
-      }
-      queue_capacity = static_cast<size_t>(parsed);
-    } else if (FlagValue(arg, "--overflow-policy=", &value)) {
-      if (!ParseOverflowPolicy(value, &overflow_policy)) {
-        return Fail(
-            "--overflow-policy expects block, reject, or shed_oldest");
-      }
-    } else if (FlagValue(arg, "--shed-lag-ms=", &value)) {
-      const long long parsed = std::atoll(value.c_str());
-      if (parsed < 0) {
-        return Fail("--shed-lag-ms expects a non-negative millisecond "
-                    "count (0 = off)");
-      }
-      shed_lag_ms = static_cast<int64_t>(parsed);
-    } else if (arg == "--help" || arg == "-h") {
-      std::cout << "usage: latency_harness [--rate=<events/sec>] "
-                   "[--duration-sec=<n>] [--queries=<n>]\n"
-                   "                       [--out=<path>] [--shards=<n>] "
-                   "[--metrics-port=<p>] [--stats-interval=<sec>]\n"
-                   "                       [--queue-capacity=<n>] "
-                   "[--overflow-policy=<block|reject|shed_oldest>]\n"
-                   "                       [--shed-lag-ms=<n>]\n";
-      return 0;
-    } else {
-      return Fail("unknown argument '" + arg + "' (see --help)");
-    }
-  }
-
-  if (shards > 1) {
-    return RunSharded(shards, rate, duration_sec, queries, out_path,
-                      queue_capacity, overflow_policy, metrics_port,
-                      stats_interval);
-  }
-
-  EventQueue::Options queue_options;
-  queue_options.capacity = queue_capacity;
-  queue_options.overflow_policy = overflow_policy;
-  EventQueue queue(queue_options);
-  DeadLetterQueue dead_letters;
-  // Shed elements are a recorded loss, not a silent one.
-  queue.SetShedCallback([&](const StreamElement& element) {
-    dead_letters.AddElement("latency-harness", element,
-                            Status::Unavailable(
-                                "shed: event queue overflow (shed_oldest)"),
-                            /*attempts=*/0);
-  });
-  EngineOptions options;
-  options.dead_letter = &dead_letters;
-  ContinuousEngine engine(options);
-  dead_letters.BindDepthGauge(
-      engine.metrics().GaugeFor("seraph_dead_letter_depth"));
-  CountingSink sink;
-  engine.AddSink(&sink, "counting");
-  // Sliding 10 s window, evaluated every second of event time. Event
-  // time advances at one simulated millisecond per produced event scaled
-  // to the target rate, so each harness second triggers about one
-  // evaluation per query regardless of rate.
-  for (int q = 0; q < queries; ++q) {
-    if (Status s = engine.RegisterText(QueryText(q)); !s.ok()) {
-      return Fail(s.ToString());
-    }
-  }
-
-  std::mutex queries_json_mutex;
-  std::string queries_json = "[]";
-  MetricsServer::Options server_options;
-  server_options.port = metrics_port < 0 ? 0 : metrics_port;
-  server_options.registry = &engine.metrics();
-  server_options.queries_json = [&]() -> std::string {
-    std::lock_guard<std::mutex> lock(queries_json_mutex);
-    return queries_json;
-  };
-  MetricsServer server(server_options);
-  if (metrics_port >= 0) {
-    if (Status s = server.Start(); !s.ok()) return Fail(s.ToString());
-    std::cerr << "[latency_harness] metrics on http://127.0.0.1:"
-              << server.port() << "/metrics\n";
-  }
-
-  StreamDriver::Options driver_options;
-  driver_options.consumer = "latency-harness";
-  driver_options.dead_letter = &dead_letters;
-  driver_options.poll_batch = 256;
-  driver_options.shed_lag_millis = shed_lag_ms;
-  queue.Subscribe(driver_options.consumer);
-  StreamDriver driver(&queue, &engine, driver_options);
-
-  // Registry handles for live reporting (all reads are atomic).
-  Histogram* fleet_latency =
-      engine.metrics().HistogramFor("seraph_engine_emit_latency_micros");
-  Gauge* lag_max = engine.metrics().GaugeFor("seraph_stream_lag_max_millis",
-                                             {{"stream", "<default>"}});
-
-  using clock = std::chrono::steady_clock;
-  const auto start = clock::now();
-  const auto deadline = start + std::chrono::seconds(duration_sec);
-  // Event time: events advance the stream clock so each wall second
-  // covers ~1 s of event time at the target rate.
-  const double event_millis_per_event = 1000.0 / rate;
-  int64_t produced = 0;
-  int64_t producer_retries = 0;
-  int64_t next_stats_at = stats_interval;
-  while (clock::now() < deadline) {
-    const double elapsed_sec =
-        std::chrono::duration<double>(clock::now() - start).count();
-    // Catch-up pacing: produce the deficit between the schedule and what
-    // has been produced so far, then deliver it.
-    const int64_t due = static_cast<int64_t>(elapsed_sec * rate);
-    bool idle = produced >= due;
-    while (produced < due) {
-      const int64_t t_ms =
-          1000 + static_cast<int64_t>(produced * event_millis_per_event);
-      Status s = queue.Produce(MakeEvent(produced),
-                               Timestamp::FromMillis(t_ms));
-      if (!s.ok()) {
-        if (s.code() != StatusCode::kUnavailable) return Fail(s.ToString());
-        // Backpressure: the bounded queue refused the produce. Drain the
-        // consumer (its committed offset lets the retention trim free
-        // space) and retry the same event — the overload ledger, not the
-        // producer, records any loss.
-        ++producer_retries;
-        auto drained = driver.PumpAll();
-        if (!drained.ok()) return Fail(drained.status().ToString());
-        continue;
-      }
-      ++produced;
-    }
-    auto pumped = driver.PumpAll();
-    if (!pumped.ok()) return Fail(pumped.status().ToString());
-    {
-      std::string fresh = QueriesStatusJson(engine);
-      std::lock_guard<std::mutex> lock(queries_json_mutex);
-      queries_json = std::move(fresh);
-    }
-    if (stats_interval > 0 && elapsed_sec >= next_stats_at) {
-      next_stats_at += stats_interval;
-      HistogramSnapshot lat = fleet_latency->Snapshot();
-      std::cerr << "[latency_harness] in=" << produced
-                << " emits=" << sink.emits() << " p99_emit_us=" << lat.p99
-                << " max_lag_ms=" << lag_max->value()
-                << " dlq=" << dead_letters.size() << "\n";
-    }
-    if (idle) std::this_thread::sleep_for(std::chrono::microseconds(200));
-  }
-  if (Status s = driver.Finish(); !s.ok()) return Fail(s.ToString());
-
-  const double wall_sec =
-      std::chrono::duration<double>(clock::now() - start).count();
-  HistogramSnapshot latency = fleet_latency->Snapshot();
-  if (latency.count == 0) {
-    return Fail("no emit-latency samples were recorded — the run produced "
-                "no delivered evaluations (rate/duration too small?)");
-  }
-  const double achieved = static_cast<double>(produced) / wall_sec;
-
-  // The overload ledger: every element the bounded queue refused or
-  // evicted, and every one the degraded driver sampled out, is counted
-  // here (and dead-lettered) — delivered + shed partitions the input.
-  const int64_t shed_total = queue.shed_total() + driver.shed_total();
-  const double rss_mb = RssMb();
-
-  char line[640];
-  std::snprintf(line, sizeof(line),
-                "events=%lld (%.0f/s target %.0f/s)  queries=%d  emits=%lld"
-                "  rows=%lld\n"
-                "emit latency (us): p50=%lld p99=%lld p999=%lld max=%lld"
-                "  samples=%lld\n"
-                "max lag: %lld ms  dead letters: %zu\n"
+                "max lag: %lld ms  dead letters: %lld\n"
                 "overload: shed=%lld rejected=%lld trimmed=%lld"
                 " producer_retries=%lld degraded_entries=%lld"
                 "  rss=%.1f MiB\n",
-                static_cast<long long>(produced), achieved, rate, queries,
+                static_cast<long long>(produced), achieved, rate,
+                options.shards, queries,
                 static_cast<long long>(sink.emits()),
                 static_cast<long long>(sink.rows()),
                 static_cast<long long>(latency.p50),
                 static_cast<long long>(latency.p99),
                 static_cast<long long>(latency.p999),
                 static_cast<long long>(latency.max),
-                static_cast<long long>(latency.count),
-                static_cast<long long>(lag_max->value()),
-                dead_letters.size(),
-                static_cast<long long>(shed_total),
-                static_cast<long long>(queue.rejected_total()),
-                static_cast<long long>(queue.trimmed_total()),
-                static_cast<long long>(producer_retries),
-                static_cast<long long>(driver.degraded_entries()),
-                rss_mb);
+                static_cast<long long>(latency.count), max_lag_ms,
+                static_cast<long long>(ledger.dead_letters), shed_total,
+                static_cast<long long>(ledger.rejected),
+                static_cast<long long>(ledger.trimmed),
+                static_cast<long long>(rt.producer_retries()),
+                static_cast<long long>(ledger.degraded_entries), rss_mb);
   std::cout << line;
 
   std::ofstream out(out_path);
-  if (!out) return Fail("cannot open '" + out_path + "'");
+  if (!out) return cli.Fail("cannot open '" + out_path + "'");
   out << "{\n"
       << "  \"rate_target\": " << rate << ",\n"
       << "  \"rate_achieved\": " << achieved << ",\n"
       << "  \"duration_sec\": " << duration_sec << ",\n"
+      << "  \"shards\": " << options.shards << ",\n"
       << "  \"queries\": " << queries << ",\n"
       << "  \"events\": " << produced << ",\n"
       << "  \"emits\": " << sink.emits() << ",\n"
@@ -548,16 +224,16 @@ int main(int argc, char** argv) {
       << "  \"p99_us\": " << latency.p99 << ",\n"
       << "  \"p999_us\": " << latency.p999 << ",\n"
       << "  \"max_us\": " << latency.max << ",\n"
-      << "  \"max_lag_ms\": " << lag_max->value() << ",\n"
-      << "  \"dead_letters\": " << dead_letters.size() << ",\n"
-      << "  \"queue_capacity\": " << queue_capacity << ",\n"
-      << "  \"overflow_policy\": \"" << OverflowPolicyName(overflow_policy)
-      << "\",\n"
+      << "  \"max_lag_ms\": " << max_lag_ms << ",\n"
+      << "  \"dead_letters\": " << ledger.dead_letters << ",\n"
+      << "  \"queue_capacity\": " << options.queue.capacity << ",\n"
+      << "  \"overflow_policy\": \""
+      << OverflowPolicyName(options.queue.overflow_policy) << "\",\n"
       << "  \"shed_total\": " << shed_total << ",\n"
-      << "  \"rejected_total\": " << queue.rejected_total() << ",\n"
-      << "  \"trimmed_total\": " << queue.trimmed_total() << ",\n"
-      << "  \"producer_retries\": " << producer_retries << ",\n"
-      << "  \"degraded_entries\": " << driver.degraded_entries() << ",\n"
+      << "  \"rejected_total\": " << ledger.rejected << ",\n"
+      << "  \"trimmed_total\": " << ledger.trimmed << ",\n"
+      << "  \"producer_retries\": " << rt.producer_retries() << ",\n"
+      << "  \"degraded_entries\": " << ledger.degraded_entries << ",\n"
       << "  \"rss_mb\": " << rss_mb << "\n"
       << "}\n";
   std::cerr << "[latency_harness] wrote " << out_path << "\n";

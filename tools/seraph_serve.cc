@@ -1,13 +1,9 @@
 // seraph_serve — the sharded serving front-end: N per-shard engines
 // behind one HTTP endpoint (docs/INTERNALS.md, "Sharded serving tier").
 //
-//   seraph_serve [--port=<p>] [--shards=<n>] [--queries=<file>]...
-//                [--checkpoint-dir=<dir>] [--checkpoint-every=<n>]
-//                [--queue-capacity=<n>]
-//                [--overflow-policy=<block|reject|shed_oldest>]
-//                [--io-timeout-ms=<n>] [--long-poll-ms=<n>]
-//                [--max-runtime-sec=<n>] [--threads=<n>]
-//                [--match-threads=<n>]
+// `seraph_serve --help` lists the flags. The fleet is wired by the serving
+// runtime (runtime/runtime.h); this file holds the HTTP handlers, the
+// long-poll result buffer and the signal loop.
 //
 // HTTP API (loopback only; one request per connection):
 //   POST /queries                REGISTER QUERY text in the body →
@@ -36,18 +32,17 @@
 // barrier (cadence --checkpoint-every) and auto-restores on startup;
 // queries preloaded with --queries (one REGISTER QUERY statement per
 // file) are re-registered before the restore, which is what makes their
-// checkpointed state recoverable. All fleet access runs on the server
-// thread, so requests are serialized; the poll loop keeps slow clients
-// from wedging the line (tests/metrics_server_test.cc).
+// checkpointed state recoverable. Every handler runs on the server
+// thread, which is the fleet's thread while serving: requests are
+// serialized, and the main thread touches the fleet again only after
+// the server stops. The poll loop keeps slow clients from wedging the
+// line (tests/metrics_server_test.cc).
 #include <csignal>
 #include <cstdlib>
-#include <cstring>
 #include <deque>
 #include <fstream>
 #include <iostream>
 #include <map>
-#include <memory>
-#include <mutex>
 #include <sstream>
 #include <string>
 #include <thread>
@@ -55,10 +50,8 @@
 
 #include "io/graph_text.h"
 #include "io/json.h"
-#include "server/metrics_server.h"
-#include "shard/partitioner.h"
-#include "shard/sharded_engine.h"
-#include "stream/overflow_policy.h"
+#include "runtime/flags.h"
+#include "runtime/runtime.h"
 
 namespace {
 
@@ -67,18 +60,6 @@ using namespace seraph;
 std::atomic<bool> g_stop{false};
 
 void OnSignal(int) { g_stop.store(true, std::memory_order_relaxed); }
-
-int Fail(const std::string& message) {
-  std::cerr << "seraph_serve: " << message << "\n";
-  return 1;
-}
-
-bool FlagValue(const std::string& arg, const std::string& prefix,
-               std::string* value) {
-  if (arg.rfind(prefix, 0) != 0) return false;
-  *value = arg.substr(prefix.size());
-  return true;
-}
 
 bool ParseInt64(const std::string& text, int64_t* out) {
   char* end = nullptr;
@@ -97,7 +78,7 @@ struct BufferedResult {
 
 // The /results source: a sink buffering merged fleet output per query.
 // Runs on the server thread (the fleet is pumped from request handlers),
-// so no locking is needed beyond the tool's single fleet mutex.
+// so it needs no locking.
 class ResultBuffer final : public EmitSink {
  public:
   explicit ResultBuffer(size_t per_query_cap) : cap_(per_query_cap) {}
@@ -174,162 +155,73 @@ std::string PlacementJson(const shard::QueryPlacement& placement) {
 }  // namespace
 
 int main(int argc, char** argv) {
-  std::vector<std::string> args(argv + 1, argv + argc);
-  int port = 0;
-  int shards = 1;
   std::vector<std::string> query_files;
-  std::string checkpoint_dir;
-  int64_t checkpoint_every = 1;
-  size_t queue_capacity = 0;
-  OverflowPolicy overflow_policy = OverflowPolicy::kBlock;
-  int64_t io_timeout_ms = 5000;
-  int64_t long_poll_ms = 10000;
   int64_t max_runtime_sec = 0;  // 0 = run until SIGINT/SIGTERM.
-  int eval_threads = EvalThreadsFromEnv(1);
-  int match_threads = MatchThreadsFromEnv(1);
+  runtime::RuntimeOptions options;
+  options.tool = "seraph_serve";
+  options.fleet = true;
+  options.metrics_port = 0;
+  options.checkpoint_every = 1;
+  runtime::CommandLine cli("seraph_serve", "[flags]", {
+      {"--port=<p>", &options.metrics_port,
+       "HTTP port on 127.0.0.1 (0 = ephemeral)", 0, 65535},
+      {"--shards=<n>", &options.shards, "engine shards", 1},
+      {"--queries=<file>", &query_files,
+       "REGISTER QUERY file registered at startup (repeatable)"},
+      {"--checkpoint-dir=<dir>", &options.checkpoint_dir,
+       "checkpoint every shard here and restore from it on startup"},
+      {"--checkpoint-every=<n>", &options.checkpoint_every,
+       "checkpoint cadence in evaluation batches (default 1)", 1},
+      {"--queue-capacity=<n>", &options.queue.capacity,
+       "bound each lane's queue (default unbounded)", 1},
+      {"--overflow-policy=<block|reject|shed_oldest>",
+       &options.queue.overflow_policy,
+       "what a full queue does (default block)"},
+      {"--io-timeout-ms=<n>", &options.io_timeout_millis,
+       "per-connection IO deadline (default 5000)", 1},
+      {"--long-poll-ms=<n>", &options.long_poll_millis,
+       "long-poll budget before 204 (default 10000)", 1},
+      {"--max-runtime-sec=<n>", &max_runtime_sec,
+       "stop after <n> seconds (0 = until signalled)"},
+      {"--threads=<n>", &options.engine.eval_threads,
+       "evaluation threads per shard (0 = hardware concurrency)", 0, 4096,
+       "SERAPH_EVAL_THREADS"},
+      {"--match-threads=<n>", &options.engine.match_threads,
+       "intra-query matching threads (0 = hardware concurrency)", 0, 4096,
+       "SERAPH_MATCH_THREADS"},
+  });
+  if (auto exit_code = cli.Parse(argc, argv)) return *exit_code;
+  options.restore = !options.checkpoint_dir.empty();
 
-  for (const std::string& arg : args) {
-    std::string value;
-    int64_t parsed = 0;
-    if (FlagValue(arg, "--port=", &value)) {
-      if (!ParseInt64(value, &parsed) || parsed < 0 || parsed > 65535) {
-        return Fail("--port expects a port number (0 = ephemeral)");
-      }
-      port = static_cast<int>(parsed);
-    } else if (FlagValue(arg, "--shards=", &value)) {
-      if (!ParseInt64(value, &parsed) || parsed < 1) {
-        return Fail("--shards expects a positive shard count");
-      }
-      shards = static_cast<int>(parsed);
-    } else if (FlagValue(arg, "--queries=", &value)) {
-      if (value.empty()) return Fail("--queries expects a file path");
-      query_files.push_back(value);
-    } else if (FlagValue(arg, "--checkpoint-dir=", &checkpoint_dir)) {
-      if (checkpoint_dir.empty()) {
-        return Fail("--checkpoint-dir expects a directory path");
-      }
-    } else if (FlagValue(arg, "--checkpoint-every=", &value)) {
-      if (!ParseInt64(value, &parsed) || parsed <= 0) {
-        return Fail("--checkpoint-every expects a positive batch count");
-      }
-      checkpoint_every = parsed;
-    } else if (FlagValue(arg, "--queue-capacity=", &value)) {
-      if (!ParseInt64(value, &parsed) || parsed <= 0) {
-        return Fail("--queue-capacity expects a positive element count");
-      }
-      queue_capacity = static_cast<size_t>(parsed);
-    } else if (FlagValue(arg, "--overflow-policy=", &value)) {
-      if (!ParseOverflowPolicy(value, &overflow_policy)) {
-        return Fail("--overflow-policy expects block, reject, or "
-                    "shed_oldest");
-      }
-    } else if (FlagValue(arg, "--io-timeout-ms=", &value)) {
-      if (!ParseInt64(value, &parsed) || parsed <= 0) {
-        return Fail("--io-timeout-ms expects a positive millisecond count");
-      }
-      io_timeout_ms = parsed;
-    } else if (FlagValue(arg, "--long-poll-ms=", &value)) {
-      if (!ParseInt64(value, &parsed) || parsed <= 0) {
-        return Fail("--long-poll-ms expects a positive millisecond count");
-      }
-      long_poll_ms = parsed;
-    } else if (FlagValue(arg, "--max-runtime-sec=", &value)) {
-      if (!ParseInt64(value, &parsed) || parsed < 0) {
-        return Fail("--max-runtime-sec expects a non-negative second "
-                    "count (0 = until signalled)");
-      }
-      max_runtime_sec = parsed;
-    } else if (FlagValue(arg, "--threads=", &value)) {
-      if (!ParseInt64(value, &parsed) || parsed < 0) {
-        return Fail("--threads expects a non-negative thread count");
-      }
-      eval_threads = static_cast<int>(parsed);
-    } else if (FlagValue(arg, "--match-threads=", &value)) {
-      if (!ParseInt64(value, &parsed) || parsed < 0) {
-        return Fail("--match-threads expects a non-negative thread count");
-      }
-      match_threads = static_cast<int>(parsed);
-    } else if (arg == "--help" || arg == "-h") {
-      std::cout
-          << "usage: seraph_serve [--port=<p>] [--shards=<n>] "
-             "[--queries=<file>]...\n"
-             "                    [--checkpoint-dir=<dir>] "
-             "[--checkpoint-every=<n>]\n"
-             "                    [--queue-capacity=<n>] "
-             "[--overflow-policy=<policy>]\n"
-             "                    [--io-timeout-ms=<n>] "
-             "[--long-poll-ms=<n>]\n"
-             "                    [--max-runtime-sec=<n>] [--threads=<n>] "
-             "[--match-threads=<n>]\n"
-             "endpoints: POST /queries, POST /ingest, GET "
-             "/queries/<q>/results?after=<seq>,\n"
-             "           POST /queries/<q>/revive, GET /queries, GET "
-             "/metrics,\n"
-             "           GET /shards/<i>/metrics, GET /healthz\n";
-      return 0;
-    } else {
-      return Fail("unknown argument '" + arg + "' (see --help)");
-    }
-  }
-
-  shard::ShardedEngineOptions fleet_options;
-  fleet_options.shards = shards;
-  fleet_options.engine.eval_threads = eval_threads;
-  fleet_options.engine.match_threads = match_threads;
-  fleet_options.queue.capacity = queue_capacity;
-  fleet_options.queue.overflow_policy = overflow_policy;
-  fleet_options.checkpoint_dir = checkpoint_dir;
-  fleet_options.checkpoint_every = checkpoint_every;
-  shard::ShardedEngine fleet(fleet_options);
-
+  runtime::Runtime rt(options);
+  shard::ShardedEngine& fleet = *rt.fleet();
   ResultBuffer results(/*per_query_cap=*/1024);
-  fleet.AddSink(&results);
+  rt.AddSink(&results);
 
-  // Preloaded queries must be registered before Restore() so their
+  // Preloaded queries must be registered before the restore so their
   // checkpointed state has definitions to land on.
   for (const std::string& path : query_files) {
     std::ifstream in(path);
-    if (!in) return Fail("cannot open query file '" + path + "'");
+    if (!in) return cli.Fail("cannot open query file '" + path + "'");
     std::ostringstream buffer;
     buffer << in.rdbuf();
-    auto placement = fleet.RegisterText(buffer.str());
+    auto placement = rt.Register(buffer.str());
     if (!placement.ok()) {
-      return Fail("register '" + path + "': " +
-                  placement.status().ToString());
+      return cli.Fail("register '" + path + "': " +
+                      placement.status().ToString());
     }
     std::cerr << "[seraph_serve] registered '" << placement->name
               << "' on " << placement->shards.size() << " shard(s)\n";
   }
-  if (!checkpoint_dir.empty()) {
-    if (Status s = fleet.Restore(); !s.ok()) return Fail(s.ToString());
-    std::cerr << "[seraph_serve] restored fleet state from '"
-              << checkpoint_dir << "' (watermark "
-              << fleet.FleetWatermarkMillis() << " ms)\n";
-  }
 
-  // One mutex serializes every handler's fleet access. Handlers run on
-  // the server thread; the main thread takes the lock only for the final
-  // drain at shutdown.
-  std::mutex fleet_mutex;
-
-  MetricsServer::Options server_options;
-  server_options.port = port;
-  server_options.registry = &fleet.metrics();
-  server_options.io_timeout_millis = static_cast<int>(io_timeout_ms);
-  server_options.long_poll_timeout_millis = static_cast<int>(long_poll_ms);
-  server_options.queries_json = [&]() -> std::string {
-    std::lock_guard<std::mutex> lock(fleet_mutex);
-    return fleet.QueriesStatusJson();
-  };
-  MetricsServer server(server_options);
+  MetricsServer& server = rt.server();
 
   // POST /queries (register) and POST /queries/<q>/revive share the
   // method+prefix, so one handler dispatches on the path shape.
   server.Handle("POST", "/queries", [&](const HttpRequest& request)
                                         -> std::optional<HttpReply> {
-    std::lock_guard<std::mutex> lock(fleet_mutex);
     if (request.path == "/queries") {
-      auto placement = fleet.RegisterText(request.body);
+      auto placement = rt.Register(request.body);
       if (!placement.ok()) {
         const int code =
             placement.status().code() == StatusCode::kAlreadyExists ? 409
@@ -348,6 +240,7 @@ int main(int argc, char** argv) {
       if (Status s = fleet.ReviveQuery(name); !s.ok()) {
         return ErrorReply(404, "Not Found", s.ToString());
       }
+      rt.Publish();
       return JsonReply(200, "OK",
                        "{\"revived\":\"" + EscapeJsonString(name) + "\"}\n");
     }
@@ -357,7 +250,6 @@ int main(int argc, char** argv) {
 
   server.Handle("POST", "/ingest", [&](const HttpRequest& request)
                                        -> std::optional<HttpReply> {
-    std::lock_guard<std::mutex> lock(fleet_mutex);
     int64_t ingested = 0;
     int64_t deliveries = 0;
     std::istringstream lines(request.body);
@@ -389,8 +281,8 @@ int main(int argc, char** argv) {
                           "line " + std::to_string(line_no) + ": " +
                               graph.status().ToString());
       }
-      auto delivered = fleet.Ingest(
-          std::move(graph).value(),
+      auto delivered = rt.Produce(
+          std::make_shared<const PropertyGraph>(std::move(graph).value()),
           Timestamp::FromMillis(t_it->second.AsInt()));
       if (!delivered.ok()) {
         const int code =
@@ -403,7 +295,7 @@ int main(int argc, char** argv) {
       ++ingested;
       deliveries += *delivered;
     }
-    if (Status s = fleet.PumpAll(); !s.ok()) {
+    if (Status s = rt.Pump(); !s.ok()) {
       return ErrorReply(500, "Internal Server Error", s.ToString());
     }
     return JsonReply(
@@ -429,7 +321,6 @@ int main(int argc, char** argv) {
     const std::string name = request.path.substr(
         9, request.path.size() - 9 - results_suffix.size());
     const int64_t after = AfterFromQuery(request.query);
-    std::lock_guard<std::mutex> lock(fleet_mutex);
     if (!fleet.PlacementFor(name).ok()) {
       return ErrorReply(404, "Not Found", "unknown query '" + name + "'");
     }
@@ -475,7 +366,6 @@ int main(int argc, char** argv) {
                             std::to_string(fleet.num_shards()) +
                             " shard(s))");
     }
-    std::lock_guard<std::mutex> lock(fleet_mutex);
     HttpReply reply;
     reply.content_type = "text/plain; version=0.0.4; charset=utf-8";
     reply.body = fleet.shard_engine(static_cast<int>(index))
@@ -484,11 +374,7 @@ int main(int argc, char** argv) {
     return reply;
   });
 
-  if (Status s = server.Start(); !s.ok()) return Fail(s.ToString());
-  std::cerr << "[seraph_serve] serving " << shards
-            << " shard(s) on http://127.0.0.1:" << server.port()
-            << " (POST /queries, POST /ingest, GET "
-               "/queries/<q>/results, GET /metrics)\n";
+  if (Status s = rt.Start(); !s.ok()) return cli.Fail(s.ToString());
 
   std::signal(SIGINT, OnSignal);
   std::signal(SIGTERM, OnSignal);
@@ -503,16 +389,13 @@ int main(int argc, char** argv) {
   }
 
   server.Stop();
-  {
-    std::lock_guard<std::mutex> lock(fleet_mutex);
-    if (Status s = fleet.Finish(); !s.ok()) {
-      std::cerr << "[seraph_serve] final drain: " << s.ToString() << "\n";
-    }
-    if (!checkpoint_dir.empty()) {
-      if (Status s = fleet.Checkpoint(); !s.ok()) {
-        std::cerr << "[seraph_serve] final checkpoint: " << s.ToString()
-                  << "\n";
-      }
+  if (Status s = rt.Finish(); !s.ok()) {
+    std::cerr << "[seraph_serve] final drain: " << s.ToString() << "\n";
+  }
+  if (!options.checkpoint_dir.empty()) {
+    if (Status s = fleet.Checkpoint(); !s.ok()) {
+      std::cerr << "[seraph_serve] final checkpoint: " << s.ToString()
+                << "\n";
     }
   }
   std::cerr << "[seraph_serve] served " << server.requests_served()
