@@ -496,18 +496,13 @@ Result<StreamElement> ReadStreamElement(Decoder* dec) {
 void WriteQueryStats(const QueryStats& stats, Encoder* enc) {
   enc->PutI64(stats.evaluations);
   enc->PutI64(stats.reused_results);
+  enc->PutI64(stats.fresh_executions);
+  enc->PutI64(stats.match_rows);
   enc->PutI64(stats.rows_emitted);
-  enc->PutI64(stats.result_rows);
   enc->PutI64(stats.snapshots_incremental);
   enc->PutI64(stats.snapshots_rebuilt);
   enc->PutI64(stats.window_elements_added);
   enc->PutI64(stats.window_elements_evicted);
-  enc->PutI64(stats.fresh_executions);
-  enc->PutI64(stats.window_micros);
-  enc->PutI64(stats.snapshot_micros);
-  enc->PutI64(stats.match_micros);
-  enc->PutI64(stats.policy_micros);
-  enc->PutI64(stats.sink_micros);
   enc->PutI64(stats.eval_failures);
   WriteStatus(stats.last_error, enc);
 }
@@ -516,18 +511,13 @@ Result<QueryStats> ReadQueryStats(Decoder* dec) {
   QueryStats stats;
   SERAPH_ASSIGN_OR_RETURN(stats.evaluations, dec->I64());
   SERAPH_ASSIGN_OR_RETURN(stats.reused_results, dec->I64());
+  SERAPH_ASSIGN_OR_RETURN(stats.fresh_executions, dec->I64());
+  SERAPH_ASSIGN_OR_RETURN(stats.match_rows, dec->I64());
   SERAPH_ASSIGN_OR_RETURN(stats.rows_emitted, dec->I64());
-  SERAPH_ASSIGN_OR_RETURN(stats.result_rows, dec->I64());
   SERAPH_ASSIGN_OR_RETURN(stats.snapshots_incremental, dec->I64());
   SERAPH_ASSIGN_OR_RETURN(stats.snapshots_rebuilt, dec->I64());
   SERAPH_ASSIGN_OR_RETURN(stats.window_elements_added, dec->I64());
   SERAPH_ASSIGN_OR_RETURN(stats.window_elements_evicted, dec->I64());
-  SERAPH_ASSIGN_OR_RETURN(stats.fresh_executions, dec->I64());
-  SERAPH_ASSIGN_OR_RETURN(stats.window_micros, dec->I64());
-  SERAPH_ASSIGN_OR_RETURN(stats.snapshot_micros, dec->I64());
-  SERAPH_ASSIGN_OR_RETURN(stats.match_micros, dec->I64());
-  SERAPH_ASSIGN_OR_RETURN(stats.policy_micros, dec->I64());
-  SERAPH_ASSIGN_OR_RETURN(stats.sink_micros, dec->I64());
   SERAPH_ASSIGN_OR_RETURN(stats.eval_failures, dec->I64());
   SERAPH_RETURN_IF_ERROR(ReadStatus(dec, &stats.last_error));
   return stats;

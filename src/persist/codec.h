@@ -40,12 +40,14 @@ namespace seraph {
 namespace persist {
 
 // "SRPH" in little-endian byte order, followed by the format version.
-// Version 2 stream segments carry only the retained suffix plus the
-// stream's base offset, max timestamp and trimmed-through timestamp
-// (docs/INTERNALS.md, "Stream retention"); version 1 files, which held
-// the whole prefix, are rejected with kFailedPrecondition.
+// Stream segments carry only the retained suffix plus the stream's base
+// offset, max timestamp and trimmed-through timestamp (docs/INTERNALS.md,
+// "Stream retention"). Version 3 query frames carry the QueryStats view
+// (ten counts and the last error) instead of version 2's struct with
+// per-stage micros. Files of any other version, including version 1 (the
+// whole stream prefix), are rejected with kFailedPrecondition.
 inline constexpr uint32_t kMagic = 0x48505253;
-inline constexpr uint32_t kFormatVersion = 2;
+inline constexpr uint32_t kFormatVersion = 3;
 
 // CRC-32 (IEEE 802.3 polynomial, the Kafka/zlib convention) of `data`.
 uint32_t Crc32(std::string_view data);

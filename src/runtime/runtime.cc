@@ -23,6 +23,19 @@ EngineOptions SingleEngineOptions(const RuntimeOptions& options,
 
 }  // namespace
 
+std::string QueriesStatusJson(const shard::ShardedEngine& fleet) {
+  std::vector<QueryStatus> queries;
+  for (const std::string& name : fleet.QueryNames()) {
+    QueryStatus& query = queries.emplace_back();
+    query.name = name;
+    query.disabled = fleet.QueryDisabled(name);
+    query.stats = *fleet.StatsFor(name);
+    query.eval_latency = *fleet.LatencyFor(name);
+    query.shards = fleet.PlacementFor(name)->shards;
+  }
+  return seraph::QueriesStatusJson(queries);
+}
+
 Runtime::Runtime(RuntimeOptions options)
     : options_(std::move(options)),
       consumer_([this] {
@@ -230,7 +243,7 @@ Status Runtime::Finish() {
 void Runtime::Publish() {
   std::string fresh;
   if (fleet_ != nullptr) {
-    fresh = fleet_->QueriesStatusJson();
+    fresh = QueriesStatusJson(*fleet_);
     dead_letter_depth_->Set(fleet_->Overload().dead_letters);
   } else {
     fresh = QueriesStatusJson(*engine_);

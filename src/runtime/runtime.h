@@ -79,6 +79,11 @@ struct RuntimeOptions : shard::ShardedEngineOptions {
   int stats_interval_sec = 0;
 };
 
+// The fleet's /queries payload: each query's stats summed and its
+// evaluation latency merged over its placement shards, plus its shard
+// set. Like the single-engine one, call it on the engine's thread.
+std::string QueriesStatusJson(const shard::ShardedEngine& fleet);
+
 class Runtime {
  public:
   explicit Runtime(RuntimeOptions options);

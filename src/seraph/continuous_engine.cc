@@ -5,6 +5,7 @@
 #include <cstdlib>
 #include <future>
 #include <set>
+#include <utility>
 
 #include "common/cancel.h"
 #include "common/logging.h"
@@ -78,14 +79,11 @@ struct QueryMetricHandles {
   Counter* match_partitions = nullptr;
   Histogram* match_seeds = nullptr;
   // Emit-latency accounting (docs/INTERNALS.md, "Latency accounting &
-  // lag"): ingest→emit latency of each covered element, plus the
-  // per-stage breakdown. Written only by the coordinator in
+  // lag"): ingest→emit latency of each covered element, and its queue
+  // wait (arrival → evaluation start). Written only by the coordinator in
   // FinishDelivery (single-writer histogram contract).
   Histogram* emit_latency = nullptr;
-  Histogram* lat_queue = nullptr;    // arrival → evaluation start.
-  Histogram* lat_window = nullptr;   // Window + snapshot maintenance.
-  Histogram* lat_match = nullptr;    // Clause evaluation + report policy.
-  Histogram* lat_deliver = nullptr;  // Sink delivery.
+  Histogram* lat_queue = nullptr;
   // Delta matching (seraph/delta): evaluations served from the
   // partial-match index, full executions taken while delta matching was
   // enabled (ineligible query or invalidated index), index rebuilds,
@@ -96,6 +94,26 @@ struct QueryMetricHandles {
   Counter* delta_rebuilds = nullptr;
   Counter* delta_rows_projected = nullptr;
   Gauge* delta_entries = nullptr;
+};
+
+// Each QueryStats count and the series it is a view of: StatsFor reads
+// them, RestoreFrom seeds them.
+constexpr std::pair<int64_t QueryStats::*, Counter* QueryMetricHandles::*>
+    kStatsSeries[] = {
+        {&QueryStats::evaluations, &QueryMetricHandles::evaluations},
+        {&QueryStats::reused_results, &QueryMetricHandles::reuse_hits},
+        {&QueryStats::fresh_executions, &QueryMetricHandles::reuse_misses},
+        {&QueryStats::match_rows, &QueryMetricHandles::match_rows},
+        {&QueryStats::rows_emitted, &QueryMetricHandles::rows_emitted},
+        {&QueryStats::snapshots_incremental,
+         &QueryMetricHandles::snapshots_incremental},
+        {&QueryStats::snapshots_rebuilt,
+         &QueryMetricHandles::snapshots_rebuilt},
+        {&QueryStats::window_elements_added,
+         &QueryMetricHandles::elements_added},
+        {&QueryStats::window_elements_evicted,
+         &QueryMetricHandles::elements_evicted},
+        {&QueryStats::eval_failures, &QueryMetricHandles::eval_failures},
 };
 
 // One window of the shared registry (docs/INTERNALS.md, "Shared
@@ -153,7 +171,8 @@ struct ContinuousEngine::QueryState {
   // Query isolation (the query-side mirror of sink quarantine).
   int consecutive_failures = 0;
   bool disabled = false;
-  QueryStats stats;
+  // The one QueryStats field that is not a registry series.
+  Status last_error;
   QueryMetricHandles metrics;
   // Emit-latency cursors, one per distinct stream among the query's
   // windows: the index of the first element whose latency has not been
@@ -262,14 +281,8 @@ QueryMetricHandles MakeQueryMetrics(MetricsRegistry* registry,
   m.match_seeds =
       registry->HistogramFor("seraph_match_seed_candidates", q);
   m.emit_latency = registry->HistogramFor("seraph_emit_latency_micros", q);
-  auto lat_stage = [&](const char* name) {
-    return registry->HistogramFor("seraph_emit_stage_micros",
-                                  {{"query", query}, {"stage", name}});
-  };
-  m.lat_queue = lat_stage("queue");
-  m.lat_window = lat_stage("window");
-  m.lat_match = lat_stage("match");
-  m.lat_deliver = lat_stage("deliver");
+  m.lat_queue = registry->HistogramFor("seraph_emit_stage_micros",
+                                       {{"query", query}, {"stage", "queue"}});
   m.delta_hits = registry->CounterFor("seraph_delta_hits_total", q);
   m.delta_fallbacks =
       registry->CounterFor("seraph_delta_fallbacks_total", q);
@@ -720,7 +733,13 @@ Result<QueryStats> ContinuousEngine::StatsFor(const std::string& name) const {
   if (it == queries_.end()) {
     return Status::NotFound("query '" + name + "' is not registered");
   }
-  return it->second->stats;
+  const QueryState& state = *it->second;
+  QueryStats stats;
+  for (const auto& [field, series] : kStatsSeries) {
+    stats.*field = (state.metrics.*series)->value();
+  }
+  stats.last_error = state.last_error;
+  return stats;
 }
 
 Result<HistogramSnapshot> ContinuousEngine::LatencyFor(
@@ -1029,7 +1048,7 @@ EngineCheckpoint ContinuousEngine::CaptureCheckpoint() const {
     q.consecutive_failures = state->consecutive_failures;
     q.has_previous = state->has_previous;
     q.previous_result = state->previous_result;
-    q.stats = state->stats;
+    q.stats = *StatsFor(name);
     image.queries.push_back(std::move(q));
   }
   return image;
@@ -1097,7 +1116,12 @@ Status ContinuousEngine::RestoreFrom(const EngineCheckpoint& checkpoint) {
     state->consecutive_failures = q.consecutive_failures;
     state->has_previous = q.has_previous;
     state->previous_result = q.previous_result;
-    state->stats = q.stats;
+    // The count series continue from the cut. No evaluation ran in this
+    // engine yet, so each is still at zero.
+    for (const auto& [field, series] : kStatsSeries) {
+      (state->metrics.*series)->Increment(q.stats.*field);
+    }
+    state->last_error = q.stats.last_error;
     // Window state stays fresh: no batch ran yet, so the first one after
     // the restore advances every shared window from the restored stream
     // (has_last_range is false, so the unchanged-window reuse fast path
@@ -1184,11 +1208,8 @@ void ContinuousEngine::AdvanceSharedWindows(
       const int64_t evicted =
           after.elements_evicted - before.elements_evicted;
       if (window->advance_status.ok()) {
-        ++state->stats.snapshots_incremental;
         state->metrics.snapshots_incremental->Increment();
       }
-      state->stats.window_elements_added += added;
-      state->stats.window_elements_evicted += evicted;
       state->metrics.elements_added->Increment(added);
       state->metrics.elements_evicted->Increment(evicted);
       state->metrics.entities_recomputed->Increment(
@@ -1246,7 +1267,6 @@ Status ContinuousEngine::EvaluateAt(QueryState* state, Timestamp t,
   if (options_.latency_stamping) {
     out->latency_eval_start_micros = LatencyClock()->NowMicros();
   }
-  ++state->stats.evaluations;
   state->metrics.evaluations->Increment();
 
   // 1. Read each window's snapshot: the shared one the batch pre-pass
@@ -1299,7 +1319,6 @@ Status ContinuousEngine::EvaluateAt(QueryState* state, Timestamp t,
       all_ranges_unchanged = false;
       ws.has_last_range = false;
       if (state->delta != nullptr) state->delta->Invalidate();
-      ++state->stats.snapshots_rebuilt;
       state->metrics.snapshots_rebuilt->Increment();
     }
     const int64_t snap_dur = TraceRecorder::NowMicros() - snap_start;
@@ -1321,8 +1340,6 @@ Status ContinuousEngine::EvaluateAt(QueryState* state, Timestamp t,
   const int64_t window_micros =
       (windows_end - eval_start) - snapshot_micros;
   snapshot_micros += out->charged_snapshot_micros;
-  state->stats.window_micros += window_micros;
-  state->stats.snapshot_micros += snapshot_micros;
   state->metrics.stage_window->Record(window_micros);
   state->metrics.stage_snapshot->Record(snapshot_micros);
   if (tracer != nullptr) {
@@ -1340,7 +1357,6 @@ Status ContinuousEngine::EvaluateAt(QueryState* state, Timestamp t,
   if (options_.reuse_unchanged_windows && state->content_deterministic &&
       state->has_previous && all_ranges_unchanged) {
     current = state->previous_result;
-    ++state->stats.reused_results;
     state->metrics.reuse_hits->Increment();
     reused = true;
   } else {
@@ -1430,18 +1446,15 @@ Status ContinuousEngine::EvaluateAt(QueryState* state, Timestamp t,
       if (!result.ok()) return result.status();
       current = std::move(result).value();
     }
-    // Delta and full executions keep identical persisted stats, so a
-    // checkpoint replay is byte-exact regardless of which path ran.
-    ++state->stats.fresh_executions;
+    // Delta and full executions count alike, so the checkpointed counts
+    // and a replay of them are exact regardless of which path ran.
     state->metrics.reuse_misses->Increment();
     state->metrics.match_rows->Increment(
         static_cast<int64_t>(current.size()));
   }
-  state->stats.result_rows += static_cast<int64_t>(current.size());
 
   const int64_t match_end = TraceRecorder::NowMicros();
   const int64_t match_micros = match_end - windows_end;
-  state->stats.match_micros += match_micros;
   state->metrics.stage_match->Record(match_micros);
   if (tracer != nullptr) {
     tracer->AddComplete(reused ? "reuse" : "match", "engine", windows_end,
@@ -1469,13 +1482,11 @@ Status ContinuousEngine::EvaluateAt(QueryState* state, Timestamp t,
   }
   state->previous_result = std::move(current);
   state->has_previous = true;
-  state->stats.rows_emitted += static_cast<int64_t>(reported.size());
   state->metrics.rows_emitted->Increment(
       static_cast<int64_t>(reported.size()));
 
   const int64_t policy_end = TraceRecorder::NowMicros();
   const int64_t policy_micros = policy_end - match_end;
-  state->stats.policy_micros += policy_micros;
   state->metrics.stage_policy->Record(policy_micros);
   if (tracer != nullptr) {
     tracer->AddComplete("policy", "engine", match_end, policy_micros,
@@ -1488,10 +1499,6 @@ Status ContinuousEngine::EvaluateAt(QueryState* state, Timestamp t,
   out->annotated = TimeAnnotatedTable{std::move(reported), *widest_window};
   out->eval_start_micros = eval_start;
   out->eval_end_micros = policy_end;
-  // Emit-latency stage durations (durations are timebase-independent, so
-  // the trace clock's readings above serve directly).
-  out->stage_window_micros = window_micros + snapshot_micros;
-  out->stage_match_micros = match_micros + policy_micros;
   return Status::OK();
 }
 
@@ -1511,7 +1518,6 @@ void ContinuousEngine::FinishDelivery(QueryState* state, Timestamp t,
   DeliverToSinks(state->query.name, t, out.annotated);
   const int64_t sink_end = TraceRecorder::NowMicros();
   const int64_t sink_micros = sink_end - sink_start;
-  state->stats.sink_micros += sink_micros;
   state->metrics.stage_sink->Record(sink_micros);
 
   // The shared advances charged to this evaluation ran on the coordinator
@@ -1533,14 +1539,11 @@ void ContinuousEngine::FinishDelivery(QueryState* state, Timestamp t,
                          {"t", t.ToString()}});
   }
   state->metrics.eval_total->Record(total_micros);
-  if (options_.latency_stamping) {
-    RecordEmitLatency(state, t, out, sink_micros);
-  }
+  if (options_.latency_stamping) RecordEmitLatency(state, t, out);
 }
 
 void ContinuousEngine::RecordEmitLatency(QueryState* state, Timestamp t,
-                                         const PendingDelivery& out,
-                                         int64_t sink_micros) {
+                                         const PendingDelivery& out) {
   // Coordinator-only (single-writer histogram contract). Every element
   // with timestamp <= t is now covered by this query's delivered result;
   // charge arrival→now once per element, per query. Elements covered by
@@ -1569,10 +1572,6 @@ void ContinuousEngine::RecordEmitLatency(QueryState* state, Timestamp t,
       state->metrics.lat_queue->Record(queue_wait);
     }
   }
-  // The evaluation-side stages are per-emit, not per-element.
-  state->metrics.lat_window->Record(out.stage_window_micros);
-  state->metrics.lat_match->Record(out.stage_match_micros);
-  state->metrics.lat_deliver->Record(sink_micros);
 }
 
 void ContinuousEngine::HandleEvalFailure(QueryState* state, Timestamp t,
@@ -1591,7 +1590,6 @@ void ContinuousEngine::HandleEvalFailure(QueryState* state, Timestamp t,
   // have left it mid-repair, and stage 1 already consumed this advance's
   // dirty sets — rebuild from scratch next time.
   if (state->delta != nullptr) state->delta->Invalidate();
-  ++state->stats.eval_failures;
   state->metrics.eval_failures->Increment();
   SERAPH_LOG(WARNING) << "evaluation of query '" << state->query.name
                       << "' at " << t.ToString()
@@ -1599,7 +1597,7 @@ void ContinuousEngine::HandleEvalFailure(QueryState* state, Timestamp t,
   if (options_.dead_letter != nullptr) {
     options_.dead_letter->AddEvaluationFailure(state->query.name, t, error);
   }
-  state->stats.last_error = std::move(error);
+  state->last_error = std::move(error);
   ++state->consecutive_failures;
   if (options_.query_error_budget > 0 && !state->disabled &&
       state->consecutive_failures >= options_.query_error_budget) {

@@ -156,8 +156,9 @@ struct EngineOptions {
   // Emit-latency accounting (docs/INTERNALS.md, "Latency accounting &
   // lag"): when true, elements arriving unstamped are stamped with the
   // clock at ingestion, and sink delivery records each covered element's
-  // ingest→emit latency into `seraph_emit_latency_micros{query=...}` plus
-  // the per-stage breakdown. Off = no clock reads, no samples (the
+  // ingest→emit latency into `seraph_emit_latency_micros{query=...}` and
+  // its queue wait into `seraph_emit_stage_micros{query=...,stage=queue}`.
+  // Off = no clock reads, no samples (the
   // overhead ablation arm of bench_emit_latency).
   bool latency_stamping = true;
   // The clock behind arrival stamps and delivery reads. nullptr (default)
@@ -184,51 +185,30 @@ struct SinkPolicy {
   int quarantine_after = 5;
 };
 
-// Per-query execution counters, including the per-stage cost breakdown of
-// the Fig. 5 pipeline. The same numbers (plus latency distributions) are
-// exported through the engine's MetricsRegistry; QueryStats is the cheap
-// struct-valued view for tests and benches.
+// Per-query execution counters: a view over the query's series in the
+// engine's MetricsRegistry, which is their only record. Each count reads
+// the `{query=...}` series named beside it. Stage times live only in
+// `seraph_stage_micros{query,stage}`.
 struct QueryStats {
-  int64_t evaluations = 0;       // Total ET instants processed.
-  int64_t reused_results = 0;    // Evaluations served from the reuse cache.
-  int64_t rows_emitted = 0;      // Rows delivered to sinks (post-policy).
-  int64_t result_rows = 0;       // Rows computed (pre-policy, SNAPSHOT view).
+  int64_t evaluations = 0;       // seraph_query_evaluations_total
+  int64_t reused_results = 0;    // seraph_query_reuse_hits_total
+  int64_t fresh_executions = 0;  // seraph_query_reuse_misses_total
+  // seraph_query_match_rows_total: rows the fresh executions computed
+  // (pre-policy); a reuse hit adds none.
+  int64_t match_rows = 0;
+  int64_t rows_emitted = 0;  // seraph_query_rows_emitted_total (post-policy)
   // Window / snapshot maintenance. A shared window's advance is charged
   // once, to its first due reader in name order (docs/INTERNALS.md,
   // "Shared windows"); its other readers at that instant count nothing.
-  int64_t snapshots_incremental = 0;  // Shared-window advances charged.
-  int64_t snapshots_rebuilt = 0;      // Catch-up snapshots built afresh.
-  int64_t window_elements_added = 0;    // Elements entering those advances.
-  int64_t window_elements_evicted = 0;  // Elements leaving them.
-  // MATCH executions that actually ran (evaluations - reused_results).
-  int64_t fresh_executions = 0;
-  // Cumulative per-stage wall time (microseconds) across evaluations.
-  int64_t window_micros = 0;    // Active-interval & element-range work.
-  int64_t snapshot_micros = 0;  // Charged advances, repair, catch-up.
-  int64_t match_micros = 0;     // Cypher clause evaluation (or reuse copy).
-  int64_t policy_micros = 0;    // Report-policy delta computation.
-  int64_t sink_micros = 0;      // Sink delivery.
+  int64_t snapshots_incremental = 0;  // ..._snapshots_incremental_total
+  int64_t snapshots_rebuilt = 0;      // ..._snapshots_rebuilt_total
+  int64_t window_elements_added = 0;    // seraph_window_elements_added_total
+  int64_t window_elements_evicted = 0;  // ..._elements_evicted_total
   // Query isolation (docs/INTERNALS.md, "Failure model").
-  int64_t eval_failures = 0;    // Evaluations that failed at runtime.
-  Status last_error;            // Most recent evaluation error (OK if none).
+  int64_t eval_failures = 0;  // seraph_query_eval_failures_total
+  Status last_error;          // Most recent evaluation error (OK if none).
 
-  friend bool operator==(const QueryStats& a, const QueryStats& b) {
-    return a.evaluations == b.evaluations &&
-           a.reused_results == b.reused_results &&
-           a.rows_emitted == b.rows_emitted &&
-           a.result_rows == b.result_rows &&
-           a.snapshots_incremental == b.snapshots_incremental &&
-           a.snapshots_rebuilt == b.snapshots_rebuilt &&
-           a.window_elements_added == b.window_elements_added &&
-           a.window_elements_evicted == b.window_elements_evicted &&
-           a.fresh_executions == b.fresh_executions &&
-           a.window_micros == b.window_micros &&
-           a.snapshot_micros == b.snapshot_micros &&
-           a.match_micros == b.match_micros &&
-           a.policy_micros == b.policy_micros &&
-           a.sink_micros == b.sink_micros &&
-           a.eval_failures == b.eval_failures && a.last_error == b.last_error;
-  }
+  friend bool operator==(const QueryStats&, const QueryStats&) = default;
 };
 
 // The persisted dynamic state of one registered query — everything the
@@ -252,6 +232,8 @@ struct QueryCheckpoint {
   // differences.
   bool has_previous = false;
   Table previous_result;
+  // The query's counts and last error at the cut; RestoreFrom seeds the
+  // query's registry series with them, so they continue across restores.
   QueryStats stats;
 };
 
@@ -313,7 +295,10 @@ class ContinuousEngine {
   Status Unregister(const std::string& name);
   std::vector<std::string> QueryNames() const;
 
-  // Execution counters of a registered query.
+  // Execution counters of a registered query, read off its registry
+  // series (kNotFound when no query of that name is registered now).
+  // Series survive Unregister, so a name registered again continues
+  // their counts, as LatencyFor does.
   Result<QueryStats> StatsFor(const std::string& name) const;
 
   // Wall-clock evaluation latency distribution (microseconds) of a query:
@@ -434,7 +419,9 @@ class ContinuousEngine {
   // Streams come back at their checkpointed absolute positions. A
   // registered query the checkpoint does not name is held to Register's
   // late-registration rule against the restored streams
-  // (kFailedPrecondition).
+  // (kFailedPrecondition). Each checkpointed query's count series start
+  // from its checkpointed QueryStats; the stage and latency histograms
+  // start empty.
   // After RestoreFrom, replaying the stream suffix past the checkpoint
   // clock produces output bit-identical to an uninterrupted run.
   Status RestoreFrom(const EngineCheckpoint& checkpoint);
@@ -484,10 +471,10 @@ class ContinuousEngine {
     TimeAnnotatedTable annotated;
     int64_t eval_start_micros = 0;  // Start of the evaluation stages.
     int64_t eval_end_micros = 0;    // End of the policy stage.
-    // Emit-latency stage breakdown, filled by EvaluateAt when
-    // latency_stamping is on. latency_eval_start_micros is read from the
-    // *latency* clock (options_.clock), which in tests is a ManualClock on
-    // a different timebase than the trace clock above — queue wait is
+    // The queue-wait endpoint, filled by EvaluateAt when
+    // latency_stamping is on. It is read from the *latency* clock
+    // (options_.clock), which in tests is a ManualClock on a different
+    // timebase than the trace clock above — queue wait is
     // (latency_eval_start − arrival), so both ends must come from the
     // same clock.
     int64_t latency_eval_start_micros = 0;
@@ -495,8 +482,6 @@ class ContinuousEngine {
     // coordinator's pre-pass (AdvanceSharedWindows), for its snapshot
     // stage.
     int64_t charged_snapshot_micros = 0;
-    int64_t stage_window_micros = 0;  // Window + snapshot maintenance.
-    int64_t stage_match_micros = 0;   // Clause evaluation + report policy.
   };
 
   // Per-stream observability handles, cached so the Ingest hot path does
@@ -559,7 +544,8 @@ class ContinuousEngine {
   // and whole-evaluation metrics/spans for one PendingDelivery.
   void FinishDelivery(QueryState* state, Timestamp t, PendingDelivery&& out);
   // Query-isolation bookkeeping for one failed evaluation (coordinator
-  // thread): stats, metrics, dead-letter capture, error-budget disable.
+  // thread): last error, metrics, dead-letter capture, error-budget
+  // disable.
   void HandleEvalFailure(QueryState* state, Timestamp t, Status error);
   // Delivers one result to every live sink with per-sink retry /
   // dead-letter / quarantine handling; never fails the evaluation.
@@ -568,10 +554,10 @@ class ContinuousEngine {
   // Coordinator-side emit-latency accounting for one delivered
   // evaluation: advances the query's per-stream latency cursors over the
   // elements newly covered at `t` and records arrival→now into the
-  // query's and the fleet's emit-latency histograms, plus the per-stage
-  // breakdown carried in `out`.
+  // query's and the fleet's emit-latency histograms, and each element's
+  // queue wait (arrival → `out`'s evaluation start).
   void RecordEmitLatency(QueryState* state, Timestamp t,
-                         const PendingDelivery& out, int64_t sink_micros);
+                         const PendingDelivery& out);
   // Resolves (and caches) the observability handles of `stream`.
   StreamObs* ObsFor(const std::string& stream);
   // Refreshes every stream's lag gauge against the engine clock (called

@@ -1,5 +1,6 @@
 #include "seraph/sinks.h"
 
+#include "common/fault.h"
 #include "io/json.h"
 
 namespace seraph {

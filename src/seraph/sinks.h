@@ -13,7 +13,6 @@
 #include <string>
 #include <vector>
 
-#include "common/fault.h"
 #include "seraph/continuous_engine.h"
 
 namespace seraph {
@@ -96,39 +95,6 @@ class CountingSink final : public EmitSink {
  private:
   int64_t evaluations_ = 0;
   int64_t rows_ = 0;
-};
-
-// Decorator retrying an inner sink's transient failures per a
-// RetryPolicy. The engine already retries per-sink when a policy is
-// configured through AddSink; this decorator serves sinks attached to
-// code paths without engine-level isolation (tools, tests) and keeps its
-// own counters.
-class RetryingSink final : public EmitSink {
- public:
-  RetryingSink(EmitSink* inner, RetryPolicy policy)
-      : inner_(inner), policy_(policy) {}
-
-  Status OnResult(const std::string& query_name, Timestamp evaluation_time,
-                  const TimeAnnotatedTable& table) override {
-    Status status;
-    for (int attempt = 1;; ++attempt) {
-      status = inner_->OnResult(query_name, evaluation_time, table);
-      if (status.ok()) return status;
-      if (!policy_.ShouldRetry(status, attempt)) return status;
-      ++retries_;
-      backoff_millis_total_ += policy_.DelayMillisFor(attempt);
-    }
-  }
-
-  int64_t retries() const { return retries_; }
-  // Cumulative deterministic backoff (accounted, not slept).
-  int64_t backoff_millis_total() const { return backoff_millis_total_; }
-
- private:
-  EmitSink* inner_;
-  RetryPolicy policy_;
-  int64_t retries_ = 0;
-  int64_t backoff_millis_total_ = 0;
 };
 
 }  // namespace seraph

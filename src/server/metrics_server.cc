@@ -451,37 +451,52 @@ std::string EscapeJsonString(const std::string& value) {
   return out;
 }
 
-std::string QueriesStatusJson(const ContinuousEngine& engine) {
+std::string QueriesStatusJson(const std::vector<QueryStatus>& queries) {
   std::string out = "[";
-  bool first = true;
-  for (const std::string& name : engine.QueryNames()) {
-    auto stats = engine.StatsFor(name);
-    if (!stats.ok()) continue;  // Unregistered between calls.
-    if (!first) out += ",";
-    first = false;
-    out += "{\"name\":\"" + EscapeJsonString(name) + "\"";
+  for (const QueryStatus& query : queries) {
+    if (out.size() > 1) out += ",";
+    const QueryStats& stats = query.stats;
+    out += "{\"name\":\"" + EscapeJsonString(query.name) + "\"";
     out += ",\"disabled\":";
-    out += engine.QueryDisabled(name) ? "true" : "false";
-    out += ",\"evaluations\":" + std::to_string(stats->evaluations);
-    out += ",\"rows_emitted\":" + std::to_string(stats->rows_emitted);
-    out += ",\"eval_failures\":" + std::to_string(stats->eval_failures);
-    out += ",\"reused_results\":" + std::to_string(stats->reused_results);
-    if (!stats->last_error.ok()) {
+    out += query.disabled ? "true" : "false";
+    out += ",\"evaluations\":" + std::to_string(stats.evaluations);
+    out += ",\"rows_emitted\":" + std::to_string(stats.rows_emitted);
+    out += ",\"eval_failures\":" + std::to_string(stats.eval_failures);
+    out += ",\"reused_results\":" + std::to_string(stats.reused_results);
+    if (!stats.last_error.ok()) {
       out += ",\"last_error\":\"" +
-             EscapeJsonString(stats->last_error.ToString()) + "\"";
+             EscapeJsonString(stats.last_error.ToString()) + "\"";
     }
-    auto latency = engine.LatencyFor(name);
-    if (latency.ok()) {
-      out += ",\"eval_latency_micros\":{\"count\":" +
-             std::to_string(latency->count) +
-             ",\"p50\":" + std::to_string(latency->p50) +
-             ",\"p99\":" + std::to_string(latency->p99) +
-             ",\"p999\":" + std::to_string(latency->p999) + "}";
+    const HistogramSnapshot& latency = query.eval_latency;
+    out += ",\"eval_latency_micros\":{\"count\":" +
+           std::to_string(latency.count) +
+           ",\"p50\":" + std::to_string(latency.p50) +
+           ",\"p99\":" + std::to_string(latency.p99) +
+           ",\"p999\":" + std::to_string(latency.p999) + "}";
+    if (!query.shards.empty()) {
+      out += ",\"shards\":[";
+      for (size_t i = 0; i < query.shards.size(); ++i) {
+        if (i > 0) out += ",";
+        out += std::to_string(query.shards[i]);
+      }
+      out += "]";
     }
     out += "}";
   }
   out += "]";
   return out;
+}
+
+std::string QueriesStatusJson(const ContinuousEngine& engine) {
+  std::vector<QueryStatus> queries;
+  for (const std::string& name : engine.QueryNames()) {
+    QueryStatus& query = queries.emplace_back();
+    query.name = name;
+    query.disabled = engine.QueryDisabled(name);
+    query.stats = *engine.StatsFor(name);
+    query.eval_latency = *engine.LatencyFor(name);
+  }
+  return QueriesStatusJson(queries);
 }
 
 }  // namespace seraph

@@ -37,10 +37,9 @@
 
 #include "common/metrics.h"
 #include "common/result.h"
+#include "seraph/continuous_engine.h"
 
 namespace seraph {
-
-class ContinuousEngine;
 
 // One parsed HTTP request, as handed to handlers.
 struct HttpRequest {
@@ -154,9 +153,24 @@ class MetricsServer {
   std::atomic<int64_t> connections_timed_out_{0};
 };
 
-// The /queries payload: a JSON array with one object per registered
-// query — name, disabled flag, QueryStats counters, and the emit-latency
-// summary (count/p50/p99/p999 micros). Reads engine state without
+// One query's entry in the /queries document.
+struct QueryStatus {
+  std::string name;
+  bool disabled = false;
+  QueryStats stats;
+  HistogramSnapshot eval_latency;  // seraph_query_eval_micros
+  // A fleet's placement shards; empty for a single engine, whose entries
+  // carry no "shards" key.
+  std::vector<int> shards;
+};
+
+// The /queries payload, for either serving shape: a JSON array with one
+// object per entry — name, disabled flag, QueryStats counters, the last
+// error when there is one, the evaluation-latency summary
+// (count/p50/p99/p999 micros) and, in a fleet, the shard set.
+std::string QueriesStatusJson(const std::vector<QueryStatus>& queries);
+
+// The /queries payload of one engine. Reads engine state without
 // synchronization, so call it only from the engine's own thread at a
 // quiescent point and publish the returned string to the server's
 // queries_json callback (see runtime/runtime.h).

@@ -5,7 +5,6 @@
 #include <filesystem>
 #include <limits>
 #include <optional>
-#include <sstream>
 #include <utility>
 
 #include "io/graph_text.h"
@@ -305,45 +304,33 @@ Result<QueryStats> ShardedEngine::StatsFor(const std::string& name) const {
         shards_[static_cast<size_t>(s)]->engine->StatsFor(name));
     total.evaluations += stats.evaluations;
     total.reused_results += stats.reused_results;
+    total.fresh_executions += stats.fresh_executions;
+    total.match_rows += stats.match_rows;
     total.rows_emitted += stats.rows_emitted;
-    total.result_rows += stats.result_rows;
     total.snapshots_incremental += stats.snapshots_incremental;
     total.snapshots_rebuilt += stats.snapshots_rebuilt;
     total.window_elements_added += stats.window_elements_added;
     total.window_elements_evicted += stats.window_elements_evicted;
-    total.fresh_executions += stats.fresh_executions;
-    total.window_micros += stats.window_micros;
-    total.snapshot_micros += stats.snapshot_micros;
-    total.match_micros += stats.match_micros;
-    total.policy_micros += stats.policy_micros;
-    total.sink_micros += stats.sink_micros;
     total.eval_failures += stats.eval_failures;
     if (!stats.last_error.ok()) total.last_error = stats.last_error;
   }
   return total;
 }
 
-std::string ShardedEngine::QueriesStatusJson() const {
-  std::ostringstream os;
-  os << "[";
-  bool first = true;
-  for (const auto& [name, shard_set] : placements_) {
-    if (!first) os << ",";
-    first = false;
-    int64_t evaluations = 0;
-    auto stats = StatsFor(name);
-    if (stats.ok()) evaluations = stats->evaluations;
-    os << "{\"name\":\"" << name << "\",\"disabled\":"
-       << (QueryDisabled(name) ? "true" : "false") << ",\"evaluations\":"
-       << evaluations << ",\"shards\":[";
-    for (size_t i = 0; i < shard_set.size(); ++i) {
-      if (i > 0) os << ",";
-      os << shard_set[i];
-    }
-    os << "]}";
+Result<HistogramSnapshot> ShardedEngine::LatencyFor(
+    const std::string& name) const {
+  auto it = placements_.find(name);
+  if (it == placements_.end()) {
+    return Status::NotFound("query '" + name + "' is not registered");
   }
-  os << "]";
-  return os.str();
+  HistogramSnapshot merged;
+  for (int s : it->second) {
+    SERAPH_ASSIGN_OR_RETURN(
+        HistogramSnapshot latency,
+        shards_[static_cast<size_t>(s)]->engine->LatencyFor(name));
+    MergeHistogramSnapshot(&merged, latency);
+  }
+  return merged;
 }
 
 void ShardedEngine::AddSink(EmitSink* sink) { sinks_.push_back(sink); }

@@ -128,9 +128,8 @@ class ShardedEngine {
   Status ReviveQuery(const std::string& name);
   // Stats summed across the query's placement shards.
   Result<QueryStats> StatsFor(const std::string& name) const;
-  // The /queries status document (same shape as the single-engine one,
-  // plus each query's shard set).
-  std::string QueriesStatusJson() const;
+  // Evaluation latency merged across the query's placement shards.
+  Result<HistogramSnapshot> LatencyFor(const std::string& name) const;
 
   // ---- Sinks ----
 

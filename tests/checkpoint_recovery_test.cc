@@ -350,6 +350,136 @@ TEST_F(CheckpointRecoveryTest, CaptureRestoreRoundTripContinuesIdentically) {
 }
 
 // ---------------------------------------------------------------------------
+// QueryStats is a view over the registry, across restores
+// ---------------------------------------------------------------------------
+
+// Fails while id 3 is in its window, so failures and last_error are
+// checkpointed; once the stream goes quiet its empty window is reused.
+constexpr char kFlakyQuery[] = R"(
+  REGISTER QUERY flaky STARTING AT '1970-01-01T00:05'
+  { MATCH (n:X) WITHIN PT4M EMIT 10 / (n.id - 3) AS v SNAPSHOT EVERY PT5M })";
+
+// Runs on every shard: its stream is hash-partitioned.
+constexpr char kScatteredQuery[] = R"(
+  REGISTER QUERY spread STARTING AT '1970-01-01T00:05'
+  { MATCH (n:X) WITHIN PT30M FROM scatter EMIT n.id SNAPSHOT EVERY PT5M })";
+
+// Every count of `stats` equals its registry series summed over `engines`.
+void ExpectStatsAreTheSeries(
+    const QueryStats& stats, const std::vector<const ContinuousEngine*>& engines,
+    const std::string& query) {
+  auto series = [&](const char* name) {
+    int64_t total = 0;
+    for (const ContinuousEngine* engine : engines) {
+      const Counter* counter =
+          engine->metrics().FindCounter(name, {{"query", query}});
+      EXPECT_NE(counter, nullptr) << name;
+      if (counter != nullptr) total += counter->value();
+    }
+    return total;
+  };
+  EXPECT_EQ(stats.evaluations, series("seraph_query_evaluations_total"));
+  EXPECT_EQ(stats.reused_results, series("seraph_query_reuse_hits_total"));
+  EXPECT_EQ(stats.fresh_executions,
+            series("seraph_query_reuse_misses_total"));
+  EXPECT_EQ(stats.match_rows, series("seraph_query_match_rows_total"));
+  EXPECT_EQ(stats.rows_emitted, series("seraph_query_rows_emitted_total"));
+  EXPECT_EQ(stats.snapshots_incremental,
+            series("seraph_query_snapshots_incremental_total"));
+  EXPECT_EQ(stats.snapshots_rebuilt,
+            series("seraph_query_snapshots_rebuilt_total"));
+  EXPECT_EQ(stats.window_elements_added,
+            series("seraph_window_elements_added_total"));
+  EXPECT_EQ(stats.window_elements_evicted,
+            series("seraph_window_elements_evicted_total"));
+  EXPECT_EQ(stats.eval_failures, series("seraph_query_eval_failures_total"));
+}
+
+TEST_F(CheckpointRecoveryTest, RestoredStatsAreTheRegistrySeries) {
+  const std::vector<std::string> queries = {"q", "flaky"};
+  auto make_engine = [] {
+    auto engine = std::make_unique<ContinuousEngine>();
+    EXPECT_TRUE(engine->RegisterText(kCountQuery).ok());
+    EXPECT_TRUE(engine->RegisterText(kFlakyQuery).ok());
+    return engine;
+  };
+  auto original = make_engine();
+  for (int i = 0; i < 6; ++i) {
+    ASSERT_TRUE(original->Ingest(Item(i + 1), T(1 + 2 * i)).ok());
+  }
+  ASSERT_TRUE(original->AdvanceTo(T(11)).ok());
+  ASSERT_EQ(original->StatsFor("flaky")->eval_failures, 1);
+  auto restored = make_engine();
+  ASSERT_TRUE(restored->RestoreFrom(original->CaptureCheckpoint()).ok());
+  for (const std::string& query : queries) {
+    SCOPED_TRACE("one engine, at the cut: " + query);
+    const QueryStats stats = *restored->StatsFor(query);
+    EXPECT_TRUE(stats == *original->StatsFor(query));
+    ExpectStatsAreTheSeries(stats, {restored.get()}, query);
+  }
+  for (ContinuousEngine* engine : {original.get(), restored.get()}) {
+    for (int i = 6; i < 12; ++i) {
+      ASSERT_TRUE(engine->Ingest(Item(i + 1), T(1 + 2 * i)).ok());
+    }
+    ASSERT_TRUE(engine->AdvanceTo(T(60)).ok());
+  }
+  EXPECT_GT(restored->StatsFor("flaky")->reused_results, 0);
+  for (const std::string& query : queries) {
+    SCOPED_TRACE("one engine, after more instants: " + query);
+    const QueryStats stats = *restored->StatsFor(query);
+    EXPECT_EQ(stats.evaluations, original->StatsFor(query)->evaluations);
+    ExpectStatsAreTheSeries(stats, {restored.get()}, query);
+  }
+
+  auto make_fleet = [] {
+    shard::ShardedEngineOptions options;
+    options.shards = 2;
+    auto fleet = std::make_unique<shard::ShardedEngine>(options);
+    fleet->AddRoute("scatter", AcceptAll(), shard::HashByNodeId());
+    EXPECT_TRUE(fleet->RegisterText(kCountQuery).ok());
+    EXPECT_TRUE(fleet->RegisterText(kFlakyQuery).ok());
+    EXPECT_TRUE(fleet->RegisterText(kScatteredQuery).ok());
+    return fleet;
+  };
+  auto placement_engines = [](const shard::ShardedEngine& fleet,
+                              const std::string& query) {
+    std::vector<const ContinuousEngine*> engines;
+    const shard::QueryPlacement placement = *fleet.PlacementFor(query);
+    for (int s : placement.shards) engines.push_back(fleet.shard_engine(s));
+    return engines;
+  };
+  const std::vector<std::string> fleet_queries = {"q", "flaky", "spread"};
+  auto first = make_fleet();
+  ASSERT_EQ(first->PlacementFor("spread")->shards.size(), 2u);
+  for (int i = 0; i < 6; ++i) {
+    ASSERT_TRUE(first->Ingest(Item(i + 1), T(1 + 2 * i)).ok());
+    ASSERT_TRUE(first->PumpAll().ok());
+  }
+  auto second = make_fleet();
+  ASSERT_TRUE(second->RestoreFrom(first->CaptureCheckpoints()).ok());
+  for (const std::string& query : fleet_queries) {
+    SCOPED_TRACE("2-shard fleet, at the cut: " + query);
+    const QueryStats stats = *second->StatsFor(query);
+    EXPECT_GT(stats.evaluations, 0);
+    EXPECT_TRUE(stats == *first->StatsFor(query));
+    ExpectStatsAreTheSeries(stats, placement_engines(*second, query), query);
+  }
+  for (shard::ShardedEngine* fleet : {first.get(), second.get()}) {
+    for (int i = 6; i < 12; ++i) {
+      ASSERT_TRUE(fleet->Ingest(Item(i + 1), T(1 + 2 * i)).ok());
+      ASSERT_TRUE(fleet->PumpAll().ok());
+    }
+    ASSERT_TRUE(fleet->Finish().ok());
+  }
+  for (const std::string& query : fleet_queries) {
+    SCOPED_TRACE("2-shard fleet, after more instants: " + query);
+    const QueryStats stats = *second->StatsFor(query);
+    EXPECT_EQ(stats.evaluations, first->StatsFor(query)->evaluations);
+    ExpectStatsAreTheSeries(stats, placement_engines(*second, query), query);
+  }
+}
+
+// ---------------------------------------------------------------------------
 // Checkpoint manager: commits, cadence, GC, failure accounting
 // ---------------------------------------------------------------------------
 
@@ -1107,16 +1237,19 @@ void StampManifestVersion(const std::string& dir, uint32_t version,
 // which callers treat as a cold start that re-emits every result the
 // earlier run already delivered.
 TEST_F(CheckpointRecoveryTest, OtherFormatVersionFailsRecoveryLoudly) {
-  {
-    SCOPED_TRACE("every generation from an older build");
-    const std::string dir = FreshDir("old_format");
+  for (uint32_t old_version : {1u, 2u}) {
+    SCOPED_TRACE("every generation from an older build, version " +
+                 std::to_string(old_version));
+    const std::string dir =
+        FreshDir("old_format_v" + std::to_string(old_version));
     EventQueue queue;
     RunVictim(dir, &queue, 3, nullptr, nullptr);
-    StampManifestVersion(dir, 1);
+    StampManifestVersion(dir, old_version);
     auto latest = persist::LoadLatestCheckpoint(dir);
     ASSERT_EQ(latest.status().code(), StatusCode::kFailedPrecondition)
         << latest.status();
-    EXPECT_NE(latest.status().message().find("unsupported format version 1"),
+    EXPECT_NE(latest.status().message().find("unsupported format version " +
+                                             std::to_string(old_version)),
               std::string::npos)
         << latest.status();
     ContinuousEngine engine;
@@ -1142,9 +1275,10 @@ TEST_F(CheckpointRecoveryTest, OtherFormatVersionFailsRecoveryLoudly) {
     EXPECT_EQ(latest.status().code(), StatusCode::kFailedPrecondition)
         << latest.status();
   }
-  {
-    SCOPED_TRACE("sharded fleet");
-    const std::string dir = FreshDir("old_format_sharded");
+  for (uint32_t old_version : {1u, 2u}) {
+    SCOPED_TRACE("sharded fleet, version " + std::to_string(old_version));
+    const std::string dir =
+        FreshDir("old_format_sharded_v" + std::to_string(old_version));
     shard::ShardedEngineOptions options;
     options.shards = 2;
     options.checkpoint_dir = dir;
@@ -1158,7 +1292,7 @@ TEST_F(CheckpointRecoveryTest, OtherFormatVersionFailsRecoveryLoudly) {
         ASSERT_TRUE(victim.PumpAll().ok());
       }
     }
-    StampManifestVersion(dir + "/shard-1", 1);
+    StampManifestVersion(dir + "/shard-1", old_version);
     shard::ShardedEngine recovered(options);
     ConfigureFleet(&recovered);
     const Status restored = recovered.Restore();

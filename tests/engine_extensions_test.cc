@@ -258,7 +258,7 @@ TEST(QueryStatsTest, CountsEvaluationsAndRows) {
   QueryStats stats = *engine.StatsFor("q");
   EXPECT_EQ(stats.evaluations, 3);       // 5, 10, 15.
   EXPECT_EQ(stats.rows_emitted, 2);      // Each element enters once.
-  EXPECT_EQ(stats.result_rows, 1 + 1 + 2);
+  EXPECT_EQ(stats.match_rows, 1 + 2);    // Instant 10 reuses its result.
   EXPECT_EQ(engine.StatsFor("nope").status().code(), StatusCode::kNotFound);
 }
 

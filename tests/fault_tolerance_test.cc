@@ -135,32 +135,6 @@ TEST_F(FaultToleranceTest, StreamSinksReportFailedStreams) {
   EXPECT_EQ(os.str().find("query,evaluation_time"), 0u);
 }
 
-TEST_F(FaultToleranceTest, RetryingSinkRetriesTransientFailures) {
-  TimeAnnotatedTable result;
-  result.window = TimeInterval{T(0), T(5)};
-  RetryPolicy policy;
-  policy.max_attempts = 3;
-  {
-    // Fails delivery #1 only: one retry succeeds.
-    FailNthSink flaky({1}, Status::Unavailable("hiccup"));
-    RetryingSink retrying(&flaky, policy);
-    EXPECT_TRUE(retrying.OnResult("q", T(5), result).ok());
-    EXPECT_EQ(retrying.retries(), 1);
-    EXPECT_EQ(flaky.calls(), 2);
-    EXPECT_GT(retrying.backoff_millis_total(), 0);
-  }
-  {
-    // Permanently broken consumer: no retries, error surfaces.
-    FailNthSink broken = FailNthSink::AlwaysFailingFrom(
-        1, Status::EvaluationError("schema mismatch"));
-    RetryingSink retrying(&broken, policy);
-    EXPECT_EQ(retrying.OnResult("q", T(5), result).code(),
-              StatusCode::kEvaluationError);
-    EXPECT_EQ(retrying.retries(), 0);
-    EXPECT_EQ(broken.calls(), 1);
-  }
-}
-
 // ---------------------------------------------------------------------------
 // Engine-level sink isolation
 // ---------------------------------------------------------------------------

@@ -16,6 +16,7 @@
 #include <thread>
 #include <vector>
 
+#include "graph/graph_builder.h"
 #include "io/json.h"
 #include "runtime/flags.h"
 #include "runtime/runtime.h"
@@ -221,6 +222,55 @@ TEST(RuntimeTest, FleetRejectsShedLag) {
   const Status status = rt.Start();
   EXPECT_EQ(status.code(), StatusCode::kInvalidArgument);
   EXPECT_NE(status.message().find("no degraded mode"), std::string::npos);
+}
+
+// Both shapes render /queries through one writer: a fleet entry carries
+// every field of the single-engine entry plus its shard set, and a name
+// that needs escaping still parses.
+TEST(RuntimeTest, FleetQueriesDocumentHasTheSingleEngineShape) {
+  // Fails while the element is in its window, so last_error shows too.
+  const std::string text =
+      "REGISTER QUERY `a\"b` STARTING AT '1970-01-01T00:05' "
+      "{ MATCH (n:X) WITHIN PT10M EMIT n.id / 0 AS v EVERY PT5M }";
+  auto element = [](int64_t id, const char* label) {
+    return std::make_shared<const PropertyGraph>(
+        GraphBuilder().Node(id, {label}, {{"id", Value::Int(id)}}).Build());
+  };
+  const Timestamp one = Timestamp::FromMillis(60'000);
+  const Timestamp ten = Timestamp::FromMillis(600'000);
+  ContinuousEngine engine;
+  ASSERT_TRUE(engine.RegisterText(text).ok());
+  ASSERT_TRUE(engine.Ingest(element(1, "X"), one).ok());
+  ASSERT_TRUE(engine.Ingest(element(2, "Y"), ten).ok());
+  ASSERT_TRUE(engine.AdvanceTo(ten).ok());
+  shard::ShardedEngineOptions options;
+  options.shards = 2;
+  shard::ShardedEngine fleet(options);
+  ASSERT_TRUE(fleet.RegisterText(text).ok());
+  ASSERT_TRUE(fleet.Ingest(element(1, "X"), one).ok());
+  ASSERT_TRUE(fleet.Ingest(element(2, "Y"), ten).ok());
+  ASSERT_TRUE(fleet.PumpAll().ok());
+
+  const std::string single_json = QueriesStatusJson(engine);
+  const std::string fleet_json = QueriesStatusJson(fleet);
+  auto single = io::ParseJson(single_json);
+  auto fleet_doc = io::ParseJson(fleet_json);
+  ASSERT_TRUE(single.ok()) << single.status() << "\n" << single_json;
+  ASSERT_TRUE(fleet_doc.ok()) << fleet_doc.status() << "\n" << fleet_json;
+  ASSERT_EQ(single->AsList().size(), 1u);
+  ASSERT_EQ(fleet_doc->AsList().size(), 1u);
+  const Value::Map& one_engine = single->AsList()[0].AsMap();
+  const Value::Map& entry = fleet_doc->AsList()[0].AsMap();
+  EXPECT_EQ(entry.at("name").AsString(), "a\"b");
+  ASSERT_TRUE(one_engine.contains("last_error")) << single_json;
+  for (const auto& [key, value] : one_engine) {
+    EXPECT_TRUE(entry.contains(key)) << key << " missing from " << fleet_json;
+  }
+  EXPECT_EQ(entry.size(), one_engine.size() + 1) << fleet_json;
+  ASSERT_TRUE(entry.contains("shards"));
+  EXPECT_EQ(entry.at("shards").AsList().size(), 1u);
+  EXPECT_EQ(entry.at("evaluations"), one_engine.at("evaluations"));
+  EXPECT_EQ(entry.at("eval_failures"), one_engine.at("eval_failures"));
 }
 
 // ---------------------------------------------------------------------------

@@ -13,6 +13,7 @@
 
 #include "graph/graph_builder.h"
 #include "io/json.h"
+#include "runtime/runtime.h"
 #include "seraph/continuous_engine.h"
 #include "shard/partitioner.h"
 #include "shard/sharded_engine.h"
@@ -358,7 +359,7 @@ TEST(ShardedEngineTest, ScatteredQueryStatsSumAndReviveSpansShards) {
   EXPECT_FALSE(fleet.QueryDisabled("flaky"));
   EXPECT_FALSE(fleet.ReviveQuery("ghost").ok());
 
-  const std::string json = fleet.QueriesStatusJson();
+  const std::string json = runtime::QueriesStatusJson(fleet);
   EXPECT_NE(json.find("\"name\":\"flaky\""), std::string::npos) << json;
   EXPECT_NE(json.find("\"shards\":[0,1]"), std::string::npos) << json;
 }

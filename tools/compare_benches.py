@@ -14,7 +14,11 @@ Two file shapes are understood, matched by name:
     (BM_CheckpointWrite's checkpoint_bytes) are sizes, not times: the
     same inputs encode to the same bytes on any machine, so they are held
     to the tight BYTES_THRESHOLD — a return to checkpoints that grow with
-    the stream prefix fails even on the noisiest runner.
+    the stream prefix fails even on the noisiest runner. Each benchmark's
+    per-stage counters (`stage_<stage>_us`, the Fig. 5 pipeline's window /
+    snapshot / match / policy / sink time per evaluation) are printed
+    under its real_time row, baseline -> fresh with the ratio, so a
+    regression names the layer that slipped. They are report-only.
   * the latency harness's flat JSON (BENCH_latency.json): p50_us / p99_us
     / p999_us are compared against `baseline * latency-threshold`, and
     rate_achieved must stay above `baseline / latency-threshold`.
@@ -36,6 +40,9 @@ import sys
 
 # Max growth ratio for `*_bytes` user counters (deterministic sizes).
 BYTES_THRESHOLD = 1.25
+
+# The engine's pipeline stages, in pipeline order (`stage_<stage>_us`).
+STAGES = ("window", "snapshot", "match", "policy", "sink")
 
 
 def load_json(path):
@@ -75,6 +82,32 @@ def benchmark_bytes(doc):
     return sizes
 
 
+def benchmark_stages(doc):
+    """name -> {stage counter: microseconds per evaluation}."""
+    stages = {}
+    for bench in doc.get("benchmarks", []):
+        if bench.get("run_type") == "aggregate" or "name" not in bench:
+            continue
+        row = {}
+        for stage in STAGES:
+            value = bench.get(f"stage_{stage}_us")
+            if isinstance(value, (int, float)):
+                row[f"stage_{stage}_us"] = float(value)
+        if row:
+            stages[bench["name"]] = row
+    return stages
+
+
+def print_stages(base_row, fresh_row):
+    for key in (f"stage_{stage}_us" for stage in STAGES):
+        if key not in base_row or key not in fresh_row:
+            continue
+        base = base_row[key]
+        cur = fresh_row[key]
+        ratio = f"{cur / base:.2f}x" if base > 0 else "n/a"
+        print(f"{'':15}{key}: {base:.1f} us -> {cur:.1f} us ({ratio})")
+
+
 def compare_bytes(name, baseline, fresh, failures):
     base_sizes = benchmark_bytes(baseline)
     fresh_sizes = benchmark_bytes(fresh)
@@ -93,6 +126,8 @@ def compare_bytes(name, baseline, fresh, failures):
 def compare_google_benchmark(name, baseline, fresh, threshold, failures):
     base_times = benchmark_times(baseline)
     fresh_times = benchmark_times(fresh)
+    base_stages = benchmark_stages(baseline)
+    fresh_stages = benchmark_stages(fresh)
     for bench_name in sorted(base_times.keys() | fresh_times.keys()):
         if bench_name not in base_times:
             print(f"  [new]    {bench_name} (no baseline; skipped)")
@@ -109,6 +144,8 @@ def compare_google_benchmark(name, baseline, fresh, threshold, failures):
             failures.append(f"{name}: {bench_name} {ratio:.2f}x slower")
         print(f"  [{verdict:>10}] {bench_name}: {base:.0f} ns -> {cur:.0f} ns"
               f" ({ratio:.2f}x)")
+        print_stages(base_stages.get(bench_name, {}),
+                     fresh_stages.get(bench_name, {}))
 
 
 def compare_latency(name, baseline, fresh, threshold, failures):

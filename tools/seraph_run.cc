@@ -328,18 +328,22 @@ int main(int argc, char** argv) {
   }
 
   if (stats) {
-    QueryStats counters = *engine.StatsFor(name);
-    std::cerr << "evaluations: " << counters.evaluations
-              << ", reused: " << counters.reused_results
-              << ", rows emitted: " << counters.rows_emitted << "\n"
+    std::cerr << "evaluations: " << final_stats.evaluations
+              << ", reused: " << final_stats.reused_results
+              << ", rows emitted: " << final_stats.rows_emitted << "\n"
               << "latency (us): " << engine.LatencyFor(name)->ToString()
               << "\n"
-              << "stage micros (cumulative): window="
-              << counters.window_micros
-              << " snapshot=" << counters.snapshot_micros
-              << " match=" << counters.match_micros
-              << " policy=" << counters.policy_micros
-              << " sink=" << counters.sink_micros << "\n";
+              << "stage micros (cumulative):";
+    // This process's share: the stage histograms restart on --restore.
+    for (const char* stage : {"window", "snapshot", "match", "policy",
+                              "sink"}) {
+      std::cerr << " " << stage << "="
+                << engine.metrics()
+                       .FindHistogram("seraph_stage_micros",
+                                      {{"query", name}, {"stage", stage}})
+                       ->sum();
+    }
+    std::cerr << "\n";
   }
   if (!metrics_path.empty()) {
     std::string text = engine.metrics().ToPrometheusText();
