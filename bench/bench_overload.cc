@@ -1,16 +1,12 @@
 // Overload-path costs (docs/INTERNALS.md, "Overload & backpressure"):
 // what a bounded queue charges the producer per admission under each
-// overflow policy, and what degraded mode buys the driver when it has a
-// backlog to catch up on. Compare the labelled series in the
-// bench-baseline diff; the absolute numbers size `--queue-capacity` and
-// `--shed-lag-ms` for a deployment.
+// overflow policy. Compare the labelled series in the bench-baseline
+// diff; the absolute numbers size `--queue-capacity` for a deployment.
 #include <benchmark/benchmark.h>
 
 #include <memory>
 
 #include "graph/graph_builder.h"
-#include "seraph/continuous_engine.h"
-#include "seraph/stream_driver.h"
 #include "stream/event_queue.h"
 
 namespace seraph {
@@ -22,10 +18,10 @@ std::shared_ptr<const PropertyGraph> OneNode() {
 }
 
 // Produce → (on refusal) poll + trim, against a queue 16x smaller than
-// the workload, under each policy. The ManualClock pins `block` to
-// virtual time so its bounded wait costs attempts, not wall clock. The
-// per-element rate is the producer-visible admission cost including the
-// policy's resolution work (trim scan, eviction, retry).
+// the workload, under each policy. The per-element rate is the
+// producer-visible admission cost including the policy's resolution work
+// (trim scan, eviction, retry). A pinned ManualClock keeps the arrival
+// stamp's clock read out of it.
 void BM_BoundedAdmission(benchmark::State& state) {
   const auto policy = static_cast<OverflowPolicy>(state.range(0));
   const int kEvents = 1024;
@@ -56,44 +52,8 @@ void BM_BoundedAdmission(benchmark::State& state) {
   state.SetLabel(OverflowPolicyName(policy));
 }
 BENCHMARK(BM_BoundedAdmission)
-    ->Arg(static_cast<int>(OverflowPolicy::kBlock))
     ->Arg(static_cast<int>(OverflowPolicy::kReject))
     ->Arg(static_cast<int>(OverflowPolicy::kShedOldest));
-
-// A driver facing a 4096-element backlog (event-time lag ~4 s), normal
-// vs. degraded: degraded mode polls 16x larger batches, so the delta is
-// the per-pump overhead it amortizes away. No queries are registered —
-// the cost measured is the delivery loop itself.
-void BM_DegradedCatchUp(benchmark::State& state) {
-  const bool degraded = state.range(0) != 0;
-  const int kEvents = 4096;
-  auto graph = OneNode();
-  int64_t degraded_entries = 0;
-  for (auto _ : state) {
-    state.PauseTiming();
-    EventQueue queue;
-    for (int i = 0; i < kEvents; ++i) {
-      (void)queue.Produce(graph, Timestamp::FromMillis(i));
-    }
-    ContinuousEngine engine;
-    StreamDriver::Options options;
-    options.poll_batch = 16;
-    if (degraded) {
-      options.shed_lag_millis = 1;  // Any backlog counts as overload.
-      options.degraded_poll_batch = 256;
-    }
-    StreamDriver driver(&queue, &engine, options);
-    state.ResumeTiming();
-    auto delivered = driver.PumpAll();
-    benchmark::DoNotOptimize(delivered);
-    degraded_entries = driver.degraded_entries();
-  }
-  state.SetItemsProcessed(static_cast<int64_t>(state.iterations()) * kEvents);
-  // Makes a silently-disarmed degraded arm visible in the output.
-  state.counters["degraded_entries"] = static_cast<double>(degraded_entries);
-  state.SetLabel(degraded ? "degraded" : "normal");
-}
-BENCHMARK(BM_DegradedCatchUp)->Arg(0)->Arg(1);
 
 }  // namespace
 }  // namespace seraph

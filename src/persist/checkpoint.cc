@@ -3,6 +3,7 @@
 #include <fcntl.h>
 #include <unistd.h>
 
+#include <algorithm>
 #include <cerrno>
 #include <cstdio>
 #include <cstring>
@@ -144,7 +145,12 @@ void CheckpointManager::BindDeadLetter(const DeadLetterQueue* dead_letter) {
 }
 
 void CheckpointManager::ManageRetention(EventQueue* queue) {
-  retention_queues_.push_back(queue);
+  // Coupling a queue again only re-seeds its horizon: a fleet lane is
+  // coupled when it is created and again once Restore re-seeks it.
+  if (std::find(retention_queues_.begin(), retention_queues_.end(), queue) ==
+      retention_queues_.end()) {
+    retention_queues_.push_back(queue);
+  }
   // Until the next commit nothing new is durable. The horizon starts at
   // the position the newest restored checkpoint already covers — the
   // minimum bound-consumer offset (zero on a cold start, so a fresh

@@ -77,7 +77,7 @@ std::string Expected(const Flag& flag) {
             return "a non-empty value";
           },
           [](OverflowPolicy*) -> std::string {
-            return "block, reject, or shed_oldest";
+            return "reject or shed_oldest";
           },
           [&](double*) -> std::string {
             return "a number > " + Bound(flag.min);

@@ -4,11 +4,11 @@
 // --help text from the same table:
 //
 //   double rate = 2000;
-//   int64_t shed_lag_ms = 0;
+//   int stats_interval = 0;
 //   CommandLine cli("latency_harness", "[flags]", {
 //       {"--rate=<events/sec>", &rate, "target production rate", 0},
-//       {"--shed-lag-ms=<n>", &shed_lag_ms, "degraded-mode threshold", 0,
-//        kNoMax, "SERAPH_SHED_LAG_MS"},
+//       {"--stats-interval=<sec>", &stats_interval, "status line period", 0,
+//        kNoMax, "SERAPH_STATS_INTERVAL"},
 //   });
 //   if (auto exit_code = cli.Parse(argc, argv)) return *exit_code;
 //

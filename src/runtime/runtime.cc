@@ -82,14 +82,12 @@ Runtime::Runtime(RuntimeOptions options)
   StreamDriver::Options driver;
   driver.consumer = consumer_;
   driver.poll_batch = options_.poll_batch;
-  driver.shed_lag_millis = options_.shed_lag_millis;
   if (options_.dead_letter_failures) driver.dead_letter = &dead_letters_;
   driver_ = std::make_unique<StreamDriver>(queue_.get(), engine_.get(),
                                            driver);
   if (!options_.checkpoint_dir.empty()) {
     persist::CheckpointOptions checkpoint;
     checkpoint.dir = options_.checkpoint_dir;
-    checkpoint.keep = options_.checkpoint_keep;
     checkpoint.fsync = options_.checkpoint_fsync;
     checkpoints_ = std::make_unique<persist::CheckpointManager>(checkpoint);
     checkpoints_->BindQueue(consumer_, queue_.get());
@@ -133,11 +131,6 @@ Result<shard::QueryPlacement> Runtime::Register(std::string_view seraph_text) {
 Status Runtime::Start() {
   const std::string prefix = "[" + options_.tool + "] ";
   if (fleet_ != nullptr) {
-    if (options_.shed_lag_millis > 0) {
-      return Status::InvalidArgument(
-          "--shed-lag-ms (or SERAPH_SHED_LAG_MS) needs --shards=1: a "
-          "sharded fleet's lanes have no degraded mode");
-    }
     if (options_.restore) {
       SERAPH_RETURN_IF_ERROR(fleet_->Restore());
       std::cerr << prefix << "restored fleet state from '"
@@ -185,29 +178,13 @@ Status Runtime::Start() {
 Result<int> Runtime::Produce(std::shared_ptr<const PropertyGraph> graph,
                              Timestamp timestamp) {
   if (fleet_ != nullptr) return fleet_->Ingest(std::move(graph), timestamp);
-  // A refused produce (a full queue under block or reject) pumps the lane,
-  // which advances the committed offset and, at batch barriers, the
-  // checkpoint horizon, then retries. Three retries that free nothing mean
-  // the capacity cannot cover the suffix between checkpoints.
-  int stalled = 0;
-  while (true) {
-    Status status = queue_->Produce(graph, timestamp);
-    if (status.ok()) return 1;
-    if (status.code() != StatusCode::kUnavailable) return status;
-    ++producer_retries_;
-    const int64_t trimmed_before = queue_->trimmed_total();
-    SERAPH_ASSIGN_OR_RETURN(int64_t drained, driver_->PumpAll());
-    if (drained > 0 || queue_->trimmed_total() != trimmed_before) {
-      stalled = 0;
-    } else if (++stalled >= 3) {
-      return Status::Unavailable(
-          "event queue full (capacity " +
-          std::to_string(options_.queue.capacity) +
-          ") and the consumer cannot free space; increase "
-          "--queue-capacity, lower --checkpoint-every, or use "
-          "--overflow-policy=shed_oldest");
-    }
-  }
+  // A refused produce pumps the lane, which advances the committed offset
+  // and, at batch barriers, the checkpoint horizon, then retries.
+  SERAPH_RETURN_IF_ERROR(ProduceWithBackpressure(
+      queue_.get(), std::move(graph), timestamp,
+      [this](Timestamp waiting) { return driver_->PumpAll(waiting); },
+      &producer_retries_));
+  return 1;
 }
 
 Status Runtime::Pump() {
@@ -258,8 +235,6 @@ shard::OverloadLedger Runtime::Overload() const {
   ledger.queue_shed = queue_->shed_total();
   ledger.rejected = queue_->rejected_total();
   ledger.trimmed = queue_->trimmed_total();
-  ledger.driver_shed = driver_->shed_total();
-  ledger.degraded_entries = driver_->degraded_entries();
   ledger.dead_letters = static_cast<int64_t>(dead_letters_.size());
   return ledger;
 }

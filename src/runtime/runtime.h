@@ -5,7 +5,9 @@
 //  * single: one ContinuousEngine fed through one EventQueue +
 //    StreamDriver lane. A bounded queue either sheds its oldest element
 //    into the dead-letter queue or refuses the produce, which pumps the
-//    lane and retries. With a checkpoint_dir, a CheckpointManager commits
+//    lane under the pump clock rule (AdvanceEngineClock in
+//    seraph/stream_driver.h) and retries, as the fleet's lanes do. With a
+//    checkpoint_dir, a CheckpointManager commits
 //    at the engine's batch barriers, and `restore` resumes from the newest
 //    valid generation, replaying only the queue suffix past it.
 //  * fleet: a ShardedEngine (shard/sharded_engine.h), which wires its own
@@ -62,9 +64,6 @@ struct RuntimeOptions : shard::ShardedEngineOptions {
   std::string tool;
   // Run a ShardedEngine of `shards` shards instead of one engine.
   bool fleet = false;
-  // Single shape: the lane driver's degraded-mode threshold (0 = off).
-  // The fleet's lanes have no degraded mode, so Start() rejects it there.
-  int64_t shed_lag_millis = 0;
   // Single shape: also dead-letter evaluation failures, permanent sink
   // rejections and poison elements. Queue sheds are always dead-lettered.
   bool dead_letter_failures = true;
@@ -111,8 +110,9 @@ class Runtime {
 
   // Produces one element; returns its lane deliveries. The single shape
   // pumps the lane and retries while a bounded queue refuses it, and
-  // fails when the consumer cannot free space; the fleet partitions it
-  // across its shards' lanes (ShardedEngine::Ingest).
+  // fails when the consumer cannot free space
+  // (ProduceWithBackpressure); the fleet partitions it across its shards'
+  // lanes (ShardedEngine::Ingest), which do the same per lane.
   Result<int> Produce(std::shared_ptr<const PropertyGraph> graph,
                       Timestamp timestamp);
   // Delivers everything produced, evaluates the due instants, republishes.
@@ -133,7 +133,7 @@ class Runtime {
   MetricsRegistry& metrics();
   // The single shape's dead letters.
   DeadLetterQueue& dead_letters() { return dead_letters_; }
-  // Queue and driver overload counters and dead letters, over every lane.
+  // Queue overload counters and dead letters, over every lane.
   shard::OverloadLedger Overload() const;
   // Produces the bounded queue refused (single shape; the fleet retries
   // inside Ingest).

@@ -920,13 +920,15 @@ Status ContinuousEngine::AdvanceTo(Timestamp now) {
       // coordinator read worker-written per-query state without locks.
       // The barrier is watched: an evaluation still running past the
       // watchdog period is logged with the offending query's name and
-      // gauged — PR 3's isolation catches failures, this catches hangs.
+      // gauged — query isolation catches failures, this catches hangs.
       // The coordinator still waits (delivery order must hold); the
       // watchdog makes the hang diagnosable, a cooperative deadline
-      // (eval_deadline_millis) is what unwedges it.
+      // (eval_deadline_millis) is what unwedges it. The period is 4x the
+      // deadline with a 100 ms floor (the deadline should have fired long
+      // before), else 10 s. Wall-clock by necessity: it detects stuck
+      // threads that no injectable clock tick would ever reach.
       const int64_t watchdog_ms =
-          options_.watchdog_millis > 0 ? options_.watchdog_millis
-          : options_.eval_deadline_millis > 0
+          options_.eval_deadline_millis > 0
               ? std::max<int64_t>(4 * options_.eval_deadline_millis, 100)
               : 10'000;
       bool any_stuck = false;

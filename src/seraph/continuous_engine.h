@@ -140,14 +140,6 @@ struct EngineOptions {
   // zero overhead. The deadline is measured on the latency clock
   // (`clock`), so tests drive it with a ManualClock.
   int64_t eval_deadline_millis = 0;
-  // Batch-barrier watchdog: with parallel evaluation, the coordinator
-  // logs (and gauges, seraph_engine_stuck_evals) any evaluation still
-  // running this many millis after its batch started, naming the
-  // offending query. 0 = auto: 4x eval_deadline_millis when a deadline
-  // is set (a cooperative deadline should have fired long before), else
-  // 10s. Wall-clock by necessity — the watchdog exists to detect stuck
-  // threads that no injectable clock tick would ever reach.
-  int64_t watchdog_millis = 0;
   // Query isolation: after this many *consecutive* failed evaluations a
   // query is disabled (it stops being scheduled; the rest of the fleet
   // keeps running — the query-side mirror of sink quarantine). 0 never
@@ -405,6 +397,13 @@ class ContinuousEngine {
   // (MaxTimestamp, which survives trims and restores).
   Status Drain();
 
+  // The engine clock: the instant the last AdvanceTo reached (or a
+  // restored checkpoint carried); nullopt before the clock starts.
+  std::optional<Timestamp> clock() const {
+    if (!clock_started_) return std::nullopt;
+    return clock_;
+  }
+
   // ---- Durability (docs/INTERNALS.md, "Durability & recovery") ----
 
   // A consistent image of the engine's dynamic state. Only safe at a
@@ -603,7 +602,7 @@ class ContinuousEngine {
   Histogram* batch_size_ = nullptr;
   Counter* parallel_evals_ = nullptr;
   // Batch-barrier watchdog: number of evaluations currently overdue
-  // (non-zero only while a batch is stuck past watchdog_millis).
+  // (non-zero only while a batch is stuck past the watchdog period).
   Gauge* stuck_evals_ = nullptr;
   // Emit-latency fleet metrics (docs/INTERNALS.md, "Latency accounting &
   // lag"), resolved at construction: the all-queries latency histogram

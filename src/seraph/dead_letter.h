@@ -12,12 +12,12 @@
 //
 // Nothing in the pipeline silently drops data: what cannot be delivered
 // lands here with the status that rejected it and the attempt count, so
-// an operator (or seraph_run --dead-letter=<path>) can inspect and replay
-// it.
+// an operator (or seraph_run --dead-letter=<path>) can inspect it. The
+// JSON-lines export is for reading only; a restart gets its dead letters
+// back from the checkpoint (persist::RestoreDeadLetters).
 #ifndef SERAPH_SERAPH_DEAD_LETTER_H_
 #define SERAPH_SERAPH_DEAD_LETTER_H_
 
-#include <istream>
 #include <optional>
 #include <ostream>
 #include <string>
@@ -71,7 +71,7 @@ class DeadLetterQueue {
   void AddEvaluationFailure(const std::string& query,
                             Timestamp evaluation_time, Status error);
   // Appends an already-assembled entry, updating the per-kind counters —
-  // the restore path (persist/recovery, ImportJsonLines) re-adds entries
+  // the restore path (persist::RestoreDeadLetters) re-adds entries
   // captured in an earlier life.
   void Add(DeadLetterEntry entry);
 
@@ -99,16 +99,6 @@ class DeadLetterQueue {
   // docs/INTERNALS.md): sink results carry the full rows payload;
   // elements carry a node/relationship summary of the graph.
   Status WriteJsonLines(std::ostream* os) const;
-
-  // The inverse of WriteJsonLines: parses one JSON object per line and
-  // appends the entries (blank lines skipped), so dead letters survive a
-  // restart. The export is lossy where noted there — an element's graph
-  // reimports as a placeholder with the recorded node/relationship
-  // counts, and sink-result rows come back canonicalized — but
-  // export → import → re-export is byte-identical, which the round-trip
-  // test asserts. Stops at the first malformed line, leaving entries
-  // already imported in place.
-  Status ImportJsonLines(std::istream* is);
 
  private:
   // Pushes the current size into the bound gauge (no-op when unbound).

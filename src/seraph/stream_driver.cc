@@ -1,5 +1,7 @@
 #include "seraph/stream_driver.h"
 
+#include <algorithm>
+
 #include "common/logging.h"
 
 namespace seraph {
@@ -19,12 +21,6 @@ void StreamDriver::EnsureMetrics() {
   backlog_gauge_ = registry.GaugeFor("seraph_driver_backlog", labels);
   reorder_pending_gauge_ =
       registry.GaugeFor("seraph_driver_reorder_pending", labels);
-  degraded_gauge_ = registry.GaugeFor("seraph_driver_degraded", labels);
-  shed_counter_ = registry.CounterFor(
-      "seraph_shed_total",
-      {{"component", "driver"}, {"consumer", options_.consumer}});
-  reorder_dropped_counter_ =
-      registry.CounterFor("seraph_reorder_dropped_total", labels);
   stream_shed_gauge_ = registry.GaugeFor(
       "seraph_stream_shed_total",
       {{"stream", options_.target_stream.empty() ? "<default>"
@@ -43,56 +39,9 @@ void StreamDriver::UpdateBacklogGauges() {
                       static_cast<int64_t>(pending_.size()));
   reorder_pending_gauge_->Set(
       reorder_.has_value() ? static_cast<int64_t>(reorder_->pending()) : 0);
-  // Cumulative elements this stream lost to overload, across all layers
-  // that can shed: the bounded queue, degraded-mode sampling, and the
-  // reorder pending-set cap. Exact by construction — each layer counts
-  // at the moment it drops.
-  stream_shed_gauge_->Set(queue_->shed_total() + shed_total_ +
-                          reorder_overflow_total_);
-}
-
-void StreamDriver::UpdateDegradedState() {
-  if (options_.shed_lag_millis <= 0) return;
-  // Event-time lag: newest produced timestamp minus the delivered
-  // horizon (before anything was delivered, minus the oldest retained
-  // element — a cold start facing a deep backlog is lagging too). Both
-  // ends are event time, so the signal is deterministic.
-  const Timestamp newest = queue_->MaxTimestamp();
-  int64_t lag_millis = 0;
-  if (delivered_any_) {
-    lag_millis = newest.millis() - delivered_horizon_.millis();
-  } else if (queue_->depth() > 0) {
-    lag_millis = newest.millis() -
-                 queue_->log().at(queue_->base_offset()).timestamp.millis();
-  } else {
-    return;
-  }
-  if (lag_millis < 0) lag_millis = 0;
-  if (!degraded_ && lag_millis >= options_.shed_lag_millis) {
-    degraded_ = true;
-    ++degraded_entries_;
-    degraded_gauge_->Set(1);
-    SERAPH_LOG(WARNING) << "driver '" << options_.consumer
-                        << "' entering degraded mode: event-time lag "
-                        << lag_millis << " ms >= " << options_.shed_lag_millis
-                        << " ms";
-  } else if (degraded_ && lag_millis <= options_.shed_lag_millis / 2) {
-    degraded_ = false;
-    degraded_gauge_->Set(0);
-    SERAPH_LOG(INFO) << "driver '" << options_.consumer
-                     << "' recovered from degraded mode: event-time lag "
-                     << lag_millis << " ms <= "
-                     << options_.shed_lag_millis / 2 << " ms";
-  }
-}
-
-void StreamDriver::DeadLetterShed(const StreamElement& element,
-                                  const char* reason) {
-  if (options_.dead_letter != nullptr) {
-    options_.dead_letter->AddElement(options_.consumer, element,
-                                     Status::Unavailable(reason),
-                                     /*attempts=*/0);
-  }
+  // Cumulative elements this stream lost to overload: the bounded queue
+  // is the only layer that sheds, and it counts at the moment it drops.
+  stream_shed_gauge_->Set(queue_->shed_total());
 }
 
 Status StreamDriver::Deliver(const StreamElement& element) {
@@ -161,7 +110,7 @@ Status StreamDriver::DrainPending(int64_t* delivered) {
   return Status::OK();
 }
 
-Result<int64_t> StreamDriver::PumpAll() {
+Result<int64_t> StreamDriver::PumpAll(std::optional<Timestamp> waiting) {
   EnsureMetrics();
   // The driver owns its consumer registration: the queue rejects polls
   // from unknown names (a stray name must not pin retention), so attach
@@ -175,20 +124,11 @@ Result<int64_t> StreamDriver::PumpAll() {
   // first, preserving timestamp order into the engine.
   SERAPH_RETURN_IF_ERROR(DrainPending(&delivered));
   while (true) {
-    // Degradation check per batch so the driver both enters overload
-    // mode mid-pump (a deep poll backlog) and recovers mid-pump (lag
-    // shrinking as the horizon advances).
-    UpdateDegradedState();
-    const size_t poll_batch =
-        degraded_ ? (options_.degraded_poll_batch > 0
-                         ? options_.degraded_poll_batch
-                         : options_.poll_batch * 4)
-                  : options_.poll_batch;
     // Subscribed above (or restored by recovery), so the offset exists;
     // value_or guards fault doubles that track offsets out of band.
     const size_t batch_start =
         queue_->OffsetOf(options_.consumer).value_or(0);
-    auto batch = queue_->Poll(options_.consumer, poll_batch);
+    auto batch = queue_->Poll(options_.consumer, options_.poll_batch);
     // A failed poll consumed nothing; surface it and let the caller
     // re-pump.
     if (!batch.ok()) return batch.status();
@@ -196,39 +136,13 @@ Result<int64_t> StreamDriver::PumpAll() {
     size_t consumed = 0;  // Elements of this batch safely handed off.
     Status error;
     for (const StreamElement& element : *batch) {
-      // Degraded-mode sampling shed: every Nth polled element is dropped
-      // — dead-lettered and counted exactly — instead of delivered, so a
-      // driver that cannot keep up trades bounded, accounted loss for
-      // catching up. The offset commits past shed elements like past
-      // delivered ones.
-      if (degraded_ && options_.shed_sample_every > 0 &&
-          ++shed_stride_ % options_.shed_sample_every == 0) {
-        DeadLetterShed(element, "shed: driver degraded (overload)");
-        ++shed_total_;
-        shed_counter_->Increment();
-        ++consumed;
-        continue;
-      }
       if (reorder_.has_value()) {
         // Offering transfers custody to the (driver-owned) buffer: the
-        // element is either held, counted as a late drop, or refused /
-        // displaced by the pending-set cap. Releases are parked in
-        // pending_ so a failed delivery cannot lose them (they are no
-        // longer re-pollable from the queue).
-        const int64_t overflow_before = reorder_->overflow_dropped();
-        const bool accepted = reorder_->Offer(element);
+        // element is either held or counted as a late drop. Releases are
+        // parked in pending_ so a failed delivery cannot lose them (they
+        // are no longer re-pollable from the queue).
+        reorder_->Offer(element);
         ++consumed;
-        if (!accepted && reorder_->overflow_dropped() > overflow_before) {
-          // Refused by the cap (reject policy), not a late drop.
-          DeadLetterShed(element, "reorder pending-set cap (reject)");
-          ++reorder_overflow_total_;
-          reorder_dropped_counter_->Increment();
-        }
-        for (StreamElement& evicted : reorder_->TakeOverflow()) {
-          DeadLetterShed(evicted, "reorder pending-set cap (shed_oldest)");
-          ++reorder_overflow_total_;
-          reorder_dropped_counter_->Increment();
-        }
         for (StreamElement& released : reorder_->Release()) {
           pending_.push_back(std::move(released));
         }
@@ -275,7 +189,8 @@ Result<int64_t> StreamDriver::PumpAll() {
   queue_->TrimCommitted();
   UpdateBacklogGauges();
   if (delivered_any_ && options_.advance_engine_clock) {
-    SERAPH_RETURN_IF_ERROR(engine_->AdvanceTo(delivered_horizon_));
+    SERAPH_RETURN_IF_ERROR(
+        AdvanceEngineClock(engine_, delivered_horizon_, waiting));
   }
   return delivered;
 }
@@ -294,6 +209,41 @@ Status StreamDriver::Finish() {
     SERAPH_RETURN_IF_ERROR(engine_->AdvanceTo(delivered_horizon_));
   }
   return Status::OK();
+}
+
+Status AdvanceEngineClock(ContinuousEngine* engine, Timestamp horizon,
+                          std::optional<Timestamp> waiting) {
+  if (!waiting.has_value()) return engine->AdvanceTo(horizon);
+  const Timestamp target =
+      std::min(horizon, *waiting - Duration::FromMillis(1));
+  const std::optional<Timestamp> clock = engine->clock();
+  if (clock.has_value() && target < *clock) return Status::OK();
+  return engine->AdvanceTo(target);
+}
+
+Status ProduceWithBackpressure(
+    EventQueue* queue, std::shared_ptr<const PropertyGraph> graph,
+    Timestamp timestamp,
+    const std::function<Result<int64_t>(Timestamp waiting)>& pump,
+    int64_t* refusals) {
+  int stalled = 0;
+  while (true) {
+    Status status = queue->Produce(graph, timestamp);
+    if (status.code() != StatusCode::kUnavailable) return status;
+    if (refusals != nullptr) ++*refusals;
+    const int64_t trimmed_before = queue->trimmed_total();
+    SERAPH_ASSIGN_OR_RETURN(int64_t delivered, pump(timestamp));
+    if (delivered > 0 || queue->trimmed_total() != trimmed_before) {
+      stalled = 0;
+    } else if (++stalled >= 3) {
+      return Status::Unavailable(
+          "event queue full (capacity " +
+          std::to_string(queue->options().capacity) +
+          ") and the consumer cannot free space; increase "
+          "--queue-capacity, lower --checkpoint-every, or use "
+          "--overflow-policy=shed_oldest");
+    }
+  }
 }
 
 }  // namespace seraph

@@ -26,6 +26,8 @@
 #define SERAPH_SERAPH_STREAM_DRIVER_H_
 
 #include <deque>
+#include <functional>
+#include <memory>
 #include <optional>
 #include <string>
 
@@ -62,26 +64,6 @@ class StreamDriver {
     // elements keep failing the pump instead of being dropped — the
     // caller decides; nothing is ever lost silently.
     DeadLetterQueue* dead_letter = nullptr;
-    // ---- Overload degradation (docs/INTERNALS.md, "Overload &
-    // backpressure") ----
-    // When > 0, the driver enters degraded mode once event-time lag —
-    // newest produced timestamp minus the delivered horizon — reaches
-    // this many millis, and recovers hysteretically once lag falls to
-    // half the threshold. 0 (default) disables degradation.
-    int64_t shed_lag_millis = 0;
-    // Poll batch while degraded (0 = 4x poll_batch): larger batches cut
-    // per-pump overhead while catching up.
-    size_t degraded_poll_batch = 0;
-    // While degraded, shed every Nth polled element instead of
-    // delivering it (sampling-based shed; 0 = never shed). Shed elements
-    // are dead-lettered and counted exactly in
-    // seraph_shed_total{component="driver"}.
-    int shed_sample_every = 0;
-    // Reorder pending-set cap (0 = unbounded) and its overflow policy;
-    // cap-dropped elements are dead-lettered and counted in
-    // seraph_reorder_dropped_total.
-    size_t reorder_capacity = 0;
-    OverflowPolicy reorder_overflow = OverflowPolicy::kShedOldest;
     // When false, the driver delivers elements but never calls
     // engine->AdvanceTo(): the caller owns the engine clock. Used by the
     // sharded tier, where several lanes feed one engine and the
@@ -99,24 +81,21 @@ class StreamDriver {
         reorder_(options_.allowed_lateness.has_value()
                      ? std::make_optional<ReorderBuffer>(
                            *options_.allowed_lateness)
-                     : std::nullopt) {
-    if (reorder_.has_value() && options_.reorder_capacity > 0) {
-      reorder_->SetCapacity(options_.reorder_capacity,
-                            options_.reorder_overflow);
-    }
-  }
+                     : std::nullopt) {}
 
   // Polls the queue until empty, delivering releasable elements to the
-  // engine and advancing its clock to the delivered horizon (which
-  // triggers due evaluations). Returns the number of elements delivered
-  // by this pump. A pump that hands off everything it polled ends with
+  // engine and advancing its clock (which triggers due evaluations) by
+  // AdvanceEngineClock: to the delivered horizon, or, for a pump made
+  // because a full queue refused an element at `waiting`, to just before
+  // `waiting`. Returns the number of elements delivered by this pump. A
+  // pump that hands off everything it polled ends with
   // EventQueue::TrimCommitted, so the queue keeps only what some consumer
   // (or the checkpoint horizon) still needs. On a transient failure that
   // survives the retry policy the pump returns the error with nothing
   // lost: unconsumed queue elements stay behind the (re-seeked) consumer
   // offset, released elements stay in the pending queue, and the next
   // PumpAll resumes exactly there.
-  Result<int64_t> PumpAll();
+  Result<int64_t> PumpAll(std::optional<Timestamp> waiting = std::nullopt);
 
   // Flushes any held out-of-order elements and runs the engine's final
   // due evaluations. Drain-safe: callable after a failed pump (retries
@@ -144,15 +123,6 @@ class StreamDriver {
   int64_t dead_lettered() const { return dead_lettered_; }
   // Offset rollbacks after mid-batch failures.
   int64_t reseeks() const { return reseeks_; }
-  // Whether the driver is currently in degraded (overload) mode.
-  bool degraded() const { return degraded_; }
-  // Times the driver entered degraded mode.
-  int64_t degraded_entries() const { return degraded_entries_; }
-  // Elements shed by degraded-mode sampling (each one dead-lettered).
-  int64_t shed_total() const { return shed_total_; }
-  // Elements dropped by the reorder pending-set cap (each one
-  // dead-lettered).
-  int64_t reorder_overflow_total() const { return reorder_overflow_total_; }
 
  private:
   Status Deliver(const StreamElement& element);
@@ -171,12 +141,6 @@ class StreamDriver {
   // Refreshes the backlog / reorder-occupancy health gauges (end of each
   // pump and finish).
   void UpdateBacklogGauges();
-  // Enters/exits degraded mode against the current event-time lag
-  // (hysteretic: in at shed_lag_millis, out at half of it).
-  void UpdateDegradedState();
-  // Dead-letters an element lost to overload (sampling shed / reorder
-  // cap) so the (delivered ∪ dead-lettered) partition stays exact.
-  void DeadLetterShed(const StreamElement& element, const char* reason);
 
   EventQueue* queue_;
   ContinuousEngine* engine_;
@@ -194,12 +158,6 @@ class StreamDriver {
   int64_t retries_ = 0;
   int64_t dead_lettered_ = 0;
   int64_t reseeks_ = 0;
-  // Degraded-mode state (see Options::shed_lag_millis).
-  bool degraded_ = false;
-  int64_t degraded_entries_ = 0;
-  int64_t shed_total_ = 0;
-  int64_t shed_stride_ = 0;
-  int64_t reorder_overflow_total_ = 0;
   // Cached registry handles (owned by the engine's registry).
   Counter* delivered_counter_ = nullptr;
   Counter* retries_counter_ = nullptr;
@@ -211,13 +169,33 @@ class StreamDriver {
   // occupancy.
   Gauge* backlog_gauge_ = nullptr;
   Gauge* reorder_pending_gauge_ = nullptr;
-  // Overload surface: degraded-mode flag, exact shed counters, and the
-  // per-stream cumulative shed gauge (queue + driver + reorder losses).
-  Gauge* degraded_gauge_ = nullptr;
-  Counter* shed_counter_ = nullptr;
-  Counter* reorder_dropped_counter_ = nullptr;
+  // The queue's cumulative shed count, per stream.
   Gauge* stream_shed_gauge_ = nullptr;
 };
+
+// The one clock rule of a pump. Without `waiting` the engine clock moves
+// to `horizon`, the newest delivered timestamp. A pump made because a
+// full queue refused an element at `waiting` stops at
+// min(horizon, waiting - 1 ms), and never moves the clock backwards:
+// the refused element and everything produced after it are at or past
+// `waiting`, so every instant that fires has all of its elements. A
+// durable engine still reaches the batch barriers whose checkpoints move
+// the queue's retention horizon, which is what frees the space.
+Status AdvanceEngineClock(ContinuousEngine* engine, Timestamp horizon,
+                          std::optional<Timestamp> waiting);
+
+// Produces into `queue` with the caller's pump-and-retry, the only relief
+// for a full queue: a refused produce runs `pump(timestamp)`, which must
+// deliver what is queued and advance the clock by AdvanceEngineClock,
+// then retries. Three pumps in a row that neither deliver nor trim mean
+// the capacity cannot hold what the consumer must keep (one instant's
+// elements, or the suffix between checkpoints); the error names the
+// remedy. `refusals`, when set, counts refused produces.
+Status ProduceWithBackpressure(
+    EventQueue* queue, std::shared_ptr<const PropertyGraph> graph,
+    Timestamp timestamp,
+    const std::function<Result<int64_t>(Timestamp waiting)>& pump,
+    int64_t* refusals = nullptr);
 
 }  // namespace seraph
 

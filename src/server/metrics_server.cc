@@ -29,6 +29,9 @@ constexpr size_t kMaxBodyBytes = 4 * 1024 * 1024;
 // Serve-loop tick: parked long-polls and IO deadlines are re-checked at
 // this cadence, so timeouts are accurate to ~one tick.
 constexpr int kTickMillis = 50;
+// Open connections accepted concurrently; further clients wait in the
+// listen backlog.
+constexpr size_t kMaxConnections = 32;
 
 int64_t SteadyNowMillis() {
   return std::chrono::duration_cast<std::chrono::milliseconds>(
@@ -197,7 +200,7 @@ void MetricsServer::Serve() {
   while (running_.load(std::memory_order_relaxed)) {
     fds.clear();
     const bool accepting =
-        connections.size() < static_cast<size_t>(options_.max_connections);
+        connections.size() < kMaxConnections;
     fds.push_back(
         pollfd{listen_fd_, static_cast<short>(accepting ? POLLIN : 0), 0});
     for (const Connection& conn : connections) {
@@ -213,8 +216,7 @@ void MetricsServer::Serve() {
     if (ready < 0 && errno != EINTR) break;
 
     if ((fds[0].revents & POLLIN) != 0) {
-      while (connections.size() <
-             static_cast<size_t>(options_.max_connections)) {
+      while (connections.size() < kMaxConnections) {
         const int client = ::accept(listen_fd_, nullptr, nullptr);
         if (client < 0) break;  // EAGAIN: backlog drained.
         SetNonBlocking(client);

@@ -81,9 +81,6 @@ class MetricsServer {
     // How long a parked (long-poll) request may wait for data before the
     // server answers 204 No Content.
     int long_poll_timeout_millis = 10000;
-    // Open connections accepted concurrently; further clients wait in
-    // the listen backlog.
-    int max_connections = 32;
   };
 
   explicit MetricsServer(Options options) : options_(std::move(options)) {}

@@ -84,7 +84,6 @@ ShardedEngine::ShardedEngine(ShardedEngineOptions options)
     if (durable()) {
       persist::CheckpointOptions checkpoint_options;
       checkpoint_options.dir = ShardDir(i);
-      checkpoint_options.keep = options_.checkpoint_keep;
       checkpoint_options.fsync = options_.checkpoint_fsync;
       shard->manager =
           std::make_unique<persist::CheckpointManager>(checkpoint_options);
@@ -349,13 +348,8 @@ Result<int> ShardedEngine::Ingest(std::shared_ptr<const PropertyGraph> graph,
                                 std::to_string(s));
       }
       Lane* lane = EnsureLane(s, route.stream);
-      SERAPH_RETURN_IF_ERROR(
-          ProduceWithBackpressure(s, lane, graph, timestamp));
+      SERAPH_RETURN_IF_ERROR(ProduceToLane(s, lane, graph, timestamp));
       SERAPH_RETURN_IF_ERROR(AppendIngestLog(lane, graph, timestamp));
-      Shard* shard = shards_[static_cast<size_t>(s)].get();
-      shard->watermark_millis =
-          std::max(shard->watermark_millis, timestamp.millis());
-      shard->any_ingested = true;
       route.routed->Increment();
       ++deliveries;
     }
@@ -369,22 +363,21 @@ Result<int> ShardedEngine::Ingest(PropertyGraph graph, Timestamp timestamp) {
                 timestamp);
 }
 
-Status ShardedEngine::ProduceWithBackpressure(
-    int shard_index, Lane* lane, std::shared_ptr<const PropertyGraph> graph,
-    Timestamp timestamp) {
-  constexpr int kMaxAttempts = 64;
-  Status status;
-  for (int attempt = 0; attempt < kMaxAttempts; ++attempt) {
-    status = lane->queue->Produce(graph, timestamp);
-    if (status.ok() || !status.IsTransient()) return status;
-    // Backpressure: drain only this shard's lanes so retention can trim
-    // the queue — the other shards keep running untouched. No clock
-    // advance here: the element being produced may share its timestamp
-    // with an already-queued sibling, and advancing now would evaluate
-    // that instant before this element arrives.
-    SERAPH_RETURN_IF_ERROR(PumpShard(shard_index, /*advance=*/false));
-  }
-  return status;
+Status ShardedEngine::ProduceToLane(int shard_index, Lane* lane,
+                                   std::shared_ptr<const PropertyGraph> graph,
+                                   Timestamp timestamp) {
+  // Backpressure drains only this shard's lanes, so retention can trim
+  // the queue while the other shards keep running untouched.
+  SERAPH_RETURN_IF_ERROR(ProduceWithBackpressure(
+      lane->queue.get(), std::move(graph), timestamp,
+      [this, shard_index](Timestamp waiting) {
+        return PumpShard(shard_index, waiting);
+      }));
+  Shard* shard = shards_[static_cast<size_t>(shard_index)].get();
+  shard->watermark_millis =
+      std::max(shard->watermark_millis, timestamp.millis());
+  shard->any_ingested = true;
+  return Status::OK();
 }
 
 Status ShardedEngine::AppendIngestLog(
@@ -410,29 +403,32 @@ Status ShardedEngine::AppendIngestLog(
   return Status::OK();
 }
 
-Status ShardedEngine::PumpShard(int shard_index, bool advance) {
+Result<int64_t> ShardedEngine::PumpShard(int shard_index,
+                                         std::optional<Timestamp> waiting) {
   Shard* shard = shards_[static_cast<size_t>(shard_index)].get();
   // Lane drivers deliver without advancing the shard clock (EnsureLane
   // sets advance_engine_clock = false), so the pump order across lanes
   // is irrelevant: every queued element lands in its window first, then
-  // the coordinator advances the clock once, to the shard watermark —
-  // the same ingest-then-advance cadence a single engine sees. Windows
-  // select by element timestamp, so delivering "ahead" of the clock
-  // never pollutes earlier evaluations.
+  // the coordinator advances the clock once — the same
+  // ingest-then-advance cadence a single engine sees. Windows select by
+  // element timestamp, so delivering "ahead" of the clock never pollutes
+  // earlier evaluations.
+  int64_t delivered = 0;
   for (auto& [stream, lane] : shard->lanes) {
-    Result<int64_t> pumped = lane->driver->PumpAll();
-    if (!pumped.ok()) return pumped.status();
+    SERAPH_ASSIGN_OR_RETURN(int64_t pumped, lane->driver->PumpAll());
+    delivered += pumped;
   }
-  if (advance && shard->any_ingested) {
-    SERAPH_RETURN_IF_ERROR(shard->engine->AdvanceTo(
-        Timestamp::FromMillis(shard->watermark_millis)));
+  if (shard->any_ingested) {
+    SERAPH_RETURN_IF_ERROR(AdvanceEngineClock(
+        shard->engine.get(), Timestamp::FromMillis(shard->watermark_millis),
+        waiting));
   }
-  return Status::OK();
+  return delivered;
 }
 
 Status ShardedEngine::PumpAll() {
   for (int s = 0; s < num_shards(); ++s) {
-    SERAPH_RETURN_IF_ERROR(PumpShard(s, /*advance=*/true));
+    SERAPH_RETURN_IF_ERROR(PumpShard(s).status());
   }
   MergeAndRelease(/*flush_all=*/false);
   RefreshGauges();
@@ -440,12 +436,11 @@ Status ShardedEngine::PumpAll() {
 }
 
 Status ShardedEngine::Finish() {
-  for (int s = 0; s < num_shards(); ++s) {
+  for (const auto& shard : shards_) {
     // Drain every lane (queues + parked pending elements) before the
     // single clock advance, so no element is left behind the clock.
-    SERAPH_RETURN_IF_ERROR(PumpShard(s, /*advance=*/false));
-    Shard* shard = shards_[static_cast<size_t>(s)].get();
     for (auto& [stream, lane] : shard->lanes) {
+      SERAPH_RETURN_IF_ERROR(lane->driver->PumpAll().status());
       SERAPH_RETURN_IF_ERROR(lane->driver->Finish());
     }
     if (shard->any_ingested) {
@@ -550,8 +545,6 @@ OverloadLedger ShardedEngine::Overload() const {
       ledger.queue_shed += lane->queue->shed_total();
       ledger.rejected += lane->queue->rejected_total();
       ledger.trimmed += lane->queue->trimmed_total();
-      ledger.driver_shed += lane->driver->shed_total();
-      ledger.degraded_entries += lane->driver->degraded_entries();
     }
     ledger.dead_letters += static_cast<int64_t>(shard->dead_letters.size());
   }
@@ -583,16 +576,30 @@ Status ShardedEngine::Checkpoint() {
   return Status::OK();
 }
 
-Status ShardedEngine::ReplayIngestLog(int shard_index, Lane* lane) {
-  if (lane->log_path.empty()) return Status::OK();
-  std::ifstream is(lane->log_path);
-  if (!is.is_open()) return Status::OK();  // Nothing durably ingested yet.
-  SERAPH_ASSIGN_OR_RETURN(std::vector<StreamElement> events,
-                          io::ReadEventLog(&is));
-  for (const StreamElement& event : events) {
-    SERAPH_RETURN_IF_ERROR(ProduceWithBackpressure(shard_index, lane,
-                                                   event.graph,
-                                                   event.timestamp));
+Status ShardedEngine::ReplayIngestLogs(int shard_index) {
+  // Live Ingest produced in timestamp order across lanes, and the pump
+  // clock rule depends on it: a backpressure pump for an element at t
+  // fires instants before t, so every lane's elements before t must be
+  // queued by then. The merge is stable, so each lane keeps its order.
+  Shard* shard = shards_[static_cast<size_t>(shard_index)].get();
+  std::vector<std::pair<Lane*, StreamElement>> events;
+  for (auto& [stream, lane] : shard->lanes) {
+    if (lane->log_path.empty()) continue;
+    std::ifstream is(lane->log_path);
+    if (!is.is_open()) continue;  // Nothing durably ingested yet.
+    SERAPH_ASSIGN_OR_RETURN(std::vector<StreamElement> logged,
+                            io::ReadEventLog(&is));
+    for (StreamElement& event : logged) {
+      events.emplace_back(lane.get(), std::move(event));
+    }
+  }
+  std::stable_sort(events.begin(), events.end(),
+                   [](const auto& a, const auto& b) {
+                     return a.second.timestamp < b.second.timestamp;
+                   });
+  for (auto& [lane, event] : events) {
+    SERAPH_RETURN_IF_ERROR(
+        ProduceToLane(shard_index, lane, event.graph, event.timestamp));
   }
   return Status::OK();
 }
@@ -620,22 +627,14 @@ Status ShardedEngine::Restore() {
       for (auto& [stream, lane] : shard->lanes) {
         SERAPH_RETURN_IF_ERROR(persist::RestoreConsumer(
             *image, lane->consumer, lane->queue.get()));
+        // The horizon starts at the restore point, so the replay below
+        // trims the prefix the checkpoint covers instead of holding it.
+        shard->manager->ManageRetention(lane->queue.get());
       }
       SERAPH_RETURN_IF_ERROR(
           persist::RestoreDeadLetters(*image, &shard->dead_letters));
     }
-    for (auto& [stream, lane] : shard->lanes) {
-      SERAPH_RETURN_IF_ERROR(ReplayIngestLog(i, lane.get()));
-    }
-    int64_t watermark = 0;
-    bool any = false;
-    for (const auto& [stream, lane] : shard->lanes) {
-      if (lane->queue->size() == 0) continue;
-      watermark = std::max(watermark, lane->queue->MaxTimestamp().millis());
-      any = true;
-    }
-    shard->watermark_millis = watermark;
-    shard->any_ingested = any;
+    SERAPH_RETURN_IF_ERROR(ReplayIngestLogs(i));
   }
   RefreshGauges();
   return Status::OK();

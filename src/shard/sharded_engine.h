@@ -33,6 +33,7 @@
 #include <fstream>
 #include <map>
 #include <memory>
+#include <optional>
 #include <string>
 #include <string_view>
 #include <vector>
@@ -65,8 +66,6 @@ struct ShardedEngineOptions {
   // ingest event logs (ingest-<stream>.log) that Restore() replays to
   // refill the queues, so a serving restart resumes replay-exact.
   std::string checkpoint_dir;
-  // Generations retained per shard.
-  int checkpoint_keep = 2;
   bool checkpoint_fsync = true;
   // When > 0 (and checkpoint_dir is set), every shard checkpoints at its
   // own batch barrier each N completed batches — barriers stay
@@ -76,11 +75,9 @@ struct ShardedEngineOptions {
 
 // Overload counters summed over a fleet's lanes (ShardedEngine::Overload).
 struct OverloadLedger {
-  int64_t queue_shed = 0;   // Evicted by a full shed_oldest queue.
-  int64_t rejected = 0;     // Produces a full queue refused.
-  int64_t trimmed = 0;      // Released by retention.
-  int64_t driver_shed = 0;  // Sampled out by a degraded driver.
-  int64_t degraded_entries = 0;
+  int64_t queue_shed = 0;  // Evicted by a full shed_oldest queue.
+  int64_t rejected = 0;    // Produces a full queue refused.
+  int64_t trimmed = 0;     // Released by retention.
   int64_t dead_letters = 0;
 };
 
@@ -144,9 +141,10 @@ class ShardedEngine {
   // the selected shards' lane queues (appending to the durable ingest log
   // when configured). Timestamps must be non-decreasing across calls.
   // Bounded lanes exert backpressure: a full queue pumps its own shard
-  // (never freezing the others) and retries. Returns the number of
-  // (shard, stream) deliveries; unrouted elements count into
-  // seraph_router_dropped_total.
+  // (never freezing the others) under the pump clock rule
+  // (AdvanceEngineClock in seraph/stream_driver.h) and retries. Returns
+  // the number of (shard, stream) deliveries; unrouted elements count
+  // into seraph_router_dropped_total.
   Result<int> Ingest(std::shared_ptr<const PropertyGraph> graph,
                      Timestamp timestamp);
   Result<int> Ingest(PropertyGraph graph, Timestamp timestamp);
@@ -196,8 +194,8 @@ class ShardedEngine {
   int64_t FleetWatermarkMillis() const;
   // Merged emissions released to sinks so far.
   int64_t released_total() const { return released_total_; }
-  // Every lane's queue and driver overload counters, plus every shard's
-  // dead letters.
+  // Every lane's queue overload counters, plus every shard's dead
+  // letters.
   OverloadLedger Overload() const;
 
  private:
@@ -235,7 +233,7 @@ class ShardedEngine {
     // Lanes keyed by logical stream name.
     std::map<std::string, std::unique_ptr<Lane>> lanes;
     // Max event timestamp produced to any lane; PumpShard advances the
-    // shard engine's clock to this once every lane is drained.
+    // shard engine's clock by it once every lane is drained.
     int64_t watermark_millis = 0;
     bool any_ingested = false;
     Gauge* watermark_gauge = nullptr;
@@ -246,19 +244,26 @@ class ShardedEngine {
   std::string ShardDir(int shard_index) const;
   bool durable() const { return !options_.checkpoint_dir.empty(); }
   Lane* EnsureLane(int shard_index, const std::string& stream);
-  Status ProduceWithBackpressure(int shard_index, Lane* lane,
-                                 std::shared_ptr<const PropertyGraph> graph,
-                                 Timestamp timestamp);
+  // Produces into one lane with backpressure (ProduceWithBackpressure in
+  // seraph/stream_driver.h, pumping this shard only) and raises the
+  // shard watermark.
+  Status ProduceToLane(int shard_index, Lane* lane,
+                       std::shared_ptr<const PropertyGraph> graph,
+                       Timestamp timestamp);
   Status AppendIngestLog(Lane* lane,
                          const std::shared_ptr<const PropertyGraph>& graph,
                          Timestamp timestamp);
-  Status ReplayIngestLog(int shard_index, Lane* lane);
-  // Drains one shard's lanes into its engine; lane drivers never touch
-  // the shard clock, so with `advance` the coordinator then advances it
-  // once, to the shard watermark (the single-engine ingest-then-advance
-  // cadence). Backpressure pumps pass false: the element awaiting queue
-  // space may share its timestamp with a queued sibling.
-  Status PumpShard(int shard_index, bool advance);
+  // Re-produces every lane's ingest log into the lane queues, in
+  // timestamp order across lanes (the order Ingest produced them in).
+  Status ReplayIngestLogs(int shard_index);
+  // Drains one shard's lanes into its engine and returns the number of
+  // elements delivered. Lane drivers never touch the shard clock, so the
+  // coordinator then advances it once by AdvanceEngineClock: to the shard
+  // watermark (the single-engine ingest-then-advance cadence), or, for a
+  // backpressure pump, to just before the refused element's `waiting`
+  // timestamp.
+  Result<int64_t> PumpShard(int shard_index,
+                            std::optional<Timestamp> waiting = std::nullopt);
   // Releases buffered emissions: everything when `flush_all`, else those
   // at or below the fleet watermark; delivers in (t, query, shard) order.
   void MergeAndRelease(bool flush_all);

@@ -1,21 +1,10 @@
 #include "stream/event_queue.h"
 
 #include <algorithm>
-#include <chrono>
-#include <thread>
 
 #include "common/fault.h"
 
 namespace seraph {
-
-namespace {
-// Exponential backoff ladder for the kBlock real-clock wait path: start
-// fine-grained so a trim that frees space promptly is noticed, cap well
-// below the default timeout so the wait still resolves in a handful of
-// sleeps.
-constexpr int64_t kBlockBackoffInitialMicros = 100;
-constexpr int64_t kBlockBackoffMaxMicros = 4000;
-}  // namespace
 
 Status EventQueue::Produce(PropertyGraph graph, Timestamp timestamp) {
   return Produce(std::make_shared<const PropertyGraph>(std::move(graph)),
@@ -35,61 +24,15 @@ Status EventQueue::Produce(std::shared_ptr<const PropertyGraph> graph,
 Status EventQueue::AdmitOne() {
   TrimCommitted();
   if (depth() < options_.capacity) return Status::OK();
-
-  switch (options_.overflow_policy) {
-    case OverflowPolicy::kReject:
-      ++rejected_total_;
-      return Status::Unavailable("event queue full (capacity " +
-                                 std::to_string(options_.capacity) +
-                                 ", policy reject)");
-
-    case OverflowPolicy::kShedOldest:
-      // Evict exactly one: we admit exactly one.
-      ShedOldest();
-      return Status::OK();
-
-    case OverflowPolicy::kBlock: {
-      // Bounded wait for a retention trim to open space. Waiting is
-      // counted against the injectable clock; when the clock is pinned
-      // (ManualClock in tests) each attempt accounts one virtual
-      // millisecond, so the wait is deterministic and never sleeps. On
-      // an advancing (real) clock each attempt sleeps with bounded
-      // exponential backoff, so a blocked producer costs
-      // O(timeout / max_backoff) loop iterations, not a spinning core.
-      ++blocked_produces_total_;
-      int64_t waited_millis = 0;
-      int64_t carry_micros = 0;  // Sub-ms remainder of real elapsed time.
-      int64_t backoff_micros = kBlockBackoffInitialMicros;
-      int64_t last_micros = clock_->NowMicros();
-      while (waited_millis < options_.block_timeout_millis) {
-        ++block_iterations_total_;
-        TrimCommitted();
-        if (depth() < options_.capacity) {
-          blocked_millis_total_ += waited_millis;
-          return Status::OK();
-        }
-        int64_t now_micros = clock_->NowMicros();
-        if (now_micros > last_micros) {
-          carry_micros += now_micros - last_micros;
-          waited_millis += carry_micros / 1000;
-          carry_micros %= 1000;
-          last_micros = now_micros;
-          std::this_thread::sleep_for(
-              std::chrono::microseconds(backoff_micros));
-          backoff_micros =
-              std::min(backoff_micros * 2, kBlockBackoffMaxMicros);
-        } else {
-          ++waited_millis;  // Virtual time: pinned or sub-µs clock.
-        }
-      }
-      blocked_millis_total_ += waited_millis;
-      ++rejected_total_;
-      return Status::Unavailable(
-          "event queue full (capacity " + std::to_string(options_.capacity) +
-          ") after blocking " + std::to_string(waited_millis) + " ms");
-    }
+  if (options_.overflow_policy == OverflowPolicy::kShedOldest) {
+    // Evict exactly one: we admit exactly one.
+    ShedOldest();
+    return Status::OK();
   }
-  return Status::Internal("unknown overflow policy");
+  ++rejected_total_;
+  return Status::Unavailable("event queue full (capacity " +
+                             std::to_string(options_.capacity) +
+                             ", policy reject)");
 }
 
 void EventQueue::ShedOldest() {

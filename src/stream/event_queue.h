@@ -38,21 +38,16 @@ namespace seraph {
 // re-poll. A failed produce admits nothing.
 //
 // The queue is not internally synchronized (like the rest of the ingest
-// path it runs under the single-threaded pump loop); the `block` policy
-// therefore frees space by retention-trimming, not by waiting on another
-// thread.
+// path it runs under the single-threaded pump loop), so nothing can free
+// space while a produce waits: a full queue refuses or sheds at once,
+// and the caller pumps the consumer before it retries.
 class EventQueue {
  public:
   struct Options {
     // 0 = unbounded (the default, and what the default constructor gives
     // fault doubles that subclass the queue).
     size_t capacity = 0;
-    OverflowPolicy overflow_policy = OverflowPolicy::kBlock;
-    // Upper bound on a blocked produce. Counted against the injectable
-    // clock; when the clock does not advance between attempts (pinned
-    // ManualClock), each attempt accounts one virtual millisecond, so
-    // blocking is deterministic and never hangs a test.
-    int64_t block_timeout_millis = 50;
+    OverflowPolicy overflow_policy = OverflowPolicy::kReject;
   };
 
   EventQueue() = default;
@@ -71,10 +66,10 @@ class EventQueue {
   // stream order authority). Each event is stamped with its
   // processing-time arrival (the emit-latency layer's t0 — see
   // docs/INTERNALS.md, "Latency accounting & lag"). On a bounded queue a
-  // full log is resolved by the overflow policy: block waits (bounded) for
-  // a retention trim to open space, reject returns kUnavailable, and
-  // shed_oldest evicts the oldest retained element (counted and passed to
-  // the shed callback).
+  // log that is still full after a retention trim is resolved by the
+  // overflow policy: reject returns kUnavailable, and shed_oldest evicts
+  // the oldest retained element (counted and passed to the shed
+  // callback).
   Status Produce(PropertyGraph graph, Timestamp timestamp);
   Status Produce(std::shared_ptr<const PropertyGraph> graph,
                  Timestamp timestamp);
@@ -164,13 +159,6 @@ class EventQueue {
   int64_t shed_total() const { return shed_total_; }
   int64_t rejected_total() const { return rejected_total_; }
   int64_t trimmed_total() const { return trimmed_total_; }
-  int64_t blocked_produces_total() const { return blocked_produces_total_; }
-  int64_t blocked_millis_total() const { return blocked_millis_total_; }
-  // Loop iterations spent inside blocked produces — the busy-spin guard:
-  // on a real clock each iteration sleeps with bounded backoff, so this
-  // stays O(timeout / max_backoff) per blocked produce; on a pinned
-  // virtual clock it is exactly block_timeout_millis per timed-out wait.
-  int64_t block_iterations_total() const { return block_iterations_total_; }
 
  private:
   // Enforces the capacity bound for one incoming element.
@@ -189,9 +177,6 @@ class EventQueue {
   int64_t shed_total_ = 0;
   int64_t rejected_total_ = 0;
   int64_t trimmed_total_ = 0;
-  int64_t blocked_produces_total_ = 0;
-  int64_t blocked_millis_total_ = 0;
-  int64_t block_iterations_total_ = 0;
 };
 
 }  // namespace seraph

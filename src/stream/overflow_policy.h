@@ -1,8 +1,6 @@
-// Producer-side overflow policies for bounded stream containers.
-//
-// Shared by `EventQueue` (bounded ingest log) and `ReorderBuffer`
-// (bounded pending set). docs/INTERNALS.md "Overload & backpressure"
-// documents the policy matrix.
+// Producer-side overflow policies for the bounded EventQueue.
+// docs/INTERNALS.md "Overload & backpressure" documents the policy
+// matrix.
 #ifndef SERAPH_STREAM_OVERFLOW_POLICY_H_
 #define SERAPH_STREAM_OVERFLOW_POLICY_H_
 
@@ -11,11 +9,8 @@
 namespace seraph {
 
 enum class OverflowPolicy {
-  // Producer waits (bounded, against the injectable clock) for space to
-  // open up; expires to kUnavailable. In containers with no one to wait
-  // for (ReorderBuffer), block degrades to reject.
-  kBlock,
-  // Producer gets kUnavailable immediately; retry via RetryPolicy.
+  // Producer gets kUnavailable immediately; the caller pumps the
+  // consumer and retries.
   kReject,
   // Oldest unconsumed element is evicted (counted + dead-lettered) to
   // admit the new one.
@@ -24,8 +19,6 @@ enum class OverflowPolicy {
 
 inline const char* OverflowPolicyName(OverflowPolicy policy) {
   switch (policy) {
-    case OverflowPolicy::kBlock:
-      return "block";
     case OverflowPolicy::kReject:
       return "reject";
     case OverflowPolicy::kShedOldest:
@@ -34,12 +27,8 @@ inline const char* OverflowPolicyName(OverflowPolicy policy) {
   return "unknown";
 }
 
-// Parses "block" / "reject" / "shed_oldest"; returns false on anything else.
+// Parses "reject" / "shed_oldest"; returns false on anything else.
 inline bool ParseOverflowPolicy(const std::string& text, OverflowPolicy* out) {
-  if (text == "block") {
-    *out = OverflowPolicy::kBlock;
-    return true;
-  }
   if (text == "reject") {
     *out = OverflowPolicy::kReject;
     return true;

@@ -16,31 +16,9 @@ bool ReorderBuffer::Offer(StreamElement element) {
     max_seen_ = element.timestamp;
     any_seen_ = true;
   }
-  if (capacity_ > 0 && held_.size() >= capacity_) {
-    if (overflow_policy_ == OverflowPolicy::kShedOldest) {
-      // Evict the oldest held element into the overflow list; the caller
-      // drains it via TakeOverflow and dead-letters it.
-      auto oldest = held_.begin();
-      overflow_.push_back(std::move(oldest->second));
-      held_.erase(oldest);
-      ++overflow_dropped_;
-    } else {
-      // reject — and block, which has no producer to park at this layer.
-      // Note max_seen_ was already advanced: a refused element still
-      // moves the watermark, exactly like a late-dropped one.
-      ++overflow_dropped_;
-      return false;
-    }
-  }
   Timestamp timestamp = element.timestamp;
   held_.emplace(timestamp, std::move(element));
   return true;
-}
-
-std::vector<StreamElement> ReorderBuffer::TakeOverflow() {
-  std::vector<StreamElement> out;
-  out.swap(overflow_);
-  return out;
 }
 
 Timestamp ReorderBuffer::watermark() const {

@@ -15,29 +15,14 @@
 #include <vector>
 
 #include "stream/graph_stream.h"
-#include "stream/overflow_policy.h"
 #include "temporal/duration.h"
 
 namespace seraph {
 
-// The pending set can be capped (SetCapacity) so an out-of-order storm
-// cannot grow it without bound: `shed_oldest` evicts the
-// oldest-timestamped held element into an overflow list the caller
-// drains (and dead-letters) via TakeOverflow; `reject` (and `block`,
-// which has no producer to park at this layer and degrades to reject)
-// refuses the incoming element the same way. Every eviction/refusal is
-// counted in overflow_dropped (exported as seraph_reorder_dropped_total
-// by the StreamDriver).
 class ReorderBuffer {
  public:
   explicit ReorderBuffer(Duration allowed_lateness)
       : allowed_lateness_(allowed_lateness) {}
-
-  // Caps the pending set (0 = unbounded, the default).
-  void SetCapacity(size_t capacity, OverflowPolicy policy) {
-    capacity_ = capacity;
-    overflow_policy_ = policy;
-  }
 
   // Offers an element. Returns false (and counts a drop) when the element
   // is already older than the watermark.
@@ -59,24 +44,13 @@ class ReorderBuffer {
 
   size_t pending() const { return held_.size(); }
   int64_t dropped() const { return dropped_; }
-  // Elements lost to the pending-set cap (evicted or refused), distinct
-  // from late-arrival drops counted in dropped().
-  int64_t overflow_dropped() const { return overflow_dropped_; }
-
-  // Removes and returns elements evicted by the shed_oldest cap since the
-  // last call, so the caller can dead-letter them (exact accounting).
-  std::vector<StreamElement> TakeOverflow();
 
  private:
   Duration allowed_lateness_;
   std::multimap<Timestamp, StreamElement> held_;
-  std::vector<StreamElement> overflow_;
   Timestamp max_seen_;
   bool any_seen_ = false;
   int64_t dropped_ = 0;
-  int64_t overflow_dropped_ = 0;
-  size_t capacity_ = 0;
-  OverflowPolicy overflow_policy_ = OverflowPolicy::kShedOldest;
 };
 
 }  // namespace seraph

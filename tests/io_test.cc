@@ -153,41 +153,6 @@ TEST(ReorderBufferTest, FeedsStreamInOrder) {
   EXPECT_EQ(stream.size(), 5u);
 }
 
-TEST(ReorderBufferTest, CapShedOldestSpillsToOverflow) {
-  // Lateness 60 min, so nothing is releasable: the pending set grows
-  // until the cap, then each newcomer displaces the oldest-timestamped
-  // held element into the overflow list (which the driver dead-letters).
-  ReorderBuffer buffer(Duration::FromMinutes(60));
-  buffer.SetCapacity(2, OverflowPolicy::kShedOldest);
-  EXPECT_TRUE(buffer.Offer(Tiny(1), T(10)));
-  EXPECT_TRUE(buffer.Offer(Tiny(2), T(12)));
-  EXPECT_TRUE(buffer.Offer(Tiny(3), T(11)));  // Displaces T(10).
-  EXPECT_EQ(buffer.pending(), 2u);
-  EXPECT_EQ(buffer.overflow_dropped(), 1);
-  auto spilled = buffer.TakeOverflow();
-  ASSERT_EQ(spilled.size(), 1u);
-  EXPECT_EQ(spilled[0].timestamp, T(10));
-  EXPECT_TRUE(buffer.TakeOverflow().empty());  // Drained exactly once.
-  // Late-drop accounting is separate from cap accounting.
-  EXPECT_EQ(buffer.dropped(), 0);
-}
-
-TEST(ReorderBufferTest, CapRejectRefusesNewcomer) {
-  ReorderBuffer buffer(Duration::FromMinutes(60));
-  buffer.SetCapacity(2, OverflowPolicy::kReject);
-  EXPECT_TRUE(buffer.Offer(Tiny(1), T(10)));
-  EXPECT_TRUE(buffer.Offer(Tiny(2), T(12)));
-  EXPECT_FALSE(buffer.Offer(Tiny(3), T(30)));  // At cap: refused.
-  EXPECT_EQ(buffer.pending(), 2u);
-  EXPECT_EQ(buffer.overflow_dropped(), 1);
-  EXPECT_TRUE(buffer.TakeOverflow().empty());
-  // A refused element still advanced the watermark (30 − 60 < 10, so
-  // nothing releases here, but the held elements remain deliverable).
-  auto all = buffer.Flush();
-  ASSERT_EQ(all.size(), 2u);
-  EXPECT_EQ(all[0].timestamp, T(10));
-}
-
 // ---------------------------------------------------------------------------
 // exists() pattern predicate
 // ---------------------------------------------------------------------------

@@ -1,8 +1,9 @@
 // The serving runtime (runtime/runtime.h) and its flag parser
 // (runtime/flags.h): the endpoint is scraped while the runtime produces
 // and pumps (the shape the thread-sanitizer job race-hunts), a lane-fed
-// run equals a direct Ingest + Drain run, and the flag table parses
-// strictly with environment fallbacks.
+// run equals a direct Ingest + Drain run, bounded runs in both shapes
+// equal the unbounded run, and the flag table parses strictly with
+// environment fallbacks.
 #include <arpa/inet.h>
 #include <gtest/gtest.h>
 #include <netinet/in.h>
@@ -12,6 +13,7 @@
 #include <atomic>
 #include <chrono>
 #include <cstdlib>
+#include <filesystem>
 #include <string>
 #include <thread>
 #include <vector>
@@ -213,15 +215,99 @@ TEST(RuntimeTest, EndpointScrapedWhileRunningAFleet) {
   ScrapeWhileRunning(2);
 }
 
-TEST(RuntimeTest, FleetRejectsShedLag) {
-  RuntimeOptions options;
-  options.shards = 2;
-  options.fleet = true;
-  options.shed_lag_millis = 1;
+// ---------------------------------------------------------------------------
+// Backpressure pumps: one clock rule in both shapes
+// ---------------------------------------------------------------------------
+
+constexpr char kTiesQuery[] =
+    "REGISTER QUERY ties STARTING AT '1970-01-01T00:00:01' "
+    "{ MATCH (n:X) WITHIN PT10S EMIT n.id SNAPSHOT EVERY PT1S }";
+
+// One X node per element at each of `seconds`, all produced before the
+// first explicit pump, so every relief of a full queue is a pump the
+// runtime makes for a refused element; then one pump and Finish.
+std::vector<std::string> BackpressureRun(RuntimeOptions options,
+                                         const std::vector<int64_t>& seconds) {
+  options.tool = "runtime_test";
   Runtime rt(options);
-  const Status status = rt.Start();
-  EXPECT_EQ(status.code(), StatusCode::kInvalidArgument);
-  EXPECT_NE(status.message().find("no degraded mode"), std::string::npos);
+  RecordingSink sink;
+  rt.AddSink(&sink);
+  EXPECT_TRUE(rt.Register(kTiesQuery).ok());
+  EXPECT_TRUE(rt.Start().ok());
+  int64_t id = 0;
+  for (int64_t second : seconds) {
+    ++id;
+    auto graph = std::make_shared<const PropertyGraph>(
+        GraphBuilder().Node(id, {"X"}, {{"id", Value::Int(id)}}).Build());
+    Result<int> produced =
+        rt.Produce(graph, Timestamp::FromMillis(second * 1000));
+    EXPECT_TRUE(produced.ok()) << "element " << id << ": "
+                               << produced.status().ToString();
+  }
+  EXPECT_TRUE(rt.Pump().ok());
+  EXPECT_TRUE(rt.Finish().ok());
+  EXPECT_EQ(rt.Overload().queue_shed, 0);
+  return sink.lines;
+}
+
+std::string FreshDir(const std::string& name) {
+  const std::string dir = ::testing::TempDir() + "seraph_runtime_" + name;
+  std::filesystem::remove_all(dir);
+  return dir;
+}
+
+// A pump made for a refused element at t must not evaluate instant t
+// before t's remaining elements arrive: at capacity 1 the instant at 1 s
+// sees all three of its elements, as in the unbounded run.
+TEST(RuntimeTest, BoundedRunOverTimestampTiesEqualsUnbounded) {
+  const std::vector<int64_t> seconds = {1, 1, 1, 2, 2};
+  const std::vector<std::string> expected =
+      BackpressureRun(RuntimeOptions(), seconds);
+  ASSERT_EQ(expected.size(), 2u);
+  EXPECT_NE(expected[0].find("\"n.id\":3"), std::string::npos)
+      << expected[0];
+  RuntimeOptions bounded;
+  bounded.queue.capacity = 1;
+  bounded.queue.overflow_policy = OverflowPolicy::kReject;
+  EXPECT_EQ(BackpressureRun(bounded, seconds), expected);
+  bounded.fleet = true;  // One shard: the same rule in the fleet's lanes.
+  EXPECT_EQ(BackpressureRun(bounded, seconds), expected);
+}
+
+// A durable fleet frees queue space only once a checkpoint moves the
+// retention horizon, and checkpoints happen at batch barriers: a pump
+// for a refused element must advance the shard clock so the barrier
+// comes. Capacity 2, six elements between pumps: all admitted.
+TEST(RuntimeTest, DurableBoundedFleetAdmitsBetweenPumps) {
+  const std::vector<int64_t> seconds = {1, 2, 3, 4, 5, 6};
+  RuntimeOptions unbounded;
+  unbounded.fleet = true;
+  const std::vector<std::string> expected =
+      BackpressureRun(unbounded, seconds);
+  ASSERT_EQ(expected.size(), 6u);
+  RuntimeOptions durable = unbounded;
+  durable.checkpoint_dir = FreshDir("durable_fleet");
+  durable.checkpoint_every = 1;
+  durable.checkpoint_fsync = false;
+  durable.queue.capacity = 2;
+  durable.queue.overflow_policy = OverflowPolicy::kReject;
+  EXPECT_EQ(BackpressureRun(durable, seconds), expected);
+  // At ties the capacity must hold one instant; when it cannot, the
+  // error names the remedy instead of wedging.
+  durable.checkpoint_dir = FreshDir("durable_fleet_ties");
+  Runtime rt(durable);
+  ASSERT_TRUE(rt.Register(kTiesQuery).ok());
+  ASSERT_TRUE(rt.Start().ok());
+  Status status;
+  for (int64_t id = 1; id <= 3 && status.ok(); ++id) {
+    status = rt.Produce(std::make_shared<const PropertyGraph>(
+                            GraphBuilder().Node(id, {"X"}).Build()),
+                        Timestamp::FromMillis(1000))
+                 .status();
+  }
+  EXPECT_EQ(status.code(), StatusCode::kUnavailable);
+  EXPECT_NE(status.message().find("--queue-capacity"), std::string::npos)
+      << status.ToString();
 }
 
 // Both shapes render /queries through one writer: a fleet entry carries
@@ -300,7 +386,7 @@ struct Knobs {
   bool verbose = false;
   std::string out = "report.json";
   std::vector<std::string> files;
-  OverflowPolicy policy = OverflowPolicy::kBlock;
+  OverflowPolicy policy = OverflowPolicy::kShedOldest;
 };
 
 CommandLine KnobTable(Knobs* knobs) {
@@ -315,8 +401,8 @@ CommandLine KnobTable(Knobs* knobs) {
           {"--verbose", &knobs->verbose, "talk more"},
           {"--out=<path>", &knobs->out, "report"},
           {"--file=<path>", &knobs->files, "input (repeatable)"},
-          {"--policy=<block|reject|shed_oldest>", &knobs->policy, "policy",
-           0, kNoMax, "SERAPH_RUNTIME_TEST_POLICY"},
+          {"--policy=<reject|shed_oldest>", &knobs->policy, "policy", 0,
+           kNoMax, "SERAPH_RUNTIME_TEST_POLICY"},
       });
 }
 
@@ -337,7 +423,7 @@ TEST(FlagParserTest, ParsesEveryDestinationType) {
   ASSERT_EQ(ParseInto(&knobs,
                       {"--count=3", "--port=0", "--capacity=7", "--rate=0.5",
                        "--verbose", "--out=x.json", "--file=a", "in.log",
-                       "--file=b", "--policy=shed_oldest"},
+                       "--file=b", "--policy=reject"},
                       &positional),
             -1);
   EXPECT_EQ(knobs.count, 3);
@@ -347,7 +433,7 @@ TEST(FlagParserTest, ParsesEveryDestinationType) {
   EXPECT_TRUE(knobs.verbose);
   EXPECT_EQ(knobs.out, "x.json");
   EXPECT_EQ(knobs.files, (std::vector<std::string>{"a", "b"}));
-  EXPECT_EQ(knobs.policy, OverflowPolicy::kShedOldest);
+  EXPECT_EQ(knobs.policy, OverflowPolicy::kReject);
   EXPECT_EQ(positional, std::vector<std::string>{"in.log"});
 }
 
@@ -356,7 +442,8 @@ TEST(FlagParserTest, RejectsGarbageAndOutOfRangeValues) {
        {"--count=2x", "--count=", "--count=0", "--count=-1", "--count= 2",
         "--port=65536", "--port=-1", "--port=1e3", "--capacity=-1",
         "--capacity=0", "--rate=0", "--rate=-1", "--rate=2/s", "--rate=nan",
-        "--out=", "--file=", "--policy=drop", "--verbose=1", "--count",
+        "--out=", "--file=", "--policy=drop", "--policy=block", "--verbose=1",
+        "--count",
         "--bogus=1", "stray"}) {
     Knobs knobs;
     EXPECT_EQ(ParseInto(&knobs, {bad}), 1) << bad;
@@ -388,7 +475,7 @@ TEST(FlagParserTest, FlagBeatsEnvironmentBeatsDefault) {
     Knobs knobs;
     ASSERT_EQ(ParseInto(&knobs, {}), -1) << malformed;
     EXPECT_EQ(knobs.count, 1) << malformed;
-    EXPECT_EQ(knobs.policy, OverflowPolicy::kBlock);
+    EXPECT_EQ(knobs.policy, OverflowPolicy::kShedOldest);
   }
   unsetenv("SERAPH_RUNTIME_TEST_COUNT");
   unsetenv("SERAPH_RUNTIME_TEST_POLICY");
@@ -405,7 +492,7 @@ TEST(FlagParserTest, HelpListsEveryDeclaredFlag) {
   for (const std::string name :
        {"--count=<n>", "--port=<p>", "--capacity=<n>", "--rate=<x>",
         "--verbose", "--out=<path>", "--file=<path>",
-        "--policy=<block|reject|shed_oldest>", "SERAPH_RUNTIME_TEST_COUNT",
+        "--policy=<reject|shed_oldest>", "SERAPH_RUNTIME_TEST_COUNT",
         "SERAPH_RUNTIME_TEST_POLICY"}) {
     EXPECT_NE(help.find(name), std::string::npos) << name;
   }

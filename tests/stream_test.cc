@@ -2,6 +2,8 @@
 // (Listing 4 transport), and substream selection.
 #include <gtest/gtest.h>
 
+#include <atomic>
+
 #include "graph/graph_builder.h"
 #include "stream/event_queue.h"
 #include "stream/graph_stream.h"
@@ -214,86 +216,45 @@ TEST(BoundedEventQueueTest, ShedOldestEvictsAndAccountsExactly) {
   EXPECT_EQ(delivered->size() + shed.size(), 3u);
 }
 
-TEST(BoundedEventQueueTest, BlockPolicyWaitsInVirtualTime) {
-  ManualClock clock(/*start_micros=*/0);
-  EventQueue q(Bounded(1, OverflowPolicy::kBlock));
-  q.SetClock(&clock);
-  q.Subscribe("c");
-  ASSERT_TRUE(q.Produce(Tiny(1), T(1)).ok());
-  // Nothing can free space (single-threaded, consumer idle): the blocked
-  // produce accounts its bounded wait in virtual time — the pinned clock
-  // never advances, so each attempt counts one virtual millisecond and
-  // the call returns instead of hanging.
-  Status full = q.Produce(Tiny(2), T(2));
-  EXPECT_EQ(full.code(), StatusCode::kUnavailable);
-  EXPECT_EQ(q.blocked_produces_total(), 1);
-  EXPECT_GE(q.blocked_millis_total(), q.options().block_timeout_millis);
-  EXPECT_EQ(q.rejected_total(), 1);
-  // After the consumer commits, a blocked produce finds space via trim.
-  EXPECT_EQ(q.Poll("c", 10)->size(), 1u);
-  ASSERT_TRUE(q.Produce(Tiny(2), T(2)).ok());
-  EXPECT_EQ(q.blocked_produces_total(), 1);  // No wait was needed.
-}
-
-TEST(BoundedEventQueueTest, BlockedProduceIterationsAreBounded) {
-  // Regression: the kBlock wait loop used to spin (TrimCommitted +
-  // yield) across the full timeout. Under a pinned wall clock the loop
-  // is purely virtual: exactly one iteration per accounted virtual
-  // millisecond, no sleeping, deterministic.
-  ManualClock clock(/*now_micros=*/0);
-  EventQueue q(Bounded(1, OverflowPolicy::kBlock));
-  q.SetClock(&clock);
-  q.Subscribe("c");
-  ASSERT_TRUE(q.Produce(Tiny(1), T(1)).ok());
-  const int64_t before = q.block_iterations_total();
-  EXPECT_EQ(q.Produce(Tiny(2), T(2)).code(), StatusCode::kUnavailable);
-  EXPECT_EQ(q.block_iterations_total() - before,
-            q.options().block_timeout_millis);
-}
-
-// A clock that advances a fixed step per read — a stand-in for real time
-// that keeps the test independent of scheduler jitter.
-class SteppingClock final : public Clock {
+// A clock pinned at one instant that counts its reads.
+class CountingClock final : public Clock {
  public:
-  explicit SteppingClock(int64_t step_micros) : step_(step_micros) {}
   int64_t NowMicros() const override {
-    return now_.fetch_add(step_, std::memory_order_relaxed) + step_;
+    reads_.fetch_add(1, std::memory_order_relaxed);
+    return 0;
   }
+  int64_t reads() const { return reads_.load(std::memory_order_relaxed); }
 
  private:
-  mutable std::atomic<int64_t> now_{0};
-  const int64_t step_;
+  mutable std::atomic<int64_t> reads_{0};
 };
 
-TEST(BoundedEventQueueTest, BlockedProduceBacksOffOnRealClock) {
-  // On an advancing clock each wait iteration sleeps with doubling
-  // backoff instead of yielding, so the iteration count is a small
-  // constant plus timeout/max_backoff — not timeout/yield-granularity.
-  SteppingClock clock(/*step_micros=*/2000);
-  EventQueue q(Bounded(1, OverflowPolicy::kBlock));
+TEST(BoundedEventQueueTest, DefaultPolicyRefusesWithoutWaiting) {
+  // The queue is single-threaded, so nothing can free space while a
+  // produce waits: under the default options a full queue refuses at
+  // once, and the refused produce never reads the clock.
+  CountingClock clock;
+  EventQueue::Options options;
+  options.capacity = 1;
+  EventQueue q(options);
   q.SetClock(&clock);
   q.Subscribe("c");
   ASSERT_TRUE(q.Produce(Tiny(1), T(1)).ok());
-  const int64_t before = q.block_iterations_total();
+  const int64_t reads = clock.reads();
   EXPECT_EQ(q.Produce(Tiny(2), T(2)).code(), StatusCode::kUnavailable);
-  const int64_t iterations = q.block_iterations_total() - before;
-  // 50 ms timeout at ≥2 ms accounted per iteration: ≤ ~25 iterations,
-  // far below the one-per-millisecond virtual-time worst case.
-  EXPECT_LE(iterations, q.options().block_timeout_millis / 2 + 1);
-  EXPECT_GE(q.blocked_millis_total(), q.options().block_timeout_millis);
+  EXPECT_EQ(clock.reads() - reads, 0);
+  EXPECT_EQ(q.rejected_total(), 1);
 }
 
 TEST(BoundedEventQueueTest, HorizonAlonePermitsTrimBeforeConsumerAttach) {
   // Regression: TrimCommitted returned early when no consumer had ever
   // attached, even with a valid checkpoint horizon — a bounded durable
-  // run that produces before the driver subscribes wedged kBlock forever.
-  ManualClock clock(/*now_micros=*/0);
-  EventQueue q(Bounded(2, OverflowPolicy::kBlock));
-  q.SetClock(&clock);
+  // run that produces before the driver subscribes could never admit.
+  EventQueue q(Bounded(2, OverflowPolicy::kReject));
   ASSERT_TRUE(q.Produce(Tiny(1), T(1)).ok());
   ASSERT_TRUE(q.Produce(Tiny(2), T(2)).ok());
   // No consumers, no horizon: nothing is provably consumed, so the full
-  // queue blocks (bounded, virtual time) and rejects.
+  // queue rejects.
   EXPECT_EQ(q.Produce(Tiny(3), T(3)).code(), StatusCode::kUnavailable);
   // A durable checkpoint covering the first entry permits trimming it
   // even though no consumer has attached yet.

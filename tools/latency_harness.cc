@@ -9,16 +9,15 @@
 // sliding-window queries, pumping as it goes, and reports the resulting
 // ingest→emit latency distribution: p50 / p99 / p999 / max microseconds,
 // the achieved rate, the maximum event-time lag, the overload ledger
-// (shed / rejected / trimmed / producer retries / degraded entries, and
-// the dead letters that account for every shed element) and the process
-// RSS. Results go to stdout and, as JSON, to --out.
+// (shed / rejected / trimmed / producer retries, and the dead letters
+// that account for every shed element) and the process RSS. Results go
+// to stdout and, as JSON, to --out.
 //
 // With --shards=N (N > 1) the runtime drives a ShardedEngine: events are
 // broadcast through the fleet's default route, each query lands on its
 // home shard, and the latency distribution merges the shards'
 // `seraph_engine_emit_latency_micros` histograms. The report is the same
-// at every shard count; the fleet's lanes have no degraded mode, so
-// --shed-lag-ms needs --shards=1.
+// at every shard count.
 //
 // --metrics-port serves /metrics, /healthz and /queries during the run
 // (CI's latency-smoke job scrapes them mid-flight); --stats-interval
@@ -121,12 +120,10 @@ int main(int argc, char** argv) {
       {"--queue-capacity=<n>", &options.queue.capacity,
        "bound each lane's queue (default unbounded)", 1, runtime::kNoMax,
        "SERAPH_QUEUE_CAPACITY"},
-      {"--overflow-policy=<block|reject|shed_oldest>",
-       &options.queue.overflow_policy, "what a full queue does (default block)",
-       0, runtime::kNoMax, "SERAPH_OVERFLOW_POLICY"},
-      {"--shed-lag-ms=<n>", &options.shed_lag_millis,
-       "driver degraded-mode lag threshold (0 = off)", 0, runtime::kNoMax,
-       "SERAPH_SHED_LAG_MS"},
+      {"--overflow-policy=<reject|shed_oldest>",
+       &options.queue.overflow_policy,
+       "what a full queue does (default reject)", 0, runtime::kNoMax,
+       "SERAPH_OVERFLOW_POLICY"},
   });
   if (auto exit_code = cli.Parse(argc, argv)) return *exit_code;
   options.fleet = options.shards > 1;
@@ -174,11 +171,11 @@ int main(int argc, char** argv) {
                     "small?)");
   }
   const double achieved = static_cast<double>(produced) / wall_sec;
-  // The overload ledger: every element a bounded queue evicted and every
-  // one a degraded driver sampled out is counted here and dead-lettered,
-  // so delivered + shed partitions the input.
+  // The overload ledger: every element a bounded queue evicted is
+  // counted here and dead-lettered, so delivered + shed partitions the
+  // input.
   const shard::OverloadLedger ledger = rt.Overload();
-  const long long shed_total = ledger.queue_shed + ledger.driver_shed;
+  const long long shed_total = ledger.queue_shed;
   const long long max_lag_ms = rt.MaxLagMillis();
   const double rss_mb = RssMb();
 
@@ -190,8 +187,7 @@ int main(int argc, char** argv) {
                 "  samples=%lld\n"
                 "max lag: %lld ms  dead letters: %lld\n"
                 "overload: shed=%lld rejected=%lld trimmed=%lld"
-                " producer_retries=%lld degraded_entries=%lld"
-                "  rss=%.1f MiB\n",
+                " producer_retries=%lld  rss=%.1f MiB\n",
                 static_cast<long long>(produced), achieved, rate,
                 options.shards, queries,
                 static_cast<long long>(sink.emits()),
@@ -204,8 +200,7 @@ int main(int argc, char** argv) {
                 static_cast<long long>(ledger.dead_letters), shed_total,
                 static_cast<long long>(ledger.rejected),
                 static_cast<long long>(ledger.trimmed),
-                static_cast<long long>(rt.producer_retries()),
-                static_cast<long long>(ledger.degraded_entries), rss_mb);
+                static_cast<long long>(rt.producer_retries()), rss_mb);
   std::cout << line;
 
   std::ofstream out(out_path);
@@ -233,7 +228,6 @@ int main(int argc, char** argv) {
       << "  \"rejected_total\": " << ledger.rejected << ",\n"
       << "  \"trimmed_total\": " << ledger.trimmed << ",\n"
       << "  \"producer_retries\": " << rt.producer_retries() << ",\n"
-      << "  \"degraded_entries\": " << ledger.degraded_entries << ",\n"
       << "  \"rss_mb\": " << rss_mb << "\n"
       << "}\n";
   std::cerr << "[latency_harness] wrote " << out_path << "\n";

@@ -6,8 +6,7 @@
 # length; bench_emit_latency: the latency-stamping overhead guard;
 # bench_delta: delta-matching ablation — steady-state evaluation latency
 # vs. window size with churn held fixed; bench_overload: bounded-queue
-# admission cost per overflow policy and
-# the degraded-mode catch-up pump;
+# admission cost per overflow policy (reject, shed_oldest);
 # bench_sharded: the sharded serving tier — one hash-partitioned
 # workload through 1/2/4-shard fleets vs. the bare engine) plus
 # the steady-state latency harness, and writes one BENCH_<name>.json per

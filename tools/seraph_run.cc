@@ -12,10 +12,9 @@
 //
 // Every run feeds the log through the serving runtime's lane
 // (runtime/runtime.h): an EventQueue, optionally bounded
-// (--queue-capacity, --overflow-policy), pumped by a StreamDriver
-// (--shed-lag-ms arms its degraded mode) into the engine. Output is
-// identical at any thread count, and at any queue bound unless elements
-// are shed.
+// (--queue-capacity, --overflow-policy), pumped by a StreamDriver into
+// the engine. Output is identical at any thread count, and at any queue
+// bound unless elements are shed.
 //
 // Observability (docs/INTERNALS.md, "Observability" and "Latency
 // accounting & lag"): --metrics dumps the engine registry in Prometheus
@@ -204,16 +203,13 @@ int main(int argc, char** argv) {
           {"--queue-capacity=<n>", &options.queue.capacity,
            "bound the event queue (default unbounded)", 1, runtime::kNoMax,
            "SERAPH_QUEUE_CAPACITY"},
-          {"--overflow-policy=<block|reject|shed_oldest>",
+          {"--overflow-policy=<reject|shed_oldest>",
            &options.queue.overflow_policy,
-           "what a full queue does (default block)", 0, runtime::kNoMax,
+           "what a full queue does (default reject)", 0, runtime::kNoMax,
            "SERAPH_OVERFLOW_POLICY"},
           {"--eval-deadline-ms=<n>", &options.engine.eval_deadline_millis,
            "cancel an evaluation after <n> ms (0 = off)", 0,
            runtime::kNoMax, "SERAPH_EVAL_DEADLINE_MS"},
-          {"--shed-lag-ms=<n>", &options.shed_lag_millis,
-           "driver degraded-mode lag threshold (0 = off)", 0,
-           runtime::kNoMax, "SERAPH_SHED_LAG_MS"},
       });
   std::vector<std::string> positional;
   if (auto exit_code = cli.Parse(argc, argv, &positional)) return *exit_code;
@@ -312,9 +308,7 @@ int main(int argc, char** argv) {
               << " (policy "
               << OverflowPolicyName(options.queue.overflow_policy)
               << "), shed " << ledger.queue_shed << ", rejected "
-              << ledger.rejected << ", trimmed " << ledger.trimmed
-              << ", driver shed " << ledger.driver_shed
-              << ", degraded entries " << ledger.degraded_entries << "\n";
+              << ledger.rejected << ", trimmed " << ledger.trimmed << "\n";
   }
 
   // Query isolation: evaluation failures no longer abort the run, so

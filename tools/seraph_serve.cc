@@ -174,9 +174,9 @@ int main(int argc, char** argv) {
        "checkpoint cadence in evaluation batches (default 1)", 1},
       {"--queue-capacity=<n>", &options.queue.capacity,
        "bound each lane's queue (default unbounded)", 1},
-      {"--overflow-policy=<block|reject|shed_oldest>",
+      {"--overflow-policy=<reject|shed_oldest>",
        &options.queue.overflow_policy,
-       "what a full queue does (default block)"},
+       "what a full queue does (default reject)"},
       {"--io-timeout-ms=<n>", &options.io_timeout_millis,
        "per-connection IO deadline (default 5000)", 1},
       {"--long-poll-ms=<n>", &options.long_poll_millis,
