@@ -562,8 +562,11 @@ void WriteDeadLetterEntry(const DeadLetterEntry& entry, Encoder* enc) {
   enc->PutI64(entry.attempts);
   enc->PutBool(entry.result.has_value());
   if (entry.result.has_value()) WriteAnnotatedTable(*entry.result, enc);
-  enc->PutBool(entry.element != nullptr);
-  if (entry.element != nullptr) WriteGraph(*entry.element, enc);
+  enc->PutBool(entry.element.has_value());
+  if (entry.element.has_value()) {
+    enc->PutI64(entry.element->nodes);
+    enc->PutI64(entry.element->relationships);
+  }
 }
 
 Result<DeadLetterEntry> ReadDeadLetterEntry(Decoder* dec) {
@@ -587,8 +590,10 @@ Result<DeadLetterEntry> ReadDeadLetterEntry(Decoder* dec) {
   }
   SERAPH_ASSIGN_OR_RETURN(bool has_element, dec->Bool());
   if (has_element) {
-    SERAPH_ASSIGN_OR_RETURN(PropertyGraph graph, ReadGraph(dec));
-    entry.element = std::make_shared<const PropertyGraph>(std::move(graph));
+    DeadLetterEntry::ElementSummary element;
+    SERAPH_ASSIGN_OR_RETURN(element.nodes, dec->I64());
+    SERAPH_ASSIGN_OR_RETURN(element.relationships, dec->I64());
+    entry.element = element;
   }
   return entry;
 }

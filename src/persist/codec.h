@@ -42,12 +42,13 @@ namespace persist {
 // "SRPH" in little-endian byte order, followed by the format version.
 // Stream segments carry only the retained suffix plus the stream's base
 // offset, max timestamp and trimmed-through timestamp (docs/INTERNALS.md,
-// "Stream retention"). Version 3 query frames carry the QueryStats view
-// (ten counts and the last error) instead of version 2's struct with
-// per-stage micros. Files of any other version, including version 1 (the
-// whole stream prefix), are rejected with kFailedPrecondition.
+// "Stream retention"). Query frames carry the QueryStats view (ten counts
+// and the last error). Dead-letter frames carry a stream element's node
+// and relationship counts, not its graph (new in version 4). Files of any
+// other version, including version 1 (the whole stream prefix), are
+// rejected with kFailedPrecondition.
 inline constexpr uint32_t kMagic = 0x48505253;
-inline constexpr uint32_t kFormatVersion = 3;
+inline constexpr uint32_t kFormatVersion = 4;
 
 // CRC-32 (IEEE 802.3 polynomial, the Kafka/zlib convention) of `data`.
 uint32_t Crc32(std::string_view data);

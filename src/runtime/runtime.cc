@@ -199,7 +199,7 @@ Status Runtime::Pump() {
 
 Status Runtime::Finish() {
   SERAPH_RETURN_IF_ERROR(fleet_ != nullptr ? fleet_->Finish()
-                                           : driver_->Finish());
+                                           : driver_->PumpAll().status());
   Publish();
   stop_reporter_.store(true, std::memory_order_relaxed);
   if (reporter_.joinable()) reporter_.join();

@@ -117,8 +117,9 @@ class Runtime {
                       Timestamp timestamp);
   // Delivers everything produced, evaluates the due instants, republishes.
   Status Pump();
-  // Flushes held elements, runs the final evaluations, republishes and
-  // stops the reporter. A durable single shape logs its checkpoint tally.
+  // Delivers what is still queued, runs the final evaluations,
+  // republishes and stops the reporter. A durable single shape logs its
+  // checkpoint tally.
   Status Finish();
   // Re-renders /queries; call after changing engine state directly.
   void Publish();

@@ -31,7 +31,9 @@ void DeadLetterQueue::AddElement(const std::string& consumer,
   entry.timestamp = element.timestamp;
   entry.error = std::move(error);
   entry.attempts = attempts;
-  entry.element = element.graph;
+  entry.element = DeadLetterEntry::ElementSummary{
+      static_cast<int64_t>(element.graph->num_nodes()),
+      static_cast<int64_t>(element.graph->num_relationships())};
   entries_.push_back(std::move(entry));
   ++elements_;
   UpdateDepth();
@@ -110,11 +112,10 @@ Status DeadLetterQueue::WriteJsonLines(std::ostream* os) const {
                           &line);
       line += ",\"rows\":" + io::ToJson(entry.result->table.Canonicalized());
     }
-    if (entry.element != nullptr) {
+    if (entry.element.has_value()) {
       line += ",\"element\":{\"nodes\":" +
-              std::to_string(entry.element->num_nodes()) +
-              ",\"relationships\":" +
-              std::to_string(entry.element->num_relationships()) + "}";
+              std::to_string(entry.element->nodes) + ",\"relationships\":" +
+              std::to_string(entry.element->relationships) + "}";
     }
     line += "}";
     *os << line << "\n";

@@ -33,6 +33,14 @@ namespace seraph {
 struct DeadLetterEntry {
   enum class Kind { kSinkResult, kStreamElement, kEvaluation };
 
+  // The size of a dead-lettered element's graph. The graph itself is not
+  // kept: under a sustained shed_oldest overload every shed element lands
+  // here, and holding graphs would grow memory with uptime.
+  struct ElementSummary {
+    int64_t nodes = 0;
+    int64_t relationships = 0;
+  };
+
   Kind kind;
   // Sink name (kSinkResult), consumer name (kStreamElement), or "engine"
   // (kEvaluation).
@@ -51,7 +59,7 @@ struct DeadLetterEntry {
   // At most one of the two payloads is set, matching `kind` (kEvaluation
   // has no payload: the evaluation produced no result to capture).
   std::optional<TimeAnnotatedTable> result;
-  std::shared_ptr<const PropertyGraph> element;
+  std::optional<ElementSummary> element;
 };
 
 // An in-memory dead-letter queue (bounded only by what the run rejects;
@@ -97,7 +105,7 @@ class DeadLetterQueue {
 
   // One JSON object per entry (the format documented in
   // docs/INTERNALS.md): sink results carry the full rows payload;
-  // elements carry a node/relationship summary of the graph.
+  // elements carry their node/relationship summary.
   Status WriteJsonLines(std::ostream* os) const;
 
  private:

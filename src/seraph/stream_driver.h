@@ -1,23 +1,19 @@
-// Transport glue: pumps a (Kafka-like) EventQueue into a ContinuousEngine,
-// optionally tolerating bounded out-of-order arrival via a ReorderBuffer.
+// Transport glue: pumps a (Kafka-like) EventQueue into a ContinuousEngine.
 // This closes the paper's Fig. 1 loop end to end: event queue → property
-// graph stream → windows → continuous evaluation.
+// graph stream → windows → continuous evaluation. The queue is the stream
+// order authority (EventQueue::Produce refuses a late element), so the
+// driver delivers what it polls as it comes.
 //
 //   EventQueue queue;            // producers append events
 //   ContinuousEngine engine;     // queries registered, sinks attached
-//   StreamDriver driver(&queue, &engine,
-//                       {.allowed_lateness = Duration::FromMinutes(1)});
+//   StreamDriver driver(&queue, &engine, {});
 //   ... while producing: driver.PumpAll();   // deliver + evaluate
-//   driver.Finish();                         // flush + final evaluations
 //
 // Delivery is loss-free under transient failures (docs/INTERNALS.md,
 // "Failure model"):
 //  * consumer offsets are committed only after successful hand-off — on a
 //    delivery failure the driver re-seeks to the first unconsumed offset,
 //    so the next PumpAll re-polls exactly the in-flight elements;
-//  * elements released by the reorder buffer whose delivery fails are
-//    parked in a pending queue (in timestamp order) and retried first on
-//    the next pump — nothing released is ever dropped;
 //  * transient failures are retried in-pump per `delivery_retry`; an
 //    element still failing after `element_error_budget` pumps (or failing
 //    permanently) is routed to the dead-letter queue instead of aborting
@@ -25,7 +21,6 @@
 #ifndef SERAPH_SERAPH_STREAM_DRIVER_H_
 #define SERAPH_SERAPH_STREAM_DRIVER_H_
 
-#include <deque>
 #include <functional>
 #include <memory>
 #include <optional>
@@ -35,7 +30,6 @@
 #include "seraph/continuous_engine.h"
 #include "seraph/dead_letter.h"
 #include "stream/event_queue.h"
-#include "stream/reorder_buffer.h"
 
 namespace seraph {
 
@@ -46,10 +40,6 @@ class StreamDriver {
     std::string consumer = "seraph-engine";
     // Engine stream to deliver into ("" = default stream).
     std::string target_stream;
-    // When set, arrivals may be out of order by up to this much; elements
-    // later than the watermark are dropped (counted). When unset, the
-    // queue is trusted to be ordered and elements are delivered directly.
-    std::optional<Duration> allowed_lateness;
     // Max elements fetched per queue poll.
     size_t poll_batch = 64;
     // In-pump retries of transient (kUnavailable) delivery failures.
@@ -74,17 +64,12 @@ class StreamDriver {
     bool advance_engine_clock = true;
   };
 
-  StreamDriver(EventQueue* queue, ContinuousEngine* engine, Options options)
-      : queue_(queue),
-        engine_(engine),
-        options_(std::move(options)),
-        reorder_(options_.allowed_lateness.has_value()
-                     ? std::make_optional<ReorderBuffer>(
-                           *options_.allowed_lateness)
-                     : std::nullopt) {}
+  // Registers the driver's series in the engine's registry. Neither
+  // `queue` nor `engine` is owned; both must outlive the driver.
+  StreamDriver(EventQueue* queue, ContinuousEngine* engine, Options options);
 
-  // Polls the queue until empty, delivering releasable elements to the
-  // engine and advancing its clock (which triggers due evaluations) by
+  // Polls the queue until empty, delivering every element to the engine
+  // and advancing its clock (which triggers due evaluations) by
   // AdvanceEngineClock: to the delivered horizon, or, for a pump made
   // because a full queue refused an element at `waiting`, to just before
   // `waiting`. Returns the number of elements delivered by this pump. A
@@ -93,83 +78,53 @@ class StreamDriver {
   // (or the checkpoint horizon) still needs. On a transient failure that
   // survives the retry policy the pump returns the error with nothing
   // lost: unconsumed queue elements stay behind the (re-seeked) consumer
-  // offset, released elements stay in the pending queue, and the next
-  // PumpAll resumes exactly there.
+  // offset, and the next PumpAll resumes exactly there. A pump with
+  // nothing new to deliver re-advances the clock to the same horizon,
+  // which runs no evaluation twice.
   Result<int64_t> PumpAll(std::optional<Timestamp> waiting = std::nullopt);
 
-  // Flushes any held out-of-order elements and runs the engine's final
-  // due evaluations. Drain-safe: callable after a failed pump (retries
-  // pending elements first) and idempotent on success.
-  Status Finish();
-
-  // Elements rejected as too late (only with allowed_lateness).
-  int64_t dropped() const {
-    return reorder_.has_value() ? reorder_->dropped() : 0;
-  }
-
-  // Highest timestamp delivered to the engine so far (meaningful only
-  // when delivered_any()). With advance_engine_clock set (the default),
-  // PumpAll/Finish advance the engine clock to it.
-  Timestamp delivered_horizon() const { return delivered_horizon_; }
-  bool delivered_any() const { return delivered_any_; }
-
-  // Released-but-undelivered elements parked for the next pump.
-  size_t pending() const { return pending_.size(); }
-  // Cumulative elements delivered to the engine across pumps.
-  int64_t delivered_total() const { return delivered_total_; }
-  // Cumulative in-pump delivery retries.
-  int64_t retries() const { return retries_; }
-  // Poison elements routed to the dead-letter queue.
-  int64_t dead_lettered() const { return dead_lettered_; }
-  // Offset rollbacks after mid-batch failures.
-  int64_t reseeks() const { return reseeks_; }
+  // Cumulative counts, read off the driver's `seraph_driver_*_total`
+  // series (a second driver with the same consumer name on the same
+  // engine shares them): elements delivered to the engine, in-pump
+  // delivery retries, poison elements routed to the dead-letter queue,
+  // and offset rollbacks after mid-batch failures.
+  int64_t delivered_total() const { return delivered_counter_->value(); }
+  int64_t retries() const { return retries_counter_->value(); }
+  int64_t dead_lettered() const { return dead_letter_counter_->value(); }
+  int64_t reseeks() const { return reseeks_counter_->value(); }
 
  private:
   Status Deliver(const StreamElement& element);
   // Deliver with in-pump retries per options_.delivery_retry.
   Status DeliverWithRetry(const StreamElement& element);
-  // Tries to consume one element: returns true when delivered, false
-  // when dead-lettered, or a transient error when the element should be
-  // retried on a later pump. `attempts` carries the element's failed-pump
-  // count across pumps and is zeroed once the element is consumed.
-  Result<bool> TryConsume(const StreamElement& element, int* attempts);
-  // Delivers queued pending elements in order, stopping at the first
-  // element that must wait for a later pump.
-  Status DrainPending(int64_t* delivered);
-  // Registers driver metrics with the engine's registry (idempotent).
-  void EnsureMetrics();
-  // Refreshes the backlog / reorder-occupancy health gauges (end of each
-  // pump and finish).
+  // Tries to consume the element at queue offset `offset`: returns true
+  // when delivered, false when dead-lettered, or a transient error when
+  // the element should be retried on a later pump. The element's
+  // failed-pump count carries across pumps while the same offset keeps
+  // failing.
+  Result<bool> TryConsume(const StreamElement& element, size_t offset);
+  // Refreshes the backlog and shed health gauges (end of each pump).
   void UpdateBacklogGauges();
 
   EventQueue* queue_;
   ContinuousEngine* engine_;
   Options options_;
-  std::optional<ReorderBuffer> reorder_;
-  // Released from the reorder buffer but not yet accepted by the engine.
-  std::deque<StreamElement> pending_;
-  int pending_attempts_ = 0;
-  // Direct-path poison tracking, keyed by queue offset.
+  // Poison tracking: the offset that failed last and its failed pumps.
   size_t failing_offset_ = 0;
   int failing_attempts_ = 0;
-  Timestamp delivered_horizon_;
-  bool delivered_any_ = false;
-  int64_t delivered_total_ = 0;
-  int64_t retries_ = 0;
-  int64_t dead_lettered_ = 0;
-  int64_t reseeks_ = 0;
-  // Cached registry handles (owned by the engine's registry).
+  // Highest timestamp delivered to the engine so far (none before the
+  // first delivery).
+  std::optional<Timestamp> delivered_horizon_;
+  // Registry handles (owned by the engine's registry).
   Counter* delivered_counter_ = nullptr;
   Counter* retries_counter_ = nullptr;
   Counter* dead_letter_counter_ = nullptr;
   Counter* reseeks_counter_ = nullptr;
   Counter* backoff_counter_ = nullptr;
-  // Health gauges (docs/INTERNALS.md, "Latency accounting & lag"):
-  // undelivered queue depth (incl. parked releases) and reorder-buffer
-  // occupancy.
+  // Health gauges (docs/INTERNALS.md, "Latency accounting & lag"): the
+  // undelivered queue depth, and the queue's cumulative shed count per
+  // stream.
   Gauge* backlog_gauge_ = nullptr;
-  Gauge* reorder_pending_gauge_ = nullptr;
-  // The queue's cumulative shed count, per stream.
   Gauge* stream_shed_gauge_ = nullptr;
 };
 

@@ -437,11 +437,10 @@ Status ShardedEngine::PumpAll() {
 
 Status ShardedEngine::Finish() {
   for (const auto& shard : shards_) {
-    // Drain every lane (queues + parked pending elements) before the
-    // single clock advance, so no element is left behind the clock.
+    // Drain every lane before the single clock advance, so no element
+    // is left behind the clock.
     for (auto& [stream, lane] : shard->lanes) {
       SERAPH_RETURN_IF_ERROR(lane->driver->PumpAll().status());
-      SERAPH_RETURN_IF_ERROR(lane->driver->Finish());
     }
     if (shard->any_ingested) {
       SERAPH_RETURN_IF_ERROR(shard->engine->AdvanceTo(

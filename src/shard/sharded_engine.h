@@ -154,8 +154,9 @@ class ShardedEngine {
   // the fleet watermark.
   Status PumpAll();
 
-  // Finishes every driver and flushes all buffered emissions in merged
-  // order. The fleet stays usable afterwards.
+  // Pumps every lane, advances each shard to its watermark and flushes
+  // all buffered emissions in merged order. The fleet stays usable
+  // afterwards.
   Status Finish();
 
   // ---- Durability ----

@@ -15,6 +15,9 @@ Status EventQueue::Produce(std::shared_ptr<const PropertyGraph> graph,
                            Timestamp timestamp) {
   // Fires before admission: a failed produce admits nothing.
   SERAPH_FAULT_POINT("queue.produce");
+  // A late element fails before admission too, so it neither sheds the
+  // oldest element nor counts as a refusal.
+  SERAPH_RETURN_IF_ERROR(log_.CheckOrder(timestamp));
   if (options_.capacity > 0) {
     SERAPH_RETURN_IF_ERROR(AdmitOne());
   }

@@ -63,8 +63,9 @@ class EventQueue {
   }
 
   // Appends an event; timestamps must be non-decreasing (the queue is the
-  // stream order authority). Each event is stamped with its
-  // processing-time arrival (the emit-latency layer's t0 — see
+  // stream order authority): a late event fails with kOutOfRange and
+  // changes nothing, however full the queue is. Each event is stamped
+  // with its processing-time arrival (the emit-latency layer's t0 — see
   // docs/INTERNALS.md, "Latency accounting & lag"). On a bounded queue a
   // log that is still full after a retention trim is resolved by the
   // overflow policy: reject returns kUnavailable, and shed_oldest evicts

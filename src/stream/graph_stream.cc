@@ -15,14 +15,19 @@ Status PropertyGraphStream::Append(PropertyGraph graph, Timestamp timestamp,
 Status PropertyGraphStream::Append(std::shared_ptr<const PropertyGraph> graph,
                                    Timestamp timestamp,
                                    int64_t arrival_micros) {
+  SERAPH_RETURN_IF_ERROR(CheckOrder(timestamp));
+  elements_.push_back(StreamElement{std::move(graph), timestamp,
+                                    arrival_micros});
+  last_timestamp_ = timestamp;
+  return Status::OK();
+}
+
+Status PropertyGraphStream::CheckOrder(Timestamp timestamp) const {
   if (!empty() && timestamp < last_timestamp_) {
     return Status::OutOfRange(
         "stream timestamps must be non-decreasing: got " +
         timestamp.ToString() + " after " + last_timestamp_.ToString());
   }
-  elements_.push_back(StreamElement{std::move(graph), timestamp,
-                                    arrival_micros});
-  last_timestamp_ = timestamp;
   return Status::OK();
 }
 

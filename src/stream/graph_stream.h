@@ -46,12 +46,15 @@ class PropertyGraphStream {
   PropertyGraphStream() = default;
 
   // Appends (graph, ω). Fails with kOutOfRange if ω precedes the last
-  // appended timestamp. `arrival_micros` carries the element's
-  // processing-time arrival stamp (0 = unstamped).
+  // appended timestamp (CheckOrder). `arrival_micros` carries the
+  // element's processing-time arrival stamp (0 = unstamped).
   Status Append(PropertyGraph graph, Timestamp timestamp,
                 int64_t arrival_micros = 0);
   Status Append(std::shared_ptr<const PropertyGraph> graph,
                 Timestamp timestamp, int64_t arrival_micros = 0);
+  // The order check of Append alone: kOutOfRange if ω precedes the last
+  // appended timestamp.
+  Status CheckOrder(Timestamp timestamp) const;
 
   // Elements ever appended: the absolute position of the next append.
   size_t size() const { return base_ + elements_.size(); }

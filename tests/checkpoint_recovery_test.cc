@@ -81,7 +81,6 @@ TimeVaryingTable Oracle() {
     auto pumped = driver.PumpAll();
     EXPECT_TRUE(pumped.ok()) << pumped.status();
   }
-  EXPECT_TRUE(driver.Finish().ok());
   return sink.ResultsFor("q");
 }
 
@@ -240,6 +239,12 @@ TEST_F(CheckpointRecoveryTest, DeadLetterEntryCodecRoundTrip) {
     EXPECT_EQ(back->kind, entry.kind);
     EXPECT_EQ(back->source, entry.source);
     EXPECT_EQ(back->error, entry.error);
+    ASSERT_EQ(back->element.has_value(), entry.element.has_value());
+    if (entry.element.has_value()) {
+      // A stream element keeps only its graph's summary.
+      EXPECT_EQ(back->element->nodes, 1);
+      EXPECT_EQ(back->element->relationships, 0);
+    }
     Encoder again;
     persist::WriteDeadLetterEntry(*back, &again);
     EXPECT_EQ(enc.buffer(), again.buffer());
@@ -569,7 +574,6 @@ void RecoverAndCheck(const std::string& dir, EventQueue* queue,
   // Replay whatever backlog remains even when no rounds are left.
   auto pumped = driver.PumpAll();
   ASSERT_TRUE(pumped.ok()) << pumped.status();
-  ASSERT_TRUE(driver.Finish().ok());
   EXPECT_EQ(engine.stream().size(), static_cast<size_t>(kEvents));
   ExpectSuffixMatch(sink.ResultsFor("q"), expected, restored_evals);
 }
@@ -765,7 +769,6 @@ TEST_F(CheckpointRecoveryTest, MidBatchRestoreCompletesInterruptedBatch) {
   auto pumped = driver.PumpAll();
   ASSERT_TRUE(pumped.ok()) << pumped.status();
   EXPECT_EQ(*pumped, 0);
-  ASSERT_TRUE(driver.Finish().ok());
   ASSERT_GT(sink.ResultsFor("q").size(), 0u);
   ExpectSuffixMatch(sink.ResultsFor("q"), expected, restored_evals);
 }
@@ -1048,7 +1051,6 @@ TEST_F(CheckpointRecoveryTest, DriverResumeExactlyOnceUnderChaos) {
     }
     ASSERT_TRUE(pumped_ok) << "post-restore pump did not converge";
   }
-  ASSERT_TRUE(driver.Finish().ok());
 
   // Exactly once into the engine: the restored prefix plus the replayed
   // suffix covers every produced element once.
@@ -1296,7 +1298,7 @@ void StampManifestVersion(const std::string& dir, uint32_t version,
 // which callers treat as a cold start that re-emits every result the
 // earlier run already delivered.
 TEST_F(CheckpointRecoveryTest, OtherFormatVersionFailsRecoveryLoudly) {
-  for (uint32_t old_version : {1u, 2u}) {
+  for (uint32_t old_version : {1u, 2u, 3u}) {
     SCOPED_TRACE("every generation from an older build, version " +
                  std::to_string(old_version));
     const std::string dir =
@@ -1334,7 +1336,7 @@ TEST_F(CheckpointRecoveryTest, OtherFormatVersionFailsRecoveryLoudly) {
     EXPECT_EQ(latest.status().code(), StatusCode::kFailedPrecondition)
         << latest.status();
   }
-  for (uint32_t old_version : {1u, 2u}) {
+  for (uint32_t old_version : {1u, 2u, 3u}) {
     SCOPED_TRACE("sharded fleet, version " + std::to_string(old_version));
     const std::string dir =
         FreshDir("old_format_sharded_v" + std::to_string(old_version));

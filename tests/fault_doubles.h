@@ -6,9 +6,7 @@
 #ifndef SERAPH_TESTS_FAULT_DOUBLES_H_
 #define SERAPH_TESTS_FAULT_DOUBLES_H_
 
-#include <map>
 #include <memory>
-#include <optional>
 #include <set>
 #include <string>
 #include <utility>
@@ -43,45 +41,6 @@ class FlakyQueue final : public EventQueue {
   int fail_every_;
   int64_t polls_ = 0;
   int64_t failures_ = 0;
-};
-
-// An EventQueue whose log permits out-of-order timestamps, modelling an
-// upstream broker that interleaves late events — the case the in-memory
-// queue's ordered log cannot represent but the reorder buffer exists for.
-class UnorderedQueue final : public EventQueue {
- public:
-  void Add(PropertyGraph graph, Timestamp timestamp) {
-    elements_.push_back(StreamElement{
-        std::make_shared<const PropertyGraph>(std::move(graph)), timestamp});
-  }
-
-  Result<std::vector<StreamElement>> Poll(const std::string& consumer,
-                                          size_t max_events) override {
-    size_t& offset = offsets_[consumer];
-    std::vector<StreamElement> out;
-    while (offset < elements_.size() && out.size() < max_events) {
-      out.push_back(elements_[offset++]);
-    }
-    return out;
-  }
-
-  Status Seek(const std::string& consumer, size_t offset) override {
-    if (offset > elements_.size()) {
-      return Status::OutOfRange("seek past end of unordered log");
-    }
-    offsets_[consumer] = offset;
-    return Status::OK();
-  }
-
-  std::optional<size_t> OffsetOf(const std::string& consumer) const override {
-    auto it = offsets_.find(consumer);
-    if (it == offsets_.end()) return std::nullopt;
-    return it->second;
-  }
-
- private:
-  std::vector<StreamElement> elements_;
-  std::map<std::string, size_t> offsets_;
 };
 
 // A sink that transiently rejects every `fail_every`-th delivery and

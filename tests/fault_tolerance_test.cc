@@ -237,7 +237,6 @@ TimeVaryingTable FaultFreeOracle(int count) {
   StreamDriver driver(&queue, &engine, {});
   auto delivered = driver.PumpAll();
   EXPECT_TRUE(delivered.ok());
-  EXPECT_TRUE(driver.Finish().ok());
   return sink.ResultsFor("q");
 }
 
@@ -279,7 +278,6 @@ TEST_F(FaultToleranceTest, DeliveryFaultsLoseNothingAndMatchFaultFreeRun) {
     ++failed_pumps;
   }
   EXPECT_EQ(failed_pumps, 1);  // Hit #7 is absorbed by the in-pump retry.
-  ASSERT_TRUE(driver.Finish().ok());
 
   // Zero loss, exactly once: every element is in the engine's stream.
   EXPECT_EQ(engine.stream().size(), static_cast<size_t>(kEvents));
@@ -308,49 +306,9 @@ TEST_F(FaultToleranceTest, PollFaultsAreRetriableWithoutLoss) {
     if (pumped.ok()) break;
     EXPECT_TRUE(pumped.status().IsTransient());
   }
-  ASSERT_TRUE(driver.Finish().ok());
   EXPECT_EQ(engine.stream().size(), static_cast<size_t>(kEvents));
   EXPECT_GT(queue.failures(), 0);
   ExpectSameResults(sink.ResultsFor("q"), expected);
-}
-
-TEST_F(FaultToleranceTest, ReorderedReleasesSurviveDeliveryFailure) {
-  // Satellite: buffered-but-unreleased elements must survive a failed
-  // Deliver and be retried on the next pump.
-  EventQueue queue;
-  ASSERT_TRUE(queue.Produce(Item(1), T(10)).ok());
-  ASSERT_TRUE(queue.Produce(Item(2), T(12)).ok());
-  ASSERT_TRUE(queue.Produce(Item(3), T(20)).ok());
-  ContinuousEngine engine;
-  CollectingSink sink;
-  engine.AddSink(&sink);
-  ASSERT_TRUE(engine.RegisterText(kCountQuery).ok());
-  StreamDriver::Options options;
-  options.allowed_lateness = Duration::FromMinutes(5);
-  options.delivery_retry = RetryPolicy::None();
-  StreamDriver driver(&queue, &engine, options);
-
-  // Watermark after the third element is 15: elements @10 and @12 are
-  // released together; delivery of the *first* release fails once.
-  FaultInjector::Global().ArmSchedule("driver.deliver", {1});
-  auto pumped = driver.PumpAll();
-  ASSERT_FALSE(pumped.ok());
-  // Both released elements are parked, neither lost nor delivered.
-  EXPECT_EQ(driver.pending(), 2u);
-  EXPECT_EQ(engine.stream().size(), 0u);
-
-  // Next pump retries the parked releases first.
-  pumped = driver.PumpAll();
-  ASSERT_TRUE(pumped.ok()) << pumped.status();
-  EXPECT_EQ(*pumped, 2);
-  EXPECT_EQ(driver.pending(), 0u);
-  ASSERT_TRUE(driver.Finish().ok());
-  EXPECT_EQ(engine.stream().size(), 3u);
-  // Stream order was preserved through the failure.
-  EXPECT_EQ(engine.stream().at(0).timestamp, T(10));
-  EXPECT_EQ(engine.stream().at(1).timestamp, T(12));
-  EXPECT_EQ(engine.stream().at(2).timestamp, T(20));
-  EXPECT_EQ(driver.dropped(), 0);
 }
 
 TEST_F(FaultToleranceTest, PoisonElementIsDeadLetteredNotWedged) {
@@ -378,7 +336,6 @@ TEST_F(FaultToleranceTest, PoisonElementIsDeadLetteredNotWedged) {
   EXPECT_EQ(driver.delivered_total(), 2);
   pumped = driver.PumpAll();
   ASSERT_TRUE(pumped.ok()) << pumped.status();
-  ASSERT_TRUE(driver.Finish().ok());
 
   // The poison element was quarantined with its status and attempt
   // count; everything else was delivered.
@@ -442,9 +399,6 @@ TEST_F(FaultToleranceTest, ChaosRunDeliversExactlyOnceAndMatchesOracle) {
     done = engine.stream().size() == static_cast<size_t>(kEvents);
   }
   ASSERT_TRUE(done) << "chaos run did not converge";
-  for (int i = 0; i < 1000; ++i) {
-    if (driver.Finish().ok()) break;
-  }
 
   // Exactly once into the engine, same results as the oracle, nothing
   // dead-lettered (all faults transient), sink retried but never lost a
@@ -511,9 +465,6 @@ TEST_F(FaultToleranceTest, ChaosRunParallelMatchesOracle) {
     done = engine.stream().size() == static_cast<size_t>(kEvents);
   }
   ASSERT_TRUE(done) << "chaos run did not converge";
-  for (int i = 0; i < 1000; ++i) {
-    if (driver.Finish().ok()) break;
-  }
 
   EXPECT_EQ(engine.stream().size(), static_cast<size_t>(kEvents));
   EXPECT_EQ(dlq.evaluation_failures(), 0);
@@ -527,81 +478,19 @@ TEST_F(FaultToleranceTest, ChaosRunParallelMatchesOracle) {
 }
 
 // ---------------------------------------------------------------------------
-// Finish() edge cases (satellite)
+// Pumping an empty queue
 // ---------------------------------------------------------------------------
 
-TEST_F(FaultToleranceTest, FinishWithNoDeliveriesIsANoOp) {
+TEST_F(FaultToleranceTest, PumpWithNoDeliveriesIsANoOp) {
   EventQueue queue;
   ContinuousEngine engine;
   ASSERT_TRUE(engine.RegisterText(kCountQuery).ok());
   StreamDriver driver(&queue, &engine, {});
-  ASSERT_TRUE(driver.Finish().ok());
+  auto pumped = driver.PumpAll();
+  ASSERT_TRUE(pumped.ok()) << pumped.status();
+  EXPECT_EQ(*pumped, 0);
   EXPECT_EQ(engine.evaluations_run(), 0);
   EXPECT_EQ(driver.delivered_total(), 0);
-}
-
-TEST_F(FaultToleranceTest, FinishAfterMidPumpErrorDrainsPending) {
-  EventQueue queue;
-  ASSERT_TRUE(queue.Produce(Item(1), T(10)).ok());
-  ASSERT_TRUE(queue.Produce(Item(2), T(20)).ok());
-  ContinuousEngine engine;
-  CollectingSink sink;
-  engine.AddSink(&sink);
-  ASSERT_TRUE(engine.RegisterText(kCountQuery).ok());
-  StreamDriver::Options options;
-  options.allowed_lateness = Duration::FromMinutes(5);
-  options.delivery_retry = RetryPolicy::None();
-  StreamDriver driver(&queue, &engine, options);
-  // The pump offers both elements and releases @10 (watermark 15); its
-  // delivery fails → parked.
-  FaultInjector::Global().ArmSchedule("driver.deliver", {1});
-  ASSERT_FALSE(driver.PumpAll().ok());
-  EXPECT_EQ(driver.pending(), 1u);
-  // Finish drains the parked element, flushes the buffer, and runs the
-  // final evaluations — nothing lost despite the failed pump.
-  ASSERT_TRUE(driver.Finish().ok());
-  EXPECT_EQ(engine.stream().size(), 2u);
-  EXPECT_GT(engine.evaluations_run(), 0);
-}
-
-TEST_F(FaultToleranceTest, DoubleFinishIsIdempotent) {
-  EventQueue queue;
-  ASSERT_TRUE(queue.Produce(Item(1), T(10)).ok());
-  ContinuousEngine engine;
-  CollectingSink sink;
-  engine.AddSink(&sink);
-  ASSERT_TRUE(engine.RegisterText(kCountQuery).ok());
-  StreamDriver::Options options;
-  options.allowed_lateness = Duration::FromMinutes(5);
-  StreamDriver driver(&queue, &engine, options);
-  ASSERT_TRUE(driver.PumpAll().ok());
-  ASSERT_TRUE(driver.Finish().ok());
-  const size_t results = sink.ResultsFor("q").size();
-  const int64_t evaluations = engine.evaluations_run();
-  ASSERT_TRUE(driver.Finish().ok());
-  EXPECT_EQ(sink.ResultsFor("q").size(), results);
-  EXPECT_EQ(engine.evaluations_run(), evaluations);
-}
-
-TEST_F(FaultToleranceTest, LateFloodIsCountedNotDelivered) {
-  UnorderedQueue queue;
-  queue.Add(Item(1), T(60));
-  // A flood of elements far older than the watermark (60 − 5 = 55).
-  for (int i = 0; i < 8; ++i) {
-    queue.Add(Item(100 + i), T(10 + i));
-  }
-  ContinuousEngine engine;
-  ASSERT_TRUE(engine.RegisterText(kCountQuery).ok());
-  StreamDriver::Options options;
-  options.allowed_lateness = Duration::FromMinutes(5);
-  StreamDriver driver(&queue, &engine, options);
-  ASSERT_TRUE(driver.PumpAll().ok());
-  EXPECT_EQ(driver.dropped(), 8);
-  ASSERT_TRUE(driver.Finish().ok());
-  // Only the on-time element reached the engine; drop accounting is
-  // stable across Finish.
-  EXPECT_EQ(engine.stream().size(), 1u);
-  EXPECT_EQ(driver.dropped(), 8);
 }
 
 // ---------------------------------------------------------------------------
@@ -691,9 +580,6 @@ void OverloadChaosRun(OverflowPolicy policy, uint64_t seed) {
            static_cast<size_t>(kEvents);
   }
   ASSERT_TRUE(done) << "overload chaos run did not converge";
-  for (int i = 0; i < 1000; ++i) {
-    if (driver.Finish().ok()) break;
-  }
 
   // Exact accounting: the shed callback saw precisely shed_total
   // evictions, and delivered ∪ shed partitions the input.
@@ -780,7 +666,6 @@ TEST_F(FaultToleranceTest, EvalDeadlineDisablesOnlyTheOffendingQuery) {
   ProduceEvents(&queue, kEvents);
   StreamDriver driver(&queue, &engine, {});
   ASSERT_TRUE(driver.PumpAll().ok());
-  ASSERT_TRUE(driver.Finish().ok());
 
   // The offender is disabled with the deadline recorded...
   EXPECT_TRUE(engine.QueryDisabled("slow"));

@@ -1,5 +1,5 @@
-// Text serialization round-trips (io/graph_text.h), the reorder buffer,
-// and exists() pattern predicates.
+// Text serialization round-trips (io/graph_text.h) and exists() pattern
+// predicates.
 #include <gtest/gtest.h>
 
 #include <sstream>
@@ -8,7 +8,6 @@
 #include "cypher/parser.h"
 #include "graph/graph_builder.h"
 #include "io/graph_text.h"
-#include "stream/reorder_buffer.h"
 #include "workloads/bike_sharing.h"
 
 namespace seraph {
@@ -89,68 +88,6 @@ TEST(GraphTextTest, EventLogRejectsDisorderAndHeaderlessLines) {
   std::istringstream disordered(
       "@ 2022-01-01T01:00\nnode|1|A\n@ 2022-01-01T00:00\nnode|2|A\n");
   EXPECT_FALSE(io::ReadEventLog(&disordered).ok());
-}
-
-// ---------------------------------------------------------------------------
-// ReorderBuffer
-// ---------------------------------------------------------------------------
-
-Timestamp T(int64_t minutes) { return Timestamp::FromMillis(minutes * 60'000); }
-
-std::shared_ptr<const PropertyGraph> Tiny(int64_t id) {
-  return std::make_shared<const PropertyGraph>(
-      GraphBuilder().Node(id, {"N"}).Build());
-}
-
-TEST(ReorderBufferTest, ReordersWithinLateness) {
-  ReorderBuffer buffer(Duration::FromMinutes(5));
-  EXPECT_TRUE(buffer.Offer(Tiny(2), T(12)));
-  EXPECT_TRUE(buffer.Offer(Tiny(1), T(10)));  // Out of order, tolerated.
-  EXPECT_TRUE(buffer.Offer(Tiny(3), T(20)));
-  // Watermark = 20 − 5 = 15: elements at 10 and 12 are releasable.
-  auto released = buffer.Release();
-  ASSERT_EQ(released.size(), 2u);
-  EXPECT_EQ(released[0].timestamp, T(10));
-  EXPECT_EQ(released[1].timestamp, T(12));
-  EXPECT_EQ(buffer.pending(), 1u);
-}
-
-TEST(ReorderBufferTest, DropsTooLateElements) {
-  ReorderBuffer buffer(Duration::FromMinutes(5));
-  EXPECT_TRUE(buffer.Offer(Tiny(1), T(20)));
-  EXPECT_FALSE(buffer.Offer(Tiny(2), T(10)));  // Older than watermark 15.
-  EXPECT_EQ(buffer.dropped(), 1);
-  EXPECT_TRUE(buffer.Offer(Tiny(3), T(16)));   // Within lateness.
-}
-
-TEST(ReorderBufferTest, FlushReturnsEverythingInOrder) {
-  ReorderBuffer buffer(Duration::FromMinutes(60));
-  EXPECT_TRUE(buffer.Offer(Tiny(3), T(30)));
-  EXPECT_TRUE(buffer.Offer(Tiny(1), T(10)));
-  EXPECT_TRUE(buffer.Offer(Tiny(2), T(20)));
-  EXPECT_TRUE(buffer.Release().empty());  // Watermark at −30.
-  auto all = buffer.Flush();
-  ASSERT_EQ(all.size(), 3u);
-  EXPECT_EQ(all[0].timestamp, T(10));
-  EXPECT_EQ(all[2].timestamp, T(30));
-  EXPECT_EQ(buffer.pending(), 0u);
-}
-
-TEST(ReorderBufferTest, FeedsStreamInOrder) {
-  ReorderBuffer buffer(Duration::FromMinutes(5));
-  PropertyGraphStream stream;
-  std::vector<std::pair<int64_t, int64_t>> arrivals = {
-      {1, 12}, {2, 10}, {3, 25}, {4, 22}, {5, 40}};
-  for (auto [id, minute] : arrivals) {
-    buffer.Offer(Tiny(id), T(minute));
-    for (const StreamElement& e : buffer.Release()) {
-      ASSERT_TRUE(stream.Append(e.graph, e.timestamp).ok());
-    }
-  }
-  for (const StreamElement& e : buffer.Flush()) {
-    ASSERT_TRUE(stream.Append(e.graph, e.timestamp).ok());
-  }
-  EXPECT_EQ(stream.size(), 5u);
 }
 
 // ---------------------------------------------------------------------------

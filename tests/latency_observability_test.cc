@@ -1,8 +1,7 @@
 // The emit-latency SLO layer (docs/INTERNALS.md, "Latency accounting &
 // lag"): arrival stamping through queue → driver → engine, deterministic
 // latency histograms under an injected ManualClock, the per-stage
-// breakdown, watermark/lag gauges across out-of-order input, and the
-// stamping-off ablation.
+// breakdown, watermark/lag gauges, and the stamping-off ablation.
 #include <gtest/gtest.h>
 
 #include "common/clock.h"
@@ -151,7 +150,7 @@ TEST(EmitLatencyTest, StampingDisabledRecordsNothing) {
 }
 
 // End to end through EventQueue + StreamDriver: the Produce stamp rides
-// through the driver (and the reorder buffer) into the emit latency.
+// through the driver into the emit latency.
 TEST(EmitLatencyTest, ArrivalStampRidesThroughDriver) {
   ManualClock clock(10'000);
   EventQueue queue;
@@ -163,14 +162,11 @@ TEST(EmitLatencyTest, ArrivalStampRidesThroughDriver) {
   engine.AddSink(&sink);
   ASSERT_TRUE(engine.RegisterText(CountQuery("q")).ok());
 
-  StreamDriver::Options driver_options;
-  driver_options.allowed_lateness = Duration::FromMinutes(2);
-  StreamDriver driver(&queue, &engine, driver_options);
+  StreamDriver driver(&queue, &engine, {});
 
-  // Each element is stamped at Produce time; with allowed_lateness set,
-  // all pass through the driver's reorder buffer before delivery. The
-  // third element pushes the delivered horizon past the ET 5 grid point
-  // so the first two get covered (and charged) there.
+  // Each element is stamped at Produce time. The third element pushes
+  // the delivered horizon past the ET 5 grid point so the first two get
+  // covered (and charged) there.
   ASSERT_TRUE(queue.Produce(Item(1), T(3)).ok());
   clock.Set(20'000);
   ASSERT_TRUE(queue.Produce(Item(2), T(4)).ok());
@@ -180,21 +176,21 @@ TEST(EmitLatencyTest, ArrivalStampRidesThroughDriver) {
   auto pumped = driver.PumpAll();
   ASSERT_TRUE(pumped.ok()) << pumped.status();
   clock.Set(100'000);
-  ASSERT_TRUE(driver.Finish().ok());
+  ASSERT_TRUE(driver.PumpAll().ok());
 
   const Histogram* h = engine.metrics().FindHistogram(
       "seraph_emit_latency_micros", {{"query", "q"}});
   ASSERT_NE(h, nullptr);
   HistogramSnapshot snapshot = h->Snapshot();
-  // The ET 5 evaluation ran during Finish (clock 100000) and charged the
-  // two covered elements: latencies 100000-10000 and 100000-20000. The
+  // The ET 5 evaluation ran during the first pump (clock 30000) and
+  // charged the two covered elements: latencies 30000-10000 and
+  // 30000-20000. The idle pump at clock 100000 runs nothing, and the
   // element at @6 stays uncharged until a later instant covers it.
   EXPECT_EQ(snapshot.count, 2);
-  EXPECT_EQ(snapshot.sum, 90'000 + 80'000);
+  EXPECT_EQ(snapshot.sum, 20'000 + 10'000);
 }
 
-// Watermark and lag gauges track event time deterministically, including
-// under out-of-order arrival.
+// Watermark and lag gauges track event time deterministically.
 TEST(EmitLatencyTest, WatermarkAndLagGauges) {
   ContinuousEngine engine;
   CollectingSink sink;

@@ -216,6 +216,29 @@ TEST(BoundedEventQueueTest, ShedOldestEvictsAndAccountsExactly) {
   EXPECT_EQ(delivered->size() + shed.size(), 3u);
 }
 
+TEST(BoundedEventQueueTest, LateProduceOnFullQueueChangesNothing) {
+  // The order check precedes admission: under either policy a late
+  // element on a full queue fails with kOutOfRange before it can shed the
+  // oldest element or count as a refusal.
+  for (OverflowPolicy policy :
+       {OverflowPolicy::kShedOldest, OverflowPolicy::kReject}) {
+    SCOPED_TRACE(OverflowPolicyName(policy));
+    EventQueue q(Bounded(2, policy));
+    int shed_calls = 0;
+    q.SetShedCallback([&](const StreamElement&) { ++shed_calls; });
+    q.Subscribe("c");
+    ASSERT_TRUE(q.Produce(Tiny(1), Timestamp::FromMillis(1'000)).ok());
+    ASSERT_TRUE(q.Produce(Tiny(2), Timestamp::FromMillis(2'000)).ok());
+    EXPECT_EQ(q.Produce(Tiny(3), Timestamp::FromMillis(1'500)).code(),
+              StatusCode::kOutOfRange);
+    EXPECT_EQ(q.depth(), 2u);
+    EXPECT_EQ(q.size(), 2u);
+    EXPECT_EQ(q.shed_total(), 0);
+    EXPECT_EQ(q.rejected_total(), 0);
+    EXPECT_EQ(shed_calls, 0);
+  }
+}
+
 // A clock pinned at one instant that counts its reads.
 class CountingClock final : public Clock {
  public:
