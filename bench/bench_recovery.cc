@@ -1,7 +1,7 @@
 // Durability costs (docs/INTERNALS.md, "Durability & recovery"):
 //
 //   BM_CheckpointWrite   full checkpoint commit (capture + encode +
-//                        atomic write of every segment + manifest + GC)
+//                        atomic write of the generation file + GC)
 //                        as the ingested stream grows — the per-batch
 //                        price of --checkpoint-dir, flat in stream length
 //                        because a generation holds only the retained
@@ -90,7 +90,6 @@ void BM_CheckpointWrite(benchmark::State& state) {
 
   persist::CheckpointOptions options;
   options.dir = dir;
-  options.keep = 2;
   options.fsync = false;
   persist::CheckpointManager manager(options);
   manager.BindQueue(kConsumer, &queue);
@@ -157,7 +156,6 @@ void BM_RecoveryReplay(benchmark::State& state) {
     }
     persist::CheckpointOptions options;
     options.dir = dir;
-    options.keep = 1;
     options.fsync = false;
     persist::CheckpointManager manager(options);
     manager.BindQueue(kConsumer, &setup_queue);

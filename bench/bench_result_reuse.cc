@@ -1,7 +1,10 @@
 // Ablation: result reuse on unchanged window contents (§6 "avoidable
 // re-executions"). A bursty stream leaves many consecutive evaluation
 // instants with identical active substreams; with reuse enabled those
-// evaluations skip matching entirely.
+// evaluations skip matching entirely. Two query shapes: a projection the
+// delta index serves (so a silent instant is already cheap without
+// reuse) and a per-station aggregate the delta path cannot serve, which
+// re-matches the whole window at every instant unless reuse skips it.
 #include <benchmark/benchmark.h>
 
 #include <optional>
@@ -33,9 +36,26 @@ std::vector<workloads::Event> BurstyStream(int bursts, int quiet_minutes) {
   return all;
 }
 
+constexpr const char* kEligibleQuery = R"(
+  REGISTER QUERY q STARTING AT '1970-01-01T00:05'
+  {
+    MATCH (b:Bike)-[r:rentedAt]->(s:Station)
+    WITHIN PT20M
+    EMIT r.user_id, s.id ON ENTERING EVERY PT1M
+  })";
+
+constexpr const char* kAggregateQuery = R"(
+  REGISTER QUERY q STARTING AT '1970-01-01T00:05'
+  {
+    MATCH (b:Bike)-[r:rentedAt]->(s:Station)
+    WITHIN PT20M
+    EMIT s.id, count(*) AS n ON ENTERING EVERY PT1M
+  })";
+
 void BM_BurstyStream(benchmark::State& state) {
   bool reuse = state.range(0) != 0;
   int quiet = static_cast<int>(state.range(1));
+  bool aggregate = state.range(2) != 0;
   auto events = BurstyStream(4, quiet);
   int64_t reused = 0;
   int64_t evals = 0;
@@ -46,13 +66,11 @@ void BM_BurstyStream(benchmark::State& state) {
     engine.emplace(options);
     CountingSink sink;
     engine->AddSink(&sink);
-    (void)engine->RegisterText(R"(
-      REGISTER QUERY q STARTING AT '1970-01-01T00:05'
-      {
-        MATCH (b:Bike)-[r:rentedAt]->(s:Station)
-        WITHIN PT20M
-        EMIT r.user_id, s.id ON ENTERING EVERY PT1M
-      })");
+    if (!engine->RegisterText(aggregate ? kAggregateQuery : kEligibleQuery)
+             .ok()) {
+      state.SkipWithError("register failed");
+      return;
+    }
     for (const auto& event : events) {
       (void)engine->Ingest(event.graph, event.timestamp);
     }
@@ -69,12 +87,18 @@ void BM_BurstyStream(benchmark::State& state) {
   state.counters["reused"] = static_cast<double>(reused) / state.iterations();
   if (engine.has_value()) {
     benchsupport::AddStageCounters(state, *engine, "q");
+    // Fresh evaluations the delta index served (0 for the aggregate).
+    const Counter* delta_hits = engine->metrics().FindCounter(
+        "seraph_delta_hits_total", {{"query", "q"}});
+    state.counters["delta_hits"] =
+        delta_hits != nullptr ? static_cast<double>(delta_hits->value()) : 0;
   }
   state.SetLabel(std::string(reuse ? "reuse" : "no_reuse") + "/quiet=" +
-                 std::to_string(quiet) + "m");
+                 std::to_string(quiet) + "m/" +
+                 (aggregate ? "aggregate" : "delta"));
 }
 BENCHMARK(BM_BurstyStream)
-    ->ArgsProduct({{0, 1}, {30, 120}})
+    ->ArgsProduct({{0, 1}, {30, 120}, {0, 1}})
     ->Unit(benchmark::kMillisecond);
 
 }  // namespace

@@ -38,72 +38,6 @@ Status SyncPath(const std::string& path) {
   return Status::OK();
 }
 
-std::string SegmentFileName(SegmentRole role, size_t stream_index,
-                            uint64_t seq) {
-  switch (role) {
-    case SegmentRole::kQueries:
-      return "queries-" + std::to_string(seq) + ".seg";
-    case SegmentRole::kOffsets:
-      return "offsets-" + std::to_string(seq) + ".seg";
-    case SegmentRole::kDeadLetters:
-      return "dlq-" + std::to_string(seq) + ".seg";
-    case SegmentRole::kStream:
-      return "stream-" + std::to_string(stream_index) + "-" +
-             std::to_string(seq) + ".seg";
-  }
-  return "unknown-" + std::to_string(seq) + ".seg";
-}
-
-// One finished segment awaiting its manifest entry.
-struct PendingSegment {
-  SegmentRole role;
-  std::string file;  // Name within the checkpoint dir.
-  std::string contents;
-};
-
-std::string EncodeQueriesSegment(const EngineCheckpoint& image) {
-  std::string out;
-  AppendFileHeader(&out);
-  Encoder meta;
-  meta.PutI64(image.clock.millis());
-  meta.PutBool(image.clock_started);
-  meta.PutI64(image.evaluations_run);
-  meta.PutU32(static_cast<uint32_t>(image.queries.size()));
-  AppendFrame(meta.buffer(), &out);
-  for (const QueryCheckpoint& query : image.queries) {
-    Encoder enc;
-    WriteQueryCheckpoint(query, &enc);
-    AppendFrame(enc.buffer(), &out);
-  }
-  return out;
-}
-
-std::string EncodeStreamSegment(const std::string& name,
-                                const StreamCheckpoint& stream) {
-  std::string out;
-  AppendFileHeader(&out);
-  // Format v2: the retained suffix sits at absolute positions from
-  // base_offset on; max and trimmed-through timestamps outlive the
-  // trimmed prefix (docs/INTERNALS.md, "Stream retention").
-  Encoder meta;
-  meta.PutString(name);
-  meta.PutU64(static_cast<uint64_t>(stream.base_offset));
-  meta.PutI64(stream.max_timestamp.millis());
-  meta.PutI64(stream.trimmed_through.millis());
-  meta.PutU32(static_cast<uint32_t>(stream.elements.size()));
-  AppendFrame(meta.buffer(), &out);
-  // Frame-per-element: a torn tail corrupts one frame, and the CRC of
-  // every earlier element still verifies (recovery rejects the file
-  // either way — the manifest is the commit point — but inspection can
-  // localize the damage).
-  for (const StreamElement& element : stream.elements) {
-    Encoder enc;
-    WriteStreamElement(element, &enc);
-    AppendFrame(enc.buffer(), &out);
-  }
-  return out;
-}
-
 }  // namespace
 
 std::string ManifestFileName(uint64_t seq) {
@@ -126,9 +60,7 @@ bool ParseManifestFileName(const std::string& name, uint64_t* seq) {
 }
 
 CheckpointManager::CheckpointManager(CheckpointOptions options)
-    : options_(std::move(options)) {
-  if (options_.keep < 1) options_.keep = 1;
-}
+    : options_(std::move(options)) {}
 
 void CheckpointManager::BindQueue(std::string consumer, EventQueue* queue) {
   queues_.emplace_back(std::move(consumer), queue);
@@ -193,153 +125,102 @@ void CheckpointManager::AttachTo(ContinuousEngine* engine) {
       [this, engine]() { return Checkpoint(engine); });
 }
 
-Status CheckpointManager::WriteFileAtomic(const std::string& final_path,
-                                          const std::string& contents) {
+Result<uint64_t> CheckpointManager::CommitImage(const EngineCheckpoint& image,
+                                                uint64_t seq) {
+  static const DeadLetterQueue kNoDeadLetters;
+  const DeadLetterQueue& dead_letters =
+      dead_letter_ != nullptr ? *dead_letter_ : kNoDeadLetters;
+  std::string out;
+  AppendFileHeader(&out);
+  // The meta frame counts every frame after it, so recovery reads exactly
+  // those and catches a file cut at a frame boundary.
+  Encoder meta;
+  meta.PutU64(seq);
+  meta.PutI64(image.clock.millis());
+  meta.PutBool(image.clock_started);
+  meta.PutI64(image.evaluations_run);
+  meta.PutU32(static_cast<uint32_t>(image.queries.size()));
+  meta.PutU32(static_cast<uint32_t>(image.streams.size()));
+  meta.PutU32(static_cast<uint32_t>(queues_.size()));
+  meta.PutU32(static_cast<uint32_t>(dead_letters.size()));
+  meta.PutI64(dead_letters.sink_results());
+  meta.PutI64(dead_letters.elements());
+  meta.PutI64(dead_letters.evaluation_failures());
+  AppendFrame(meta.buffer(), &out);
+  for (const QueryCheckpoint& query : image.queries) {
+    Encoder enc;
+    WriteQueryCheckpoint(query, &enc);
+    AppendFrame(enc.buffer(), &out);
+  }
+  for (const auto& [name, stream] : image.streams) {
+    // The retained suffix sits at absolute positions from base_offset on;
+    // max and trimmed-through timestamps outlive the trimmed prefix
+    // (docs/INTERNALS.md, "Stream retention").
+    Encoder header;
+    header.PutString(name);
+    header.PutU64(static_cast<uint64_t>(stream.base_offset));
+    header.PutI64(stream.max_timestamp.millis());
+    header.PutI64(stream.trimmed_through.millis());
+    header.PutU32(static_cast<uint32_t>(stream.elements.size()));
+    AppendFrame(header.buffer(), &out);
+    for (const StreamElement& element : stream.elements) {
+      Encoder enc;
+      WriteStreamElement(element, &enc);
+      AppendFrame(enc.buffer(), &out);
+    }
+  }
+  for (const auto& [consumer, queue] : queues_) {
+    Encoder enc;
+    enc.PutString(consumer);
+    // An unbound consumer (never polled) has no committed position;
+    // recovery re-subscribes it at 0, which is what a fresh consumer
+    // would do anyway. The has-offset bit preserves the distinction.
+    std::optional<size_t> offset = queue->OffsetOf(consumer);
+    enc.PutBool(offset.has_value());
+    enc.PutU64(static_cast<uint64_t>(offset.value_or(0)));
+    AppendFrame(enc.buffer(), &out);
+  }
+  for (const DeadLetterEntry& entry : dead_letters.entries()) {
+    Encoder enc;
+    WriteDeadLetterEntry(entry, &enc);
+    AppendFrame(enc.buffer(), &out);
+  }
+
   SERAPH_FAULT_POINT("checkpoint.write");
+  const std::string final_path = options_.dir + "/" + ManifestFileName(seq);
   const std::string tmp_path = final_path + ".tmp";
   {
-    std::ofstream out(tmp_path, std::ios::binary | std::ios::trunc);
-    if (!out) return IoError("open", tmp_path);
-    out.write(contents.data(),
-              static_cast<std::streamsize>(contents.size()));
-    out.flush();
-    if (!out) return IoError("write", tmp_path);
+    std::ofstream file(tmp_path, std::ios::binary | std::ios::trunc);
+    if (!file) return IoError("open", tmp_path);
+    file.write(out.data(), static_cast<std::streamsize>(out.size()));
+    file.flush();
+    if (!file) return IoError("write", tmp_path);
   }
   if (options_.fsync) SERAPH_RETURN_IF_ERROR(SyncPath(tmp_path));
+  SERAPH_FAULT_POINT("checkpoint.rename");
   if (std::rename(tmp_path.c_str(), final_path.c_str()) != 0) {
     return IoError("rename", final_path);
   }
-  if (options_.fsync) {
-    SERAPH_RETURN_IF_ERROR(SyncPath(options_.dir));
-  }
-  return Status::OK();
-}
-
-Status CheckpointManager::CommitImage(const EngineCheckpoint& image,
-                                      uint64_t seq, uint64_t* bytes_written) {
-  std::vector<PendingSegment> segments;
-  segments.push_back({SegmentRole::kQueries,
-                      SegmentFileName(SegmentRole::kQueries, 0, seq),
-                      EncodeQueriesSegment(image)});
-  size_t stream_index = 0;
-  for (const auto& [name, stream] : image.streams) {
-    segments.push_back(
-        {SegmentRole::kStream,
-         SegmentFileName(SegmentRole::kStream, stream_index, seq),
-         EncodeStreamSegment(name, stream)});
-    ++stream_index;
-  }
-  {
-    std::string out;
-    AppendFileHeader(&out);
-    Encoder meta;
-    meta.PutU32(static_cast<uint32_t>(queues_.size()));
-    AppendFrame(meta.buffer(), &out);
-    for (const auto& [consumer, queue] : queues_) {
-      Encoder enc;
-      enc.PutString(consumer);
-      // An unbound consumer (never polled) has no committed position;
-      // recovery re-subscribes it at 0, which is what a fresh consumer
-      // would do anyway. The has-offset bit preserves the distinction.
-      std::optional<size_t> offset = queue->OffsetOf(consumer);
-      enc.PutBool(offset.has_value());
-      enc.PutU64(static_cast<uint64_t>(offset.value_or(0)));
-      AppendFrame(enc.buffer(), &out);
-    }
-    segments.push_back({SegmentRole::kOffsets,
-                        SegmentFileName(SegmentRole::kOffsets, 0, seq),
-                        std::move(out)});
-  }
-  {
-    std::string out;
-    AppendFileHeader(&out);
-    Encoder meta;
-    const size_t entries =
-        dead_letter_ == nullptr ? 0 : dead_letter_->entries().size();
-    meta.PutU32(static_cast<uint32_t>(entries));
-    AppendFrame(meta.buffer(), &out);
-    if (dead_letter_ != nullptr) {
-      for (const DeadLetterEntry& entry : dead_letter_->entries()) {
-        Encoder enc;
-        WriteDeadLetterEntry(entry, &enc);
-        AppendFrame(enc.buffer(), &out);
-      }
-    }
-    segments.push_back({SegmentRole::kDeadLetters,
-                        SegmentFileName(SegmentRole::kDeadLetters, 0, seq),
-                        std::move(out)});
-  }
-
-  uint64_t total_bytes = 0;
-  for (const PendingSegment& segment : segments) {
-    SERAPH_RETURN_IF_ERROR(
-        WriteFileAtomic(options_.dir + "/" + segment.file, segment.contents));
-    total_bytes += segment.contents.size();
-  }
-
-  // The manifest commits the generation: it lists every segment with its
-  // size and whole-file CRC, so recovery can validate a generation
-  // without trusting anything but the manifest frame's own checksum.
-  std::string manifest;
-  AppendFileHeader(&manifest);
-  Encoder enc;
-  enc.PutU64(seq);
-  enc.PutU32(static_cast<uint32_t>(segments.size()));
-  for (const PendingSegment& segment : segments) {
-    enc.PutU8(static_cast<uint8_t>(segment.role));
-    enc.PutString(segment.file);
-    enc.PutU64(segment.contents.size());
-    enc.PutU32(Crc32(segment.contents));
-  }
-  AppendFrame(enc.buffer(), &manifest);
-  total_bytes += manifest.size();
-
-  SERAPH_FAULT_POINT("checkpoint.rename");
-  SERAPH_RETURN_IF_ERROR(
-      WriteFileAtomic(options_.dir + "/" + ManifestFileName(seq), manifest));
-  *bytes_written = total_bytes;
-  return Status::OK();
+  if (options_.fsync) SERAPH_RETURN_IF_ERROR(SyncPath(options_.dir));
+  return static_cast<uint64_t>(out.size());
 }
 
 void CheckpointManager::GarbageCollect(uint64_t newest_seq) {
-  // Keep the newest `keep` generations; older segments and manifests go.
-  // Manifests are deleted first so a GC crash can only leave orphaned
-  // segments (harmless), never a manifest whose segments are gone.
-  if (newest_seq < static_cast<uint64_t>(options_.keep)) return;
-  const uint64_t min_kept = newest_seq - static_cast<uint64_t>(options_.keep)
-                            + 1;
+  // Keep the newest kKeptGenerations generations. A *.tmp is never part
+  // of a committed generation: a crashed writer left it. Everything else
+  // (a fleet's ingest logs, files of an older build) stays.
   std::error_code ec;
-  std::vector<fs::path> doomed_manifests;
-  std::vector<fs::path> doomed_segments;
+  std::vector<fs::path> doomed;
   for (const auto& entry : fs::directory_iterator(options_.dir, ec)) {
     const std::string name = entry.path().filename().string();
     uint64_t seq = 0;
-    if (ParseManifestFileName(name, &seq)) {
-      if (seq < min_kept) doomed_manifests.push_back(entry.path());
-      continue;
-    }
-    // Segments end with "-<seq>.seg"; orphaned .tmp files from a crashed
-    // writer are always removable.
-    if (name.size() > 4 && name.ends_with(".tmp")) {
-      doomed_segments.push_back(entry.path());
-      continue;
-    }
-    if (name.size() > 4 && name.ends_with(".seg")) {
-      size_t dash = name.rfind('-');
-      if (dash == std::string::npos) continue;
-      uint64_t file_seq = 0;
-      bool numeric = dash + 1 < name.size() - 4;
-      for (size_t i = dash + 1; numeric && i < name.size() - 4; ++i) {
-        if (name[i] < '0' || name[i] > '9') numeric = false;
-        else file_seq = file_seq * 10 + static_cast<uint64_t>(name[i] - '0');
-      }
-      if (numeric && file_seq < min_kept) {
-        doomed_segments.push_back(entry.path());
-      }
+    if ((ParseManifestFileName(name, &seq) &&
+         seq + kKeptGenerations <= newest_seq) ||
+        name.ends_with(".tmp")) {
+      doomed.push_back(entry.path());
     }
   }
-  for (const fs::path& path : doomed_manifests) fs::remove(path, ec);
-  for (const fs::path& path : doomed_segments) fs::remove(path, ec);
+  for (const fs::path& path : doomed) fs::remove(path, ec);
 }
 
 Status CheckpointManager::Checkpoint(ContinuousEngine* engine) {
@@ -378,9 +259,8 @@ Status CheckpointManager::Checkpoint(ContinuousEngine* engine) {
       seq_initialized_ = true;
     }
     const uint64_t seq = next_seq_;
-    uint64_t bytes_written = 0;
-    SERAPH_RETURN_IF_ERROR(
-        CommitImage(engine->CaptureCheckpoint(), seq, &bytes_written));
+    SERAPH_ASSIGN_OR_RETURN(uint64_t bytes_written,
+                            CommitImage(engine->CaptureCheckpoint(), seq));
     ++next_seq_;
     last_seq_ = seq;
     bytes->Record(static_cast<int64_t>(bytes_written));

@@ -1,28 +1,30 @@
 // Checkpoint writing for the durability subsystem (docs/INTERNALS.md,
 // "Durability & recovery").
 //
-// A checkpoint is a directory generation numbered by a monotonically
-// increasing sequence:
+// A checkpoint generation, numbered by a monotonically increasing
+// sequence, is one file, <dir>/MANIFEST-<seq> (persist/codec.h framing):
 //
-//   <dir>/queries-<seq>.seg    engine meta + one frame per query state
-//   <dir>/stream-<i>-<seq>.seg one file per stream (name, base offset,
-//                              max/trimmed-through timestamps, and the
-//                              retained suffix of elements)
-//   <dir>/offsets-<seq>.seg    committed consumer offsets
-//   <dir>/dlq-<seq>.seg        dead-letter entries
-//   <dir>/MANIFEST-<seq>       list of the above with sizes + CRCs
+//   meta frame       seq, clock, clock_started, evaluations_run, the
+//                    number of query, stream, offset and dead-letter
+//                    frames below, and the three dead-letter totals
+//   query frame      one per query state
+//   stream frames    per stream: name, base offset, max/trimmed-through
+//                    timestamps and element count, then one frame per
+//                    retained element
+//   offset frame     one per bound consumer and its committed offset
+//   dead letter      one per letter the dead-letter ring holds
 //
-// Every segment is written to a temp file, fsync'ed, and renamed into
-// place; the MANIFEST — written last, with the same protocol — is the
-// commit point. A crash anywhere before the manifest rename leaves the
-// previous generation's manifest as the newest valid one, so recovery
-// (persist/recovery.h) never observes a half-written checkpoint. Old
-// generations are garbage-collected after a successful commit, keeping
-// `CheckpointOptions::keep` manifests as corruption fallback.
+// The file is written to MANIFEST-<seq>.tmp, fsync'ed, renamed into
+// place, and the directory fsync'ed; the rename is the commit point. A
+// crash before it leaves the previous generation as the newest valid one,
+// so recovery (persist/recovery.h) never observes a half-written
+// checkpoint. After a commit, generations older than the newest
+// kKeptGenerations are deleted, as is any stray *.tmp.
 //
-// Fault points (common/fault.h): "checkpoint.write" fires before each
-// file write, "checkpoint.rename" before the manifest rename — the chaos
-// test kills the writer at both and proves recovery equivalence.
+// Fault points (common/fault.h): "checkpoint.write" fires before the tmp
+// write, "checkpoint.rename" after the tmp write and its fsync, before
+// the rename — the chaos test kills the writer at both and proves
+// recovery equivalence.
 #ifndef SERAPH_PERSIST_CHECKPOINT_H_
 #define SERAPH_PERSIST_CHECKPOINT_H_
 
@@ -31,6 +33,7 @@
 #include <utility>
 #include <vector>
 
+#include "common/result.h"
 #include "common/status.h"
 #include "seraph/continuous_engine.h"
 #include "seraph/dead_letter.h"
@@ -39,22 +42,15 @@
 namespace seraph {
 namespace persist {
 
-// Segment roles recorded in the manifest (stable on-disk values).
-enum class SegmentRole : uint8_t {
-  kQueries = 0,
-  kOffsets = 1,
-  kDeadLetters = 2,
-  kStream = 3,
-};
+// Generations kept after a commit: the newest plus one fallback for
+// corruption recovery.
+inline constexpr uint64_t kKeptGenerations = 2;
 
 struct CheckpointOptions {
   // Checkpoint directory; created on first write if absent.
   std::string dir;
-  // Manifests (generations) retained after a successful commit. At least
-  // 1; 2 (default) keeps one fallback generation for corruption recovery.
-  int keep = 2;
-  // fsync files and the directory around renames. Disable only in tests
-  // where the extra syscalls dominate runtime.
+  // fsync the file and the directory around the rename. Disable only in
+  // tests where the extra syscalls dominate runtime.
   bool fsync = true;
 };
 
@@ -93,7 +89,7 @@ class CheckpointManager {
 
   // Captures and atomically commits one checkpoint generation. On failure
   // nothing of the new generation is visible to recovery; the previous
-  // manifest stays the newest valid one.
+  // generation stays the newest valid one.
   Status Checkpoint(ContinuousEngine* engine);
 
   int64_t checkpoints_written() const { return checkpoints_written_; }
@@ -102,10 +98,8 @@ class CheckpointManager {
   uint64_t last_seq() const { return last_seq_; }
 
  private:
-  Status WriteFileAtomic(const std::string& final_path,
-                         const std::string& contents);
-  Status CommitImage(const EngineCheckpoint& image, uint64_t seq,
-                     uint64_t* bytes_written);
+  // Encodes and commits generation `seq`; returns the bytes written.
+  Result<uint64_t> CommitImage(const EngineCheckpoint& image, uint64_t seq);
   void GarbageCollect(uint64_t newest_seq);
 
   // Advances the checkpoint horizon of every retention-managed queue to
@@ -123,7 +117,8 @@ class CheckpointManager {
   int64_t checkpoint_failures_ = 0;
 };
 
-// Filename helpers shared with recovery/inspection.
+// Filename helpers shared with recovery/inspection: generation `seq`
+// lives in "MANIFEST-<seq>".
 std::string ManifestFileName(uint64_t seq);
 // Parses "MANIFEST-<seq>"; returns false for other names.
 bool ParseManifestFileName(const std::string& name, uint64_t* seq);

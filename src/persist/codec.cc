@@ -162,7 +162,7 @@ Status FrameReader::ReadHeader() {
 
 Result<std::string_view> FrameReader::Next() {
   if (pos_ == data_.size()) {
-    return Status::NotFound("checkpoint file: no more frames");
+    return DecodeError("file ends where a frame should start");
   }
   Decoder dec(data_.substr(pos_));
   SERAPH_ASSIGN_OR_RETURN(uint32_t len, dec.U32());

@@ -9,7 +9,7 @@
 // CRC-32 of its payload, so torn writes (truncation) and bit rot both
 // surface as explicit decode errors instead of silently corrupt state.
 //
-// Layout of every persisted file:
+// Layout of a checkpoint file:
 //
 //   [u32 magic "SRPH"][u32 format version]
 //   frame*            where frame = [u32 payload len][u32 crc32][payload]
@@ -40,15 +40,12 @@ namespace seraph {
 namespace persist {
 
 // "SRPH" in little-endian byte order, followed by the format version.
-// Stream segments carry only the retained suffix plus the stream's base
-// offset, max timestamp and trimmed-through timestamp (docs/INTERNALS.md,
-// "Stream retention"). Query frames carry the QueryStats view (ten counts
-// and the last error). Dead-letter frames carry a stream element's node
-// and relationship counts, not its graph (new in version 4). Files of any
-// other version, including version 1 (the whole stream prefix), are
-// rejected with kFailedPrecondition.
+// Version 5 writes each generation as one file whose first frame counts
+// the frames after it (persist/checkpoint.h); versions 1-4 split a
+// generation into segment files listed by a manifest. A file of any other
+// version is rejected with kFailedPrecondition.
 inline constexpr uint32_t kMagic = 0x48505253;
-inline constexpr uint32_t kFormatVersion = 4;
+inline constexpr uint32_t kFormatVersion = 5;
 
 // CRC-32 (IEEE 802.3 polynomial, the Kafka/zlib convention) of `data`.
 uint32_t Crc32(std::string_view data);
@@ -88,7 +85,6 @@ class Decoder {
   Result<double> Double();
   Result<std::string> String();
 
-  size_t remaining() const { return data_.size() - pos_; }
   bool done() const { return pos_ == data_.size(); }
 
  private:
@@ -119,8 +115,9 @@ class FrameReader {
   // instead of falling back past it or cold-starting over it.
   Status ReadHeader();
 
-  // The next frame's payload (valid while the backing file buffer lives),
-  // or kNotFound when the file ended cleanly on a frame boundary.
+  // The next frame's payload (valid while the backing file buffer lives).
+  // A file that ends where a frame should start is a decode error too:
+  // readers know how many frames to expect, so the file was cut short.
   Result<std::string_view> Next();
 
   bool done() const { return pos_ == data_.size(); }

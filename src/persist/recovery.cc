@@ -32,136 +32,19 @@ Result<std::string> ReadWholeFile(const std::string& path) {
   return contents;
 }
 
-// One manifest entry, as promised by the commit point.
-struct ManifestEntry {
-  SegmentRole role;
-  std::string file;
-  uint64_t size = 0;
-  uint32_t crc = 0;
-};
+Status DecodeError(const std::string& what) {
+  return Status::InvalidArgument("checkpoint decode: " + what);
+}
 
-struct Manifest {
-  uint64_t seq = 0;
-  std::vector<ManifestEntry> entries;
-};
-
-Result<Manifest> DecodeManifest(std::string_view contents) {
-  FrameReader reader(contents);
-  SERAPH_RETURN_IF_ERROR(reader.ReadHeader());
-  SERAPH_ASSIGN_OR_RETURN(std::string_view payload, reader.Next());
+// Decodes the next frame of `reader` with `read`.
+template <typename T>
+Result<T> ReadFrame(FrameReader* reader, Result<T> (*read)(Decoder*)) {
+  SERAPH_ASSIGN_OR_RETURN(std::string_view payload, reader->Next());
   Decoder dec(payload);
-  Manifest manifest;
-  SERAPH_ASSIGN_OR_RETURN(manifest.seq, dec.U64());
-  SERAPH_ASSIGN_OR_RETURN(uint32_t count, dec.U32());
-  manifest.entries.reserve(count);
-  for (uint32_t i = 0; i < count; ++i) {
-    ManifestEntry entry;
-    SERAPH_ASSIGN_OR_RETURN(uint8_t role, dec.U8());
-    if (role > static_cast<uint8_t>(SegmentRole::kStream)) {
-      return Status::InvalidArgument("checkpoint decode: bad segment role " +
-                                     std::to_string(role));
-    }
-    entry.role = static_cast<SegmentRole>(role);
-    SERAPH_ASSIGN_OR_RETURN(entry.file, dec.String());
-    SERAPH_ASSIGN_OR_RETURN(entry.size, dec.U64());
-    SERAPH_ASSIGN_OR_RETURN(entry.crc, dec.U32());
-    manifest.entries.push_back(std::move(entry));
-  }
-  if (!dec.done()) {
-    return Status::InvalidArgument(
-        "checkpoint decode: trailing bytes in manifest");
-  }
-  return manifest;
+  return read(&dec);
 }
 
-// Decodes queries-<seq>.seg into the engine image (clock meta + queries).
-Status DecodeQueriesSegment(std::string_view contents,
-                            EngineCheckpoint* engine) {
-  FrameReader reader(contents);
-  SERAPH_RETURN_IF_ERROR(reader.ReadHeader());
-  SERAPH_ASSIGN_OR_RETURN(std::string_view meta_payload, reader.Next());
-  Decoder meta(meta_payload);
-  SERAPH_ASSIGN_OR_RETURN(int64_t clock_millis, meta.I64());
-  engine->clock = Timestamp::FromMillis(clock_millis);
-  SERAPH_ASSIGN_OR_RETURN(engine->clock_started, meta.Bool());
-  SERAPH_ASSIGN_OR_RETURN(engine->evaluations_run, meta.I64());
-  SERAPH_ASSIGN_OR_RETURN(uint32_t count, meta.U32());
-  engine->queries.reserve(count);
-  for (uint32_t i = 0; i < count; ++i) {
-    SERAPH_ASSIGN_OR_RETURN(std::string_view payload, reader.Next());
-    Decoder dec(payload);
-    SERAPH_ASSIGN_OR_RETURN(QueryCheckpoint query, ReadQueryCheckpoint(&dec));
-    engine->queries.push_back(std::move(query));
-  }
-  return Status::OK();
-}
-
-Status DecodeStreamSegment(std::string_view contents,
-                           EngineCheckpoint* engine) {
-  FrameReader reader(contents);
-  SERAPH_RETURN_IF_ERROR(reader.ReadHeader());
-  SERAPH_ASSIGN_OR_RETURN(std::string_view meta_payload, reader.Next());
-  Decoder meta(meta_payload);
-  SERAPH_ASSIGN_OR_RETURN(std::string name, meta.String());
-  StreamCheckpoint stream;
-  SERAPH_ASSIGN_OR_RETURN(uint64_t base_offset, meta.U64());
-  stream.base_offset = static_cast<size_t>(base_offset);
-  SERAPH_ASSIGN_OR_RETURN(int64_t max_millis, meta.I64());
-  stream.max_timestamp = Timestamp::FromMillis(max_millis);
-  SERAPH_ASSIGN_OR_RETURN(int64_t trimmed_millis, meta.I64());
-  stream.trimmed_through = Timestamp::FromMillis(trimmed_millis);
-  SERAPH_ASSIGN_OR_RETURN(uint32_t count, meta.U32());
-  stream.elements.reserve(count);
-  for (uint32_t i = 0; i < count; ++i) {
-    SERAPH_ASSIGN_OR_RETURN(std::string_view payload, reader.Next());
-    Decoder dec(payload);
-    SERAPH_ASSIGN_OR_RETURN(StreamElement element, ReadStreamElement(&dec));
-    stream.elements.push_back(std::move(element));
-  }
-  if (engine->streams.contains(name)) {
-    return Status::InvalidArgument("checkpoint decode: duplicate stream '" +
-                                   name + "'");
-  }
-  engine->streams.emplace(std::move(name), std::move(stream));
-  return Status::OK();
-}
-
-Status DecodeOffsetsSegment(std::string_view contents,
-                            std::map<std::string, uint64_t>* offsets) {
-  FrameReader reader(contents);
-  SERAPH_RETURN_IF_ERROR(reader.ReadHeader());
-  SERAPH_ASSIGN_OR_RETURN(std::string_view meta_payload, reader.Next());
-  Decoder meta(meta_payload);
-  SERAPH_ASSIGN_OR_RETURN(uint32_t count, meta.U32());
-  for (uint32_t i = 0; i < count; ++i) {
-    SERAPH_ASSIGN_OR_RETURN(std::string_view payload, reader.Next());
-    Decoder dec(payload);
-    SERAPH_ASSIGN_OR_RETURN(std::string consumer, dec.String());
-    SERAPH_ASSIGN_OR_RETURN(bool has_offset, dec.Bool());
-    SERAPH_ASSIGN_OR_RETURN(uint64_t offset, dec.U64());
-    if (has_offset) offsets->insert_or_assign(std::move(consumer), offset);
-  }
-  return Status::OK();
-}
-
-Status DecodeDeadLetterSegment(std::string_view contents,
-                               std::vector<DeadLetterEntry>* entries) {
-  FrameReader reader(contents);
-  SERAPH_RETURN_IF_ERROR(reader.ReadHeader());
-  SERAPH_ASSIGN_OR_RETURN(std::string_view meta_payload, reader.Next());
-  Decoder meta(meta_payload);
-  SERAPH_ASSIGN_OR_RETURN(uint32_t count, meta.U32());
-  entries->reserve(count);
-  for (uint32_t i = 0; i < count; ++i) {
-    SERAPH_ASSIGN_OR_RETURN(std::string_view payload, reader.Next());
-    Decoder dec(payload);
-    SERAPH_ASSIGN_OR_RETURN(DeadLetterEntry entry, ReadDeadLetterEntry(&dec));
-    entries->push_back(std::move(entry));
-  }
-  return Status::OK();
-}
-
-// All manifest sequence numbers present in `dir`, descending.
+// All generation sequence numbers present in `dir`, descending.
 Result<std::vector<uint64_t>> ListManifestSeqs(const std::string& dir) {
   std::error_code ec;
   if (!fs::is_directory(dir, ec)) {
@@ -179,82 +62,78 @@ Result<std::vector<uint64_t>> ListManifestSeqs(const std::string& dir) {
   return seqs;
 }
 
-// Validates a segment against its manifest entry and decodes it into the
-// image. `summary` (optional) records per-segment status for inspection.
-Status LoadSegment(const std::string& dir, const ManifestEntry& entry,
-                   CheckpointImage* image, SegmentSummary* summary) {
-  const std::string path = dir + "/" + entry.file;
-  if (summary != nullptr) {
-    summary->role = entry.role;
-    summary->file = entry.file;
-    summary->manifest_size = entry.size;
-  }
-  auto contents = ReadWholeFile(path);
-  if (!contents.ok()) return contents.status();
-  if (summary != nullptr) {
-    summary->present = true;
-    summary->actual_size = contents->size();
-  }
-  if (contents->size() != entry.size) {
-    return Status::InvalidArgument(
-        "checkpoint decode: '" + entry.file + "' is " +
-        std::to_string(contents->size()) + " bytes, manifest promised " +
-        std::to_string(entry.size));
-  }
-  if (Crc32(*contents) != entry.crc) {
-    return Status::InvalidArgument("checkpoint decode: '" + entry.file +
-                                   "' fails its manifest CRC");
-  }
-  if (summary != nullptr) summary->crc_ok = true;
-  switch (entry.role) {
-    case SegmentRole::kQueries:
-      return DecodeQueriesSegment(*contents, &image->engine);
-    case SegmentRole::kStream:
-      return DecodeStreamSegment(*contents, &image->engine);
-    case SegmentRole::kOffsets:
-      return DecodeOffsetsSegment(*contents, &image->offsets);
-    case SegmentRole::kDeadLetters:
-      return DecodeDeadLetterSegment(*contents, &image->dead_letters);
-  }
-  return Status::InvalidArgument("checkpoint decode: unknown segment role");
-}
-
-// Loads one generation; fills `summary` segments when requested.
-Result<CheckpointImage> LoadGeneration(const std::string& dir, uint64_t seq,
-                                       std::vector<SegmentSummary>* segments) {
-  SERAPH_ASSIGN_OR_RETURN(
-      std::string manifest_bytes,
-      ReadWholeFile(dir + "/" + ManifestFileName(seq)));
-  SERAPH_ASSIGN_OR_RETURN(Manifest manifest, DecodeManifest(manifest_bytes));
-  if (manifest.seq != seq) {
-    return Status::InvalidArgument(
-        "checkpoint decode: manifest claims seq " +
-        std::to_string(manifest.seq) + ", filename says " +
-        std::to_string(seq));
-  }
-  CheckpointImage image;
-  image.seq = seq;
-  bool saw_queries = false;
-  for (const ManifestEntry& entry : manifest.entries) {
-    SegmentSummary* summary = nullptr;
-    if (segments != nullptr) {
-      segments->emplace_back();
-      summary = &segments->back();
-    }
-    SERAPH_RETURN_IF_ERROR(LoadSegment(dir, entry, &image, summary));
-    if (entry.role == SegmentRole::kQueries) saw_queries = true;
-  }
-  if (!saw_queries) {
-    return Status::InvalidArgument(
-        "checkpoint decode: manifest lists no queries segment");
-  }
-  return image;
-}
-
 }  // namespace
 
+// Reads the meta frame, then exactly the frames it counts, then the end
+// of the file.
 Result<CheckpointImage> LoadCheckpoint(const std::string& dir, uint64_t seq) {
-  return LoadGeneration(dir, seq, nullptr);
+  SERAPH_ASSIGN_OR_RETURN(std::string contents,
+                          ReadWholeFile(dir + "/" + ManifestFileName(seq)));
+  FrameReader reader(contents);
+  SERAPH_RETURN_IF_ERROR(reader.ReadHeader());
+  SERAPH_ASSIGN_OR_RETURN(std::string_view meta_payload, reader.Next());
+  Decoder meta(meta_payload);
+  CheckpointImage image;
+  SERAPH_ASSIGN_OR_RETURN(image.seq, meta.U64());
+  if (image.seq != seq) {
+    return DecodeError("generation claims seq " + std::to_string(image.seq) +
+                       ", filename says " + std::to_string(seq));
+  }
+  EngineCheckpoint& engine = image.engine;
+  SERAPH_ASSIGN_OR_RETURN(int64_t clock_millis, meta.I64());
+  engine.clock = Timestamp::FromMillis(clock_millis);
+  SERAPH_ASSIGN_OR_RETURN(engine.clock_started, meta.Bool());
+  SERAPH_ASSIGN_OR_RETURN(engine.evaluations_run, meta.I64());
+  SERAPH_ASSIGN_OR_RETURN(uint32_t queries, meta.U32());
+  SERAPH_ASSIGN_OR_RETURN(uint32_t streams, meta.U32());
+  SERAPH_ASSIGN_OR_RETURN(uint32_t offsets, meta.U32());
+  SERAPH_ASSIGN_OR_RETURN(uint32_t dead_letters, meta.U32());
+  DeadLetterTotals& totals = image.dead_letter_totals;
+  SERAPH_ASSIGN_OR_RETURN(totals.sink_results, meta.I64());
+  SERAPH_ASSIGN_OR_RETURN(totals.elements, meta.I64());
+  SERAPH_ASSIGN_OR_RETURN(totals.evaluation_failures, meta.I64());
+
+  for (uint32_t i = 0; i < queries; ++i) {
+    SERAPH_ASSIGN_OR_RETURN(QueryCheckpoint query,
+                            ReadFrame(&reader, &ReadQueryCheckpoint));
+    engine.queries.push_back(std::move(query));
+  }
+  for (uint32_t i = 0; i < streams; ++i) {
+    SERAPH_ASSIGN_OR_RETURN(std::string_view header_payload, reader.Next());
+    Decoder header(header_payload);
+    SERAPH_ASSIGN_OR_RETURN(std::string name, header.String());
+    StreamCheckpoint stream;
+    SERAPH_ASSIGN_OR_RETURN(uint64_t base_offset, header.U64());
+    stream.base_offset = static_cast<size_t>(base_offset);
+    SERAPH_ASSIGN_OR_RETURN(int64_t max_millis, header.I64());
+    stream.max_timestamp = Timestamp::FromMillis(max_millis);
+    SERAPH_ASSIGN_OR_RETURN(int64_t trimmed_millis, header.I64());
+    stream.trimmed_through = Timestamp::FromMillis(trimmed_millis);
+    SERAPH_ASSIGN_OR_RETURN(uint32_t elements, header.U32());
+    for (uint32_t j = 0; j < elements; ++j) {
+      SERAPH_ASSIGN_OR_RETURN(StreamElement element,
+                              ReadFrame(&reader, &ReadStreamElement));
+      stream.elements.push_back(std::move(element));
+    }
+    if (!engine.streams.emplace(name, std::move(stream)).second) {
+      return DecodeError("duplicate stream '" + name + "'");
+    }
+  }
+  for (uint32_t i = 0; i < offsets; ++i) {
+    SERAPH_ASSIGN_OR_RETURN(std::string_view payload, reader.Next());
+    Decoder dec(payload);
+    SERAPH_ASSIGN_OR_RETURN(std::string consumer, dec.String());
+    SERAPH_ASSIGN_OR_RETURN(bool has_offset, dec.Bool());
+    SERAPH_ASSIGN_OR_RETURN(uint64_t offset, dec.U64());
+    if (has_offset) image.offsets.insert_or_assign(std::move(consumer), offset);
+  }
+  for (uint32_t i = 0; i < dead_letters; ++i) {
+    SERAPH_ASSIGN_OR_RETURN(DeadLetterEntry entry,
+                            ReadFrame(&reader, &ReadDeadLetterEntry));
+    image.dead_letters.push_back(std::move(entry));
+  }
+  if (!reader.done()) return DecodeError("bytes after the last counted frame");
+  return image;
 }
 
 Result<CheckpointImage> LoadLatestCheckpoint(const std::string& dir) {
@@ -262,7 +141,7 @@ Result<CheckpointImage> LoadLatestCheckpoint(const std::string& dir) {
   SERAPH_ASSIGN_OR_RETURN(std::vector<uint64_t> seqs, ListManifestSeqs(dir));
   Status last_error = Status::OK();
   for (uint64_t seq : seqs) {
-    auto image = LoadGeneration(dir, seq, nullptr);
+    auto image = LoadCheckpoint(dir, seq);
     if (image.ok()) return image;
     // A generation of another format version is intact but unreadable
     // here. Falling back past it would restore older state, and reporting
@@ -285,10 +164,6 @@ Result<CheckpointImage> LoadLatestCheckpoint(const std::string& dir) {
                           "' (newest failure: " + last_error.ToString() + ")");
 }
 
-Status RestoreEngine(const CheckpointImage& image, ContinuousEngine* engine) {
-  return engine->RestoreFrom(image.engine);
-}
-
 Status RestoreConsumer(const CheckpointImage& image,
                        const std::string& consumer, EventQueue* queue) {
   queue->Subscribe(consumer);
@@ -299,21 +174,13 @@ Status RestoreConsumer(const CheckpointImage& image,
   return queue->RestoreOffset(consumer, static_cast<size_t>(it->second));
 }
 
-Status RestoreDeadLetters(const CheckpointImage& image,
-                          DeadLetterQueue* dead_letter) {
-  for (const DeadLetterEntry& entry : image.dead_letters) {
-    dead_letter->Add(entry);
-  }
-  return Status::OK();
-}
-
 Result<RecoveryReport> RecoverAll(const std::string& dir,
                                   ContinuousEngine* engine,
                                   EventQueue* queue,
                                   const std::vector<std::string>& consumers,
                                   DeadLetterQueue* dead_letter) {
   SERAPH_ASSIGN_OR_RETURN(CheckpointImage image, LoadLatestCheckpoint(dir));
-  SERAPH_RETURN_IF_ERROR(RestoreEngine(image, engine));
+  SERAPH_RETURN_IF_ERROR(engine->RestoreFrom(image.engine));
   // Complete the batch the crash interrupted. The checkpoint barrier
   // fires per evaluation batch *inside* AdvanceTo(now), so a mid-batch
   // generation records clock = t while instants in (t, now] were still
@@ -341,8 +208,9 @@ Result<RecoveryReport> RecoverAll(const std::string& dir,
     replayed += static_cast<int64_t>(backlog);
   }
   if (dead_letter != nullptr) {
-    SERAPH_RETURN_IF_ERROR(RestoreDeadLetters(image, dead_letter));
     report.dead_letters = image.dead_letters.size();
+    dead_letter->Restore(std::move(image.dead_letters),
+                         image.dead_letter_totals);
   }
   engine->metrics()
       .CounterFor("seraph_recovery_replayed_elements")
@@ -358,7 +226,11 @@ Result<std::vector<ManifestSummary>> InspectCheckpoints(
   for (uint64_t seq : seqs) {
     ManifestSummary summary;
     summary.seq = seq;
-    auto image = LoadGeneration(dir, seq, &summary.segments);
+    std::error_code ec;
+    const uintmax_t bytes =
+        fs::file_size(dir + "/" + ManifestFileName(seq), ec);
+    summary.bytes = ec ? 0 : bytes;
+    auto image = LoadCheckpoint(dir, seq);
     if (image.ok()) {
       summary.valid = true;
       summary.image = std::move(*image);

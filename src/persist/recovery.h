@@ -2,18 +2,19 @@
 // "Durability & recovery").
 //
 // Recovery scans the checkpoint directory for MANIFEST-<seq> files in
-// descending sequence order and loads the newest generation whose
-// manifest AND every listed segment validate (size, whole-file CRC,
-// frame CRCs, clean decode). A torn, truncated, or bit-flipped file
-// fails validation and recovery falls back to the previous generation —
-// the manifest-last write protocol (persist/checkpoint.h) guarantees at
-// most the newest generation can be damaged by a crash mid-write.
+// descending sequence order and loads the newest generation that
+// validates: header, every frame's CRC, a clean decode, exactly the
+// frames its meta frame counts and nothing after them. A torn, truncated
+// (even at a frame boundary) or bit-flipped file fails validation and
+// recovery falls back to the previous generation — the rename commit
+// (persist/checkpoint.h) guarantees at most the newest generation can be
+// damaged by a crash mid-write, and a *.tmp is never read.
 //
-// The replay-exactness contract: after RestoreEngine + RestoreConsumer,
-// a fresh StreamDriver pumping the queue suffix past the committed
-// offset produces sink output bit-identical (content and order) to an
-// uninterrupted run — the crash-recovery equivalence test proves it for
-// crashes at every fault point.
+// The replay-exactness contract: after ContinuousEngine::RestoreFrom +
+// Drain + RestoreConsumer, a fresh StreamDriver pumping the queue suffix
+// past the committed offset produces sink output bit-identical (content
+// and order) to an uninterrupted run — the crash-recovery equivalence
+// test proves it for crashes at every fault point.
 #ifndef SERAPH_PERSIST_RECOVERY_H_
 #define SERAPH_PERSIST_RECOVERY_H_
 
@@ -39,10 +40,13 @@ struct CheckpointImage {
   // Consumer → committed offset (consumers without a committed position
   // at checkpoint time are absent).
   std::map<std::string, uint64_t> offsets;
+  // The dead-letter ring, oldest first, and the exact totals behind it
+  // (DeadLetterQueue::Restore takes both).
   std::vector<DeadLetterEntry> dead_letters;
+  DeadLetterTotals dead_letter_totals;
 };
 
-// Loads and validates the generation committed by MANIFEST-<seq>.
+// Loads and validates generation `seq` (the file MANIFEST-<seq>).
 Result<CheckpointImage> LoadCheckpoint(const std::string& dir, uint64_t seq);
 
 // Loads the newest valid generation, falling back across corrupted ones;
@@ -53,25 +57,11 @@ Result<CheckpointImage> LoadCheckpoint(const std::string& dir, uint64_t seq);
 // tests can kill a process mid-recovery and assert the retry succeeds.
 Result<CheckpointImage> LoadLatestCheckpoint(const std::string& dir);
 
-// Applies the image's engine state via ContinuousEngine::RestoreFrom.
-// The engine must be fresh, with all checkpointed queries already
-// re-registered. Callers composing recovery manually must follow this
-// with ContinuousEngine::Drain() BEFORE replaying any queue backlog:
-// the checkpoint barrier fires per batch inside AdvanceTo, so a
-// mid-batch cut leaves instants up to the delivered horizon (= the max
-// restored stream timestamp, what Drain advances to) still pending.
-// RecoverAll does this automatically.
-Status RestoreEngine(const CheckpointImage& image, ContinuousEngine* engine);
-
 // Re-seeks `consumer` on `queue` to its committed offset (subscribing it
 // first). A consumer absent from the image is subscribed at 0 — the
 // position a fresh consumer would start from anyway.
 Status RestoreConsumer(const CheckpointImage& image,
                        const std::string& consumer, EventQueue* queue);
-
-// Re-adds the image's dead letters to `dead_letter`.
-Status RestoreDeadLetters(const CheckpointImage& image,
-                          DeadLetterQueue* dead_letter);
 
 // What RecoverAll did, for logs and the seraph_run --restore banner.
 struct RecoveryReport {
@@ -84,10 +74,15 @@ struct RecoveryReport {
   std::map<std::string, size_t> replay_backlog;
 };
 
-// Convenience composition: load latest → restore engine → complete the
-// interrupted evaluation batch (Drain to the restored horizon) →
-// re-seek every consumer → restore dead letters (skipped when
-// `dead_letter` is null).
+// Convenience composition: load latest → ContinuousEngine::RestoreFrom
+// (the engine must be fresh, with every checkpointed query re-registered)
+// → complete the interrupted evaluation batch → re-seek every consumer →
+// restore dead letters (skipped when `dead_letter` is null). Callers
+// composing recovery by hand must Drain() right after RestoreFrom, BEFORE
+// replaying any queue backlog: the checkpoint barrier fires per batch
+// inside AdvanceTo, so a mid-batch cut leaves instants up to the
+// delivered horizon (the max restored stream timestamp, where Drain
+// advances to) still pending.
 // Records `seraph_recovery_replayed_elements` on the engine's registry —
 // the total queue backlog past the restored offsets that drivers will
 // re-deliver on the next pump.
@@ -99,27 +94,18 @@ Result<RecoveryReport> RecoverAll(const std::string& dir,
 
 // ---- Inspection (seraph_run --inspect-checkpoint) ----
 
-struct SegmentSummary {
-  SegmentRole role;
-  std::string file;
-  uint64_t manifest_size = 0;  // Size the manifest promises.
-  uint64_t actual_size = 0;    // Size on disk (0 if missing).
-  bool present = false;
-  bool crc_ok = false;
-};
-
 struct ManifestSummary {
   uint64_t seq = 0;
+  uint64_t bytes = 0;     // File size on disk.
   bool valid = false;     // The whole generation loads cleanly.
   std::string error;      // Why not, when !valid.
-  std::vector<SegmentSummary> segments;
   // Filled when valid:
   std::optional<CheckpointImage> image;
 };
 
-// Summarizes every manifest in the directory, newest first. Unlike
+// Summarizes every generation in the directory, newest first. Unlike
 // LoadLatestCheckpoint this never gives up on corruption — damaged
-// generations are reported with their per-segment CRC status.
+// generations are reported with the error that rejected them.
 Result<std::vector<ManifestSummary>> InspectCheckpoints(
     const std::string& dir);
 

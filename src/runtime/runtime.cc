@@ -221,7 +221,7 @@ void Runtime::Publish() {
   std::string fresh;
   if (fleet_ != nullptr) {
     fresh = QueriesStatusJson(*fleet_);
-    dead_letter_depth_->Set(fleet_->Overload().dead_letters);
+    dead_letter_depth_->Set(fleet_->Overload().dead_letter_depth);
   } else {
     fresh = QueriesStatusJson(*engine_);
   }
@@ -235,7 +235,8 @@ shard::OverloadLedger Runtime::Overload() const {
   ledger.queue_shed = queue_->shed_total();
   ledger.rejected = queue_->rejected_total();
   ledger.trimmed = queue_->trimmed_total();
-  ledger.dead_letters = static_cast<int64_t>(dead_letters_.size());
+  ledger.dead_letters = dead_letters_.total();
+  ledger.dead_letter_depth = static_cast<int64_t>(dead_letters_.size());
   return ledger;
 }
 

@@ -1,5 +1,8 @@
 #include "seraph/dead_letter.h"
 
+#include <algorithm>
+#include <iterator>
+
 #include "io/json.h"
 
 namespace seraph {
@@ -17,9 +20,8 @@ void DeadLetterQueue::AddSinkResult(const std::string& sink,
   entry.error = std::move(error);
   entry.attempts = attempts;
   entry.result = result;
-  entries_.push_back(std::move(entry));
-  ++sink_results_;
-  UpdateDepth();
+  Push(std::move(entry));
+  ++totals_.sink_results;
 }
 
 void DeadLetterQueue::AddElement(const std::string& consumer,
@@ -34,9 +36,8 @@ void DeadLetterQueue::AddElement(const std::string& consumer,
   entry.element = DeadLetterEntry::ElementSummary{
       static_cast<int64_t>(element.graph->num_nodes()),
       static_cast<int64_t>(element.graph->num_relationships())};
-  entries_.push_back(std::move(entry));
-  ++elements_;
-  UpdateDepth();
+  Push(std::move(entry));
+  ++totals_.elements;
 }
 
 void DeadLetterQueue::AddEvaluationFailure(const std::string& query,
@@ -49,32 +50,22 @@ void DeadLetterQueue::AddEvaluationFailure(const std::string& query,
   entry.timestamp = evaluation_time;
   entry.error = std::move(error);
   entry.attempts = 1;
-  entries_.push_back(std::move(entry));
-  ++evaluation_failures_;
+  Push(std::move(entry));
+  ++totals_.evaluation_failures;
+}
+
+void DeadLetterQueue::Restore(std::vector<DeadLetterEntry> entries,
+                              DeadLetterTotals totals) {
+  const size_t kept = std::min(entries.size(), kDeadLetterCapacity);
+  entries_.assign(std::make_move_iterator(entries.end() - kept),
+                  std::make_move_iterator(entries.end()));
+  totals_ = totals;
   UpdateDepth();
 }
 
-void DeadLetterQueue::Add(DeadLetterEntry entry) {
-  switch (entry.kind) {
-    case DeadLetterEntry::Kind::kSinkResult:
-      ++sink_results_;
-      break;
-    case DeadLetterEntry::Kind::kStreamElement:
-      ++elements_;
-      break;
-    case DeadLetterEntry::Kind::kEvaluation:
-      ++evaluation_failures_;
-      break;
-  }
+void DeadLetterQueue::Push(DeadLetterEntry entry) {
+  if (entries_.size() == kDeadLetterCapacity) entries_.pop_front();
   entries_.push_back(std::move(entry));
-  UpdateDepth();
-}
-
-void DeadLetterQueue::Clear() {
-  entries_.clear();
-  sink_results_ = 0;
-  elements_ = 0;
-  evaluation_failures_ = 0;
   UpdateDepth();
 }
 

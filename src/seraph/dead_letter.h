@@ -11,13 +11,16 @@
 //    past the per-element error budget.
 //
 // Nothing in the pipeline silently drops data: what cannot be delivered
-// lands here with the status that rejected it and the attempt count, so
-// an operator (or seraph_run --dead-letter=<path>) can inspect it. The
-// JSON-lines export is for reading only; a restart gets its dead letters
-// back from the checkpoint (persist::RestoreDeadLetters).
+// is counted here by kind, and the newest kDeadLetterCapacity letters are
+// kept with the status that rejected them and the attempt count, so an
+// operator (or seraph_run --dead-letter=<path>) can inspect them. The
+// JSON-lines export is for reading only; a restart gets its letters and
+// totals back from the checkpoint (DeadLetterQueue::Restore).
 #ifndef SERAPH_SERAPH_DEAD_LETTER_H_
 #define SERAPH_SERAPH_DEAD_LETTER_H_
 
+#include <cstddef>
+#include <deque>
 #include <optional>
 #include <ostream>
 #include <string>
@@ -62,9 +65,24 @@ struct DeadLetterEntry {
   std::optional<ElementSummary> element;
 };
 
-// An in-memory dead-letter queue (bounded only by what the run rejects;
-// a permanently failing sink is quarantined, which caps its inflow).
-// Not thread-safe, like the engine that feeds it.
+// Letters a DeadLetterQueue keeps. A sustained shed_oldest overload
+// dead-letters thousands of elements a second, so the queue keeps only
+// the newest ones (about 1.3 MB at this size) and counts the rest.
+inline constexpr size_t kDeadLetterCapacity = 4096;
+
+// Letters added per kind since the run began, evicted ones included.
+struct DeadLetterTotals {
+  int64_t sink_results = 0;
+  int64_t elements = 0;
+  int64_t evaluation_failures = 0;
+
+  int64_t total() const {
+    return sink_results + elements + evaluation_failures;
+  }
+};
+
+// An in-memory ring of the newest kDeadLetterCapacity dead letters, with
+// exact per-kind totals. Not thread-safe, like the engine that feeds it.
 class DeadLetterQueue {
  public:
   void AddSinkResult(const std::string& sink, const std::string& query,
@@ -78,37 +96,37 @@ class DeadLetterQueue {
   // missing from the output.
   void AddEvaluationFailure(const std::string& query,
                             Timestamp evaluation_time, Status error);
-  // Appends an already-assembled entry, updating the per-kind counters —
-  // the restore path (persist::RestoreDeadLetters) re-adds entries
-  // captured in an earlier life.
-  void Add(DeadLetterEntry entry);
+  // Replaces the contents with letters and totals captured in an earlier
+  // life (the checkpoint restore path).
+  void Restore(std::vector<DeadLetterEntry> entries, DeadLetterTotals totals);
 
+  // Letters held, at most kDeadLetterCapacity.
   size_t size() const { return entries_.size(); }
   bool empty() const { return entries_.empty(); }
-  const std::vector<DeadLetterEntry>& entries() const { return entries_; }
+  // The newest letters, oldest first.
+  const std::deque<DeadLetterEntry>& entries() const { return entries_; }
 
-  int64_t sink_results() const { return sink_results_; }
-  int64_t elements() const { return elements_; }
-  int64_t evaluation_failures() const { return evaluation_failures_; }
+  int64_t sink_results() const { return totals_.sink_results; }
+  int64_t elements() const { return totals_.elements; }
+  int64_t evaluation_failures() const { return totals_.evaluation_failures; }
+  int64_t total() const { return totals_.total(); }
 
   // Mirrors size() into a registry gauge (`seraph_dead_letter_depth`) on
-  // every mutation, so live scrapers see the depth without touching the
-  // (non-thread-safe) queue itself. Not owned; null detaches.
+  // every mutation, so live scrapers see how full the ring is without
+  // touching the (non-thread-safe) queue itself. Not owned; null detaches.
   void BindDepthGauge(Gauge* gauge) {
     depth_gauge_ = gauge;
-    if (depth_gauge_ != nullptr) {
-      depth_gauge_->Set(static_cast<int64_t>(entries_.size()));
-    }
+    UpdateDepth();
   }
 
-  void Clear();
-
-  // One JSON object per entry (the format documented in
+  // One JSON object per held entry (the format documented in
   // docs/INTERNALS.md): sink results carry the full rows payload;
   // elements carry their node/relationship summary.
   Status WriteJsonLines(std::ostream* os) const;
 
  private:
+  // Appends `entry`, evicting the oldest letter when the ring is full.
+  void Push(DeadLetterEntry entry);
   // Pushes the current size into the bound gauge (no-op when unbound).
   void UpdateDepth() {
     if (depth_gauge_ != nullptr) {
@@ -116,10 +134,8 @@ class DeadLetterQueue {
     }
   }
 
-  std::vector<DeadLetterEntry> entries_;
-  int64_t sink_results_ = 0;
-  int64_t elements_ = 0;
-  int64_t evaluation_failures_ = 0;
+  std::deque<DeadLetterEntry> entries_;
+  DeadLetterTotals totals_;
   Gauge* depth_gauge_ = nullptr;
 };
 

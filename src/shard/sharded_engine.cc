@@ -545,7 +545,9 @@ OverloadLedger ShardedEngine::Overload() const {
       ledger.rejected += lane->queue->rejected_total();
       ledger.trimmed += lane->queue->trimmed_total();
     }
-    ledger.dead_letters += static_cast<int64_t>(shard->dead_letters.size());
+    ledger.dead_letters += shard->dead_letters.total();
+    ledger.dead_letter_depth +=
+        static_cast<int64_t>(shard->dead_letters.size());
   }
   return ledger;
 }
@@ -618,10 +620,9 @@ Status ShardedEngine::Restore() {
       }
       // Cold shard: no committed generation; replay its logs from zero.
     } else {
-      SERAPH_RETURN_IF_ERROR(persist::RestoreEngine(*image,
-                                                    shard->engine.get()));
+      SERAPH_RETURN_IF_ERROR(shard->engine->RestoreFrom(image->engine));
       // Complete the interrupted evaluation batch before any replay (the
-      // RestoreEngine contract).
+      // persist::RecoverAll contract).
       SERAPH_RETURN_IF_ERROR(shard->engine->Drain());
       for (auto& [stream, lane] : shard->lanes) {
         SERAPH_RETURN_IF_ERROR(persist::RestoreConsumer(
@@ -630,8 +631,8 @@ Status ShardedEngine::Restore() {
         // trims the prefix the checkpoint covers instead of holding it.
         shard->manager->ManageRetention(lane->queue.get());
       }
-      SERAPH_RETURN_IF_ERROR(
-          persist::RestoreDeadLetters(*image, &shard->dead_letters));
+      shard->dead_letters.Restore(std::move(image->dead_letters),
+                                  image->dead_letter_totals);
     }
     SERAPH_RETURN_IF_ERROR(ReplayIngestLogs(i));
   }

@@ -78,7 +78,8 @@ struct OverloadLedger {
   int64_t queue_shed = 0;  // Evicted by a full shed_oldest queue.
   int64_t rejected = 0;    // Produces a full queue refused.
   int64_t trimmed = 0;     // Released by retention.
-  int64_t dead_letters = 0;
+  int64_t dead_letters = 0;       // Letters ever added, evicted ones too.
+  int64_t dead_letter_depth = 0;  // Letters the shards' rings hold.
 };
 
 // Where a query was placed (the shard set its partitioners imply).

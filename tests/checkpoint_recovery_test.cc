@@ -2,11 +2,11 @@
 // and crash recovery (docs/INTERNALS.md, "Durability & recovery").
 //
 // The central property asserted here is replay exactness: for a crash at
-// ANY point — mid-segment-write, before the manifest rename, during
+// ANY point — before the generation write, before its rename, during
 // recovery itself, or with the newest generation torn / bit-flipped /
-// partially deleted — restoring from the newest valid manifest and
-// replaying the queue suffix produces sink output bit-identical to the
-// uninterrupted run. Concretely: the recovered run emits exactly the
+// cut at a frame boundary — restoring from the newest valid generation
+// and replaying the queue suffix produces sink output bit-identical to
+// the uninterrupted run. Concretely: the recovered run emits exactly the
 // oracle's suffix starting at the restored evaluation count, so
 // (pre-crash committed output) + (post-restore output) == oracle.
 #include <gtest/gtest.h>
@@ -264,7 +264,10 @@ TEST_F(CheckpointRecoveryTest, FrameReaderRejectsCorruption) {
     ASSERT_TRUE(reader.ReadHeader().ok());
     auto frame = reader.Next();
     ASSERT_TRUE(frame.ok()) << frame.status();
-    EXPECT_EQ(reader.Next().status().code(), StatusCode::kNotFound);
+    EXPECT_TRUE(reader.done());
+    // Readers know how many frames to expect, so asking past the end is
+    // a file cut short.
+    EXPECT_EQ(reader.Next().status().code(), StatusCode::kInvalidArgument);
   }
   {
     // Bit flip inside the payload: the frame CRC catches it.
@@ -503,7 +506,6 @@ void RunVictim(const std::string& dir, EventQueue* queue, int pumps,
   ASSERT_TRUE(engine.RegisterText(kCountQuery).ok());
   CheckpointOptions checkpoint_options;
   checkpoint_options.dir = dir;
-  checkpoint_options.keep = 2;
   checkpoint_options.fsync = false;
   CheckpointManager manager(checkpoint_options);
   manager.BindQueue(kConsumer, queue);
@@ -580,6 +582,9 @@ void RecoverAndCheck(const std::string& dir, EventQueue* queue,
 
 TEST_F(CheckpointRecoveryTest, GarbageCollectionKeepsConfiguredGenerations) {
   const std::string dir = FreshDir("gc");
+  // A stray tmp a crashed writer of an older build left behind.
+  fs::create_directories(dir);
+  std::ofstream(dir + "/queries-1.seg.tmp") << "torn";
   EventQueue queue;
   uint64_t last_seq = 0;
   RunVictim(dir, &queue, kRounds, nullptr, &last_seq);
@@ -588,10 +593,12 @@ TEST_F(CheckpointRecoveryTest, GarbageCollectionKeepsConfiguredGenerations) {
   for (const auto& entry : fs::directory_iterator(dir)) {
     const std::string name = entry.path().filename().string();
     EXPECT_FALSE(name.ends_with(".tmp")) << name << " leaked";
+    // A generation is one file; nothing writes segments any more.
+    EXPECT_FALSE(name.ends_with(".seg")) << name;
     uint64_t seq = 0;
     if (persist::ParseManifestFileName(name, &seq)) {
       ++manifests;
-      EXPECT_GE(seq, last_seq - 1);  // keep = 2.
+      EXPECT_GE(seq, last_seq - 1);  // kKeptGenerations = 2.
     }
   }
   EXPECT_EQ(manifests, 2);
@@ -659,44 +666,53 @@ TEST_F(CheckpointRecoveryTest, RecoveryReadFaultIsTransientAndRetriable) {
   RecoverAndCheck(dir, &queue, expected, 3);
 }
 
-// Corruption of the newest generation (bit rot, torn manifest, lost
-// segment) falls back to the previous generation — and the run still
-// continues bit-identically from there.
+// Corruption of the newest generation (bit rot, a torn file, a file cut
+// at a frame boundary) falls back to the previous generation — and the
+// run still continues bit-identically from there.
 TEST_F(CheckpointRecoveryTest, CorruptedNewestGenerationFallsBack) {
   const TimeVaryingTable expected = Oracle();
   struct Corruption {
     const char* name;
-    void (*apply)(const std::string& dir, uint64_t last_seq);
+    void (*apply)(const std::string& path);
   };
   const Corruption corruptions[] = {
       {"bitflip",
-       [](const std::string& dir, uint64_t last_seq) {
-         const std::string path =
-             dir + "/queries-" + std::to_string(last_seq) + ".seg";
+       [](const std::string& path) {
+         const auto middle =
+             static_cast<std::streamoff>(fs::file_size(path) / 2);
          std::fstream file(path, std::ios::in | std::ios::out |
                                      std::ios::binary);
          ASSERT_TRUE(file.is_open());
-         file.seekp(12);
          char byte = 0;
-         file.seekg(12);
+         file.seekg(middle);
          file.get(byte);
          byte = static_cast<char>(byte ^ 0x20);
-         file.seekp(12);
+         file.seekp(middle);
          file.put(byte);
        }},
       {"torn_manifest",
-       [](const std::string& dir, uint64_t last_seq) {
-         const std::string path = dir + "/" + persist::ManifestFileName(
-                                                  last_seq);
+       [](const std::string& path) {
          const auto size = fs::file_size(path);
          ASSERT_GT(size, 4u);
          fs::resize_file(path, size / 2);
        }},
-      {"deleted_segment",
-       [](const std::string& dir, uint64_t last_seq) {
-         const std::string path =
-             dir + "/offsets-" + std::to_string(last_seq) + ".seg";
-         ASSERT_TRUE(fs::remove(path));
+      // Drops the last whole frame (the consumer offset): every frame
+      // left verifies, so only the meta frame's counts catch the cut.
+      {"truncated_at_frame_boundary",
+       [](const std::string& path) {
+         std::ifstream in(path, std::ios::binary);
+         const std::string bytes((std::istreambuf_iterator<char>(in)),
+                                 std::istreambuf_iterator<char>());
+         FrameReader reader(bytes);
+         ASSERT_TRUE(reader.ReadHeader().ok());
+         size_t last_frame = 0;
+         while (!reader.done()) {
+           auto payload = reader.Next();
+           ASSERT_TRUE(payload.ok()) << payload.status();
+           last_frame = static_cast<size_t>(payload->data() - bytes.data()) - 8;
+         }
+         ASSERT_GT(last_frame, 8u);
+         fs::resize_file(path, last_frame);
        }},
   };
   int case_id = 0;
@@ -708,7 +724,7 @@ TEST_F(CheckpointRecoveryTest, CorruptedNewestGenerationFallsBack) {
     uint64_t last_seq = 0;
     RunVictim(dir, &queue, 3, nullptr, &last_seq);
     ASSERT_GT(last_seq, 1u);
-    corruption.apply(dir, last_seq);
+    corruption.apply(dir + "/" + persist::ManifestFileName(last_seq));
 
     // The damaged generation is skipped; the fallback loads.
     auto latest = persist::LoadLatestCheckpoint(dir);
@@ -726,6 +742,55 @@ TEST_F(CheckpointRecoveryTest, CorruptedNewestGenerationFallsBack) {
 
     RecoverAndCheck(dir, &queue, expected, 3);
   }
+}
+
+// A crash at checkpoint.rename leaves the whole generation in
+// MANIFEST-<seq>.tmp. Recovery never reads a tmp: it restores the last
+// committed generation, and the restarted writer's next commit leaves no
+// tmp behind.
+TEST_F(CheckpointRecoveryTest, CrashAtRenameLeavesATmpThatRecoveryIgnores) {
+  const std::string dir = FreshDir("rename_tmp");
+  EventQueue queue;
+  uint64_t last_seq = 0;
+  RunVictim(dir, &queue, 3, "checkpoint.rename", &last_seq);
+  FaultInjector::Global().Reset();
+  ASSERT_GT(last_seq, 0u);
+  const std::string uncommitted = persist::ManifestFileName(last_seq + 1);
+  const std::string tmp = dir + "/" + uncommitted + ".tmp";
+  ASSERT_TRUE(fs::exists(tmp));
+  {
+    // The tmp is complete: under its final name it would load.
+    const std::string probe = FreshDir("rename_tmp_probe");
+    fs::create_directories(probe);
+    fs::copy_file(tmp, probe + "/" + uncommitted);
+    EXPECT_TRUE(persist::LoadCheckpoint(probe, last_seq + 1).ok());
+  }
+  auto summaries = persist::InspectCheckpoints(dir);
+  ASSERT_TRUE(summaries.ok()) << summaries.status();
+  ASSERT_FALSE(summaries->empty());
+  EXPECT_EQ(summaries->front().seq, last_seq);
+
+  EngineOptions options;
+  options.checkpoint_every = 1;
+  ContinuousEngine engine(options);
+  ASSERT_TRUE(engine.RegisterText(kCountQuery).ok());
+  auto report =
+      persist::RecoverAll(dir, &engine, &queue, {kConsumer}, nullptr);
+  ASSERT_TRUE(report.ok()) << report.status();
+  EXPECT_EQ(report->seq, last_seq);
+  CheckpointOptions checkpoint_options;
+  checkpoint_options.dir = dir;
+  checkpoint_options.fsync = false;
+  CheckpointManager manager(checkpoint_options);
+  manager.BindQueue(kConsumer, &queue);
+  const Status committed = manager.Checkpoint(&engine);
+  ASSERT_TRUE(committed.ok()) << committed;
+  EXPECT_EQ(manager.last_seq(), last_seq + 1);
+  for (const auto& entry : fs::directory_iterator(dir)) {
+    EXPECT_FALSE(entry.path().filename().string().ends_with(".tmp"))
+        << entry.path() << " leaked";
+  }
+  EXPECT_TRUE(persist::LoadCheckpoint(dir, last_seq + 1).ok());
 }
 
 // The checkpoint barrier fires per batch INSIDE AdvanceTo, so falling
@@ -885,7 +950,7 @@ void RecoverSilenceRun(const std::string& dir, Lanes* lanes,
     }
     restored_evals =
         static_cast<size_t>(image->engine.queries.at(0).stats.evaluations);
-    ASSERT_TRUE(persist::RestoreEngine(*image, &engine).ok());
+    ASSERT_TRUE(engine.RestoreFrom(image->engine).ok());
     // The interrupted batch ends at the heartbeat's max timestamp, which
     // survives the trim of its stream to nothing.
     ASSERT_TRUE(engine.Drain().ok());
@@ -990,7 +1055,6 @@ TEST_F(CheckpointRecoveryTest, DriverResumeExactlyOnceUnderChaos) {
     ASSERT_TRUE(engine.RegisterText(kCountQuery).ok());
     CheckpointOptions checkpoint_options;
     checkpoint_options.dir = dir;
-    checkpoint_options.keep = 2;
     checkpoint_options.fsync = false;
     CheckpointManager manager(checkpoint_options);
     manager.BindQueue(kConsumer, &queue);
@@ -1269,10 +1333,10 @@ TEST_F(CheckpointRecoveryTest, BoundedShardedRestoreReplaysInTimestampOrder) {
   }
 }
 
-// Rewrites the header version of the manifests in `dir` (every one, or
-// only MANIFEST-<only_seq>), as a build with another kFormatVersion would
-// have written them. The header sits outside every frame CRC, so the
-// manifests stay otherwise intact.
+// Rewrites the header version of the generation files in `dir` (every
+// one, or only MANIFEST-<only_seq>), as a build with another
+// kFormatVersion would have written them. The header sits outside every
+// frame CRC, so the files stay otherwise intact.
 void StampManifestVersion(const std::string& dir, uint32_t version,
                           uint64_t only_seq = 0) {
   for (const auto& entry : fs::directory_iterator(dir)) {
@@ -1298,7 +1362,7 @@ void StampManifestVersion(const std::string& dir, uint32_t version,
 // which callers treat as a cold start that re-emits every result the
 // earlier run already delivered.
 TEST_F(CheckpointRecoveryTest, OtherFormatVersionFailsRecoveryLoudly) {
-  for (uint32_t old_version : {1u, 2u, 3u}) {
+  for (uint32_t old_version : {1u, 2u, 3u, 4u}) {
     SCOPED_TRACE("every generation from an older build, version " +
                  std::to_string(old_version));
     const std::string dir =
@@ -1336,7 +1400,7 @@ TEST_F(CheckpointRecoveryTest, OtherFormatVersionFailsRecoveryLoudly) {
     EXPECT_EQ(latest.status().code(), StatusCode::kFailedPrecondition)
         << latest.status();
   }
-  for (uint32_t old_version : {1u, 2u, 3u}) {
+  for (uint32_t old_version : {1u, 2u, 3u, 4u}) {
     SCOPED_TRACE("sharded fleet, version " + std::to_string(old_version));
     const std::string dir =
         FreshDir("old_format_sharded_v" + std::to_string(old_version));
@@ -1388,11 +1452,82 @@ TEST_F(CheckpointRecoveryTest, DeadLettersAreCheckpointedAndRestored) {
   ASSERT_TRUE(image.ok()) << image.status();
   ASSERT_EQ(image->dead_letters.size(), 1u);
   DeadLetterQueue restored;
-  ASSERT_TRUE(persist::RestoreDeadLetters(*image, &restored).ok());
+  restored.Restore(image->dead_letters, image->dead_letter_totals);
   EXPECT_EQ(restored.evaluation_failures(), 1);
   EXPECT_EQ(restored.entries()[0].query, "q");
   EXPECT_EQ(restored.entries()[0].error,
             Status::EvaluationError("lost eval"));
+}
+
+// Under a sustained overload the queue keeps only the newest letters;
+// the per-kind totals still count every one, across a checkpoint too.
+TEST_F(CheckpointRecoveryTest, DeadLetterRingKeepsTheNewestAndExactTotals) {
+  const int64_t capacity = static_cast<int64_t>(kDeadLetterCapacity);
+  const int64_t letters = 3 * capacity;
+  TimeAnnotatedTable result;
+  result.window = TimeInterval{T(0), T(5)};
+  const StreamElement element{std::make_shared<const PropertyGraph>(Item(7)),
+                              T(9)};
+  MetricsRegistry registry;
+  Gauge* depth = registry.GaugeFor("seraph_dead_letter_depth");
+  DeadLetterQueue dlq;
+  dlq.BindDepthGauge(depth);
+  // Letter i is stamped at i ms; its kind cycles sink result, element,
+  // evaluation (the Kind enum's order).
+  for (int64_t i = 0; i < letters; ++i) {
+    const Timestamp at = Timestamp::FromMillis(i);
+    switch (i % 3) {
+      case 0:
+        dlq.AddSinkResult("csv", "q", at, result, Status::Unavailable("down"),
+                          3);
+        break;
+      case 1:
+        dlq.AddElement(kConsumer, StreamElement{element.graph, at},
+                       Status::Unavailable("shed"), 0);
+        break;
+      default:
+        dlq.AddEvaluationFailure("q", at, Status::EvaluationError("div"));
+        break;
+    }
+  }
+  auto expect_ring = [&](const DeadLetterQueue& queue) {
+    ASSERT_EQ(queue.size(), kDeadLetterCapacity);
+    EXPECT_EQ(queue.sink_results(), capacity);
+    EXPECT_EQ(queue.elements(), capacity);
+    EXPECT_EQ(queue.evaluation_failures(), capacity);
+    EXPECT_EQ(queue.total(), letters);
+    for (int64_t i = 0; i < capacity; ++i) {
+      const DeadLetterEntry& entry = queue.entries()[static_cast<size_t>(i)];
+      const int64_t n = letters - capacity + i;
+      ASSERT_EQ(entry.timestamp, Timestamp::FromMillis(n)) << i;
+      ASSERT_EQ(static_cast<int64_t>(entry.kind), n % 3) << i;
+    }
+  };
+  expect_ring(dlq);
+  EXPECT_EQ(depth->value(), capacity);
+
+  const std::string dir = FreshDir("dlq_ring");
+  ContinuousEngine engine;
+  ASSERT_TRUE(engine.RegisterText(kCountQuery).ok());
+  CheckpointOptions checkpoint_options;
+  checkpoint_options.dir = dir;
+  checkpoint_options.fsync = false;
+  CheckpointManager manager(checkpoint_options);
+  manager.BindDeadLetter(&dlq);
+  ASSERT_TRUE(manager.Checkpoint(&engine).ok());
+  ContinuousEngine restored_engine;
+  ASSERT_TRUE(restored_engine.RegisterText(kCountQuery).ok());
+  EventQueue queue;
+  Gauge* restored_depth = restored_engine.metrics().GaugeFor(
+      "seraph_dead_letter_depth");
+  DeadLetterQueue restored;
+  restored.BindDepthGauge(restored_depth);
+  auto report =
+      persist::RecoverAll(dir, &restored_engine, &queue, {}, &restored);
+  ASSERT_TRUE(report.ok()) << report.status();
+  EXPECT_EQ(report->dead_letters, kDeadLetterCapacity);
+  expect_ring(restored);
+  EXPECT_EQ(restored_depth->value(), capacity);
 }
 
 TEST_F(CheckpointRecoveryTest, DeadLetterJsonExportCoversEveryKind) {

@@ -1015,8 +1015,8 @@ TEST(RetentionTest, CheckpointBytesStayFlatAfterTheFirstWindow) {
     last_sum = bytes->sum();
     ASSERT_GT(generation, 0);
     if (m == 35) first_window_bytes = generation;
-    // Only the generation number's digits in the manifest's file names
-    // may still vary.
+    // Once the window is full every generation holds as many elements,
+    // so its size stays within a few bytes of the first full window's.
     if (m > 35) {
       EXPECT_LE(std::abs(generation - first_window_bytes), 64)
           << "at " << T(m).ToString();

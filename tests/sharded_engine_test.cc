@@ -310,6 +310,7 @@ TEST(ShardedEngineTest, OverloadLedgerSumsEveryLane) {
   OverloadLedger ledger = fleet.Overload();
   EXPECT_EQ(ledger.queue_shed, 6);  // 3 per broadcast lane.
   EXPECT_EQ(ledger.dead_letters, 6);
+  EXPECT_EQ(ledger.dead_letter_depth, 6);  // Well inside each ring.
   EXPECT_EQ(ledger.rejected, 0);
   EXPECT_EQ(ledger.trimmed, 0);
   ASSERT_TRUE(fleet.PumpAll().ok());

@@ -8,7 +8,9 @@
 # vs. window size with churn held fixed; bench_overload: bounded-queue
 # admission cost per overflow policy (reject, shed_oldest);
 # bench_sharded: the sharded serving tier — one hash-partitioned
-# workload through 1/2/4-shard fleets vs. the bare engine) plus
+# workload through 1/2/4-shard fleets vs. the bare engine;
+# bench_result_reuse: unchanged-window reuse on and off over a bursty
+# stream, for a delta-served query and an aggregate) plus
 # the steady-state latency harness, and writes one BENCH_<name>.json per
 # binary for archiving as a CI artifact and diffing against the committed
 # baselines in bench/baselines/ (tools/compare_benches.py).
@@ -24,7 +26,7 @@ BUILD_DIR="${1:-build}"
 OUT_DIR="${2:-bench-results}"
 BENCHES=(bench_match bench_parallel_queries bench_recovery bench_emit_latency
          bench_delta
-         bench_overload bench_sharded)
+         bench_overload bench_sharded bench_result_reuse)
 
 mkdir -p "${OUT_DIR}"
 for bench in "${BENCHES[@]}"; do

@@ -55,21 +55,7 @@ namespace {
 
 using namespace seraph;
 
-const char* RoleName(persist::SegmentRole role) {
-  switch (role) {
-    case persist::SegmentRole::kQueries:
-      return "queries";
-    case persist::SegmentRole::kOffsets:
-      return "offsets";
-    case persist::SegmentRole::kDeadLetters:
-      return "dead-letters";
-    case persist::SegmentRole::kStream:
-      return "stream";
-  }
-  return "unknown";
-}
-
-// --inspect-checkpoint: a human-readable manifest-by-manifest summary.
+// --inspect-checkpoint: a human-readable generation-by-generation summary.
 int InspectCheckpoints(const runtime::CommandLine& cli,
                        const std::string& dir) {
   auto summaries = persist::InspectCheckpoints(dir);
@@ -80,24 +66,12 @@ int InspectCheckpoints(const runtime::CommandLine& cli,
   }
   for (const persist::ManifestSummary& summary : *summaries) {
     std::cout << persist::ManifestFileName(summary.seq) << ": "
-              << (summary.valid ? "VALID" : "INVALID") << "\n";
+              << (summary.valid ? "VALID" : "INVALID") << " ("
+              << summary.bytes << " bytes)\n";
     if (!summary.valid) {
       std::cout << "  error: " << summary.error << "\n";
+      continue;
     }
-    for (const persist::SegmentSummary& segment : summary.segments) {
-      std::cout << "  " << RoleName(segment.role) << "  " << segment.file
-                << "  " << segment.manifest_size << " bytes";
-      if (!segment.present) {
-        std::cout << "  MISSING";
-      } else if (segment.actual_size != segment.manifest_size) {
-        std::cout << "  SIZE MISMATCH (" << segment.actual_size
-                  << " on disk)";
-      } else {
-        std::cout << (segment.crc_ok ? "  crc ok" : "  CRC MISMATCH");
-      }
-      std::cout << "\n";
-    }
-    if (!summary.image.has_value()) continue;
     const persist::CheckpointImage& image = *summary.image;
     std::cout << "  clock: " << image.engine.clock.ToString() << "\n";
     for (const auto& [name, stream] : image.engine.streams) {
@@ -119,7 +93,8 @@ int InspectCheckpoints(const runtime::CommandLine& cli,
                 << ", evaluations=" << query.stats.evaluations
                 << (query.disabled ? ", DISABLED" : "") << "\n";
     }
-    std::cout << "  dead letters: " << image.dead_letters.size() << "\n";
+    std::cout << "  dead letters: " << image.dead_letters.size() << " held, "
+              << image.dead_letter_totals.total() << " in total\n";
   }
   return 0;
 }
@@ -365,7 +340,8 @@ int main(int argc, char** argv) {
       std::cerr << "[seraph_run] " << dead_letters.size()
                 << " dead-lettered entr"
                 << (dead_letters.size() == 1 ? "y" : "ies") << " written to "
-                << dead_letter_path
+                << dead_letter_path << " (" << dead_letters.total()
+                << " in total)"
                 << (engine.SinkQuarantined("output")
                         ? " (output sink quarantined)"
                         : "")
