@@ -1,16 +1,17 @@
 // Sharded serving tier scaling (docs/INTERNALS.md, "Sharded serving
-// tier"): the same hash-partitioned workload pushed through one plain
-// ContinuousEngine (the `single` arm) and through ShardedEngine fleets
-// of 1, 2, and 4 shards. Elements are routed HashByNodeId, so each
-// shard matches over ~1/N of the stream; the coordinator's merge keeps
-// output deterministic. The interesting curve is evaluation-bound:
-// per-shard windows shrink with N, so fleet wall-clock per event should
-// fall as shards are added, while the 1-shard fleet exposes the
-// coordinator's overhead over the bare engine.
+// tier"): the same workload pushed through one plain ContinuousEngine
+// (the `single` arm) and through ShardedEngine fleets of 1, 2, and 4
+// shards. Elements take the fleet's default broadcast route, and four
+// copies of one query spread over their home shards (q0..q3 land on four
+// different shards at N = 4, two per shard at N = 2), so each shard
+// evaluates 4/N of the queries. Every arm must emit exactly as many
+// tables as the bare engine; a run that does not fails. The 1-shard
+// fleet exposes the coordinator's overhead over the bare engine, and the
+// larger fleets show what spreading queries buys when every shard still
+// ingests the whole stream.
 #include <benchmark/benchmark.h>
 
 #include <cstdio>
-#include <optional>
 #include <string>
 #include <utility>
 #include <vector>
@@ -18,8 +19,6 @@
 #include "graph/graph_builder.h"
 #include "seraph/continuous_engine.h"
 #include "seraph/sinks.h"
-#include "seraph/stream_router.h"
-#include "shard/partitioner.h"
 #include "shard/sharded_engine.h"
 
 namespace {
@@ -40,12 +39,14 @@ constexpr int kMinutes = 48;
 constexpr int kNodesPerEvent = 16;
 constexpr int kAnchorUniverse = 256;  // Rotating node-id space.
 constexpr int kWindowMinutes = 8;
+constexpr int kQueries = 4;
+
+using Workload = std::vector<std::pair<int64_t, PropertyGraph>>;
 
 // One element per minute: a chain of :N nodes over a rotating id space
-// wired with E-typed relationships. HashByNodeId anchors each element at
-// its smallest node id, spreading consecutive minutes across shards.
-std::vector<std::pair<int64_t, PropertyGraph>> BuildWorkload() {
-  std::vector<std::pair<int64_t, PropertyGraph>> events;
+// wired with E-typed relationships.
+Workload BuildWorkload() {
+  Workload events;
   int64_t next_rel_id = 1;
   for (int64_t m = 0; m < kMinutes; ++m) {
     GraphBuilder builder;
@@ -63,18 +64,51 @@ std::vector<std::pair<int64_t, PropertyGraph>> BuildWorkload() {
   return events;
 }
 
-std::string Query() {
-  return "REGISTER QUERY q STARTING AT '" + IsoMinute(kWindowMinutes) +
-         "' { MATCH (a:N)-[r:E]->(b:N) WITHIN PT" +
-         std::to_string(kWindowMinutes) +
-         "M EMIT a.v AS av, b.v AS bv SNAPSHOT EVERY PT1M }";
+std::vector<std::string> Queries() {
+  std::vector<std::string> queries;
+  for (int q = 0; q < kQueries; ++q) {
+    queries.push_back("REGISTER QUERY q" + std::to_string(q) +
+                      " STARTING AT '" + IsoMinute(kWindowMinutes) +
+                      "' { MATCH (a:N)-[r:E]->(b:N) WITHIN PT" +
+                      std::to_string(kWindowMinutes) +
+                      "M EMIT a.v AS av, b.v AS bv SNAPSHOT EVERY PT1M }");
+  }
+  return queries;
+}
+
+template <typename Engine>
+bool RegisterAll(Engine* engine, const std::vector<std::string>& queries) {
+  for (const std::string& query : queries) {
+    if (!engine->RegisterText(query).ok()) return false;
+  }
+  return true;
+}
+
+// Feeds the bare engine, advancing after every element.
+bool FeedSingle(ContinuousEngine* engine, const Workload& workload) {
+  for (const auto& [minute, graph] : workload) {
+    if (!engine->Ingest(graph, T(minute)).ok() ||
+        !engine->AdvanceTo(T(minute)).ok()) {
+      return false;
+    }
+  }
+  return true;
 }
 
 // Arg 0 = shard count; 0 means the bare single-engine baseline.
 void BM_ShardedPipeline(benchmark::State& state) {
   const int shards = static_cast<int>(state.range(0));
-  const auto workload = BuildWorkload();
-  const std::string query = Query();
+  const Workload workload = BuildWorkload();
+  const std::vector<std::string> queries = Queries();
+  CountingSink reference;
+  {
+    ContinuousEngine engine;
+    engine.AddSink(&reference);
+    if (!RegisterAll(&engine, queries) || !FeedSingle(&engine, workload)) {
+      state.SkipWithError("reference run failed");
+      return;
+    }
+  }
   int64_t emissions = 0;
   for (auto _ : state) {
     state.PauseTiming();
@@ -82,25 +116,21 @@ void BM_ShardedPipeline(benchmark::State& state) {
     if (shards == 0) {
       ContinuousEngine engine;
       engine.AddSink(&sink);
-      if (!engine.RegisterText(query).ok()) {
+      if (!RegisterAll(&engine, queries)) {
         state.SkipWithError("register failed");
         return;
       }
       state.ResumeTiming();
-      for (const auto& [minute, graph] : workload) {
-        if (!engine.Ingest(graph, T(minute)).ok() ||
-            !engine.AdvanceTo(T(minute)).ok()) {
-          state.SkipWithError("single run failed");
-          return;
-        }
+      if (!FeedSingle(&engine, workload)) {
+        state.SkipWithError("single run failed");
+        return;
       }
     } else {
       shard::ShardedEngineOptions options;
       options.shards = shards;
       shard::ShardedEngine fleet(options);
       fleet.AddSink(&sink);
-      fleet.AddRoute("", AcceptAll(), shard::HashByNodeId());
-      if (!fleet.RegisterText(query).ok()) {
+      if (!RegisterAll(&fleet, queries)) {
         state.SkipWithError("register failed");
         return;
       }
@@ -115,6 +145,11 @@ void BM_ShardedPipeline(benchmark::State& state) {
         state.SkipWithError("finish failed");
         return;
       }
+    }
+    if (sink.evaluations() != reference.evaluations()) {
+      state.SkipWithError("emitted a different number of tables than the "
+                          "bare engine");
+      return;
     }
     emissions += sink.evaluations();
   }

@@ -177,21 +177,27 @@ Status Runtime::Start() {
 
 Result<int> Runtime::Produce(std::shared_ptr<const PropertyGraph> graph,
                              Timestamp timestamp) {
-  if (fleet_ != nullptr) return fleet_->Ingest(std::move(graph), timestamp);
-  // A refused produce pumps the lane, which advances the committed offset
-  // and, at batch barriers, the checkpoint horizon, then retries.
-  SERAPH_RETURN_IF_ERROR(ProduceWithBackpressure(
-      queue_.get(), std::move(graph), timestamp,
-      [this](Timestamp waiting) { return driver_->PumpAll(waiting); },
-      &producer_retries_));
-  return 1;
+  int delivered = 1;
+  if (fleet_ != nullptr) {
+    SERAPH_ASSIGN_OR_RETURN(delivered,
+                            fleet_->Ingest(std::move(graph), timestamp));
+  } else {
+    // A refused produce pumps the lane, which advances the committed
+    // offset and, at batch barriers, the checkpoint horizon, then retries.
+    SERAPH_RETURN_IF_ERROR(ProduceWithBackpressure(
+        queue_.get(), std::move(graph), timestamp,
+        [this](Timestamp waiting) { return driver_->PumpAll(waiting); },
+        &producer_retries_));
+  }
+  newest_ = timestamp;
+  return delivered;
 }
 
 Status Runtime::Pump() {
   if (fleet_ != nullptr) {
-    SERAPH_RETURN_IF_ERROR(fleet_->PumpAll());
+    SERAPH_RETURN_IF_ERROR(fleet_->PumpAll(newest_));
   } else {
-    SERAPH_RETURN_IF_ERROR(driver_->PumpAll().status());
+    SERAPH_RETURN_IF_ERROR(driver_->PumpAll(newest_).status());
   }
   Publish();
   return Status::OK();

@@ -38,6 +38,7 @@
 #include <atomic>
 #include <memory>
 #include <mutex>
+#include <optional>
 #include <string>
 #include <string_view>
 #include <thread>
@@ -78,9 +79,9 @@ struct RuntimeOptions : shard::ShardedEngineOptions {
   int stats_interval_sec = 0;
 };
 
-// The fleet's /queries payload: each query's stats summed and its
-// evaluation latency merged over its placement shards, plus its shard
-// set. Like the single-engine one, call it on the engine's thread.
+// The fleet's /queries payload: each query's stats and evaluation
+// latency, read off the engine of its shard, plus that shard. Like the
+// single-engine one, call it on the engine's thread.
 std::string QueriesStatusJson(const shard::ShardedEngine& fleet);
 
 class Runtime {
@@ -115,11 +116,14 @@ class Runtime {
   // lanes (ShardedEngine::Ingest), which do the same per lane.
   Result<int> Produce(std::shared_ptr<const PropertyGraph> graph,
                       Timestamp timestamp);
-  // Delivers everything produced, evaluates the due instants, republishes.
+  // Delivers everything produced, evaluates the due instants before the
+  // newest produced timestamp, republishes. An instant at that timestamp
+  // waits for a later element or Finish, because more elements may still
+  // share its timestamp.
   Status Pump();
-  // Delivers what is still queued, runs the final evaluations,
-  // republishes and stops the reporter. A durable single shape logs its
-  // checkpoint tally.
+  // Delivers what is still queued, runs the final evaluations (closing
+  // the newest instant), republishes and stops the reporter. A durable
+  // single shape logs its checkpoint tally.
   Status Finish();
   // Re-renders /queries; call after changing engine state directly.
   void Publish();
@@ -158,6 +162,8 @@ class Runtime {
   std::vector<const MetricsRegistry*> engine_metrics_;
   Gauge* dead_letter_depth_ = nullptr;
   int64_t producer_retries_ = 0;
+  // The newest timestamp Produce accepted; Pump holds its instant back.
+  std::optional<Timestamp> newest_;
 
   std::mutex queries_mutex_;
   std::string queries_json_ = "[]";

@@ -19,21 +19,48 @@ Counter* StreamRouter::ResolveRoutedCounter(const std::string& stream) const {
       {{"stream", stream.empty() ? "<default>" : stream}});
 }
 
-Result<int> StreamRouter::Route(ContinuousEngine* engine,
-                                std::shared_ptr<const PropertyGraph> graph,
-                                Timestamp timestamp) const {
+void StreamRouter::AddRoute(std::string stream, Predicate predicate) {
+  for (RouteEntry& route : routes_) {
+    if (route.stream == stream) {
+      route.predicate = std::move(predicate);
+      return;
+    }
+  }
+  Counter* routed = ResolveRoutedCounter(stream);
+  routes_.push_back(
+      RouteEntry{std::move(stream), std::move(predicate), routed});
+}
+
+Result<int> StreamRouter::Route(
+    const std::shared_ptr<const PropertyGraph>& graph, Timestamp timestamp,
+    const Deliver& deliver) const {
   int delivered = 0;
+  bool matched = false;
   for (const RouteEntry& route : routes_) {
     if (!route.predicate(*graph, timestamp)) continue;
-    SERAPH_RETURN_IF_ERROR(engine->IngestTo(route.stream, graph, timestamp));
-    if (route.routed != nullptr) route.routed->Increment();
-    ++delivered;
+    matched = true;
+    SERAPH_ASSIGN_OR_RETURN(int made,
+                            deliver(route.stream, graph, timestamp));
+    if (route.routed != nullptr) route.routed->Increment(made);
+    delivered += made;
   }
-  if (delivered == 0) {
+  if (!matched) {
     ++dropped_total_;
     if (dropped_counter_ != nullptr) dropped_counter_->Increment();
   }
   return delivered;
+}
+
+Result<int> StreamRouter::Route(ContinuousEngine* engine,
+                                std::shared_ptr<const PropertyGraph> graph,
+                                Timestamp timestamp) const {
+  return Route(graph, timestamp,
+               [engine](const std::string& stream,
+                        const std::shared_ptr<const PropertyGraph>& element,
+                        Timestamp t) -> Result<int> {
+                 SERAPH_RETURN_IF_ERROR(engine->IngestTo(stream, element, t));
+                 return 1;
+               });
 }
 
 StreamRouter::Predicate AcceptAll() {

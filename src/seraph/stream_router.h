@@ -8,6 +8,9 @@
 //   router.AddRoute("returns", HasRelationshipType("returnedAt"));
 //   router.AddRoute("all", AcceptAll());
 //   router.Route(&engine, event_graph, t);
+//
+// The sharded fleet routes through the same class: its Deliver callback
+// hands each matching stream to the shards that hold it.
 #ifndef SERAPH_SERAPH_STREAM_ROUTER_H_
 #define SERAPH_SERAPH_STREAM_ROUTER_H_
 
@@ -25,27 +28,32 @@ class StreamRouter {
   // Decides whether an event belongs to a logical stream.
   using Predicate =
       std::function<bool(const PropertyGraph& graph, Timestamp timestamp)>;
+  // Hands an event to logical stream `stream` wherever it lives; returns
+  // the number of deliveries made (one per engine it reached).
+  using Deliver = std::function<Result<int>(
+      const std::string& stream,
+      const std::shared_ptr<const PropertyGraph>& graph, Timestamp timestamp)>;
 
-  // Adds a route; one event may match any number of routes.
-  void AddRoute(std::string stream, Predicate predicate) {
-    RouteEntry entry{std::move(stream), std::move(predicate), nullptr};
-    entry.routed = ResolveRoutedCounter(entry.stream);
-    routes_.push_back(std::move(entry));
-  }
+  // Adds a route; one event may match any number of routes. Re-adding a
+  // stream replaces its predicate.
+  void AddRoute(std::string stream, Predicate predicate);
 
   // Exposes routing counters through `registry` (not owned; typically the
-  // engine's): `seraph_router_routed_total{stream=...}` per route and
-  // `seraph_router_dropped_total` for events matching no route. Existing
-  // and future routes are both covered; null detaches.
+  // engine's): `seraph_router_routed_total{stream=...}` counts deliveries
+  // per route and `seraph_router_dropped_total` events matching no route.
+  // Existing and future routes are both covered; null detaches.
   void BindMetrics(MetricsRegistry* registry);
+
+  // Calls `deliver` once per matching route, in route order. Returns the
+  // deliveries made, or the first delivery error.
+  Result<int> Route(const std::shared_ptr<const PropertyGraph>& graph,
+                    Timestamp timestamp, const Deliver& deliver) const;
 
   // Delivers the event to every matching logical stream of `engine`.
   // Returns the number of streams it was delivered to.
   Result<int> Route(ContinuousEngine* engine,
                     std::shared_ptr<const PropertyGraph> graph,
                     Timestamp timestamp) const;
-
-  size_t num_routes() const { return routes_.size(); }
 
   // Cumulative events that matched no route (counted even when metrics
   // are unbound).

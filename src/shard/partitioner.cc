@@ -1,8 +1,5 @@
 #include "shard/partitioner.h"
 
-#include <algorithm>
-#include <cstring>
-
 namespace seraph {
 namespace shard {
 
@@ -19,88 +16,6 @@ uint64_t StableHash64(const void* data, size_t size) {
 
 uint64_t StableHash64(const std::string& text) {
   return StableHash64(text.data(), text.size());
-}
-
-namespace {
-
-class BroadcastPartitioner final : public Partitioner {
- public:
-  std::vector<int> ShardsFor(const PropertyGraph&, Timestamp,
-                             int num_shards) const override {
-    std::vector<int> all(static_cast<size_t>(num_shards));
-    for (int i = 0; i < num_shards; ++i) all[static_cast<size_t>(i)] = i;
-    return all;
-  }
-  StreamPlacement placement(int) const override {
-    return StreamPlacement{PlacementKind::kBroadcast, -1};
-  }
-  const char* name() const override { return "broadcast"; }
-};
-
-class FixedShardPartitioner final : public Partitioner {
- public:
-  explicit FixedShardPartitioner(int shard_index) : shard_(shard_index) {}
-  std::vector<int> ShardsFor(const PropertyGraph&, Timestamp,
-                             int num_shards) const override {
-    // Clamp defensively so a mis-sized fleet still routes somewhere
-    // deterministic; placement() reports the same clamped index.
-    return {Clamped(num_shards)};
-  }
-  StreamPlacement placement(int num_shards) const override {
-    return StreamPlacement{PlacementKind::kFixed, Clamped(num_shards)};
-  }
-  const char* name() const override { return "fixed"; }
-
- private:
-  int Clamped(int num_shards) const {
-    if (num_shards <= 0) return 0;
-    return std::clamp(shard_, 0, num_shards - 1);
-  }
-  int shard_;
-};
-
-class HashByNodeIdPartitioner final : public Partitioner {
- public:
-  std::vector<int> ShardsFor(const PropertyGraph& graph, Timestamp,
-                             int num_shards) const override {
-    if (num_shards <= 1) return {0};
-    int64_t anchor = 0;
-    bool any = false;
-    for (NodeId id : graph.NodeIds()) {
-      if (!any || id.value < anchor) {
-        anchor = id.value;
-        any = true;
-      }
-    }
-    if (!any) return {0};
-    uint64_t bits;
-    static_assert(sizeof(bits) == sizeof(anchor));
-    std::memcpy(&bits, &anchor, sizeof(bits));
-    uint64_t h = StableHash64(&bits, sizeof(bits));
-    return {static_cast<int>(h % static_cast<uint64_t>(num_shards))};
-  }
-  StreamPlacement placement(int num_shards) const override {
-    if (num_shards <= 1) return StreamPlacement{PlacementKind::kFixed, 0};
-    return StreamPlacement{PlacementKind::kScattered, -1};
-  }
-  const char* name() const override { return "hash_by_node_id"; }
-};
-
-}  // namespace
-
-std::shared_ptr<const Partitioner> Broadcast() {
-  static const auto kInstance = std::make_shared<const BroadcastPartitioner>();
-  return kInstance;
-}
-
-std::shared_ptr<const Partitioner> FixedShard(int shard_index) {
-  return std::make_shared<const FixedShardPartitioner>(shard_index);
-}
-
-std::shared_ptr<const Partitioner> HashByNodeId() {
-  static const auto kInstance =
-      std::make_shared<const HashByNodeIdPartitioner>();
-  return kInstance;
 }
 
 }  // namespace shard

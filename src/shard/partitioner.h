@@ -1,15 +1,12 @@
-// Pluggable element partitioners for the sharded serving tier
-// (docs/INTERNALS.md, "Sharded serving tier").
+// Stream placements for the sharded serving tier (docs/INTERNALS.md,
+// "Sharded serving tier").
 //
-// A Partitioner answers two questions about one logical stream of a
-// sharded fleet:
-//  * dynamically — which shards must receive this element (ShardsFor);
-//  * statically — where the stream's elements can live at all
-//    (placement), which is what query placement consumes: a query
-//    windowing over a broadcast stream can run on any single shard, over
-//    a fixed-shard stream only on that shard, and over a scattered
-//    (hash-partitioned) stream must run on every shard — its results are
-//    then a per-shard union, outside the bit-identity contract.
+// A logical stream of a sharded fleet lives either on every shard
+// (Broadcast) or on exactly one (FixedShard). Query placement follows
+// from it: a query windowing only over broadcast streams runs on its home
+// shard, and a query reading a fixed-shard stream runs on that shard.
+// Either way every query runs whole on one shard, so its output is the
+// single-engine output.
 //
 // The label/type-predicate partitioning named in the roadmap composes a
 // StreamRouter predicate (HasLabel / HasRelationshipType) selecting the
@@ -17,66 +14,36 @@
 #ifndef SERAPH_SHARD_PARTITIONER_H_
 #define SERAPH_SHARD_PARTITIONER_H_
 
+#include <cstddef>
 #include <cstdint>
-#include <memory>
 #include <string>
-#include <vector>
-
-#include "graph/property_graph.h"
-#include "temporal/timestamp.h"
 
 namespace seraph {
 namespace shard {
 
-enum class PlacementKind {
-  kBroadcast,  // Every shard holds the stream's full contents.
-  kFixed,      // Every element lands on one statically known shard.
-  kScattered,  // Elements spread across shards by content.
-};
-
+// Where a logical stream's elements live.
 struct StreamPlacement {
-  PlacementKind kind = PlacementKind::kBroadcast;
-  int fixed_shard = -1;  // Meaningful only for kFixed.
+  bool broadcast = true;  // On every shard.
+  int shard = 0;          // Otherwise only on this one.
 };
-
-class Partitioner {
- public:
-  virtual ~Partitioner() = default;
-
-  // Shard indices in [0, num_shards) that must receive this element,
-  // deduplicated and ascending. Must be deterministic in (graph,
-  // timestamp, num_shards) — routing is part of the replay-exactness
-  // contract.
-  virtual std::vector<int> ShardsFor(const PropertyGraph& graph,
-                                     Timestamp timestamp,
-                                     int num_shards) const = 0;
-
-  // The static shape of the assignment ShardsFor produces.
-  virtual StreamPlacement placement(int num_shards) const = 0;
-
-  // Human-readable name for logs and status JSON.
-  virtual const char* name() const = 0;
-};
-
-// Stable 64-bit FNV-1a. std::hash is not pinned across standard
-// libraries, but shard assignment must survive restarts and match across
-// builds, so hash routing and query homing use this.
-uint64_t StableHash64(const void* data, size_t size);
-uint64_t StableHash64(const std::string& text);
 
 // Every shard receives every element (queries that must see the whole
 // stream).
-std::shared_ptr<const Partitioner> Broadcast();
+inline StreamPlacement Broadcast() { return {}; }
 
-// Every element lands on `shard_index`. Combined with a route predicate
-// (HasLabel / HasRelationshipType / NodePropertyEquals) this is the
-// label/type-partitioned placement.
-std::shared_ptr<const Partitioner> FixedShard(int shard_index);
+// Every element lands on `shard_index`, which must name a shard of the
+// fleet (ShardedEngine::AddRoute checks it). Combined with a route
+// predicate (HasLabel / HasRelationshipType / NodePropertyEquals) this is
+// the label/type-partitioned placement.
+inline StreamPlacement FixedShard(int shard_index) {
+  return {false, shard_index};
+}
 
-// Hash-partitions by the element's smallest node id (an element's
-// entities co-locate; elements touching the same anchor node land on the
-// same shard). Elements with no nodes hash to shard 0.
-std::shared_ptr<const Partitioner> HashByNodeId();
+// Stable 64-bit FNV-1a. std::hash is not pinned across standard
+// libraries, but query homing and ingest log names must survive restarts
+// and match across builds.
+uint64_t StableHash64(const void* data, size_t size);
+uint64_t StableHash64(const std::string& text);
 
 }  // namespace shard
 }  // namespace seraph

@@ -44,24 +44,22 @@ std::string StreamLabel(const std::string& stream) {
 // deque access is safe.
 class ShardedEngine::BufferSink final : public EmitSink {
  public:
-  BufferSink(std::deque<PendingEmit>* buffer, int shard_index)
-      : buffer_(buffer), shard_(shard_index) {}
+  explicit BufferSink(std::deque<PendingEmit>* buffer) : buffer_(buffer) {}
 
   Status OnResult(const std::string& query_name, Timestamp evaluation_time,
                   const TimeAnnotatedTable& table) override {
-    buffer_->push_back(PendingEmit{evaluation_time, query_name, shard_, table});
+    buffer_->push_back(PendingEmit{evaluation_time, query_name, table});
     return Status::OK();
   }
 
  private:
   std::deque<PendingEmit>* buffer_;
-  int shard_;
 };
 
 ShardedEngine::ShardedEngine(ShardedEngineOptions options)
     : options_(std::move(options)) {
   if (options_.shards < 1) options_.shards = 1;
-  dropped_counter_ = metrics_.CounterFor("seraph_router_dropped_total");
+  router_.BindMetrics(&metrics_);
   released_counter_ = metrics_.CounterFor("seraph_sharded_released_total");
   sink_failures_ =
       metrics_.CounterFor("seraph_sharded_sink_failures_total");
@@ -72,7 +70,7 @@ ShardedEngine::ShardedEngine(ShardedEngineOptions options)
     engine_options.dead_letter = &shard->dead_letters;
     engine_options.checkpoint_every = durable() ? options_.checkpoint_every : 0;
     shard->engine = std::make_unique<ContinuousEngine>(engine_options);
-    shard->sink = std::make_unique<BufferSink>(&shard->buffered, i);
+    shard->sink = std::make_unique<BufferSink>(&shard->buffered);
     shard->engine->AddSink(shard->sink.get(), "shard-buffer");
     const std::string label = std::to_string(i);
     shard->watermark_gauge =
@@ -118,7 +116,7 @@ ShardedEngine::Lane* ShardedEngine::EnsureLane(int shard_index,
     driver_options.poll_batch = options_.poll_batch;
     driver_options.dead_letter = &shard->dead_letters;
     // Lane drivers deliver only; the coordinator owns the shard clock
-    // (PumpShard advances it once per pump, to the shard watermark), so
+    // (PumpShard advances it once per pump, to the fleet watermark), so
     // equal-timestamp elements split across lanes are all delivered
     // before any evaluation at their instant fires.
     driver_options.advance_engine_clock = false;
@@ -142,42 +140,31 @@ ShardedEngine::Lane* ShardedEngine::EnsureLane(int shard_index,
   return slot.get();
 }
 
-void ShardedEngine::AddRoute(std::string stream,
-                             StreamRouter::Predicate predicate,
-                             std::shared_ptr<const Partitioner> partitioner) {
-  RouteEntry* entry = nullptr;
-  for (RouteEntry& route : routes_) {
-    if (route.stream == stream) {
-      route.predicate = std::move(predicate);
-      route.partitioner = std::move(partitioner);
-      entry = &route;
-      break;
-    }
+Status ShardedEngine::AddRoute(std::string stream,
+                               StreamRouter::Predicate predicate,
+                               StreamPlacement placement) {
+  if (routes_frozen_) {
+    return Status::FailedPrecondition(
+        "route '" + StreamLabel(stream) +
+        "' declared after a query was placed, an element ingested or a "
+        "restore; declare every route first");
   }
-  if (entry == nullptr) {
-    Counter* routed = metrics_.CounterFor("seraph_router_routed_total",
-                                          {{"stream", StreamLabel(stream)}});
-    routes_.push_back(RouteEntry{std::move(stream), std::move(predicate),
-                                 std::move(partitioner), routed});
-    entry = &routes_.back();
+  if (!placement.broadcast &&
+      (placement.shard < 0 || placement.shard >= num_shards())) {
+    return Status::InvalidArgument(
+        "route '" + StreamLabel(stream) + "' pins shard " +
+        std::to_string(placement.shard) + ", outside shards 0.." +
+        std::to_string(num_shards() - 1));
   }
-  // Lanes are created eagerly on every shard the partitioner can reach,
-  // so the (shard, stream) topology — and with it the durable consumer
-  // names — is a pure function of the declared routes.
-  StreamPlacement placement = entry->partitioner->placement(num_shards());
-  if (placement.kind == PlacementKind::kFixed) {
-    EnsureLane(placement.fixed_shard, entry->stream);
-  } else {
-    for (int s = 0; s < num_shards(); ++s) EnsureLane(s, entry->stream);
+  // Lanes are created eagerly on the placement's shards, so the
+  // (shard, stream) topology — and with it the durable consumer names —
+  // is a pure function of the declared routes.
+  for (int s = 0; s < num_shards(); ++s) {
+    if (placement.broadcast || s == placement.shard) EnsureLane(s, stream);
   }
-}
-
-const ShardedEngine::RouteEntry* ShardedEngine::FindRoute(
-    const std::string& stream) const {
-  for (const RouteEntry& route : routes_) {
-    if (route.stream == stream) return &route;
-  }
-  return nullptr;
+  stream_placements_[stream] = placement;
+  router_.AddRoute(std::move(stream), std::move(predicate));
+  return Status::OK();
 }
 
 int ShardedEngine::HomeShard(const std::string& query_name) const {
@@ -193,63 +180,39 @@ Result<QueryPlacement> ShardedEngine::RegisterText(
     return Status::AlreadyExists("query '" + parsed.name +
                                  "' already registered");
   }
-  bool scattered = false;
-  int fixed = -1;
+  std::optional<int> fixed;
   for (const Clause& clause : parsed.clauses) {
     const auto* match = std::get_if<MatchClause>(&clause);
     if (match == nullptr) continue;
-    const RouteEntry* route = FindRoute(match->from_stream);
-    // A stream nothing routes into is empty on every shard; treat it as
-    // broadcast so the query still gets a home.
-    StreamPlacement placement =
-        route != nullptr ? route->partitioner->placement(num_shards())
-                         : StreamPlacement{};
-    switch (placement.kind) {
-      case PlacementKind::kBroadcast:
-        break;
-      case PlacementKind::kFixed:
-        if (fixed >= 0 && fixed != placement.fixed_shard) {
-          return Status::InvalidArgument(
-              "query '" + parsed.name +
-              "' windows over streams pinned to different shards (" +
-              std::to_string(fixed) + " vs " +
-              std::to_string(placement.fixed_shard) + ")");
-        }
-        fixed = placement.fixed_shard;
-        break;
-      case PlacementKind::kScattered:
-        scattered = true;
-        break;
+    // A stream nothing routes into is empty on every shard, like a
+    // broadcast one.
+    auto it = stream_placements_.find(match->from_stream);
+    if (it == stream_placements_.end() || it->second.broadcast) continue;
+    if (fixed.has_value() && *fixed != it->second.shard) {
+      return Status::InvalidArgument(
+          "query '" + parsed.name +
+          "' windows over streams pinned to different shards (" +
+          std::to_string(*fixed) + " vs " +
+          std::to_string(it->second.shard) + ")");
     }
+    fixed = it->second.shard;
   }
-  if (scattered && fixed >= 0) {
-    return Status::InvalidArgument(
-        "query '" + parsed.name +
-        "' mixes a scattered stream with a fixed-shard stream; no single "
-        "shard sees both");
+  const int shard = fixed.value_or(HomeShard(parsed.name));
+  const std::string name = parsed.name;
+  SERAPH_RETURN_IF_ERROR(
+      shards_[static_cast<size_t>(shard)]->engine->Register(std::move(parsed)));
+  routes_frozen_ = true;
+  placements_[name] = shard;
+  return QueryPlacement{name, {shard}};
+}
+
+Result<ContinuousEngine*> ShardedEngine::EngineOf(
+    const std::string& name) const {
+  auto it = placements_.find(name);
+  if (it == placements_.end()) {
+    return Status::NotFound("query '" + name + "' is not registered");
   }
-  std::vector<int> where;
-  if (scattered) {
-    for (int s = 0; s < num_shards(); ++s) where.push_back(s);
-  } else if (fixed >= 0) {
-    where.push_back(fixed);
-  } else {
-    where.push_back(HomeShard(parsed.name));
-  }
-  for (size_t i = 0; i < where.size(); ++i) {
-    Status status = shards_[static_cast<size_t>(where[i])]->engine->RegisterText(
-        seraph_text);
-    if (!status.ok()) {
-      // Keep registration atomic across the placement set.
-      for (size_t j = 0; j < i; ++j) {
-        shards_[static_cast<size_t>(where[j])]->engine->Unregister(parsed.name);
-      }
-      return status;
-    }
-  }
-  placements_[parsed.name] = where;
-  query_texts_.push_back(std::string(seraph_text));
-  return QueryPlacement{parsed.name, where};
+  return shards_[static_cast<size_t>(it->second)]->engine.get();
 }
 
 Result<QueryPlacement> ShardedEngine::PlacementFor(
@@ -258,104 +221,58 @@ Result<QueryPlacement> ShardedEngine::PlacementFor(
   if (it == placements_.end()) {
     return Status::NotFound("query '" + name + "' is not registered");
   }
-  return QueryPlacement{name, it->second};
+  return QueryPlacement{name, {it->second}};
 }
 
 std::vector<std::string> ShardedEngine::QueryNames() const {
   std::vector<std::string> names;
   names.reserve(placements_.size());
-  for (const auto& [name, shards] : placements_) names.push_back(name);
+  for (const auto& [name, shard] : placements_) names.push_back(name);
   return names;
 }
 
 bool ShardedEngine::QueryDisabled(const std::string& name) const {
-  auto it = placements_.find(name);
-  if (it == placements_.end()) return false;
-  for (int s : it->second) {
-    if (shards_[static_cast<size_t>(s)]->engine->QueryDisabled(name)) {
-      return true;
-    }
-  }
-  return false;
+  Result<ContinuousEngine*> engine = EngineOf(name);
+  return engine.ok() && (*engine)->QueryDisabled(name);
 }
 
 Status ShardedEngine::ReviveQuery(const std::string& name) {
-  auto it = placements_.find(name);
-  if (it == placements_.end()) {
-    return Status::NotFound("query '" + name + "' is not registered");
-  }
-  for (int s : it->second) {
-    SERAPH_RETURN_IF_ERROR(
-        shards_[static_cast<size_t>(s)]->engine->ReviveQuery(name));
-  }
-  return Status::OK();
+  SERAPH_ASSIGN_OR_RETURN(ContinuousEngine* engine, EngineOf(name));
+  return engine->ReviveQuery(name);
 }
 
 Result<QueryStats> ShardedEngine::StatsFor(const std::string& name) const {
-  auto it = placements_.find(name);
-  if (it == placements_.end()) {
-    return Status::NotFound("query '" + name + "' is not registered");
-  }
-  QueryStats total;
-  for (int s : it->second) {
-    SERAPH_ASSIGN_OR_RETURN(
-        QueryStats stats,
-        shards_[static_cast<size_t>(s)]->engine->StatsFor(name));
-    total.evaluations += stats.evaluations;
-    total.reused_results += stats.reused_results;
-    total.fresh_executions += stats.fresh_executions;
-    total.match_rows += stats.match_rows;
-    total.rows_emitted += stats.rows_emitted;
-    total.snapshots_incremental += stats.snapshots_incremental;
-    total.snapshots_rebuilt += stats.snapshots_rebuilt;
-    total.window_elements_added += stats.window_elements_added;
-    total.window_elements_evicted += stats.window_elements_evicted;
-    total.eval_failures += stats.eval_failures;
-    if (!stats.last_error.ok()) total.last_error = stats.last_error;
-  }
-  return total;
+  SERAPH_ASSIGN_OR_RETURN(ContinuousEngine* engine, EngineOf(name));
+  return engine->StatsFor(name);
 }
 
 Result<HistogramSnapshot> ShardedEngine::LatencyFor(
     const std::string& name) const {
-  auto it = placements_.find(name);
-  if (it == placements_.end()) {
-    return Status::NotFound("query '" + name + "' is not registered");
-  }
-  HistogramSnapshot merged;
-  for (int s : it->second) {
-    SERAPH_ASSIGN_OR_RETURN(
-        HistogramSnapshot latency,
-        shards_[static_cast<size_t>(s)]->engine->LatencyFor(name));
-    MergeHistogramSnapshot(&merged, latency);
-  }
-  return merged;
+  SERAPH_ASSIGN_OR_RETURN(ContinuousEngine* engine, EngineOf(name));
+  return engine->LatencyFor(name);
 }
 
 void ShardedEngine::AddSink(EmitSink* sink) { sinks_.push_back(sink); }
 
 Result<int> ShardedEngine::Ingest(std::shared_ptr<const PropertyGraph> graph,
                                   Timestamp timestamp) {
-  int deliveries = 0;
-  bool matched = false;
-  for (RouteEntry& route : routes_) {
-    if (!route.predicate(*graph, timestamp)) continue;
-    matched = true;
-    for (int s : route.partitioner->ShardsFor(*graph, timestamp,
-                                              num_shards())) {
-      if (s < 0 || s >= num_shards()) {
-        return Status::Internal("partitioner returned out-of-range shard " +
-                                std::to_string(s));
-      }
-      Lane* lane = EnsureLane(s, route.stream);
-      SERAPH_RETURN_IF_ERROR(ProduceToLane(s, lane, graph, timestamp));
-      SERAPH_RETURN_IF_ERROR(AppendIngestLog(lane, graph, timestamp));
-      route.routed->Increment();
-      ++deliveries;
-    }
-  }
-  if (!matched) dropped_counter_->Increment();
-  return deliveries;
+  routes_frozen_ = true;
+  return router_.Route(
+      graph, timestamp,
+      [this](const std::string& stream,
+             const std::shared_ptr<const PropertyGraph>& element,
+             Timestamp t) -> Result<int> {
+        const StreamPlacement& placement = stream_placements_.at(stream);
+        int deliveries = 0;
+        for (int s = 0; s < num_shards(); ++s) {
+          if (!placement.broadcast && s != placement.shard) continue;
+          Lane* lane = EnsureLane(s, stream);
+          SERAPH_RETURN_IF_ERROR(ProduceToLane(s, lane, element, t));
+          SERAPH_RETURN_IF_ERROR(AppendIngestLog(lane, element, t));
+          ++deliveries;
+        }
+        return deliveries;
+      });
 }
 
 Result<int> ShardedEngine::Ingest(PropertyGraph graph, Timestamp timestamp) {
@@ -373,10 +290,7 @@ Status ShardedEngine::ProduceToLane(int shard_index, Lane* lane,
       [this, shard_index](Timestamp waiting) {
         return PumpShard(shard_index, waiting);
       }));
-  Shard* shard = shards_[static_cast<size_t>(shard_index)].get();
-  shard->watermark_millis =
-      std::max(shard->watermark_millis, timestamp.millis());
-  shard->any_ingested = true;
+  newest_ = std::max(newest_.value_or(timestamp), timestamp);
   return Status::OK();
 }
 
@@ -418,17 +332,16 @@ Result<int64_t> ShardedEngine::PumpShard(int shard_index,
     SERAPH_ASSIGN_OR_RETURN(int64_t pumped, lane->driver->PumpAll());
     delivered += pumped;
   }
-  if (shard->any_ingested) {
-    SERAPH_RETURN_IF_ERROR(AdvanceEngineClock(
-        shard->engine.get(), Timestamp::FromMillis(shard->watermark_millis),
-        waiting));
+  if (newest_.has_value()) {
+    SERAPH_RETURN_IF_ERROR(
+        AdvanceEngineClock(shard->engine.get(), *newest_, waiting));
   }
   return delivered;
 }
 
-Status ShardedEngine::PumpAll() {
+Status ShardedEngine::PumpAll(std::optional<Timestamp> waiting) {
   for (int s = 0; s < num_shards(); ++s) {
-    SERAPH_RETURN_IF_ERROR(PumpShard(s).status());
+    SERAPH_RETURN_IF_ERROR(PumpShard(s, waiting).status());
   }
   MergeAndRelease(/*flush_all=*/false);
   RefreshGauges();
@@ -436,17 +349,7 @@ Status ShardedEngine::PumpAll() {
 }
 
 Status ShardedEngine::Finish() {
-  for (const auto& shard : shards_) {
-    // Drain every lane before the single clock advance, so no element
-    // is left behind the clock.
-    for (auto& [stream, lane] : shard->lanes) {
-      SERAPH_RETURN_IF_ERROR(lane->driver->PumpAll().status());
-    }
-    if (shard->any_ingested) {
-      SERAPH_RETURN_IF_ERROR(shard->engine->AdvanceTo(
-          Timestamp::FromMillis(shard->watermark_millis)));
-    }
-  }
+  SERAPH_RETURN_IF_ERROR(PumpAll());
   MergeAndRelease(/*flush_all=*/true);
   RefreshGauges();
   return Status::OK();
@@ -455,45 +358,37 @@ Status ShardedEngine::Finish() {
 void ShardedEngine::MergeAndRelease(bool flush_all) {
   int64_t cut = std::numeric_limits<int64_t>::max();
   if (!flush_all) {
-    bool any = false;
+    // An emission is final once every shard's clock has passed its
+    // instant: no shard evaluates at or below its own clock again.
     for (const auto& shard : shards_) {
-      if (!shard->any_ingested) continue;  // Cannot have emitted yet.
-      cut = any ? std::min(cut, shard->watermark_millis)
-                : shard->watermark_millis;
-      any = true;
+      const std::optional<Timestamp> clock = shard->engine->clock();
+      if (!clock.has_value()) return;
+      cut = std::min(cut, clock->millis());
     }
-    if (!any) return;
   }
   std::vector<PendingEmit> ready;
   for (const auto& shard : shards_) {
-    if (shard->buffered.empty()) continue;
-    if (flush_all) {
-      for (PendingEmit& emit : shard->buffered) {
+    // Usually time-ordered, but late registration can interleave, so
+    // scan the whole buffer instead of popping a sorted prefix.
+    std::deque<PendingEmit> keep;
+    for (PendingEmit& emit : shard->buffered) {
+      if (emit.t.millis() <= cut) {
         ready.push_back(std::move(emit));
+      } else {
+        keep.push_back(std::move(emit));
       }
-      shard->buffered.clear();
-    } else {
-      // Usually time-ordered, but late registration can interleave, so
-      // scan the whole buffer instead of popping a sorted prefix.
-      std::deque<PendingEmit> keep;
-      for (PendingEmit& emit : shard->buffered) {
-        if (emit.t.millis() <= cut) {
-          ready.push_back(std::move(emit));
-        } else {
-          keep.push_back(std::move(emit));
-        }
-      }
-      shard->buffered.swap(keep);
     }
+    shard->buffered.swap(keep);
   }
   if (ready.empty()) return;
+  // A query lives on one shard and evaluates an instant once, so
+  // (t, query) is unique.
   std::sort(ready.begin(), ready.end(),
             [](const PendingEmit& a, const PendingEmit& b) {
               if (a.t.millis() != b.t.millis()) {
                 return a.t.millis() < b.t.millis();
               }
-              if (a.query != b.query) return a.query < b.query;
-              return a.shard < b.shard;
+              return a.query < b.query;
             });
   for (const PendingEmit& emit : ready) {
     for (EmitSink* sink : sinks_) {
@@ -501,40 +396,25 @@ void ShardedEngine::MergeAndRelease(bool flush_all) {
       if (!status.ok()) sink_failures_->Increment();
     }
   }
-  released_total_ += static_cast<int64_t>(ready.size());
   released_counter_->Increment(static_cast<int64_t>(ready.size()));
 }
 
 void ShardedEngine::RefreshGauges() {
-  int64_t fleet = 0;
-  bool any = false;
   for (const auto& shard : shards_) {
-    shard->watermark_gauge->Set(shard->watermark_millis);
+    const std::optional<Timestamp> clock = shard->engine->clock();
+    shard->watermark_gauge->Set(clock.has_value() ? clock->millis() : 0);
     int64_t depth = 0;
     for (const auto& [stream, lane] : shard->lanes) {
       depth += static_cast<int64_t>(lane->queue->depth());
     }
     shard->queue_depth_gauge->Set(depth);
     shard->buffered_gauge->Set(static_cast<int64_t>(shard->buffered.size()));
-    if (shard->any_ingested) {
-      fleet = any ? std::min(fleet, shard->watermark_millis)
-                  : shard->watermark_millis;
-      any = true;
-    }
   }
-  fleet_watermark_gauge_->Set(any ? fleet : 0);
+  fleet_watermark_gauge_->Set(FleetWatermarkMillis());
 }
 
 int64_t ShardedEngine::FleetWatermarkMillis() const {
-  int64_t fleet = 0;
-  bool any = false;
-  for (const auto& shard : shards_) {
-    if (!shard->any_ingested) continue;
-    fleet = any ? std::min(fleet, shard->watermark_millis)
-                : shard->watermark_millis;
-    any = true;
-  }
-  return any ? fleet : 0;
+  return newest_.has_value() ? newest_->millis() : 0;
 }
 
 OverloadLedger ShardedEngine::Overload() const {
@@ -610,6 +490,7 @@ Status ShardedEngine::Restore() {
     return Status::InvalidArgument(
         "Restore() requires ShardedEngineOptions::checkpoint_dir");
   }
+  routes_frozen_ = true;
   for (int i = 0; i < num_shards(); ++i) {
     Shard* shard = shards_[static_cast<size_t>(i)].get();
     Result<persist::CheckpointImage> image =
@@ -635,34 +516,6 @@ Status ShardedEngine::Restore() {
                                   image->dead_letter_totals);
     }
     SERAPH_RETURN_IF_ERROR(ReplayIngestLogs(i));
-  }
-  RefreshGauges();
-  return Status::OK();
-}
-
-std::vector<EngineCheckpoint> ShardedEngine::CaptureCheckpoints() {
-  MergeAndRelease(/*flush_all=*/true);
-  std::vector<EngineCheckpoint> images;
-  images.reserve(shards_.size());
-  for (const auto& shard : shards_) {
-    images.push_back(shard->engine->CaptureCheckpoint());
-  }
-  return images;
-}
-
-Status ShardedEngine::RestoreFrom(const std::vector<EngineCheckpoint>& images) {
-  if (static_cast<int>(images.size()) != num_shards()) {
-    return Status::InvalidArgument(
-        "checkpoint image count does not match shard count");
-  }
-  for (int i = 0; i < num_shards(); ++i) {
-    Shard* shard = shards_[static_cast<size_t>(i)].get();
-    SERAPH_RETURN_IF_ERROR(shard->engine->RestoreFrom(images[static_cast<size_t>(i)]));
-    SERAPH_RETURN_IF_ERROR(shard->engine->Drain());
-    if (images[static_cast<size_t>(i)].clock_started) {
-      shard->watermark_millis = images[static_cast<size_t>(i)].clock.millis();
-      shard->any_ingested = true;
-    }
   }
   RefreshGauges();
   return Status::OK();

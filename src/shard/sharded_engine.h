@@ -1,31 +1,33 @@
 // The sharded serving tier (docs/INTERNALS.md, "Sharded serving tier"):
 // a ShardedEngine owns N per-shard ContinuousEngine instances, each with
 // its own bounded EventQueues, StreamDrivers, thread pool, and checkpoint
-// generation directory. The coordinator routes ingest through pluggable
-// partitioners (shard/partitioner.h), lets every shard's batch barrier
-// advance independently, and merges EMIT results back into one
-// deterministic (t, query, shard)-ordered output stream:
+// generation directory. The coordinator routes ingest through one
+// StreamRouter to each stream's placement (shard/partitioner.h: every
+// shard or one), lets every shard's batch barrier advance independently,
+// and merges EMIT results back into one deterministic (t, query)-ordered
+// output stream:
 //
 //   ShardedEngine fleet({.shards = 4});
 //   fleet.AddRoute("rentals", HasRelationshipType("rentedAt"),
-//                  shard::FixedShard(1));
+//                  shard::FixedShard(1));          // routes first
 //   fleet.RegisterText("REGISTER QUERY q ...");   // placed by its streams
 //   fleet.AddSink(&sink);                         // merged, ordered output
-//   fleet.Ingest(graph, t);                       // partitioned fan-out
+//   fleet.Ingest(graph, t);                       // routed fan-out
 //   fleet.PumpAll();                              // pump shards + merge
 //   fleet.Finish();                               // flush everything
 //
-// Determinism contract: a query whose MATCH streams are all broadcast (or
-// pinned to one fixed shard) runs on exactly one shard, and the merged
-// output is bit-identical — content and order — to a single-engine run
-// over the same routed streams (proven by tests/sharded_equivalence_test).
-// Queries over scattered (hash-partitioned) streams run on every shard
-// and produce the per-shard union, outside that contract.
+// Determinism contract: every query the fleet accepts runs whole on one
+// shard, and the merged output is bit-identical — content and order — to
+// a single-engine run over the same routed streams (proven by
+// tests/sharded_equivalence_test). A query that would need two shards
+// fails to register instead.
 //
-// Emissions are held back per shard until the fleet watermark — the
-// slowest shard's delivered horizon — passes their evaluation time, so
-// merged order never depends on pump interleaving. Finish() (and
-// Checkpoint()) flush the buffers, releasing everything in merged order.
+// Every shard's clock follows the fleet watermark (the newest timestamp
+// produced to any lane), as one engine's clock follows all of its
+// streams. Emissions are held back until every shard's clock has passed
+// their evaluation time, so merged order never depends on pump
+// interleaving. Finish() (and Checkpoint()) flush the buffers, releasing
+// everything in merged order.
 #ifndef SERAPH_SHARD_SHARDED_ENGINE_H_
 #define SERAPH_SHARD_SHARDED_ENGINE_H_
 
@@ -82,7 +84,7 @@ struct OverloadLedger {
   int64_t dead_letter_depth = 0;  // Letters the shards' rings hold.
 };
 
-// Where a query was placed (the shard set its partitioners imply).
+// Where a query was placed: its one shard, as a list of one entry.
 struct QueryPlacement {
   std::string name;
   std::vector<int> shards;
@@ -99,65 +101,68 @@ class ShardedEngine {
   // ---- Routing ----
 
   // Routes elements matching `predicate` into logical stream `stream` on
-  // the shards `partitioner` selects. One element may match any number
-  // of routes; re-adding a stream replaces its route. Lanes (queue +
-  // driver per (shard, stream)) are created eagerly on every shard the
-  // partitioner can reach. Routes must be configured before Ingest and
-  // identically re-declared before Restore().
+  // every shard (Broadcast()) or on one (FixedShard(i)). One element may
+  // match any number of routes; re-adding a stream replaces its route.
+  // Lanes (queue + driver per (shard, stream)) are created eagerly on the
+  // shards the placement names. Routes freeze at the first RegisterText,
+  // Ingest or Restore, because placement reads them: a later AddRoute
+  // fails with kFailedPrecondition. A FixedShard outside the fleet fails
+  // with kInvalidArgument. Re-declare the same routes before Restore().
   //
   // A fresh ShardedEngine starts with the default route: every element →
   // default stream ("") on every shard (broadcast), mirroring
   // ContinuousEngine::Ingest. AddRoute("") replaces it.
-  void AddRoute(std::string stream, StreamRouter::Predicate predicate,
-                std::shared_ptr<const Partitioner> partitioner);
+  Status AddRoute(std::string stream, StreamRouter::Predicate predicate,
+                  StreamPlacement placement);
 
   // ---- Query registry ----
 
-  // Parses and registers Seraph query text on the shard set its MATCH
-  // streams imply: all-broadcast streams → one home shard (stable hash of
-  // the query name); a fixed-shard stream → that shard; a scattered
-  // stream → every shard (union semantics). Mixing two different fixed
-  // shards, or scattered with fixed, fails with kInvalidArgument.
+  // Parses and registers Seraph query text on the one shard its MATCH
+  // streams imply: all-broadcast streams → its home shard (stable hash of
+  // the query name); a fixed-shard stream → that shard. Streams pinned to
+  // two different shards fail with kInvalidArgument.
   Result<QueryPlacement> RegisterText(std::string_view seraph_text);
 
   Result<QueryPlacement> PlacementFor(const std::string& name) const;
   std::vector<std::string> QueryNames() const;
+  // The next four forward to the engine of the query's shard.
   bool QueryDisabled(const std::string& name) const;
   Status ReviveQuery(const std::string& name);
-  // Stats summed across the query's placement shards.
   Result<QueryStats> StatsFor(const std::string& name) const;
-  // Evaluation latency merged across the query's placement shards.
   Result<HistogramSnapshot> LatencyFor(const std::string& name) const;
 
   // ---- Sinks ----
 
-  // Receives the merged fleet output in deterministic (t, query, shard)
-  // order. Sink failures are counted, never fatal. Not owned; add before
+  // Receives the merged fleet output in deterministic (t, query) order.
+  // Sink failures are counted, never fatal. Not owned; add before
   // pumping.
   void AddSink(EmitSink* sink);
 
   // ---- Ingest + evaluation ----
 
-  // Routes one element through every matching route's partitioner into
-  // the selected shards' lane queues (appending to the durable ingest log
-  // when configured). Timestamps must be non-decreasing across calls.
-  // Bounded lanes exert backpressure: a full queue pumps its own shard
-  // (never freezing the others) under the pump clock rule
-  // (AdvanceEngineClock in seraph/stream_driver.h) and retries. Returns
-  // the number of (shard, stream) deliveries; unrouted elements count
-  // into seraph_router_dropped_total.
+  // Routes one element into the lane queues of every matching route's
+  // shards (appending to the durable ingest log when configured).
+  // Timestamps must be non-decreasing across calls. Bounded lanes exert
+  // backpressure: a full queue pumps its own shard (never freezing the
+  // others) under the pump clock rule (AdvanceEngineClock in
+  // seraph/stream_driver.h) and retries. Returns the number of
+  // (shard, stream) deliveries; unrouted elements count into
+  // seraph_router_dropped_total.
   Result<int> Ingest(std::shared_ptr<const PropertyGraph> graph,
                      Timestamp timestamp);
   Result<int> Ingest(PropertyGraph graph, Timestamp timestamp);
 
   // Pumps every shard's drivers (each advancing its own engine clock /
-  // batch barrier independently), then releases merged emissions up to
-  // the fleet watermark.
-  Status PumpAll();
+  // batch barrier independently), then releases the merged emissions
+  // every shard's clock has passed. Without `waiting` every clock moves
+  // to the fleet watermark; a caller that may still ingest elements at
+  // `waiting` passes it, and the clocks stop just before it
+  // (AdvanceEngineClock).
+  Status PumpAll(std::optional<Timestamp> waiting = std::nullopt);
 
-  // Pumps every lane, advances each shard to its watermark and flushes
-  // all buffered emissions in merged order. The fleet stays usable
-  // afterwards.
+  // Pumps every lane, advances each shard to the fleet watermark and
+  // flushes all buffered emissions in merged order. The fleet stays
+  // usable afterwards.
   Status Finish();
 
   // ---- Durability ----
@@ -174,14 +179,6 @@ class ShardedEngine {
   // persist::RecoverAll). The next PumpAll replays each shard's suffix.
   Status Restore();
 
-  // In-memory capture/restore (coordinated across shards; the sharded
-  // mirror of ContinuousEngine::CaptureCheckpoint/RestoreFrom). Capture
-  // flushes buffered emissions first, so a run split at a capture point
-  // concatenates exactly. RestoreFrom requires a fresh fleet with
-  // identical routes and queries re-registered.
-  std::vector<EngineCheckpoint> CaptureCheckpoints();
-  Status RestoreFrom(const std::vector<EngineCheckpoint>& images);
-
   // ---- Introspection ----
 
   int num_shards() const { return static_cast<int>(shards_.size()); }
@@ -192,10 +189,10 @@ class ShardedEngine {
   // router counters, merge counters.
   MetricsRegistry& metrics() { return metrics_; }
   const MetricsRegistry& metrics() const { return metrics_; }
-  // The slowest shard's watermark (event-time millis; 0 before ingest).
+  // The fleet watermark (event-time millis; 0 before ingest).
   int64_t FleetWatermarkMillis() const;
   // Merged emissions released to sinks so far.
-  int64_t released_total() const { return released_total_; }
+  int64_t released_total() const { return released_counter_->value(); }
   // Every lane's queue overload counters, plus every shard's dead
   // letters.
   OverloadLedger Overload() const;
@@ -209,18 +206,10 @@ class ShardedEngine {
     std::ofstream log;     // Lazily opened append handle for log_path.
   };
 
-  struct RouteEntry {
-    std::string stream;
-    StreamRouter::Predicate predicate;
-    std::shared_ptr<const Partitioner> partitioner;
-    Counter* routed = nullptr;
-  };
-
   // Buffered, not-yet-released emission of one shard.
   struct PendingEmit {
     Timestamp t;
     std::string query;
-    int shard = 0;
     TimeAnnotatedTable table;
   };
 
@@ -234,10 +223,6 @@ class ShardedEngine {
     std::deque<PendingEmit> buffered;
     // Lanes keyed by logical stream name.
     std::map<std::string, std::unique_ptr<Lane>> lanes;
-    // Max event timestamp produced to any lane; PumpShard advances the
-    // shard engine's clock by it once every lane is drained.
-    int64_t watermark_millis = 0;
-    bool any_ingested = false;
     Gauge* watermark_gauge = nullptr;
     Gauge* queue_depth_gauge = nullptr;
     Gauge* buffered_gauge = nullptr;
@@ -248,7 +233,7 @@ class ShardedEngine {
   Lane* EnsureLane(int shard_index, const std::string& stream);
   // Produces into one lane with backpressure (ProduceWithBackpressure in
   // seraph/stream_driver.h, pumping this shard only) and raises the
-  // shard watermark.
+  // fleet watermark.
   Status ProduceToLane(int shard_index, Lane* lane,
                        std::shared_ptr<const PropertyGraph> graph,
                        Timestamp timestamp);
@@ -260,30 +245,35 @@ class ShardedEngine {
   Status ReplayIngestLogs(int shard_index);
   // Drains one shard's lanes into its engine and returns the number of
   // elements delivered. Lane drivers never touch the shard clock, so the
-  // coordinator then advances it once by AdvanceEngineClock: to the shard
-  // watermark (the single-engine ingest-then-advance cadence), or, for a
-  // backpressure pump, to just before the refused element's `waiting`
-  // timestamp.
+  // coordinator then advances it once by AdvanceEngineClock: to the fleet
+  // watermark (the single-engine ingest-then-advance cadence), or, when
+  // `waiting` is set, to just before it.
   Result<int64_t> PumpShard(int shard_index,
                             std::optional<Timestamp> waiting = std::nullopt);
   // Releases buffered emissions: everything when `flush_all`, else those
-  // at or below the fleet watermark; delivers in (t, query, shard) order.
+  // at or below every shard's clock; delivers in (t, query) order.
   void MergeAndRelease(bool flush_all);
   void RefreshGauges();
   int HomeShard(const std::string& query_name) const;
-  const RouteEntry* FindRoute(const std::string& stream) const;
+  // The engine of `name`'s shard, or kNotFound.
+  Result<ContinuousEngine*> EngineOf(const std::string& name) const;
 
   ShardedEngineOptions options_;
   MetricsRegistry metrics_;
   std::vector<std::unique_ptr<Shard>> shards_;
-  std::vector<RouteEntry> routes_;
+  // Route predicates, bound to metrics_; each stream's shards below.
+  StreamRouter router_;
+  std::map<std::string, StreamPlacement> stream_placements_;
+  // Set by the first RegisterText, Ingest or Restore.
+  bool routes_frozen_ = false;
+  // The fleet watermark: the newest timestamp produced to any lane.
+  // PumpShard advances every shard's clock to it, as one engine's clock
+  // follows all of its streams, so a shard whose streams go quiet still
+  // evaluates the instants a single engine would.
+  std::optional<Timestamp> newest_;
   std::vector<EmitSink*> sinks_;
-  std::map<std::string, std::vector<int>> placements_;
-  // Query definitions in registration order (what Restore re-registers
-  // from; the serving tier's source of truth for definitions).
-  std::vector<std::string> query_texts_;
-  int64_t released_total_ = 0;
-  Counter* dropped_counter_ = nullptr;
+  // Query name → its shard.
+  std::map<std::string, int> placements_;
   Counter* released_counter_ = nullptr;
   Counter* sink_failures_ = nullptr;
   Gauge* fleet_watermark_gauge_ = nullptr;

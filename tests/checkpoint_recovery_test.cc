@@ -367,11 +367,6 @@ constexpr char kFlakyQuery[] = R"(
   REGISTER QUERY flaky STARTING AT '1970-01-01T00:05'
   { MATCH (n:X) WITHIN PT4M EMIT 10 / (n.id - 3) AS v SNAPSHOT EVERY PT5M })";
 
-// Runs on every shard: its stream is hash-partitioned.
-constexpr char kScatteredQuery[] = R"(
-  REGISTER QUERY spread STARTING AT '1970-01-01T00:05'
-  { MATCH (n:X) WITHIN PT30M FROM scatter EMIT n.id SNAPSHOT EVERY PT5M })";
-
 // Every count of `stats` equals its registry series summed over `engines`.
 void ExpectStatsAreTheSeries(
     const QueryStats& stats, const std::vector<const ContinuousEngine*>& engines,
@@ -439,14 +434,15 @@ TEST_F(CheckpointRecoveryTest, RestoredStatsAreTheRegistrySeries) {
     ExpectStatsAreTheSeries(stats, {restored.get()}, query);
   }
 
-  auto make_fleet = [] {
+  const std::string dir = FreshDir("restored_stats_fleet");
+  auto make_fleet = [&dir](bool durable) {
     shard::ShardedEngineOptions options;
     options.shards = 2;
+    if (durable) options.checkpoint_dir = dir;
+    options.checkpoint_fsync = false;
     auto fleet = std::make_unique<shard::ShardedEngine>(options);
-    fleet->AddRoute("scatter", AcceptAll(), shard::HashByNodeId());
     EXPECT_TRUE(fleet->RegisterText(kCountQuery).ok());
     EXPECT_TRUE(fleet->RegisterText(kFlakyQuery).ok());
-    EXPECT_TRUE(fleet->RegisterText(kScatteredQuery).ok());
     return fleet;
   };
   auto placement_engines = [](const shard::ShardedEngine& fleet,
@@ -456,15 +452,22 @@ TEST_F(CheckpointRecoveryTest, RestoredStatsAreTheRegistrySeries) {
     for (int s : placement.shards) engines.push_back(fleet.shard_engine(s));
     return engines;
   };
-  const std::vector<std::string> fleet_queries = {"q", "flaky", "spread"};
-  auto first = make_fleet();
-  ASSERT_EQ(first->PlacementFor("spread")->shards.size(), 2u);
-  for (int i = 0; i < 6; ++i) {
-    ASSERT_TRUE(first->Ingest(Item(i + 1), T(1 + 2 * i)).ok());
-    ASSERT_TRUE(first->PumpAll().ok());
+  const std::vector<std::string> fleet_queries = {"q", "flaky"};
+  // `first` runs uninterrupted; `second` restores the checkpoint
+  // `victim` committed at the cut.
+  auto first = make_fleet(false);
+  {
+    auto victim = make_fleet(true);
+    for (shard::ShardedEngine* fleet : {first.get(), victim.get()}) {
+      for (int i = 0; i < 6; ++i) {
+        ASSERT_TRUE(fleet->Ingest(Item(i + 1), T(1 + 2 * i)).ok());
+        ASSERT_TRUE(fleet->PumpAll().ok());
+      }
+    }
+    ASSERT_TRUE(victim->Checkpoint().ok());
   }
-  auto second = make_fleet();
-  ASSERT_TRUE(second->RestoreFrom(first->CaptureCheckpoints()).ok());
+  auto second = make_fleet(true);
+  ASSERT_TRUE(second->Restore().ok());
   for (const std::string& query : fleet_queries) {
     SCOPED_TRACE("2-shard fleet, at the cut: " + query);
     const QueryStats stats = *second->StatsFor(query);

@@ -1,12 +1,12 @@
-// The sharded serving tier (src/shard/): pluggable partitioners, query
-// placement over the shard set the partitioners imply, deterministic
-// (t, query, shard)-ordered merge, fleet health gauges, and coordinated
-// in-memory capture/restore. The randomized sharded-vs-single oracle
-// lives in tests/sharded_equivalence_test.cc; this file pins the unit
-// behaviors the oracle builds on.
+// The sharded serving tier (src/shard/): broadcast and fixed-shard
+// routes, one-shard query placement, deterministic (t, query)-ordered
+// merge, fleet health gauges, and checkpoint/restore. The randomized
+// sharded-vs-single oracle lives in tests/sharded_equivalence_test.cc;
+// this file pins the unit behaviors the oracle builds on.
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <filesystem>
 #include <memory>
 #include <string>
 #include <vector>
@@ -15,6 +15,7 @@
 #include "io/json.h"
 #include "runtime/runtime.h"
 #include "seraph/continuous_engine.h"
+#include "seraph/sinks.h"
 #include "shard/partitioner.h"
 #include "shard/sharded_engine.h"
 
@@ -57,7 +58,7 @@ class OrderSink final : public EmitSink {
 };
 
 // ---------------------------------------------------------------------------
-// Partitioners
+// Stable hash and routes
 // ---------------------------------------------------------------------------
 
 TEST(PartitionerTest, StableHashIsStableAcrossCallsAndOverloads) {
@@ -71,52 +72,63 @@ TEST(PartitionerTest, StableHashIsStableAcrossCallsAndOverloads) {
   EXPECT_NE(StableHash64(text), StableHash64(std::string("other")));
 }
 
-TEST(PartitionerTest, BroadcastCoversEveryShard) {
-  auto partitioner = Broadcast();
-  const PropertyGraph graph = Item(1);
-  EXPECT_EQ(partitioner->ShardsFor(graph, T(1), 1), (std::vector<int>{0}));
-  EXPECT_EQ(partitioner->ShardsFor(graph, T(1), 4),
-            (std::vector<int>{0, 1, 2, 3}));
-  EXPECT_EQ(partitioner->placement(4).kind, PlacementKind::kBroadcast);
-  EXPECT_STREQ(partitioner->name(), "broadcast");
-}
-
-TEST(PartitionerTest, FixedShardClampsOutOfRangeIndexes) {
-  const PropertyGraph graph = Item(1);
-  EXPECT_EQ(FixedShard(2)->ShardsFor(graph, T(1), 4), (std::vector<int>{2}));
-  EXPECT_EQ(FixedShard(2)->placement(4).fixed_shard, 2);
-  EXPECT_EQ(FixedShard(2)->placement(4).kind, PlacementKind::kFixed);
-  // A mis-sized fleet still routes somewhere deterministic.
-  EXPECT_EQ(FixedShard(7)->ShardsFor(graph, T(1), 4), (std::vector<int>{3}));
-  EXPECT_EQ(FixedShard(7)->placement(4).fixed_shard, 3);
-  EXPECT_EQ(FixedShard(-1)->ShardsFor(graph, T(1), 4), (std::vector<int>{0}));
-}
-
-TEST(PartitionerTest, HashByNodeIdIsDeterministicAndCoLocating) {
-  auto partitioner = HashByNodeId();
-  // Single shard: trivially fixed.
-  EXPECT_EQ(partitioner->ShardsFor(Item(9), T(1), 1), (std::vector<int>{0}));
-  EXPECT_EQ(partitioner->placement(1).kind, PlacementKind::kFixed);
-  EXPECT_EQ(partitioner->placement(4).kind, PlacementKind::kScattered);
-  // Deterministic, in range, and keyed by the smallest node id: a graph
-  // containing nodes {5, 9} lands where the anchor node 5 lands.
-  for (int64_t id = 1; id <= 64; ++id) {
-    auto shards = partitioner->ShardsFor(Item(id), T(1), 4);
-    ASSERT_EQ(shards.size(), 1u);
-    EXPECT_GE(shards[0], 0);
-    EXPECT_LT(shards[0], 4);
-    EXPECT_EQ(shards, partitioner->ShardsFor(Item(id), T(99), 4));
+TEST(ShardedEngineTest, RoutesReachTheShardsTheirPlacementNames) {
+  ShardedEngineOptions options;
+  options.shards = 4;
+  ShardedEngine fleet(options);
+  ASSERT_TRUE(fleet.AddRoute("pinned", AcceptAll(), FixedShard(3)).ok());
+  // A shard outside the fleet is an error, not a clamp.
+  EXPECT_EQ(fleet.AddRoute("high", AcceptAll(), FixedShard(4)).code(),
+            StatusCode::kInvalidArgument);
+  EXPECT_EQ(fleet.AddRoute("low", AcceptAll(), FixedShard(-1)).code(),
+            StatusCode::kInvalidArgument);
+  auto delivered = fleet.Ingest(Item(1), T(1));
+  ASSERT_TRUE(delivered.ok()) << delivered.status();
+  EXPECT_EQ(*delivered, 5);  // The broadcast default on 4 shards + "pinned".
+  ASSERT_TRUE(fleet.Finish().ok());
+  for (int s = 0; s < 4; ++s) {
+    EXPECT_EQ(fleet.shard_engine(s)->stream().size(), 1u) << s;
+    EXPECT_EQ(fleet.shard_engine(s)->stream("pinned").size(),
+              s == 3 ? 1u : 0u)
+        << s;
+    EXPECT_EQ(fleet.shard_engine(s)->stream("high").size(), 0u) << s;
   }
-  const PropertyGraph pair = GraphBuilder()
-                                 .Node(5, {"X"})
-                                 .Node(9, {"X"})
-                                 .Rel(1, 5, 9, "linked")
-                                 .Build();
-  EXPECT_EQ(partitioner->ShardsFor(pair, T(1), 4),
-            partitioner->ShardsFor(Item(5), T(1), 4));
-  // An element with no nodes hashes to shard 0.
-  EXPECT_EQ(partitioner->ShardsFor(PropertyGraph(), T(1), 4),
-            (std::vector<int>{0}));
+}
+
+// Placement reads the routes, so a route declared after a query was
+// placed would strand it on the wrong shard. Both orders are checked:
+// routes first places the query on the route's shard and it sees the
+// stream; query first freezes the routes.
+TEST(ShardedEngineTest, RoutesFreezeOnceAQueryIsPlaced) {
+  const std::string query =
+      "REGISTER QUERY q STARTING AT '1970-01-01T00:01' "
+      "{ MATCH (n:X) WITHIN PT30M FROM x EMIT n.id SNAPSHOT EVERY PT1M }";
+  ShardedEngineOptions options;
+  options.shards = 2;
+
+  ShardedEngine routed_first(options);
+  CountingSink routed_sink;
+  routed_first.AddSink(&routed_sink);
+  ASSERT_TRUE(routed_first.AddRoute("x", AcceptAll(), FixedShard(1)).ok());
+  auto placement = routed_first.RegisterText(query);
+  ASSERT_TRUE(placement.ok()) << placement.status();
+  EXPECT_EQ(placement->shards, (std::vector<int>{1}));
+  for (int i = 1; i <= 3; ++i) {
+    ASSERT_TRUE(routed_first.Ingest(Item(i), T(i)).ok());
+  }
+  ASSERT_TRUE(routed_first.Finish().ok());
+  EXPECT_EQ(routed_sink.rows(), 6);  // 1 + 2 + 3 rows at 00:01..00:03.
+
+  ShardedEngine placed_first(options);
+  ASSERT_TRUE(placed_first.RegisterText(query).ok());
+  EXPECT_EQ(placed_first.AddRoute("x", AcceptAll(), FixedShard(1)).code(),
+            StatusCode::kFailedPrecondition);
+
+  // Ingest freezes them too, even with no query registered.
+  ShardedEngine ingested_first(options);
+  ASSERT_TRUE(ingested_first.Ingest(Item(1), T(1)).ok());
+  EXPECT_EQ(ingested_first.AddRoute("x", AcceptAll(), Broadcast()).code(),
+            StatusCode::kFailedPrecondition);
 }
 
 // ---------------------------------------------------------------------------
@@ -153,13 +165,12 @@ TEST(ShardedEngineTest, BroadcastQueriesGetOneStableHomeShard) {
             StatusCode::kNotFound);
 }
 
-TEST(ShardedEngineTest, PlacementFollowsPartitionersAndRejectsConflicts) {
+TEST(ShardedEngineTest, PlacementFollowsRoutesAndRejectsConflicts) {
   ShardedEngineOptions options;
   options.shards = 3;
   ShardedEngine fleet(options);
-  fleet.AddRoute("left", HasLabel("L"), FixedShard(0));
-  fleet.AddRoute("right", HasLabel("R"), FixedShard(2));
-  fleet.AddRoute("scatter", AcceptAll(), HashByNodeId());
+  ASSERT_TRUE(fleet.AddRoute("left", HasLabel("L"), FixedShard(0)).ok());
+  ASSERT_TRUE(fleet.AddRoute("right", HasLabel("R"), FixedShard(2)).ok());
 
   auto left = fleet.RegisterText(
       "REGISTER QUERY q_left STARTING AT '1970-01-01T00:05' "
@@ -167,12 +178,15 @@ TEST(ShardedEngineTest, PlacementFollowsPartitionersAndRejectsConflicts) {
   ASSERT_TRUE(left.ok()) << left.status();
   EXPECT_EQ(left->shards, (std::vector<int>{0}));
 
-  // A scattered stream forces every shard (union semantics).
-  auto scattered = fleet.RegisterText(
-      "REGISTER QUERY q_scatter STARTING AT '1970-01-01T00:05' "
-      "{ MATCH (n:X) WITHIN PT30M FROM scatter EMIT n.id EVERY PT5M }");
-  ASSERT_TRUE(scattered.ok()) << scattered.status();
-  EXPECT_EQ(scattered->shards, (std::vector<int>{0, 1, 2}));
+  // The broadcast default stream is on every shard, so a query joining
+  // it with a pinned stream runs on the pinned stream's shard.
+  auto joined = fleet.RegisterText(
+      "REGISTER QUERY q_joined STARTING AT '1970-01-01T00:05' {"
+      " MATCH (a:X) WITHIN PT30M"
+      " MATCH (b:R) WITHIN PT30M FROM right"
+      " EMIT a.id EVERY PT5M }");
+  ASSERT_TRUE(joined.ok()) << joined.status();
+  EXPECT_EQ(joined->shards, (std::vector<int>{2}));
 
   // Two streams pinned to different shards: no shard sees both.
   auto conflict = fleet.RegisterText(
@@ -181,17 +195,12 @@ TEST(ShardedEngineTest, PlacementFollowsPartitionersAndRejectsConflicts) {
       " MATCH (b:R) WITHIN PT30M FROM right"
       " EMIT a.id EVERY PT5M }");
   EXPECT_EQ(conflict.status().code(), StatusCode::kInvalidArgument);
-
-  // Scattered + fixed: likewise impossible on one shard.
-  auto mixed = fleet.RegisterText(
-      "REGISTER QUERY q_mixed STARTING AT '1970-01-01T00:05' {"
-      " MATCH (a:X) WITHIN PT30M FROM scatter"
-      " MATCH (b:L) WITHIN PT30M FROM left"
-      " EMIT a.id EVERY PT5M }");
-  EXPECT_EQ(mixed.status().code(), StatusCode::kInvalidArgument);
-  // Failed registrations left nothing behind.
+  // The failed registration left nothing behind.
   EXPECT_EQ(fleet.PlacementFor("q_conflict").status().code(),
             StatusCode::kNotFound);
+  for (int s = 0; s < 3; ++s) {
+    EXPECT_FALSE(fleet.shard_engine(s)->StatsFor("q_conflict").ok()) << s;
+  }
 
   // A stream nothing routes into is empty everywhere; the query still
   // gets a broadcast-style home instead of failing.
@@ -212,8 +221,8 @@ TEST(ShardedEngineTest, MergedOutputIsOrderedByTimeThenQuery) {
   ShardedEngine fleet(options);
   // Pinned sub-streams on different shards, plus the default broadcast
   // route, which keeps both shard clocks advancing on every element.
-  fleet.AddRoute("left", HasLabel("L"), FixedShard(0));
-  fleet.AddRoute("right", HasLabel("R"), FixedShard(1));
+  ASSERT_TRUE(fleet.AddRoute("left", HasLabel("L"), FixedShard(0)).ok());
+  ASSERT_TRUE(fleet.AddRoute("right", HasLabel("R"), FixedShard(1)).ok());
   ASSERT_TRUE(fleet
                   .RegisterText(
                       "REGISTER QUERY a_left STARTING AT '1970-01-01T00:05' "
@@ -260,8 +269,8 @@ TEST(ShardedEngineTest, MergedOutputIsOrderedByTimeThenQuery) {
   EXPECT_TRUE(std::any_of(sink.entries().begin(), sink.entries().end(),
                           [](const auto& e) { return e.query == "b_right"; }));
 
-  // The health surface: per-shard and fleet watermarks agree at the last
-  // ingested instant, and the fleet watermark is the slowest shard's.
+  // The health surface: the fleet watermark is the last ingested
+  // instant, and every shard's clock has followed it.
   EXPECT_EQ(fleet.FleetWatermarkMillis(), T(12).millis());
   const Gauge* fleet_gauge =
       fleet.metrics().FindGauge("seraph_fleet_watermark_millis", {});
@@ -280,7 +289,7 @@ TEST(ShardedEngineTest, UnroutedElementsAreCountedAsDropped) {
   options.shards = 2;
   ShardedEngine fleet(options);
   // Replace the default catch-all: only L-labeled elements route.
-  fleet.AddRoute("", HasLabel("L"), Broadcast());
+  ASSERT_TRUE(fleet.AddRoute("", HasLabel("L"), Broadcast()).ok());
   auto routed = fleet.Ingest(Labeled("L", 1), T(1));
   ASSERT_TRUE(routed.ok());
   EXPECT_EQ(*routed, 2);  // Broadcast to both shards.
@@ -319,91 +328,104 @@ TEST(ShardedEngineTest, OverloadLedgerSumsEveryLane) {
 }
 
 // ---------------------------------------------------------------------------
-// Cross-shard stats, disable/revive, capture/restore
+// Stats, disable/revive, checkpoint/restore
 // ---------------------------------------------------------------------------
 
-TEST(ShardedEngineTest, ScatteredQueryStatsSumAndReviveSpansShards) {
+TEST(ShardedEngineTest, QueryStatsAndReviveForwardToItsShard) {
   ShardedEngineOptions options;
   options.shards = 2;
   options.engine.query_error_budget = 2;
   ShardedEngine fleet(options);
-  fleet.AddRoute("scatter", AcceptAll(), HashByNodeId());
+  ASSERT_TRUE(fleet.AddRoute("pinned", AcceptAll(), FixedShard(1)).ok());
   // Division by zero fails every evaluation with an element in window;
-  // the budget disables the query on each shard independently.
+  // the budget disables the query on its shard.
   auto placement = fleet.RegisterText(
       "REGISTER QUERY flaky STARTING AT '1970-01-01T00:05' "
-      "{ MATCH (n:X) WITHIN PT30M FROM scatter EMIT n.id / 0 EVERY PT5M }");
+      "{ MATCH (n:X) WITHIN PT30M FROM pinned EMIT n.id / 0 EVERY PT5M }");
   ASSERT_TRUE(placement.ok()) << placement.status();
-  ASSERT_EQ(placement->shards, (std::vector<int>{0, 1}));
+  ASSERT_EQ(placement->shards, (std::vector<int>{1}));
 
-  // Enough elements that both shards hold at least one (ids 1..8 spread
-  // by hash), then enough evaluations to exhaust both budgets.
-  for (int i = 0; i < 8; ++i) {
-    ASSERT_TRUE(fleet.Ingest(Item(i + 1), T(1 + i)).ok());
-    ASSERT_TRUE(fleet.PumpAll().ok());
-  }
   for (int i = 0; i < 4; ++i) {
-    ASSERT_TRUE(fleet.Ingest(Item(100 + i), T(10 + 5 * i)).ok());
+    ASSERT_TRUE(fleet.Ingest(Item(i + 1), T(1 + 5 * i)).ok());
     ASSERT_TRUE(fleet.PumpAll().ok());
   }
   EXPECT_TRUE(fleet.QueryDisabled("flaky"));
   auto stats = fleet.StatsFor("flaky");
   ASSERT_TRUE(stats.ok());
-  // Summed across both placement shards: strictly more failures than any
-  // single shard's budget allows.
-  EXPECT_GE(stats->eval_failures, 4);
+  // The fleet's stats are the shard's own, and the budget stopped the
+  // query after its second failure.
+  EXPECT_TRUE(*stats == *fleet.shard_engine(1)->StatsFor("flaky"));
+  EXPECT_EQ(stats->eval_failures, 2);
   EXPECT_FALSE(stats->last_error.ok());
+  auto latency = fleet.LatencyFor("flaky");
+  ASSERT_TRUE(latency.ok());
+  EXPECT_EQ(latency->count, fleet.shard_engine(1)->LatencyFor("flaky")->count);
+  EXPECT_EQ(fleet.StatsFor("ghost").status().code(), StatusCode::kNotFound);
 
   ASSERT_TRUE(fleet.ReviveQuery("flaky").ok());
   EXPECT_FALSE(fleet.QueryDisabled("flaky"));
+  EXPECT_FALSE(fleet.shard_engine(1)->QueryDisabled("flaky"));
   EXPECT_FALSE(fleet.ReviveQuery("ghost").ok());
 
   const std::string json = runtime::QueriesStatusJson(fleet);
   EXPECT_NE(json.find("\"name\":\"flaky\""), std::string::npos) << json;
-  EXPECT_NE(json.find("\"shards\":[0,1]"), std::string::npos) << json;
+  EXPECT_NE(json.find("\"shards\":[1]"), std::string::npos) << json;
 }
 
-TEST(ShardedEngineTest, CaptureRestoreSplitRunConcatenatesExactly) {
-  auto make_fleet = [](OrderSink* sink) {
+TEST(ShardedEngineTest, CheckpointRestoreSplitRunConcatenatesExactly) {
+  const std::string dir =
+      ::testing::TempDir() + "seraph_sharded_engine_split";
+  std::filesystem::remove_all(dir);
+  auto make_fleet = [&dir](OrderSink* sink) {
     ShardedEngineOptions options;
     options.shards = 2;
+    options.checkpoint_dir = dir;
+    options.checkpoint_fsync = false;
     auto fleet = std::make_unique<ShardedEngine>(options);
-    if (sink != nullptr) fleet->AddSink(sink);
+    fleet->AddSink(sink);
     EXPECT_TRUE(fleet->RegisterText(CountQuery("q", "")).ok());
     return fleet;
   };
 
   // The uninterrupted run.
   OrderSink oracle;
-  auto full = make_fleet(&oracle);
-  for (int i = 0; i < 12; ++i) {
-    ASSERT_TRUE(full->Ingest(Item(i + 1), T(1 + 2 * i)).ok());
-    ASSERT_TRUE(full->PumpAll().ok());
+  {
+    ShardedEngineOptions options;
+    options.shards = 2;
+    ShardedEngine full(options);
+    full.AddSink(&oracle);
+    ASSERT_TRUE(full.RegisterText(CountQuery("q", "")).ok());
+    for (int i = 0; i < 12; ++i) {
+      ASSERT_TRUE(full.Ingest(Item(i + 1), T(1 + 2 * i)).ok());
+      ASSERT_TRUE(full.PumpAll().ok());
+    }
+    ASSERT_TRUE(full.Finish().ok());
   }
-  ASSERT_TRUE(full->Finish().ok());
   ASSERT_FALSE(oracle.entries().empty());
 
-  // The split run: capture after the prefix, restore into a fresh fleet,
-  // continue with the suffix.
+  // The split run: checkpoint after the prefix, restore into a fresh
+  // fleet over the same directory, continue with the suffix.
   OrderSink prefix_sink;
-  auto first = make_fleet(&prefix_sink);
-  for (int i = 0; i < 6; ++i) {
-    ASSERT_TRUE(first->Ingest(Item(i + 1), T(1 + 2 * i)).ok());
-    ASSERT_TRUE(first->PumpAll().ok());
+  {
+    auto first = make_fleet(&prefix_sink);
+    for (int i = 0; i < 6; ++i) {
+      ASSERT_TRUE(first->Ingest(Item(i + 1), T(1 + 2 * i)).ok());
+      ASSERT_TRUE(first->PumpAll().ok());
+    }
+    ASSERT_TRUE(first->Checkpoint().ok());
   }
-  std::vector<EngineCheckpoint> images = first->CaptureCheckpoints();
-  ASSERT_EQ(images.size(), 2u);
 
   OrderSink suffix_sink;
   auto second = make_fleet(&suffix_sink);
-  ASSERT_TRUE(second->RestoreFrom(images).ok());
+  ASSERT_TRUE(second->Restore().ok());
   // Restoring twice (fleet no longer fresh) is rejected.
-  EXPECT_FALSE(second->RestoreFrom(images).ok());
+  EXPECT_FALSE(second->Restore().ok());
   for (int i = 6; i < 12; ++i) {
     ASSERT_TRUE(second->Ingest(Item(i + 1), T(1 + 2 * i)).ok());
     ASSERT_TRUE(second->PumpAll().ok());
   }
   ASSERT_TRUE(second->Finish().ok());
+  std::filesystem::remove_all(dir);
 
   // prefix + suffix == oracle, entry for entry.
   ASSERT_EQ(prefix_sink.entries().size() + suffix_sink.entries().size(),

@@ -2,8 +2,10 @@
 // tier"): the merged output of a ShardedEngine must be bit-identical —
 // content *and* global order — to a single ContinuousEngine run over the
 // same routed streams, for every shard count, with and without intra-
-// shard parallelism, and across an in-memory checkpoint/restore split
-// mid-run. Randomized in the style of tests/delta_equivalence_test.cc:
+// shard parallelism, with queries joining broadcast and fixed-shard
+// streams, with shards whose streams go quiet, and across a
+// checkpoint/restore split mid-run (which replays the fleet's ingest
+// logs). Randomized in the style of tests/delta_equivalence_test.cc:
 // churned graph elements over bounded entity universes drive window
 // updates, evictions, and rewires through a fleet of query shapes and
 // report policies.
@@ -11,6 +13,7 @@
 
 #include <algorithm>
 #include <cstdlib>
+#include <filesystem>
 #include <map>
 #include <memory>
 #include <random>
@@ -187,11 +190,11 @@ class SeqSink final : public EmitSink {
 };
 
 // A logical route, instantiated as a StreamRouter route on the single
-// engine and as a partitioned fleet route on the sharded one.
+// engine and as a placed fleet route on the sharded one.
 struct RouteSpec {
   std::string stream;
   StreamRouter::Predicate predicate;
-  std::shared_ptr<const shard::Partitioner> partitioner;
+  shard::StreamPlacement placement;
 };
 
 std::vector<RouteSpec> BroadcastOnly() {
@@ -235,7 +238,8 @@ std::vector<Emission> RunSharded(int shards, const EngineOptions& engine_opts,
   SeqSink sink;
   sharded.AddSink(&sink);
   for (const RouteSpec& route : routes) {
-    sharded.AddRoute(route.stream, route.predicate, route.partitioner);
+    EXPECT_TRUE(
+        sharded.AddRoute(route.stream, route.predicate, route.placement).ok());
   }
   for (const NamedQuery& query : fleet) {
     auto placement = sharded.RegisterText(query.text);
@@ -346,8 +350,126 @@ TEST(ShardedEquivalenceTest, FixedShardRoutesStayBitIdentical) {
   }
 }
 
-// Checkpoint/restore mid-run: capture the fleet after a prefix, restore
-// into a fresh fleet, continue with the suffix — the concatenated
+// Queries joining the broadcast default stream with a pinned sub-stream
+// run on the pinned stream's shard, which holds both, and stay
+// bit-identical to the single engine at every shard count.
+TEST(ShardedEquivalenceTest, BroadcastAndFixedJoinRunsOnTheFixedShard) {
+  const Shape kJoins[] = {
+      {"join",
+       "MATCH (a:A)-[r:R]->(b) WITHIN PT10M FROM alpha "
+       "MATCH (c:B {v: b.v}) WITHIN PT15M EMIT a.v AS av, c.v AS cv"},
+      {"joinagg",
+       "MATCH (a:A) WITHIN PT10M FROM alpha "
+       "MATCH (c {v: a.v})-[s:S]->(d) WITHIN PT10M EMIT count(s) AS n"},
+  };
+  std::vector<NamedQuery> fleet = Fleet("");
+  for (const Shape& shape : kJoins) {
+    for (size_t p = 0; p < 3; ++p) {
+      const std::string name =
+          std::string(shape.name) + "_p" + std::to_string(p);
+      fleet.push_back({name, "REGISTER QUERY " + name +
+                                 " STARTING AT '1970-01-01T00:05' { " +
+                                 shape.body + " " + kPolicies[p] +
+                                 " EVERY PT5M }"});
+    }
+  }
+  fleet = SortedByName(std::move(fleet));
+  auto routes = [](int pinned) {
+    std::vector<RouteSpec> specs = BroadcastOnly();
+    specs.push_back({"alpha", HasLabel("A"), shard::FixedShard(pinned)});
+    return specs;
+  };
+
+  const int rounds = FuzzRounds(2);
+  for (int round = 0; round < rounds; ++round) {
+    const std::vector<Event> events =
+        ChurnEvents(/*seed=*/5150 + 11 * static_cast<uint32_t>(round), 35);
+    const std::vector<Emission> expected = RunSingle(routes(0), fleet, events);
+    ASSERT_TRUE(std::any_of(expected.begin(), expected.end(),
+                            [](const Emission& e) {
+                              return e.query.rfind("join_", 0) == 0 &&
+                                     e.json.find("\"av\"") !=
+                                         std::string::npos;
+                            }))
+        << "the join shapes never matched; the fuzz proves nothing";
+    for (int shards : {1, 2, 4}) {
+      SCOPED_TRACE("joined shards " + std::to_string(shards));
+      shard::ShardedEngineOptions options;
+      options.shards = shards;
+      shard::ShardedEngine placed(options);
+      for (const RouteSpec& route : routes(shards - 1)) {
+        ASSERT_TRUE(
+            placed.AddRoute(route.stream, route.predicate, route.placement)
+                .ok());
+      }
+      for (const NamedQuery& query : fleet) {
+        auto placement = placed.RegisterText(query.text);
+        ASSERT_TRUE(placement.ok()) << placement.status();
+        if (query.name.rfind("join", 0) == 0) {
+          EXPECT_EQ(placement->shards, (std::vector<int>{shards - 1}))
+              << query.name;
+        }
+      }
+      ExpectSequencesIdentical(
+          expected,
+          RunSharded(shards, EngineOptions{}, routes(shards - 1), fleet,
+                     events),
+          "joined shards " + std::to_string(shards));
+    }
+  }
+}
+
+// A shard whose streams go quiet keeps evaluating: halfway through the
+// run the default route stops carrying elements, so the home shards of
+// the default-stream queries receive nothing more, while every element
+// still reaches the pinned "alpha" stream. One engine's clock follows
+// all of its streams, so those queries keep firing over their draining
+// windows, and the fleet must match that at every shard count.
+TEST(ShardedEquivalenceTest, QuietShardsFollowTheFleetClock) {
+  std::vector<NamedQuery> fleet = Fleet("");
+  for (NamedQuery& query : Fleet("alpha")) {
+    query.name = "al_" + query.name;
+    query.text.insert(query.text.find("QUERY ") + 6, "al_");
+    fleet.push_back(query);
+  }
+  fleet = SortedByName(std::move(fleet));
+
+  const int rounds = FuzzRounds(2);
+  for (int round = 0; round < rounds; ++round) {
+    const std::vector<Event> events =
+        ChurnEvents(/*seed=*/7321 + 19 * static_cast<uint32_t>(round), 35);
+    const Timestamp quiet_from = T(events[events.size() / 2].minute);
+    auto routes = [quiet_from](int pinned) {
+      return std::vector<RouteSpec>{
+          {"",
+           [quiet_from](const PropertyGraph&, Timestamp t) {
+             return t < quiet_from;
+           },
+           shard::Broadcast()},
+          {"alpha", AcceptAll(), shard::FixedShard(pinned)}};
+    };
+    const std::vector<Emission> expected = RunSingle(routes(0), fleet, events);
+    // A default-stream query fires at least one EVERY period after the
+    // stream went quiet, or the fuzz proves nothing.
+    const int64_t well_after = quiet_from.millis() + T(5).millis();
+    ASSERT_TRUE(std::any_of(expected.begin(), expected.end(),
+                            [well_after](const Emission& e) {
+                              return e.t_millis > well_after &&
+                                     e.query.rfind("al_", 0) != 0;
+                            }));
+    for (int shards : {1, 2, 4}) {
+      ExpectSequencesIdentical(
+          expected,
+          RunSharded(shards, EngineOptions{}, routes(shards - 1), fleet,
+                     events),
+          "quiet shards " + std::to_string(shards));
+    }
+  }
+}
+
+// Checkpoint/restore mid-run: checkpoint the durable fleet after a
+// prefix, restore a fresh fleet from its directory (engine state plus the
+// ingest-log replay), continue with the suffix — the concatenated
 // emissions are exactly the uninterrupted single-engine run.
 TEST(ShardedEquivalenceTest, RestoreMidRunConcatenatesToTheOracle) {
   const std::vector<NamedQuery> fleet = SortedByName(Fleet(""));
@@ -364,19 +486,26 @@ TEST(ShardedEquivalenceTest, RestoreMidRunConcatenatesToTheOracle) {
       SCOPED_TRACE("restore shards " + std::to_string(shards));
       shard::ShardedEngineOptions options;
       options.shards = shards;
+      options.checkpoint_dir = ::testing::TempDir() +
+                               "seraph_sharded_equivalence_restore_" +
+                               std::to_string(shards);
+      options.checkpoint_fsync = false;
+      std::filesystem::remove_all(options.checkpoint_dir);
 
-      shard::ShardedEngine first(options);
       SeqSink prefix;
-      first.AddSink(&prefix);
-      for (const NamedQuery& query : fleet) {
-        ASSERT_TRUE(first.RegisterText(query.text).ok());
+      {
+        shard::ShardedEngine first(options);
+        first.AddSink(&prefix);
+        for (const NamedQuery& query : fleet) {
+          ASSERT_TRUE(first.RegisterText(query.text).ok());
+        }
+        for (size_t e = 0; e < cut; ++e) {
+          ASSERT_TRUE(
+              first.Ingest(events[e].graph, T(events[e].minute)).ok());
+          ASSERT_TRUE(first.PumpAll().ok());
+        }
+        ASSERT_TRUE(first.Checkpoint().ok());
       }
-      for (size_t e = 0; e < cut; ++e) {
-        ASSERT_TRUE(first.Ingest(events[e].graph, T(events[e].minute)).ok());
-        ASSERT_TRUE(first.PumpAll().ok());
-      }
-      std::vector<EngineCheckpoint> images = first.CaptureCheckpoints();
-      ASSERT_EQ(images.size(), static_cast<size_t>(shards));
 
       shard::ShardedEngine second(options);
       SeqSink suffix;
@@ -384,12 +513,13 @@ TEST(ShardedEquivalenceTest, RestoreMidRunConcatenatesToTheOracle) {
       for (const NamedQuery& query : fleet) {
         ASSERT_TRUE(second.RegisterText(query.text).ok());
       }
-      ASSERT_TRUE(second.RestoreFrom(images).ok());
+      ASSERT_TRUE(second.Restore().ok());
       for (size_t e = cut; e < events.size(); ++e) {
         ASSERT_TRUE(second.Ingest(events[e].graph, T(events[e].minute)).ok());
         ASSERT_TRUE(second.PumpAll().ok());
       }
       ASSERT_TRUE(second.Finish().ok());
+      std::filesystem::remove_all(options.checkpoint_dir);
 
       std::vector<Emission> combined = prefix.emissions();
       combined.insert(combined.end(), suffix.emissions().begin(),

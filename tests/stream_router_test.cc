@@ -1,6 +1,9 @@
 // Logical sub-stream partitioning (§8 (ii)) via StreamRouter.
 #include <gtest/gtest.h>
 
+#include <string>
+#include <vector>
+
 #include "graph/graph_builder.h"
 #include "seraph/stream_router.h"
 
@@ -155,6 +158,49 @@ TEST(StreamRouterTest, PartitionedQueriesSeeOnlyTheirSubStream) {
   ASSERT_TRUE(result.has_value());
   ASSERT_EQ(result->table.size(), 1u);
   EXPECT_EQ(result->table.rows()[0].GetOrNull("b.id"), Value::Int(1));
+}
+
+// The callback form the sharded fleet routes through: one call per
+// matching route, in route order, whose delivery count feeds both the
+// return value and the routed counter. Re-adding a stream replaces its
+// predicate instead of adding a second route.
+TEST(StreamRouterTest, CallbackFormCountsDeliveriesAndRedeclaringReplaces) {
+  MetricsRegistry registry;
+  StreamRouter router;
+  router.BindMetrics(&registry);
+  router.AddRoute("", AcceptAll());
+  router.AddRoute("returns", HasRelationshipType("returnedAt"));
+  router.AddRoute("returns", HasRelationshipType("rentedAt"));
+
+  std::vector<std::string> calls;
+  auto deliver = [&calls](const std::string& stream,
+                          const std::shared_ptr<const PropertyGraph>&,
+                          Timestamp) -> Result<int> {
+    calls.push_back(stream);
+    return stream.empty() ? 3 : 1;  // "" on three engines, "returns" on one.
+  };
+  auto delivered = router.Route(Rental(1, 1), T(1), deliver);
+  ASSERT_TRUE(delivered.ok());
+  EXPECT_EQ(*delivered, 4);
+  EXPECT_EQ(calls, (std::vector<std::string>{"", "returns"}));
+  // The replaced predicate no longer matches returns.
+  ASSERT_TRUE(router.Route(Return(1, 1), T(2), deliver).ok());
+  EXPECT_EQ(calls.size(), 3u);
+
+  auto count = [&](const std::string& stream) {
+    return registry
+        .FindCounter("seraph_router_routed_total", {{"stream", stream}})
+        ->value();
+  };
+  EXPECT_EQ(count("<default>"), 6);
+  EXPECT_EQ(count("returns"), 1);
+
+  // A failed delivery surfaces as the route's error.
+  auto failed = router.Route(
+      Rental(2, 1), T(3),
+      [](const std::string&, const std::shared_ptr<const PropertyGraph>&,
+         Timestamp) -> Result<int> { return Status::Unavailable("down"); });
+  EXPECT_EQ(failed.status().code(), StatusCode::kUnavailable);
 }
 
 }  // namespace

@@ -13,7 +13,7 @@
 //                                {"t_ms": <int>, "graph": "<graph text>"}
 //                                (graph text as in io/graph_text.h).
 //                                Events are routed through the fleet's
-//                                partitioners, pumped, and merged;
+//                                routes, pumped, and merged;
 //                                responds {"ingested": n, "deliveries": d,
 //                                "watermark_ms": w}.
 //   GET  /queries/<q>/results?after=<seq>
@@ -295,9 +295,12 @@ int main(int argc, char** argv) {
       ++ingested;
       deliveries += *delivered;
     }
-    if (Status s = rt.Pump(); !s.ok()) {
+    // An ingest batch is complete: its newest instant closes with it, so
+    // elements a later batch sends at that timestamp miss that instant.
+    if (Status s = fleet.PumpAll(); !s.ok()) {
       return ErrorReply(500, "Internal Server Error", s.ToString());
     }
+    rt.Publish();
     return JsonReply(
         200, "OK",
         "{\"ingested\":" + std::to_string(ingested) +
