@@ -1,7 +1,6 @@
-// Sharded serving tier scaling (docs/INTERNALS.md, "Sharded serving
-// tier"): the same workload pushed through one plain ContinuousEngine
-// (the `single` arm) and through ShardedEngine fleets of 1, 2, and 4
-// shards. Elements take the fleet's default broadcast route, and four
+// Sharded tier scaling (docs/INTERNALS.md, "Sharded tier"): the same
+// workload pushed through one plain ContinuousEngine (the `single` arm)
+// and through ShardedEngine fleets of 1, 2, and 4 shards. Elements take the fleet's default broadcast route, and four
 // copies of one query spread over their home shards (q0..q3 land on four
 // different shards at N = 4, two per shard at N = 2), so each shard
 // evaluates 4/N of the queries. Every arm must emit exactly as many

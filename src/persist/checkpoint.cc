@@ -77,8 +77,7 @@ void CheckpointManager::BindDeadLetter(const DeadLetterQueue* dead_letter) {
 }
 
 void CheckpointManager::ManageRetention(EventQueue* queue) {
-  // Coupling a queue again only re-seeds its horizon: a fleet lane is
-  // coupled when it is created and again once Restore re-seeks it.
+  // Coupling a queue again only re-seeds its horizon.
   if (std::find(retention_queues_.begin(), retention_queues_.end(), queue) ==
       retention_queues_.end()) {
     retention_queues_.push_back(queue);
@@ -207,8 +206,8 @@ Result<uint64_t> CheckpointManager::CommitImage(const EngineCheckpoint& image,
 
 void CheckpointManager::GarbageCollect(uint64_t newest_seq) {
   // Keep the newest kKeptGenerations generations. A *.tmp is never part
-  // of a committed generation: a crashed writer left it. Everything else
-  // (a fleet's ingest logs, files of an older build) stays.
+  // of a committed generation: a crashed writer left it. Everything else,
+  // such as the files an older build wrote, stays.
   std::error_code ec;
   std::vector<fs::path> doomed;
   for (const auto& entry : fs::directory_iterator(options_.dir, ec)) {

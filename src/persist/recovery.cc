@@ -169,9 +169,14 @@ Status RestoreConsumer(const CheckpointImage& image,
   queue->Subscribe(consumer);
   auto it = image.offsets.find(consumer);
   if (it == image.offsets.end()) return Status::OK();
-  // RestoreOffset, not Seek: a bounded tool restores before re-producing
-  // the log, so the checkpointed offset may lead the still-empty queue.
-  return queue->RestoreOffset(consumer, static_cast<size_t>(it->second));
+  // Drain moves the restored engine's clock to its newest element, and
+  // the engine refuses anything older, so a re-based queue does too.
+  Timestamp floor = image.engine.clock;
+  for (const auto& [name, stream] : image.engine.streams) {
+    floor = std::max(floor, stream.max_timestamp);
+  }
+  return queue->RestoreOffset(consumer, static_cast<size_t>(it->second),
+                              floor);
 }
 
 Result<RecoveryReport> RecoverAll(const std::string& dir,

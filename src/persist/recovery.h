@@ -58,8 +58,9 @@ Result<CheckpointImage> LoadCheckpoint(const std::string& dir, uint64_t seq);
 Result<CheckpointImage> LoadLatestCheckpoint(const std::string& dir);
 
 // Re-seeks `consumer` on `queue` to its committed offset (subscribing it
-// first). A consumer absent from the image is subscribed at 0 — the
-// position a fresh consumer would start from anyway.
+// first) with EventQueue::RestoreOffset: an empty queue restarts at that
+// offset, so the source resumes there. A consumer absent from the image
+// is subscribed at 0, the position a fresh consumer would start from.
 Status RestoreConsumer(const CheckpointImage& image,
                        const std::string& consumer, EventQueue* queue);
 

@@ -1,37 +1,40 @@
 // The runtime behind seraph_run, seraph_serve and latency_harness: the
 // paper's Fig. 1 loop (event queue → property graph stream → continuous
-// evaluation → emitted tables) wired once, in one of two shapes:
+// evaluation → emitted tables) wired once, as one ContinuousEngine fed
+// through one EventQueue + StreamDriver lane. A bounded queue either
+// sheds its oldest element into the dead-letter queue or refuses the
+// produce, which pumps the lane under the pump clock rule
+// (AdvanceEngineClock in seraph/stream_driver.h) and retries.
 //
-//  * single: one ContinuousEngine fed through one EventQueue +
-//    StreamDriver lane. A bounded queue either sheds its oldest element
-//    into the dead-letter queue or refuses the produce, which pumps the
-//    lane under the pump clock rule (AdvanceEngineClock in
-//    seraph/stream_driver.h) and retries, as the fleet's lanes do. With a
-//    checkpoint_dir, a CheckpointManager commits
-//    at the engine's batch barriers, and `restore` resumes from the newest
-//    valid generation, replaying only the queue suffix past it.
-//  * fleet: a ShardedEngine (shard/sharded_engine.h), which wires its own
-//    lanes, dead letters and checkpoints per shard.
+// Durability: with a checkpoint_dir, a CheckpointManager commits a
+// generation at the engine's batch barriers (and on Commit). There is one
+// restore path: `restore` loads the newest valid generation, and the
+// queue restarts at its consumer offset (EventQueue::RestoreOffset), so
+// the source resumes there. A replayable source (seraph_run's event file)
+// re-produces its input from next_offset(); a source that cannot be
+// replayed (seraph_serve's POST /ingest) calls Commit after each batch,
+// so an acknowledged batch is durable and a restart re-produces nothing.
 //
-//   RuntimeOptions options;               // ShardedEngineOptions + knobs
+//   RuntimeOptions options;
 //   Runtime rt(options);
 //   rt.AddSink(&sink);
 //   rt.Register("REGISTER QUERY q ...");
 //   rt.Start();                           // restore, endpoint, reporter
-//   rt.Produce(graph, t); rt.Pump();      // ... as events arrive
+//   for (size_t i = rt.next_offset(); i < input.size(); ++i) {
+//     rt.Produce(graph, t); rt.Pump();    // ... as events arrive
+//   }
 //   rt.Finish();
 //
-// Either way the runtime owns the endpoint (GET /metrics, /healthz,
-// /queries, plus handlers a tool mounts on server() before Start), the
-// --stats-interval reporter and the overload ledger. /metrics serves the
-// engine registry in the single shape and the coordinator registry in the
-// fleet. /queries serves a document the runtime renders on the engine's
-// thread after Register, Start, every Pump and Finish (or an explicit
+// The runtime owns the endpoint (GET /metrics serves the engine registry,
+// plus /healthz, /queries and handlers a tool mounts on server() before
+// Start), the --stats-interval reporter and the dead letters. /queries
+// serves a document the runtime renders on the engine's thread after
+// Register, Start, every Pump, Commit and Finish (or an explicit
 // Publish), so the server thread never reads engine state.
 //
 // Threading: every method runs on the engine's thread; only the endpoint
 // and the reporter run on their own threads, and those read the metrics
-// registries and the published document.
+// registry and the published document.
 #ifndef SERAPH_RUNTIME_RUNTIME_H_
 #define SERAPH_RUNTIME_RUNTIME_H_
 
@@ -42,7 +45,6 @@
 #include <string>
 #include <string_view>
 #include <thread>
-#include <vector>
 
 #include "common/metrics.h"
 #include "common/result.h"
@@ -51,22 +53,29 @@
 #include "seraph/dead_letter.h"
 #include "seraph/stream_driver.h"
 #include "server/metrics_server.h"
-#include "shard/sharded_engine.h"
 #include "stream/event_queue.h"
 
 namespace seraph {
 namespace runtime {
 
-// The fleet's options (engine, lane queue, poll batch, durability) serve
-// both shapes; the single shape reads them for its one engine and lane.
-struct RuntimeOptions : shard::ShardedEngineOptions {
-  // Log prefix ("[<tool>] ..."); with '_' spelled '-', also the single
-  // shape's queue consumer, whose offset key checkpoints record.
+struct RuntimeOptions {
+  // Log prefix ("[<tool>] ..."); with '_' spelled '-', also the queue
+  // consumer, whose offset key checkpoints record.
   std::string tool;
-  // Run a ShardedEngine of `shards` shards instead of one engine.
-  bool fleet = false;
-  // Single shape: also dead-letter evaluation failures, permanent sink
-  // rejections and poison elements. Queue sheds are always dead-lettered.
+  // The engine (thread pools, delta matching, deadlines, ...). The
+  // runtime sets its `dead_letter` and `checkpoint_every`.
+  EngineOptions engine;
+  // The lane's queue bound and overflow policy.
+  EventQueue::Options queue;
+  // Elements fetched per driver poll.
+  size_t poll_batch = 64;
+  // Durability: checkpoint generations go to checkpoint_dir (empty =
+  // in-memory only), one every checkpoint_every batch barriers.
+  std::string checkpoint_dir;
+  bool checkpoint_fsync = true;
+  int64_t checkpoint_every = 0;
+  // Also dead-letter evaluation failures, permanent sink rejections and
+  // poison elements. Queue sheds are always dead-lettered.
   bool dead_letter_failures = true;
   // Resume from the newest checkpoint generation in checkpoint_dir.
   bool restore = false;
@@ -79,11 +88,6 @@ struct RuntimeOptions : shard::ShardedEngineOptions {
   int stats_interval_sec = 0;
 };
 
-// The fleet's /queries payload: each query's stats and evaluation
-// latency, read off the engine of its shard, plus that shard. Like the
-// single-engine one, call it on the engine's thread.
-std::string QueriesStatusJson(const shard::ShardedEngine& fleet);
-
 class Runtime {
  public:
   explicit Runtime(RuntimeOptions options);
@@ -94,12 +98,11 @@ class Runtime {
 
   // ---- Before Start ----
 
-  // Adds an output sink: under `policy` in the single shape, after the
-  // merge in the fleet.
+  // Adds an output sink under `policy`.
   void AddSink(EmitSink* sink, SinkPolicy policy = {});
-  // Parses and registers Seraph query text (the single shape places it on
-  // shard 0), then republishes /queries.
-  Result<shard::QueryPlacement> Register(std::string_view seraph_text);
+  // Parses and registers Seraph query text, republishes /queries and
+  // returns the query's name.
+  Result<std::string> Register(std::string_view seraph_text);
   // The endpoint, for tools that mount their own handlers.
   MetricsServer& server() { return server_; }
 
@@ -109,43 +112,48 @@ class Runtime {
 
   // ---- Running ----
 
-  // Produces one element; returns its lane deliveries. The single shape
-  // pumps the lane and retries while a bounded queue refuses it, and
-  // fails when the consumer cannot free space
-  // (ProduceWithBackpressure); the fleet partitions it across its shards'
-  // lanes (ShardedEngine::Ingest), which do the same per lane.
-  Result<int> Produce(std::shared_ptr<const PropertyGraph> graph,
-                      Timestamp timestamp);
+  // The queue offset the next Produce lands at: after a restore, the
+  // restored generation's consumer offset, where a replayable source
+  // resumes its input; 0 on a cold start.
+  size_t next_offset() const { return queue_.size(); }
+  // Produces one element. While a bounded queue refuses it, pumps the
+  // lane and retries, and fails when the consumer cannot free space
+  // (ProduceWithBackpressure).
+  Status Produce(std::shared_ptr<const PropertyGraph> graph,
+                 Timestamp timestamp);
   // Delivers everything produced, evaluates the due instants before the
   // newest produced timestamp, republishes. An instant at that timestamp
-  // waits for a later element or Finish, because more elements may still
-  // share its timestamp.
+  // waits for a later element, Commit or Finish, because more elements
+  // may still share its timestamp.
   Status Pump();
+  // Ends a batch from a source that cannot be replayed: delivers
+  // everything produced and evaluates through the newest produced
+  // timestamp (closing its instant, so an element a later batch sends at
+  // that timestamp misses it), republishes, and, when durable, commits a
+  // generation. Once it returns OK the batch survives a restart without
+  // being produced again; a failed commit is returned.
+  Status Commit();
   // Delivers what is still queued, runs the final evaluations (closing
   // the newest instant), republishes and stops the reporter. A durable
-  // single shape logs its checkpoint tally.
+  // run logs its checkpoint tally.
   Status Finish();
   // Re-renders /queries; call after changing engine state directly.
   void Publish();
 
   // ---- Introspection ----
 
-  // The single shape's engine, or null.
-  ContinuousEngine* engine() { return engine_.get(); }
-  // The fleet, or null.
-  shard::ShardedEngine* fleet() { return fleet_.get(); }
-  // What /metrics serves.
-  MetricsRegistry& metrics();
-  // The single shape's dead letters.
+  ContinuousEngine& engine() { return engine_; }
+  // What /metrics serves: the engine registry.
+  MetricsRegistry& metrics() { return engine_.metrics(); }
   DeadLetterQueue& dead_letters() { return dead_letters_; }
-  // Queue overload counters and dead letters, over every lane.
-  shard::OverloadLedger Overload() const;
-  // Produces the bounded queue refused (single shape; the fleet retries
-  // inside Ingest).
+  // The lane's queue, for its overload counters (shed, rejected,
+  // trimmed).
+  const EventQueue& queue() const { return queue_; }
+  // Produces the bounded queue refused.
   int64_t producer_retries() const { return producer_retries_; }
-  // All-queries emit latency, merged over the engines.
+  // All-queries emit latency.
   HistogramSnapshot EmitLatency() const;
-  // Largest per-engine lag of the default stream.
+  // The default stream's largest lag so far.
   int64_t MaxLagMillis() const;
 
  private:
@@ -154,12 +162,10 @@ class Runtime {
   RuntimeOptions options_;
   const std::string consumer_;
   DeadLetterQueue dead_letters_;
-  std::unique_ptr<shard::ShardedEngine> fleet_;
-  std::unique_ptr<ContinuousEngine> engine_;
-  std::unique_ptr<EventQueue> queue_;
-  std::unique_ptr<StreamDriver> driver_;
+  ContinuousEngine engine_;
+  EventQueue queue_;
+  StreamDriver driver_;
   std::unique_ptr<persist::CheckpointManager> checkpoints_;
-  std::vector<const MetricsRegistry*> engine_metrics_;
   Gauge* dead_letter_depth_ = nullptr;
   int64_t producer_retries_ = 0;
   // The newest timestamp Produce accepted; Pump holds its instant back.

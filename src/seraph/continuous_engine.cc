@@ -1108,6 +1108,13 @@ Status ContinuousEngine::RestoreFrom(const EngineCheckpoint& checkpoint) {
     SERAPH_RETURN_IF_ERROR(MutableStream(name)->Restore(
         suffix.base_offset, suffix.trimmed_through, suffix.max_timestamp,
         std::move(elements)));
+    // The watermark is the newest element ever ingested, in either life.
+    if (suffix.base_offset + suffix.elements.size() > 0) {
+      StreamObs* obs = ObsFor(name);
+      obs->any_ingested = true;
+      obs->watermark_value = suffix.max_timestamp.millis();
+      obs->watermark_millis->Set(obs->watermark_value);
+    }
   }
   for (const QueryCheckpoint& q : checkpoint.queries) {
     QueryState* state = queries_.at(q.name).get();
@@ -1141,6 +1148,7 @@ Status ContinuousEngine::RestoreFrom(const EngineCheckpoint& checkpoint) {
   clock_ = checkpoint.clock;
   clock_started_ = checkpoint.clock_started;
   evaluations_run_ = checkpoint.evaluations_run;
+  UpdateLagGauges();
   return Status::OK();
 }
 

@@ -420,7 +420,8 @@ class ContinuousEngine {
   // late-registration rule against the restored streams
   // (kFailedPrecondition). Each checkpointed query's count series start
   // from its checkpointed QueryStats; the stage and latency histograms
-  // start empty.
+  // start empty. Each restored stream's watermark gauge (and the lag
+  // gauges) start from its checkpointed max timestamp.
   // After RestoreFrom, replaying the stream suffix past the checkpoint
   // clock produces output bit-identical to an uninterrupted run.
   Status RestoreFrom(const EngineCheckpoint& checkpoint);

@@ -453,14 +453,14 @@ std::string EscapeJsonString(const std::string& value) {
   return out;
 }
 
-std::string QueriesStatusJson(const std::vector<QueryStatus>& queries) {
+std::string QueriesStatusJson(const ContinuousEngine& engine) {
   std::string out = "[";
-  for (const QueryStatus& query : queries) {
+  for (const std::string& name : engine.QueryNames()) {
     if (out.size() > 1) out += ",";
-    const QueryStats& stats = query.stats;
-    out += "{\"name\":\"" + EscapeJsonString(query.name) + "\"";
+    const QueryStats stats = *engine.StatsFor(name);
+    out += "{\"name\":\"" + EscapeJsonString(name) + "\"";
     out += ",\"disabled\":";
-    out += query.disabled ? "true" : "false";
+    out += engine.QueryDisabled(name) ? "true" : "false";
     out += ",\"evaluations\":" + std::to_string(stats.evaluations);
     out += ",\"rows_emitted\":" + std::to_string(stats.rows_emitted);
     out += ",\"eval_failures\":" + std::to_string(stats.eval_failures);
@@ -469,36 +469,16 @@ std::string QueriesStatusJson(const std::vector<QueryStatus>& queries) {
       out += ",\"last_error\":\"" +
              EscapeJsonString(stats.last_error.ToString()) + "\"";
     }
-    const HistogramSnapshot& latency = query.eval_latency;
+    const HistogramSnapshot latency = *engine.LatencyFor(name);
     out += ",\"eval_latency_micros\":{\"count\":" +
            std::to_string(latency.count) +
            ",\"p50\":" + std::to_string(latency.p50) +
            ",\"p99\":" + std::to_string(latency.p99) +
            ",\"p999\":" + std::to_string(latency.p999) + "}";
-    if (!query.shards.empty()) {
-      out += ",\"shards\":[";
-      for (size_t i = 0; i < query.shards.size(); ++i) {
-        if (i > 0) out += ",";
-        out += std::to_string(query.shards[i]);
-      }
-      out += "]";
-    }
     out += "}";
   }
   out += "]";
   return out;
-}
-
-std::string QueriesStatusJson(const ContinuousEngine& engine) {
-  std::vector<QueryStatus> queries;
-  for (const std::string& name : engine.QueryNames()) {
-    QueryStatus& query = queries.emplace_back();
-    query.name = name;
-    query.disabled = engine.QueryDisabled(name);
-    query.stats = *engine.StatsFor(name);
-    query.eval_latency = *engine.LatencyFor(name);
-  }
-  return QueriesStatusJson(queries);
 }
 
 }  // namespace seraph

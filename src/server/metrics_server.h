@@ -1,7 +1,7 @@
 // A minimal plain-HTTP serving front-end (no third-party deps — POSIX
 // sockets only). Historically the metrics-only observability endpoint;
-// now a small poll()-driven multi-connection server the sharded serving
-// tier mounts its API on (docs/INTERNALS.md, "Sharded serving tier"):
+// now a small poll()-driven multi-connection server seraph_serve mounts
+// its API on (docs/INTERNALS.md, "The serving front-end"):
 //
 //   GET /metrics  → Prometheus text exposition of a MetricsRegistry
 //   GET /healthz  → "ok" (liveness)
@@ -23,7 +23,7 @@
 // server thread. /metrics reads the registry (whose instruments are
 // atomic, so scraping a live engine is race-free); anything else the
 // handlers touch must be synchronized by the caller (seraph_serve's
-// handlers are the only code touching its fleet while the server runs).
+// handlers are the only code touching its engine while the server runs).
 #ifndef SERAPH_SERVER_METRICS_SERVER_H_
 #define SERAPH_SERVER_METRICS_SERVER_H_
 
@@ -150,24 +150,10 @@ class MetricsServer {
   std::atomic<int64_t> connections_timed_out_{0};
 };
 
-// One query's entry in the /queries document.
-struct QueryStatus {
-  std::string name;
-  bool disabled = false;
-  QueryStats stats;
-  HistogramSnapshot eval_latency;  // seraph_query_eval_micros
-  // A fleet's placement shards; empty for a single engine, whose entries
-  // carry no "shards" key.
-  std::vector<int> shards;
-};
-
-// The /queries payload, for either serving shape: a JSON array with one
-// object per entry — name, disabled flag, QueryStats counters, the last
-// error when there is one, the evaluation-latency summary
-// (count/p50/p99/p999 micros) and, in a fleet, the shard set.
-std::string QueriesStatusJson(const std::vector<QueryStatus>& queries);
-
-// The /queries payload of one engine. Reads engine state without
+// The /queries payload of one engine: a JSON array with one object per
+// query — name, disabled flag, QueryStats counters, the last error when
+// there is one, and the evaluation-latency summary (count/p50/p99/p999
+// micros of seraph_query_eval_micros). Reads engine state without
 // synchronization, so call it only from the engine's own thread at a
 // quiescent point and publish the returned string to the server's
 // queries_json callback (see runtime/runtime.h).

@@ -1,5 +1,5 @@
-// Stream placements for the sharded serving tier (docs/INTERNALS.md,
-// "Sharded serving tier").
+// Stream placements for the sharded tier (docs/INTERNALS.md, "Sharded
+// tier").
 //
 // A logical stream of a sharded fleet lives either on every shard
 // (Broadcast) or on exactly one (FixedShard). Query placement follows
@@ -40,8 +40,8 @@ inline StreamPlacement FixedShard(int shard_index) {
 }
 
 // Stable 64-bit FNV-1a. std::hash is not pinned across standard
-// libraries, but query homing and ingest log names must survive restarts
-// and match across builds.
+// libraries, but query homing must survive restarts and match across
+// builds.
 uint64_t StableHash64(const void* data, size_t size);
 uint64_t StableHash64(const std::string& text);
 

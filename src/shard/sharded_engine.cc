@@ -1,37 +1,16 @@
 #include "shard/sharded_engine.h"
 
 #include <algorithm>
-#include <cstdio>
-#include <filesystem>
 #include <limits>
 #include <optional>
 #include <utility>
 
-#include "io/graph_text.h"
-#include "persist/recovery.h"
 #include "seraph/seraph_parser.h"
 
 namespace seraph {
 namespace shard {
 
 namespace {
-
-// "ingest-<sanitized>-<hash>.log": readable for humans, collision-safe
-// for streams whose names only differ in escaped characters.
-std::string IngestLogFileName(const std::string& stream) {
-  std::string sanitized;
-  for (char c : stream) {
-    const bool safe = (c >= 'a' && c <= 'z') || (c >= 'A' && c <= 'Z') ||
-                      (c >= '0' && c <= '9') || c == '.' || c == '_' ||
-                      c == '-';
-    sanitized.push_back(safe ? c : '_');
-  }
-  if (sanitized.empty()) sanitized = "default";
-  char hex[17];
-  std::snprintf(hex, sizeof(hex), "%016llx",
-                static_cast<unsigned long long>(StableHash64(stream)));
-  return "ingest-" + sanitized + "-" + hex + ".log";
-}
 
 std::string StreamLabel(const std::string& stream) {
   return stream.empty() ? "<default>" : stream;
@@ -60,10 +39,8 @@ ShardedEngine::ShardedEngine(ShardedEngineOptions options)
     : options_(std::move(options)) {
   if (options_.shards < 1) options_.shards = 1;
   router_.BindMetrics(&metrics_);
-  released_counter_ = metrics_.CounterFor("seraph_sharded_released_total");
   sink_failures_ =
       metrics_.CounterFor("seraph_sharded_sink_failures_total");
-  fleet_watermark_gauge_ = metrics_.GaugeFor("seraph_fleet_watermark_millis");
   for (int i = 0; i < options_.shards; ++i) {
     auto shard = std::make_unique<Shard>();
     EngineOptions engine_options = options_.engine;
@@ -72,13 +49,6 @@ ShardedEngine::ShardedEngine(ShardedEngineOptions options)
     shard->engine = std::make_unique<ContinuousEngine>(engine_options);
     shard->sink = std::make_unique<BufferSink>(&shard->buffered);
     shard->engine->AddSink(shard->sink.get(), "shard-buffer");
-    const std::string label = std::to_string(i);
-    shard->watermark_gauge =
-        metrics_.GaugeFor("seraph_shard_watermark_millis", {{"shard", label}});
-    shard->queue_depth_gauge =
-        metrics_.GaugeFor("seraph_shard_queue_depth", {{"shard", label}});
-    shard->buffered_gauge =
-        metrics_.GaugeFor("seraph_shard_buffered_emits", {{"shard", label}});
     if (durable()) {
       persist::CheckpointOptions checkpoint_options;
       checkpoint_options.dir = ShardDir(i);
@@ -134,7 +104,6 @@ ShardedEngine::Lane* ShardedEngine::EnsureLane(int shard_index,
     if (durable()) {
       shard->manager->BindQueue(lane->consumer, lane->queue.get());
       shard->manager->ManageRetention(lane->queue.get());
-      lane->log_path = ShardDir(shard_index) + "/" + IngestLogFileName(stream);
     }
   }
   return slot.get();
@@ -146,8 +115,8 @@ Status ShardedEngine::AddRoute(std::string stream,
   if (routes_frozen_) {
     return Status::FailedPrecondition(
         "route '" + StreamLabel(stream) +
-        "' declared after a query was placed, an element ingested or a "
-        "restore; declare every route first");
+        "' declared after a query was placed or an element ingested; "
+        "declare every route first");
   }
   if (!placement.broadcast &&
       (placement.shard < 0 || placement.shard >= num_shards())) {
@@ -206,15 +175,6 @@ Result<QueryPlacement> ShardedEngine::RegisterText(
   return QueryPlacement{name, {shard}};
 }
 
-Result<ContinuousEngine*> ShardedEngine::EngineOf(
-    const std::string& name) const {
-  auto it = placements_.find(name);
-  if (it == placements_.end()) {
-    return Status::NotFound("query '" + name + "' is not registered");
-  }
-  return shards_[static_cast<size_t>(it->second)]->engine.get();
-}
-
 Result<QueryPlacement> ShardedEngine::PlacementFor(
     const std::string& name) const {
   auto it = placements_.find(name);
@@ -222,34 +182,6 @@ Result<QueryPlacement> ShardedEngine::PlacementFor(
     return Status::NotFound("query '" + name + "' is not registered");
   }
   return QueryPlacement{name, {it->second}};
-}
-
-std::vector<std::string> ShardedEngine::QueryNames() const {
-  std::vector<std::string> names;
-  names.reserve(placements_.size());
-  for (const auto& [name, shard] : placements_) names.push_back(name);
-  return names;
-}
-
-bool ShardedEngine::QueryDisabled(const std::string& name) const {
-  Result<ContinuousEngine*> engine = EngineOf(name);
-  return engine.ok() && (*engine)->QueryDisabled(name);
-}
-
-Status ShardedEngine::ReviveQuery(const std::string& name) {
-  SERAPH_ASSIGN_OR_RETURN(ContinuousEngine* engine, EngineOf(name));
-  return engine->ReviveQuery(name);
-}
-
-Result<QueryStats> ShardedEngine::StatsFor(const std::string& name) const {
-  SERAPH_ASSIGN_OR_RETURN(ContinuousEngine* engine, EngineOf(name));
-  return engine->StatsFor(name);
-}
-
-Result<HistogramSnapshot> ShardedEngine::LatencyFor(
-    const std::string& name) const {
-  SERAPH_ASSIGN_OR_RETURN(ContinuousEngine* engine, EngineOf(name));
-  return engine->LatencyFor(name);
 }
 
 void ShardedEngine::AddSink(EmitSink* sink) { sinks_.push_back(sink); }
@@ -266,9 +198,8 @@ Result<int> ShardedEngine::Ingest(std::shared_ptr<const PropertyGraph> graph,
         int deliveries = 0;
         for (int s = 0; s < num_shards(); ++s) {
           if (!placement.broadcast && s != placement.shard) continue;
-          Lane* lane = EnsureLane(s, stream);
-          SERAPH_RETURN_IF_ERROR(ProduceToLane(s, lane, element, t));
-          SERAPH_RETURN_IF_ERROR(AppendIngestLog(lane, element, t));
+          SERAPH_RETURN_IF_ERROR(
+              ProduceToLane(s, EnsureLane(s, stream), element, t));
           ++deliveries;
         }
         return deliveries;
@@ -291,29 +222,6 @@ Status ShardedEngine::ProduceToLane(int shard_index, Lane* lane,
         return PumpShard(shard_index, waiting);
       }));
   newest_ = std::max(newest_.value_or(timestamp), timestamp);
-  return Status::OK();
-}
-
-Status ShardedEngine::AppendIngestLog(
-    Lane* lane, const std::shared_ptr<const PropertyGraph>& graph,
-    Timestamp timestamp) {
-  if (lane->log_path.empty()) return Status::OK();
-  if (!lane->log.is_open()) {
-    std::error_code ec;
-    std::filesystem::create_directories(
-        std::filesystem::path(lane->log_path).parent_path(), ec);
-    lane->log.open(lane->log_path, std::ios::app);
-    if (!lane->log) {
-      return Status::Internal("cannot open ingest log " + lane->log_path);
-    }
-  }
-  std::vector<StreamElement> one;
-  one.push_back(StreamElement{graph, timestamp, 0});
-  io::WriteEventLog(one, &lane->log);
-  lane->log.flush();
-  if (!lane->log) {
-    return Status::Internal("ingest log write failed: " + lane->log_path);
-  }
   return Status::OK();
 }
 
@@ -344,14 +252,12 @@ Status ShardedEngine::PumpAll(std::optional<Timestamp> waiting) {
     SERAPH_RETURN_IF_ERROR(PumpShard(s, waiting).status());
   }
   MergeAndRelease(/*flush_all=*/false);
-  RefreshGauges();
   return Status::OK();
 }
 
 Status ShardedEngine::Finish() {
   SERAPH_RETURN_IF_ERROR(PumpAll());
   MergeAndRelease(/*flush_all=*/true);
-  RefreshGauges();
   return Status::OK();
 }
 
@@ -396,40 +302,6 @@ void ShardedEngine::MergeAndRelease(bool flush_all) {
       if (!status.ok()) sink_failures_->Increment();
     }
   }
-  released_counter_->Increment(static_cast<int64_t>(ready.size()));
-}
-
-void ShardedEngine::RefreshGauges() {
-  for (const auto& shard : shards_) {
-    const std::optional<Timestamp> clock = shard->engine->clock();
-    shard->watermark_gauge->Set(clock.has_value() ? clock->millis() : 0);
-    int64_t depth = 0;
-    for (const auto& [stream, lane] : shard->lanes) {
-      depth += static_cast<int64_t>(lane->queue->depth());
-    }
-    shard->queue_depth_gauge->Set(depth);
-    shard->buffered_gauge->Set(static_cast<int64_t>(shard->buffered.size()));
-  }
-  fleet_watermark_gauge_->Set(FleetWatermarkMillis());
-}
-
-int64_t ShardedEngine::FleetWatermarkMillis() const {
-  return newest_.has_value() ? newest_->millis() : 0;
-}
-
-OverloadLedger ShardedEngine::Overload() const {
-  OverloadLedger ledger;
-  for (const auto& shard : shards_) {
-    for (const auto& [stream, lane] : shard->lanes) {
-      ledger.queue_shed += lane->queue->shed_total();
-      ledger.rejected += lane->queue->rejected_total();
-      ledger.trimmed += lane->queue->trimmed_total();
-    }
-    ledger.dead_letters += shard->dead_letters.total();
-    ledger.dead_letter_depth +=
-        static_cast<int64_t>(shard->dead_letters.size());
-  }
-  return ledger;
 }
 
 ContinuousEngine* ShardedEngine::shard_engine(int shard_index) {
@@ -440,85 +312,6 @@ ContinuousEngine* ShardedEngine::shard_engine(int shard_index) {
 const ContinuousEngine* ShardedEngine::shard_engine(int shard_index) const {
   if (shard_index < 0 || shard_index >= num_shards()) return nullptr;
   return shards_[static_cast<size_t>(shard_index)]->engine.get();
-}
-
-Status ShardedEngine::Checkpoint() {
-  if (!durable()) {
-    return Status::InvalidArgument(
-        "Checkpoint() requires ShardedEngineOptions::checkpoint_dir");
-  }
-  // Flush first so buffered emissions are never stranded behind a
-  // checkpoint cut (the recovered life re-emits from the cut forward).
-  MergeAndRelease(/*flush_all=*/true);
-  RefreshGauges();
-  for (const auto& shard : shards_) {
-    SERAPH_RETURN_IF_ERROR(shard->manager->Checkpoint(shard->engine.get()));
-  }
-  return Status::OK();
-}
-
-Status ShardedEngine::ReplayIngestLogs(int shard_index) {
-  // Live Ingest produced in timestamp order across lanes, and the pump
-  // clock rule depends on it: a backpressure pump for an element at t
-  // fires instants before t, so every lane's elements before t must be
-  // queued by then. The merge is stable, so each lane keeps its order.
-  Shard* shard = shards_[static_cast<size_t>(shard_index)].get();
-  std::vector<std::pair<Lane*, StreamElement>> events;
-  for (auto& [stream, lane] : shard->lanes) {
-    if (lane->log_path.empty()) continue;
-    std::ifstream is(lane->log_path);
-    if (!is.is_open()) continue;  // Nothing durably ingested yet.
-    SERAPH_ASSIGN_OR_RETURN(std::vector<StreamElement> logged,
-                            io::ReadEventLog(&is));
-    for (StreamElement& event : logged) {
-      events.emplace_back(lane.get(), std::move(event));
-    }
-  }
-  std::stable_sort(events.begin(), events.end(),
-                   [](const auto& a, const auto& b) {
-                     return a.second.timestamp < b.second.timestamp;
-                   });
-  for (auto& [lane, event] : events) {
-    SERAPH_RETURN_IF_ERROR(
-        ProduceToLane(shard_index, lane, event.graph, event.timestamp));
-  }
-  return Status::OK();
-}
-
-Status ShardedEngine::Restore() {
-  if (!durable()) {
-    return Status::InvalidArgument(
-        "Restore() requires ShardedEngineOptions::checkpoint_dir");
-  }
-  routes_frozen_ = true;
-  for (int i = 0; i < num_shards(); ++i) {
-    Shard* shard = shards_[static_cast<size_t>(i)].get();
-    Result<persist::CheckpointImage> image =
-        persist::LoadLatestCheckpoint(ShardDir(i));
-    if (!image.ok()) {
-      if (image.status().code() != StatusCode::kNotFound) {
-        return image.status();
-      }
-      // Cold shard: no committed generation; replay its logs from zero.
-    } else {
-      SERAPH_RETURN_IF_ERROR(shard->engine->RestoreFrom(image->engine));
-      // Complete the interrupted evaluation batch before any replay (the
-      // persist::RecoverAll contract).
-      SERAPH_RETURN_IF_ERROR(shard->engine->Drain());
-      for (auto& [stream, lane] : shard->lanes) {
-        SERAPH_RETURN_IF_ERROR(persist::RestoreConsumer(
-            *image, lane->consumer, lane->queue.get()));
-        // The horizon starts at the restore point, so the replay below
-        // trims the prefix the checkpoint covers instead of holding it.
-        shard->manager->ManageRetention(lane->queue.get());
-      }
-      shard->dead_letters.Restore(std::move(image->dead_letters),
-                                  image->dead_letter_totals);
-    }
-    SERAPH_RETURN_IF_ERROR(ReplayIngestLogs(i));
-  }
-  RefreshGauges();
-  return Status::OK();
 }
 
 }  // namespace shard

@@ -67,11 +67,6 @@ size_t EventQueue::TrimCommitted() {
     floor = std::min(floor, offset);
   }
   if (floor <= log_.base_offset()) return 0;
-  // The floor can run ahead of what has been appended (a restored
-  // checkpoint horizon while the tool is still re-producing the log
-  // prefix); DropFront clamps to the retained elements, so the base
-  // always equals the count of appended-and-discarded elements and
-  // offsets keep their meaning.
   const size_t n = log_.DropFront(floor - log_.base_offset());
   trimmed_total_ += static_cast<int64_t>(n);
   return n;
@@ -118,8 +113,9 @@ Status EventQueue::Seek(const std::string& consumer, size_t offset) {
 }
 
 Status EventQueue::RestoreOffset(const std::string& consumer,
-                                 size_t offset) {
-  if (offset <= size()) return Seek(consumer, offset);
+                                 size_t offset, Timestamp floor) {
+  if (!log_.empty()) return Seek(consumer, offset);
+  SERAPH_RETURN_IF_ERROR(log_.Restore(offset, floor, floor, {}));
   offsets_[consumer] = offset;
   return Status::OK();
 }

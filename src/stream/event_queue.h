@@ -106,13 +106,15 @@ class EventQueue {
   // with kOutOfRange past the end or below the retention base.
   virtual Status Seek(const std::string& consumer, size_t offset);
 
-  // Recovery-time Seek variant: positions `consumer` at `offset` even
-  // when it is ahead of everything appended so far. A bounded tool
-  // re-produces the event log *after* restoring its checkpoint, so the
-  // committed position legitimately leads the refilling log (appends
-  // below it are trimmed on admission, never delivered). In-range
-  // restores delegate to Seek and keep its below-base check.
-  virtual Status RestoreOffset(const std::string& consumer, size_t offset);
+  // Recovery-time Seek: positions `consumer` at its checkpointed
+  // `offset`. A queue nothing was ever appended to is re-based there:
+  // the next append lands at `offset` and is delivered, so a source that
+  // resumes at the offset re-produces only what the checkpoint does not
+  // cover, and an append older than `floor` (the newest timestamp the
+  // restored engine holds) fails as late. A queue that already holds
+  // elements keeps Seek's range check.
+  Status RestoreOffset(const std::string& consumer, size_t offset,
+                       Timestamp floor);
 
   // The consumer's committed offset, or nullopt for consumers that never
   // subscribed/polled/sought. The distinction matters for recovery: a

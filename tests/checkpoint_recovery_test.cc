@@ -29,8 +29,6 @@
 #include "seraph/continuous_engine.h"
 #include "seraph/dead_letter.h"
 #include "seraph/stream_driver.h"
-#include "shard/partitioner.h"
-#include "shard/sharded_engine.h"
 
 namespace seraph {
 namespace {
@@ -367,19 +365,15 @@ constexpr char kFlakyQuery[] = R"(
   REGISTER QUERY flaky STARTING AT '1970-01-01T00:05'
   { MATCH (n:X) WITHIN PT4M EMIT 10 / (n.id - 3) AS v SNAPSHOT EVERY PT5M })";
 
-// Every count of `stats` equals its registry series summed over `engines`.
-void ExpectStatsAreTheSeries(
-    const QueryStats& stats, const std::vector<const ContinuousEngine*>& engines,
-    const std::string& query) {
-  auto series = [&](const char* name) {
-    int64_t total = 0;
-    for (const ContinuousEngine* engine : engines) {
-      const Counter* counter =
-          engine->metrics().FindCounter(name, {{"query", query}});
-      EXPECT_NE(counter, nullptr) << name;
-      if (counter != nullptr) total += counter->value();
-    }
-    return total;
+// Every count of `stats` equals its series in `engine`'s registry.
+void ExpectStatsAreTheSeries(const QueryStats& stats,
+                             const ContinuousEngine& engine,
+                             const std::string& query) {
+  auto series = [&](const char* name) -> int64_t {
+    const Counter* counter =
+        engine.metrics().FindCounter(name, {{"query", query}});
+    EXPECT_NE(counter, nullptr) << name;
+    return counter != nullptr ? counter->value() : 0;
   };
   EXPECT_EQ(stats.evaluations, series("seraph_query_evaluations_total"));
   EXPECT_EQ(stats.reused_results, series("seraph_query_reuse_hits_total"));
@@ -418,7 +412,7 @@ TEST_F(CheckpointRecoveryTest, RestoredStatsAreTheRegistrySeries) {
     SCOPED_TRACE("one engine, at the cut: " + query);
     const QueryStats stats = *restored->StatsFor(query);
     EXPECT_TRUE(stats == *original->StatsFor(query));
-    ExpectStatsAreTheSeries(stats, {restored.get()}, query);
+    ExpectStatsAreTheSeries(stats, *restored, query);
   }
   for (ContinuousEngine* engine : {original.get(), restored.get()}) {
     for (int i = 6; i < 12; ++i) {
@@ -431,63 +425,44 @@ TEST_F(CheckpointRecoveryTest, RestoredStatsAreTheRegistrySeries) {
     SCOPED_TRACE("one engine, after more instants: " + query);
     const QueryStats stats = *restored->StatsFor(query);
     EXPECT_EQ(stats.evaluations, original->StatsFor(query)->evaluations);
-    ExpectStatsAreTheSeries(stats, {restored.get()}, query);
+    ExpectStatsAreTheSeries(stats, *restored, query);
   }
+}
 
-  const std::string dir = FreshDir("restored_stats_fleet");
-  auto make_fleet = [&dir](bool durable) {
-    shard::ShardedEngineOptions options;
-    options.shards = 2;
-    if (durable) options.checkpoint_dir = dir;
-    options.checkpoint_fsync = false;
-    auto fleet = std::make_unique<shard::ShardedEngine>(options);
-    EXPECT_TRUE(fleet->RegisterText(kCountQuery).ok());
-    EXPECT_TRUE(fleet->RegisterText(kFlakyQuery).ok());
-    return fleet;
+// A restored stream's watermark is the newest element it ever held, so
+// /metrics reads the same before and after a restart, and the stream's
+// lag starts from it instead of from 0.
+TEST_F(CheckpointRecoveryTest, RestoredWatermarkIsTheCheckpointedMax) {
+  ContinuousEngine original;
+  ASSERT_TRUE(original.RegisterText(kCountQuery).ok());
+  for (int i = 0; i < 4; ++i) {
+    ASSERT_TRUE(original.Ingest(Item(i + 1), T(1 + 2 * i)).ok());
+  }
+  ASSERT_TRUE(original.AdvanceTo(T(5)).ok());
+  ContinuousEngine restored;
+  ASSERT_TRUE(restored.RegisterText(kCountQuery).ok());
+  ASSERT_TRUE(restored.RestoreFrom(original.CaptureCheckpoint()).ok());
+  auto gauge = [](const ContinuousEngine& engine, const std::string& name,
+                  const MetricLabels& labels) -> int64_t {
+    const Gauge* found = engine.metrics().FindGauge(name, labels);
+    return found != nullptr ? found->value() : -1;
   };
-  auto placement_engines = [](const shard::ShardedEngine& fleet,
-                              const std::string& query) {
-    std::vector<const ContinuousEngine*> engines;
-    const shard::QueryPlacement placement = *fleet.PlacementFor(query);
-    for (int s : placement.shards) engines.push_back(fleet.shard_engine(s));
-    return engines;
-  };
-  const std::vector<std::string> fleet_queries = {"q", "flaky"};
-  // `first` runs uninterrupted; `second` restores the checkpoint
-  // `victim` committed at the cut.
-  auto first = make_fleet(false);
-  {
-    auto victim = make_fleet(true);
-    for (shard::ShardedEngine* fleet : {first.get(), victim.get()}) {
-      for (int i = 0; i < 6; ++i) {
-        ASSERT_TRUE(fleet->Ingest(Item(i + 1), T(1 + 2 * i)).ok());
-        ASSERT_TRUE(fleet->PumpAll().ok());
-      }
-    }
-    ASSERT_TRUE(victim->Checkpoint().ok());
+  const MetricLabels stream{{"stream", "<default>"}};
+  EXPECT_EQ(gauge(restored, "seraph_stream_watermark_millis", stream),
+            T(7).millis());
+  EXPECT_EQ(gauge(restored, "seraph_stream_lag_millis", stream),
+            T(2).millis());
+  EXPECT_EQ(gauge(restored, "seraph_engine_clock_millis", {}),
+            T(5).millis());
+  for (const char* name : {"seraph_stream_watermark_millis",
+                           "seraph_stream_lag_millis"}) {
+    EXPECT_EQ(gauge(restored, name, stream), gauge(original, name, stream))
+        << name;
   }
-  auto second = make_fleet(true);
-  ASSERT_TRUE(second->Restore().ok());
-  for (const std::string& query : fleet_queries) {
-    SCOPED_TRACE("2-shard fleet, at the cut: " + query);
-    const QueryStats stats = *second->StatsFor(query);
-    EXPECT_GT(stats.evaluations, 0);
-    EXPECT_TRUE(stats == *first->StatsFor(query));
-    ExpectStatsAreTheSeries(stats, placement_engines(*second, query), query);
-  }
-  for (shard::ShardedEngine* fleet : {first.get(), second.get()}) {
-    for (int i = 6; i < 12; ++i) {
-      ASSERT_TRUE(fleet->Ingest(Item(i + 1), T(1 + 2 * i)).ok());
-      ASSERT_TRUE(fleet->PumpAll().ok());
-    }
-    ASSERT_TRUE(fleet->Finish().ok());
-  }
-  for (const std::string& query : fleet_queries) {
-    SCOPED_TRACE("2-shard fleet, after more instants: " + query);
-    const QueryStats stats = *second->StatsFor(query);
-    EXPECT_EQ(stats.evaluations, first->StatsFor(query)->evaluations);
-    ExpectStatsAreTheSeries(stats, placement_engines(*second, query), query);
-  }
+  // The next ingest moves it on from there.
+  ASSERT_TRUE(restored.Ingest(Item(5), T(9)).ok());
+  EXPECT_EQ(gauge(restored, "seraph_stream_watermark_millis", stream),
+            T(9).millis());
 }
 
 // ---------------------------------------------------------------------------
@@ -1136,206 +1111,6 @@ TEST_F(CheckpointRecoveryTest, DriverResumeExactlyOnceUnderChaos) {
   }
 }
 
-// ---------------------------------------------------------------------------
-// Sharded fleet: one shard's checkpoint commit dies mid-run, the fleet
-// still recovers to a consistent cut (docs/INTERNALS.md, "Sharded
-// serving tier"). The shards end up on *different* generations — the
-// victim falls back while the healthy shard restores its newest — and
-// each replays its own ingest-log suffix, so per query the recovered
-// output is exactly the oracle suffix: nothing replayed, nothing lost.
-// ---------------------------------------------------------------------------
-
-PropertyGraph Sided(const std::string& label, int64_t id) {
-  return GraphBuilder()
-      .Node(id, {label}, {{"id", Value::Int(id)}})
-      .Build();
-}
-
-// Per-minute cadence so every per-event pump crosses a due instant —
-// each pump is a batch barrier, and with checkpoint_every=1 each shard
-// commits a generation per pump (what the armed fault below targets).
-constexpr char kLeftQuery[] = R"(
-  REGISTER QUERY q_left STARTING AT '1970-01-01T00:05'
-  { MATCH (n:L) WITHIN PT30M FROM left EMIT n.id SNAPSHOT EVERY PT1M })";
-constexpr char kRightQuery[] = R"(
-  REGISTER QUERY q_right STARTING AT '1970-01-01T00:05'
-  { MATCH (n:R) WITHIN PT30M FROM right EMIT n.id SNAPSHOT EVERY PT1M })";
-
-constexpr int kShardedEvents = 18;
-constexpr int kShardedCrashAt = 12;
-
-PropertyGraph ShardedEvent(int i) {
-  return (i % 2 == 0) ? Sided("L", 100 + i) : Sided("R", 200 + i);
-}
-
-void ConfigureFleet(shard::ShardedEngine* fleet) {
-  // Two pinned sub-streams on different shards; the default broadcast
-  // route stays, keeping both shard clocks moving on every element.
-  fleet->AddRoute("left", HasLabel("L"), shard::FixedShard(0));
-  fleet->AddRoute("right", HasLabel("R"), shard::FixedShard(1));
-  ASSERT_TRUE(fleet->RegisterText(kLeftQuery).ok());
-  ASSERT_TRUE(fleet->RegisterText(kRightQuery).ok());
-}
-
-TEST_F(CheckpointRecoveryTest, ShardedFleetRecoversWhenOneShardCommitDies) {
-  // The uninterrupted fleet run (per-query timelines).
-  CollectingSink oracle_sink;
-  {
-    shard::ShardedEngineOptions options;
-    options.shards = 2;
-    shard::ShardedEngine oracle(options);
-    oracle.AddSink(&oracle_sink);
-    ConfigureFleet(&oracle);
-    for (int i = 0; i < kShardedEvents; ++i) {
-      ASSERT_TRUE(oracle.Ingest(ShardedEvent(i), T(1 + i)).ok());
-      ASSERT_TRUE(oracle.PumpAll().ok());
-    }
-    ASSERT_TRUE(oracle.Finish().ok());
-  }
-  ASSERT_GT(oracle_sink.ResultsFor("q_left").size(), 0u);
-  ASSERT_GT(oracle_sink.ResultsFor("q_right").size(), 0u);
-
-  for (const char* point : {"checkpoint.write", "checkpoint.rename"}) {
-    SCOPED_TRACE(point);
-    FaultInjector::Global().Reset();
-    const std::string dir = FreshDir(std::string("sharded_") + point);
-    shard::ShardedEngineOptions options;
-    options.shards = 2;
-    options.checkpoint_dir = dir;
-    options.checkpoint_every = 1;  // Every batch barrier commits.
-    options.checkpoint_fsync = false;
-
-    // The victim: on the final pump before the "crash", exactly ONE
-    // shard's commit dies at the fault point (ArmNext(1) kills the first
-    // attempt; the other shard commits its newer generation).
-    {
-      shard::ShardedEngine victim(options);
-      CollectingSink sink;
-      victim.AddSink(&sink);
-      ConfigureFleet(&victim);
-      for (int i = 0; i < kShardedCrashAt; ++i) {
-        if (i == kShardedCrashAt - 1) {
-          FaultInjector::Global().ArmNext(point, 1);
-        }
-        ASSERT_TRUE(victim.Ingest(ShardedEvent(i), T(1 + i)).ok());
-        ASSERT_TRUE(victim.PumpAll().ok());
-      }
-      int64_t failures = 0;
-      for (int s = 0; s < 2; ++s) {
-        const Counter* counter = victim.shard_engine(s)->metrics().FindCounter(
-            "seraph_checkpoint_failures_total");
-        if (counter != nullptr) failures += counter->value();
-      }
-      EXPECT_EQ(failures, 1) << point << ": expected exactly one shard's "
-                                         "commit to die";
-      // Crash: the fleet is abandoned with whatever the shard dirs hold.
-    }
-    FaultInjector::Global().Reset();
-
-    // Recovery: fresh fleet, same routes, queries re-registered, then
-    // Restore() — each shard from its own newest valid generation plus
-    // its ingest-log suffix.
-    shard::ShardedEngine recovered(options);
-    CollectingSink sink;
-    recovered.AddSink(&sink);
-    ConfigureFleet(&recovered);
-    ASSERT_TRUE(recovered.Restore().ok());
-    std::map<std::string, size_t> restored_evals;
-    for (const char* query : {"q_left", "q_right"}) {
-      auto stats = recovered.StatsFor(query);
-      ASSERT_TRUE(stats.ok());
-      restored_evals[query] = static_cast<size_t>(stats->evaluations);
-    }
-    // Replay the backlog, then continue with the post-crash events.
-    ASSERT_TRUE(recovered.PumpAll().ok());
-    for (int i = kShardedCrashAt; i < kShardedEvents; ++i) {
-      ASSERT_TRUE(recovered.Ingest(ShardedEvent(i), T(1 + i)).ok());
-      ASSERT_TRUE(recovered.PumpAll().ok());
-    }
-    ASSERT_TRUE(recovered.Finish().ok());
-
-    // Exactly-once ingest across the crash: every shard's broadcast
-    // stream holds each produced element once.
-    for (int s = 0; s < 2; ++s) {
-      EXPECT_EQ(recovered.shard_engine(s)->stream().size(),
-                static_cast<size_t>(kShardedEvents))
-          << "shard " << s;
-    }
-    EXPECT_EQ(recovered.shard_engine(0)->stream("left").size(),
-              static_cast<size_t>(kShardedEvents / 2));
-    EXPECT_EQ(recovered.shard_engine(1)->stream("right").size(),
-              static_cast<size_t>(kShardedEvents / 2));
-
-    // Per query, the recovered output is exactly the oracle suffix from
-    // the restored evaluation count — no replayed, no lost emissions,
-    // even though the two shards restored different generations.
-    for (const char* query : {"q_left", "q_right"}) {
-      SCOPED_TRACE(query);
-      ExpectSuffixMatch(sink.ResultsFor(query), oracle_sink.ResultsFor(query),
-                        restored_evals[query]);
-    }
-  }
-}
-
-// A bounded fleet's Restore replays each shard's lanes merged in
-// timestamp order. Its backpressure pumps advance the shard clock to
-// just before the refused element, so a lane replayed whole before its
-// sibling would let the sibling's query evaluate before its elements are
-// back. The victim pumps through 00:06 (a checkpoint per batch), then
-// ingests six more elements unpumped and crashes, so the recovered
-// 2-slot lanes replay a suffix three times their capacity.
-TEST_F(CheckpointRecoveryTest, BoundedShardedRestoreReplaysInTimestampOrder) {
-  CollectingSink oracle_sink;
-  {
-    shard::ShardedEngineOptions options;
-    options.shards = 2;
-    shard::ShardedEngine oracle(options);
-    oracle.AddSink(&oracle_sink);
-    ConfigureFleet(&oracle);
-    for (int i = 0; i < kShardedEvents; ++i) {
-      ASSERT_TRUE(oracle.Ingest(ShardedEvent(i), T(1 + i)).ok());
-      ASSERT_TRUE(oracle.PumpAll().ok());
-    }
-    ASSERT_TRUE(oracle.Finish().ok());
-  }
-  shard::ShardedEngineOptions options;
-  options.shards = 2;
-  options.checkpoint_dir = FreshDir("sharded_bounded_restore");
-  options.checkpoint_every = 1;
-  options.checkpoint_fsync = false;
-  {
-    shard::ShardedEngine victim(options);
-    ConfigureFleet(&victim);
-    for (int i = 0; i < kShardedCrashAt; ++i) {
-      ASSERT_TRUE(victim.Ingest(ShardedEvent(i), T(1 + i)).ok());
-      if (i < 6) {
-        ASSERT_TRUE(victim.PumpAll().ok());
-      }
-    }
-  }
-  options.queue.capacity = 2;
-  options.queue.overflow_policy = OverflowPolicy::kReject;
-  shard::ShardedEngine recovered(options);
-  CollectingSink sink;
-  recovered.AddSink(&sink);
-  ConfigureFleet(&recovered);
-  const Status restored = recovered.Restore();
-  ASSERT_TRUE(restored.ok()) << restored;
-  ASSERT_TRUE(recovered.PumpAll().ok());
-  for (int i = kShardedCrashAt; i < kShardedEvents; ++i) {
-    ASSERT_TRUE(recovered.Ingest(ShardedEvent(i), T(1 + i)).ok());
-    ASSERT_TRUE(recovered.PumpAll().ok());
-  }
-  ASSERT_TRUE(recovered.Finish().ok());
-  for (const char* query : {"q_left", "q_right"}) {
-    SCOPED_TRACE(query);
-    // The victim evaluated 00:05 and 00:06; the recovered fleet emits
-    // every later instant exactly as the oracle did.
-    ExpectSuffixMatch(sink.ResultsFor(query), oracle_sink.ResultsFor(query),
-                      /*from=*/2);
-  }
-}
-
 // Rewrites the header version of the generation files in `dir` (every
 // one, or only MANIFEST-<only_seq>), as a build with another
 // kFormatVersion would have written them. The header sits outside every
@@ -1402,29 +1177,6 @@ TEST_F(CheckpointRecoveryTest, OtherFormatVersionFailsRecoveryLoudly) {
     auto latest = persist::LoadLatestCheckpoint(dir);
     EXPECT_EQ(latest.status().code(), StatusCode::kFailedPrecondition)
         << latest.status();
-  }
-  for (uint32_t old_version : {1u, 2u, 3u, 4u}) {
-    SCOPED_TRACE("sharded fleet, version " + std::to_string(old_version));
-    const std::string dir =
-        FreshDir("old_format_sharded_v" + std::to_string(old_version));
-    shard::ShardedEngineOptions options;
-    options.shards = 2;
-    options.checkpoint_dir = dir;
-    options.checkpoint_every = 1;
-    options.checkpoint_fsync = false;
-    {
-      shard::ShardedEngine victim(options);
-      ConfigureFleet(&victim);
-      for (int i = 0; i < 6; ++i) {
-        ASSERT_TRUE(victim.Ingest(ShardedEvent(i), T(1 + i)).ok());
-        ASSERT_TRUE(victim.PumpAll().ok());
-      }
-    }
-    StampManifestVersion(dir + "/shard-1", old_version);
-    shard::ShardedEngine recovered(options);
-    ConfigureFleet(&recovered);
-    const Status restored = recovered.Restore();
-    EXPECT_EQ(restored.code(), StatusCode::kFailedPrecondition) << restored;
   }
 }
 

@@ -1,8 +1,9 @@
 // The serving runtime (runtime/runtime.h) and its flag parser
 // (runtime/flags.h): the endpoint is scraped while the runtime produces
 // and pumps (the shape the thread-sanitizer job race-hunts), a lane-fed
-// run equals a direct Ingest + Drain run, bounded runs in both shapes
-// equal the unbounded run, and the flag table parses strictly with
+// run equals a direct Ingest + Drain run, bounded runs equal the
+// unbounded run, a restarted runtime carries on exactly where the
+// checkpoint left off, and the flag table parses strictly with
 // environment fallbacks.
 #include <arpa/inet.h>
 #include <gtest/gtest.h>
@@ -10,10 +11,13 @@
 #include <sys/socket.h>
 #include <unistd.h>
 
+#include <algorithm>
 #include <atomic>
 #include <chrono>
 #include <cstdlib>
 #include <filesystem>
+#include <optional>
+#include <random>
 #include <string>
 #include <thread>
 #include <vector>
@@ -137,7 +141,7 @@ std::vector<std::string> LaneRun(size_t capacity, int pump_every) {
   }
   EXPECT_TRUE(rt.Pump().ok());
   EXPECT_TRUE(rt.Finish().ok());
-  EXPECT_EQ(rt.Overload().dead_letters, 0);
+  EXPECT_EQ(rt.dead_letters().total(), 0);
   return sink.lines;
 }
 
@@ -153,12 +157,9 @@ TEST(RuntimeTest, LaneFedRunEqualsDirectIngest) {
 // A scraper thread reads /queries and /metrics while the engine thread
 // produces and pumps, and the reporter prints alongside: the endpoint
 // serves only the registry and the published document.
-void ScrapeWhileRunning(int shards) {
-  SCOPED_TRACE("shards=" + std::to_string(shards));
+TEST(RuntimeTest, EndpointScrapedWhileRunning) {
   RuntimeOptions options;
   options.tool = "runtime_test";
-  options.shards = shards;
-  options.fleet = shards > 1;
   options.metrics_port = 0;
   options.stats_interval_sec = 1;
   Runtime rt(options);
@@ -207,16 +208,8 @@ void ScrapeWhileRunning(int shards) {
   EXPECT_FALSE(sink.lines.empty());
 }
 
-TEST(RuntimeTest, EndpointScrapedWhileRunningOneEngine) {
-  ScrapeWhileRunning(1);
-}
-
-TEST(RuntimeTest, EndpointScrapedWhileRunningAFleet) {
-  ScrapeWhileRunning(2);
-}
-
 // ---------------------------------------------------------------------------
-// Backpressure pumps: one clock rule in both shapes
+// Backpressure pumps: one clock rule
 // ---------------------------------------------------------------------------
 
 constexpr char kTiesQuery[] =
@@ -239,14 +232,12 @@ std::vector<std::string> BackpressureRun(RuntimeOptions options,
     ++id;
     auto graph = std::make_shared<const PropertyGraph>(
         GraphBuilder().Node(id, {"X"}, {{"id", Value::Int(id)}}).Build());
-    Result<int> produced =
-        rt.Produce(graph, Timestamp::FromMillis(second * 1000));
-    EXPECT_TRUE(produced.ok()) << "element " << id << ": "
-                               << produced.status().ToString();
+    Status produced = rt.Produce(graph, Timestamp::FromMillis(second * 1000));
+    EXPECT_TRUE(produced.ok()) << "element " << id << ": " << produced;
   }
   EXPECT_TRUE(rt.Pump().ok());
   EXPECT_TRUE(rt.Finish().ok());
-  EXPECT_EQ(rt.Overload().queue_shed, 0);
+  EXPECT_EQ(rt.queue().shed_total(), 0);
   return sink.lines;
 }
 
@@ -270,23 +261,20 @@ TEST(RuntimeTest, BoundedRunOverTimestampTiesEqualsUnbounded) {
   bounded.queue.capacity = 1;
   bounded.queue.overflow_policy = OverflowPolicy::kReject;
   EXPECT_EQ(BackpressureRun(bounded, seconds), expected);
-  bounded.fleet = true;  // One shard: the same rule in the fleet's lanes.
-  EXPECT_EQ(BackpressureRun(bounded, seconds), expected);
 }
 
-// A durable fleet frees queue space only once a checkpoint moves the
-// retention horizon, and checkpoints happen at batch barriers: a pump
-// for a refused element must advance the shard clock so the barrier
-// comes. Capacity 2, six elements between pumps: all admitted.
-TEST(RuntimeTest, DurableBoundedFleetAdmitsBetweenPumps) {
+// A durable queue frees space only once a checkpoint moves the retention
+// horizon, and checkpoints happen at batch barriers: a pump for a refused
+// element must advance the engine clock so the barrier comes. Capacity
+// 2, six elements between pumps: all admitted.
+TEST(RuntimeTest, DurableBoundedQueueAdmitsBetweenPumps) {
   const std::vector<int64_t> seconds = {1, 2, 3, 4, 5, 6};
-  RuntimeOptions unbounded;
-  unbounded.fleet = true;
+  const RuntimeOptions unbounded;
   const std::vector<std::string> expected =
       BackpressureRun(unbounded, seconds);
   ASSERT_EQ(expected.size(), 6u);
   RuntimeOptions durable = unbounded;
-  durable.checkpoint_dir = FreshDir("durable_fleet");
+  durable.checkpoint_dir = FreshDir("durable_bounded");
   durable.checkpoint_every = 1;
   durable.checkpoint_fsync = false;
   durable.queue.capacity = 2;
@@ -294,7 +282,7 @@ TEST(RuntimeTest, DurableBoundedFleetAdmitsBetweenPumps) {
   EXPECT_EQ(BackpressureRun(durable, seconds), expected);
   // At ties the capacity must hold one instant; when it cannot, the
   // error names the remedy instead of wedging.
-  durable.checkpoint_dir = FreshDir("durable_fleet_ties");
+  durable.checkpoint_dir = FreshDir("durable_bounded_ties");
   Runtime rt(durable);
   ASSERT_TRUE(rt.Register(kTiesQuery).ok());
   ASSERT_TRUE(rt.Start().ok());
@@ -302,61 +290,206 @@ TEST(RuntimeTest, DurableBoundedFleetAdmitsBetweenPumps) {
   for (int64_t id = 1; id <= 3 && status.ok(); ++id) {
     status = rt.Produce(std::make_shared<const PropertyGraph>(
                             GraphBuilder().Node(id, {"X"}).Build()),
-                        Timestamp::FromMillis(1000))
-                 .status();
+                        Timestamp::FromMillis(1000));
   }
   EXPECT_EQ(status.code(), StatusCode::kUnavailable);
   EXPECT_NE(status.message().find("--queue-capacity"), std::string::npos)
       << status.ToString();
 }
 
-// Both shapes render /queries through one writer: a fleet entry carries
-// every field of the single-engine entry plus its shard set, and a name
-// that needs escaping still parses.
-TEST(RuntimeTest, FleetQueriesDocumentHasTheSingleEngineShape) {
+// /queries lists every query with its counters, its last error when it
+// has one, and a name that needs escaping still parses.
+TEST(RuntimeTest, QueriesDocumentParsesAndCarriesTheLastError) {
   // Fails while the element is in its window, so last_error shows too.
   const std::string text =
       "REGISTER QUERY `a\"b` STARTING AT '1970-01-01T00:05' "
       "{ MATCH (n:X) WITHIN PT10M EMIT n.id / 0 AS v EVERY PT5M }";
+  RuntimeOptions options;
+  options.tool = "runtime_test";
+  Runtime rt(options);
+  auto name = rt.Register(text);
+  ASSERT_TRUE(name.ok()) << name.status();
+  EXPECT_EQ(*name, "a\"b");
+  ASSERT_TRUE(rt.Start().ok());
   auto element = [](int64_t id, const char* label) {
     return std::make_shared<const PropertyGraph>(
         GraphBuilder().Node(id, {label}, {{"id", Value::Int(id)}}).Build());
   };
-  const Timestamp one = Timestamp::FromMillis(60'000);
-  const Timestamp ten = Timestamp::FromMillis(600'000);
-  ContinuousEngine engine;
-  ASSERT_TRUE(engine.RegisterText(text).ok());
-  ASSERT_TRUE(engine.Ingest(element(1, "X"), one).ok());
-  ASSERT_TRUE(engine.Ingest(element(2, "Y"), ten).ok());
-  ASSERT_TRUE(engine.AdvanceTo(ten).ok());
-  shard::ShardedEngineOptions options;
-  options.shards = 2;
-  shard::ShardedEngine fleet(options);
-  ASSERT_TRUE(fleet.RegisterText(text).ok());
-  ASSERT_TRUE(fleet.Ingest(element(1, "X"), one).ok());
-  ASSERT_TRUE(fleet.Ingest(element(2, "Y"), ten).ok());
-  ASSERT_TRUE(fleet.PumpAll().ok());
-
-  const std::string single_json = QueriesStatusJson(engine);
-  const std::string fleet_json = QueriesStatusJson(fleet);
-  auto single = io::ParseJson(single_json);
-  auto fleet_doc = io::ParseJson(fleet_json);
-  ASSERT_TRUE(single.ok()) << single.status() << "\n" << single_json;
-  ASSERT_TRUE(fleet_doc.ok()) << fleet_doc.status() << "\n" << fleet_json;
-  ASSERT_EQ(single->AsList().size(), 1u);
-  ASSERT_EQ(fleet_doc->AsList().size(), 1u);
-  const Value::Map& one_engine = single->AsList()[0].AsMap();
-  const Value::Map& entry = fleet_doc->AsList()[0].AsMap();
+  ASSERT_TRUE(rt.Produce(element(1, "X"), Timestamp::FromMillis(60'000)).ok());
+  ASSERT_TRUE(rt.Produce(element(2, "Y"), Timestamp::FromMillis(600'000)).ok());
+  ASSERT_TRUE(rt.Finish().ok());
+  const std::string json = QueriesStatusJson(rt.engine());
+  auto doc = io::ParseJson(json);
+  ASSERT_TRUE(doc.ok()) << doc.status() << "\n" << json;
+  ASSERT_EQ(doc->AsList().size(), 1u);
+  const Value::Map& entry = doc->AsList()[0].AsMap();
   EXPECT_EQ(entry.at("name").AsString(), "a\"b");
-  ASSERT_TRUE(one_engine.contains("last_error")) << single_json;
-  for (const auto& [key, value] : one_engine) {
-    EXPECT_TRUE(entry.contains(key)) << key << " missing from " << fleet_json;
+  EXPECT_TRUE(entry.contains("last_error")) << json;
+  const QueryStats stats = *rt.engine().StatsFor("a\"b");
+  EXPECT_EQ(entry.at("evaluations"), Value::Int(stats.evaluations));
+  EXPECT_EQ(entry.at("eval_failures"), Value::Int(stats.eval_failures));
+  EXPECT_GT(stats.eval_failures, 0);
+}
+
+// ---------------------------------------------------------------------------
+// Restarts: one restore path
+// ---------------------------------------------------------------------------
+
+std::shared_ptr<const PropertyGraph> XNode(int64_t id) {
+  return std::make_shared<const PropertyGraph>(
+      GraphBuilder().Node(id, {"X"}, {{"id", Value::Int(id)}}).Build());
+}
+
+Timestamp Minute(int64_t minute) {
+  return Timestamp::FromMillis(minute * 60'000);
+}
+
+RuntimeOptions Durable(const std::string& name) {
+  RuntimeOptions options;
+  options.tool = "runtime_test";
+  options.checkpoint_dir = FreshDir(name);
+  options.checkpoint_every = 1;
+  options.checkpoint_fsync = false;
+  return options;
+}
+
+// Life 1 ingests minutes 1-4 durably and finishes; life 2 restores,
+// produces nothing again, and ingests minutes 5-7. The queue restarts at
+// the checkpointed offset, so each new ingest is delivered, and the two
+// lives emit what one uninterrupted run emits.
+TEST(RuntimeTest, PostRestoreIngestsReachTheEngine) {
+  const std::string query =
+      "REGISTER QUERY minutes STARTING AT '1970-01-01T00:01' "
+      "{ MATCH (n:X) WITHIN PT10M EMIT n.id SNAPSHOT EVERY PT1M }";
+  auto run = [&query](RuntimeOptions options, int64_t from, int64_t to,
+                      size_t resume_at) {
+    Runtime rt(std::move(options));
+    RecordingSink sink;
+    rt.AddSink(&sink);
+    EXPECT_TRUE(rt.Register(query).ok());
+    EXPECT_TRUE(rt.Start().ok());
+    EXPECT_EQ(rt.next_offset(), resume_at);
+    for (int64_t minute = from; minute <= to; ++minute) {
+      EXPECT_TRUE(rt.Produce(XNode(minute), Minute(minute)).ok()) << minute;
+    }
+    EXPECT_TRUE(rt.Finish().ok());
+    EXPECT_EQ(rt.engine().stream().size(), static_cast<size_t>(to));
+    return sink.lines;
+  };
+  RuntimeOptions plain;
+  plain.tool = "runtime_test";
+  const std::vector<std::string> expected = run(plain, 1, 7, 0);
+  ASSERT_EQ(expected.size(), 7u);
+
+  RuntimeOptions durable = Durable("post_restore_ingest");
+  std::vector<std::string> lives = run(durable, 1, 4, 0);
+  durable.restore = true;
+  const std::vector<std::string> suffix = run(durable, 5, 7, 4);
+  EXPECT_EQ(suffix.size(), 3u);
+  lives.insert(lives.end(), suffix.begin(), suffix.end());
+  EXPECT_EQ(lives, expected);
+}
+
+// How a restarted source catches up: a replayable one resumes its input
+// at next_offset(), one that cannot be replayed commits after every batch
+// and produces nothing twice.
+enum class Resume { kAtOffset, kCommitEachBatch };
+
+constexpr size_t kBatch = 3;
+
+// Produces `events[from, to)` in batches of kBatch (by absolute index),
+// closing each batch with Pump or, for kCommitEachBatch, Commit.
+void ProduceBatches(Runtime* rt, Resume resume,
+                    const std::vector<workloads::Event>& events, size_t from,
+                    size_t to) {
+  for (size_t i = from; i < to; ++i) {
+    auto graph = std::make_shared<const PropertyGraph>(events[i].graph);
+    ASSERT_TRUE(rt->Produce(graph, events[i].timestamp).ok()) << i;
+    if ((i + 1) % kBatch == 0 || i + 1 == events.size()) {
+      ASSERT_TRUE((resume == Resume::kAtOffset ? rt->Pump() : rt->Commit())
+                      .ok())
+          << i;
+    }
   }
-  EXPECT_EQ(entry.size(), one_engine.size() + 1) << fleet_json;
-  ASSERT_TRUE(entry.contains("shards"));
-  EXPECT_EQ(entry.at("shards").AsList().size(), 1u);
-  EXPECT_EQ(entry.at("evaluations"), one_engine.at("evaluations"));
-  EXPECT_EQ(entry.at("eval_failures"), one_engine.at("eval_failures"));
+}
+
+// One life: registers the bike queries, starts, and produces `events`
+// from where it resumes up to `cut` (or to the end, then Finish). A cut
+// life is dropped without Finish, as a crash would leave it, with the
+// elements produced since its last pump lost.
+std::vector<std::string> Life(const RuntimeOptions& options, Resume resume,
+                              const std::vector<workloads::Event>& events,
+                              std::optional<size_t> cut,
+                              size_t* resumed_at = nullptr) {
+  Runtime rt(options);
+  RecordingSink sink;
+  rt.AddSink(&sink);
+  for (const std::string& text : BikeQueries()) {
+    EXPECT_TRUE(rt.Register(text).ok()) << text;
+  }
+  EXPECT_TRUE(rt.Start().ok());
+  const size_t from = rt.next_offset();
+  if (resumed_at != nullptr) *resumed_at = from;
+  ProduceBatches(&rt, resume, events, from, cut.value_or(events.size()));
+  if (!cut.has_value()) {
+    EXPECT_TRUE(rt.Finish().ok());
+  }
+  return sink.lines;
+}
+
+// A durable runtime cut at a random point, restarted with `restore`:
+// what the first life emitted plus what the second emits is the
+// uninterrupted run, for both resume styles, bounded and unbounded. A
+// replayable source may be cut anywhere and produces again what the
+// checkpoint does not cover; an unreplayable one is cut after a Commit,
+// since a batch it never acknowledged is its client's to send again.
+TEST(RuntimeTest, RestartAtARandomPumpConcatenatesToTheUninterruptedRun) {
+  const std::vector<workloads::Event> events = BikeStream();
+  const size_t batches = (events.size() + kBatch - 1) / kBatch;
+  std::mt19937 rng(2026);
+  int produced_again = 0;
+  for (const Resume resume : {Resume::kAtOffset, Resume::kCommitEachBatch}) {
+    for (const size_t capacity : {size_t{0}, size_t{3}}) {
+      RuntimeOptions plain;
+      plain.tool = "runtime_test";
+      plain.queue.capacity = capacity;
+      const std::vector<std::string> expected =
+          Life(plain, resume, events, std::nullopt);
+      ASSERT_GT(expected.size(), 20u);
+      for (int round = 0; round < 3; ++round) {
+        const size_t draw = static_cast<size_t>(rng());
+        const size_t cut = resume == Resume::kAtOffset
+                               ? 1 + draw % (events.size() - 1)
+                               : kBatch * (1 + draw % (batches - 1));
+        SCOPED_TRACE(std::string(resume == Resume::kAtOffset
+                                     ? "resume at offset"
+                                     : "commit each batch") +
+                     ", capacity " + std::to_string(capacity) + ", cut " +
+                     std::to_string(cut));
+        RuntimeOptions durable = Durable("restart_split");
+        durable.queue.capacity = capacity;
+        std::vector<std::string> lives =
+            Life(durable, resume, events, cut);
+        durable.restore = true;
+        size_t resumed_at = 0;
+        const std::vector<std::string> suffix =
+            Life(durable, resume, events, std::nullopt, &resumed_at);
+        if (resume == Resume::kCommitEachBatch) {
+          // Every acknowledged batch was committed: nothing is produced
+          // twice.
+          EXPECT_EQ(resumed_at, cut);
+        } else {
+          EXPECT_LE(resumed_at, cut);
+          if (resumed_at < cut) ++produced_again;
+        }
+        lives.insert(lives.end(), suffix.begin(), suffix.end());
+        EXPECT_EQ(lives, expected);
+      }
+    }
+  }
+  // Some cut fell between pumps, so a resumed source produced elements
+  // again.
+  EXPECT_GT(produced_again, 0);
 }
 
 // ---------------------------------------------------------------------------

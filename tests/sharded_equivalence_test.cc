@@ -1,19 +1,16 @@
-// Sharded-vs-single equivalence (docs/INTERNALS.md, "Sharded serving
-// tier"): the merged output of a ShardedEngine must be bit-identical —
-// content *and* global order — to a single ContinuousEngine run over the
-// same routed streams, for every shard count, with and without intra-
-// shard parallelism, with queries joining broadcast and fixed-shard
-// streams, with shards whose streams go quiet, and across a
-// checkpoint/restore split mid-run (which replays the fleet's ingest
-// logs). Randomized in the style of tests/delta_equivalence_test.cc:
-// churned graph elements over bounded entity universes drive window
-// updates, evictions, and rewires through a fleet of query shapes and
-// report policies.
+// Sharded-vs-single equivalence (docs/INTERNALS.md, "Sharded tier"): the
+// merged output of a ShardedEngine must be bit-identical — content *and*
+// global order — to a single ContinuousEngine run over the same routed
+// streams, for every shard count, with and without intra-shard
+// parallelism, with queries joining broadcast and fixed-shard streams,
+// and with shards whose streams go quiet. Randomized in the style of
+// tests/delta_equivalence_test.cc: churned graph elements over bounded
+// entity universes drive window updates, evictions, and rewires through
+// a fleet of query shapes and report policies.
 #include <gtest/gtest.h>
 
 #include <algorithm>
 #include <cstdlib>
-#include <filesystem>
 #include <map>
 #include <memory>
 #include <random>
@@ -463,68 +460,6 @@ TEST(ShardedEquivalenceTest, QuietShardsFollowTheFleetClock) {
           RunSharded(shards, EngineOptions{}, routes(shards - 1), fleet,
                      events),
           "quiet shards " + std::to_string(shards));
-    }
-  }
-}
-
-// Checkpoint/restore mid-run: checkpoint the durable fleet after a
-// prefix, restore a fresh fleet from its directory (engine state plus the
-// ingest-log replay), continue with the suffix — the concatenated
-// emissions are exactly the uninterrupted single-engine run.
-TEST(ShardedEquivalenceTest, RestoreMidRunConcatenatesToTheOracle) {
-  const std::vector<NamedQuery> fleet = SortedByName(Fleet(""));
-  const int rounds = FuzzRounds(2);
-  for (int round = 0; round < rounds; ++round) {
-    const std::vector<Event> events =
-        ChurnEvents(/*seed=*/6107 + 29 * static_cast<uint32_t>(round), 40);
-    const std::vector<Emission> expected =
-        RunSingle(BroadcastOnly(), fleet, events);
-    ASSERT_FALSE(expected.empty());
-    const size_t cut = events.size() / 2;
-
-    for (int shards : {2, 4}) {
-      SCOPED_TRACE("restore shards " + std::to_string(shards));
-      shard::ShardedEngineOptions options;
-      options.shards = shards;
-      options.checkpoint_dir = ::testing::TempDir() +
-                               "seraph_sharded_equivalence_restore_" +
-                               std::to_string(shards);
-      options.checkpoint_fsync = false;
-      std::filesystem::remove_all(options.checkpoint_dir);
-
-      SeqSink prefix;
-      {
-        shard::ShardedEngine first(options);
-        first.AddSink(&prefix);
-        for (const NamedQuery& query : fleet) {
-          ASSERT_TRUE(first.RegisterText(query.text).ok());
-        }
-        for (size_t e = 0; e < cut; ++e) {
-          ASSERT_TRUE(
-              first.Ingest(events[e].graph, T(events[e].minute)).ok());
-          ASSERT_TRUE(first.PumpAll().ok());
-        }
-        ASSERT_TRUE(first.Checkpoint().ok());
-      }
-
-      shard::ShardedEngine second(options);
-      SeqSink suffix;
-      second.AddSink(&suffix);
-      for (const NamedQuery& query : fleet) {
-        ASSERT_TRUE(second.RegisterText(query.text).ok());
-      }
-      ASSERT_TRUE(second.Restore().ok());
-      for (size_t e = cut; e < events.size(); ++e) {
-        ASSERT_TRUE(second.Ingest(events[e].graph, T(events[e].minute)).ok());
-        ASSERT_TRUE(second.PumpAll().ok());
-      }
-      ASSERT_TRUE(second.Finish().ok());
-      std::filesystem::remove_all(options.checkpoint_dir);
-
-      std::vector<Emission> combined = prefix.emissions();
-      combined.insert(combined.end(), suffix.emissions().begin(),
-                      suffix.emissions().end());
-      ExpectSequencesIdentical(expected, combined, "restored run");
     }
   }
 }

@@ -329,20 +329,39 @@ TEST(BoundedEventQueueTest, SeekBelowRetentionBaseFails) {
   EXPECT_EQ(q.Poll("c", 10)->size(), 2u);
 }
 
-TEST(BoundedEventQueueTest, RestoreOffsetMayLeadTheRefillingLog) {
-  // The recovery path of a bounded tool: the checkpointed offset is
-  // restored into an empty queue, then the event log is re-produced
-  // behind it — the prefix is trimmed on admission, never delivered.
+TEST(BoundedEventQueueTest, RestoreOffsetRebasesAnEmptyQueue) {
+  // The recovery path of a resumed source: the checkpointed offset is
+  // restored into an empty queue, then the source produces from there.
+  // Each append lands at the next offset and is delivered.
   EventQueue q(Bounded(2, OverflowPolicy::kReject));
-  ASSERT_TRUE(q.RestoreOffset("c", 5).ok());
-  for (int64_t i = 1; i <= 6; ++i) {
-    ASSERT_TRUE(q.Produce(Tiny(i), T(i)).ok());
-  }
-  auto suffix = q.Poll("c", 10);
-  ASSERT_TRUE(suffix.ok());
-  ASSERT_EQ(suffix->size(), 1u);
-  EXPECT_EQ((*suffix)[0].timestamp, T(6));
-  EXPECT_EQ(q.rejected_total(), 0);  // Trim always made room.
+  ASSERT_TRUE(q.RestoreOffset("c", 5, T(5)).ok());
+  EXPECT_EQ(q.size(), 5u);
+  EXPECT_EQ(q.base_offset(), 5u);
+  EXPECT_EQ(q.OffsetOf("c"), 5u);
+  // Older than what the restored engine holds: late, as it would be on
+  // the uninterrupted queue.
+  EXPECT_EQ(q.Produce(Tiny(4), T(4)).code(), StatusCode::kOutOfRange);
+  ASSERT_TRUE(q.Produce(Tiny(5), T(5)).ok());
+  ASSERT_TRUE(q.Produce(Tiny(6), T(6)).ok());
+  auto resumed = q.Poll("c", 10);
+  ASSERT_TRUE(resumed.ok());
+  ASSERT_EQ(resumed->size(), 2u);
+  EXPECT_EQ((*resumed)[0].timestamp, T(5));
+  EXPECT_EQ((*resumed)[1].timestamp, T(6));
+  // The consumed entries are trimmed to make room, as on any queue.
+  ASSERT_TRUE(q.Produce(Tiny(7), T(7)).ok());
+  EXPECT_EQ(q.Poll("c", 10)->size(), 1u);
+  EXPECT_EQ(q.size(), 8u);
+  EXPECT_EQ(q.rejected_total(), 0);
+
+  // A queue that already holds elements keeps Seek's range check.
+  EventQueue filled;
+  ASSERT_TRUE(filled.Produce(Tiny(1), T(1)).ok());
+  ASSERT_TRUE(filled.Produce(Tiny(2), T(2)).ok());
+  ASSERT_TRUE(filled.RestoreOffset("c", 2, T(2)).ok());
+  EXPECT_EQ(filled.Poll("c", 10)->size(), 0u);
+  EXPECT_EQ(filled.RestoreOffset("d", 3, T(2)).code(),
+            StatusCode::kOutOfRange);
 }
 
 TEST(GraphStreamTest, DropFrontKeepsOrderAndMaxTimestamp) {

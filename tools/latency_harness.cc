@@ -13,12 +13,6 @@
 // that account for every shed element) and the process RSS. Results go
 // to stdout and, as JSON, to --out.
 //
-// With --shards=N (N > 1) the runtime drives a ShardedEngine: events are
-// broadcast through the fleet's default route, each query lands on its
-// home shard, and the latency distribution merges the shards'
-// `seraph_engine_emit_latency_micros` histograms. The report is the same
-// at every shard count.
-//
 // --metrics-port serves /metrics, /healthz and /queries during the run
 // (CI's latency-smoke job scrapes them mid-flight); --stats-interval
 // prints the runtime's status line.
@@ -110,15 +104,13 @@ int main(int argc, char** argv) {
        1},
       {"--queries=<n>", &queries, "identical queries sharing the stream", 1},
       {"--out=<path>", &out_path, "JSON report (default BENCH_latency.json)"},
-      {"--shards=<n>", &options.shards,
-       "engine shards; > 1 drives a ShardedEngine", 1},
       {"--metrics-port=<p>", &options.metrics_port,
        "serve /metrics, /healthz, /queries on 127.0.0.1:<p> (0 = ephemeral)",
        0, 65535},
       {"--stats-interval=<sec>", &options.stats_interval_sec,
        "print a status line every <sec> seconds", 1},
       {"--queue-capacity=<n>", &options.queue.capacity,
-       "bound each lane's queue (default unbounded)", 1, runtime::kNoMax,
+       "bound the event queue (default unbounded)", 1, runtime::kNoMax,
        "SERAPH_QUEUE_CAPACITY"},
       {"--overflow-policy=<reject|shed_oldest>",
        &options.queue.overflow_policy,
@@ -126,14 +118,13 @@ int main(int argc, char** argv) {
        "SERAPH_OVERFLOW_POLICY"},
   });
   if (auto exit_code = cli.Parse(argc, argv)) return *exit_code;
-  options.fleet = options.shards > 1;
 
   runtime::Runtime rt(options);
   CountingSink sink;
   rt.AddSink(&sink);
   for (int q = 0; q < queries; ++q) {
-    auto placement = rt.Register(QueryText(q));
-    if (!placement.ok()) return cli.Fail(placement.status().ToString());
+    auto registered = rt.Register(QueryText(q));
+    if (!registered.ok()) return cli.Fail(registered.status().ToString());
   }
   if (Status s = rt.Start(); !s.ok()) return cli.Fail(s.ToString());
 
@@ -152,10 +143,12 @@ int main(int argc, char** argv) {
     for (; produced < due; ++produced) {
       const int64_t t_ms =
           1000 + static_cast<int64_t>(produced * event_millis_per_event);
-      auto delivered =
-          rt.Produce(std::make_shared<const PropertyGraph>(MakeEvent(produced)),
-                     Timestamp::FromMillis(t_ms));
-      if (!delivered.ok()) return cli.Fail(delivered.status().ToString());
+      if (Status s = rt.Produce(
+              std::make_shared<const PropertyGraph>(MakeEvent(produced)),
+              Timestamp::FromMillis(t_ms));
+          !s.ok()) {
+        return cli.Fail(s.ToString());
+      }
     }
     if (Status s = rt.Pump(); !s.ok()) return cli.Fail(s.ToString());
     if (idle) std::this_thread::sleep_for(std::chrono::microseconds(200));
@@ -174,22 +167,22 @@ int main(int argc, char** argv) {
   // The overload ledger: every element a bounded queue evicted is
   // counted here and dead-lettered, so delivered + shed partitions the
   // input.
-  const shard::OverloadLedger ledger = rt.Overload();
-  const long long shed_total = ledger.queue_shed;
+  const EventQueue& queue = rt.queue();
+  const long long shed_total = queue.shed_total();
+  const long long dead_letters = rt.dead_letters().total();
   const long long max_lag_ms = rt.MaxLagMillis();
   const double rss_mb = RssMb();
 
   char line[640];
   std::snprintf(line, sizeof(line),
-                "events=%lld (%.0f/s target %.0f/s)  shards=%d  queries=%d"
+                "events=%lld (%.0f/s target %.0f/s)  queries=%d"
                 "  emits=%lld  rows=%lld\n"
                 "emit latency (us): p50=%lld p99=%lld p999=%lld max=%lld"
                 "  samples=%lld\n"
                 "max lag: %lld ms  dead letters: %lld\n"
                 "overload: shed=%lld rejected=%lld trimmed=%lld"
                 " producer_retries=%lld  rss=%.1f MiB\n",
-                static_cast<long long>(produced), achieved, rate,
-                options.shards, queries,
+                static_cast<long long>(produced), achieved, rate, queries,
                 static_cast<long long>(sink.emits()),
                 static_cast<long long>(sink.rows()),
                 static_cast<long long>(latency.p50),
@@ -197,9 +190,9 @@ int main(int argc, char** argv) {
                 static_cast<long long>(latency.p999),
                 static_cast<long long>(latency.max),
                 static_cast<long long>(latency.count), max_lag_ms,
-                static_cast<long long>(ledger.dead_letters), shed_total,
-                static_cast<long long>(ledger.rejected),
-                static_cast<long long>(ledger.trimmed),
+                dead_letters, shed_total,
+                static_cast<long long>(queue.rejected_total()),
+                static_cast<long long>(queue.trimmed_total()),
                 static_cast<long long>(rt.producer_retries()), rss_mb);
   std::cout << line;
 
@@ -209,7 +202,6 @@ int main(int argc, char** argv) {
       << "  \"rate_target\": " << rate << ",\n"
       << "  \"rate_achieved\": " << achieved << ",\n"
       << "  \"duration_sec\": " << duration_sec << ",\n"
-      << "  \"shards\": " << options.shards << ",\n"
       << "  \"queries\": " << queries << ",\n"
       << "  \"events\": " << produced << ",\n"
       << "  \"emits\": " << sink.emits() << ",\n"
@@ -220,13 +212,13 @@ int main(int argc, char** argv) {
       << "  \"p999_us\": " << latency.p999 << ",\n"
       << "  \"max_us\": " << latency.max << ",\n"
       << "  \"max_lag_ms\": " << max_lag_ms << ",\n"
-      << "  \"dead_letters\": " << ledger.dead_letters << ",\n"
+      << "  \"dead_letters\": " << dead_letters << ",\n"
       << "  \"queue_capacity\": " << options.queue.capacity << ",\n"
       << "  \"overflow_policy\": \""
       << OverflowPolicyName(options.queue.overflow_policy) << "\",\n"
       << "  \"shed_total\": " << shed_total << ",\n"
-      << "  \"rejected_total\": " << ledger.rejected << ",\n"
-      << "  \"trimmed_total\": " << ledger.trimmed << ",\n"
+      << "  \"rejected_total\": " << queue.rejected_total() << ",\n"
+      << "  \"trimmed_total\": " << queue.trimmed_total() << ",\n"
       << "  \"producer_retries\": " << rt.producer_retries() << ",\n"
       << "  \"rss_mb\": " << rss_mb << "\n"
       << "}\n";

@@ -7,8 +7,8 @@
 # bench_delta: delta-matching ablation — steady-state evaluation latency
 # vs. window size with churn held fixed; bench_overload: bounded-queue
 # admission cost per overflow policy (reject, shed_oldest);
-# bench_sharded: the sharded serving tier — one hash-partitioned
-# workload through 1/2/4-shard fleets vs. the bare engine;
+# bench_sharded: the sharded tier — four copies of one query over the
+# default broadcast route, through 1/2/4-shard fleets vs. the bare engine;
 # bench_result_reuse: unchanged-window reuse on and off over a bursty
 # stream, for a delta-served query and an aggregate) plus
 # the steady-state latency harness, and writes one BENCH_<name>.json per

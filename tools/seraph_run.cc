@@ -34,8 +34,10 @@
 // --checkpoint-dir commits atomic checkpoints (engine state, consumer
 // offset, dead letters) at the engine's batch barrier every
 // --checkpoint-every batches; --restore resumes from the newest valid
-// generation and replays only the event suffix past it, bit-identically;
-// --inspect-checkpoint prints every generation and exits.
+// generation and produces the log from its consumer offset on, so the
+// output is the suffix the checkpoint did not cover, bit-identically; a
+// log shorter than that offset fails the run; --inspect-checkpoint
+// prints every generation and exits.
 #include <fstream>
 #include <iostream>
 #include <sstream>
@@ -198,10 +200,6 @@ int main(int argc, char** argv) {
   if (options.restore && options.checkpoint_dir.empty()) {
     return cli.Fail("--restore requires --checkpoint-dir=<dir>");
   }
-  if (!options.checkpoint_dir.empty() && progress_every > 0) {
-    return cli.Fail("--progress is not supported with --checkpoint-dir; the "
-                    "restore banner reports the replay backlog instead");
-  }
   if (positional.size() != 2) {
     return cli.Fail("expected <query.seraph> <events.log> (see --help)");
   }
@@ -236,7 +234,7 @@ int main(int argc, char** argv) {
   }
   options.dead_letter_failures = !dead_letter_path.empty();
   runtime::Runtime rt(options);
-  ContinuousEngine& engine = *rt.engine();
+  ContinuousEngine& engine = rt.engine();
   PrintingSink printer(&std::cout, columns);
   CsvSink csv_sink(&std::cout, columns);
   JsonLinesSink json_sink(&std::cout, /*include_empty=*/false);
@@ -251,21 +249,21 @@ int main(int argc, char** argv) {
   if (auto placed = rt.Register(*query_text); !placed.ok()) {
     return cli.Fail(placed.status().ToString());
   }
-  // An unbounded run queues the whole log before recovery, so the restore
-  // banner reports the true replay backlog. A bounded run produces under
-  // backpressure after recovery, and --progress pumps every n events.
-  const bool preload = options.queue.capacity == 0 && progress_every == 0;
-  size_t produced = 0;
-  for (; preload && produced < events->size(); ++produced) {
-    const StreamElement& event = (*events)[produced];
-    auto queued = rt.Produce(event.graph, event.timestamp);
-    if (!queued.ok()) return cli.Fail(queued.status().ToString());
-  }
   if (Status s = rt.Start(); !s.ok()) return cli.Fail(s.ToString());
+  // A restored run resumes the log at the checkpointed consumer offset:
+  // the generation covers every element before it.
+  size_t produced = rt.next_offset();
+  if (produced > events->size()) {
+    return cli.Fail("the checkpoint in '" + options.checkpoint_dir +
+                    "' covers " + std::to_string(produced) +
+                    " element(s), but '" + positional[1] + "' holds " +
+                    std::to_string(events->size()));
+  }
   for (; produced < events->size(); ++produced) {
     const StreamElement& event = (*events)[produced];
-    auto queued = rt.Produce(event.graph, event.timestamp);
-    if (!queued.ok()) return cli.Fail(queued.status().ToString());
+    if (Status s = rt.Produce(event.graph, event.timestamp); !s.ok()) {
+      return cli.Fail(s.ToString());
+    }
     if (progress_every > 0 &&
         (produced + 1) % static_cast<size_t>(progress_every) == 0) {
       if (Status s = rt.Pump(); !s.ok()) return cli.Fail(s.ToString());
@@ -278,12 +276,13 @@ int main(int argc, char** argv) {
     PrintProgressLine(engine, name, produced, events->size());
   }
   if (options.queue.capacity > 0) {
-    const shard::OverloadLedger ledger = rt.Overload();
+    const EventQueue& queue = rt.queue();
     std::cerr << "[seraph_run] queue: capacity " << options.queue.capacity
               << " (policy "
               << OverflowPolicyName(options.queue.overflow_policy)
-              << "), shed " << ledger.queue_shed << ", rejected "
-              << ledger.rejected << ", trimmed " << ledger.trimmed << "\n";
+              << "), shed " << queue.shed_total() << ", rejected "
+              << queue.rejected_total() << ", trimmed "
+              << queue.trimmed_total() << "\n";
   }
 
   // Query isolation: evaluation failures no longer abort the run, so

@@ -1,40 +1,39 @@
-// seraph_serve — the sharded serving front-end: N per-shard engines
-// behind one HTTP endpoint (docs/INTERNALS.md, "Sharded serving tier").
+// seraph_serve — the serving front-end: one continuous engine behind one
+// HTTP endpoint (docs/INTERNALS.md, "The serving front-end").
 //
-// `seraph_serve --help` lists the flags. The fleet is wired by the serving
-// runtime (runtime/runtime.h); this file holds the HTTP handlers, the
-// long-poll result buffer and the signal loop.
+// `seraph_serve --help` lists the flags. The engine and its event queue
+// are wired by the serving runtime (runtime/runtime.h); this file holds
+// the HTTP handlers, the long-poll result buffer and the signal loop.
 //
 // HTTP API (loopback only; one request per connection):
 //   POST /queries                REGISTER QUERY text in the body →
-//                                {"name": ..., "shards": [...]} with the
-//                                placement the query's streams imply.
+//                                {"name": ...}.
 //   POST /ingest                 JSON lines, one event per line:
 //                                {"t_ms": <int>, "graph": "<graph text>"}
 //                                (graph text as in io/graph_text.h).
-//                                Events are routed through the fleet's
-//                                routes, pumped, and merged;
-//                                responds {"ingested": n, "deliveries": d,
-//                                "watermark_ms": w}.
+//                                The batch is produced, evaluated through
+//                                its newest timestamp and, when durable,
+//                                committed before the reply
+//                                {"ingested": n, "watermark_ms": w}.
 //   GET  /queries/<q>/results?after=<seq>
-//                                Long-poll: merged emissions of <q> with
+//                                Long-poll: emissions of <q> with
 //                                seq > after; parks until data arrives or
 //                                --long-poll-ms elapses (→ 204).
 //   POST /queries/<q>/revive     Re-enable a disabled query.
-//   GET  /queries                Per-query status JSON (with shard sets).
-//   GET  /metrics                Coordinator registry: fleet watermark,
-//                                per-shard health gauges, router and
-//                                merge counters (Prometheus text).
-//   GET  /shards/<i>/metrics     Shard i's full engine registry.
+//   GET  /queries                Per-query status JSON.
+//   GET  /metrics                The engine registry (Prometheus text).
 //   GET  /healthz                Liveness.
 //
-// With --checkpoint-dir the fleet checkpoints each shard at its own batch
-// barrier (cadence --checkpoint-every) and auto-restores on startup;
-// queries preloaded with --queries (one REGISTER QUERY statement per
+// With --checkpoint-dir each ingest batch is committed as a checkpoint
+// generation before its reply (a failed commit fails the request), on
+// top of the batch-barrier commits (--checkpoint-every), and startup
+// restores the newest generation. POST /ingest cannot be replayed and
+// needs no replay: every acknowledged batch is in that generation.
+// Queries preloaded with --queries (one REGISTER QUERY statement per
 // file) are re-registered before the restore, which is what makes their
 // checkpointed state recoverable. Every handler runs on the server
-// thread, which is the fleet's thread while serving: requests are
-// serialized, and the main thread touches the fleet again only after
+// thread, which is the engine's thread while serving: requests are
+// serialized, and the main thread touches the engine again only after
 // the server stops. The poll loop keeps slow clients from wedging the
 // line (tests/metrics_server_test.cc).
 #include <csignal>
@@ -69,16 +68,16 @@ bool ParseInt64(const std::string& text, int64_t* out) {
   return true;
 }
 
-// One merged emission retained for long-polling clients.
+// One emission retained for long-polling clients.
 struct BufferedResult {
   int64_t seq = 0;
   int64_t t_ms = 0;
   std::string json;  // io::ToJson(table): {"win_start","win_end","rows"}.
 };
 
-// The /results source: a sink buffering merged fleet output per query.
-// Runs on the server thread (the fleet is pumped from request handlers),
-// so it needs no locking.
+// The /results source: a sink buffering the engine's output per query.
+// Runs on the server thread (the engine is pumped from request
+// handlers), so it needs no locking.
 class ResultBuffer final : public EmitSink {
  public:
   explicit ResultBuffer(size_t per_query_cap) : cap_(per_query_cap) {}
@@ -141,17 +140,6 @@ HttpReply ErrorReply(int code, const char* reason,
                    "{\"error\":\"" + EscapeJsonString(message) + "\"}\n");
 }
 
-std::string PlacementJson(const shard::QueryPlacement& placement) {
-  std::string out =
-      "{\"name\":\"" + EscapeJsonString(placement.name) + "\",\"shards\":[";
-  for (size_t i = 0; i < placement.shards.size(); ++i) {
-    if (i > 0) out += ",";
-    out += std::to_string(placement.shards[i]);
-  }
-  out += "]}\n";
-  return out;
-}
-
 }  // namespace
 
 int main(int argc, char** argv) {
@@ -159,21 +147,19 @@ int main(int argc, char** argv) {
   int64_t max_runtime_sec = 0;  // 0 = run until SIGINT/SIGTERM.
   runtime::RuntimeOptions options;
   options.tool = "seraph_serve";
-  options.fleet = true;
   options.metrics_port = 0;
   options.checkpoint_every = 1;
   runtime::CommandLine cli("seraph_serve", "[flags]", {
       {"--port=<p>", &options.metrics_port,
        "HTTP port on 127.0.0.1 (0 = ephemeral)", 0, 65535},
-      {"--shards=<n>", &options.shards, "engine shards", 1},
       {"--queries=<file>", &query_files,
        "REGISTER QUERY file registered at startup (repeatable)"},
       {"--checkpoint-dir=<dir>", &options.checkpoint_dir,
-       "checkpoint every shard here and restore from it on startup"},
+       "commit every ingest batch here and restore from it on startup"},
       {"--checkpoint-every=<n>", &options.checkpoint_every,
        "checkpoint cadence in evaluation batches (default 1)", 1},
       {"--queue-capacity=<n>", &options.queue.capacity,
-       "bound each lane's queue (default unbounded)", 1},
+       "bound the event queue (default unbounded)", 1},
       {"--overflow-policy=<reject|shed_oldest>",
        &options.queue.overflow_policy,
        "what a full queue does (default reject)"},
@@ -184,7 +170,7 @@ int main(int argc, char** argv) {
       {"--max-runtime-sec=<n>", &max_runtime_sec,
        "stop after <n> seconds (0 = until signalled)"},
       {"--threads=<n>", &options.engine.eval_threads,
-       "evaluation threads per shard (0 = hardware concurrency)", 0, 4096,
+       "evaluation threads (0 = hardware concurrency)", 0, 4096,
        "SERAPH_EVAL_THREADS"},
       {"--match-threads=<n>", &options.engine.match_threads,
        "intra-query matching threads (0 = hardware concurrency)", 0, 4096,
@@ -194,7 +180,7 @@ int main(int argc, char** argv) {
   options.restore = !options.checkpoint_dir.empty();
 
   runtime::Runtime rt(options);
-  shard::ShardedEngine& fleet = *rt.fleet();
+  ContinuousEngine& engine = rt.engine();
   ResultBuffer results(/*per_query_cap=*/1024);
   rt.AddSink(&results);
 
@@ -205,13 +191,11 @@ int main(int argc, char** argv) {
     if (!in) return cli.Fail("cannot open query file '" + path + "'");
     std::ostringstream buffer;
     buffer << in.rdbuf();
-    auto placement = rt.Register(buffer.str());
-    if (!placement.ok()) {
-      return cli.Fail("register '" + path + "': " +
-                      placement.status().ToString());
+    auto name = rt.Register(buffer.str());
+    if (!name.ok()) {
+      return cli.Fail("register '" + path + "': " + name.status().ToString());
     }
-    std::cerr << "[seraph_serve] registered '" << placement->name
-              << "' on " << placement->shards.size() << " shard(s)\n";
+    std::cerr << "[seraph_serve] registered '" << *name << "'\n";
   }
 
   MetricsServer& server = rt.server();
@@ -221,15 +205,15 @@ int main(int argc, char** argv) {
   server.Handle("POST", "/queries", [&](const HttpRequest& request)
                                         -> std::optional<HttpReply> {
     if (request.path == "/queries") {
-      auto placement = rt.Register(request.body);
-      if (!placement.ok()) {
+      auto name = rt.Register(request.body);
+      if (!name.ok()) {
         const int code =
-            placement.status().code() == StatusCode::kAlreadyExists ? 409
-                                                                    : 400;
+            name.status().code() == StatusCode::kAlreadyExists ? 409 : 400;
         return ErrorReply(code, code == 409 ? "Conflict" : "Bad Request",
-                          placement.status().ToString());
+                          name.status().ToString());
       }
-      return JsonReply(200, "OK", PlacementJson(*placement));
+      return JsonReply(200, "OK",
+                       "{\"name\":\"" + EscapeJsonString(*name) + "\"}\n");
     }
     const std::string revive_suffix = "/revive";
     if (request.path.size() > 9 + revive_suffix.size() &&
@@ -237,7 +221,7 @@ int main(int argc, char** argv) {
                              revive_suffix.size(), revive_suffix) == 0) {
       const std::string name = request.path.substr(
           9, request.path.size() - 9 - revive_suffix.size());
-      if (Status s = fleet.ReviveQuery(name); !s.ok()) {
+      if (Status s = engine.ReviveQuery(name); !s.ok()) {
         return ErrorReply(404, "Not Found", s.ToString());
       }
       rt.Publish();
@@ -251,7 +235,6 @@ int main(int argc, char** argv) {
   server.Handle("POST", "/ingest", [&](const HttpRequest& request)
                                        -> std::optional<HttpReply> {
     int64_t ingested = 0;
-    int64_t deliveries = 0;
     std::istringstream lines(request.body);
     std::string line;
     int line_no = 0;
@@ -281,35 +264,32 @@ int main(int argc, char** argv) {
                           "line " + std::to_string(line_no) + ": " +
                               graph.status().ToString());
       }
-      auto delivered = rt.Produce(
+      Status produced = rt.Produce(
           std::make_shared<const PropertyGraph>(std::move(graph).value()),
           Timestamp::FromMillis(t_it->second.AsInt()));
-      if (!delivered.ok()) {
+      if (!produced.ok()) {
         const int code =
-            delivered.status().code() == StatusCode::kOutOfRange ? 409 : 500;
+            produced.code() == StatusCode::kOutOfRange ? 409 : 500;
         return ErrorReply(code,
                           code == 409 ? "Conflict" : "Internal Server Error",
                           "line " + std::to_string(line_no) + ": " +
-                              delivered.status().ToString());
+                              produced.ToString());
       }
       ++ingested;
-      deliveries += *delivered;
     }
-    // An ingest batch is complete: its newest instant closes with it, so
-    // elements a later batch sends at that timestamp miss that instant.
-    if (Status s = fleet.PumpAll(); !s.ok()) {
+    // An ingest batch is complete: its newest instant closes with it (so
+    // elements a later batch sends at that timestamp miss that instant),
+    // and a durable server commits it before acknowledging it.
+    if (Status s = rt.Commit(); !s.ok()) {
       return ErrorReply(500, "Internal Server Error", s.ToString());
     }
-    rt.Publish();
     return JsonReply(
         200, "OK",
-        "{\"ingested\":" + std::to_string(ingested) +
-            ",\"deliveries\":" + std::to_string(deliveries) +
-            ",\"watermark_ms\":" +
-            std::to_string(fleet.FleetWatermarkMillis()) + "}\n");
+        "{\"ingested\":" + std::to_string(ingested) + ",\"watermark_ms\":" +
+            std::to_string(engine.stream().MaxTimestamp().millis()) + "}\n");
   });
 
-  // GET /queries/<q>/results?after=<seq> — long-poll until new merged
+  // GET /queries/<q>/results?after=<seq> — long-poll until new
   // emissions arrive (nullopt parks the connection; the serve loop keeps
   // re-invoking until data shows up or --long-poll-ms expires → 204).
   server.Handle("GET", "/queries/", [&](const HttpRequest& request)
@@ -324,7 +304,7 @@ int main(int argc, char** argv) {
     const std::string name = request.path.substr(
         9, request.path.size() - 9 - results_suffix.size());
     const int64_t after = AfterFromQuery(request.query);
-    if (!fleet.PlacementFor(name).ok()) {
+    if (!engine.StatsFor(name).ok()) {
       return ErrorReply(404, "Not Found", "unknown query '" + name + "'");
     }
     const std::deque<BufferedResult>* buffered = results.ResultsFor(name);
@@ -348,35 +328,6 @@ int main(int argc, char** argv) {
     return JsonReply(200, "OK", body);
   });
 
-  // GET /shards/<i>/metrics — one shard's full engine registry (the
-  // coordinator /metrics carries the fleet-level aggregation).
-  server.Handle("GET", "/shards/", [&](const HttpRequest& request)
-                                       -> std::optional<HttpReply> {
-    const std::string metrics_suffix = "/metrics";
-    if (request.path.size() <= 8 + metrics_suffix.size() ||
-        request.path.compare(request.path.size() - metrics_suffix.size(),
-                             metrics_suffix.size(), metrics_suffix) != 0) {
-      return ErrorReply(404, "Not Found",
-                        "unknown GET path '" + request.path + "'");
-    }
-    const std::string index_text = request.path.substr(
-        8, request.path.size() - 8 - metrics_suffix.size());
-    int64_t index = -1;
-    if (!ParseInt64(index_text, &index) || index < 0 ||
-        index >= fleet.num_shards()) {
-      return ErrorReply(404, "Not Found",
-                        "shard index out of range (fleet has " +
-                            std::to_string(fleet.num_shards()) +
-                            " shard(s))");
-    }
-    HttpReply reply;
-    reply.content_type = "text/plain; version=0.0.4; charset=utf-8";
-    reply.body = fleet.shard_engine(static_cast<int>(index))
-                     ->metrics()
-                     .ToPrometheusText();
-    return reply;
-  });
-
   if (Status s = rt.Start(); !s.ok()) return cli.Fail(s.ToString());
 
   std::signal(SIGINT, OnSignal);
@@ -395,14 +346,8 @@ int main(int argc, char** argv) {
   if (Status s = rt.Finish(); !s.ok()) {
     std::cerr << "[seraph_serve] final drain: " << s.ToString() << "\n";
   }
-  if (!options.checkpoint_dir.empty()) {
-    if (Status s = fleet.Checkpoint(); !s.ok()) {
-      std::cerr << "[seraph_serve] final checkpoint: " << s.ToString()
-                << "\n";
-    }
-  }
   std::cerr << "[seraph_serve] served " << server.requests_served()
-            << " request(s), released " << fleet.released_total()
-            << " merged emission(s)\n";
+            << " request(s), emitted " << results.last_seq()
+            << " result(s)\n";
   return 0;
 }
