@@ -7,8 +7,9 @@
 //                        because a generation holds only the retained
 //                        window suffix.
 //   BM_RecoveryReplay    cold restart cost: load + validate the newest
-//                        generation, restore the engine, re-seek the
-//                        consumer, and replay the uncheckpointed queue
+//                        generation, restore the engine, re-base an
+//                        empty queue at the consumer offset, and
+//                        re-produce and deliver the uncheckpointed
 //                        suffix — as a function of the suffix length.
 //
 // Checkpoints here disable fsync so the numbers track serialization and
@@ -120,7 +121,8 @@ BENCHMARK(BM_CheckpointWrite)
 
 // Recovery latency as the uncheckpointed replay suffix grows: the victim
 // checkpoints once after (total - replay) events; every iteration then
-// cold-starts a fresh engine, restores, and replays the suffix.
+// cold-starts a fresh engine and queue, restores, and re-produces the
+// suffix from the restored offset, as the serving runtime's source does.
 void BM_RecoveryReplay(benchmark::State& state) {
   constexpr int kTotal = 1024;
   const int replay = static_cast<int>(state.range(0));
@@ -128,8 +130,8 @@ void BM_RecoveryReplay(benchmark::State& state) {
   const std::vector<workloads::Event> events = MakeEvents(kTotal);
 
   // Victim run: deliver the checkpointed prefix, then commit one
-  // generation at the batch barrier (offsets already committed by the
-  // driver, so the cut is consistent).
+  // generation after the pump (offsets already committed by the driver,
+  // so the cut is consistent).
   EventQueue setup_queue;
   for (int i = 0; i < kTotal - replay; ++i) {
     if (!setup_queue.Produce(events[i].graph, events[i].timestamp).ok()) {
@@ -180,9 +182,6 @@ void BM_RecoveryReplay(benchmark::State& state) {
 
   for (auto _ : state) {
     EventQueue queue;
-    for (const auto& event : events) {
-      (void)queue.Produce(event.graph, event.timestamp);
-    }
     ContinuousEngine engine;
     CountingSink sink;
     engine.AddSink(&sink);
@@ -190,11 +189,20 @@ void BM_RecoveryReplay(benchmark::State& state) {
       state.SkipWithError("register failed");
       return;
     }
-    auto report =
-        persist::RecoverAll(dir, &engine, &queue, {kConsumer}, nullptr);
+    auto report = persist::RecoverAll(dir, &engine, &queue, kConsumer, nullptr);
     if (!report.ok()) {
       state.SkipWithError(report.status().ToString().c_str());
       return;
+    }
+    if (queue.size() != static_cast<size_t>(kTotal - replay)) {
+      state.SkipWithError("restored offset is not the victim's cut");
+      return;
+    }
+    for (size_t i = queue.size(); i < events.size(); ++i) {
+      if (!queue.Produce(events[i].graph, events[i].timestamp).ok()) {
+        state.SkipWithError("produce failed");
+        return;
+      }
     }
     StreamDriver::Options driver_options;
     driver_options.consumer = kConsumer;

@@ -62,66 +62,13 @@ bool ParseManifestFileName(const std::string& name, uint64_t* seq) {
 CheckpointManager::CheckpointManager(CheckpointOptions options)
     : options_(std::move(options)) {}
 
-void CheckpointManager::BindQueue(std::string consumer, EventQueue* queue) {
+void CheckpointManager::BindQueue(std::string consumer,
+                                  const EventQueue* queue) {
   queues_.emplace_back(std::move(consumer), queue);
-  // Recovery may re-seek the consumer to any offset a generation records,
-  // so nothing may be trimmed before ManageRetention ties the horizon to
-  // committed generations.
-  if (queue->checkpoint_horizon() == EventQueue::kNoCheckpointHorizon) {
-    queue->SetCheckpointHorizon(0);
-  }
 }
 
 void CheckpointManager::BindDeadLetter(const DeadLetterQueue* dead_letter) {
   dead_letter_ = dead_letter;
-}
-
-void CheckpointManager::ManageRetention(EventQueue* queue) {
-  // Coupling a queue again only re-seeds its horizon.
-  if (std::find(retention_queues_.begin(), retention_queues_.end(), queue) ==
-      retention_queues_.end()) {
-    retention_queues_.push_back(queue);
-  }
-  // Until the next commit nothing new is durable. The horizon starts at
-  // the position the newest restored checkpoint already covers — the
-  // minimum bound-consumer offset (zero on a cold start, so a fresh
-  // replay from generation 0 stays possible; the restore point after
-  // RecoverAll, so a restored run need not retain the prefix it will
-  // never read again). Call this AFTER Subscribe/RecoverAll.
-  size_t horizon = static_cast<size_t>(-1);
-  bool any_consumer = false;
-  for (const auto& [consumer, bound] : queues_) {
-    if (bound != queue) continue;
-    any_consumer = true;
-    horizon = std::min(horizon, queue->OffsetOf(consumer).value_or(0));
-  }
-  if (!any_consumer) horizon = 0;
-  queue->SetCheckpointHorizon(horizon);
-}
-
-void CheckpointManager::AdvanceRetention() {
-  for (EventQueue* queue : retention_queues_) {
-    // The horizon is the smallest offset the just-committed generation
-    // recorded for this queue's consumers: recovery re-seeks there, so
-    // everything below it is never read again. Offsets were captured by
-    // CommitImage on this same (batch-barrier) thread, so re-reading
-    // them here observes the committed values.
-    size_t horizon = static_cast<size_t>(-1);
-    bool any_consumer = false;
-    for (const auto& [consumer, bound] : queues_) {
-      if (bound != queue) continue;
-      any_consumer = true;
-      horizon = std::min(horizon, queue->OffsetOf(consumer).value_or(0));
-    }
-    if (!any_consumer) horizon = 0;
-    queue->SetCheckpointHorizon(horizon);
-    queue->TrimCommitted();
-  }
-}
-
-void CheckpointManager::AttachTo(ContinuousEngine* engine) {
-  engine->SetCheckpointCallback(
-      [this, engine]() { return Checkpoint(engine); });
 }
 
 Result<uint64_t> CheckpointManager::CommitImage(const EngineCheckpoint& image,
@@ -272,9 +219,6 @@ Status CheckpointManager::Checkpoint(ContinuousEngine* engine) {
     total->Increment();
     last_seq_gauge->Set(static_cast<int64_t>(last_seq_));
     last_write_gauge->Set(TraceRecorder::NowMicros());
-    // The new generation is the commit point: offsets below it are now
-    // durably covered, so managed queues may trim up to them.
-    AdvanceRetention();
   } else {
     ++checkpoint_failures_;
     failures->Increment();

@@ -55,41 +55,24 @@ struct CheckpointOptions {
 };
 
 // Writes checkpoints of a ContinuousEngine (plus bound consumer offsets
-// and dead letters) on demand or on the engine's batch-barrier cadence.
+// and dead letters) when its owner asks: between pumps, where the engine
+// clock is the pump's target and no instant at or below it is pending.
 // Not thread-safe, like the engine it serves.
 class CheckpointManager {
  public:
   explicit CheckpointManager(CheckpointOptions options);
 
   // Registers a consumer whose committed offset on `queue` is captured in
-  // every checkpoint (the StreamDriver's position). A queue without a
-  // retention horizon gets horizon 0, so driver trims keep every entry a
-  // restore could re-seek to until ManageRetention couples retention to
-  // committed generations. Not owned.
-  void BindQueue(std::string consumer, EventQueue* queue);
-
-  // Couples `queue`'s retention trim to the checkpoint horizon
-  // (docs/INTERNALS.md, "Overload & backpressure" / "Durability &
-  // recovery"): entries not yet covered by a committed checkpoint are
-  // never trimmed — recovery re-seeks consumers to the last checkpointed
-  // offsets, so the replay suffix must stay retained. The horizon starts
-  // at 0 (nothing durable yet) and, after each successful commit,
-  // advances to the minimum offset the new generation recorded for this
-  // queue's bound consumers (BindQueue the consumers first), followed by
-  // a proactive trim. Not owned.
-  void ManageRetention(EventQueue* queue);
+  // every checkpoint (the StreamDriver's position). Not owned.
+  void BindQueue(std::string consumer, const EventQueue* queue);
 
   // Registers the dead-letter queue to persist. Not owned.
   void BindDeadLetter(const DeadLetterQueue* dead_letter);
 
-  // Installs `Checkpoint(engine)` as the engine's batch-barrier callback
-  // (the engine fires it every EngineOptions::checkpoint_every batches).
-  // The manager must outlive the engine's use of the callback.
-  void AttachTo(ContinuousEngine* engine);
-
-  // Captures and atomically commits one checkpoint generation. On failure
-  // nothing of the new generation is visible to recovery; the previous
-  // generation stays the newest valid one.
+  // Captures and atomically commits one checkpoint generation. Call it
+  // between AdvanceTo calls. On failure nothing of the new generation is
+  // visible to recovery; the previous generation stays the newest valid
+  // one.
   Status Checkpoint(ContinuousEngine* engine);
 
   int64_t checkpoints_written() const { return checkpoints_written_; }
@@ -102,13 +85,8 @@ class CheckpointManager {
   Result<uint64_t> CommitImage(const EngineCheckpoint& image, uint64_t seq);
   void GarbageCollect(uint64_t newest_seq);
 
-  // Advances the checkpoint horizon of every retention-managed queue to
-  // the offsets the just-committed generation captured, then trims.
-  void AdvanceRetention();
-
   CheckpointOptions options_;
   std::vector<std::pair<std::string, const EventQueue*>> queues_;
-  std::vector<EventQueue*> retention_queues_;
   const DeadLetterQueue* dead_letter_ = nullptr;
   bool seq_initialized_ = false;
   uint64_t next_seq_ = 1;

@@ -166,11 +166,13 @@ Result<CheckpointImage> LoadLatestCheckpoint(const std::string& dir) {
 
 Status RestoreConsumer(const CheckpointImage& image,
                        const std::string& consumer, EventQueue* queue) {
-  queue->Subscribe(consumer);
   auto it = image.offsets.find(consumer);
-  if (it == image.offsets.end()) return Status::OK();
-  // Drain moves the restored engine's clock to its newest element, and
-  // the engine refuses anything older, so a re-based queue does too.
+  if (it == image.offsets.end()) {
+    queue->Subscribe(consumer);
+    return Status::OK();
+  }
+  // The queue had appended everything the restored streams hold, so a
+  // re-produced element older than the newest of them is late.
   Timestamp floor = image.engine.clock;
   for (const auto& [name, stream] : image.engine.streams) {
     floor = std::max(floor, stream.max_timestamp);
@@ -182,21 +184,11 @@ Status RestoreConsumer(const CheckpointImage& image,
 Result<RecoveryReport> RecoverAll(const std::string& dir,
                                   ContinuousEngine* engine,
                                   EventQueue* queue,
-                                  const std::vector<std::string>& consumers,
+                                  const std::string& consumer,
                                   DeadLetterQueue* dead_letter) {
   SERAPH_ASSIGN_OR_RETURN(CheckpointImage image, LoadLatestCheckpoint(dir));
   SERAPH_RETURN_IF_ERROR(engine->RestoreFrom(image.engine));
-  // Complete the batch the crash interrupted. The checkpoint barrier
-  // fires per evaluation batch *inside* AdvanceTo(now), so a mid-batch
-  // generation records clock = t while instants in (t, now] were still
-  // pending — and `now` (the delivered horizon) is exactly the max
-  // timestamp of the restored streams, which is what Drain advances to.
-  // Running the catch-up here, BEFORE consumers replay the queue suffix,
-  // reproduces the original evaluation schedule: those instants fire on
-  // the restored window contents, not contents polluted by later
-  // replayed elements. When the cut was a final barrier, no instant is
-  // pending and Drain fires nothing.
-  SERAPH_RETURN_IF_ERROR(engine->Drain());
+  SERAPH_RETURN_IF_ERROR(RestoreConsumer(image, consumer, queue));
   RecoveryReport report;
   report.seq = image.seq;
   report.queries = image.engine.queries.size();
@@ -204,22 +196,11 @@ Result<RecoveryReport> RecoverAll(const std::string& dir,
   for (const auto& [name, stream] : image.engine.streams) {
     report.stream_elements += stream.elements.size();
   }
-  int64_t replayed = 0;
-  for (const std::string& consumer : consumers) {
-    SERAPH_RETURN_IF_ERROR(RestoreConsumer(image, consumer, queue));
-    const size_t offset = queue->OffsetOf(consumer).value_or(0);
-    const size_t backlog = queue->size() > offset ? queue->size() - offset : 0;
-    report.replay_backlog[consumer] = backlog;
-    replayed += static_cast<int64_t>(backlog);
-  }
   if (dead_letter != nullptr) {
     report.dead_letters = image.dead_letters.size();
     dead_letter->Restore(std::move(image.dead_letters),
                          image.dead_letter_totals);
   }
-  engine->metrics()
-      .CounterFor("seraph_recovery_replayed_elements")
-      ->Increment(replayed);
   return report;
 }
 

@@ -10,11 +10,14 @@
 // (persist/checkpoint.h) guarantees at most the newest generation can be
 // damaged by a crash mid-write, and a *.tmp is never read.
 //
-// The replay-exactness contract: after ContinuousEngine::RestoreFrom +
-// Drain + RestoreConsumer, a fresh StreamDriver pumping the queue suffix
-// past the committed offset produces sink output bit-identical (content
-// and order) to an uninterrupted run — the crash-recovery equivalence
-// test proves it for crashes at every fault point.
+// The replay-exactness contract: every generation is cut between pumps
+// (persist/checkpoint.h), so after ContinuousEngine::RestoreFrom +
+// RestoreConsumer nothing is half done. A source that re-produces its
+// input from the restored offset into the re-based queue, pumped by a
+// fresh StreamDriver, yields sink output bit-identical (content and
+// order) to an uninterrupted run from the restored evaluation count on —
+// the crash-recovery equivalence test proves it for crashes at every
+// fault point.
 #ifndef SERAPH_PERSIST_RECOVERY_H_
 #define SERAPH_PERSIST_RECOVERY_H_
 
@@ -57,10 +60,10 @@ Result<CheckpointImage> LoadCheckpoint(const std::string& dir, uint64_t seq);
 // tests can kill a process mid-recovery and assert the retry succeeds.
 Result<CheckpointImage> LoadLatestCheckpoint(const std::string& dir);
 
-// Re-seeks `consumer` on `queue` to its committed offset (subscribing it
-// first) with EventQueue::RestoreOffset: an empty queue restarts at that
-// offset, so the source resumes there. A consumer absent from the image
-// is subscribed at 0, the position a fresh consumer would start from.
+// Re-bases the empty `queue` at `consumer`'s committed offset
+// (EventQueue::RestoreOffset), so the source resumes there. A consumer
+// absent from the image is subscribed at 0, the position a fresh consumer
+// would start from.
 Status RestoreConsumer(const CheckpointImage& image,
                        const std::string& consumer, EventQueue* queue);
 
@@ -71,26 +74,18 @@ struct RecoveryReport {
   size_t streams = 0;
   size_t stream_elements = 0;  // Retained (checkpointed) elements.
   size_t dead_letters = 0;
-  // Consumer → elements past its restored offset (the replay backlog).
-  std::map<std::string, size_t> replay_backlog;
 };
 
 // Convenience composition: load latest → ContinuousEngine::RestoreFrom
 // (the engine must be fresh, with every checkpointed query re-registered)
-// → complete the interrupted evaluation batch → re-seek every consumer →
-// restore dead letters (skipped when `dead_letter` is null). Callers
-// composing recovery by hand must Drain() right after RestoreFrom, BEFORE
-// replaying any queue backlog: the checkpoint barrier fires per batch
-// inside AdvanceTo, so a mid-batch cut leaves instants up to the
-// delivered horizon (the max restored stream timestamp, where Drain
-// advances to) still pending.
-// Records `seraph_recovery_replayed_elements` on the engine's registry —
-// the total queue backlog past the restored offsets that drivers will
-// re-deliver on the next pump.
+// → re-base the empty `queue` at `consumer`'s offset → restore dead
+// letters (skipped when `dead_letter` is null). An instant the restored
+// clock has not reached fires at the next pump, with whatever the
+// resumed source re-produces at its timestamp.
 Result<RecoveryReport> RecoverAll(const std::string& dir,
                                   ContinuousEngine* engine,
                                   EventQueue* queue,
-                                  const std::vector<std::string>& consumers,
+                                  const std::string& consumer,
                                   DeadLetterQueue* dead_letter);
 
 // ---- Inspection (seraph_run --inspect-checkpoint) ----

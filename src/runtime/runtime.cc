@@ -4,6 +4,7 @@
 #include <chrono>
 #include <iostream>
 
+#include "common/logging.h"
 #include "persist/recovery.h"
 #include "seraph/seraph_parser.h"
 
@@ -21,8 +22,6 @@ EngineOptions EngineOptionsOf(const RuntimeOptions& options,
                               DeadLetterQueue* dead_letters) {
   EngineOptions engine = options.engine;
   if (options.dead_letter_failures) engine.dead_letter = dead_letters;
-  engine.checkpoint_every =
-      options.checkpoint_dir.empty() ? 0 : options.checkpoint_every;
   return engine;
 }
 
@@ -73,7 +72,6 @@ Runtime::Runtime(RuntimeOptions options)
     checkpoints_ = std::make_unique<persist::CheckpointManager>(checkpoint);
     checkpoints_->BindQueue(consumer_, &queue_);
     checkpoints_->BindDeadLetter(&dead_letters_);
-    checkpoints_->AttachTo(&engine_);
   }
 }
 
@@ -99,9 +97,10 @@ Result<std::string> Runtime::Register(std::string_view seraph_text) {
 Status Runtime::Start() {
   const std::string prefix = "[" + options_.tool + "] ";
   if (options_.restore) {
-    auto report = persist::RecoverAll(
-        options_.checkpoint_dir, &engine_, &queue_, {consumer_},
-        options_.dead_letter_failures ? &dead_letters_ : nullptr);
+    // Sheds reach the ring whatever dead_letter_failures says, and every
+    // generation holds it, so it always comes back.
+    auto report = persist::RecoverAll(options_.checkpoint_dir, &engine_,
+                                      &queue_, consumer_, &dead_letters_);
     if (report.ok()) {
       std::cerr << prefix << "restored checkpoint seq=" << report->seq
                 << ": " << report->queries << " query(ies), "
@@ -117,9 +116,6 @@ Status Runtime::Start() {
   } else {
     queue_.Subscribe(consumer_);
   }
-  // Retention below the checkpoint horizon, bound after recovery so the
-  // horizon starts at the restore point.
-  if (checkpoints_ != nullptr) checkpoints_->ManageRetention(&queue_);
   Publish();
   if (options_.metrics_port >= 0) {
     SERAPH_RETURN_IF_ERROR(server_.Start());
@@ -134,11 +130,15 @@ Status Runtime::Start() {
 
 Status Runtime::Produce(std::shared_ptr<const PropertyGraph> graph,
                         Timestamp timestamp) {
-  // A refused produce pumps the lane, which advances the committed
-  // offset and, at batch barriers, the checkpoint horizon, then retries.
+  // A refused produce pumps the lane, which delivers and trims what the
+  // consumer has committed past, then retries.
   SERAPH_RETURN_IF_ERROR(ProduceWithBackpressure(
       &queue_, std::move(graph), timestamp,
-      [this](Timestamp waiting) { return driver_.PumpAll(waiting); },
+      [this](Timestamp waiting) -> Result<int64_t> {
+        SERAPH_ASSIGN_OR_RETURN(int64_t delivered, driver_.PumpAll(waiting));
+        CommitPump();
+        return delivered;
+      },
       &producer_retries_));
   newest_ = timestamp;
   return Status::OK();
@@ -146,19 +146,20 @@ Status Runtime::Produce(std::shared_ptr<const PropertyGraph> graph,
 
 Status Runtime::Pump() {
   SERAPH_RETURN_IF_ERROR(driver_.PumpAll(newest_).status());
+  CommitPump();
   Publish();
   return Status::OK();
 }
 
 Status Runtime::Commit() {
-  SERAPH_RETURN_IF_ERROR(driver_.PumpAll().status());
+  SERAPH_RETURN_IF_ERROR(Close());
   Publish();
-  if (checkpoints_ == nullptr) return Status::OK();
-  return checkpoints_->Checkpoint(&engine_);
+  return CommitPump();
 }
 
 Status Runtime::Finish() {
-  SERAPH_RETURN_IF_ERROR(driver_.PumpAll().status());
+  SERAPH_RETURN_IF_ERROR(Close());
+  CommitPump();
   Publish();
   stop_reporter_.store(true, std::memory_order_relaxed);
   if (reporter_.joinable()) reporter_.join();
@@ -174,6 +175,24 @@ Status Runtime::Finish() {
     std::cerr << "\n";
   }
   return Status::OK();
+}
+
+Status Runtime::Close() {
+  SERAPH_RETURN_IF_ERROR(driver_.PumpAll().status());
+  return engine_.Drain();
+}
+
+Status Runtime::CommitPump() {
+  if (checkpoints_ == nullptr) return Status::OK();
+  Status committed = checkpoints_->Checkpoint(&engine_);
+  if (!committed.ok()) {
+    // The previous generation stays the newest; a crash before the next
+    // commit restores it and the source re-produces from its offset.
+    SERAPH_LOG(ERROR) << "checkpoint at "
+                      << engine_.clock().value_or(Timestamp()).ToString()
+                      << " failed: " << committed.ToString();
+  }
+  return committed;
 }
 
 void Runtime::Publish() {

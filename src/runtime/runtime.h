@@ -6,14 +6,18 @@
 // produce, which pumps the lane under the pump clock rule
 // (AdvanceEngineClock in seraph/stream_driver.h) and retries.
 //
-// Durability: with a checkpoint_dir, a CheckpointManager commits a
-// generation at the engine's batch barriers (and on Commit). There is one
-// restore path: `restore` loads the newest valid generation, and the
-// queue restarts at its consumer offset (EventQueue::RestoreOffset), so
-// the source resumes there. A replayable source (seraph_run's event file)
-// re-produces its input from next_offset(); a source that cannot be
-// replayed (seraph_serve's POST /ingest) calls Commit after each batch,
-// so an acknowledged batch is durable and a restart re-produces nothing.
+// Durability: with a checkpoint_dir, every pump the runtime makes (Pump,
+// the backpressure pumps inside Produce, Commit and Finish) ends with one
+// CheckpointManager::Checkpoint, so whatever a pump emitted is in a
+// generation when the pump returns. A failed commit is logged and counted
+// (seraph_checkpoint_failures_total), and only Commit returns it; a crash
+// then restores the previous generation. There is one restore path:
+// `restore` loads the newest valid generation, and the queue restarts at
+// its consumer offset (EventQueue::RestoreOffset), so the source resumes
+// there. A replayable source (seraph_run's event file) re-produces its
+// input from next_offset(); a source that cannot be replayed
+// (seraph_serve's POST /ingest) calls Commit after each batch, so an
+// acknowledged batch is durable and a restart re-produces nothing.
 //
 //   RuntimeOptions options;
 //   Runtime rt(options);
@@ -63,19 +67,19 @@ struct RuntimeOptions {
   // consumer, whose offset key checkpoints record.
   std::string tool;
   // The engine (thread pools, delta matching, deadlines, ...). The
-  // runtime sets its `dead_letter` and `checkpoint_every`.
+  // runtime sets its `dead_letter`.
   EngineOptions engine;
   // The lane's queue bound and overflow policy.
   EventQueue::Options queue;
   // Elements fetched per driver poll.
   size_t poll_batch = 64;
   // Durability: checkpoint generations go to checkpoint_dir (empty =
-  // in-memory only), one every checkpoint_every batch barriers.
+  // in-memory only), one at the end of every pump.
   std::string checkpoint_dir;
   bool checkpoint_fsync = true;
-  int64_t checkpoint_every = 0;
   // Also dead-letter evaluation failures, permanent sink rejections and
-  // poison elements. Queue sheds are always dead-lettered.
+  // poison elements. Queue sheds are always dead-lettered, checkpointed
+  // and restored.
   bool dead_letter_failures = true;
   // Resume from the newest checkpoint generation in checkpoint_dir.
   bool restore = false;
@@ -158,6 +162,13 @@ class Runtime {
 
  private:
   void ReportLoop();
+  // Delivers everything queued and evaluates through the newest
+  // timestamp the engine holds: the newest delivered one, or, in a
+  // restored run that has delivered nothing yet, the newest restored one.
+  Status Close();
+  // Ends a pump: when durable, commits one generation; a failure is
+  // logged (and counted by the manager).
+  Status CommitPump();
 
   RuntimeOptions options_;
   const std::string consumer_;

@@ -992,30 +992,18 @@ Status ContinuousEngine::AdvanceTo(Timestamp now) {
     }
 
     // Batch barrier: every query due at t has evaluated, delivered, and
-    // advanced its grid, and no instant < next batch's t is pending.
-    // Advancing the clock here (not only at the end) makes this a
-    // consistent cut — exactly what a checkpoint needs. Catch-up batches
-    // (a revived or late-registered query evaluating instants the clock
-    // already passed) must not move it backwards.
+    // advanced its grid. Moving the clock here (not only at the end)
+    // keeps memory and the lag gauges current during a long catch-up.
+    // Catch-up batches (a revived or late-registered query evaluating
+    // instants the clock already passed) must not move it backwards.
     if (!clock_started_ || t > clock_) clock_ = t;
     clock_started_ = true;
     // Every window has moved past this instant: release what no live
-    // window can read again, so the checkpoint below carries only the
-    // retained suffix.
+    // window can read again.
     TrimStreams();
     // The clock moved: the per-stream lag (watermark − clock) shrank.
     UpdateLagGauges();
     ++batches_completed_;
-    if (checkpoint_callback_ && options_.checkpoint_every > 0 &&
-        batches_completed_ % options_.checkpoint_every == 0) {
-      Status written = checkpoint_callback_();
-      if (!written.ok()) {
-        // A failed checkpoint widens the replay window back to the last
-        // good one; it must not take the pipeline down with it.
-        SERAPH_LOG(ERROR) << "checkpoint at " << t.ToString()
-                          << " failed: " << written.ToString();
-      }
-    }
   }
   clock_ = now;
   clock_started_ = true;
@@ -1150,11 +1138,6 @@ Status ContinuousEngine::RestoreFrom(const EngineCheckpoint& checkpoint) {
   evaluations_run_ = checkpoint.evaluations_run;
   UpdateLagGauges();
   return Status::OK();
-}
-
-void ContinuousEngine::SetCheckpointCallback(
-    std::function<Status()> callback) {
-  checkpoint_callback_ = std::move(callback);
 }
 
 Status ContinuousEngine::Drain() {

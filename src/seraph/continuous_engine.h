@@ -25,7 +25,6 @@
 #ifndef SERAPH_SERAPH_CONTINUOUS_ENGINE_H_
 #define SERAPH_SERAPH_CONTINUOUS_ENGINE_H_
 
-#include <functional>
 #include <map>
 #include <memory>
 #include <optional>
@@ -157,13 +156,6 @@ struct EngineOptions {
   // = Clock::Steady(); tests inject a ManualClock for deterministic
   // latency histograms.
   const Clock* clock = nullptr;
-  // Durability cadence (docs/INTERNALS.md, "Durability & recovery"): when
-  // > 0 and a checkpoint callback is installed (SetCheckpointCallback —
-  // persist::CheckpointManager::AttachTo does both), the callback fires
-  // at the batch barrier of AdvanceTo after every `checkpoint_every`
-  // completed evaluation batches, where streams_ and all per-query state
-  // are frozen and consistent. 0 (default) disables the cadence.
-  int64_t checkpoint_every = 0;
 };
 
 // Per-sink failure handling (see docs/INTERNALS.md, "Failure model").
@@ -246,8 +238,8 @@ struct StreamCheckpoint {
   std::vector<StreamElement> elements;
 };
 
-// A full, consistent image of the engine's dynamic state, captured at a
-// batch barrier (CaptureCheckpoint) and reapplied to a freshly
+// A full, consistent image of the engine's dynamic state, captured
+// between AdvanceTo calls (CaptureCheckpoint) and reapplied to a freshly
 // constructed engine (RestoreFrom). persist/codec.h defines its binary
 // encoding; persist/checkpoint.h writes it to disk.
 struct EngineCheckpoint {
@@ -371,10 +363,10 @@ class ContinuousEngine {
 
   // Advances the engine clock to `now`, running every due evaluation time
   // instant of every registered query in global chronological order.
-  // At each batch barrier (before the checkpoint callback fires) and once
-  // more before returning, every stream is trimmed to its retention
-  // horizon — the oldest element a live window can still add or evict —
-  // so memory and checkpoints are bounded by window contents, not uptime.
+  // At each batch barrier and once more before returning, every stream
+  // is trimmed to its retention horizon — the oldest element a live
+  // window can still add or evict — so memory and checkpoints are bounded
+  // by window contents, not uptime.
   // Instants are processed in batches (all queries due at the same
   // instant form one batch). Before a batch fans out, the calling thread
   // advances each shared window its queries read exactly once; the
@@ -406,9 +398,9 @@ class ContinuousEngine {
 
   // ---- Durability (docs/INTERNALS.md, "Durability & recovery") ----
 
-  // A consistent image of the engine's dynamic state. Only safe at a
-  // quiescent point: between AdvanceTo calls, or from the checkpoint
-  // callback (which the engine fires at a batch barrier).
+  // A consistent image of the engine's dynamic state. Only safe between
+  // AdvanceTo calls, where every instant at or below the clock has fired
+  // and none above it has.
   EngineCheckpoint CaptureCheckpoint() const;
 
   // Rebuilds dynamic state from `checkpoint` into this engine. The engine
@@ -425,13 +417,6 @@ class ContinuousEngine {
   // After RestoreFrom, replaying the stream suffix past the checkpoint
   // clock produces output bit-identical to an uninterrupted run.
   Status RestoreFrom(const EngineCheckpoint& checkpoint);
-
-  // Installs the hook fired at the AdvanceTo batch barrier every
-  // `EngineOptions::checkpoint_every` batches (persist::CheckpointManager
-  // wires itself in through this). A failing callback is logged and
-  // counted by the manager but never fails AdvanceTo: losing one
-  // checkpoint widens the replay window, it does not corrupt the run.
-  void SetCheckpointCallback(std::function<Status()> callback);
 
   // The default stream (name "").
   const PropertyGraphStream& stream() const;
@@ -592,9 +577,8 @@ class ContinuousEngine {
   Timestamp clock_;
   bool clock_started_ = false;
   int64_t evaluations_run_ = 0;
-  // Durability hook state (SetCheckpointCallback /
-  // EngineOptions::checkpoint_every).
-  std::function<Status()> checkpoint_callback_;
+  // Evaluation batches completed; a shared window records the batch it
+  // last advanced in, so a reader can tell whether its snapshot is fresh.
   int64_t batches_completed_ = 0;
   // Lazily created on the first AdvanceTo that resolves to > 1 thread;
   // workers are reused across batches and engine lifetimes of calls.

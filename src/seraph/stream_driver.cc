@@ -135,9 +135,7 @@ Result<int64_t> StreamDriver::PumpAll(std::optional<Timestamp> waiting) {
     }
   }
   // Everything polled was handed off: release what every consumer has
-  // committed past, so a driver-fed queue holds only consumer lag. A
-  // checkpoint-coupled queue keeps its uncheckpointed suffix (the
-  // horizon is part of the trim floor).
+  // committed past, so a driver-fed queue holds only consumer lag.
   queue_->TrimCommitted();
   UpdateBacklogGauges();
   if (delivered_horizon_.has_value() && options_.advance_engine_clock) {
@@ -176,8 +174,7 @@ Status ProduceWithBackpressure(
           "event queue full (capacity " +
           std::to_string(queue->options().capacity) +
           ") and the consumer cannot free space; increase "
-          "--queue-capacity, lower --checkpoint-every, or use "
-          "--overflow-policy=shed_oldest");
+          "--queue-capacity or use --overflow-policy=shed_oldest");
     }
   }
 }

@@ -75,10 +75,10 @@ class StreamDriver {
   // `waiting`. Returns the number of elements delivered by this pump. A
   // pump that hands off everything it polled ends with
   // EventQueue::TrimCommitted, so the queue keeps only what some consumer
-  // (or the checkpoint horizon) still needs. On a transient failure that
-  // survives the retry policy the pump returns the error with nothing
-  // lost: unconsumed queue elements stay behind the (re-seeked) consumer
-  // offset, and the next PumpAll resumes exactly there. A pump with
+  // still needs. On a transient failure that survives the retry policy
+  // the pump returns the error with nothing lost: unconsumed queue
+  // elements stay behind the (re-seeked) consumer offset, and the next
+  // PumpAll resumes exactly there. A pump with
   // nothing new to deliver re-advances the clock to the same horizon,
   // which runs no evaluation twice.
   Result<int64_t> PumpAll(std::optional<Timestamp> waiting = std::nullopt);
@@ -133,9 +133,7 @@ class StreamDriver {
 // full queue refused an element at `waiting` stops at
 // min(horizon, waiting - 1 ms), and never moves the clock backwards:
 // the refused element and everything produced after it are at or past
-// `waiting`, so every instant that fires has all of its elements. A
-// durable engine still reaches the batch barriers whose checkpoints move
-// the queue's retention horizon, which is what frees the space.
+// `waiting`, so every instant that fires has all of its elements.
 Status AdvanceEngineClock(ContinuousEngine* engine, Timestamp horizon,
                           std::optional<Timestamp> waiting);
 
@@ -143,9 +141,9 @@ Status AdvanceEngineClock(ContinuousEngine* engine, Timestamp horizon,
 // for a full queue: a refused produce runs `pump(timestamp)`, which must
 // deliver what is queued and advance the clock by AdvanceEngineClock,
 // then retries. Three pumps in a row that neither deliver nor trim mean
-// the capacity cannot hold what the consumer must keep (one instant's
-// elements, or the suffix between checkpoints); the error names the
-// remedy. `refusals`, when set, counts refused produces.
+// the consumer cannot free space (another consumer of the queue lags);
+// the error names the remedy. `refusals`, when set, counts refused
+// produces.
 Status ProduceWithBackpressure(
     EventQueue* queue, std::shared_ptr<const PropertyGraph> graph,
     Timestamp timestamp,

@@ -5,6 +5,7 @@
 #include <optional>
 #include <utility>
 
+#include "common/logging.h"
 #include "seraph/seraph_parser.h"
 
 namespace seraph {
@@ -45,7 +46,6 @@ ShardedEngine::ShardedEngine(ShardedEngineOptions options)
     auto shard = std::make_unique<Shard>();
     EngineOptions engine_options = options_.engine;
     engine_options.dead_letter = &shard->dead_letters;
-    engine_options.checkpoint_every = durable() ? options_.checkpoint_every : 0;
     shard->engine = std::make_unique<ContinuousEngine>(engine_options);
     shard->sink = std::make_unique<BufferSink>(&shard->buffered);
     shard->engine->AddSink(shard->sink.get(), "shard-buffer");
@@ -56,7 +56,6 @@ ShardedEngine::ShardedEngine(ShardedEngineOptions options)
       shard->manager =
           std::make_unique<persist::CheckpointManager>(checkpoint_options);
       shard->manager->BindDeadLetter(&shard->dead_letters);
-      shard->manager->AttachTo(shard->engine.get());
     }
     shards_.push_back(std::move(shard));
   }
@@ -103,7 +102,6 @@ ShardedEngine::Lane* ShardedEngine::EnsureLane(int shard_index,
         });
     if (durable()) {
       shard->manager->BindQueue(lane->consumer, lane->queue.get());
-      shard->manager->ManageRetention(lane->queue.get());
     }
   }
   return slot.get();
@@ -244,6 +242,16 @@ Result<int64_t> ShardedEngine::PumpShard(int shard_index,
     SERAPH_RETURN_IF_ERROR(
         AdvanceEngineClock(shard->engine.get(), *newest_, waiting));
   }
+  if (durable() && options_.checkpoint_every > 0 &&
+      ++shard->pumps % options_.checkpoint_every == 0) {
+    // A failed commit leaves the previous generation the newest; the
+    // manager counts it and the run goes on.
+    Status committed = shard->manager->Checkpoint(shard->engine.get());
+    if (!committed.ok()) {
+      SERAPH_LOG(ERROR) << "shard " << shard_index
+                        << " checkpoint failed: " << committed.ToString();
+    }
+  }
   return delivered;
 }
 
@@ -312,6 +320,14 @@ ContinuousEngine* ShardedEngine::shard_engine(int shard_index) {
 const ContinuousEngine* ShardedEngine::shard_engine(int shard_index) const {
   if (shard_index < 0 || shard_index >= num_shards()) return nullptr;
   return shards_[static_cast<size_t>(shard_index)]->engine.get();
+}
+
+const EventQueue* ShardedEngine::lane_queue(int shard_index,
+                                            const std::string& stream) const {
+  if (shard_index < 0 || shard_index >= num_shards()) return nullptr;
+  const auto& lanes = shards_[static_cast<size_t>(shard_index)]->lanes;
+  auto it = lanes.find(stream);
+  return it == lanes.end() ? nullptr : it->second->queue.get();
 }
 
 }  // namespace shard

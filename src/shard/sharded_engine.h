@@ -56,8 +56,7 @@ struct ShardedEngineOptions {
   // Number of shards (clamped to >= 1).
   int shards = 1;
   // Per-shard engine configuration (thread pools, delta matching,
-  // deadlines, ...). `dead_letter` is overridden per shard;
-  // `checkpoint_every` below overrides the engine cadence.
+  // deadlines, ...). `dead_letter` is overridden per shard.
   EngineOptions engine;
   // Per-lane ingest queue bound + overflow policy.
   EventQueue::Options queue;
@@ -67,8 +66,8 @@ struct ShardedEngineOptions {
   // generations live in <checkpoint_dir>/shard-<i>.
   std::string checkpoint_dir;
   bool checkpoint_fsync = true;
-  // When > 0 (and checkpoint_dir is set), every shard checkpoints at its
-  // own batch barrier each N completed batches — barriers stay
+  // When > 0 (and checkpoint_dir is set), every shard commits a
+  // generation at the end of every N-th pump of that shard — shards stay
   // independent; no fleet-wide freeze.
   int64_t checkpoint_every = 0;
 };
@@ -153,6 +152,10 @@ class ShardedEngine {
   // The per-shard engine (tests / metrics aggregation). Valid index only.
   ContinuousEngine* shard_engine(int shard_index);
   const ContinuousEngine* shard_engine(int shard_index) const;
+  // The queue of one (shard, stream) lane; nullptr when the shard has no
+  // lane for the stream.
+  const EventQueue* lane_queue(int shard_index,
+                               const std::string& stream) const;
   // Coordinator registry: router counters and merge sink failures.
   MetricsRegistry& metrics() { return metrics_; }
   const MetricsRegistry& metrics() const { return metrics_; }
@@ -178,6 +181,8 @@ class ShardedEngine {
     DeadLetterQueue dead_letters;
     std::unique_ptr<persist::CheckpointManager> manager;
     std::unique_ptr<BufferSink> sink;
+    // Pumps so far; a durable shard commits on every checkpoint_every-th.
+    int64_t pumps = 0;
     std::deque<PendingEmit> buffered;
     // Lanes keyed by logical stream name.
     std::map<std::string, std::unique_ptr<Lane>> lanes;
@@ -196,7 +201,8 @@ class ShardedEngine {
   // elements delivered. Lane drivers never touch the shard clock, so the
   // coordinator then advances it once by AdvanceEngineClock: to the fleet
   // watermark (the single-engine ingest-then-advance cadence), or, when
-  // `waiting` is set, to just before it.
+  // `waiting` is set, to just before it. A durable shard then commits,
+  // on every checkpoint_every-th pump.
   Result<int64_t> PumpShard(int shard_index,
                             std::optional<Timestamp> waiting = std::nullopt);
   // Releases buffered emissions: everything when `flush_all`, else those

@@ -52,17 +52,8 @@ void EventQueue::ShedOldest() {
 }
 
 size_t EventQueue::TrimCommitted() {
-  // Retention floor = min(committed consumer offsets, checkpoint
-  // horizon). With no consumers attached the horizon alone governs — a
-  // durable run that produces before its driver subscribes can still
-  // trim checkpoint-covered entries (everything below the horizon is
-  // recoverable from the checkpoint, and new consumers start at the
-  // retention base anyway). With neither consumers nor a horizon
-  // nothing is provably consumed, so nothing is dropped.
-  if (offsets_.empty() && checkpoint_horizon_ == kNoCheckpointHorizon) {
-    return 0;
-  }
-  size_t floor = checkpoint_horizon_;
+  if (offsets_.empty()) return 0;
+  size_t floor = static_cast<size_t>(-1);
   for (const auto& [name, offset] : offsets_) {
     floor = std::min(floor, offset);
   }
@@ -114,7 +105,12 @@ Status EventQueue::Seek(const std::string& consumer, size_t offset) {
 
 Status EventQueue::RestoreOffset(const std::string& consumer,
                                  size_t offset, Timestamp floor) {
-  if (!log_.empty()) return Seek(consumer, offset);
+  if (!log_.empty()) {
+    return Status::FailedPrecondition(
+        "restore offset " + std::to_string(offset) + " for '" + consumer +
+        "' into a queue that already holds " + std::to_string(size()) +
+        " element(s); a restart re-produces into an empty queue");
+  }
   SERAPH_RETURN_IF_ERROR(log_.Restore(offset, floor, floor, {}));
   offsets_[consumer] = offset;
   return Status::OK();

@@ -7,9 +7,10 @@
 //
 // The queue can be bounded (Options::capacity) with a producer-side
 // overflow policy, and retention-trims entries that every consumer has
-// committed past (and, when a CheckpointManager manages the queue, that
-// the checkpoint horizon covers) — queue memory is then proportional to
-// consumer lag, not stream length. Offsets are *absolute* (the log's
+// committed past — queue memory is then proportional to consumer lag,
+// not stream length. A checkpoint records consumer offsets but pins
+// nothing: a restart re-produces its source from the restored offset
+// into an empty queue (RestoreOffset). Offsets are *absolute* (the log's
 // positions): trimming moves the log's base, never renumbers, so driver
 // backlog math and checkpointed offsets stay valid. See
 // docs/INTERNALS.md, "Overload & backpressure".
@@ -106,13 +107,12 @@ class EventQueue {
   // with kOutOfRange past the end or below the retention base.
   virtual Status Seek(const std::string& consumer, size_t offset);
 
-  // Recovery-time Seek: positions `consumer` at its checkpointed
-  // `offset`. A queue nothing was ever appended to is re-based there:
-  // the next append lands at `offset` and is delivered, so a source that
-  // resumes at the offset re-produces only what the checkpoint does not
-  // cover, and an append older than `floor` (the newest timestamp the
-  // restored engine holds) fails as late. A queue that already holds
-  // elements keeps Seek's range check.
+  // Recovery: re-bases a queue nothing was ever appended to at
+  // `consumer`'s checkpointed `offset`. The next append lands at `offset`
+  // and is delivered, so a source that resumes at the offset re-produces
+  // only what the checkpoint does not cover, and an append older than
+  // `floor` (the newest timestamp the restored engine holds) fails as
+  // late. Any other queue fails with kFailedPrecondition.
   Status RestoreOffset(const std::string& consumer, size_t offset,
                        Timestamp floor);
 
@@ -140,23 +140,11 @@ class EventQueue {
   const PropertyGraphStream& log() const { return log_; }
   const Options& options() const { return options_; }
 
-  // Drops retained entries below min(every committed consumer offset,
-  // checkpoint horizon). With no consumers registered, an installed
-  // checkpoint horizon alone permits trimming (produce-before-attach in
-  // a durable run); with no consumers and no horizon, nothing is
+  // Drops retained entries below every committed consumer offset; with
+  // no consumers registered nothing is provably consumed, so nothing is
   // dropped. Returns the number trimmed. Runs automatically on produce
   // when the queue is bounded; harmless to call at any time.
   size_t TrimCommitted();
-
-  // Sentinel for "no checkpoint horizon installed".
-  static constexpr size_t kNoCheckpointHorizon = static_cast<size_t>(-1);
-
-  // Retention floor installed by a CheckpointManager: entries at offsets
-  // >= the horizon are not yet covered by a durable checkpoint, so
-  // TrimCommitted keeps them even once consumed (recovery re-seeks to the
-  // last checkpointed offsets). Default: no durability constraint.
-  void SetCheckpointHorizon(size_t offset) { checkpoint_horizon_ = offset; }
-  size_t checkpoint_horizon() const { return checkpoint_horizon_; }
 
   // Overflow accounting (exact; see the chaos tests' partition invariant).
   int64_t shed_total() const { return shed_total_; }
@@ -176,7 +164,6 @@ class EventQueue {
   const Clock* clock_ = Clock::Steady();
   Options options_;
   ShedCallback shed_callback_;
-  size_t checkpoint_horizon_ = kNoCheckpointHorizon;
   int64_t shed_total_ = 0;
   int64_t rejected_total_ = 0;
   int64_t trimmed_total_ = 0;

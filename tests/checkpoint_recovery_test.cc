@@ -1,14 +1,16 @@
 // Durability subsystem: codec round trips, atomic checkpoint commits,
 // and crash recovery (docs/INTERNALS.md, "Durability & recovery").
 //
-// The central property asserted here is replay exactness: for a crash at
-// ANY point — before the generation write, before its rename, during
-// recovery itself, or with the newest generation torn / bit-flipped /
-// cut at a frame boundary — restoring from the newest valid generation
-// and replaying the queue suffix produces sink output bit-identical to
-// the uninterrupted run. Concretely: the recovered run emits exactly the
-// oracle's suffix starting at the restored evaluation count, so
-// (pre-crash committed output) + (post-restore output) == oracle.
+// The central property asserted here is replay exactness: every victim
+// commits one generation after each pump, as the serving runtime does,
+// and for a crash at ANY pump — before the generation write, before its
+// rename, during recovery itself, or with the newest generation torn /
+// bit-flipped / cut at a frame boundary — restoring from the newest valid
+// generation into a fresh queue and re-producing the source from the
+// restored offset yields sink output bit-identical to the uninterrupted
+// run. Concretely: the recovered run emits exactly the oracle's suffix
+// starting at the restored evaluation count, so (pre-crash committed
+// output) + (post-restore output) == oracle.
 #include <gtest/gtest.h>
 
 #include <cstdlib>
@@ -60,9 +62,14 @@ constexpr int kRounds = 6;
 constexpr int kPerRound = 3;
 constexpr int kEvents = kRounds * kPerRound;
 
+// Event i of the stream, 0 <= i < kEvents.
+Status ProduceEvent(EventQueue* queue, int i) {
+  return queue->Produce(Item(i + 1), T(1 + 2 * i));
+}
+
 void ProduceRound(EventQueue* queue, int round) {
   for (int i = round * kPerRound; i < (round + 1) * kPerRound; ++i) {
-    ASSERT_TRUE(queue->Produce(Item(i + 1), T(1 + 2 * i)).ok());
+    ASSERT_TRUE(ProduceEvent(queue, i).ok());
   }
 }
 
@@ -469,16 +476,15 @@ TEST_F(CheckpointRecoveryTest, RestoredWatermarkIsTheCheckpointedMax) {
 // Checkpoint manager: commits, cadence, GC, failure accounting
 // ---------------------------------------------------------------------------
 
-// Runs a checkpointed victim for `pumps` rounds over `queue`. When
-// `arm_point` is non-null, the fault point is armed at probability 1
-// right before the final pump, so every checkpoint attempt of that pump
-// dies — simulating a crash mid-commit. Returns the last committed
-// generation via `last_seq`.
-void RunVictim(const std::string& dir, EventQueue* queue, int pumps,
-               const char* arm_point, uint64_t* last_seq) {
-  EngineOptions options;
-  options.checkpoint_every = 1;
-  ContinuousEngine engine(options);
+// Runs a checkpointed victim for `pumps` rounds, committing one
+// generation after each pump. When `arm_point` is non-null, the fault
+// point is armed at probability 1 right before the final round, so that
+// round's commit dies — simulating a crash mid-commit. Returns the last
+// committed generation via `last_seq`.
+void RunVictim(const std::string& dir, int pumps, const char* arm_point,
+               uint64_t* last_seq) {
+  EventQueue queue;
+  ContinuousEngine engine;
   CollectingSink sink;
   engine.AddSink(&sink);
   ASSERT_TRUE(engine.RegisterText(kCountQuery).ok());
@@ -486,74 +492,70 @@ void RunVictim(const std::string& dir, EventQueue* queue, int pumps,
   checkpoint_options.dir = dir;
   checkpoint_options.fsync = false;
   CheckpointManager manager(checkpoint_options);
-  manager.BindQueue(kConsumer, queue);
-  manager.AttachTo(&engine);
-  StreamDriver driver(queue, &engine, {});
+  manager.BindQueue(kConsumer, &queue);
+  StreamDriver driver(&queue, &engine, {});
   for (int r = 0; r < pumps; ++r) {
-    if (r == pumps - 1 && arm_point != nullptr) {
-      FaultInjector::Global().ArmProbability(arm_point, 1.0);
-    }
-    ProduceRound(queue, r);
+    const bool armed = r == pumps - 1 && arm_point != nullptr;
+    if (armed) FaultInjector::Global().ArmProbability(arm_point, 1.0);
+    ProduceRound(&queue, r);
     auto pumped = driver.PumpAll();
     ASSERT_TRUE(pumped.ok()) << pumped.status();
+    const Status committed = manager.Checkpoint(&engine);
+    EXPECT_EQ(committed.ok(), !armed) << committed;
   }
   if (arm_point != nullptr) {
-    EXPECT_GT(manager.checkpoint_failures(), 0)
+    EXPECT_EQ(manager.checkpoint_failures(), 1)
         << arm_point << " never fired";
-    EXPECT_GT(engine.metrics()
+    EXPECT_EQ(engine.metrics()
                   .FindCounter("seraph_checkpoint_failures_total")
                   ->value(),
-              0);
+              1);
   } else if (pumps > 0) {
-    EXPECT_GT(manager.checkpoints_written(), 0);
-    EXPECT_GT(
-        engine.metrics().FindCounter("seraph_checkpoint_total")->value(), 0);
-    EXPECT_GT(engine.metrics()
+    EXPECT_EQ(manager.checkpoints_written(), pumps);
+    EXPECT_EQ(
+        engine.metrics().FindCounter("seraph_checkpoint_total")->value(),
+        pumps);
+    EXPECT_EQ(engine.metrics()
                   .FindHistogram("seraph_checkpoint_duration_micros")
                   ->count(),
-              0);
+              pumps);
   }
   if (last_seq != nullptr) *last_seq = manager.last_seq();
-  // The victim "crashes" here: engine, driver, and manager are abandoned
-  // with whatever the directory holds.
+  // The victim "crashes" here: queue, engine, driver, and manager are
+  // abandoned with whatever the directory holds.
 }
 
-// Recovers from `dir` into a fresh engine over the same queue, pumps the
-// remaining rounds, and asserts the output is exactly the oracle suffix.
-void RecoverAndCheck(const std::string& dir, EventQueue* queue,
-                     const TimeVaryingTable& expected, int pumps_done) {
+// Recovers from `dir` into a fresh engine and a fresh queue, re-produces
+// the stream from the restored offset with the victim's cadence (a pump
+// after each round), and asserts the output is exactly the oracle suffix.
+void RecoverAndCheck(const std::string& dir,
+                     const TimeVaryingTable& expected) {
   ContinuousEngine engine;
   CollectingSink sink;
   engine.AddSink(&sink);
   ASSERT_TRUE(engine.RegisterText(kCountQuery).ok());
+  EventQueue queue;
   size_t restored_evals = 0;
-  auto report =
-      persist::RecoverAll(dir, &engine, queue, {kConsumer}, nullptr);
+  auto report = persist::RecoverAll(dir, &engine, &queue, kConsumer, nullptr);
   if (report.ok()) {
     restored_evals = static_cast<size_t>(engine.StatsFor("q")->evaluations);
-    // The committed offset and the checkpointed stream cover the same
-    // prefix, so the backlog is exactly what the checkpoint missed.
-    ASSERT_EQ(report->replay_backlog.at(kConsumer),
-              queue->size() - engine.stream().size());
-    EXPECT_EQ(engine.metrics()
-                  .FindCounter("seraph_recovery_replayed_elements")
-                  ->value(),
-              static_cast<int64_t>(report->replay_backlog.at(kConsumer)));
+    // Generations are cut between pumps, so the committed offset and the
+    // checkpointed stream cover the same prefix: whole rounds.
+    ASSERT_EQ(queue.size(), engine.stream().size());
+    ASSERT_EQ(queue.size() % kPerRound, 0u);
   } else {
     // No generation ever committed: recovery degrades to a cold start.
     ASSERT_EQ(report.status().code(), StatusCode::kNotFound)
         << report.status();
-    queue->Subscribe(kConsumer);
+    queue.Subscribe(kConsumer);
   }
-  StreamDriver driver(queue, &engine, {});
-  for (int r = pumps_done; r < kRounds; ++r) {
-    ProduceRound(queue, r);
+  StreamDriver driver(&queue, &engine, {});
+  for (int i = static_cast<int>(queue.size()); i < kEvents; ++i) {
+    ASSERT_TRUE(ProduceEvent(&queue, i).ok()) << i;
+    if ((i + 1) % kPerRound != 0) continue;
     auto pumped = driver.PumpAll();
     ASSERT_TRUE(pumped.ok()) << pumped.status();
   }
-  // Replay whatever backlog remains even when no rounds are left.
-  auto pumped = driver.PumpAll();
-  ASSERT_TRUE(pumped.ok()) << pumped.status();
   EXPECT_EQ(engine.stream().size(), static_cast<size_t>(kEvents));
   ExpectSuffixMatch(sink.ResultsFor("q"), expected, restored_evals);
 }
@@ -563,10 +565,9 @@ TEST_F(CheckpointRecoveryTest, GarbageCollectionKeepsConfiguredGenerations) {
   // A stray tmp a crashed writer of an older build left behind.
   fs::create_directories(dir);
   std::ofstream(dir + "/queries-1.seg.tmp") << "torn";
-  EventQueue queue;
   uint64_t last_seq = 0;
-  RunVictim(dir, &queue, kRounds, nullptr, &last_seq);
-  ASSERT_GT(last_seq, 2u);
+  RunVictim(dir, kRounds, nullptr, &last_seq);
+  ASSERT_EQ(last_seq, static_cast<uint64_t>(kRounds));
   int manifests = 0;
   for (const auto& entry : fs::directory_iterator(dir)) {
     const std::string name = entry.path().filename().string();
@@ -592,9 +593,9 @@ TEST_F(CheckpointRecoveryTest, GarbageCollectionKeepsConfiguredGenerations) {
 
 // Crash at every fault point, at every pump boundary: after recovery the
 // output continues bit-identically. "none" crashes with all checkpoints
-// committed; the checkpoint.* points kill every commit of the final pump,
+// committed; the checkpoint.* points kill the final pump's commit,
 // forcing the fallback to the previous generation (or a cold start when
-// the very first pump's checkpoints die).
+// the very first pump's commit dies).
 TEST_F(CheckpointRecoveryTest, CrashRecoveryEquivalenceAtEveryFaultPoint) {
   const TimeVaryingTable expected = Oracle();
   // The CI crash-recovery matrix sets SERAPH_CRASH_POINT to pin one
@@ -615,10 +616,9 @@ TEST_F(CheckpointRecoveryTest, CrashRecoveryEquivalenceAtEveryFaultPoint) {
       FaultInjector::Global().Reset();
       const std::string dir =
           FreshDir("equiv_" + std::to_string(case_id++));
-      EventQueue queue;
-      RunVictim(dir, &queue, crash_pump, point, nullptr);
+      RunVictim(dir, crash_pump, point, nullptr);
       FaultInjector::Global().Reset();
-      RecoverAndCheck(dir, &queue, expected, crash_pump);
+      RecoverAndCheck(dir, expected);
     }
   }
 }
@@ -626,8 +626,7 @@ TEST_F(CheckpointRecoveryTest, CrashRecoveryEquivalenceAtEveryFaultPoint) {
 TEST_F(CheckpointRecoveryTest, RecoveryReadFaultIsTransientAndRetriable) {
   const TimeVaryingTable expected = Oracle();
   const std::string dir = FreshDir("recovery_read");
-  EventQueue queue;
-  RunVictim(dir, &queue, 3, nullptr, nullptr);
+  RunVictim(dir, 3, nullptr, nullptr);
 
   // The first recovery attempt dies at the recovery.read fault point —
   // the process killed mid-recovery. The retry (a fresh engine, as after
@@ -636,12 +635,13 @@ TEST_F(CheckpointRecoveryTest, RecoveryReadFaultIsTransientAndRetriable) {
   {
     ContinuousEngine engine;
     ASSERT_TRUE(engine.RegisterText(kCountQuery).ok());
+    EventQueue queue;
     auto report =
-        persist::RecoverAll(dir, &engine, &queue, {kConsumer}, nullptr);
+        persist::RecoverAll(dir, &engine, &queue, kConsumer, nullptr);
     ASSERT_FALSE(report.ok());
     EXPECT_TRUE(report.status().IsTransient()) << report.status();
   }
-  RecoverAndCheck(dir, &queue, expected, 3);
+  RecoverAndCheck(dir, expected);
 }
 
 // Corruption of the newest generation (bit rot, a torn file, a file cut
@@ -698,9 +698,8 @@ TEST_F(CheckpointRecoveryTest, CorruptedNewestGenerationFallsBack) {
     SCOPED_TRACE(corruption.name);
     const std::string dir =
         FreshDir("corrupt_" + std::to_string(case_id++));
-    EventQueue queue;
     uint64_t last_seq = 0;
-    RunVictim(dir, &queue, 3, nullptr, &last_seq);
+    RunVictim(dir, 3, nullptr, &last_seq);
     ASSERT_GT(last_seq, 1u);
     corruption.apply(dir + "/" + persist::ManifestFileName(last_seq));
 
@@ -718,7 +717,7 @@ TEST_F(CheckpointRecoveryTest, CorruptedNewestGenerationFallsBack) {
     EXPECT_FALSE(summaries->front().error.empty());
     EXPECT_TRUE((*summaries)[1].valid);
 
-    RecoverAndCheck(dir, &queue, expected, 3);
+    RecoverAndCheck(dir, expected);
   }
 }
 
@@ -728,11 +727,10 @@ TEST_F(CheckpointRecoveryTest, CorruptedNewestGenerationFallsBack) {
 // tmp behind.
 TEST_F(CheckpointRecoveryTest, CrashAtRenameLeavesATmpThatRecoveryIgnores) {
   const std::string dir = FreshDir("rename_tmp");
-  EventQueue queue;
   uint64_t last_seq = 0;
-  RunVictim(dir, &queue, 3, "checkpoint.rename", &last_seq);
+  RunVictim(dir, 3, "checkpoint.rename", &last_seq);
   FaultInjector::Global().Reset();
-  ASSERT_GT(last_seq, 0u);
+  ASSERT_EQ(last_seq, 2u);
   const std::string uncommitted = persist::ManifestFileName(last_seq + 1);
   const std::string tmp = dir + "/" + uncommitted + ".tmp";
   ASSERT_TRUE(fs::exists(tmp));
@@ -748,12 +746,10 @@ TEST_F(CheckpointRecoveryTest, CrashAtRenameLeavesATmpThatRecoveryIgnores) {
   ASSERT_FALSE(summaries->empty());
   EXPECT_EQ(summaries->front().seq, last_seq);
 
-  EngineOptions options;
-  options.checkpoint_every = 1;
-  ContinuousEngine engine(options);
+  ContinuousEngine engine;
   ASSERT_TRUE(engine.RegisterText(kCountQuery).ok());
-  auto report =
-      persist::RecoverAll(dir, &engine, &queue, {kConsumer}, nullptr);
+  EventQueue queue;
+  auto report = persist::RecoverAll(dir, &engine, &queue, kConsumer, nullptr);
   ASSERT_TRUE(report.ok()) << report.status();
   EXPECT_EQ(report->seq, last_seq);
   CheckpointOptions checkpoint_options;
@@ -769,51 +765,6 @@ TEST_F(CheckpointRecoveryTest, CrashAtRenameLeavesATmpThatRecoveryIgnores) {
         << entry.path() << " leaked";
   }
   EXPECT_TRUE(persist::LoadCheckpoint(dir, last_seq + 1).ok());
-}
-
-// The checkpoint barrier fires per batch INSIDE AdvanceTo, so falling
-// back past the final generation can restore a mid-batch cut: the clock
-// sits at its last evaluated instant while later instants of the same
-// AdvanceTo already ran (and were lost with the newer generation). With
-// every event already committed there is no queue backlog, so only the
-// interrupted-batch catch-up inside RecoverAll (Drain to the restored
-// horizon) can produce the missing suffix — this pins it.
-TEST_F(CheckpointRecoveryTest, MidBatchRestoreCompletesInterruptedBatch) {
-  const TimeVaryingTable expected = Oracle();
-  const std::string dir = FreshDir("midbatch");
-  EventQueue queue;
-  uint64_t last_seq = 0;
-  RunVictim(dir, &queue, kRounds, nullptr, &last_seq);
-  ASSERT_GT(last_seq, 1u);
-  // Simulate a crash before the final manifest rename: the newest
-  // generation never committed, the fallback is the barrier one batch
-  // earlier in the same AdvanceTo.
-  ASSERT_TRUE(fs::remove(dir + "/" + persist::ManifestFileName(last_seq)));
-  auto fallback = persist::LoadCheckpoint(dir, last_seq - 1);
-  ASSERT_TRUE(fallback.ok()) << fallback.status();
-  ASSERT_EQ(fallback->engine.queries.size(), 1u);
-  const size_t restored_evals =
-      static_cast<size_t>(fallback->engine.queries[0].stats.evaluations);
-  ASSERT_LT(restored_evals, expected.size());
-
-  ContinuousEngine engine;
-  CollectingSink sink;
-  engine.AddSink(&sink);
-  ASSERT_TRUE(engine.RegisterText(kCountQuery).ok());
-  auto report =
-      persist::RecoverAll(dir, &engine, &queue, {kConsumer}, nullptr);
-  ASSERT_TRUE(report.ok()) << report.status();
-  EXPECT_EQ(report->seq, last_seq - 1);
-  EXPECT_EQ(report->replay_backlog.at(kConsumer), 0u);
-
-  // Nothing left to replay — the missing evaluations must already have
-  // fired during RecoverAll, on the restored window contents.
-  StreamDriver driver(&queue, &engine, {});
-  auto pumped = driver.PumpAll();
-  ASSERT_TRUE(pumped.ok()) << pumped.status();
-  EXPECT_EQ(*pumped, 0);
-  ASSERT_GT(sink.ResultsFor("q").size(), 0u);
-  ExpectSuffixMatch(sink.ResultsFor("q"), expected, restored_evals);
 }
 
 // ---------------------------------------------------------------------------
@@ -858,8 +809,12 @@ StreamDriver::Options LaneOptions(bool ticks) {
   return options;
 }
 
+// Produces rounds [from, to) and pumps the round's lane after each; with
+// `manager` set, commits one generation of `engine` after each pump.
 void PumpSilenceRounds(Lanes* lanes, StreamDriver* data, StreamDriver* ticks,
-                       size_t from, size_t to) {
+                       size_t from, size_t to,
+                       CheckpointManager* manager = nullptr,
+                       ContinuousEngine* engine = nullptr) {
   for (size_t r = from; r < to; ++r) {
     const SilenceRound& round = SilenceRounds()[r];
     for (int64_t minute : round.minutes) {
@@ -868,6 +823,8 @@ void PumpSilenceRounds(Lanes* lanes, StreamDriver* data, StreamDriver* ticks,
     }
     auto pumped = (round.ticks ? ticks : data)->PumpAll();
     ASSERT_TRUE(pumped.ok()) << pumped.status();
+    // An armed checkpoint fault fails the commit; the manager counts it.
+    if (manager != nullptr) (void)manager->Checkpoint(engine);
   }
 }
 
@@ -883,42 +840,44 @@ TimeVaryingTable SilenceOracle() {
   return sink.ResultsFor("q");
 }
 
-// Runs the checkpointed victim for `rounds` rounds; with `arm_point` set,
-// every checkpoint of the last round dies there.
-void RunSilenceVictim(const std::string& dir, Lanes* lanes, size_t rounds,
+// Runs the checkpointed victim for `rounds` rounds, one commit per pump;
+// with `arm_point` set, the last round's commit dies there.
+void RunSilenceVictim(const std::string& dir, size_t rounds,
                       const char* arm_point, uint64_t* last_seq) {
-  EngineOptions options;
-  options.checkpoint_every = 1;
-  ContinuousEngine engine(options);
+  Lanes lanes;
+  ContinuousEngine engine;
   ASSERT_TRUE(engine.RegisterText(kShortWindowQuery).ok());
   CheckpointOptions checkpoint_options;
   checkpoint_options.dir = dir;
   checkpoint_options.fsync = false;
   CheckpointManager manager(checkpoint_options);
-  manager.BindQueue(kDataConsumer, &lanes->data);
-  manager.BindQueue(kTickConsumer, &lanes->ticks);
-  manager.AttachTo(&engine);
-  StreamDriver data(&lanes->data, &engine, LaneOptions(false));
-  StreamDriver ticks(&lanes->ticks, &engine, LaneOptions(true));
-  PumpSilenceRounds(lanes, &data, &ticks, 0, rounds - 1);
+  manager.BindQueue(kDataConsumer, &lanes.data);
+  manager.BindQueue(kTickConsumer, &lanes.ticks);
+  StreamDriver data(&lanes.data, &engine, LaneOptions(false));
+  StreamDriver ticks(&lanes.ticks, &engine, LaneOptions(true));
+  PumpSilenceRounds(&lanes, &data, &ticks, 0, rounds - 1, &manager, &engine);
   if (arm_point != nullptr) {
     FaultInjector::Global().ArmProbability(arm_point, 1.0);
   }
-  PumpSilenceRounds(lanes, &data, &ticks, rounds - 1, rounds);
+  PumpSilenceRounds(&lanes, &data, &ticks, rounds - 1, rounds, &manager,
+                    &engine);
   FaultInjector::Global().Reset();
+  EXPECT_EQ(manager.checkpoint_failures(), arm_point != nullptr ? 1 : 0);
   *last_seq = manager.last_seq();
 }
 
-// Recovers into a fresh engine over the same lanes (the manual
-// composition RecoverAll performs for one queue), replays the backlog and
-// the remaining rounds, and checks the output against the oracle suffix.
-void RecoverSilenceRun(const std::string& dir, Lanes* lanes,
-                       size_t rounds_done, const TimeVaryingTable& expected,
+// Recovers into a fresh engine and fresh lanes (the manual composition
+// RecoverAll performs for one queue), re-produces what each lane's
+// restored offset does not cover, pumps both lanes and the remaining
+// rounds, and checks the output against the oracle suffix.
+void RecoverSilenceRun(const std::string& dir, size_t rounds_done,
+                       const TimeVaryingTable& expected,
                        bool* restored_empty_suffix) {
   ContinuousEngine engine;
   CollectingSink sink;
   engine.AddSink(&sink);
   ASSERT_TRUE(engine.RegisterText(kShortWindowQuery).ok());
+  Lanes lanes;
   size_t restored_evals = 0;
   auto image = persist::LoadLatestCheckpoint(dir);
   if (image.ok()) {
@@ -929,37 +888,44 @@ void RecoverSilenceRun(const std::string& dir, Lanes* lanes,
     restored_evals =
         static_cast<size_t>(image->engine.queries.at(0).stats.evaluations);
     ASSERT_TRUE(engine.RestoreFrom(image->engine).ok());
-    // The interrupted batch ends at the heartbeat's max timestamp, which
-    // survives the trim of its stream to nothing.
-    ASSERT_TRUE(engine.Drain().ok());
     ASSERT_TRUE(
-        persist::RestoreConsumer(*image, kDataConsumer, &lanes->data).ok());
+        persist::RestoreConsumer(*image, kDataConsumer, &lanes.data).ok());
     ASSERT_TRUE(
-        persist::RestoreConsumer(*image, kTickConsumer, &lanes->ticks).ok());
+        persist::RestoreConsumer(*image, kTickConsumer, &lanes.ticks).ok());
   } else {
     ASSERT_EQ(image.status().code(), StatusCode::kNotFound) << image.status();
-    lanes->data.Subscribe(kDataConsumer);
-    lanes->ticks.Subscribe(kTickConsumer);
+    lanes.data.Subscribe(kDataConsumer);
+    lanes.ticks.Subscribe(kTickConsumer);
   }
-  StreamDriver data(&lanes->data, &engine, LaneOptions(false));
-  StreamDriver ticks(&lanes->ticks, &engine, LaneOptions(true));
-  // The backlog sits in the crashed round's lane; an idle lane's pump
-  // delivers nothing and leaves the clock alone.
+  // Each lane resumes its source at its own offset: the k-th element a
+  // lane was ever sent sits at offset k.
+  size_t sent[2] = {0, 0};
+  for (size_t r = 0; r < rounds_done; ++r) {
+    const SilenceRound& round = SilenceRounds()[r];
+    EventQueue& lane = round.ticks ? lanes.ticks : lanes.data;
+    for (int64_t minute : round.minutes) {
+      if (sent[round.ticks]++ < lane.size()) continue;
+      ASSERT_TRUE(lane.Produce(Item(minute), T(minute)).ok());
+    }
+  }
+  StreamDriver data(&lanes.data, &engine, LaneOptions(false));
+  StreamDriver ticks(&lanes.ticks, &engine, LaneOptions(true));
+  // What the checkpoint missed sits in the crashed round's lane; an idle
+  // lane's pump delivers nothing and leaves the clock alone.
   ASSERT_TRUE(data.PumpAll().ok());
   ASSERT_TRUE(ticks.PumpAll().ok());
-  PumpSilenceRounds(lanes, &data, &ticks, rounds_done, SilenceRounds().size());
-  EXPECT_EQ(engine.stream().size(), lanes->data.size());
-  EXPECT_EQ(engine.stream("ticks").size(), lanes->ticks.size());
+  PumpSilenceRounds(&lanes, &data, &ticks, rounds_done,
+                    SilenceRounds().size());
+  EXPECT_EQ(engine.stream().size(), lanes.data.size());
+  EXPECT_EQ(engine.stream("ticks").size(), lanes.ticks.size());
   ExpectSuffixMatch(sink.ResultsFor("q"), expected, restored_evals);
 }
 
 // Crash at every fault point after every round of a run whose streams were
 // trimmed before the crash — including cuts inside the silence, where the
 // restored suffix is empty. "drop_newest" removes the newest manifest of
-// a clean run, so a round with several barriers restores a mid-batch cut
-// that only the interrupted-batch catch-up can complete. "recovery.read"
-// kills the first recovery of a clean run before it reads a file, then
-// retries it.
+// a clean run, so recovery falls back one pump. "recovery.read" kills the
+// first recovery of a clean run before it reads a file, then retries it.
 TEST_F(CheckpointRecoveryTest, CrashRecoveryEquivalenceAfterRetentionTrims) {
   const TimeVaryingTable expected = SilenceOracle();
   ASSERT_GT(expected.size(), 0u);
@@ -977,13 +943,12 @@ TEST_F(CheckpointRecoveryTest, CrashRecoveryEquivalenceAfterRetentionTrims) {
       FaultInjector::Global().Reset();
       const std::string dir =
           FreshDir("trim_equiv_" + std::to_string(case_id++));
-      Lanes lanes;
       const bool writer_fault = point.starts_with("checkpoint.");
       uint64_t last_seq = 0;
-      RunSilenceVictim(dir, &lanes, crash_round,
+      RunSilenceVictim(dir, crash_round,
                        writer_fault ? point.c_str() : nullptr, &last_seq);
       if (point == "drop_newest") {
-        if (last_seq < 2) continue;
+        ASSERT_EQ(last_seq, crash_round);
         ASSERT_TRUE(
             fs::remove(dir + "/" + persist::ManifestFileName(last_seq)));
       }
@@ -994,8 +959,7 @@ TEST_F(CheckpointRecoveryTest, CrashRecoveryEquivalenceAfterRetentionTrims) {
         EXPECT_TRUE(killed.status().IsTransient()) << killed.status();
         FaultInjector::Global().Reset();
       }
-      RecoverSilenceRun(dir, &lanes, crash_round, expected,
-                        &restored_empty_suffix);
+      RecoverSilenceRun(dir, crash_round, expected, &restored_empty_suffix);
     }
   }
   EXPECT_TRUE(restored_empty_suffix);
@@ -1014,7 +978,6 @@ TEST_F(CheckpointRecoveryTest, DriverResumeExactlyOnceUnderChaos) {
   const TimeVaryingTable expected = Oracle();
   const std::string dir = FreshDir("chaos_" + std::to_string(seed));
 
-  FlakyQueue queue(/*fail_every=*/3);
   FaultInjector& fi = FaultInjector::Global();
   fi.Seed(seed);
   fi.ArmProbability("driver.deliver", 0.2);
@@ -1023,9 +986,8 @@ TEST_F(CheckpointRecoveryTest, DriverResumeExactlyOnceUnderChaos) {
   size_t accepted_before = 0;
   constexpr int kCrashPump = 3;
   {
-    EngineOptions options;
-    options.checkpoint_every = 1;
-    ContinuousEngine engine(options);
+    FlakyQueue queue(/*fail_every=*/3);
+    ContinuousEngine engine;
     FlakySink flaky(&collected_before, /*fail_every=*/3);
     SinkPolicy sink_policy;
     sink_policy.retry.max_attempts = 4;
@@ -1036,7 +998,6 @@ TEST_F(CheckpointRecoveryTest, DriverResumeExactlyOnceUnderChaos) {
     checkpoint_options.fsync = false;
     CheckpointManager manager(checkpoint_options);
     manager.BindQueue(kConsumer, &queue);
-    manager.AttachTo(&engine);
     StreamDriver::Options driver_options;
     driver_options.poll_batch = 4;
     driver_options.delivery_retry.max_attempts = 3;
@@ -1054,8 +1015,8 @@ TEST_F(CheckpointRecoveryTest, DriverResumeExactlyOnceUnderChaos) {
         }
       }
       ASSERT_TRUE(pumped_ok) << "chaos pump did not converge";
+      ASSERT_TRUE(manager.Checkpoint(&engine).ok());
     }
-    EXPECT_GT(manager.checkpoints_written(), 0);
     accepted_before = collected_before.ResultsFor("q").size();
     // Crash.
   }
@@ -1073,9 +1034,12 @@ TEST_F(CheckpointRecoveryTest, DriverResumeExactlyOnceUnderChaos) {
   sink_policy.retry.max_attempts = 4;
   engine.AddSink(&flaky, "chaos-sink", sink_policy);
   ASSERT_TRUE(engine.RegisterText(kCountQuery).ok());
-  auto report = persist::RecoverAll(dir, &engine, &queue, {kConsumer},
-                                    nullptr);
+  FlakyQueue queue(/*fail_every=*/3);
+  auto report =
+      persist::RecoverAll(dir, &engine, &queue, kConsumer, nullptr);
   ASSERT_TRUE(report.ok()) << report.status();
+  // The last pump's commit covers every round before the crash.
+  ASSERT_EQ(queue.size(), static_cast<size_t>(kCrashPump * kPerRound));
   const size_t restored_evals =
       static_cast<size_t>(engine.StatsFor("q")->evaluations);
 
@@ -1094,8 +1058,8 @@ TEST_F(CheckpointRecoveryTest, DriverResumeExactlyOnceUnderChaos) {
     ASSERT_TRUE(pumped_ok) << "post-restore pump did not converge";
   }
 
-  // Exactly once into the engine: the restored prefix plus the replayed
-  // suffix covers every produced element once.
+  // Exactly once into the engine: the restored prefix plus the
+  // re-produced suffix covers every element once.
   EXPECT_EQ(engine.stream().size(), static_cast<size_t>(kEvents));
   // The pre-crash run emitted at least the checkpointed prefix; recovery
   // resumes exactly at the restored evaluation count, so the committed
@@ -1145,8 +1109,7 @@ TEST_F(CheckpointRecoveryTest, OtherFormatVersionFailsRecoveryLoudly) {
                  std::to_string(old_version));
     const std::string dir =
         FreshDir("old_format_v" + std::to_string(old_version));
-    EventQueue queue;
-    RunVictim(dir, &queue, 3, nullptr, nullptr);
+    RunVictim(dir, 3, nullptr, nullptr);
     StampManifestVersion(dir, old_version);
     auto latest = persist::LoadLatestCheckpoint(dir);
     ASSERT_EQ(latest.status().code(), StatusCode::kFailedPrecondition)
@@ -1157,8 +1120,9 @@ TEST_F(CheckpointRecoveryTest, OtherFormatVersionFailsRecoveryLoudly) {
         << latest.status();
     ContinuousEngine engine;
     ASSERT_TRUE(engine.RegisterText(kCountQuery).ok());
+    EventQueue queue;
     auto report =
-        persist::RecoverAll(dir, &engine, &queue, {kConsumer}, nullptr);
+        persist::RecoverAll(dir, &engine, &queue, kConsumer, nullptr);
     EXPECT_EQ(report.status().code(), StatusCode::kFailedPrecondition)
         << report.status();
     EXPECT_EQ(engine.stream().size(), 0u);
@@ -1166,9 +1130,8 @@ TEST_F(CheckpointRecoveryTest, OtherFormatVersionFailsRecoveryLoudly) {
   {
     SCOPED_TRACE("newest generation from a newer build");
     const std::string dir = FreshDir("newer_format");
-    EventQueue queue;
     uint64_t last_seq = 0;
-    RunVictim(dir, &queue, 3, nullptr, &last_seq);
+    RunVictim(dir, 3, nullptr, &last_seq);
     ASSERT_GT(last_seq, 1u);
     StampManifestVersion(dir, persist::kFormatVersion + 1, last_seq);
     // The older generation still loads on its own, but restoring it would
@@ -1186,9 +1149,7 @@ TEST_F(CheckpointRecoveryTest, OtherFormatVersionFailsRecoveryLoudly) {
 
 TEST_F(CheckpointRecoveryTest, DeadLettersAreCheckpointedAndRestored) {
   const std::string dir = FreshDir("dlq");
-  EngineOptions options;
-  options.checkpoint_every = 1;
-  ContinuousEngine engine(options);
+  ContinuousEngine engine;
   CollectingSink sink;
   engine.AddSink(&sink);
   ASSERT_TRUE(engine.RegisterText(kCountQuery).ok());
@@ -1278,7 +1239,7 @@ TEST_F(CheckpointRecoveryTest, DeadLetterRingKeepsTheNewestAndExactTotals) {
   DeadLetterQueue restored;
   restored.BindDepthGauge(restored_depth);
   auto report =
-      persist::RecoverAll(dir, &restored_engine, &queue, {}, &restored);
+      persist::RecoverAll(dir, &restored_engine, &queue, kConsumer, &restored);
   ASSERT_TRUE(report.ok()) << report.status();
   EXPECT_EQ(report->dead_letters, kDeadLetterCapacity);
   expect_ring(restored);

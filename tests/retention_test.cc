@@ -990,9 +990,7 @@ TEST(RetentionTest, ReturnOnceQueryReleasesItsWindowOnceAnswered) {
 TEST(RetentionTest, CheckpointBytesStayFlatAfterTheFirstWindow) {
   const std::string dir = ::testing::TempDir() + "seraph_retention_flat";
   fs::remove_all(dir);
-  EngineOptions options;
-  options.checkpoint_every = 1;
-  ContinuousEngine engine(options);
+  ContinuousEngine engine;
   ASSERT_TRUE(engine
                   .RegisterText("REGISTER QUERY q STARTING AT "
                                 "'1970-01-01T00:05' { MATCH (n:X) WITHIN PT30M "
@@ -1002,7 +1000,6 @@ TEST(RetentionTest, CheckpointBytesStayFlatAfterTheFirstWindow) {
   checkpoint_options.dir = dir;
   checkpoint_options.fsync = false;
   persist::CheckpointManager manager(checkpoint_options);
-  manager.AttachTo(&engine);
   const Histogram* bytes =
       engine.metrics().HistogramFor("seraph_checkpoint_bytes");
   int64_t first_window_bytes = 0;
@@ -1011,6 +1008,7 @@ TEST(RetentionTest, CheckpointBytesStayFlatAfterTheFirstWindow) {
     ASSERT_TRUE(engine.Ingest(Item(1000 + m), T(m)).ok());
     if (m % 5 != 0) continue;
     ASSERT_TRUE(engine.AdvanceTo(T(m)).ok());
+    ASSERT_TRUE(manager.Checkpoint(&engine).ok());
     const int64_t generation = bytes->sum() - last_sum;
     last_sum = bytes->sum();
     ASSERT_GT(generation, 0);
@@ -1027,71 +1025,25 @@ TEST(RetentionTest, CheckpointBytesStayFlatAfterTheFirstWindow) {
   fs::remove_all(dir);
 }
 
-// A driver-fed queue no checkpoint governs is trimmed to its consumers'
-// positions after every full pump; a managed one keeps everything at or
-// above its checkpoint horizon, and a queue whose offsets a checkpoint
-// records keeps everything until ManageRetention couples the two.
-TEST(RetentionTest, DriverTrimsQueuesUpToTheCheckpointHorizon) {
+// A driver-fed queue is trimmed to its consumer's position after every
+// full pump, whether or not a checkpoint records that position.
+TEST(RetentionTest, DriverTrimsQueuesToTheirConsumer) {
   const char* query =
       "REGISTER QUERY q STARTING AT '1970-01-01T00:05' { MATCH (n:X) "
       "WITHIN PT30M EMIT n.id AS id SNAPSHOT EVERY PT5M }";
-  {
-    EventQueue queue;
-    ContinuousEngine engine;
-    ASSERT_TRUE(engine.RegisterText(query).ok());
-    for (int64_t m = 1; m <= 10; ++m) {
-      ASSERT_TRUE(queue.Produce(Item(m), T(m)).ok());
-    }
-    StreamDriver driver(&queue, &engine, {});
-    auto pumped = driver.PumpAll();
-    ASSERT_TRUE(pumped.ok()) << pumped.status();
-    EXPECT_EQ(*pumped, 10);
-    EXPECT_EQ(queue.depth(), 0u);
-    EXPECT_EQ(queue.size(), 10u);
-    EXPECT_EQ(queue.trimmed_total(), 10);
+  EventQueue queue;
+  ContinuousEngine engine;
+  ASSERT_TRUE(engine.RegisterText(query).ok());
+  for (int64_t m = 1; m <= 10; ++m) {
+    ASSERT_TRUE(queue.Produce(Item(m), T(m)).ok());
   }
-  const std::string dir = ::testing::TempDir() + "seraph_retention_queue";
-  fs::remove_all(dir);
-  persist::CheckpointOptions checkpoint_options;
-  checkpoint_options.dir = dir;
-  checkpoint_options.fsync = false;
-  {
-    EventQueue queue;
-    ContinuousEngine engine;
-    ASSERT_TRUE(engine.RegisterText(query).ok());
-    persist::CheckpointManager manager(checkpoint_options);
-    manager.BindQueue("seraph-engine", &queue);
-    for (int64_t m = 1; m <= 10; ++m) {
-      ASSERT_TRUE(queue.Produce(Item(m), T(m)).ok());
-    }
-    StreamDriver driver(&queue, &engine, {});
-    ASSERT_TRUE(driver.PumpAll().ok());
-    ASSERT_TRUE(manager.Checkpoint(&engine).ok());
-    EXPECT_EQ(queue.depth(), 10u);  // Bound, not managed: nothing goes.
-  }
-  {
-    EventQueue queue;
-    ContinuousEngine engine;
-    ASSERT_TRUE(engine.RegisterText(query).ok());
-    persist::CheckpointManager manager(checkpoint_options);
-    manager.BindQueue("seraph-engine", &queue);
-    manager.ManageRetention(&queue);
-    for (int64_t m = 1; m <= 10; ++m) {
-      ASSERT_TRUE(queue.Produce(Item(m), T(m)).ok());
-    }
-    StreamDriver driver(&queue, &engine, {});
-    ASSERT_TRUE(driver.PumpAll().ok());
-    EXPECT_EQ(queue.depth(), 10u);  // No generation covers anything yet.
-    ASSERT_TRUE(manager.Checkpoint(&engine).ok());
-    EXPECT_EQ(queue.depth(), 0u);  // The generation covers offset 10.
-    for (int64_t m = 11; m <= 15; ++m) {
-      ASSERT_TRUE(queue.Produce(Item(m), T(m)).ok());
-    }
-    ASSERT_TRUE(driver.PumpAll().ok());
-    EXPECT_EQ(queue.base_offset(), 10u);
-    EXPECT_EQ(queue.depth(), 5u);
-  }
-  fs::remove_all(dir);
+  StreamDriver driver(&queue, &engine, {});
+  auto pumped = driver.PumpAll();
+  ASSERT_TRUE(pumped.ok()) << pumped.status();
+  EXPECT_EQ(*pumped, 10);
+  EXPECT_EQ(queue.depth(), 0u);
+  EXPECT_EQ(queue.size(), 10u);
+  EXPECT_EQ(queue.trimmed_total(), 10);
 }
 
 }  // namespace

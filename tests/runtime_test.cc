@@ -24,6 +24,7 @@
 
 #include "graph/graph_builder.h"
 #include "io/json.h"
+#include "persist/recovery.h"
 #include "runtime/flags.h"
 #include "runtime/runtime.h"
 #include "workloads/bike_sharing.h"
@@ -263,38 +264,32 @@ TEST(RuntimeTest, BoundedRunOverTimestampTiesEqualsUnbounded) {
   EXPECT_EQ(BackpressureRun(bounded, seconds), expected);
 }
 
-// A durable queue frees space only once a checkpoint moves the retention
-// horizon, and checkpoints happen at batch barriers: a pump for a refused
-// element must advance the engine clock so the barrier comes. Capacity
-// 2, six elements between pumps: all admitted.
+// A durable queue trims to its consumer like any other: a pump for a
+// refused element delivers and frees the space, and the generation that
+// pump commits pins nothing. Six elements between pumps at capacity 2,
+// and timestamp ties at capacities 1 and 2, are all admitted, and each
+// run emits what the unbounded run emits.
 TEST(RuntimeTest, DurableBoundedQueueAdmitsBetweenPumps) {
-  const std::vector<int64_t> seconds = {1, 2, 3, 4, 5, 6};
-  const RuntimeOptions unbounded;
-  const std::vector<std::string> expected =
-      BackpressureRun(unbounded, seconds);
-  ASSERT_EQ(expected.size(), 6u);
-  RuntimeOptions durable = unbounded;
-  durable.checkpoint_dir = FreshDir("durable_bounded");
-  durable.checkpoint_every = 1;
-  durable.checkpoint_fsync = false;
-  durable.queue.capacity = 2;
-  durable.queue.overflow_policy = OverflowPolicy::kReject;
-  EXPECT_EQ(BackpressureRun(durable, seconds), expected);
-  // At ties the capacity must hold one instant; when it cannot, the
-  // error names the remedy instead of wedging.
-  durable.checkpoint_dir = FreshDir("durable_bounded_ties");
-  Runtime rt(durable);
-  ASSERT_TRUE(rt.Register(kTiesQuery).ok());
-  ASSERT_TRUE(rt.Start().ok());
-  Status status;
-  for (int64_t id = 1; id <= 3 && status.ok(); ++id) {
-    status = rt.Produce(std::make_shared<const PropertyGraph>(
-                            GraphBuilder().Node(id, {"X"}).Build()),
-                        Timestamp::FromMillis(1000));
+  struct Case {
+    std::vector<int64_t> seconds;
+    size_t capacity;
+    size_t instants;
+  };
+  for (const Case& run : {Case{{1, 2, 3, 4, 5, 6}, 2, 6},
+                          Case{{1, 1, 1, 2, 2}, 1, 2},
+                          Case{{1, 1, 1, 2, 2}, 2, 2}}) {
+    SCOPED_TRACE("capacity " + std::to_string(run.capacity) + ", " +
+                 std::to_string(run.seconds.size()) + " elements");
+    const std::vector<std::string> expected =
+        BackpressureRun(RuntimeOptions(), run.seconds);
+    ASSERT_EQ(expected.size(), run.instants);
+    RuntimeOptions durable;
+    durable.checkpoint_dir = FreshDir("durable_bounded");
+    durable.checkpoint_fsync = false;
+    durable.queue.capacity = run.capacity;
+    durable.queue.overflow_policy = OverflowPolicy::kReject;
+    EXPECT_EQ(BackpressureRun(durable, run.seconds), expected);
   }
-  EXPECT_EQ(status.code(), StatusCode::kUnavailable);
-  EXPECT_NE(status.message().find("--queue-capacity"), std::string::npos)
-      << status.ToString();
 }
 
 // /queries lists every query with its counters, its last error when it
@@ -348,7 +343,6 @@ RuntimeOptions Durable(const std::string& name) {
   RuntimeOptions options;
   options.tool = "runtime_test";
   options.checkpoint_dir = FreshDir(name);
-  options.checkpoint_every = 1;
   options.checkpoint_fsync = false;
   return options;
 }
@@ -390,22 +384,122 @@ TEST(RuntimeTest, PostRestoreIngestsReachTheEngine) {
   EXPECT_EQ(lives, expected);
 }
 
+// X nodes at 1, 2, 2, 2 and 3 s with a pump after every element. A
+// restart after any of them emits, together with the first life, what
+// the uninterrupted run emits. A pump holds its newest instant back, and
+// so does the generation it commits, so the restored instant at 2 s
+// waits for the ties the resumed source produces again: rows 1-4, not
+// 1-2. A restart after the last element closes 3 s at Finish.
+TEST(RuntimeTest, RestartInsideTiesWaitsForTheirRemainingElements) {
+  const std::vector<int64_t> seconds = {1, 2, 2, 2, 3};
+  // A cut life is dropped without Finish, as a crash would leave it.
+  auto life = [&seconds](RuntimeOptions options, size_t cut, bool finish) {
+    Runtime rt(std::move(options));
+    RecordingSink sink;
+    rt.AddSink(&sink);
+    EXPECT_TRUE(rt.Register(kTiesQuery).ok());
+    EXPECT_TRUE(rt.Start().ok());
+    for (size_t i = rt.next_offset(); i < cut; ++i) {
+      EXPECT_TRUE(rt.Produce(XNode(static_cast<int64_t>(i) + 1),
+                             Timestamp::FromMillis(seconds[i] * 1000))
+                      .ok());
+      EXPECT_TRUE(rt.Pump().ok());
+    }
+    if (finish) {
+      EXPECT_TRUE(rt.Finish().ok());
+    }
+    return sink.lines;
+  };
+  RuntimeOptions plain;
+  plain.tool = "runtime_test";
+  const std::vector<std::string> expected =
+      life(plain, seconds.size(), /*finish=*/true);
+  ASSERT_EQ(expected.size(), 3u);
+  EXPECT_NE(expected[1].find("\"n.id\":4"), std::string::npos) << expected[1];
+  for (size_t cut = 1; cut <= seconds.size(); ++cut) {
+    SCOPED_TRACE("dropped after element " + std::to_string(cut));
+    RuntimeOptions durable = Durable("restart_ties");
+    std::vector<std::string> lives = life(durable, cut, /*finish=*/false);
+    durable.restore = true;
+    const std::vector<std::string> suffix =
+        life(durable, seconds.size(), /*finish=*/true);
+    lives.insert(lives.end(), suffix.begin(), suffix.end());
+    EXPECT_EQ(lives, expected);
+  }
+}
+
+// Queue sheds reach the dead-letter ring even when evaluation failures
+// do not, and every generation holds the ring, so a restored run keeps
+// the letters and their totals.
+TEST(RuntimeTest, RestoredRunKeepsItsDeadLetters) {
+  RuntimeOptions durable = Durable("restart_dead_letters");
+  durable.dead_letter_failures = false;
+  durable.queue.capacity = 1;
+  durable.queue.overflow_policy = OverflowPolicy::kShedOldest;
+  auto life = [](const RuntimeOptions& options,
+                 const std::vector<int64_t>& seconds) {
+    Runtime rt(options);
+    EXPECT_TRUE(rt.Register(kTiesQuery).ok());
+    EXPECT_TRUE(rt.Start().ok());
+    for (size_t i = rt.next_offset(); i < seconds.size(); ++i) {
+      EXPECT_TRUE(rt.Produce(XNode(static_cast<int64_t>(i) + 1),
+                             Timestamp::FromMillis(seconds[i] * 1000))
+                      .ok());
+    }
+    EXPECT_TRUE(rt.Finish().ok());
+    return rt.dead_letters().total();
+  };
+  // Every element but the newest is shed before the one pump at Finish.
+  EXPECT_EQ(life(durable, {1, 1, 1, 2, 2}), 4);
+  durable.restore = true;
+  EXPECT_EQ(life(durable, {1, 1, 1, 2, 2, 3, 3}), 5);
+  auto image = persist::LoadLatestCheckpoint(durable.checkpoint_dir);
+  ASSERT_TRUE(image.ok()) << image.status();
+  EXPECT_EQ(image->dead_letters.size(), 5u);
+  EXPECT_EQ(image->dead_letter_totals.total(), 5);
+}
+
 // How a restarted source catches up: a replayable one resumes its input
 // at next_offset(), one that cannot be replayed commits after every batch
 // and produces nothing twice.
 enum class Resume { kAtOffset, kCommitEachBatch };
 
-constexpr size_t kBatch = 3;
+// A source for the restart test: its queries, its events, and how many
+// produces each Pump (or Commit) closes.
+struct Source {
+  std::string name;
+  std::vector<std::string> queries;
+  std::vector<workloads::Event> events;
+  size_t batch;
+};
 
-// Produces `events[from, to)` in batches of kBatch (by absolute index),
-// closing each batch with Pump or, for kCommitEachBatch, Commit.
-void ProduceBatches(Runtime* rt, Resume resume,
-                    const std::vector<workloads::Event>& events, size_t from,
-                    size_t to) {
+Source BikeSource() { return {"bike", BikeQueries(), BikeStream(), 3}; }
+
+// X nodes in runs of tied timestamps, with a pump after every element,
+// so a cut lands inside a run of ties.
+Source TiesSource() {
+  Source source{"ties", {kTiesQuery}, {}, 1};
+  const std::vector<int64_t> seconds = {1, 1, 2, 2, 2, 3, 4, 4, 4,
+                                        4, 5, 5, 6, 7, 7, 7, 9, 9};
+  for (size_t i = 0; i < seconds.size(); ++i) {
+    const int64_t id = static_cast<int64_t>(i) + 1;
+    source.events.push_back(
+        {GraphBuilder().Node(id, {"X"}, {{"id", Value::Int(id)}}).Build(),
+         Timestamp::FromMillis(seconds[i] * 1000)});
+  }
+  return source;
+}
+
+// Produces `source.events[from, to)` in batches of `source.batch` (by
+// absolute index), closing each batch with Pump or, for kCommitEachBatch,
+// Commit.
+void ProduceBatches(Runtime* rt, Resume resume, const Source& source,
+                    size_t from, size_t to) {
+  const std::vector<workloads::Event>& events = source.events;
   for (size_t i = from; i < to; ++i) {
     auto graph = std::make_shared<const PropertyGraph>(events[i].graph);
     ASSERT_TRUE(rt->Produce(graph, events[i].timestamp).ok()) << i;
-    if ((i + 1) % kBatch == 0 || i + 1 == events.size()) {
+    if ((i + 1) % source.batch == 0 || i + 1 == events.size()) {
       ASSERT_TRUE((resume == Resume::kAtOffset ? rt->Pump() : rt->Commit())
                       .ok())
           << i;
@@ -413,24 +507,25 @@ void ProduceBatches(Runtime* rt, Resume resume,
   }
 }
 
-// One life: registers the bike queries, starts, and produces `events`
-// from where it resumes up to `cut` (or to the end, then Finish). A cut
-// life is dropped without Finish, as a crash would leave it, with the
-// elements produced since its last pump lost.
+// One life: registers the source's queries, starts, and produces its
+// events from where it resumes up to `cut` (or to the end, then Finish).
+// A cut life is dropped without Finish, as a crash would leave it, with
+// the elements produced since its last pump lost.
 std::vector<std::string> Life(const RuntimeOptions& options, Resume resume,
-                              const std::vector<workloads::Event>& events,
+                              const Source& source,
                               std::optional<size_t> cut,
                               size_t* resumed_at = nullptr) {
   Runtime rt(options);
   RecordingSink sink;
   rt.AddSink(&sink);
-  for (const std::string& text : BikeQueries()) {
+  for (const std::string& text : source.queries) {
     EXPECT_TRUE(rt.Register(text).ok()) << text;
   }
   EXPECT_TRUE(rt.Start().ok());
   const size_t from = rt.next_offset();
   if (resumed_at != nullptr) *resumed_at = from;
-  ProduceBatches(&rt, resume, events, from, cut.value_or(events.size()));
+  ProduceBatches(&rt, resume, source, from,
+                 cut.value_or(source.events.size()));
   if (!cut.has_value()) {
     EXPECT_TRUE(rt.Finish().ok());
   }
@@ -439,51 +534,55 @@ std::vector<std::string> Life(const RuntimeOptions& options, Resume resume,
 
 // A durable runtime cut at a random point, restarted with `restore`:
 // what the first life emitted plus what the second emits is the
-// uninterrupted run, for both resume styles, bounded and unbounded. A
-// replayable source may be cut anywhere and produces again what the
-// checkpoint does not cover; an unreplayable one is cut after a Commit,
-// since a batch it never acknowledged is its client's to send again.
+// uninterrupted run, for both resume styles, bounded and unbounded, over
+// the bike stream and over a stream of timestamp ties. A replayable
+// source may be cut anywhere and produces again what the checkpoint does
+// not cover; an unreplayable one is cut after a Commit, since a batch it
+// never acknowledged is its client's to send again.
 TEST(RuntimeTest, RestartAtARandomPumpConcatenatesToTheUninterruptedRun) {
-  const std::vector<workloads::Event> events = BikeStream();
-  const size_t batches = (events.size() + kBatch - 1) / kBatch;
   std::mt19937 rng(2026);
   int produced_again = 0;
-  for (const Resume resume : {Resume::kAtOffset, Resume::kCommitEachBatch}) {
-    for (const size_t capacity : {size_t{0}, size_t{3}}) {
-      RuntimeOptions plain;
-      plain.tool = "runtime_test";
-      plain.queue.capacity = capacity;
-      const std::vector<std::string> expected =
-          Life(plain, resume, events, std::nullopt);
-      ASSERT_GT(expected.size(), 20u);
-      for (int round = 0; round < 3; ++round) {
-        const size_t draw = static_cast<size_t>(rng());
-        const size_t cut = resume == Resume::kAtOffset
-                               ? 1 + draw % (events.size() - 1)
-                               : kBatch * (1 + draw % (batches - 1));
-        SCOPED_TRACE(std::string(resume == Resume::kAtOffset
-                                     ? "resume at offset"
-                                     : "commit each batch") +
-                     ", capacity " + std::to_string(capacity) + ", cut " +
-                     std::to_string(cut));
-        RuntimeOptions durable = Durable("restart_split");
-        durable.queue.capacity = capacity;
-        std::vector<std::string> lives =
-            Life(durable, resume, events, cut);
-        durable.restore = true;
-        size_t resumed_at = 0;
-        const std::vector<std::string> suffix =
-            Life(durable, resume, events, std::nullopt, &resumed_at);
-        if (resume == Resume::kCommitEachBatch) {
-          // Every acknowledged batch was committed: nothing is produced
-          // twice.
-          EXPECT_EQ(resumed_at, cut);
-        } else {
-          EXPECT_LE(resumed_at, cut);
-          if (resumed_at < cut) ++produced_again;
+  for (const Source& source : {BikeSource(), TiesSource()}) {
+    const size_t events = source.events.size();
+    const size_t batches = (events + source.batch - 1) / source.batch;
+    for (const Resume resume :
+         {Resume::kAtOffset, Resume::kCommitEachBatch}) {
+      for (const size_t capacity : {size_t{0}, size_t{3}}) {
+        RuntimeOptions plain;
+        plain.tool = "runtime_test";
+        plain.queue.capacity = capacity;
+        const std::vector<std::string> expected =
+            Life(plain, resume, source, std::nullopt);
+        ASSERT_GT(expected.size(), 8u);
+        for (int round = 0; round < 3; ++round) {
+          const size_t draw = static_cast<size_t>(rng());
+          const size_t cut =
+              resume == Resume::kAtOffset
+                  ? 1 + draw % (events - 1)
+                  : source.batch * (1 + draw % (batches - 1));
+          SCOPED_TRACE(source.name + ", " +
+                       (resume == Resume::kAtOffset ? "resume at offset"
+                                                    : "commit each batch") +
+                       ", capacity " + std::to_string(capacity) + ", cut " +
+                       std::to_string(cut));
+          RuntimeOptions durable = Durable("restart_split");
+          durable.queue.capacity = capacity;
+          std::vector<std::string> lives = Life(durable, resume, source, cut);
+          durable.restore = true;
+          size_t resumed_at = 0;
+          const std::vector<std::string> suffix =
+              Life(durable, resume, source, std::nullopt, &resumed_at);
+          if (resume == Resume::kCommitEachBatch) {
+            // Every acknowledged batch was committed: nothing is produced
+            // twice.
+            EXPECT_EQ(resumed_at, cut);
+          } else {
+            EXPECT_LE(resumed_at, cut);
+            if (resumed_at < cut) ++produced_again;
+          }
+          lives.insert(lives.end(), suffix.begin(), suffix.end());
+          EXPECT_EQ(lives, expected);
         }
-        lives.insert(lives.end(), suffix.begin(), suffix.end());
-        EXPECT_EQ(lives, expected);
       }
     }
   }

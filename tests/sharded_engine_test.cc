@@ -6,12 +6,14 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <filesystem>
 #include <memory>
 #include <string>
 #include <vector>
 
 #include "graph/graph_builder.h"
 #include "io/json.h"
+#include "persist/recovery.h"
 #include "seraph/continuous_engine.h"
 #include "seraph/sinks.h"
 #include "shard/partitioner.h"
@@ -268,6 +270,62 @@ TEST(ShardedEngineTest, MergedOutputIsOrderedByTimeThenQuery) {
   for (int s = 0; s < 2; ++s) {
     EXPECT_EQ(fleet.shard_engine(s)->clock(), T(12)) << s;
   }
+}
+
+// The durable fleet perfbench's fraud_durable runs: every shard commits
+// one generation at the end of every pump (checkpoint_every = 1), and its
+// lane queues keep nothing once a pump has delivered them.
+TEST(ShardedEngineTest, DurableShardsCommitOnceAPumpAndKeepNoQueueSuffix) {
+  const std::string dir = ::testing::TempDir() + "seraph_sharded_durable";
+  std::filesystem::remove_all(dir);
+  ShardedEngineOptions options;
+  options.shards = 2;
+  options.checkpoint_dir = dir;
+  options.checkpoint_every = 1;
+  options.checkpoint_fsync = false;
+  ShardedEngine fleet(options);
+  ASSERT_TRUE(fleet.AddRoute("left", HasLabel("L"), FixedShard(0)).ok());
+  ASSERT_TRUE(fleet.AddRoute("right", HasLabel("L"), FixedShard(1)).ok());
+  for (const char* stream : {"left", "right"}) {
+    ASSERT_TRUE(fleet
+                    .RegisterText(std::string("REGISTER QUERY ") + stream +
+                                  " STARTING AT '1970-01-01T00:01' { MATCH "
+                                  "(n:L) WITHIN PT10M FROM " + stream +
+                                  " EMIT n.id SNAPSHOT EVERY PT1M }")
+                    .ok());
+  }
+  OrderSink sink;
+  fleet.AddSink(&sink);
+  constexpr int kPumps = 6;
+  for (int m = 1; m <= kPumps; ++m) {
+    ASSERT_TRUE(fleet.Ingest(Labeled("L", m), T(m)).ok());
+    ASSERT_TRUE(fleet.PumpAll().ok());
+    // Each pump fires one instant on each shard.
+    EXPECT_EQ(sink.entries().size(), static_cast<size_t>(2 * m));
+    for (int s = 0; s < 2; ++s) {
+      for (const char* stream : {"", "left", "right"}) {
+        const EventQueue* queue = fleet.lane_queue(s, stream);
+        if (queue == nullptr) continue;
+        EXPECT_EQ(queue->depth(), 0u)
+            << "shard " << s << " lane '" << stream << "' after pump " << m;
+      }
+    }
+  }
+  for (int s = 0; s < 2; ++s) {
+    SCOPED_TRACE("shard " + std::to_string(s));
+    auto image = persist::LoadLatestCheckpoint(dir + "/shard-" +
+                                               std::to_string(s));
+    ASSERT_TRUE(image.ok()) << image.status();
+    EXPECT_EQ(image->engine.clock, T(kPumps));
+    EXPECT_EQ(fleet.shard_engine(s)
+                  ->metrics()
+                  .FindCounter("seraph_checkpoint_total")
+                  ->value(),
+              kPumps);
+  }
+  EXPECT_NE(fleet.lane_queue(0, "left"), nullptr);
+  EXPECT_EQ(fleet.lane_queue(0, "right"), nullptr);
+  std::filesystem::remove_all(dir);
 }
 
 TEST(ShardedEngineTest, UnroutedElementsAreCountedAsDropped) {

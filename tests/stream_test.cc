@@ -269,54 +269,6 @@ TEST(BoundedEventQueueTest, DefaultPolicyRefusesWithoutWaiting) {
   EXPECT_EQ(q.rejected_total(), 1);
 }
 
-TEST(BoundedEventQueueTest, HorizonAlonePermitsTrimBeforeConsumerAttach) {
-  // Regression: TrimCommitted returned early when no consumer had ever
-  // attached, even with a valid checkpoint horizon — a bounded durable
-  // run that produces before the driver subscribes could never admit.
-  EventQueue q(Bounded(2, OverflowPolicy::kReject));
-  ASSERT_TRUE(q.Produce(Tiny(1), T(1)).ok());
-  ASSERT_TRUE(q.Produce(Tiny(2), T(2)).ok());
-  // No consumers, no horizon: nothing is provably consumed, so the full
-  // queue rejects.
-  EXPECT_EQ(q.Produce(Tiny(3), T(3)).code(), StatusCode::kUnavailable);
-  // A durable checkpoint covering the first entry permits trimming it
-  // even though no consumer has attached yet.
-  q.SetCheckpointHorizon(1);
-  ASSERT_TRUE(q.Produce(Tiny(3), T(3)).ok());
-  EXPECT_EQ(q.base_offset(), 1u);
-  EXPECT_EQ(q.depth(), 2u);
-  // A consumer attaching later starts at the oldest retained element and
-  // joins the floor from there.
-  q.Subscribe("c");
-  EXPECT_EQ(*q.OffsetOf("c"), 1u);
-  EXPECT_EQ(q.Poll("c", 10)->size(), 2u);
-}
-
-TEST(BoundedEventQueueTest, CheckpointHorizonHoldsUncommittedSuffix) {
-  EventQueue q;
-  q.Subscribe("c");
-  for (int64_t i = 1; i <= 3; ++i) {
-    ASSERT_TRUE(q.Produce(Tiny(i), T(i)).ok());
-  }
-  EXPECT_EQ(q.Poll("c", 10)->size(), 3u);
-  // The consumer is at 3, but only offsets < 1 are durably checkpointed:
-  // the replay suffix [1, 3) must stay retained.
-  q.SetCheckpointHorizon(1);
-  EXPECT_EQ(q.TrimCommitted(), 1u);
-  EXPECT_EQ(q.base_offset(), 1u);
-  EXPECT_EQ(q.depth(), 2u);
-  // A later commit advances the horizon and releases the rest.
-  q.SetCheckpointHorizon(3);
-  EXPECT_EQ(q.TrimCommitted(), 2u);
-  EXPECT_EQ(q.depth(), 0u);
-  EXPECT_EQ(q.size(), 3u);
-  // MaxTimestamp survives a trim-to-empty, and append order is still
-  // enforced against the last appended element, not the retained ones.
-  EXPECT_EQ(q.MaxTimestamp(), T(3));
-  EXPECT_EQ(q.Produce(Tiny(9), T(2)).code(), StatusCode::kOutOfRange);
-  ASSERT_TRUE(q.Produce(Tiny(4), T(4)).ok());
-}
-
 TEST(BoundedEventQueueTest, SeekBelowRetentionBaseFails) {
   EventQueue q(Bounded(2, OverflowPolicy::kShedOldest));
   q.Subscribe("c");
@@ -354,14 +306,17 @@ TEST(BoundedEventQueueTest, RestoreOffsetRebasesAnEmptyQueue) {
   EXPECT_EQ(q.size(), 8u);
   EXPECT_EQ(q.rejected_total(), 0);
 
-  // A queue that already holds elements keeps Seek's range check.
+  // A restart re-produces into an empty queue; a queue that already
+  // holds elements (or was re-based once) is refused and left as it was.
   EventQueue filled;
   ASSERT_TRUE(filled.Produce(Tiny(1), T(1)).ok());
   ASSERT_TRUE(filled.Produce(Tiny(2), T(2)).ok());
-  ASSERT_TRUE(filled.RestoreOffset("c", 2, T(2)).ok());
-  EXPECT_EQ(filled.Poll("c", 10)->size(), 0u);
-  EXPECT_EQ(filled.RestoreOffset("d", 3, T(2)).code(),
-            StatusCode::kOutOfRange);
+  EXPECT_EQ(filled.RestoreOffset("c", 2, T(2)).code(),
+            StatusCode::kFailedPrecondition);
+  EXPECT_FALSE(filled.HasConsumer("c"));
+  EXPECT_EQ(filled.depth(), 2u);
+  EXPECT_EQ(q.RestoreOffset("d", 8, T(7)).code(),
+            StatusCode::kFailedPrecondition);
 }
 
 TEST(GraphStreamTest, DropFrontKeepsOrderAndMaxTimestamp) {

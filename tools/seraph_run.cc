@@ -31,13 +31,12 @@
 // deterministic fault injector for chaos runs (common/fault.h).
 //
 // Durability (docs/INTERNALS.md, "Durability & recovery"):
-// --checkpoint-dir commits atomic checkpoints (engine state, consumer
-// offset, dead letters) at the engine's batch barrier every
-// --checkpoint-every batches; --restore resumes from the newest valid
-// generation and produces the log from its consumer offset on, so the
-// output is the suffix the checkpoint did not cover, bit-identically; a
-// log shorter than that offset fails the run; --inspect-checkpoint
-// prints every generation and exits.
+// --checkpoint-dir commits an atomic checkpoint (engine state, consumer
+// offset, dead letters) at the end of every pump; --restore resumes from
+// the newest valid generation and produces the log from its consumer
+// offset on, so the output is the suffix the checkpoint did not cover,
+// bit-identically; a log shorter than that offset fails the run;
+// --inspect-checkpoint prints every generation and exits.
 #include <fstream>
 #include <iostream>
 #include <sstream>
@@ -139,7 +138,6 @@ int main(int argc, char** argv) {
   int64_t progress_every = 0;
   runtime::RuntimeOptions options;
   options.tool = "seraph_run";
-  options.checkpoint_every = 1;
   runtime::CommandLine cli(
       "seraph_run",
       "<query.seraph> <events.log> [flags]\n"
@@ -164,9 +162,6 @@ int main(int argc, char** argv) {
            4096, "SERAPH_MATCH_THREADS"},
           {"--checkpoint-dir=<dir>", &options.checkpoint_dir,
            "commit checkpoints into <dir>"},
-          {"--checkpoint-every=<n>", &options.checkpoint_every,
-           "checkpoint cadence in evaluation batches (default 1)", 1,
-           runtime::kNoMax, "SERAPH_CHECKPOINT_EVERY"},
           {"--restore", &options.restore,
            "resume from the newest checkpoint in --checkpoint-dir"},
           {"--inspect-checkpoint", &inspect_checkpoint,
@@ -270,7 +265,6 @@ int main(int argc, char** argv) {
       PrintProgressLine(engine, name, produced + 1, events->size());
     }
   }
-  if (Status s = rt.Pump(); !s.ok()) return cli.Fail(s.ToString());
   if (Status s = rt.Finish(); !s.ok()) return cli.Fail(s.ToString());
   if (progress_every > 0) {
     PrintProgressLine(engine, name, produced, events->size());

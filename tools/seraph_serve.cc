@@ -11,6 +11,9 @@
 //   POST /ingest                 JSON lines, one event per line:
 //                                {"t_ms": <int>, "graph": "<graph text>"}
 //                                (graph text as in io/graph_text.h).
+//                                Every line is checked before any is
+//                                produced: a malformed line refuses the
+//                                batch with 400, a late one with 409.
 //                                The batch is produced, evaluated through
 //                                its newest timestamp and, when durable,
 //                                committed before the reply
@@ -24,11 +27,11 @@
 //   GET  /metrics                The engine registry (Prometheus text).
 //   GET  /healthz                Liveness.
 //
-// With --checkpoint-dir each ingest batch is committed as a checkpoint
-// generation before its reply (a failed commit fails the request), on
-// top of the batch-barrier commits (--checkpoint-every), and startup
-// restores the newest generation. POST /ingest cannot be replayed and
-// needs no replay: every acknowledged batch is in that generation.
+// With --checkpoint-dir each ingest batch is committed as one checkpoint
+// generation before its reply (a failed commit fails the request), and
+// startup restores the newest generation. POST /ingest cannot be
+// replayed and needs no replay: every acknowledged batch is in that
+// generation.
 // Queries preloaded with --queries (one REGISTER QUERY statement per
 // file) are re-registered before the restore, which is what makes their
 // checkpointed state recoverable. Every handler runs on the server
@@ -125,6 +128,26 @@ int64_t AfterFromQuery(const std::string& query) {
   return 0;
 }
 
+// One POST /ingest line: {"t_ms": <int>, "graph": "<graph text>"}.
+Result<StreamElement> ParseIngestLine(const std::string& line) {
+  auto doc = io::ParseJson(line);
+  if (doc.ok() && doc->is_map()) {
+    const Value::Map& fields = doc->AsMap();
+    auto t_it = fields.find("t_ms");
+    auto g_it = fields.find("graph");
+    if (t_it != fields.end() && t_it->second.is_int() &&
+        g_it != fields.end() && g_it->second.is_string()) {
+      SERAPH_ASSIGN_OR_RETURN(PropertyGraph graph,
+                              io::DecodeGraph(g_it->second.AsString()));
+      return StreamElement{
+          std::make_shared<const PropertyGraph>(std::move(graph)),
+          Timestamp::FromMillis(t_it->second.AsInt())};
+    }
+  }
+  return Status::InvalidArgument(
+      "expected {\"t_ms\": <int>, \"graph\": <graph text>}");
+}
+
 HttpReply JsonReply(int code, const char* reason, std::string body) {
   HttpReply reply;
   reply.code = code;
@@ -148,7 +171,6 @@ int main(int argc, char** argv) {
   runtime::RuntimeOptions options;
   options.tool = "seraph_serve";
   options.metrics_port = 0;
-  options.checkpoint_every = 1;
   runtime::CommandLine cli("seraph_serve", "[flags]", {
       {"--port=<p>", &options.metrics_port,
        "HTTP port on 127.0.0.1 (0 = ephemeral)", 0, 65535},
@@ -156,8 +178,6 @@ int main(int argc, char** argv) {
        "REGISTER QUERY file registered at startup (repeatable)"},
       {"--checkpoint-dir=<dir>", &options.checkpoint_dir,
        "commit every ingest batch here and restore from it on startup"},
-      {"--checkpoint-every=<n>", &options.checkpoint_every,
-       "checkpoint cadence in evaluation batches (default 1)", 1},
       {"--queue-capacity=<n>", &options.queue.capacity,
        "bound the event queue (default unbounded)", 1},
       {"--overflow-policy=<reject|shed_oldest>",
@@ -234,48 +254,39 @@ int main(int argc, char** argv) {
 
   server.Handle("POST", "/ingest", [&](const HttpRequest& request)
                                        -> std::optional<HttpReply> {
-    int64_t ingested = 0;
+    // Every line is checked before any is produced, so a refused batch
+    // leaves nothing queued and its client may send it again whole.
+    std::vector<StreamElement> batch;
+    std::optional<Timestamp> newest;
+    if (rt.queue().size() > 0) newest = rt.queue().MaxTimestamp();
     std::istringstream lines(request.body);
     std::string line;
     int line_no = 0;
     while (std::getline(lines, line)) {
       ++line_no;
       if (line.empty() || line[0] == '#') continue;
-      auto doc = io::ParseJson(line);
-      if (!doc.ok() || !doc->is_map()) {
+      const std::string where = "line " + std::to_string(line_no) + ": ";
+      auto element = ParseIngestLine(line);
+      if (!element.ok()) {
         return ErrorReply(400, "Bad Request",
-                          "line " + std::to_string(line_no) +
-                              ": expected {\"t_ms\": <int>, \"graph\": "
-                              "<graph text>}");
+                          where + element.status().ToString());
       }
-      const Value::Map& fields = doc->AsMap();
-      auto t_it = fields.find("t_ms");
-      auto g_it = fields.find("graph");
-      if (t_it == fields.end() || !t_it->second.is_int() ||
-          g_it == fields.end() || !g_it->second.is_string()) {
-        return ErrorReply(400, "Bad Request",
-                          "line " + std::to_string(line_no) +
-                              ": expected {\"t_ms\": <int>, \"graph\": "
-                              "<graph text>}");
+      const Timestamp t = element->timestamp;
+      if (newest.has_value() && t < *newest) {
+        return ErrorReply(409, "Conflict",
+                          where + "late element at " + t.ToString() +
+                              ", after " + newest->ToString());
       }
-      auto graph = io::DecodeGraph(g_it->second.AsString());
-      if (!graph.ok()) {
-        return ErrorReply(400, "Bad Request",
-                          "line " + std::to_string(line_no) + ": " +
-                              graph.status().ToString());
+      newest = t;
+      batch.push_back(std::move(element).value());
+    }
+    // What can still fail here is the queue itself (a bounded one that
+    // cannot free space), which leaves the earlier lines produced.
+    for (StreamElement& element : batch) {
+      if (Status s = rt.Produce(std::move(element.graph), element.timestamp);
+          !s.ok()) {
+        return ErrorReply(500, "Internal Server Error", s.ToString());
       }
-      Status produced = rt.Produce(
-          std::make_shared<const PropertyGraph>(std::move(graph).value()),
-          Timestamp::FromMillis(t_it->second.AsInt()));
-      if (!produced.ok()) {
-        const int code =
-            produced.code() == StatusCode::kOutOfRange ? 409 : 500;
-        return ErrorReply(code,
-                          code == 409 ? "Conflict" : "Internal Server Error",
-                          "line " + std::to_string(line_no) + ": " +
-                              produced.ToString());
-      }
-      ++ingested;
     }
     // An ingest batch is complete: its newest instant closes with it (so
     // elements a later batch sends at that timestamp miss that instant),
@@ -285,7 +296,8 @@ int main(int argc, char** argv) {
     }
     return JsonReply(
         200, "OK",
-        "{\"ingested\":" + std::to_string(ingested) + ",\"watermark_ms\":" +
+        "{\"ingested\":" + std::to_string(batch.size()) +
+            ",\"watermark_ms\":" +
             std::to_string(engine.stream().MaxTimestamp().millis()) + "}\n");
   });
 
