@@ -156,6 +156,7 @@ class ListExpr final : public Expr {
       const std::function<void(const Expr&)>& fn) const override {
     for (const ExprPtr& e : items_) fn(*e);
   }
+  const std::vector<ExprPtr>& items() const { return items_; }
 
  private:
   std::vector<ExprPtr> items_;
@@ -188,6 +189,8 @@ class UnaryExpr final : public Expr {
       const std::function<void(const Expr&)>& fn) const override {
     fn(*operand_);
   }
+  UnaryOp op() const { return op_; }
+  const Expr& operand() const { return *operand_; }
 
  private:
   UnaryOp op_;
@@ -221,6 +224,9 @@ class BinaryExpr final : public Expr {
     fn(*lhs_);
     fn(*rhs_);
   }
+  BinaryOp op() const { return op_; }
+  const Expr& lhs() const { return *lhs_; }
+  const Expr& rhs() const { return *rhs_; }
 
  private:
   BinaryOp op_;
@@ -243,6 +249,7 @@ class ComparisonExpr final : public Expr {
       const std::function<void(const Expr&)>& fn) const override {
     for (const ExprPtr& e : operands_) fn(*e);
   }
+  const std::vector<ExprPtr>& operands() const { return operands_; }
 
  private:
   std::vector<ExprPtr> operands_;
@@ -262,6 +269,7 @@ class IsNullExpr final : public Expr {
       const std::function<void(const Expr&)>& fn) const override {
     fn(*operand_);
   }
+  const Expr& operand() const { return *operand_; }
 
  private:
   ExprPtr operand_;
@@ -317,6 +325,10 @@ class ListComprehensionExpr final : public Expr {
     if (where_) fn(*where_);
     if (projection_) fn(*projection_);
   }
+  const std::string& var() const { return var_; }
+  const Expr& list() const { return *list_; }
+  const Expr* where() const { return where_.get(); }
+  const Expr* projection() const { return projection_.get(); }
 
  private:
   std::string var_;
@@ -370,6 +382,10 @@ class QuantifierExpr final : public Expr {
     fn(*list_);
     fn(*predicate_);
   }
+  Quantifier quantifier() const { return quantifier_; }
+  const std::string& var() const { return var_; }
+  const Expr& list() const { return *list_; }
+  const Expr& predicate() const { return *predicate_; }
 
  private:
   Quantifier quantifier_;
@@ -469,6 +485,7 @@ class ExistsPatternExpr final : public Expr {
       for (const auto& [key, expr] : rp.properties) fn(*expr);
     }
   }
+  const PathPattern& pattern() const { return pattern_; }
 
  private:
   PathPattern pattern_;

@@ -120,6 +120,17 @@ Value TernaryNot(const Value& a) {
 
 bool IsTruthy(const Value& v) { return v.is_bool() && v.AsBool(); }
 
+namespace {
+
+// Connective operands and quantifier predicates are boolean or null; any
+// other value is a type error, reported as such rather than aborting.
+Status RequireBooleanOrNull(const Value& v, const char* what) {
+  if (v.is_bool() || v.is_null()) return Status::OK();
+  return Status::EvaluationError(std::string(what) + " requires a boolean");
+}
+
+}  // namespace
+
 Value CypherIn(const Value& element, const Value& list) {
   if (list.is_null()) return Value::Null();
   if (!list.is_list()) return Value::Null();
@@ -377,11 +388,8 @@ Result<Value> UnaryExpr::Eval(EvalContext& ctx) const {
   SERAPH_ASSIGN_OR_RETURN(Value v, operand_->Eval(ctx));
   switch (op_) {
     case UnaryOp::kNot:
-      if (v.is_null()) return Value::Null();
-      if (!v.is_bool()) {
-        return Status::EvaluationError("NOT requires a boolean");
-      }
-      return Value::Bool(!v.AsBool());
+      SERAPH_RETURN_IF_ERROR(RequireBooleanOrNull(v, "NOT"));
+      return TernaryNot(v);
     case UnaryOp::kNegate:
       if (v.is_null()) return Value::Null();
       if (v.is_int()) return Value::Int(-v.AsInt());
@@ -399,20 +407,26 @@ Result<Value> BinaryExpr::Eval(EvalContext& ctx) const {
   // Short-circuiting ternary connectives.
   if (op_ == BinaryOp::kAnd) {
     SERAPH_ASSIGN_OR_RETURN(Value a, lhs_->Eval(ctx));
+    SERAPH_RETURN_IF_ERROR(RequireBooleanOrNull(a, "AND"));
     if (a.is_bool() && !a.AsBool()) return Value::Bool(false);
     SERAPH_ASSIGN_OR_RETURN(Value b, rhs_->Eval(ctx));
+    SERAPH_RETURN_IF_ERROR(RequireBooleanOrNull(b, "AND"));
     return TernaryAnd(a, b);
   }
   if (op_ == BinaryOp::kOr) {
     SERAPH_ASSIGN_OR_RETURN(Value a, lhs_->Eval(ctx));
+    SERAPH_RETURN_IF_ERROR(RequireBooleanOrNull(a, "OR"));
     if (a.is_bool() && a.AsBool()) return Value::Bool(true);
     SERAPH_ASSIGN_OR_RETURN(Value b, rhs_->Eval(ctx));
+    SERAPH_RETURN_IF_ERROR(RequireBooleanOrNull(b, "OR"));
     return TernaryOr(a, b);
   }
   SERAPH_ASSIGN_OR_RETURN(Value a, lhs_->Eval(ctx));
   SERAPH_ASSIGN_OR_RETURN(Value b, rhs_->Eval(ctx));
   switch (op_) {
     case BinaryOp::kXor:
+      SERAPH_RETURN_IF_ERROR(RequireBooleanOrNull(a, "XOR"));
+      SERAPH_RETURN_IF_ERROR(RequireBooleanOrNull(b, "XOR"));
       return TernaryXor(a, b);
     case BinaryOp::kIn:
       return CypherIn(a, b);
@@ -561,6 +575,8 @@ Result<Value> QuantifierExpr::Eval(EvalContext& ctx) const {
     ctx.PopLocal();
     if (!pred.ok()) return pred.status();
     const Value& p = pred.value();
+    SERAPH_RETURN_IF_ERROR(
+        RequireBooleanOrNull(p, "quantified predicate"));
     if (p.is_null()) {
       saw_null = true;
     } else if (p.AsBool()) {

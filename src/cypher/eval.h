@@ -127,7 +127,7 @@ Value CypherEquals(const Value& a, const Value& b);
 // comparable; otherwise boolean.
 Value CypherCompare(CmpOp op, const Value& a, const Value& b);
 
-// Kleene three-valued connectives.
+// Kleene three-valued connectives over boolean-or-null operands.
 Value TernaryAnd(const Value& a, const Value& b);
 Value TernaryOr(const Value& a, const Value& b);
 Value TernaryXor(const Value& a, const Value& b);

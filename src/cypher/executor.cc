@@ -1,7 +1,9 @@
 #include "cypher/executor.h"
 
 #include <algorithm>
+#include <optional>
 #include <unordered_map>
+#include <variant>
 #include <vector>
 
 #include "cypher/eval.h"
@@ -12,21 +14,278 @@ namespace seraph {
 
 namespace {
 
-// Free variables a pattern list introduces (node, relationship, and path
-// variables).
+// Adds the variables a path pattern introduces (node, relationship, and
+// path variables) to `vars`.
+void AddPathVariables(const PathPattern& path, std::set<std::string>* vars) {
+  if (!path.path_variable.empty()) vars->insert(path.path_variable);
+  for (const NodePattern& np : path.nodes) {
+    if (!np.variable.empty()) vars->insert(np.variable);
+  }
+  for (const RelPattern& rp : path.rels) {
+    if (!rp.variable.empty()) vars->insert(rp.variable);
+  }
+}
+
+// Free variables a pattern list introduces.
 std::set<std::string> PatternVariables(
     const std::vector<PathPattern>& patterns) {
   std::set<std::string> vars;
-  for (const PathPattern& path : patterns) {
-    if (!path.path_variable.empty()) vars.insert(path.path_variable);
-    for (const NodePattern& np : path.nodes) {
-      if (!np.variable.empty()) vars.insert(np.variable);
-    }
-    for (const RelPattern& rp : path.rels) {
-      if (!rp.variable.empty()) vars.insert(rp.variable);
+  for (const PathPattern& path : patterns) AddPathVariables(path, &vars);
+  return vars;
+}
+
+// ---- Trail filters (docs/INTERNALS.md, "Trail filters") ----
+//
+// A conjunct ALL(e IN relationships(q) WHERE P) of the MATCH's WHERE, or of
+// the WHERE of a per-row WITH right after it, drops every row whose trail
+// q has a relationship with P false before any with P failing. The matcher
+// drops those rows while it expands q (TrailFilter, cypher/matcher.h). That
+// is exact only when nothing such a row would have run on its way to the
+// ALL can fail, so the gate admits a small whitelist of infallible
+// expressions; anything else keeps the post-filter alone. The WHERE stays
+// in place either way.
+
+// What the gate knows of a variable in scope: every row binds it, and,
+// past kValue, to what.
+struct ScopeVar {
+  enum Kind { kValue, kNode, kRel, kPath, kPathRels } kind = kValue;
+  // kPath / kPathRels: the MATCH's path variable the value is (the
+  // relationships of).
+  std::string path;
+};
+using Scope = std::map<std::string, ScopeVar>;
+
+// The variables every row holds before clause `index` (kinds unknown).
+Scope ScopeBefore(const std::vector<Clause>& clauses, size_t index) {
+  Scope scope;
+  for (size_t i = 0; i < index; ++i) {
+    if (const auto* match = std::get_if<MatchClause>(&clauses[i])) {
+      for (const std::string& v : PatternVariables(match->patterns)) {
+        scope[v] = ScopeVar{};
+      }
+    } else if (const auto* unwind = std::get_if<UnwindClause>(&clauses[i])) {
+      scope[unwind->alias] = ScopeVar{};
+    } else if (const auto* with = std::get_if<WithClause>(&clauses[i])) {
+      if (!with->body.include_all) scope.clear();
+      for (const ProjectionItem& item : with->body.items) {
+        scope[item.alias] = ScopeVar{};
+      }
     }
   }
-  return vars;
+  return scope;
+}
+
+// Adds what a row of the non-optional `match` binds its pattern variables
+// to. A name used in two roles is only known to be bound.
+void AddMatchVariables(const MatchClause& match, Scope* scope) {
+  Scope bound;
+  auto add = [&bound](const std::string& name, ScopeVar var) {
+    if (name.empty()) return;
+    auto [it, inserted] = bound.emplace(name, var);
+    if (!inserted &&
+        (it->second.kind != var.kind || it->second.path != var.path)) {
+      it->second = ScopeVar{};
+    }
+  };
+  for (const PathPattern& path : match.patterns) {
+    add(path.path_variable, {ScopeVar::kPath, path.path_variable});
+    for (const NodePattern& np : path.nodes) {
+      add(np.variable, {ScopeVar::kNode, ""});
+    }
+    for (const RelPattern& rp : path.rels) {
+      // A variable-length relationship variable binds a list.
+      add(rp.variable,
+          rp.variable_length ? ScopeVar{} : ScopeVar{ScopeVar::kRel, ""});
+    }
+  }
+  for (auto& [name, var] : bound) (*scope)[name] = var;
+}
+
+// The kind of `name` when `expr` is that variable in `scope`, else null.
+const ScopeVar* VariableIn(const Expr& expr, const Scope& scope) {
+  const auto* var = dynamic_cast<const VariableExpr*>(&expr);
+  if (var == nullptr) return nullptr;
+  auto it = scope.find(var->name());
+  return it == scope.end() ? nullptr : &it->second;
+}
+
+// `nodes(p)` or `relationships(p)` of a path variable p in `scope`: the
+// element kind (kNode / kRel) and the path, else nullopt.
+std::optional<ScopeVar> PathListOf(const Expr& expr, const Scope& scope) {
+  const auto* call = dynamic_cast<const FunctionCallExpr*>(&expr);
+  if (call == nullptr || call->args().size() != 1) return std::nullopt;
+  const ScopeVar* arg = VariableIn(*call->args()[0], scope);
+  if (arg == nullptr || arg->kind != ScopeVar::kPath) return std::nullopt;
+  if (call->name() == "nodes") return ScopeVar{ScopeVar::kNode, arg->path};
+  if (call->name() == "relationships") {
+    return ScopeVar{ScopeVar::kRel, arg->path};
+  }
+  return std::nullopt;
+}
+
+bool Infallible(const Expr& expr, const Scope& scope);
+
+// A boolean-or-null expression that cannot fail: what a connective
+// operand must be (any other value is an evaluation error).
+bool InfalliblePredicate(const Expr& expr, const Scope& scope) {
+  if (const auto* literal = dynamic_cast<const LiteralExpr*>(&expr)) {
+    return literal->value().is_bool() || literal->value().is_null();
+  }
+  // Infallible admits no operators but IN, AND, OR, XOR and NOT, which
+  // like comparisons and IS NULL yield a boolean or null.
+  return (dynamic_cast<const ComparisonExpr*>(&expr) != nullptr ||
+          dynamic_cast<const IsNullExpr*>(&expr) != nullptr ||
+          dynamic_cast<const BinaryExpr*>(&expr) != nullptr ||
+          dynamic_cast<const UnaryExpr*>(&expr) != nullptr) &&
+         Infallible(expr, scope);
+}
+
+// Whether `expr` cannot fail over any row that binds `scope`. The
+// whitelist: literals and variables in scope; x.k on a node or
+// relationship; nodes(p), relationships(p), labels(n) and type(r);
+// comparisons, IN and IS [NOT] NULL; AND, OR, XOR and NOT over predicates;
+// list comprehensions over nodes(p) or relationships(p) built from these.
+bool Infallible(const Expr& expr, const Scope& scope) {
+  if (dynamic_cast<const LiteralExpr*>(&expr) != nullptr) return true;
+  if (dynamic_cast<const VariableExpr*>(&expr) != nullptr) {
+    return VariableIn(expr, scope) != nullptr;
+  }
+  if (const auto* property = dynamic_cast<const PropertyExpr*>(&expr)) {
+    const ScopeVar* object = VariableIn(property->object(), scope);
+    return object != nullptr &&
+           (object->kind == ScopeVar::kNode || object->kind == ScopeVar::kRel);
+  }
+  if (const auto* call = dynamic_cast<const FunctionCallExpr*>(&expr)) {
+    if (PathListOf(expr, scope).has_value()) return true;
+    if (call->args().size() != 1) return false;
+    const ScopeVar* arg = VariableIn(*call->args()[0], scope);
+    if (arg == nullptr) return false;
+    return (call->name() == "labels" && arg->kind == ScopeVar::kNode) ||
+           (call->name() == "type" && arg->kind == ScopeVar::kRel);
+  }
+  if (const auto* comparison = dynamic_cast<const ComparisonExpr*>(&expr)) {
+    for (const ExprPtr& operand : comparison->operands()) {
+      if (!Infallible(*operand, scope)) return false;
+    }
+    return true;
+  }
+  if (const auto* is_null = dynamic_cast<const IsNullExpr*>(&expr)) {
+    return Infallible(is_null->operand(), scope);
+  }
+  if (const auto* binary = dynamic_cast<const BinaryExpr*>(&expr)) {
+    if (binary->op() == BinaryOp::kIn) {
+      return Infallible(binary->lhs(), scope) &&
+             Infallible(binary->rhs(), scope);
+    }
+    if (binary->op() == BinaryOp::kAnd || binary->op() == BinaryOp::kOr ||
+        binary->op() == BinaryOp::kXor) {
+      return InfalliblePredicate(binary->lhs(), scope) &&
+             InfalliblePredicate(binary->rhs(), scope);
+    }
+    return false;
+  }
+  if (const auto* unary = dynamic_cast<const UnaryExpr*>(&expr)) {
+    return unary->op() == UnaryOp::kNot &&
+           InfalliblePredicate(unary->operand(), scope);
+  }
+  if (const auto* list = dynamic_cast<const ListExpr*>(&expr)) {
+    for (const ExprPtr& item : list->items()) {
+      if (!Infallible(*item, scope)) return false;
+    }
+    return true;
+  }
+  if (const auto* comp = dynamic_cast<const ListComprehensionExpr*>(&expr)) {
+    std::optional<ScopeVar> element = PathListOf(comp->list(), scope);
+    if (!element.has_value()) return false;
+    Scope inner = scope;
+    inner[comp->var()] = ScopeVar{element->kind, ""};
+    return (comp->where() == nullptr || Infallible(*comp->where(), inner)) &&
+           (comp->projection() == nullptr ||
+            Infallible(*comp->projection(), inner));
+  }
+  return false;
+}
+
+// Every variable name `expr` reads, including the variables of exists()
+// patterns (bound ones pin the pattern).
+void CollectReads(const Expr& expr, std::set<std::string>* reads) {
+  if (const auto* var = dynamic_cast<const VariableExpr*>(&expr)) {
+    reads->insert(var->name());
+  } else if (const auto* exists =
+                 dynamic_cast<const ExistsPatternExpr*>(&expr)) {
+    AddPathVariables(exists->pattern(), reads);
+  }
+  expr.VisitChildren(
+      [reads](const Expr& child) { CollectReads(child, reads); });
+}
+
+// The conjuncts of `expr`'s top-level AND chain, in evaluation order.
+void FlattenAnd(const Expr& expr, std::vector<const Expr*>* conjuncts) {
+  const auto* binary = dynamic_cast<const BinaryExpr*>(&expr);
+  if (binary != nullptr && binary->op() == BinaryOp::kAnd) {
+    FlattenAnd(binary->lhs(), conjuncts);
+    FlattenAnd(binary->rhs(), conjuncts);
+  } else {
+    conjuncts->push_back(&expr);
+  }
+}
+
+// Whether `with` passes `name` through under its own name: its last item
+// aliased `name` is that variable, or `*` carries it.
+bool PassesThrough(const ProjectionBody& with, const std::string& name) {
+  for (auto it = with.items.rbegin(); it != with.items.rend(); ++it) {
+    if (it->alias != name) continue;
+    const auto* var = dynamic_cast<const VariableExpr*>(it->expr.get());
+    return var != nullptr && var->name() == name;
+  }
+  return with.include_all;
+}
+
+// The trail filter of `where`'s first ALL conjunct over a path of `match`
+// (`scope` binds what `where` reads; `with` is the WITH between them, or
+// null), provided every conjunct before it is an infallible predicate.
+std::optional<TrailFilter> FilterFromWhere(const Expr& where,
+                                           const Scope& scope,
+                                           const MatchClause& match,
+                                           const ProjectionBody* with) {
+  std::vector<const Expr*> conjuncts;
+  FlattenAnd(where, &conjuncts);
+  for (const Expr* conjunct : conjuncts) {
+    const auto* all = dynamic_cast<const QuantifierExpr*>(conjunct);
+    if (all != nullptr && all->quantifier() == Quantifier::kAll) {
+      std::optional<ScopeVar> list = PathListOf(all->list(), scope);
+      if (!list.has_value()) {
+        const ScopeVar* alias = VariableIn(all->list(), scope);
+        if (alias != nullptr && alias->kind == ScopeVar::kPathRels) {
+          list = ScopeVar{ScopeVar::kRel, alias->path};
+        }
+      }
+      const PathPattern* trail = nullptr;
+      int named = 0;
+      if (list.has_value() && list->kind == ScopeVar::kRel) {
+        for (const PathPattern& path : match.patterns) {
+          if (path.path_variable != list->path) continue;
+          ++named;
+          if (path.mode == PathMode::kNormal) trail = &path;
+        }
+      }
+      if (trail != nullptr && named == 1) {
+        std::set<std::string> reads;
+        CollectReads(all->predicate(), &reads);
+        reads.erase(all->var());
+        if (with != nullptr) {
+          for (const std::string& name : reads) {
+            if (!PassesThrough(*with, name)) return std::nullopt;
+          }
+        }
+        return TrailFilter{trail, all->var(), &all->predicate(),
+                           std::vector<std::string>(reads.begin(),
+                                                    reads.end())};
+      }
+    }
+    if (!InfalliblePredicate(*conjunct, scope)) return std::nullopt;
+  }
+  return std::nullopt;
 }
 
 // Lexicographic ordering for grouping keys.
@@ -60,7 +319,11 @@ class Executor {
     for (size_t i = 0; i < query.clauses.size(); ++i) {
       const Clause& clause = query.clauses[i];
       if (const auto* match = std::get_if<MatchClause>(&clause)) {
-        SERAPH_ASSIGN_OR_RETURN(table, ApplyMatch(*match, i, table));
+        std::optional<TrailFilter> filter =
+            PlanTrailFilter(query.clauses, i);
+        SERAPH_ASSIGN_OR_RETURN(
+            table, ApplyMatch(*match, i, table,
+                              filter.has_value() ? &*filter : nullptr));
       } else if (const auto* unwind = std::get_if<UnwindClause>(&clause)) {
         SERAPH_ASSIGN_OR_RETURN(table, ApplyUnwind(*unwind, table));
       } else if (const auto* with = std::get_if<WithClause>(&clause)) {
@@ -78,7 +341,8 @@ class Executor {
   // ---- MATCH ----
 
   Result<Table> ApplyMatch(const MatchClause& match, size_t clause_index,
-                           const Table& input) {
+                           const Table& input,
+                           const TrailFilter* trail_filter) {
     const PropertyGraph& graph = resolver_.GraphFor(match, clause_index);
     std::set<std::string> fields = input.fields();
     std::set<std::string> new_vars = PatternVariables(match.patterns);
@@ -89,7 +353,8 @@ class Executor {
     for (const Record& row : input.rows()) {
       std::vector<Record> matches;
       SERAPH_RETURN_IF_ERROR(MatchPatterns(match.patterns, graph, row, ctx_,
-                                           &matches, match_options));
+                                           &matches, match_options,
+                                           trail_filter));
       size_t emitted = 0;
       for (Record& m : matches) {
         if (match.where != nullptr) {
@@ -287,6 +552,64 @@ class Executor {
 };
 
 }  // namespace
+
+std::optional<TrailFilter> PlanTrailFilter(const std::vector<Clause>& clauses,
+                                           size_t index) {
+  const MatchClause& match = std::get<MatchClause>(clauses[index]);
+  // Pruning would change OPTIONAL MATCH's "no match" decision.
+  if (match.optional) return std::nullopt;
+  if (std::none_of(match.patterns.begin(), match.patterns.end(),
+                   [](const PathPattern& path) {
+                     return !path.path_variable.empty();
+                   })) {
+    return std::nullopt;
+  }
+  const Scope input = ScopeBefore(clauses, index);
+  // A dropped branch skips the property maps its extensions would test.
+  for (const PathPattern& path : match.patterns) {
+    for (const NodePattern& np : path.nodes) {
+      for (const auto& [key, value] : np.properties) {
+        if (!Infallible(*value, input)) return std::nullopt;
+      }
+    }
+    for (const RelPattern& rp : path.rels) {
+      for (const auto& [key, value] : rp.properties) {
+        if (!Infallible(*value, input)) return std::nullopt;
+      }
+    }
+  }
+  Scope scope = input;
+  AddMatchVariables(match, &scope);
+  if (match.where != nullptr) {
+    if (std::optional<TrailFilter> filter =
+            FilterFromWhere(*match.where, scope, match, nullptr)) {
+      return filter;
+    }
+    if (!Infallible(*match.where, scope)) return std::nullopt;
+  }
+  if (index + 1 >= clauses.size()) return std::nullopt;
+  const auto* with = std::get_if<WithClause>(&clauses[index + 1]);
+  if (with == nullptr || with->where == nullptr) return std::nullopt;
+  const ProjectionBody& body = with->body;
+  if (body.distinct || !body.order_by.empty() || body.skip != nullptr ||
+      body.limit != nullptr) {
+    return std::nullopt;
+  }
+  Scope projected = body.include_all ? scope : Scope{};
+  for (const ProjectionItem& item : body.items) {
+    // Infallible also rules out aggregates.
+    if (!Infallible(*item.expr, scope)) return std::nullopt;
+    ScopeVar var;
+    if (const ScopeVar* source = VariableIn(*item.expr, scope)) {
+      var = *source;
+    } else if (std::optional<ScopeVar> list = PathListOf(*item.expr, scope);
+               list.has_value() && list->kind == ScopeVar::kRel) {
+      var = ScopeVar{ScopeVar::kPathRels, list->path};
+    }
+    projected[item.alias] = var;
+  }
+  return FilterFromWhere(*with->where, projected, match, &body);
+}
 
 RowProjection::RowProjection(const ProjectionBody& body,
                              const std::set<std::string>& input_fields) {

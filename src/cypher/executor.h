@@ -16,15 +16,14 @@
 
 #include "common/result.h"
 #include "cypher/ast.h"
+#include "cypher/matcher.h"
 #include "graph/property_graph.h"
 #include "table/table.h"
 #include "temporal/interval.h"
 
 namespace seraph {
 
-struct MatchParallelism;  // cypher/matcher.h
 class CancellationToken;  // common/cancel.h
-class EvalContext;        // cypher/eval.h
 
 struct ExecutionOptions {
   // Values for $parameters.
@@ -118,6 +117,15 @@ class RowProjection {
 Result<Table> FinishProjection(const ProjectionBody& body, Table rows,
                                const std::vector<Record>& sort_context,
                                EvalContext& ctx);
+
+// The trail filter the executor pushes into clause `index` of `clauses`, a
+// MATCH: a top-level ALL(e IN relationships(q) WHERE P) conjunct of the
+// MATCH's WHERE, or of the WHERE of a per-row WITH right after it, when
+// nothing a dropped row would run before that conjunct can fail
+// (docs/INTERNALS.md, "Trail filters"); nullopt otherwise. A pure function
+// of the clause list; the filter points into `clauses`.
+std::optional<TrailFilter> PlanTrailFilter(const std::vector<Clause>& clauses,
+                                           size_t index);
 
 // Evaluates one clause chain against `input` (Section 3.2's functional
 // composition); `input` is normally Table::Unit().

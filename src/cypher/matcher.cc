@@ -135,6 +135,9 @@ class Matcher {
     seed_end_ = end;
   }
 
+  // Prunes filter->path's trail while it is expanded (see TrailFilter).
+  void set_trail_filter(const TrailFilter* filter) { filter_ = filter; }
+
   Status Run(const Record& input) {
     current_ = input;
     return MatchPattern(0);
@@ -154,7 +157,17 @@ class Matcher {
       return MatchShortest(path, pattern_idx);
     }
     PathValue trail;
-    return MatchNode(path, 0, pattern_idx, /*forced=*/nullptr, &trail);
+    if (filter_ == nullptr || &path != filter_->path) {
+      return MatchNode(path, 0, pattern_idx, /*forced=*/nullptr, &trail);
+    }
+    // P may read only what is bound before the trail starts; otherwise
+    // this expansion runs unpruned.
+    filter_live_ = std::all_of(
+        filter_->reads.begin(), filter_->reads.end(),
+        [this](const std::string& name) { return current_.Has(name); });
+    Status s = MatchNode(path, 0, pattern_idx, /*forced=*/nullptr, &trail);
+    filter_live_ = false;
+    return s;
   }
 
   // ---- Chain traversal ----
@@ -252,11 +265,16 @@ class Matcher {
           bound_here = true;
         }
       }
-      used_rels_.insert(rid);
-      trail->rels.push_back(rid);
-      Status s = MatchNode(path, node_idx + 1, pattern_idx, &next, trail);
-      trail->rels.pop_back();
-      used_rels_.erase(rid);
+      const bool filter_live = filter_live_;
+      Status s;
+      if (TrailFilterKeeps(path, rid)) {
+        used_rels_.insert(rid);
+        trail->rels.push_back(rid);
+        s = MatchNode(path, node_idx + 1, pattern_idx, &next, trail);
+        trail->rels.pop_back();
+        used_rels_.erase(rid);
+      }
+      filter_live_ = filter_live;
       if (bound_here) current_.Erase(rp.variable);
       return s;
     };
@@ -302,6 +320,8 @@ class Matcher {
             if (used_rels_.contains(rid)) return Status::OK();
             SERAPH_ASSIGN_OR_RETURN(bool ok, RelSatisfies(rid, rp));
             if (!ok) return Status::OK();
+            const bool filter_live = filter_live_;
+            if (!TrailFilterKeeps(path, rid)) return Status::OK();
             used_rels_.insert(rid);
             rel_values.push_back(Value::Relationship(rid));
             trail->rels.push_back(rid);
@@ -311,6 +331,7 @@ class Matcher {
             trail->rels.pop_back();
             rel_values.pop_back();
             used_rels_.erase(rid);
+            filter_live_ = filter_live;
             return s;
           });
     };
@@ -554,6 +575,22 @@ class Matcher {
     return true;
   }
 
+  // Whether the trail filter lets relationship `rid` extend `path`'s trail:
+  // false only when P is false. When P fails or is not boolean, the filter
+  // goes off for the rest of the branch (the caller restores filter_live_
+  // as the branch unwinds), so its trails reach the WHERE, which raises the
+  // same error at the same row. Null extends: ALL reads on past it.
+  bool TrailFilterKeeps(const PathPattern& path, RelId rid) {
+    if (!filter_live_ || &path != filter_->path) return true;
+    ctx_.set_record(&current_);
+    ctx_.PushLocal(filter_->variable, Value::Relationship(rid));
+    Result<Value> verdict = filter_->predicate->Eval(ctx_);
+    ctx_.PopLocal();
+    if (verdict.ok() && verdict->is_bool()) return verdict->AsBool();
+    if (!verdict.ok() || !verdict->is_null()) filter_live_ = false;
+    return true;
+  }
+
   // Applies `fn(rel, other_endpoint)` for each relationship incident to
   // `from` admissible under `direction`.
   Status ForEachIncident(NodeId from, RelDirection direction,
@@ -597,6 +634,10 @@ class Matcher {
   // currently completing (stashed by FinishPath around its recursion).
   std::vector<PathValue>* trails_ = nullptr;
   const PathValue* emitting_trail_ = nullptr;
+  // Optional trail filter (not owned) and whether it still prunes the
+  // branch being expanded.
+  const TrailFilter* filter_ = nullptr;
+  bool filter_live_ = false;
 };
 
 // The processing order over `views` (identity, or the greedy plan).
@@ -650,7 +691,8 @@ Status MatchPartitioned(const std::vector<const PathPattern*>& views,
                         const std::vector<NodeId>& seeds,
                         const PropertyGraph& graph, const Record& input,
                         EvalContext& ctx, std::vector<Record>* out,
-                        const MatchParallelism& par) {
+                        const MatchParallelism& par,
+                        const TrailFilter* trail_filter) {
   const size_t morsel_size = std::max<size_t>(par.morsel_size, 1);
   const size_t num_morsels = (seeds.size() + morsel_size - 1) / morsel_size;
   std::vector<std::vector<Record>> morsel_out(num_morsels);
@@ -670,6 +712,7 @@ Status MatchPartitioned(const std::vector<const PathPattern*>& views,
       Matcher matcher(graph, morsel_ctx, views, &morsel_out[m]);
       matcher.set_order(order);
       matcher.set_seed_slice(seeds.data() + begin, seeds.data() + end);
+      matcher.set_trail_filter(trail_filter);
       try {
         morsel_status[m] = matcher.Run(input);
       } catch (const std::exception& e) {
@@ -725,7 +768,8 @@ Status MatchPartitioned(const std::vector<const PathPattern*>& views,
 Status MatchViews(const std::vector<const PathPattern*>& views,
                   const PropertyGraph& graph, const Record& input,
                   EvalContext& ctx, std::vector<Record>* out,
-                  const MatchOptions& options) {
+                  const MatchOptions& options,
+                  const TrailFilter* trail_filter = nullptr) {
   std::vector<size_t> order = ResolveOrder(views, graph, input, options);
   const MatchParallelism* par =
       options.parallel != nullptr ? options.parallel : ctx.match_parallelism();
@@ -735,11 +779,12 @@ Status MatchViews(const std::vector<const PathPattern*>& views,
     if (seeds.has_value() &&
         seeds->size() >= std::max<size_t>(par->min_seeds, 1)) {
       return MatchPartitioned(views, order, *seeds, graph, input, ctx, out,
-                              *par);
+                              *par, trail_filter);
     }
   }
   Matcher matcher(graph, ctx, views, out);
   matcher.set_order(std::move(order));
+  matcher.set_trail_filter(trail_filter);
   const Record* saved = ctx.record();
   Status s = matcher.Run(input);
   ctx.set_record(saved);
@@ -751,11 +796,12 @@ Status MatchViews(const std::vector<const PathPattern*>& views,
 Status MatchPatterns(const std::vector<PathPattern>& patterns,
                      const PropertyGraph& graph, const Record& input,
                      EvalContext& ctx, std::vector<Record>* out,
-                     const MatchOptions& options) {
+                     const MatchOptions& options,
+                     const TrailFilter* trail_filter) {
   std::vector<const PathPattern*> views;
   views.reserve(patterns.size());
   for (const PathPattern& p : patterns) views.push_back(&p);
-  return MatchViews(views, graph, input, ctx, out, options);
+  return MatchViews(views, graph, input, ctx, out, options, trail_filter);
 }
 
 Status MatchSinglePattern(const PathPattern& pattern,

@@ -12,6 +12,10 @@
 // shortestPath(...) / allShortestPaths(...) path patterns are evaluated by
 // BFS between all candidate endpoint bindings.
 //
+// An optional TrailFilter prunes one path pattern's trail while it is
+// expanded, dropping exactly the rows a WHERE conjunct over its
+// relationships would drop later (see TrailFilter).
+//
 // With a MatchParallelism spec the seed candidates of the first processed
 // pattern are partitioned into fixed-size morsels fanned out on a shared
 // ThreadPool; morsel outputs are concatenated in ascending seed order, so
@@ -79,14 +83,35 @@ struct MatchOptions {
   const MatchParallelism* parallel = nullptr;
 };
 
+// A per-relationship test on one path pattern's trail: the executor's plan
+// for a `WHERE ... ALL(e IN relationships(q) WHERE P)` conjunct whose
+// dropped rows could not have failed on their way to it (docs/INTERNALS.md,
+// "Trail filters"). Each relationship appended to q's trail, in
+// relationships(q) order, is tested with `variable` bound to it, under the
+// matcher's EvalContext and the record built so far:
+//   - P false: the branch is dropped (ALL is false whatever follows);
+//   - P true or null: the branch extends;
+//   - P fails or is not boolean: the rest of the branch runs unpruned, so
+//     its trails reach the WHERE, which raises the same error.
+// A variable in `reads` that is unbound when q's pattern starts leaves that
+// expansion unpruned.
+struct TrailFilter {
+  const PathPattern* path = nullptr;  // q's pattern, one of the MATCH's.
+  std::string variable;               // e
+  const Expr* predicate = nullptr;    // P
+  std::vector<std::string> reads;     // P's variables other than e.
+};
+
 // Appends to `out` every record extending `input` with bindings for the
 // free variables of `patterns` matched against `graph`. `ctx` supplies
-// parameters / evaluation time for property expressions inside patterns;
-// its record pointer is managed internally.
+// parameters / evaluation time for property expressions inside patterns
+// (and for the trail filter's P, when given); its record pointer is
+// managed internally.
 Status MatchPatterns(const std::vector<PathPattern>& patterns,
                      const PropertyGraph& graph, const Record& input,
                      EvalContext& ctx, std::vector<Record>* out,
-                     const MatchOptions& options = {});
+                     const MatchOptions& options = {},
+                     const TrailFilter* trail_filter = nullptr);
 
 // Single-pattern variant (the exists(<pattern>) predicate).
 Status MatchSinglePattern(const PathPattern& pattern,

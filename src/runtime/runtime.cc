@@ -182,8 +182,23 @@ Status Runtime::Close() {
   return engine_.Drain();
 }
 
+Runtime::CommitMark Runtime::Mark() const {
+  CommitMark mark;
+  mark.evaluations = engine_.evaluations_run();
+  mark.clock = engine_.clock();
+  mark.offset = queue_.OffsetOf(consumer_);
+  mark.dead_letters = dead_letters_.total();
+  for (const std::string& name : engine_.QueryNames()) {
+    mark.queries.emplace_back(name, engine_.QueryDisabled(name));
+  }
+  return mark;
+}
+
 Status Runtime::CommitPump() {
   if (checkpoints_ == nullptr) return Status::OK();
+  // A generation equal to the newest one would add nothing.
+  CommitMark mark = Mark();
+  if (mark == committed_) return Status::OK();
   Status committed = checkpoints_->Checkpoint(&engine_);
   if (!committed.ok()) {
     // The previous generation stays the newest; a crash before the next
@@ -191,7 +206,9 @@ Status Runtime::CommitPump() {
     SERAPH_LOG(ERROR) << "checkpoint at "
                       << engine_.clock().value_or(Timestamp()).ToString()
                       << " failed: " << committed.ToString();
+    return committed;
   }
+  committed_ = std::move(mark);
   return committed;
 }
 

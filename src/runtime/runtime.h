@@ -9,9 +9,11 @@
 // Durability: with a checkpoint_dir, every pump the runtime makes (Pump,
 // the backpressure pumps inside Produce, Commit and Finish) ends with one
 // CheckpointManager::Checkpoint, so whatever a pump emitted is in a
-// generation when the pump returns. A failed commit is logged and counted
-// (seraph_checkpoint_failures_total), and only Commit returns it; a crash
-// then restores the previous generation. There is one restore path:
+// generation when the pump returns. A pump that changed nothing the newest
+// generation holds (no element delivered, no evaluation, the same clock,
+// dead letters and queries) writes none. A failed commit is logged and
+// counted (seraph_checkpoint_failures_total), and only Commit returns it; a
+// crash then restores the previous generation. There is one restore path:
 // `restore` loads the newest valid generation, and the queue restarts at
 // its consumer offset (EventQueue::RestoreOffset), so the source resumes
 // there. A replayable source (seraph_run's event file) re-produces its
@@ -49,6 +51,8 @@
 #include <string>
 #include <string_view>
 #include <thread>
+#include <utility>
+#include <vector>
 
 #include "common/metrics.h"
 #include "common/result.h"
@@ -166,9 +170,21 @@ class Runtime {
   // timestamp the engine holds: the newest delivered one, or, in a
   // restored run that has delivered nothing yet, the newest restored one.
   Status Close();
-  // Ends a pump: when durable, commits one generation; a failure is
-  // logged (and counted by the manager).
+  // Ends a pump: when durable and changed since the last commit, commits
+  // one generation; a failure is logged (and counted by the manager).
   Status CommitPump();
+
+  // What a pump, or a direct change to the engine, can change of the
+  // state a generation holds. Equal marks mean equal generations.
+  struct CommitMark {
+    int64_t evaluations = 0;
+    std::optional<Timestamp> clock;
+    std::optional<size_t> offset;  // The lane consumer's.
+    int64_t dead_letters = 0;      // Ever added.
+    std::vector<std::pair<std::string, bool>> queries;  // Name, disabled.
+    friend bool operator==(const CommitMark&, const CommitMark&) = default;
+  };
+  CommitMark Mark() const;
 
   RuntimeOptions options_;
   const std::string consumer_;
@@ -177,6 +193,8 @@ class Runtime {
   EventQueue queue_;
   StreamDriver driver_;
   std::unique_ptr<persist::CheckpointManager> checkpoints_;
+  // The newest generation this process committed.
+  std::optional<CommitMark> committed_;
   Gauge* dead_letter_depth_ = nullptr;
   int64_t producer_retries_ = 0;
   // The newest timestamp Produce accepted; Pump holds its instant back.

@@ -234,6 +234,34 @@ TEST(ContinuousEngineTest, FailedEvaluationsAreDeadLetteredAndGridAdvances) {
   EXPECT_EQ(dead.entries()[3].timestamp, T(20));
 }
 
+// A WHERE whose connective meets a non-boolean operand fails each
+// evaluation with a type error instead of aborting the process; the
+// query is disabled after its error budget while a sibling keeps
+// emitting.
+TEST(ContinuousEngineTest, NonBooleanWhereOperandFailsOnlyItsQuery) {
+  EngineOptions options;
+  options.query_error_budget = 2;
+  ContinuousEngine engine(options);
+  CollectingSink sink;
+  engine.AddSink(&sink);
+  ASSERT_TRUE(engine.RegisterText(R"(
+    REGISTER QUERY typo STARTING AT '1970-01-01T00:05'
+    { MATCH (n:X) WITHIN PT30M WHERE n.id AND true EMIT n.id EVERY PT5M })")
+                  .ok());
+  ASSERT_TRUE(engine.RegisterText(CountQuery("sibling", "X", "PT30M", "PT5M"))
+                  .ok());
+  ASSERT_TRUE(engine.Ingest(Item(1, 0), T(1)).ok());
+  ASSERT_TRUE(engine.AdvanceTo(T(20)).ok());
+  EXPECT_TRUE(engine.QueryDisabled("typo"));
+  const QueryStats typo = engine.StatsFor("typo").value();
+  EXPECT_EQ(typo.eval_failures, 2);
+  EXPECT_EQ(typo.last_error.code(), StatusCode::kEvaluationError);
+  EXPECT_EQ(typo.last_error.message(), "AND requires a boolean");
+  EXPECT_EQ(sink.ResultsFor("typo").size(), 0u);
+  EXPECT_FALSE(engine.QueryDisabled("sibling"));
+  EXPECT_EQ(sink.ResultsFor("sibling").size(), 4u);  // ET 5, 10, 15, 20.
+}
+
 // After `query_error_budget` consecutive failures the query is disabled
 // (the fleet keeps running); ReviveQuery resumes it from where its grid
 // stopped.

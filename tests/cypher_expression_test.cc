@@ -117,6 +117,33 @@ TEST_F(ExpressionTest, TernaryConnectives) {
   EXPECT_EQ(Eval("true XOR false"), Value::Bool(true));
 }
 
+// An evaluated connective operand, or a quantifier's predicate value,
+// that is neither boolean nor null is a type error, as for NOT; the
+// short-circuits still never evaluate what they skip.
+TEST_F(ExpressionTest, NonBooleanConnectiveOperandsAreEvaluationErrors) {
+  for (const char* text :
+       {"n.id AND true", "true AND n.id", "n.id OR false", "false OR n.id",
+        "n.id XOR true", "true XOR n.id", "NOT n.id",
+        "ALL(i IN [1] WHERE n.id)", "ANY(i IN [1] WHERE n.id)",
+        "NONE(i IN [1] WHERE n.id)", "SINGLE(i IN [1] WHERE n.id)",
+        "ALL(i IN [1, 2] WHERE i = 1 OR 'x')"}) {
+    Status s = EvalError(text);
+    EXPECT_EQ(s.code(), StatusCode::kEvaluationError) << text;
+    EXPECT_NE(s.message().find("requires a boolean"), std::string::npos)
+        << text << ": " << s;
+  }
+  EXPECT_EQ(Eval("false AND n.id"), Value::Bool(false));
+  EXPECT_EQ(Eval("true OR n.id"), Value::Bool(true));
+  EXPECT_TRUE(Eval("nul AND nul").is_null());
+  // ALL stops at its first false element; NONE reads on past a true one.
+  EXPECT_EQ(Eval("ALL(i IN [1, 2] WHERE CASE i WHEN 1 THEN false ELSE i END)"),
+            Value::Bool(false));
+  EXPECT_EQ(EvalError("NONE(i IN [1, 2] WHERE CASE i WHEN 1 THEN true "
+                      "ELSE i END)")
+                .code(),
+            StatusCode::kEvaluationError);
+}
+
 TEST_F(ExpressionTest, InOperator) {
   EXPECT_EQ(Eval("2 IN [1, 2, 3]"), Value::Bool(true));
   EXPECT_EQ(Eval("4 IN [1, 2, 3]"), Value::Bool(false));

@@ -24,6 +24,7 @@
 
 #include "graph/graph_builder.h"
 #include "io/json.h"
+#include "persist/checkpoint.h"
 #include "persist/recovery.h"
 #include "runtime/flags.h"
 #include "runtime/runtime.h"
@@ -380,6 +381,67 @@ TEST(RuntimeTest, PostRestoreIngestsReachTheEngine) {
   durable.restore = true;
   const std::vector<std::string> suffix = run(durable, 5, 7, 4);
   EXPECT_EQ(suffix.size(), 3u);
+  lives.insert(lives.end(), suffix.begin(), suffix.end());
+  EXPECT_EQ(lives, expected);
+}
+
+// The generations in `dir`, by sequence number.
+std::vector<uint64_t> Generations(const std::string& dir) {
+  std::vector<uint64_t> seqs;
+  for (const auto& entry : std::filesystem::directory_iterator(dir)) {
+    uint64_t seq = 0;
+    if (persist::ParseManifestFileName(entry.path().filename().string(),
+                                       &seq)) {
+      seqs.push_back(seq);
+    }
+  }
+  std::sort(seqs.begin(), seqs.end());
+  return seqs;
+}
+
+// A commit that would hold what the newest generation holds is skipped:
+// Finish right after a Commit that covered everything writes nothing,
+// while a Finish after new produces commits one more generation, and a
+// restart from it carries on exactly.
+TEST(RuntimeTest, FinishCommitsOnlyWhatTheLastCommitLeftOut) {
+  const std::string query =
+      "REGISTER QUERY minutes STARTING AT '1970-01-01T00:01' "
+      "{ MATCH (n:X) WITHIN PT10M EMIT n.id SNAPSHOT EVERY PT1M }";
+  // Produces minutes [from, to], committing after `commit_at` (0 = never)
+  // and finishing.
+  auto run = [&query](RuntimeOptions options, int64_t from, int64_t to,
+                      int64_t commit_at) {
+    Runtime rt(std::move(options));
+    RecordingSink sink;
+    rt.AddSink(&sink);
+    EXPECT_TRUE(rt.Register(query).ok());
+    EXPECT_TRUE(rt.Start().ok());
+    for (int64_t minute = from; minute <= to; ++minute) {
+      EXPECT_TRUE(rt.Produce(XNode(minute), Minute(minute)).ok()) << minute;
+      if (minute == commit_at) {
+        EXPECT_TRUE(rt.Commit().ok());
+      }
+    }
+    EXPECT_TRUE(rt.Finish().ok());
+    return sink.lines;
+  };
+  RuntimeOptions plain;
+  plain.tool = "runtime_test";
+  const std::vector<std::string> expected = run(plain, 1, 7, 0);
+  ASSERT_EQ(expected.size(), 7u);
+
+  RuntimeOptions committed = Durable("commit_then_finish");
+  EXPECT_EQ(run(committed, 1, 2, 2),
+            std::vector<std::string>(expected.begin(), expected.begin() + 2));
+  EXPECT_EQ(Generations(committed.checkpoint_dir),
+            std::vector<uint64_t>{1});
+
+  RuntimeOptions durable = Durable("produce_after_commit");
+  std::vector<std::string> lives = run(durable, 1, 4, 2);
+  EXPECT_EQ(Generations(durable.checkpoint_dir),
+            (std::vector<uint64_t>{1, 2}));
+  durable.restore = true;
+  const std::vector<std::string> suffix = run(durable, 5, 7, 0);
   lives.insert(lives.end(), suffix.begin(), suffix.end());
   EXPECT_EQ(lives, expected);
 }

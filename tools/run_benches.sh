@@ -10,7 +10,9 @@
 # bench_sharded: the sharded tier — four copies of one query over the
 # default broadcast route, through 1/2/4-shard fleets vs. the bare engine;
 # bench_result_reuse: unchanged-window reuse on and off over a bursty
-# stream, for a delta-served query and an aggregate) plus
+# stream, for a delta-served query and an aggregate; bench_use_cases:
+# Table 1's three use-case queries, Listing 5 both verbatim and bounded)
+# plus
 # the steady-state latency harness, and writes one BENCH_<name>.json per
 # binary for archiving as a CI artifact and diffing against the committed
 # baselines in bench/baselines/ (tools/compare_benches.py).
@@ -26,7 +28,7 @@ BUILD_DIR="${1:-build}"
 OUT_DIR="${2:-bench-results}"
 BENCHES=(bench_match bench_parallel_queries bench_recovery bench_emit_latency
          bench_delta
-         bench_overload bench_sharded bench_result_reuse)
+         bench_overload bench_sharded bench_result_reuse bench_use_cases)
 
 mkdir -p "${OUT_DIR}"
 for bench in "${BENCHES[@]}"; do
