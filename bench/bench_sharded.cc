@@ -140,10 +140,6 @@ void BM_ShardedPipeline(benchmark::State& state) {
           return;
         }
       }
-      if (!fleet.Finish().ok()) {
-        state.SkipWithError("finish failed");
-        return;
-      }
     }
     if (sink.evaluations() != reference.evaluations()) {
       state.SkipWithError("emitted a different number of tables than the "

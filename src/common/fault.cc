@@ -6,19 +6,6 @@
 
 namespace seraph {
 
-int64_t RetryPolicy::DelayMillisFor(int attempt) const {
-  if (attempt < 1 || initial_backoff_millis <= 0) return 0;
-  double delay = static_cast<double>(initial_backoff_millis);
-  for (int i = 1; i < attempt; ++i) {
-    delay *= backoff_multiplier;
-    if (delay >= static_cast<double>(max_backoff_millis)) {
-      return max_backoff_millis;
-    }
-  }
-  int64_t millis = static_cast<int64_t>(delay);
-  return millis < max_backoff_millis ? millis : max_backoff_millis;
-}
-
 FaultInjector& FaultInjector::Global() {
   static FaultInjector* kInstance = new FaultInjector();
   return *kInstance;

@@ -12,11 +12,10 @@
 //    cost one pointer-sized branch; armed they fail deterministically
 //    (schedule- or seeded-probability-based), which is how the fault
 //    tolerance tests drive the full loop without mocks everywhere.
-//  * RetryPolicy — bounded attempts with deterministic exponential
-//    backoff (no jitter, so tests can assert exact schedules). Delays are
-//    *recorded*, not slept: the engine is single-threaded and simulated-
-//    time; callers that really wait (none in-tree) can consume
-//    DelayMillisFor themselves.
+//  * RetryPolicy — a bounded number of immediate attempts. Nothing waits
+//    between them: the engine runs in event time, and a transient failure
+//    that outlasts the attempts is left to the caller's next pump (the
+//    driver) or to the dead-letter queue (sinks).
 //
 // Only kUnavailable statuses are considered transient (see
 // Status::IsTransient); every other code is permanent and is never
@@ -37,24 +36,16 @@
 
 namespace seraph {
 
-// A bounded, deterministic retry schedule.
+// A bounded number of immediate tries.
 struct RetryPolicy {
   // Total tries including the first (1 = no retries).
   int max_attempts = 3;
-  int64_t initial_backoff_millis = 10;
-  double backoff_multiplier = 2.0;
-  int64_t max_backoff_millis = 1000;
 
   static RetryPolicy None() {
     RetryPolicy p;
     p.max_attempts = 1;
     return p;
   }
-
-  // Backoff before the retry that follows attempt number `attempt`
-  // (1-based): initial * multiplier^(attempt-1), capped at the maximum.
-  // Deterministic — no jitter.
-  int64_t DelayMillisFor(int attempt) const;
 
   // True when `status` is transient and `attempts_made` tries (1-based)
   // have not yet exhausted the budget.

@@ -6,6 +6,7 @@
 #include <shared_mutex>
 
 #include "common/logging.h"
+#include "common/strings.h"
 
 namespace seraph {
 
@@ -46,40 +47,6 @@ std::string EscapeLabelValue(const std::string& value) {
   return out;
 }
 
-// Escapes a JSON string body (enough for metric/label names and values).
-std::string EscapeJson(const std::string& value) {
-  std::string out;
-  out.reserve(value.size());
-  for (char c : value) {
-    switch (c) {
-      case '\\':
-        out += "\\\\";
-        break;
-      case '"':
-        out += "\\\"";
-        break;
-      case '\n':
-        out += "\\n";
-        break;
-      case '\t':
-        out += "\\t";
-        break;
-      case '\r':
-        out += "\\r";
-        break;
-      default:
-        if (static_cast<unsigned char>(c) < 0x20) {
-          char buf[8];
-          std::snprintf(buf, sizeof(buf), "\\u%04x", c);
-          out += buf;
-        } else {
-          out += c;
-        }
-    }
-  }
-  return out;
-}
-
 std::string RenderLabels(const MetricLabels& labels,
                          const MetricLabels& extra) {
   if (labels.empty() && extra.empty()) return "";
@@ -102,7 +69,9 @@ std::string JsonLabelsObject(const MetricLabels& labels) {
   for (const auto& [key, value] : labels) {
     if (!first) out += ",";
     first = false;
-    out += "\"" + EscapeJson(key) + "\":\"" + EscapeJson(value) + "\"";
+    AppendJsonString(key, &out);
+    out += ":";
+    AppendJsonString(value, &out);
   }
   out += "}";
   return out;
@@ -416,8 +385,9 @@ std::string MetricsRegistry::ToJson() const {
   std::string counters, gauges, histograms;
   for (const auto& [name, family] : families_) {
     for (const auto& [key, series] : family.series) {
-      std::string entry = "{\"name\":\"" + EscapeJson(name) +
-                          "\",\"labels\":" + JsonLabelsObject(series.labels);
+      std::string entry = "{\"name\":";
+      AppendJsonString(name, &entry);
+      entry += ",\"labels\":" + JsonLabelsObject(series.labels);
       switch (family.kind) {
         case Kind::kCounter:
           if (!counters.empty()) counters += ",";

@@ -1,6 +1,7 @@
 #include "common/strings.h"
 
 #include <cctype>
+#include <cstdio>
 
 namespace seraph {
 
@@ -62,6 +63,44 @@ std::string AsciiUpper(std::string_view text) {
 bool StartsWith(std::string_view text, std::string_view prefix) {
   return text.size() >= prefix.size() &&
          text.substr(0, prefix.size()) == prefix;
+}
+
+void AppendJsonString(std::string_view text, std::string* out) {
+  out->push_back('"');
+  for (unsigned char c : text) {
+    switch (c) {
+      case '"':
+        *out += "\\\"";
+        break;
+      case '\\':
+        *out += "\\\\";
+        break;
+      case '\b':
+        *out += "\\b";
+        break;
+      case '\f':
+        *out += "\\f";
+        break;
+      case '\n':
+        *out += "\\n";
+        break;
+      case '\r':
+        *out += "\\r";
+        break;
+      case '\t':
+        *out += "\\t";
+        break;
+      default:
+        if (c < 0x20) {
+          char buf[8];
+          std::snprintf(buf, sizeof(buf), "\\u%04x", c);
+          *out += buf;
+        } else {
+          out->push_back(static_cast<char>(c));
+        }
+    }
+  }
+  out->push_back('"');
 }
 
 }  // namespace seraph

@@ -27,6 +27,12 @@ std::string AsciiUpper(std::string_view text);
 // True if `text` starts with `prefix`.
 bool StartsWith(std::string_view text, std::string_view prefix);
 
+// Appends `text` to `out` as a quoted JSON string. Quote, backslash and
+// every byte below 0x20 are escaped (\b, \f, \n, \r and \t by name, the
+// others as \u00XX); all other bytes, UTF-8 sequences included, pass
+// through unchanged.
+void AppendJsonString(std::string_view text, std::string* out);
+
 }  // namespace seraph
 
 #endif  // SERAPH_COMMON_STRINGS_H_

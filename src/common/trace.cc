@@ -1,50 +1,20 @@
 #include "common/trace.h"
 
 #include <chrono>
-#include <cstdio>
 #include <fstream>
+
+#include "common/strings.h"
 
 namespace seraph {
 
 namespace {
 
-// Escapes a JSON string body.
-void AppendEscaped(const std::string& value, std::string* out) {
-  for (char c : value) {
-    switch (c) {
-      case '\\':
-        *out += "\\\\";
-        break;
-      case '"':
-        *out += "\\\"";
-        break;
-      case '\n':
-        *out += "\\n";
-        break;
-      case '\t':
-        *out += "\\t";
-        break;
-      case '\r':
-        *out += "\\r";
-        break;
-      default:
-        if (static_cast<unsigned char>(c) < 0x20) {
-          char buf[8];
-          std::snprintf(buf, sizeof(buf), "\\u%04x", c);
-          *out += buf;
-        } else {
-          *out += c;
-        }
-    }
-  }
-}
-
 void AppendEvent(const TraceRecorder::Event& event, std::string* out) {
-  *out += "{\"name\":\"";
-  AppendEscaped(event.name, out);
-  *out += "\",\"cat\":\"";
-  AppendEscaped(event.category, out);
-  *out += "\",\"ph\":\"";
+  *out += "{\"name\":";
+  AppendJsonString(event.name, out);
+  *out += ",\"cat\":";
+  AppendJsonString(event.category, out);
+  *out += ",\"ph\":\"";
   *out += event.phase;
   *out += "\",\"ts\":" + std::to_string(event.ts_micros);
   if (event.phase == 'X') {
@@ -61,11 +31,9 @@ void AppendEvent(const TraceRecorder::Event& event, std::string* out) {
     for (const auto& [key, value] : event.args) {
       if (!first) *out += ",";
       first = false;
-      *out += "\"";
-      AppendEscaped(key, out);
-      *out += "\":\"";
-      AppendEscaped(value, out);
-      *out += "\"";
+      AppendJsonString(key, out);
+      *out += ":";
+      AppendJsonString(value, out);
     }
     *out += "}";
   }

@@ -592,25 +592,14 @@ class Matcher {
   }
 
   // Applies `fn(rel, other_endpoint)` for each relationship incident to
-  // `from` admissible under `direction`.
-  Status ForEachIncident(NodeId from, RelDirection direction,
-                         const std::function<Status(RelId, NodeId)>& fn) {
+  // `from` admissible under `direction` (seraph::ForEachIncident).
+  template <typename Fn>
+  Status ForEachIncident(NodeId from, RelDirection direction, const Fn& fn) {
     // Expansion boundary of the DFS (and of var-length/BFS walks).
     SERAPH_RETURN_IF_ERROR(ctx_.CheckCancelled());
-    if (direction != RelDirection::kIncoming) {
-      for (RelId rid : graph_.OutRelationships(from)) {
-        const RelData* data = graph_.relationship(rid);
-        SERAPH_RETURN_IF_ERROR(fn(rid, data->trg));
-      }
-    }
-    if (direction != RelDirection::kOutgoing) {
-      for (RelId rid : graph_.InRelationships(from)) {
-        const RelData* data = graph_.relationship(rid);
-        if (data->src == data->trg) continue;  // Self-loop seen via out.
-        SERAPH_RETURN_IF_ERROR(fn(rid, data->src));
-      }
-    }
-    return Status::OK();
+    return seraph::ForEachIncident(
+        graph_, from, direction,
+        [&fn](RelId rid, NodeId other, int) { return fn(rid, other); });
   }
 
   const PropertyGraph& graph_;

@@ -131,6 +131,31 @@ Status MatchPatternWithTrails(const PathPattern& pattern,
                               EvalContext& ctx, std::vector<Record>* out,
                               std::vector<PathValue>* trails);
 
+// The one incident-edge walk of the serial matcher and the delta index
+// (seraph/delta), which must agree on match order. Calls
+// `fn(rel, other_endpoint, bucket)` for each relationship incident to
+// `from` that `direction` admits: the outgoing list first (bucket 0),
+// then the incoming list (bucket 1), stopping at the first error. A
+// self-loop is visited once, through the outgoing list, so under
+// kIncoming it never matches.
+template <typename Fn>
+Status ForEachIncident(const PropertyGraph& graph, NodeId from,
+                       RelDirection direction, const Fn& fn) {
+  if (direction != RelDirection::kIncoming) {
+    for (RelId rid : graph.OutRelationships(from)) {
+      SERAPH_RETURN_IF_ERROR(fn(rid, graph.relationship(rid)->trg, 0));
+    }
+  }
+  if (direction != RelDirection::kOutgoing) {
+    for (RelId rid : graph.InRelationships(from)) {
+      const RelData* data = graph.relationship(rid);
+      if (data->src == data->trg) continue;  // Self-loop seen via out.
+      SERAPH_RETURN_IF_ERROR(fn(rid, data->src, 1));
+    }
+  }
+  return Status::OK();
+}
+
 }  // namespace seraph
 
 #endif  // SERAPH_CYPHER_MATCHER_H_

@@ -5,50 +5,10 @@
 #include <cstdlib>
 #include <utility>
 
+#include "common/strings.h"
+
 namespace seraph {
 namespace io {
-
-namespace {
-
-void AppendJsonString(const std::string& text, std::string* out) {
-  out->push_back('"');
-  for (unsigned char c : text) {
-    switch (c) {
-      case '"':
-        *out += "\\\"";
-        break;
-      case '\\':
-        *out += "\\\\";
-        break;
-      case '\b':
-        *out += "\\b";
-        break;
-      case '\f':
-        *out += "\\f";
-        break;
-      case '\n':
-        *out += "\\n";
-        break;
-      case '\r':
-        *out += "\\r";
-        break;
-      case '\t':
-        *out += "\\t";
-        break;
-      default:
-        if (c < 0x20) {
-          char buf[8];
-          std::snprintf(buf, sizeof(buf), "\\u%04x", c);
-          *out += buf;
-        } else {
-          out->push_back(static_cast<char>(c));
-        }
-    }
-  }
-  out->push_back('"');
-}
-
-}  // namespace
 
 void AppendJsonValue(const Value& value, std::string* out) {
   switch (value.kind()) {

@@ -130,18 +130,31 @@ Status Runtime::Start() {
 
 Status Runtime::Produce(std::shared_ptr<const PropertyGraph> graph,
                         Timestamp timestamp) {
-  // A refused produce pumps the lane, which delivers and trims what the
-  // consumer has committed past, then retries.
-  SERAPH_RETURN_IF_ERROR(ProduceWithBackpressure(
-      &queue_, std::move(graph), timestamp,
-      [this](Timestamp waiting) -> Result<int64_t> {
-        SERAPH_ASSIGN_OR_RETURN(int64_t delivered, driver_.PumpAll(waiting));
-        CommitPump();
-        return delivered;
-      },
-      &producer_retries_));
-  newest_ = timestamp;
-  return Status::OK();
+  // A full queue is relieved one way: a refused produce pumps the lane,
+  // which delivers, advances the clock to just before `timestamp` and
+  // trims what the consumer has committed past, then retries. Three pumps
+  // in a row that neither deliver nor trim mean the consumer cannot free
+  // space (another consumer of the queue lags).
+  for (int stalled = 0;;) {
+    Status status = queue_.Produce(graph, timestamp);
+    if (status.code() != StatusCode::kUnavailable) {
+      if (status.ok()) newest_ = timestamp;
+      return status;
+    }
+    ++producer_retries_;
+    const int64_t trimmed_before = queue_.trimmed_total();
+    SERAPH_ASSIGN_OR_RETURN(int64_t delivered, driver_.PumpAll(timestamp));
+    CommitPump();
+    if (delivered > 0 || queue_.trimmed_total() != trimmed_before) {
+      stalled = 0;
+    } else if (++stalled >= 3) {
+      return Status::Unavailable(
+          "event queue full (capacity " +
+          std::to_string(queue_.options().capacity) +
+          ") and the consumer cannot free space; increase "
+          "--queue-capacity or use --overflow-policy=shed_oldest");
+    }
+  }
 }
 
 Status Runtime::Pump() {

@@ -4,7 +4,8 @@
 // through one EventQueue + StreamDriver lane. A bounded queue either
 // sheds its oldest element into the dead-letter queue or refuses the
 // produce, which pumps the lane under the pump clock rule
-// (AdvanceEngineClock in seraph/stream_driver.h) and retries.
+// (StreamDriver::PumpAll) and retries; the runtime is the only caller
+// that pumps for backpressure.
 //
 // Durability: with a checkpoint_dir, every pump the runtime makes (Pump,
 // the backpressure pumps inside Produce, Commit and Finish) ends with one
@@ -125,8 +126,9 @@ class Runtime {
   // resumes its input; 0 on a cold start.
   size_t next_offset() const { return queue_.size(); }
   // Produces one element. While a bounded queue refuses it, pumps the
-  // lane and retries, and fails when the consumer cannot free space
-  // (ProduceWithBackpressure).
+  // lane (committing like any pump) and retries; fails with kUnavailable
+  // after three pumps in a row that neither deliver nor trim, when the
+  // consumer cannot free space.
   Status Produce(std::shared_ptr<const PropertyGraph> graph,
                  Timestamp timestamp);
   // Delivers everything produced, evaluates the due instants before the

@@ -572,11 +572,6 @@ void ContinuousEngine::DeliverToSinks(const std::string& query_name,
       if (status.ok()) break;
       if (!state.policy.retry.ShouldRetry(status, attempts)) break;
       state.retries->Increment();
-      // The backoff delay is deterministic and accounted, not slept: the
-      // engine runs in simulated time (see common/fault.h).
-      metrics_.CounterFor("seraph_sink_backoff_millis_total",
-                          {{"sink", state.name}})
-          ->Increment(state.policy.retry.DelayMillisFor(attempts));
     }
     if (status.ok()) {
       state.consecutive_failures = 0;

@@ -160,8 +160,8 @@ struct EngineOptions {
 
 // Per-sink failure handling (see docs/INTERNALS.md, "Failure model").
 struct SinkPolicy {
-  // Transient (kUnavailable) failures are retried in-place this many
-  // times; backoff delays are deterministic and recorded, not slept.
+  // Transient (kUnavailable) failures are retried in place, at once, up
+  // to this many tries in all.
   RetryPolicy retry = RetryPolicy::None();
   // After this many *consecutive* failed deliveries (retries exhausted or
   // permanent error) the sink is quarantined: it stops receiving results

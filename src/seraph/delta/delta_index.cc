@@ -81,37 +81,15 @@ bool HoldsEntity(const Value& v) {
   return false;
 }
 
-// Forward/backward incident-edge enumeration mirroring the serial
-// matcher's ForEachIncident exactly, including its self-loop quirks:
-// under kIncoming a self-loop never matches; under kUndirected a
-// self-loop is visited once, through the outgoing bucket.
-//
-// The bucket reported for each visit is the adjacency list it came from
-// (0 = outgoing, 1 = incoming), which for a traversal step from
-// nodes[i] to nodes[i+1] via r is equivalently (r.src == nodes[i] ? 0 :
-// 1) — the form KeyFor reconstructs from a finished trail.
-template <typename Fn>
-Status ForEachForward(const PropertyGraph& graph, NodeId from,
-                      RelDirection direction, const Fn& fn) {
-  if (direction != RelDirection::kIncoming) {
-    for (RelId rid : graph.OutRelationships(from)) {
-      const RelData* data = graph.relationship(rid);
-      SERAPH_RETURN_IF_ERROR(fn(rid, data->trg, /*bucket=*/0));
-    }
-  }
-  if (direction != RelDirection::kOutgoing) {
-    for (RelId rid : graph.InRelationships(from)) {
-      const RelData* data = graph.relationship(rid);
-      if (data->src == data->trg) continue;  // Self-loop seen via out.
-      SERAPH_RETURN_IF_ERROR(fn(rid, data->src, /*bucket=*/1));
-    }
-  }
-  return Status::OK();
-}
-
 // Enumerates the candidates for the node *left* of `at` through the
 // relationship pattern between them: every (rid, left) such that the
-// forward step left --rid--> at is admissible under `direction`.
+// forward step left --rid--> at is admissible under `direction`. This is
+// the backward reading of ForEachIncident (cypher/matcher.h), self-loop
+// rule included, with the same bucket per visit: the adjacency list the
+// forward walk takes the step from (0 = outgoing, 1 = incoming), which
+// for a step from nodes[i] to nodes[i+1] via r is equivalently
+// (r.src == nodes[i] ? 0 : 1) — the form KeyFor reconstructs from a
+// finished trail.
 template <typename Fn>
 Status ForEachBackward(const PropertyGraph& graph, NodeId at,
                        RelDirection direction, const Fn& fn) {
@@ -418,7 +396,7 @@ Status DeltaIndex::ExtendRight(const PropertyGraph& graph, Search* s,
     return ExtendLeft(graph, s, left);
   }
   const RelPattern& rp = pattern_->rels[right];
-  return ForEachForward(
+  return ForEachIncident(
       graph, s->nodes[right], rp.direction,
       [&](RelId rid, NodeId other, int bucket) -> Status {
         if (s->used_rels.contains(rid)) return Status::OK();

@@ -6,6 +6,21 @@
 
 namespace seraph {
 
+namespace {
+
+// The one clock rule of a pump (see StreamDriver::PumpAll).
+Status AdvanceEngineClock(ContinuousEngine* engine, Timestamp horizon,
+                          std::optional<Timestamp> waiting) {
+  if (!waiting.has_value()) return engine->AdvanceTo(horizon);
+  const Timestamp target =
+      std::min(horizon, *waiting - Duration::FromMillis(1));
+  const std::optional<Timestamp> clock = engine->clock();
+  if (clock.has_value() && target < *clock) return Status::OK();
+  return engine->AdvanceTo(target);
+}
+
+}  // namespace
+
 StreamDriver::StreamDriver(EventQueue* queue, ContinuousEngine* engine,
                            Options options)
     : queue_(queue), engine_(engine), options_(std::move(options)) {
@@ -17,8 +32,6 @@ StreamDriver::StreamDriver(EventQueue* queue, ContinuousEngine* engine,
   dead_letter_counter_ =
       registry.CounterFor("seraph_driver_dead_lettered_total", labels);
   reseeks_counter_ = registry.CounterFor("seraph_driver_reseeks_total", labels);
-  backoff_counter_ =
-      registry.CounterFor("seraph_driver_backoff_millis_total", labels);
   backlog_gauge_ = registry.GaugeFor("seraph_driver_backlog", labels);
   stream_shed_gauge_ = registry.GaugeFor(
       "seraph_stream_shed_total",
@@ -58,10 +71,6 @@ Status StreamDriver::DeliverWithRetry(const StreamElement& element) {
     if (status.ok()) return status;
     if (!options_.delivery_retry.ShouldRetry(status, attempt)) return status;
     retries_counter_->Increment();
-    // Deterministic backoff, accounted rather than slept (simulated
-    // time; see common/fault.h).
-    backoff_counter_->Increment(
-        options_.delivery_retry.DelayMillisFor(attempt));
   }
 }
 
@@ -138,45 +147,11 @@ Result<int64_t> StreamDriver::PumpAll(std::optional<Timestamp> waiting) {
   // committed past, so a driver-fed queue holds only consumer lag.
   queue_->TrimCommitted();
   UpdateBacklogGauges();
-  if (delivered_horizon_.has_value() && options_.advance_engine_clock) {
+  if (delivered_horizon_.has_value()) {
     SERAPH_RETURN_IF_ERROR(
         AdvanceEngineClock(engine_, *delivered_horizon_, waiting));
   }
   return delivered;
-}
-
-Status AdvanceEngineClock(ContinuousEngine* engine, Timestamp horizon,
-                          std::optional<Timestamp> waiting) {
-  if (!waiting.has_value()) return engine->AdvanceTo(horizon);
-  const Timestamp target =
-      std::min(horizon, *waiting - Duration::FromMillis(1));
-  const std::optional<Timestamp> clock = engine->clock();
-  if (clock.has_value() && target < *clock) return Status::OK();
-  return engine->AdvanceTo(target);
-}
-
-Status ProduceWithBackpressure(
-    EventQueue* queue, std::shared_ptr<const PropertyGraph> graph,
-    Timestamp timestamp,
-    const std::function<Result<int64_t>(Timestamp waiting)>& pump,
-    int64_t* refusals) {
-  int stalled = 0;
-  while (true) {
-    Status status = queue->Produce(graph, timestamp);
-    if (status.code() != StatusCode::kUnavailable) return status;
-    if (refusals != nullptr) ++*refusals;
-    const int64_t trimmed_before = queue->trimmed_total();
-    SERAPH_ASSIGN_OR_RETURN(int64_t delivered, pump(timestamp));
-    if (delivered > 0 || queue->trimmed_total() != trimmed_before) {
-      stalled = 0;
-    } else if (++stalled >= 3) {
-      return Status::Unavailable(
-          "event queue full (capacity " +
-          std::to_string(queue->options().capacity) +
-          ") and the consumer cannot free space; increase "
-          "--queue-capacity or use --overflow-policy=shed_oldest");
-    }
-  }
 }
 
 }  // namespace seraph

@@ -21,7 +21,6 @@
 #ifndef SERAPH_SERAPH_STREAM_DRIVER_H_
 #define SERAPH_SERAPH_STREAM_DRIVER_H_
 
-#include <functional>
 #include <memory>
 #include <optional>
 #include <string>
@@ -43,7 +42,6 @@ class StreamDriver {
     // Max elements fetched per queue poll.
     size_t poll_batch = 64;
     // In-pump retries of transient (kUnavailable) delivery failures.
-    // Backoff delays are deterministic and accounted, not slept.
     RetryPolicy delivery_retry;
     // Failed pumps an element may accumulate before it is declared
     // poison and routed to `dead_letter` (each pump already spends
@@ -54,33 +52,27 @@ class StreamDriver {
     // elements keep failing the pump instead of being dropped — the
     // caller decides; nothing is ever lost silently.
     DeadLetterQueue* dead_letter = nullptr;
-    // When false, the driver delivers elements but never calls
-    // engine->AdvanceTo(): the caller owns the engine clock. Used by the
-    // sharded tier, where several lanes feed one engine and the
-    // coordinator advances the shard once per pump to its watermark —
-    // otherwise the first lane to pump an instant would trigger
-    // evaluations before sibling lanes deliver their equal-timestamp
-    // elements.
-    bool advance_engine_clock = true;
   };
 
   // Registers the driver's series in the engine's registry. Neither
   // `queue` nor `engine` is owned; both must outlive the driver.
   StreamDriver(EventQueue* queue, ContinuousEngine* engine, Options options);
 
-  // Polls the queue until empty, delivering every element to the engine
-  // and advancing its clock (which triggers due evaluations) by
-  // AdvanceEngineClock: to the delivered horizon, or, for a pump made
-  // because a full queue refused an element at `waiting`, to just before
-  // `waiting`. Returns the number of elements delivered by this pump. A
-  // pump that hands off everything it polled ends with
-  // EventQueue::TrimCommitted, so the queue keeps only what some consumer
-  // still needs. On a transient failure that survives the retry policy
-  // the pump returns the error with nothing lost: unconsumed queue
-  // elements stay behind the (re-seeked) consumer offset, and the next
-  // PumpAll resumes exactly there. A pump with
-  // nothing new to deliver re-advances the clock to the same horizon,
-  // which runs no evaluation twice.
+  // Polls the queue until empty, delivering every element to the engine,
+  // then advances its clock (which triggers due evaluations) by the one
+  // clock rule of a pump: to the delivered horizon, the newest delivered
+  // timestamp; or, when the caller may still produce elements at
+  // `waiting` (a backpressure pump, or Runtime::Pump), to
+  // min(horizon, waiting - 1 ms), never backwards, so every instant that
+  // fires has all of its elements. Returns the number of elements
+  // delivered by this pump. A pump that hands off everything it polled
+  // ends with EventQueue::TrimCommitted, so the queue keeps only what
+  // some consumer still needs. On a transient failure that survives the
+  // retry policy the pump returns the error with nothing lost: unconsumed
+  // queue elements stay behind the (re-seeked) consumer offset, and the
+  // next PumpAll resumes exactly there. A pump with nothing new to
+  // deliver re-advances the clock to the same horizon, which runs no
+  // evaluation twice.
   Result<int64_t> PumpAll(std::optional<Timestamp> waiting = std::nullopt);
 
   // Cumulative counts, read off the driver's `seraph_driver_*_total`
@@ -120,35 +112,12 @@ class StreamDriver {
   Counter* retries_counter_ = nullptr;
   Counter* dead_letter_counter_ = nullptr;
   Counter* reseeks_counter_ = nullptr;
-  Counter* backoff_counter_ = nullptr;
   // Health gauges (docs/INTERNALS.md, "Latency accounting & lag"): the
   // undelivered queue depth, and the queue's cumulative shed count per
   // stream.
   Gauge* backlog_gauge_ = nullptr;
   Gauge* stream_shed_gauge_ = nullptr;
 };
-
-// The one clock rule of a pump. Without `waiting` the engine clock moves
-// to `horizon`, the newest delivered timestamp. A pump made because a
-// full queue refused an element at `waiting` stops at
-// min(horizon, waiting - 1 ms), and never moves the clock backwards:
-// the refused element and everything produced after it are at or past
-// `waiting`, so every instant that fires has all of its elements.
-Status AdvanceEngineClock(ContinuousEngine* engine, Timestamp horizon,
-                          std::optional<Timestamp> waiting);
-
-// Produces into `queue` with the caller's pump-and-retry, the only relief
-// for a full queue: a refused produce runs `pump(timestamp)`, which must
-// deliver what is queued and advance the clock by AdvanceEngineClock,
-// then retries. Three pumps in a row that neither deliver nor trim mean
-// the consumer cannot free space (another consumer of the queue lags);
-// the error names the remedy. `refusals`, when set, counts refused
-// produces.
-Status ProduceWithBackpressure(
-    EventQueue* queue, std::shared_ptr<const PropertyGraph> graph,
-    Timestamp timestamp,
-    const std::function<Result<int64_t>(Timestamp waiting)>& pump,
-    int64_t* refusals = nullptr);
 
 }  // namespace seraph
 

@@ -9,13 +9,13 @@
 #include <cctype>
 #include <cerrno>
 #include <chrono>
-#include <cstdio>
 #include <cstdlib>
 #include <cstring>
 #include <deque>
 #include <sstream>
 
 #include "common/logging.h"
+#include "common/strings.h"
 #include "seraph/continuous_engine.h"
 
 namespace seraph {
@@ -420,45 +420,13 @@ bool MetricsServer::BuiltinReply(const HttpRequest& request,
   return false;
 }
 
-std::string EscapeJsonString(const std::string& value) {
-  std::string out;
-  out.reserve(value.size());
-  for (char c : value) {
-    switch (c) {
-      case '"':
-        out += "\\\"";
-        break;
-      case '\\':
-        out += "\\\\";
-        break;
-      case '\n':
-        out += "\\n";
-        break;
-      case '\t':
-        out += "\\t";
-        break;
-      case '\r':
-        out += "\\r";
-        break;
-      default:
-        if (static_cast<unsigned char>(c) < 0x20) {
-          char buf[8];
-          std::snprintf(buf, sizeof(buf), "\\u%04x", c);
-          out += buf;
-        } else {
-          out += c;
-        }
-    }
-  }
-  return out;
-}
-
 std::string QueriesStatusJson(const ContinuousEngine& engine) {
   std::string out = "[";
   for (const std::string& name : engine.QueryNames()) {
     if (out.size() > 1) out += ",";
     const QueryStats stats = *engine.StatsFor(name);
-    out += "{\"name\":\"" + EscapeJsonString(name) + "\"";
+    out += "{\"name\":";
+    AppendJsonString(name, &out);
     out += ",\"disabled\":";
     out += engine.QueryDisabled(name) ? "true" : "false";
     out += ",\"evaluations\":" + std::to_string(stats.evaluations);
@@ -466,8 +434,8 @@ std::string QueriesStatusJson(const ContinuousEngine& engine) {
     out += ",\"eval_failures\":" + std::to_string(stats.eval_failures);
     out += ",\"reused_results\":" + std::to_string(stats.reused_results);
     if (!stats.last_error.ok()) {
-      out += ",\"last_error\":\"" +
-             EscapeJsonString(stats.last_error.ToString()) + "\"";
+      out += ",\"last_error\":";
+      AppendJsonString(stats.last_error.ToString(), &out);
     }
     const HistogramSnapshot latency = *engine.LatencyFor(name);
     out += ",\"eval_latency_micros\":{\"count\":" +

@@ -159,9 +159,6 @@ class MetricsServer {
 // queries_json callback (see runtime/runtime.h).
 std::string QueriesStatusJson(const ContinuousEngine& engine);
 
-// JSON string escaping shared by the status documents.
-std::string EscapeJsonString(const std::string& value);
-
 }  // namespace seraph
 
 #endif  // SERAPH_SERVER_METRICS_SERVER_H_

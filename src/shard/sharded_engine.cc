@@ -1,7 +1,6 @@
 #include "shard/sharded_engine.h"
 
 #include <algorithm>
-#include <limits>
 #include <optional>
 #include <utility>
 
@@ -19,23 +18,6 @@ std::string StreamLabel(const std::string& stream) {
 
 }  // namespace
 
-// Buffers one shard's emissions for the coordinator merge. Runs on the
-// coordinator thread (driver pumps are coordinator-driven), so plain
-// deque access is safe.
-class ShardedEngine::BufferSink final : public EmitSink {
- public:
-  explicit BufferSink(std::deque<PendingEmit>* buffer) : buffer_(buffer) {}
-
-  Status OnResult(const std::string& query_name, Timestamp evaluation_time,
-                  const TimeAnnotatedTable& table) override {
-    buffer_->push_back(PendingEmit{evaluation_time, query_name, table});
-    return Status::OK();
-  }
-
- private:
-  std::deque<PendingEmit>* buffer_;
-};
-
 ShardedEngine::ShardedEngine(ShardedEngineOptions options)
     : options_(std::move(options)) {
   if (options_.shards < 1) options_.shards = 1;
@@ -47,11 +29,11 @@ ShardedEngine::ShardedEngine(ShardedEngineOptions options)
     EngineOptions engine_options = options_.engine;
     engine_options.dead_letter = &shard->dead_letters;
     shard->engine = std::make_unique<ContinuousEngine>(engine_options);
-    shard->sink = std::make_unique<BufferSink>(&shard->buffered);
-    shard->engine->AddSink(shard->sink.get(), "shard-buffer");
+    shard->engine->AddSink(&buffer_, "shard-buffer");
     if (durable()) {
       persist::CheckpointOptions checkpoint_options;
-      checkpoint_options.dir = ShardDir(i);
+      checkpoint_options.dir =
+          options_.checkpoint_dir + "/shard-" + std::to_string(i);
       checkpoint_options.fsync = options_.checkpoint_fsync;
       shard->manager =
           std::make_unique<persist::CheckpointManager>(checkpoint_options);
@@ -63,49 +45,6 @@ ShardedEngine::ShardedEngine(ShardedEngineOptions options)
 }
 
 ShardedEngine::~ShardedEngine() = default;
-
-std::string ShardedEngine::ShardDir(int shard_index) const {
-  return options_.checkpoint_dir + "/shard-" + std::to_string(shard_index);
-}
-
-ShardedEngine::Lane* ShardedEngine::EnsureLane(int shard_index,
-                                               const std::string& stream) {
-  Shard* shard = shards_[static_cast<size_t>(shard_index)].get();
-  std::unique_ptr<Lane>& slot = shard->lanes[stream];
-  if (slot == nullptr) {
-    slot = std::make_unique<Lane>();
-    Lane* lane = slot.get();
-    lane->queue = std::make_unique<EventQueue>(options_.queue);
-    lane->consumer = "shard-" + std::to_string(shard_index) + "/" +
-                     StreamLabel(stream);
-    lane->queue->Subscribe(lane->consumer);
-    StreamDriver::Options driver_options;
-    driver_options.consumer = lane->consumer;
-    driver_options.target_stream = stream;
-    driver_options.poll_batch = options_.poll_batch;
-    driver_options.dead_letter = &shard->dead_letters;
-    // Lane drivers deliver only; the coordinator owns the shard clock
-    // (PumpShard advances it once per pump, to the fleet watermark), so
-    // equal-timestamp elements split across lanes are all delivered
-    // before any evaluation at their instant fires.
-    driver_options.advance_engine_clock = false;
-    lane->driver = std::make_unique<StreamDriver>(
-        lane->queue.get(), shard->engine.get(), driver_options);
-    // Shed elements stay observable (the overload partition invariant).
-    DeadLetterQueue* dead_letters = &shard->dead_letters;
-    const std::string consumer = lane->consumer;
-    lane->queue->SetShedCallback(
-        [dead_letters, consumer](const StreamElement& element) {
-          dead_letters->AddElement(
-              consumer, element,
-              Status::Unavailable("shed by bounded shard queue"), 0);
-        });
-    if (durable()) {
-      shard->manager->BindQueue(lane->consumer, lane->queue.get());
-    }
-  }
-  return slot.get();
-}
 
 Status ShardedEngine::AddRoute(std::string stream,
                                StreamRouter::Predicate predicate,
@@ -122,12 +61,6 @@ Status ShardedEngine::AddRoute(std::string stream,
         "route '" + StreamLabel(stream) + "' pins shard " +
         std::to_string(placement.shard) + ", outside shards 0.." +
         std::to_string(num_shards() - 1));
-  }
-  // Lanes are created eagerly on the placement's shards, so the
-  // (shard, stream) topology — and with it the durable consumer names —
-  // is a pure function of the declared routes.
-  for (int s = 0; s < num_shards(); ++s) {
-    if (placement.broadcast || s == placement.shard) EnsureLane(s, stream);
   }
   stream_placements_[stream] = placement;
   router_.AddRoute(std::move(stream), std::move(predicate));
@@ -186,7 +119,15 @@ void ShardedEngine::AddSink(EmitSink* sink) { sinks_.push_back(sink); }
 
 Result<int> ShardedEngine::Ingest(std::shared_ptr<const PropertyGraph> graph,
                                   Timestamp timestamp) {
+  // No shard clock is past the watermark, so an element at or after it
+  // is appended everywhere its routes name, and one before it nowhere.
+  if (newest_.has_value() && timestamp < *newest_) {
+    return Status::OutOfRange(
+        "cannot ingest an element older than the fleet watermark (" +
+        timestamp.ToString() + " < " + newest_->ToString() + ")");
+  }
   routes_frozen_ = true;
+  newest_ = timestamp;
   return router_.Route(
       graph, timestamp,
       [this](const std::string& stream,
@@ -196,8 +137,8 @@ Result<int> ShardedEngine::Ingest(std::shared_ptr<const PropertyGraph> graph,
         int deliveries = 0;
         for (int s = 0; s < num_shards(); ++s) {
           if (!placement.broadcast && s != placement.shard) continue;
-          SERAPH_RETURN_IF_ERROR(
-              ProduceToLane(s, EnsureLane(s, stream), element, t));
+          SERAPH_RETURN_IF_ERROR(shards_[static_cast<size_t>(s)]
+                                     ->engine->IngestTo(stream, element, t));
           ++deliveries;
         }
         return deliveries;
@@ -209,107 +150,43 @@ Result<int> ShardedEngine::Ingest(PropertyGraph graph, Timestamp timestamp) {
                 timestamp);
 }
 
-Status ShardedEngine::ProduceToLane(int shard_index, Lane* lane,
-                                   std::shared_ptr<const PropertyGraph> graph,
-                                   Timestamp timestamp) {
-  // Backpressure drains only this shard's lanes, so retention can trim
-  // the queue while the other shards keep running untouched.
-  SERAPH_RETURN_IF_ERROR(ProduceWithBackpressure(
-      lane->queue.get(), std::move(graph), timestamp,
-      [this, shard_index](Timestamp waiting) {
-        return PumpShard(shard_index, waiting);
-      }));
-  newest_ = std::max(newest_.value_or(timestamp), timestamp);
-  return Status::OK();
-}
-
-Result<int64_t> ShardedEngine::PumpShard(int shard_index,
-                                         std::optional<Timestamp> waiting) {
-  Shard* shard = shards_[static_cast<size_t>(shard_index)].get();
-  // Lane drivers deliver without advancing the shard clock (EnsureLane
-  // sets advance_engine_clock = false), so the pump order across lanes
-  // is irrelevant: every queued element lands in its window first, then
-  // the coordinator advances the clock once — the same
-  // ingest-then-advance cadence a single engine sees. Windows select by
-  // element timestamp, so delivering "ahead" of the clock never pollutes
-  // earlier evaluations.
-  int64_t delivered = 0;
-  for (auto& [stream, lane] : shard->lanes) {
-    SERAPH_ASSIGN_OR_RETURN(int64_t pumped, lane->driver->PumpAll());
-    delivered += pumped;
-  }
-  if (newest_.has_value()) {
-    SERAPH_RETURN_IF_ERROR(
-        AdvanceEngineClock(shard->engine.get(), *newest_, waiting));
-  }
-  if (durable() && options_.checkpoint_every > 0 &&
-      ++shard->pumps % options_.checkpoint_every == 0) {
+Status ShardedEngine::PumpAll() {
+  const bool commit = durable() && options_.checkpoint_every > 0 &&
+                      ++pumps_ % options_.checkpoint_every == 0;
+  for (int s = 0; s < num_shards(); ++s) {
+    Shard* shard = shards_[static_cast<size_t>(s)].get();
+    if (newest_.has_value()) {
+      SERAPH_RETURN_IF_ERROR(shard->engine->AdvanceTo(*newest_));
+    }
+    if (!commit) continue;
     // A failed commit leaves the previous generation the newest; the
     // manager counts it and the run goes on.
     Status committed = shard->manager->Checkpoint(shard->engine.get());
     if (!committed.ok()) {
-      SERAPH_LOG(ERROR) << "shard " << shard_index
+      SERAPH_LOG(ERROR) << "shard " << s
                         << " checkpoint failed: " << committed.ToString();
     }
   }
-  return delivered;
-}
-
-Status ShardedEngine::PumpAll(std::optional<Timestamp> waiting) {
-  for (int s = 0; s < num_shards(); ++s) {
-    SERAPH_RETURN_IF_ERROR(PumpShard(s, waiting).status());
-  }
-  MergeAndRelease(/*flush_all=*/false);
-  return Status::OK();
-}
-
-Status ShardedEngine::Finish() {
-  SERAPH_RETURN_IF_ERROR(PumpAll());
-  MergeAndRelease(/*flush_all=*/true);
-  return Status::OK();
-}
-
-void ShardedEngine::MergeAndRelease(bool flush_all) {
-  int64_t cut = std::numeric_limits<int64_t>::max();
-  if (!flush_all) {
-    // An emission is final once every shard's clock has passed its
-    // instant: no shard evaluates at or below its own clock again.
-    for (const auto& shard : shards_) {
-      const std::optional<Timestamp> clock = shard->engine->clock();
-      if (!clock.has_value()) return;
-      cut = std::min(cut, clock->millis());
-    }
-  }
-  std::vector<PendingEmit> ready;
-  for (const auto& shard : shards_) {
-    // Usually time-ordered, but late registration can interleave, so
-    // scan the whole buffer instead of popping a sorted prefix.
-    std::deque<PendingEmit> keep;
-    for (PendingEmit& emit : shard->buffered) {
-      if (emit.t.millis() <= cut) {
-        ready.push_back(std::move(emit));
-      } else {
-        keep.push_back(std::move(emit));
-      }
-    }
-    shard->buffered.swap(keep);
-  }
-  if (ready.empty()) return;
-  // A query lives on one shard and evaluates an instant once, so
-  // (t, query) is unique.
-  std::sort(ready.begin(), ready.end(),
+  // Every shard now stands at the same clock, so the buffer holds what
+  // one engine would have emitted since the last release, and sorting it
+  // gives that engine's order. A query lives on one shard and evaluates
+  // an instant once, so (t, query) is unique.
+  std::vector<PendingEmit>& emits = buffer_.emits;
+  std::sort(emits.begin(), emits.end(),
             [](const PendingEmit& a, const PendingEmit& b) {
               if (a.t.millis() != b.t.millis()) {
                 return a.t.millis() < b.t.millis();
               }
               return a.query < b.query;
             });
-  for (const PendingEmit& emit : ready) {
+  for (const PendingEmit& emit : emits) {
     for (EmitSink* sink : sinks_) {
       Status status = sink->OnResult(emit.query, emit.t, emit.table);
       if (!status.ok()) sink_failures_->Increment();
     }
   }
+  emits.clear();
+  return Status::OK();
 }
 
 ContinuousEngine* ShardedEngine::shard_engine(int shard_index) {
@@ -320,14 +197,6 @@ ContinuousEngine* ShardedEngine::shard_engine(int shard_index) {
 const ContinuousEngine* ShardedEngine::shard_engine(int shard_index) const {
   if (shard_index < 0 || shard_index >= num_shards()) return nullptr;
   return shards_[static_cast<size_t>(shard_index)]->engine.get();
-}
-
-const EventQueue* ShardedEngine::lane_queue(int shard_index,
-                                            const std::string& stream) const {
-  if (shard_index < 0 || shard_index >= num_shards()) return nullptr;
-  const auto& lanes = shards_[static_cast<size_t>(shard_index)]->lanes;
-  auto it = lanes.find(stream);
-  return it == lanes.end() ? nullptr : it->second->queue.get();
 }
 
 }  // namespace shard

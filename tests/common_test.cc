@@ -92,6 +92,25 @@ TEST(StringsTest, StripAndCase) {
   EXPECT_FALSE(StartsWith("se", "ser"));
 }
 
+TEST(StringsTest, AppendJsonStringEscapesQuotesBackslashesAndControls) {
+  std::string out = "x=";
+  AppendJsonString("a\"b\\c", &out);
+  EXPECT_EQ(out, "x=\"a\\\"b\\\\c\"");
+  auto json = [](std::string_view text) {
+    std::string quoted;
+    AppendJsonString(text, &quoted);
+    return quoted;
+  };
+  EXPECT_EQ(json(""), "\"\"");
+  EXPECT_EQ(json("\b\f\n\r\t"), "\"\\b\\f\\n\\r\\t\"");
+  // Other controls below 0x20 take the \u form; 0x20 itself is plain.
+  EXPECT_EQ(json(std::string_view("\x00\x01\x1f ", 4)),
+            "\"\\u0000\\u0001\\u001f \"");
+  // UTF-8 bytes (here "é" and "→") pass through unchanged, as does DEL.
+  EXPECT_EQ(json("caf\xc3\xa9 \xe2\x86\x92\x7f"),
+            "\"caf\xc3\xa9 \xe2\x86\x92\x7f\"");
+}
+
 TEST(CancellationTokenTest, ExpiresWhenTheClockPassesTheDeadline) {
   ManualClock clock(0);
   CancellationToken token(&clock, /*deadline_micros=*/1000);

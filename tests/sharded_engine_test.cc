@@ -85,7 +85,7 @@ TEST(ShardedEngineTest, RoutesReachTheShardsTheirPlacementNames) {
   auto delivered = fleet.Ingest(Item(1), T(1));
   ASSERT_TRUE(delivered.ok()) << delivered.status();
   EXPECT_EQ(*delivered, 5);  // The broadcast default on 4 shards + "pinned".
-  ASSERT_TRUE(fleet.Finish().ok());
+  ASSERT_TRUE(fleet.PumpAll().ok());
   for (int s = 0; s < 4; ++s) {
     EXPECT_EQ(fleet.shard_engine(s)->stream().size(), 1u) << s;
     EXPECT_EQ(fleet.shard_engine(s)->stream("pinned").size(),
@@ -116,7 +116,7 @@ TEST(ShardedEngineTest, RoutesFreezeOnceAQueryIsPlaced) {
   for (int i = 1; i <= 3; ++i) {
     ASSERT_TRUE(routed_first.Ingest(Item(i), T(i)).ok());
   }
-  ASSERT_TRUE(routed_first.Finish().ok());
+  ASSERT_TRUE(routed_first.PumpAll().ok());
   EXPECT_EQ(routed_sink.rows(), 6);  // 1 + 2 + 3 rows at 00:01..00:03.
 
   ShardedEngine placed_first(options);
@@ -243,11 +243,10 @@ TEST(ShardedEngineTest, MergedOutputIsOrderedByTimeThenQuery) {
         (i % 2 == 0) ? Labeled("L", 100 + i) : Labeled("R", 200 + i);
     auto delivered = fleet.Ingest(graph, T(1 + i));
     ASSERT_TRUE(delivered.ok()) << delivered.status();
-    // Default broadcast (2 shards) + the matching pinned lane.
+    // Default broadcast (2 shards) + the matching pinned stream.
     EXPECT_EQ(*delivered, 3);
     ASSERT_TRUE(fleet.PumpAll().ok());
   }
-  ASSERT_TRUE(fleet.Finish().ok());
 
   ASSERT_FALSE(sink.entries().empty());
   for (size_t i = 1; i < sink.entries().size(); ++i) {
@@ -273,9 +272,10 @@ TEST(ShardedEngineTest, MergedOutputIsOrderedByTimeThenQuery) {
 }
 
 // The durable fleet perfbench's fraud_durable runs: every shard commits
-// one generation at the end of every pump (checkpoint_every = 1), and its
-// lane queues keep nothing once a pump has delivered them.
-TEST(ShardedEngineTest, DurableShardsCommitOnceAPumpAndKeepNoQueueSuffix) {
+// one generation at the end of every pump (checkpoint_every = 1). Elements
+// go straight into the engine streams their routes name, so a generation
+// holds those streams and no consumer offsets.
+TEST(ShardedEngineTest, DurableShardsCommitOnceAPumpAndRecordNoOffsets) {
   const std::string dir = ::testing::TempDir() + "seraph_sharded_durable";
   std::filesystem::remove_all(dir);
   ShardedEngineOptions options;
@@ -302,14 +302,6 @@ TEST(ShardedEngineTest, DurableShardsCommitOnceAPumpAndKeepNoQueueSuffix) {
     ASSERT_TRUE(fleet.PumpAll().ok());
     // Each pump fires one instant on each shard.
     EXPECT_EQ(sink.entries().size(), static_cast<size_t>(2 * m));
-    for (int s = 0; s < 2; ++s) {
-      for (const char* stream : {"", "left", "right"}) {
-        const EventQueue* queue = fleet.lane_queue(s, stream);
-        if (queue == nullptr) continue;
-        EXPECT_EQ(queue->depth(), 0u)
-            << "shard " << s << " lane '" << stream << "' after pump " << m;
-      }
-    }
   }
   for (int s = 0; s < 2; ++s) {
     SCOPED_TRACE("shard " + std::to_string(s));
@@ -317,15 +309,72 @@ TEST(ShardedEngineTest, DurableShardsCommitOnceAPumpAndKeepNoQueueSuffix) {
                                                std::to_string(s));
     ASSERT_TRUE(image.ok()) << image.status();
     EXPECT_EQ(image->engine.clock, T(kPumps));
+    EXPECT_TRUE(image->offsets.empty());
     EXPECT_EQ(fleet.shard_engine(s)
                   ->metrics()
                   .FindCounter("seraph_checkpoint_total")
                   ->value(),
               kPumps);
   }
-  EXPECT_NE(fleet.lane_queue(0, "left"), nullptr);
-  EXPECT_EQ(fleet.lane_queue(0, "right"), nullptr);
+  const std::vector<std::string> shard1 = fleet.shard_engine(1)->StreamNames();
+  EXPECT_EQ(std::count(shard1.begin(), shard1.end(), "left"), 0);
+  EXPECT_EQ(fleet.shard_engine(1)->stream("right").size(),
+            static_cast<size_t>(kPumps));
   std::filesystem::remove_all(dir);
+}
+
+// Elements ever appended to `stream`, per shard.
+std::vector<size_t> Sizes(const ShardedEngine& fleet,
+                          const std::string& stream) {
+  std::vector<size_t> sizes;
+  for (int s = 0; s < fleet.num_shards(); ++s) {
+    sizes.push_back(fleet.shard_engine(s)->stream(stream).size());
+  }
+  return sizes;
+}
+
+// Timestamps are non-decreasing across Ingest calls, whichever streams
+// the elements take: an element older than the newest accepted one is
+// refused before routing. Here it would land on a shard whose clock has
+// already passed it.
+TEST(ShardedEngineTest, IngestRefusesAnElementBehindTheFleetWatermark) {
+  ShardedEngineOptions options;
+  options.shards = 2;
+  ShardedEngine fleet(options);
+  ASSERT_TRUE(fleet.AddRoute("", HasLabel("A"), FixedShard(0)).ok());
+  ASSERT_TRUE(fleet.AddRoute("b", HasLabel("B"), FixedShard(1)).ok());
+  ASSERT_TRUE(fleet
+                  .RegisterText("REGISTER QUERY qb STARTING AT "
+                                "'1970-01-01T00:01' { MATCH (n:B) WITHIN "
+                                "PT30M FROM b EMIT n.id EVERY PT1M }")
+                  .ok());
+  ASSERT_TRUE(fleet.Ingest(Labeled("A", 1), T(10)).ok());
+  ASSERT_TRUE(fleet.PumpAll().ok());
+
+  auto late = fleet.Ingest(Labeled("B", 2), T(5));
+  EXPECT_EQ(late.status().code(), StatusCode::kOutOfRange);
+  ASSERT_TRUE(fleet.PumpAll().ok());
+  EXPECT_EQ(Sizes(fleet, ""), (std::vector<size_t>{1, 0}));
+  EXPECT_EQ(Sizes(fleet, "b"), (std::vector<size_t>{0, 0}));
+}
+
+// A refused element reaches no shard, not even through the routes that
+// come before the one it is late for.
+TEST(ShardedEngineTest, ARefusedElementReachesNoShard) {
+  ShardedEngineOptions options;
+  options.shards = 2;
+  ShardedEngine fleet(options);
+  ASSERT_TRUE(fleet.AddRoute("", HasLabel("A"), Broadcast()).ok());
+  ASSERT_TRUE(fleet.AddRoute("b", HasLabel("B"), FixedShard(1)).ok());
+  ASSERT_TRUE(fleet.Ingest(Labeled("B", 1), T(12)).ok());
+
+  const PropertyGraph both =
+      GraphBuilder().Node(2, {"A", "B"}, {{"id", Value::Int(2)}}).Build();
+  auto late = fleet.Ingest(both, T(11));
+  EXPECT_EQ(late.status().code(), StatusCode::kOutOfRange);
+  ASSERT_TRUE(fleet.PumpAll().ok());
+  EXPECT_EQ(Sizes(fleet, ""), (std::vector<size_t>{0, 0}));
+  EXPECT_EQ(Sizes(fleet, "b"), (std::vector<size_t>{0, 1}));
 }
 
 TEST(ShardedEngineTest, UnroutedElementsAreCountedAsDropped) {
@@ -348,6 +397,12 @@ TEST(ShardedEngineTest, UnroutedElementsAreCountedAsDropped) {
       "seraph_router_routed_total", {{"stream", "<default>"}});
   ASSERT_NE(routed_counter, nullptr);
   EXPECT_EQ(routed_counter->value(), 2);  // One element, two shards.
+  // A dropped element still moves the fleet watermark, as it moves the
+  // clock of one engine that advances on every element.
+  ASSERT_TRUE(fleet.PumpAll().ok());
+  for (int s = 0; s < 2; ++s) {
+    EXPECT_EQ(fleet.shard_engine(s)->clock(), T(2)) << s;
+  }
 }
 
 }  // namespace

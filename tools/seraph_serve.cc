@@ -50,6 +50,7 @@
 #include <thread>
 #include <vector>
 
+#include "common/strings.h"
 #include "io/graph_text.h"
 #include "io/json.h"
 #include "runtime/flags.h"
@@ -159,8 +160,9 @@ HttpReply JsonReply(int code, const char* reason, std::string body) {
 
 HttpReply ErrorReply(int code, const char* reason,
                      const std::string& message) {
-  return JsonReply(code, reason,
-                   "{\"error\":\"" + EscapeJsonString(message) + "\"}\n");
+  std::string body = "{\"error\":";
+  AppendJsonString(message, &body);
+  return JsonReply(code, reason, body + "}\n");
 }
 
 }  // namespace
@@ -232,8 +234,9 @@ int main(int argc, char** argv) {
         return ErrorReply(code, code == 409 ? "Conflict" : "Bad Request",
                           name.status().ToString());
       }
-      return JsonReply(200, "OK",
-                       "{\"name\":\"" + EscapeJsonString(*name) + "\"}\n");
+      std::string body = "{\"name\":";
+      AppendJsonString(*name, &body);
+      return JsonReply(200, "OK", body + "}\n");
     }
     const std::string revive_suffix = "/revive";
     if (request.path.size() > 9 + revive_suffix.size() &&
@@ -245,8 +248,9 @@ int main(int argc, char** argv) {
         return ErrorReply(404, "Not Found", s.ToString());
       }
       rt.Publish();
-      return JsonReply(200, "OK",
-                       "{\"revived\":\"" + EscapeJsonString(name) + "\"}\n");
+      std::string body = "{\"revived\":";
+      AppendJsonString(name, &body);
+      return JsonReply(200, "OK", body + "}\n");
     }
     return ErrorReply(404, "Not Found",
                       "unknown POST path '" + request.path + "'");
@@ -321,8 +325,9 @@ int main(int argc, char** argv) {
     }
     const std::deque<BufferedResult>* buffered = results.ResultsFor(name);
     bool any = false;
-    std::string body = "{\"query\":\"" + EscapeJsonString(name) +
-                       "\",\"results\":[";
+    std::string body = "{\"query\":";
+    AppendJsonString(name, &body);
+    body += ",\"results\":[";
     int64_t last_seq = after;
     if (buffered != nullptr) {
       for (const BufferedResult& entry : *buffered) {
