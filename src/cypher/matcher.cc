@@ -121,10 +121,6 @@ class Matcher {
 
   void set_order(std::vector<size_t> order) { order_ = std::move(order); }
 
-  // Mirrors every emission into `trails` with the concrete trail that
-  // produced it (single rigid pattern only — the delta-index build path).
-  void set_trail_sink(std::vector<PathValue>* trails) { trails_ = trails; }
-
   // Restricts the seed enumeration of the first processed pattern's first
   // node to [begin, end) — one morsel of the full seed domain. The slice
   // must be drawn from the same domain the serial scan would use (the
@@ -149,7 +145,6 @@ class Matcher {
   Status MatchPattern(size_t pattern_idx) {
     if (pattern_idx == patterns_.size()) {
       out_->push_back(current_);
-      if (trails_ != nullptr) trails_->push_back(*emitting_trail_);
       return Status::OK();
     }
     const PathPattern& path = *patterns_[order_[pattern_idx]];
@@ -355,10 +350,7 @@ class Matcher {
     std::set<RelId> saved_used = used_rels_;
     used_rels_.clear();
     used_rels_.insert(clause_rels_.begin(), clause_rels_.end());
-    const PathValue* saved_trail = emitting_trail_;
-    emitting_trail_ = trail;
     Status s = MatchPattern(pattern_idx + 1);
-    emitting_trail_ = saved_trail;
     used_rels_ = std::move(saved_used);
     for (RelId r : pinned) clause_rels_.erase(r);
     if (bound_here) current_.Erase(path.path_variable);
@@ -617,12 +609,6 @@ class Matcher {
   // Optional morsel restriction of the top-level seed scan (not owned).
   const NodeId* seed_begin_ = nullptr;
   const NodeId* seed_end_ = nullptr;
-  // Optional emission mirror (MatchPatternWithTrails; not owned). When
-  // set, every record pushed to out_ is paired with the trail that
-  // produced it; emitting_trail_ points at the live trail of the pattern
-  // currently completing (stashed by FinishPath around its recursion).
-  std::vector<PathValue>* trails_ = nullptr;
-  const PathValue* emitting_trail_ = nullptr;
   // Optional trail filter (not owned) and whether it still prunes the
   // branch being expanded.
   const TrailFilter* filter_ = nullptr;
@@ -799,30 +785,6 @@ Status MatchSinglePattern(const PathPattern& pattern,
   // Inherits intra-query parallelism from the context, so a top-level
   // exists(<pattern>) over a large seed domain partitions too.
   return MatchViews({&pattern}, graph, input, ctx, out, MatchOptions{});
-}
-
-Status MatchPatternWithTrails(const PathPattern& pattern,
-                              const PropertyGraph& graph, const Record& input,
-                              EvalContext& ctx, std::vector<Record>* out,
-                              std::vector<PathValue>* trails) {
-  if (pattern.mode != PathMode::kNormal) {
-    return Status::InvalidArgument(
-        "MatchPatternWithTrails requires a kNormal path pattern");
-  }
-  for (const RelPattern& rp : pattern.rels) {
-    if (rp.variable_length) {
-      return Status::InvalidArgument(
-          "MatchPatternWithTrails requires fixed-length relationships");
-    }
-  }
-  // Serial on purpose: the trail order must be the canonical serial DFS
-  // order regardless of any parallelism spec in the context.
-  Matcher matcher(graph, ctx, {&pattern}, out);
-  matcher.set_trail_sink(trails);
-  const Record* saved = ctx.record();
-  Status s = matcher.Run(input);
-  ctx.set_record(saved);
-  return s;
 }
 
 }  // namespace seraph

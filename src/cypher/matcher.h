@@ -118,19 +118,6 @@ Status MatchSinglePattern(const PathPattern& pattern,
                           const PropertyGraph& graph, const Record& input,
                           EvalContext& ctx, std::vector<Record>* out);
 
-// Delta-matching support (seraph/delta): matches one rigid pattern —
-// kNormal mode, fixed length, no variable-length relationships — and
-// records, for every emitted record, the concrete trail (node and
-// relationship ids in pattern position order) that produced it.
-// `out` and `trails` grow in lockstep: trails->at(i) is the witness of
-// out->at(i). Always runs the serial DFS, so the emission order is the
-// canonical content-determined order the delta index keys reproduce.
-// Rejects variable-length / shortestPath patterns with kInvalidArgument.
-Status MatchPatternWithTrails(const PathPattern& pattern,
-                              const PropertyGraph& graph, const Record& input,
-                              EvalContext& ctx, std::vector<Record>* out,
-                              std::vector<PathValue>* trails);
-
 // The one incident-edge walk of the serial matcher and the delta index
 // (seraph/delta), which must agree on match order. Calls
 // `fn(rel, other_endpoint, bucket)` for each relationship incident to

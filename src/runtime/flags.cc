@@ -92,6 +92,24 @@ std::string Expected(const Flag& flag) {
 
 }  // namespace
 
+Flag ThreadsFlag(int* threads) {
+  return {"--threads=<n>", threads,
+          "evaluation threads (0 = hardware concurrency)", 0, 4096,
+          "SERAPH_EVAL_THREADS"};
+}
+
+Flag QueueCapacityFlag(size_t* capacity) {
+  return {"--queue-capacity=<n>", capacity,
+          "bound the event queue (default unbounded)", 1, kNoMax,
+          "SERAPH_QUEUE_CAPACITY"};
+}
+
+Flag OverflowPolicyFlag(OverflowPolicy* policy) {
+  return {"--overflow-policy=<reject|shed_oldest>", policy,
+          "what a full queue does (default reject)", 0, kNoMax,
+          "SERAPH_OVERFLOW_POLICY"};
+}
+
 CommandLine::CommandLine(std::string tool, std::string usage,
                          std::vector<Flag> flags)
     : tool_(std::move(tool)),

@@ -54,6 +54,15 @@ struct Flag {
   const char* env = nullptr;
 };
 
+// The rows every serving tool declares alike, so one flag means one thing
+// (and reads one environment variable) in all of them.
+//   --threads=<n>            SERAPH_EVAL_THREADS   EngineOptions::eval_threads
+//   --queue-capacity=<n>     SERAPH_QUEUE_CAPACITY the queue bound
+//   --overflow-policy=<...>  SERAPH_OVERFLOW_POLICY what a full queue does
+Flag ThreadsFlag(int* threads);
+Flag QueueCapacityFlag(size_t* capacity);
+Flag OverflowPolicyFlag(OverflowPolicy* policy);
+
 class CommandLine {
  public:
   // `usage` follows "usage: <tool> " in --help.

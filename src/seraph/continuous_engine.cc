@@ -667,10 +667,11 @@ Status ContinuousEngine::Register(RegisteredQuery query) {
   state->metrics = MakeQueryMetrics(&metrics_, state->query.name);
   // The MatchClause and projection pointers stay valid: EvaluateAt's
   // clause-vector and body moves transfer heap buffers without relocating
-  // elements. An entity-valued parameter rules the index out: its cached
-  // rows could read an entity no match binds.
+  // elements. An entity-valued parameter rules the index out (its cached
+  // rows could read an entity no match binds), as does an unbound one in
+  // a property value (Build would fail where the matcher need not).
   if (options_.delta_matching && DeltaIndex::Eligible(state->query) &&
-      DeltaIndex::ParametersAdmit(options_.parameters)) {
+      DeltaIndex::ParametersAdmit(state->query, options_.parameters)) {
     state->delta = std::make_unique<DeltaIndex>(
         std::get_if<MatchClause>(&state->query.clauses[0]),
         &state->query.projection);
@@ -780,11 +781,7 @@ Status ContinuousEngine::IngestTo(
   }
   // Elements that arrive unstamped (direct Ingest, no queue in front) get
   // their t0 here, so emit latency degrades gracefully to ingest→emit.
-  // With stamping off, no clock is read and FinishDelivery records
-  // nothing — the overhead ablation arm.
-  if (options_.latency_stamping && arrival_micros == 0) {
-    arrival_micros = LatencyClock()->NowMicros();
-  }
+  if (arrival_micros == 0) arrival_micros = LatencyClock()->NowMicros();
   Status appended =
       MutableStream(stream)->Append(std::move(graph), timestamp,
                                     arrival_micros);
@@ -846,13 +843,10 @@ Status ContinuousEngine::AdvanceTo(Timestamp now) {
   // the coordinator, sequentially, in query-name order — which is exactly
   // the order the serial min-scan produced, so output is identical at any
   // thread count.
+  // One pool serves both parallelism levels. Intra-query (morsel)
+  // parallelism is granted per batch, only when the batch leaves idle
+  // workers — a full batch already keeps the pool busy with whole queries.
   const int threads = ThreadPool::ResolveThreads(options_.eval_threads);
-  // One pool serves both parallelism levels; it is sized for whichever is
-  // wider. Intra-query (morsel) parallelism is granted per batch, only
-  // when the batch leaves spare workers — a full batch already keeps the
-  // pool busy with whole queries.
-  const int match_threads = ThreadPool::ResolveThreads(options_.match_threads);
-  const int pool_threads = std::max(threads, match_threads);
   std::vector<QueryState*> batch;
   std::vector<PendingDelivery> outputs;
   std::vector<Status> statuses;
@@ -886,10 +880,9 @@ Status ContinuousEngine::AdvanceTo(Timestamp now) {
     AdvanceSharedWindows(batch, t, &outputs);
     const bool parallel_queries = threads > 1 && batch.size() > 1;
     const bool parallel_match =
-        match_threads > 1 && static_cast<int>(batch.size()) < pool_threads;
-    if ((parallel_queries || parallel_match) &&
-        (pool_ == nullptr || pool_->size() != pool_threads)) {
-      pool_ = std::make_unique<ThreadPool>(pool_threads);
+        threads > 1 && static_cast<int>(batch.size()) < threads;
+    if (threads > 1 && pool_ == nullptr) {
+      pool_ = std::make_unique<ThreadPool>(threads);
     }
     for (QueryState* state : batch) {
       state->match_par.pool = parallel_match ? pool_.get() : nullptr;
@@ -1252,9 +1245,7 @@ Status ContinuousEngine::EvaluateAt(QueryState* state, Timestamp t,
   // Queue-wait's right endpoint, on the *latency* clock (which tests may
   // pin to a ManualClock on a different timebase than the trace clock —
   // both ends of a latency interval must come from the same clock).
-  if (options_.latency_stamping) {
-    out->latency_eval_start_micros = LatencyClock()->NowMicros();
-  }
+  out->latency_eval_start_micros = LatencyClock()->NowMicros();
   state->metrics.evaluations->Increment();
 
   // 1. Read each window's snapshot: the shared one the batch pre-pass
@@ -1527,7 +1518,7 @@ void ContinuousEngine::FinishDelivery(QueryState* state, Timestamp t,
                          {"t", t.ToString()}});
   }
   state->metrics.eval_total->Record(total_micros);
-  if (options_.latency_stamping) RecordEmitLatency(state, t, out);
+  RecordEmitLatency(state, t, out);
 }
 
 void ContinuousEngine::RecordEmitLatency(QueryState* state, Timestamp t,
@@ -1598,10 +1589,8 @@ void ContinuousEngine::HandleEvalFailure(QueryState* state, Timestamp t,
   }
 }
 
-namespace {
-
-int ThreadsFromEnvVar(const char* name, int fallback) {
-  const char* raw = std::getenv(name);
+int EvalThreadsFromEnv(int fallback) {
+  const char* raw = std::getenv("SERAPH_EVAL_THREADS");
   if (raw == nullptr || *raw == '\0') return fallback;
   char* end = nullptr;
   const long value = std::strtol(raw, &end, 10);
@@ -1609,16 +1598,6 @@ int ThreadsFromEnvVar(const char* name, int fallback) {
     return fallback;
   }
   return static_cast<int>(value);
-}
-
-}  // namespace
-
-int EvalThreadsFromEnv(int fallback) {
-  return ThreadsFromEnvVar("SERAPH_EVAL_THREADS", fallback);
-}
-
-int MatchThreadsFromEnv(int fallback) {
-  return ThreadsFromEnvVar("SERAPH_MATCH_THREADS", fallback);
 }
 
 }  // namespace seraph

@@ -98,7 +98,8 @@ struct EngineOptions {
   // index synchronized with its shared window's dirty sets so an
   // evaluation costs work proportional to the window churn instead of
   // the window size — ablated in bench_delta. Not used while a
-  // `parameters` value holds a node, relationship or path
+  // `parameters` value holds a node, relationship or path, or while a
+  // pattern property value names an unbound one
   // (DeltaIndex::ParametersAdmit).
   bool delta_matching = true;
   // Greedy MATCH join-order optimization — ablated in bench_match.
@@ -115,18 +116,14 @@ struct EngineOptions {
   // Worker threads for evaluation (docs/INTERNALS.md, "Parallel
   // evaluation"). 1 (default) keeps the serial engine; 0 means one
   // worker per hardware thread; N > 1 evaluates each instant's due
-  // queries concurrently on N workers. Sink delivery stays sequential on
-  // the coordinator in deterministic (timestamp, query name) order, so
-  // output is identical to the serial engine at any thread count.
+  // queries concurrently on N workers, and a batch smaller than the pool
+  // gives its idle workers to its queries' seed scans, split into morsels
+  // ("Intra-query parallelism"). Sink delivery stays sequential on the
+  // coordinator in deterministic (timestamp, query name) order, so output
+  // is identical to the serial engine at any thread count.
   int eval_threads = 1;
-  // Intra-query parallel pattern matching (docs/INTERNALS.md, "Intra-query
-  // parallelism"). 1 (default) keeps matching serial; 0 means one worker
-  // per hardware thread; N > 1 lets a query's top-level seed scan fan out
-  // in morsels on the shared pool. The scheduler grants it only when the
-  // due batch is smaller than the pool (spare workers exist); results are
-  // bit-identical to serial matching at any thread count.
-  int match_threads = 1;
-  // Fan out only when the seed domain has at least this many candidates.
+  // A seed scan is split into morsels only when its domain has at least
+  // this many candidates.
   int match_min_seeds = 2048;
   // Seed candidates per morsel.
   int match_morsel_size = 512;
@@ -144,17 +141,13 @@ struct EngineOptions {
   // keeps running — the query-side mirror of sink quarantine). 0 never
   // disables. ReviveQuery lifts it.
   int query_error_budget = 5;
-  // Emit-latency accounting (docs/INTERNALS.md, "Latency accounting &
-  // lag"): when true, elements arriving unstamped are stamped with the
-  // clock at ingestion, and sink delivery records each covered element's
+  // The clock behind emit-latency accounting (docs/INTERNALS.md, "Latency
+  // accounting & lag"): elements arriving unstamped are stamped with it at
+  // ingestion, and sink delivery records each covered element's
   // ingest→emit latency into `seraph_emit_latency_micros{query=...}` and
   // its queue wait into `seraph_emit_stage_micros{query=...,stage=queue}`.
-  // Off = no clock reads, no samples (the
-  // overhead ablation arm of bench_emit_latency).
-  bool latency_stamping = true;
-  // The clock behind arrival stamps and delivery reads. nullptr (default)
-  // = Clock::Steady(); tests inject a ManualClock for deterministic
-  // latency histograms.
+  // nullptr (default) = Clock::Steady(); tests inject a ManualClock for
+  // deterministic latency histograms.
   const Clock* clock = nullptr;
 };
 
@@ -353,8 +346,8 @@ class ContinuousEngine {
   // Same, with an upstream arrival stamp (microseconds on the engine
   // clock's timebase) carried from the transport — StreamDriver passes the
   // EventQueue's Produce stamp through here so emit latency covers queue
-  // wait. 0 means unstamped; with latency_stamping on, unstamped elements
-  // are stamped now (latency then measures ingest→emit only).
+  // wait. 0 means unstamped: the element is stamped now (latency then
+  // measures ingest→emit only).
   Status IngestTo(const std::string& stream,
                   std::shared_ptr<const PropertyGraph> graph,
                   Timestamp timestamp, int64_t arrival_micros);
@@ -374,9 +367,9 @@ class ContinuousEngine {
   // batch's evaluations run concurrently, while delivery to sinks always
   // happens sequentially on the calling thread in (timestamp, query name)
   // order.
-  // With `match_threads` > 1 and a batch smaller than the pool, a query's
-  // top-level seed scan additionally fans out in morsels on the spare
-  // workers (results stay bit-identical to serial matching).
+  // A batch smaller than the pool gives its idle workers to its queries'
+  // top-level seed scans, which fan out in morsels (results stay
+  // bit-identical to serial matching).
   // A query whose evaluation fails at runtime no longer fails the call:
   // the error is recorded per query (StatsFor(...).last_error,
   // seraph_query_eval_failures_total), dead-lettered when a queue is
@@ -456,10 +449,9 @@ class ContinuousEngine {
     TimeAnnotatedTable annotated;
     int64_t eval_start_micros = 0;  // Start of the evaluation stages.
     int64_t eval_end_micros = 0;    // End of the policy stage.
-    // The queue-wait endpoint, filled by EvaluateAt when
-    // latency_stamping is on. It is read from the *latency* clock
-    // (options_.clock), which in tests is a ManualClock on a different
-    // timebase than the trace clock above — queue wait is
+    // The queue-wait endpoint, filled by EvaluateAt. It is read from the
+    // *latency* clock (options_.clock), which in tests is a ManualClock on
+    // a different timebase than the trace clock above — queue wait is
     // (latency_eval_start − arrival), so both ends must come from the
     // same clock.
     int64_t latency_eval_start_micros = 0;
@@ -602,9 +594,6 @@ class ContinuousEngine {
 // is unset or malformed. Tools and tests use this so CI can run whole
 // suites with a parallel engine (e.g. under TSan).
 int EvalThreadsFromEnv(int fallback);
-
-// Same contract for SERAPH_MATCH_THREADS (intra-query parallel matching).
-int MatchThreadsFromEnv(int fallback);
 
 }  // namespace seraph
 

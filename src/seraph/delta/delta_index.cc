@@ -46,10 +46,41 @@ bool ContainsExists(const Expr& e) {
   });
 }
 
-bool ContainsVariable(const Expr& e) {
-  return SubtreeContains(e, [](const Expr& x) {
-    return dynamic_cast<const VariableExpr*>(&x) != nullptr;
+// Whether `e` is a literal, a parameter, or a list or map of those: a value
+// whose one evaluation can fail only on an unbound parameter. Appends the
+// parameters it names to `names`.
+bool IsConstant(const Expr& e, std::vector<std::string>* names) {
+  if (dynamic_cast<const LiteralExpr*>(&e) != nullptr) return true;
+  if (const auto* param = dynamic_cast<const ParameterExpr*>(&e)) {
+    names->push_back(param->name());
+    return true;
+  }
+  if (dynamic_cast<const ListExpr*>(&e) == nullptr &&
+      dynamic_cast<const MapExpr*>(&e) == nullptr) {
+    return false;
+  }
+  bool constant = true;
+  e.VisitChildren([&](const Expr& child) {
+    constant = constant && IsConstant(child, names);
   });
+  return constant;
+}
+
+// Whether every inline property value of `pattern` IsConstant; the
+// parameters they name go to `names`.
+bool PropertiesConstant(const PathPattern& pattern,
+                        std::vector<std::string>* names) {
+  for (const NodePattern& np : pattern.nodes) {
+    for (const auto& [key, expr] : np.properties) {
+      if (!IsConstant(*expr, names)) return false;
+    }
+  }
+  for (const RelPattern& rp : pattern.rels) {
+    for (const auto& [key, expr] : rp.properties) {
+      if (!IsConstant(*expr, names)) return false;
+    }
+  }
+  return true;
 }
 
 // An expression context over `graph` with `exec`'s parameters, instant,
@@ -88,8 +119,7 @@ bool HoldsEntity(const Value& v) {
 // rule included, with the same bucket per visit: the adjacency list the
 // forward walk takes the step from (0 = outgoing, 1 = incoming), which
 // for a step from nodes[i] to nodes[i+1] via r is equivalently
-// (r.src == nodes[i] ? 0 : 1) — the form KeyFor reconstructs from a
-// finished trail.
+// (r.src == nodes[i] ? 0 : 1).
 template <typename Fn>
 Status ForEachBackward(const PropertyGraph& graph, NodeId at,
                        RelDirection direction, const Fn& fn) {
@@ -145,18 +175,11 @@ bool DeltaIndex::Eligible(const RegisteredQuery& query) {
   for (const RelPattern& rp : pattern.rels) {
     if (rp.variable_length) return false;
   }
-  // Pattern property expressions must be evaluable once, without a
-  // binding: no variable references, no exists().
-  for (const NodePattern& np : pattern.nodes) {
-    for (const auto& [key, expr] : np.properties) {
-      if (ContainsVariable(*expr) || ContainsExists(*expr)) return false;
-    }
-  }
-  for (const RelPattern& rp : pattern.rels) {
-    for (const auto& [key, expr] : rp.properties) {
-      if (ContainsVariable(*expr) || ContainsExists(*expr)) return false;
-    }
-  }
+  // Build evaluates the pattern's property values once, up front, where
+  // the matcher evaluates one only on reaching a candidate: a value that
+  // could fail would fail windows the full path answers.
+  std::vector<std::string> names;
+  if (!PropertiesConstant(pattern, &names)) return false;
   // WHERE and the projection may reference the pattern variables freely:
   // a match's output is computed once and cached, and repair re-inserts
   // the match (so recomputes it) whenever one of its entities changes.
@@ -181,9 +204,16 @@ bool DeltaIndex::Eligible(const RegisteredQuery& query) {
 }
 
 bool DeltaIndex::ParametersAdmit(
+    const RegisteredQuery& query,
     const std::map<std::string, Value>& parameters) {
   for (const auto& [name, value] : parameters) {
     if (HoldsEntity(value)) return false;
+  }
+  std::vector<std::string> names;
+  const auto& match = std::get<MatchClause>(query.clauses[0]);
+  PropertiesConstant(match.patterns[0], &names);
+  for (const std::string& name : names) {
+    if (!parameters.contains(name)) return false;
   }
   return true;
 }
@@ -210,25 +240,8 @@ void DeltaIndex::Invalidate() {
 }
 
 // ---------------------------------------------------------------------------
-// Keys and index maintenance
+// Index maintenance
 // ---------------------------------------------------------------------------
-
-DeltaIndex::Key DeltaIndex::KeyFor(const PathValue& trail,
-                                   const PropertyGraph& graph) const {
-  Key key;
-  key.reserve(1 + 2 * trail.rels.size());
-  key.push_back(trail.nodes[0].value);
-  for (size_t i = 0; i < trail.rels.size(); ++i) {
-    const RelData* data = graph.relationship(trail.rels[i]);
-    // The adjacency bucket the serial matcher found this step in: 0 when
-    // the step left through nodes[i]'s outgoing list, 1 through its
-    // incoming list. Self-loops are always visited through the outgoing
-    // list, which this form gets right (src == nodes[i]).
-    key.push_back(data->src == trail.nodes[i] ? 0 : 1);
-    key.push_back(trail.rels[i].value);
-  }
-  return key;
-}
 
 void DeltaIndex::AddMatch(Key key, PathValue trail) {
   auto [it, inserted] = matches_.try_emplace(std::move(key));
@@ -269,13 +282,10 @@ void DeltaIndex::RemoveMatch(const Key& key) {
 
 Status DeltaIndex::PrecomputeProperties(const PropertyGraph& graph,
                                         const ExecutionOptions& exec) {
-  // The expressions reference no variables (Eligible), and the query is
-  // window-content-deterministic, so the values are constant across
-  // evaluations — computed once per Build.
-  EvalContext ctx(&graph, nullptr);
-  ctx.set_parameters(&exec.parameters);
-  ctx.set_now(exec.now);
-  ctx.set_window(exec.window);
+  // The values are literals and parameters (Eligible), so they are
+  // constant across evaluations — computed once per Build — and, with
+  // their parameters bound (ParametersAdmit), cannot fail.
+  EvalContext ctx = ContextFor(graph, exec);
   node_props_.assign(pattern_->nodes.size(), {});
   rel_props_.assign(pattern_->rels.size(), {});
   for (size_t j = 0; j < pattern_->nodes.size(); ++j) {
@@ -514,17 +524,19 @@ Status DeltaIndex::Build(const PropertyGraph& graph, int64_t advances,
                          const ExecutionOptions& exec) {
   Invalidate();
   SERAPH_RETURN_IF_ERROR(PrecomputeProperties(graph, exec));
-  // Full serial match with trail capture: the emitted order is the
-  // canonical order the keyed map reproduces, and the records it would
-  // emit are reconstructible from the trails.
-  EvalContext ctx = ContextFor(graph, exec);
-  std::vector<Record> records;
-  std::vector<PathValue> trails;
-  SERAPH_RETURN_IF_ERROR(MatchPatternWithTrails(*pattern_, graph, Record(),
-                                                ctx, &records, &trails));
-  for (PathValue& trail : trails) {
-    Key key = KeyFor(trail, graph);
-    AddMatch(std::move(key), std::move(trail));
+  // Every match, found by the DFS that repairs the index: each candidate
+  // for pattern node 0 anchored at position 0. Discovery order does not
+  // matter — the match map is keyed in canonical order. One label index
+  // supplies the candidates (NodeOk re-checks the other labels).
+  const NodePattern& first = pattern_->nodes[0];
+  const std::vector<NodeId> seeds =
+      first.labels.empty() ? graph.NodeIds()
+                           : graph.NodesWithLabel(first.labels.front());
+  for (NodeId id : seeds) {
+    if (exec.cancellation != nullptr) {
+      SERAPH_RETURN_IF_ERROR(exec.cancellation->Check());
+    }
+    SERAPH_RETURN_IF_ERROR(AnchorNode(graph, id, 0));
   }
   applied_advances_ = advances;
   valid_ = true;

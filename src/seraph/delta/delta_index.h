@@ -62,16 +62,21 @@ class DeltaIndex {
   // conservative: EMIT mode, window-content-deterministic, exactly one
   // non-OPTIONAL MATCH clause with a single fixed-length kNormal pattern,
   // no exists() predicates anywhere, no aggregates in the projection, and
-  // pattern property expressions free of variable references (so they can
-  // be evaluated once, without a binding). Variable-length patterns,
-  // shortestPath, and aggregation are follow-on work (see ROADMAP.md).
+  // every inline property value a literal, a parameter, or a list or map
+  // of those (Build evaluates them once, up front, so no value may fail
+  // where the matcher would never have evaluated it). Variable-length
+  // patterns, shortestPath, and aggregation are follow-on work (see
+  // ROADMAP.md).
   static bool Eligible(const RegisteredQuery& query);
 
-  // Whether cached output rows stay exact under `parameters`: false when a
-  // value holds a node, relationship or path (at any depth). WHERE or the
-  // projection could read an entity through it that no match binds, so a
-  // change to that entity would re-insert no match and leave rows stale.
-  static bool ParametersAdmit(const std::map<std::string, Value>& parameters);
+  // Whether the index serves the Eligible `query` exactly under
+  // `parameters`: false when a parameter an inline property value names is
+  // unbound (Build would fail on it), or when a value holds a node,
+  // relationship or path (at any depth) — WHERE or the projection could
+  // read an entity through it that no match binds, so a change to that
+  // entity would re-insert no match and leave rows stale.
+  static bool ParametersAdmit(const RegisteredQuery& query,
+                              const std::map<std::string, Value>& parameters);
 
   // `match` must satisfy Eligible's structural checks and outlive the
   // index (it points into the registered query's clause list). An index
@@ -95,9 +100,10 @@ class DeltaIndex {
   // any point where the index may have diverged from the snapshot.
   void Invalidate();
 
-  // Full build against `graph` (the snapshotter's current snapshot),
-  // recording the snapshotter advance count the build corresponds to.
-  // `exec` supplies parameters and the cooperative deadline.
+  // Full build against `graph` (the snapshotter's current snapshot) by the
+  // repair DFS, anchoring every candidate of pattern node 0, and records
+  // the snapshotter advance count the build corresponds to. `exec`
+  // supplies parameters and the cooperative deadline, checked per seed.
   Status Build(const PropertyGraph& graph, int64_t advances,
                const ExecutionOptions& exec);
 
@@ -149,8 +155,8 @@ class DeltaIndex {
                     const std::vector<NodeId>& dirty_nodes,
                     const std::vector<RelId>& dirty_rels);
 
-  // Evaluates the pattern's property expressions once (they reference no
-  // variables — Eligible guarantees it) into plain value lists.
+  // Evaluates the pattern's property values once (literals and parameters
+  // — Eligible guarantees it) into plain value lists.
   Status PrecomputeProperties(const PropertyGraph& graph,
                               const ExecutionOptions& exec);
 
@@ -162,7 +168,6 @@ class DeltaIndex {
   // marks it pending for the next Output.
   void AddMatch(Key key, PathValue trail);
   void RemoveMatch(const Key& key);
-  Key KeyFor(const PathValue& trail, const PropertyGraph& graph) const;
 
   // Anchored rediscovery state and expansion (see delta_index.cc).
   struct Search;

@@ -88,12 +88,6 @@ class EventQueue {
     offsets_[consumer] = log_.base_offset();
   }
 
-  // Forgets a consumer's committed offset, releasing its hold on the
-  // TrimCommitted retention floor. Returns whether it was registered.
-  bool RemoveConsumer(const std::string& consumer) {
-    return offsets_.erase(consumer) > 0;
-  }
-
   // Returns up to `max_events` events past the consumer's offset and
   // advances it. Consumers must be registered first (Subscribe /
   // Seek / RestoreOffset): polling under an unknown name fails with

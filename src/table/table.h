@@ -44,10 +44,6 @@ class Table {
   // constructs domains correctly by design).
   void AppendUnchecked(Record row) { rows_.push_back(std::move(row)); }
 
-  // Widens the field set (rows added later must carry the new fields).
-  void AddField(const std::string& name) { fields_.insert(name); }
-  void SetFields(std::set<std::string> fields) { fields_ = std::move(fields); }
-
   // Bag union: concatenation (UNION ALL).
   static Table BagUnion(const Table& a, const Table& b);
 

@@ -289,14 +289,12 @@ TEST(DeltaEquivalenceTest, TimelineIdenticalAcrossShapesPoliciesAndChurn) {
 TEST(DeltaEquivalenceTest, IdenticalUnderMorselAndEvalParallelism) {
   // The delta index always reproduces the *serial* canonical order, and
   // the parallel matcher is bit-identical to serial — so a parallel
-  // full-rematch engine and a delta engine (whose fallback queries may
-  // themselves fan out morsels) must still agree exactly.
+  // full-rematch engine and a delta engine must still agree exactly.
   const std::vector<std::string> fleet = FullFleet();
   const std::vector<std::string> names = FleetNames();
   std::vector<Event> events = ChurnEvents(/*seed=*/77, /*count=*/40);
   EngineOptions full_opts;
   full_opts.delta_matching = false;
-  full_opts.match_threads = 4;
   full_opts.match_min_seeds = 1;
   full_opts.match_morsel_size = 4;
   full_opts.eval_threads = 4;
@@ -305,6 +303,15 @@ TEST(DeltaEquivalenceTest, IdenticalUnderMorselAndEvalParallelism) {
   Timeline full = RunEngine(full_opts, fleet, names, events);
   Timeline delta = RunEngine(delta_opts, fleet, names, events);
   ExpectTimelinesIdentical(full, delta, "parallel");
+  // One query per engine: each batch leaves all but one worker idle, so
+  // the full path (and the delta path's fallback) splits the seed scan.
+  for (const Shape& shape : kShapes) {
+    const std::vector<std::string> one = {QueryText(shape, "SNAPSHOT", "")};
+    const std::vector<std::string> name = {shape.name};
+    ExpectTimelinesIdentical(RunEngine(full_opts, one, name, events),
+                             RunEngine(delta_opts, one, name, events),
+                             std::string("alone ") + shape.name);
+  }
 }
 
 TEST(DeltaEquivalenceTest, IdenticalAcrossCheckpointRestore) {
@@ -564,6 +571,70 @@ TEST(DeltaEquivalenceTest, EntityParameterKeepsQueryOnFullPath) {
   ASSERT_EQ(entries.size(), 6u);
   EXPECT_EQ(entries.front().table.size(), 1u);
   EXPECT_EQ(entries.back().table.size(), 0u);
+}
+
+TEST(DeltaEquivalenceTest, PropertyValuesThatCanFailTakeTheFullPath) {
+  // Build evaluates a pattern's inline property values once, up front;
+  // the matcher evaluates one only when a candidate with the right labels
+  // reaches it. So over windows holding no :A node the full path answers
+  // empty tables for {x: 1/0} and {x: $missing}, and an index built for
+  // them would fail there instead. Windows holding an :A node fail on
+  // both paths, alike. A bound parameter, and lists and maps of literals
+  // and bound parameters, cannot fail and stay on the index.
+  std::vector<Event> events;
+  for (int64_t m = 0; m < 4; ++m) {
+    GraphBuilder builder;
+    builder.Node(1 + m, {"B"}, {{"x", Value::Int(m)}});
+    events.push_back({m, builder.Build()});
+  }
+  {
+    GraphBuilder builder;
+    builder.Node(10, {"A"}, {{"x", Value::Int(1)}});
+    builder.Node(11, {"B"}, {{"x", Value::Int(2)}});
+    builder.Rel(1, 10, 11, "R");
+    events.push_back({6, builder.Build()});
+  }
+  auto text = [](const std::string& name, const std::string& value) {
+    return "REGISTER QUERY " + name +
+           " STARTING AT '1970-01-01T00:01' { MATCH (a:A {x: " + value +
+           "})-[r:R]->(b) WITHIN PT2M EMIT a.x AS x SNAPSHOT EVERY PT1M }";
+  };
+  EngineOptions full_opts;
+  full_opts.delta_matching = false;
+  full_opts.parameters["one"] = Value::Int(1);
+  EngineOptions delta_opts = full_opts;
+  delta_opts.delta_matching = true;
+  const std::pair<const char*, const char*> failing[] = {
+      {"div", "1/0"}, {"missing", "$missing"}};
+  for (const auto& [name, value] : failing) {
+    const std::vector<std::string> fleet = {text(name, value)};
+    const std::vector<std::string> names = {name};
+    auto query = ParseSeraphQuery(fleet[0]);
+    ASSERT_TRUE(query.ok()) << fleet[0];
+    EXPECT_FALSE(DeltaIndex::Eligible(*query) &&
+                 DeltaIndex::ParametersAdmit(*query, full_opts.parameters))
+        << value;
+    Failures full_failures, delta_failures;
+    Timeline full =
+        RunEngine(full_opts, fleet, names, events, &full_failures);
+    Timeline delta =
+        RunEngine(delta_opts, fleet, names, events, &delta_failures);
+    ExpectTimelinesIdentical(full, delta, value);
+    EXPECT_EQ(full_failures, delta_failures) << value;
+    // Both kinds of window were compared: empty answers before minute 6,
+    // failures over the :A element (fewer than the disabling five).
+    ASSERT_GE(full[0].second.size(), 5u) << value;
+    EXPECT_TRUE(full[0].second.entries()[0].table.empty()) << value;
+    EXPECT_GT(full_failures[0].first, 0) << value;
+    EXPECT_LT(full_failures[0].first, 5) << value;
+  }
+  for (const char* value : {"1", "$one", "[1, $one]", "{k: [$one, 'a']}"}) {
+    auto query = ParseSeraphQuery(text("ok", value));
+    ASSERT_TRUE(query.ok()) << value;
+    EXPECT_TRUE(DeltaIndex::Eligible(*query) &&
+                DeltaIndex::ParametersAdmit(*query, full_opts.parameters))
+        << value;
+  }
 }
 
 TEST(DeltaEquivalenceTest, CachedOutputEqualsProjectionOverEmit) {

@@ -1,16 +1,14 @@
 // Tests for the infrastructure modules: JSON serialization, metrics
-// histograms, graph algorithms, and the EventQueue→engine StreamDriver.
+// histograms, and the EventQueue→engine StreamDriver.
 #include <gtest/gtest.h>
 
 #include <sstream>
 
 #include "common/metrics.h"
-#include "graph/algorithms.h"
 #include "graph/graph_builder.h"
 #include "io/json.h"
 #include "seraph/sinks.h"
 #include "seraph/stream_driver.h"
-#include "workloads/network.h"
 
 namespace seraph {
 namespace {
@@ -147,71 +145,6 @@ TEST(HistogramTest, EngineLatencyIsRecorded) {
   ASSERT_TRUE(latency.ok());
   EXPECT_EQ(latency->count, 4);
   EXPECT_FALSE(engine.LatencyFor("nope").ok());
-}
-
-// ---------------------------------------------------------------------------
-// Graph algorithms
-// ---------------------------------------------------------------------------
-
-PropertyGraph TwoComponents() {
-  return GraphBuilder()
-      .Node(1, {"A"})
-      .Node(2, {"A"})
-      .Node(3, {"A"})
-      .Node(10, {"B"})
-      .Node(11, {"B"})
-      .Rel(1, 1, 2, "E")
-      .Rel(2, 2, 3, "E")
-      .Rel(3, 10, 11, "F")
-      .Build();
-}
-
-TEST(GraphAlgorithmsTest, ConnectedComponents) {
-  PropertyGraph g = TwoComponents();
-  auto components = ConnectedComponents(g);
-  EXPECT_EQ(components.at(NodeId{1}), 1);
-  EXPECT_EQ(components.at(NodeId{3}), 1);
-  EXPECT_EQ(components.at(NodeId{10}), 10);
-  EXPECT_EQ(CountConnectedComponents(g), 2u);
-  // Restricting to type F splits the E-chain into singletons.
-  EXPECT_EQ(CountConnectedComponents(g, {.type = "F"}), 4u);
-}
-
-TEST(GraphAlgorithmsTest, HopDistancesAndReachability) {
-  PropertyGraph g = TwoComponents();
-  auto dist = HopDistances(g, NodeId{1});
-  EXPECT_EQ(dist.at(NodeId{1}), 0);
-  EXPECT_EQ(dist.at(NodeId{2}), 1);
-  EXPECT_EQ(dist.at(NodeId{3}), 2);
-  EXPECT_FALSE(dist.contains(NodeId{10}));
-  EXPECT_TRUE(Reachable(g, NodeId{1}, NodeId{3}));
-  EXPECT_FALSE(Reachable(g, NodeId{1}, NodeId{10}));
-  EXPECT_TRUE(Reachable(g, NodeId{1}, NodeId{1}));
-  EXPECT_FALSE(Reachable(g, NodeId{99}, NodeId{1}));
-}
-
-TEST(GraphAlgorithmsTest, DegreeStats) {
-  PropertyGraph g = TwoComponents();
-  DegreeStats stats = ComputeDegreeStats(g);
-  EXPECT_EQ(stats.min, 1u);
-  EXPECT_EQ(stats.max, 2u);
-  EXPECT_EQ(stats.distribution.at(1), 4u);  // Nodes 1, 3, 10, 11.
-  EXPECT_EQ(stats.distribution.at(2), 1u);  // Node 2.
-}
-
-TEST(GraphAlgorithmsTest, HealthyNetworkIsSingleComponent) {
-  // §4.1's redundancy property: with no failures every rack can reach the
-  // egress router.
-  workloads::NetworkConfig config;
-  config.num_ticks = 1;
-  config.failure_probability = 0.0;
-  auto events = workloads::GenerateNetworkStream(config);
-  const PropertyGraph& g = events[0].graph;
-  EXPECT_EQ(CountConnectedComponents(g), 1u);
-  NodeId egress = g.NodesWithLabel("Router")[0];
-  for (NodeId rack : g.NodesWithLabel("Rack")) {
-    EXPECT_TRUE(Reachable(g, rack, egress));
-  }
 }
 
 // ---------------------------------------------------------------------------

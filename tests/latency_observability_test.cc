@@ -1,7 +1,7 @@
 // The emit-latency SLO layer (docs/INTERNALS.md, "Latency accounting &
 // lag"): arrival stamping through queue → driver → engine, deterministic
 // latency histograms under an injected ManualClock, the per-stage
-// breakdown, watermark/lag gauges, and the stamping-off ablation.
+// breakdown, and watermark/lag gauges.
 #include <gtest/gtest.h>
 
 #include "common/clock.h"
@@ -122,31 +122,6 @@ TEST(EmitLatencyTest, StageBreakdownRecorded) {
   // 1000, evaluations all started at clock 3000.
   EXPECT_EQ(stage("queue")->Snapshot().count, 1);
   EXPECT_EQ(stage("queue")->Snapshot().sum, 2'000);
-}
-
-// With latency_stamping off, no samples are recorded anywhere (the
-// overhead ablation arm).
-TEST(EmitLatencyTest, StampingDisabledRecordsNothing) {
-  ManualClock clock(1'000);
-  EngineOptions options;
-  options.clock = &clock;
-  options.latency_stamping = false;
-  ContinuousEngine engine(options);
-  CollectingSink sink;
-  engine.AddSink(&sink);
-  ASSERT_TRUE(engine.RegisterText(CountQuery("q")).ok());
-  ASSERT_TRUE(engine.Ingest(Item(1), T(6)).ok());
-  clock.Set(9'000);
-  ASSERT_TRUE(engine.AdvanceTo(T(10)).ok());
-  const Histogram* h = engine.metrics().FindHistogram(
-      "seraph_emit_latency_micros", {{"query", "q"}});
-  ASSERT_NE(h, nullptr);  // The series exists (registered eagerly)...
-  EXPECT_EQ(h->Snapshot().count, 0);  // ...but never sees a sample.
-  EXPECT_EQ(engine.metrics()
-                .FindHistogram("seraph_engine_emit_latency_micros")
-                ->Snapshot()
-                .count,
-            0);
 }
 
 // End to end through EventQueue + StreamDriver: the Produce stamp rides

@@ -172,14 +172,60 @@ TEST(MatcherParallelTest, PartitionMetricsAreRecorded) {
 }
 
 // ---------------------------------------------------------------------------
-// Engine-level equivalence: EngineOptions::match_threads end to end.
+// Engine-level equivalence: EngineOptions::eval_threads end to end. One
+// pool serves both levels; a batch smaller than the pool hands its idle
+// workers to its queries' seed scans.
 // ---------------------------------------------------------------------------
 
 Timestamp T(int64_t minutes) {
   return Timestamp::FromMillis(minutes * 60'000);
 }
 
-TEST(MatcherParallelTest, EngineWithMatchThreadsMatchesSerialEngine) {
+using Timeline = std::vector<std::pair<std::string, TimeVaryingTable>>;
+
+// The delivered timeline of `queries` (REGISTER QUERY texts, named by
+// `names`) over `events`, on an engine with `options`.
+Timeline RunEngine(const EngineOptions& options,
+                   const std::vector<std::string>& queries,
+                   const std::vector<std::string>& names,
+                   const std::vector<std::pair<int64_t, PropertyGraph>>& events,
+                   int64_t until_minute) {
+  ContinuousEngine engine(options);
+  CollectingSink sink;
+  engine.AddSink(&sink);
+  for (const std::string& text : queries) {
+    EXPECT_TRUE(engine.RegisterText(text).ok()) << text;
+  }
+  for (const auto& [min, graph] : events) {
+    EXPECT_TRUE(engine.Ingest(graph, T(min)).ok());
+  }
+  EXPECT_TRUE(engine.AdvanceTo(T(until_minute)).ok());
+  Timeline out;
+  for (const std::string& name : names) {
+    out.emplace_back(name, sink.ResultsFor(name));
+  }
+  return out;
+}
+
+void ExpectTimelinesIdentical(const Timeline& serial,
+                              const Timeline& parallel,
+                              const std::string& context) {
+  ASSERT_EQ(serial.size(), parallel.size()) << context;
+  for (size_t q = 0; q < serial.size(); ++q) {
+    const TimeVaryingTable& s = serial[q].second;
+    const TimeVaryingTable& p = parallel[q].second;
+    const std::string where = context + " " + serial[q].first;
+    ASSERT_EQ(s.size(), p.size()) << where;
+    for (size_t i = 0; i < s.entries().size(); ++i) {
+      EXPECT_EQ(s.entries()[i].window, p.entries()[i].window)
+          << where << " entry " << i;
+      ExpectRowsIdentical(s.entries()[i].table, p.entries()[i].table,
+                          where + " entry " + std::to_string(i));
+    }
+  }
+}
+
+TEST(MatcherParallelTest, EngineWithEvalThreadsMatchesSerialEngine) {
   std::mt19937 rng(123);
   // Ingest a stream of small random graphs, then compare the full
   // delivered timeline of a pattern-heavy query fleet.
@@ -190,6 +236,7 @@ TEST(MatcherParallelTest, EngineWithMatchThreadsMatchesSerialEngine) {
     events.emplace_back(minute,
                         RandomGraph(static_cast<uint32_t>(100 + e), 20, 30));
   }
+  const std::vector<std::string> names = {"chains", "stars"};
   const std::vector<std::string> queries = {
       "REGISTER QUERY chains STARTING AT '1970-01-01T00:05' { "
       "MATCH (a:A)-[r:R]->(b) WITHIN PT10M "
@@ -198,54 +245,71 @@ TEST(MatcherParallelTest, EngineWithMatchThreadsMatchesSerialEngine) {
       "MATCH (a)-[:R]->(b)-[:S]->(c) WITHIN PT15M "
       "EMIT a.v AS x, c.v AS z SNAPSHOT EVERY PT5M }",
   };
+  auto options = [](int threads) {
+    EngineOptions o;
+    o.eval_threads = threads;
+    o.match_min_seeds = 1;  // Exercise partitioning on tiny windows.
+    o.match_morsel_size = 4;
+    // The delta index would serve both queries and never fan out.
+    o.delta_matching = false;
+    return o;
+  };
+  const int threads = EvalThreadsFromEnv(4);
+  // Both queries per batch: they run across the pool, and the two idle
+  // workers of a 4-pool take their morsels (the nested
+  // SubmitBatch-from-worker path).
+  ExpectTimelinesIdentical(
+      RunEngine(options(1), queries, names, events, minute + 20),
+      RunEngine(options(threads), queries, names, events, minute + 20),
+      "fleet");
+  // One query per batch: only its seed scan is split.
+  for (size_t q = 0; q < queries.size(); ++q) {
+    ExpectTimelinesIdentical(
+        RunEngine(options(1), {queries[q]}, {names[q]}, events, minute + 20),
+        RunEngine(options(threads), {queries[q]}, {names[q]}, events,
+                  minute + 20),
+        "alone");
+  }
+}
 
-  auto run = [&](int match_threads, int eval_threads) {
+TEST(MatcherParallelTest, EngineSplitsOneQuerysSeedScanAcrossThePool) {
+  // Default morsel gates: a window of 2500 seed candidates (the unlabelled
+  // first node seeds from every node) clears match_min_seeds = 2048. The
+  // var-length hop keeps the query off the delta index.
+  std::vector<std::pair<int64_t, PropertyGraph>> events = {
+      {2, RandomGraph(/*seed=*/9, /*num_nodes=*/2500, /*num_rels=*/3000)}};
+  const std::vector<std::string> queries = {
+      "REGISTER QUERY q STARTING AT '1970-01-01T00:05' { "
+      "MATCH (a)-[:R*1..2]->(b) WITHIN PT10M "
+      "EMIT a.v AS av, b.v AS bv SNAPSHOT EVERY PT5M }"};
+  auto run = [&](int threads, int64_t* partitions) {
     EngineOptions options;
-    options.eval_threads = eval_threads;
-    options.match_threads = match_threads;
-    options.match_min_seeds = 1;  // Exercise partitioning on tiny windows.
-    options.match_morsel_size = 4;
+    options.eval_threads = threads;
     ContinuousEngine engine(options);
     CollectingSink sink;
     engine.AddSink(&sink);
-    for (const std::string& text : queries) {
-      EXPECT_TRUE(engine.RegisterText(text).ok());
-    }
-    for (const auto& [min, graph] : events) {
-      EXPECT_TRUE(engine.Ingest(graph, T(min)).ok());
-    }
-    EXPECT_TRUE(engine.AdvanceTo(T(minute + 20)).ok());
-    std::vector<std::pair<std::string, TimeVaryingTable>> out;
-    out.emplace_back("chains", sink.ResultsFor("chains"));
-    out.emplace_back("stars", sink.ResultsFor("stars"));
-    return out;
+    EXPECT_TRUE(engine.RegisterText(queries[0]).ok());
+    EXPECT_TRUE(engine.Ingest(events[0].second, T(2)).ok());
+    EXPECT_TRUE(engine.AdvanceTo(T(10)).ok());
+    *partitions = engine.metrics()
+                      .CounterFor("seraph_match_partitions_total",
+                                  {{"query", "q"}})
+                      ->value();
+    return Timeline{{"q", sink.ResultsFor("q")}};
   };
-
-  auto serial = run(/*match_threads=*/1, /*eval_threads=*/1);
-  // Intra-query alone, and combined with inter-query parallelism (the
-  // nested SubmitBatch-from-worker path).
-  for (auto [mt, et] : {std::pair<int, int>{MatchThreadsFromEnv(4), 1},
-                        std::pair<int, int>{MatchThreadsFromEnv(4),
-                                            EvalThreadsFromEnv(4)}}) {
-    auto parallel = run(mt, et);
-    ASSERT_EQ(serial.size(), parallel.size());
-    for (size_t q = 0; q < serial.size(); ++q) {
-      const TimeVaryingTable& s = serial[q].second;
-      const TimeVaryingTable& p = parallel[q].second;
-      ASSERT_EQ(s.size(), p.size()) << serial[q].first;
-      for (size_t i = 0; i < s.entries().size(); ++i) {
-        EXPECT_EQ(s.entries()[i].window, p.entries()[i].window)
-            << serial[q].first << " entry " << i;
-        ExpectRowsIdentical(s.entries()[i].table, p.entries()[i].table,
-                            serial[q].first + " entry " + std::to_string(i));
-      }
-    }
-  }
+  int64_t serial_partitions = 0, parallel_partitions = 0;
+  const Timeline serial = run(1, &serial_partitions);
+  const Timeline parallel = run(4, &parallel_partitions);
+  EXPECT_EQ(serial_partitions, 0);
+  EXPECT_GT(parallel_partitions, 0);
+  ASSERT_EQ(serial[0].second.size(), 2u);
+  EXPECT_GT(serial[0].second.entries()[0].table.size(), 0u);
+  ExpectTimelinesIdentical(serial, parallel, "one query");
 }
 
 TEST(MatcherParallelTest, EngineExportsMatchPartitionMetrics) {
   EngineOptions options;
-  options.match_threads = 4;
+  options.eval_threads = 4;
   options.match_min_seeds = 1;
   options.match_morsel_size = 2;
   // Force the full-execution path: delta matching would serve this

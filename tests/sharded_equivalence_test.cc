@@ -295,7 +295,7 @@ TEST(ShardedEquivalenceTest, ParallelShardsPreserveMergedOrder) {
   ASSERT_FALSE(expected.empty());
   EngineOptions parallel;
   parallel.eval_threads = 4;
-  parallel.match_threads = 2;
+  parallel.match_min_seeds = 1;  // A batch under 4 queries splits seeds.
   for (int shards : {2, 4}) {
     ExpectSequencesIdentical(
         expected,

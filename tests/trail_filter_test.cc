@@ -369,7 +369,7 @@ void ExpectSameOutcome(const Result<Table>& pruned, const Result<Table>& oracle,
 bool Planned(const std::string& text) { return !Plan(text).empty(); }
 
 TEST(TrailFilterEquivalenceTest, OneTimeQueriesMatchTheUnplannedSpelling) {
-  ThreadPool pool(MatchThreadsFromEnv(4));
+  ThreadPool pool(EvalThreadsFromEnv(4));
   MatchParallelism parallel;
   parallel.pool = &pool;
   parallel.min_seeds = 1;  // Partition even the tiny seed domains.
@@ -485,9 +485,9 @@ TEST(TrailFilterEquivalenceTest, ContinuousQueriesMatchTheUnplannedSpelling) {
              " EMIT r, s, q SNAPSHOT EVERY PT2M }";
     };
     if (Planned(text("pruned", body.pruned))) ++planned;
-    for (const int threads : {1, MatchThreadsFromEnv(4)}) {
+    for (const int threads : {1, EvalThreadsFromEnv(4)}) {
       EngineOptions options;
-      options.match_threads = threads;
+      options.eval_threads = threads;
       options.match_min_seeds = 1;
       options.match_morsel_size = 1;
       ContinuousEngine engine(options);
@@ -502,7 +502,7 @@ TEST(TrailFilterEquivalenceTest, ContinuousQueriesMatchTheUnplannedSpelling) {
       }
       ASSERT_TRUE(engine.AdvanceTo(T(minute + 10)).ok()) << context;
       const std::string where =
-          context + " (match_threads " + std::to_string(threads) + ")";
+          context + " (eval_threads " + std::to_string(threads) + ")";
       const QueryStats pruned = engine.StatsFor("pruned").value();
       const QueryStats oracle = engine.StatsFor("oracle").value();
       EXPECT_EQ(pruned.evaluations, oracle.evaluations) << where;

@@ -2,6 +2,8 @@
 // generators (determinism, schema, temporal shape).
 #include <gtest/gtest.h>
 
+#include "cypher/executor.h"
+#include "cypher/parser.h"
 #include "workloads/bike_sharing.h"
 #include "workloads/network.h"
 #include "workloads/pole.h"
@@ -129,6 +131,25 @@ TEST(NetworkGeneratorTest, TopologyShape) {
   // Each tick is a disjoint copy: different node ids per tick.
   EXPECT_EQ(events[1].graph.NodesWithLabel("Router").size(), 1u);
   EXPECT_NE(events[0].graph.NodeIds()[0], events[1].graph.NodeIds()[0]);
+}
+
+TEST(NetworkGeneratorTest, HealthyNetworkIsSingleComponent) {
+  // §4.1's redundancy property: with no failures every node of a tick's
+  // fabric, racks included, has a route to the egress router.
+  workloads::NetworkConfig config;
+  config.num_ticks = 1;
+  config.failure_probability = 0.0;
+  auto events = workloads::GenerateNetworkStream(config);
+  const PropertyGraph& g = events[0].graph;
+  auto query = ParseCypherQuery(
+      "MATCH (e:Router), (n) WHERE n <> e "
+      "MATCH p = shortestPath((n)-[*]-(e)) RETURN count(p) AS routed");
+  ASSERT_TRUE(query.ok()) << query.status();
+  auto table = ExecuteQueryOnGraph(*query, g, ExecutionOptions{});
+  ASSERT_TRUE(table.ok()) << table.status();
+  ASSERT_EQ(table->size(), 1u);
+  EXPECT_EQ(*table->rows()[0].Find("routed"),
+            Value::Int(static_cast<int64_t>(g.num_nodes()) - 1));
 }
 
 TEST(NetworkGeneratorTest, FailuresRemovePrimaryUplinks) {

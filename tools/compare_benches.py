@@ -8,7 +8,7 @@
 Two file shapes are understood, matched by name:
 
   * google-benchmark JSON (BENCH_match.json, BENCH_parallel_queries.json,
-    BENCH_recovery.json, BENCH_emit_latency.json, BENCH_overload.json):
+    BENCH_recovery.json, BENCH_overload.json):
     each benchmark's real_time is compared by name; a fresh run slower
     than `baseline * threshold` fails. User counters named `*_bytes`
     (BM_CheckpointWrite's checkpoint_bytes) are sizes, not times: the

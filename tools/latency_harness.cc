@@ -27,6 +27,7 @@
 #include "graph/graph_builder.h"
 #include "runtime/flags.h"
 #include "runtime/runtime.h"
+#include "seraph/sinks.h"
 
 namespace {
 
@@ -57,24 +58,6 @@ PropertyGraph MakeEvent(int64_t i) {
   b.Rel(2000 + i, person, room, "IN");
   return b.Build();
 }
-
-// A sink that only counts: the harness measures pipeline latency, not
-// output formatting.
-class CountingSink final : public EmitSink {
- public:
-  Status OnResult(const std::string&, Timestamp,
-                  const TimeAnnotatedTable& table) override {
-    ++emits_;
-    rows_ += static_cast<int64_t>(table.table.size());
-    return Status::OK();
-  }
-  int64_t emits() const { return emits_; }
-  int64_t rows() const { return rows_; }
-
- private:
-  int64_t emits_ = 0;
-  int64_t rows_ = 0;
-};
 
 // A sliding 10 s window, evaluated every second of event time. Event time
 // advances at one simulated millisecond per produced event scaled to the
@@ -109,17 +92,14 @@ int main(int argc, char** argv) {
        0, 65535},
       {"--stats-interval=<sec>", &options.stats_interval_sec,
        "print a status line every <sec> seconds", 1},
-      {"--queue-capacity=<n>", &options.queue.capacity,
-       "bound the event queue (default unbounded)", 1, runtime::kNoMax,
-       "SERAPH_QUEUE_CAPACITY"},
-      {"--overflow-policy=<reject|shed_oldest>",
-       &options.queue.overflow_policy,
-       "what a full queue does (default reject)", 0, runtime::kNoMax,
-       "SERAPH_OVERFLOW_POLICY"},
+      runtime::QueueCapacityFlag(&options.queue.capacity),
+      runtime::OverflowPolicyFlag(&options.queue.overflow_policy),
   });
   if (auto exit_code = cli.Parse(argc, argv)) return *exit_code;
 
   runtime::Runtime rt(options);
+  // Counts only: the harness measures pipeline latency, not output
+  // formatting.
   CountingSink sink;
   rt.AddSink(&sink);
   for (int q = 0; q < queries; ++q) {
@@ -183,7 +163,7 @@ int main(int argc, char** argv) {
                 "overload: shed=%lld rejected=%lld trimmed=%lld"
                 " producer_retries=%lld  rss=%.1f MiB\n",
                 static_cast<long long>(produced), achieved, rate, queries,
-                static_cast<long long>(sink.emits()),
+                static_cast<long long>(sink.evaluations()),
                 static_cast<long long>(sink.rows()),
                 static_cast<long long>(latency.p50),
                 static_cast<long long>(latency.p99),
@@ -204,7 +184,7 @@ int main(int argc, char** argv) {
       << "  \"duration_sec\": " << duration_sec << ",\n"
       << "  \"queries\": " << queries << ",\n"
       << "  \"events\": " << produced << ",\n"
-      << "  \"emits\": " << sink.emits() << ",\n"
+      << "  \"emits\": " << sink.evaluations() << ",\n"
       << "  \"rows\": " << sink.rows() << ",\n"
       << "  \"latency_samples\": " << latency.count << ",\n"
       << "  \"p50_us\": " << latency.p50 << ",\n"

@@ -3,8 +3,7 @@
 # (bench_match: pattern matching incl. morsel-parallel scaling;
 # bench_parallel_queries: inter-query scheduler scaling; bench_recovery:
 # checkpoint write cost vs. state size and recovery latency vs. replay
-# length; bench_emit_latency: the latency-stamping overhead guard;
-# bench_delta: delta-matching ablation — steady-state evaluation latency
+# length; bench_delta: delta-matching ablation — steady-state evaluation latency
 # vs. window size with churn held fixed; bench_overload: bounded-queue
 # admission cost per overflow policy (reject, shed_oldest);
 # bench_sharded: the sharded tier — four copies of one query over the
@@ -26,8 +25,7 @@ set -euo pipefail
 
 BUILD_DIR="${1:-build}"
 OUT_DIR="${2:-bench-results}"
-BENCHES=(bench_match bench_parallel_queries bench_recovery bench_emit_latency
-         bench_delta
+BENCHES=(bench_match bench_parallel_queries bench_recovery bench_delta
          bench_overload bench_sharded bench_result_reuse bench_use_cases)
 
 mkdir -p "${OUT_DIR}"

@@ -154,12 +154,7 @@ int main(int argc, char** argv) {
            "print counters every <n> events", 1},
           {"--dead-letter=<path>", &dead_letter_path,
            "write dead-lettered results and elements as JSON lines"},
-          {"--threads=<n>", &options.engine.eval_threads,
-           "evaluation threads (0 = hardware concurrency)", 0, 4096,
-           "SERAPH_EVAL_THREADS"},
-          {"--match-threads=<n>", &options.engine.match_threads,
-           "intra-query matching threads (0 = hardware concurrency)", 0,
-           4096, "SERAPH_MATCH_THREADS"},
+          runtime::ThreadsFlag(&options.engine.eval_threads),
           {"--checkpoint-dir=<dir>", &options.checkpoint_dir,
            "commit checkpoints into <dir>"},
           {"--restore", &options.restore,
@@ -172,13 +167,8 @@ int main(int argc, char** argv) {
            0, 65535},
           {"--stats-interval=<sec>", &options.stats_interval_sec,
            "print a status line every <sec> seconds", 1},
-          {"--queue-capacity=<n>", &options.queue.capacity,
-           "bound the event queue (default unbounded)", 1, runtime::kNoMax,
-           "SERAPH_QUEUE_CAPACITY"},
-          {"--overflow-policy=<reject|shed_oldest>",
-           &options.queue.overflow_policy,
-           "what a full queue does (default reject)", 0, runtime::kNoMax,
-           "SERAPH_OVERFLOW_POLICY"},
+          runtime::QueueCapacityFlag(&options.queue.capacity),
+          runtime::OverflowPolicyFlag(&options.queue.overflow_policy),
           {"--eval-deadline-ms=<n>", &options.engine.eval_deadline_millis,
            "cancel an evaluation after <n> ms (0 = off)", 0,
            runtime::kNoMax, "SERAPH_EVAL_DEADLINE_MS"},

@@ -180,23 +180,15 @@ int main(int argc, char** argv) {
        "REGISTER QUERY file registered at startup (repeatable)"},
       {"--checkpoint-dir=<dir>", &options.checkpoint_dir,
        "commit every ingest batch here and restore from it on startup"},
-      {"--queue-capacity=<n>", &options.queue.capacity,
-       "bound the event queue (default unbounded)", 1},
-      {"--overflow-policy=<reject|shed_oldest>",
-       &options.queue.overflow_policy,
-       "what a full queue does (default reject)"},
+      runtime::QueueCapacityFlag(&options.queue.capacity),
+      runtime::OverflowPolicyFlag(&options.queue.overflow_policy),
       {"--io-timeout-ms=<n>", &options.io_timeout_millis,
        "per-connection IO deadline (default 5000)", 1},
       {"--long-poll-ms=<n>", &options.long_poll_millis,
        "long-poll budget before 204 (default 10000)", 1},
       {"--max-runtime-sec=<n>", &max_runtime_sec,
        "stop after <n> seconds (0 = until signalled)"},
-      {"--threads=<n>", &options.engine.eval_threads,
-       "evaluation threads (0 = hardware concurrency)", 0, 4096,
-       "SERAPH_EVAL_THREADS"},
-      {"--match-threads=<n>", &options.engine.match_threads,
-       "intra-query matching threads (0 = hardware concurrency)", 0, 4096,
-       "SERAPH_MATCH_THREADS"},
+      runtime::ThreadsFlag(&options.engine.eval_threads),
   });
   if (auto exit_code = cli.Parse(argc, argv)) return *exit_code;
   options.restore = !options.checkpoint_dir.empty();
