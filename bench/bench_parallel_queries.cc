@@ -3,8 +3,10 @@
 // with 16/64/256 copies at 2 threads. Since the copies share the ET grid,
 // every instant is one batch of N concurrent evaluations — the best case
 // the batch-barrier scheduler is built for — and they share one window,
-// which the coordinator advances once per instant: the
-// snapshot_advances_per_instant counter reads 1 at every query count.
+// which is advanced once per instant, and one pattern skeleton, whose
+// match index is repaired once per instant: the
+// snapshot_advances_per_instant and delta_repairs_per_instant counters
+// read 1 at every query count.
 // Each parallel run is also checked against the serial run for identical
 // results (content and delivery order), so the speedup numbers can never
 // come from dropping or reordering work.
@@ -67,9 +69,11 @@ struct OrderSink : EmitSink {
 struct FleetRun {
   bool ok = false;
   std::vector<Delivery> calls;
-  // Shared-window advances across the fleet per evaluation instant (one
-  // batch per instant), read from the registry.
+  // Shared-window advances and match-index repairs (builds included)
+  // across the fleet per evaluation instant (one batch per instant), read
+  // from the registry.
   double advances_per_instant = 0;
+  double repairs_per_instant = 0;
 };
 
 // Runs `queries` copies on `eval_threads` workers.
@@ -89,16 +93,22 @@ FleetRun RunFleet(int queries, int eval_threads) {
   if (!engine.Drain().ok()) return run;
   const MetricsRegistry& registry = engine.metrics();
   int64_t advances = 0;
+  int64_t repairs = 0;
   for (const std::string& name : engine.QueryNames()) {
+    const MetricLabels query{{"query", name}};
     advances += registry
                     .FindCounter("seraph_query_snapshots_incremental_total",
-                                 {{"query", name}})
+                                 query)
                     ->value();
+    repairs +=
+        registry.FindCounter("seraph_delta_repairs_total", query)->value();
   }
   const int64_t instants =
       registry.FindHistogram("seraph_engine_eval_batch_size")->count();
-  run.advances_per_instant =
-      instants > 0 ? static_cast<double>(advances) / instants : 0;
+  if (instants > 0) {
+    run.advances_per_instant = static_cast<double>(advances) / instants;
+    run.repairs_per_instant = static_cast<double>(repairs) / instants;
+  }
   run.ok = true;
   run.calls = std::move(sink.calls);
   return run;
@@ -130,6 +140,7 @@ void RunAgainstSerial(benchmark::State& state, int queries, int threads) {
     return;
   }
   double advances_per_instant = 0;
+  double repairs_per_instant = 0;
   for (auto _ : state) {
     FleetRun got = RunFleet(queries, threads);
     if (!got.ok) {
@@ -141,11 +152,13 @@ void RunAgainstSerial(benchmark::State& state, int queries, int threads) {
       return;
     }
     advances_per_instant = got.advances_per_instant;
+    repairs_per_instant = got.repairs_per_instant;
     benchmark::DoNotOptimize(got);
   }
   state.counters["queries"] = queries;
   state.counters["threads"] = threads;
   state.counters["snapshot_advances_per_instant"] = advances_per_instant;
+  state.counters["delta_repairs_per_instant"] = repairs_per_instant;
   state.SetLabel(std::to_string(queries) + " queries, " +
                  std::to_string(threads) + " thread(s)");
 }

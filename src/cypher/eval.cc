@@ -1,6 +1,7 @@
 #include "cypher/eval.h"
 
 #include <cmath>
+#include <limits>
 
 #include "cypher/functions.h"
 #include "cypher/matcher.h"
@@ -120,6 +121,10 @@ Value TernaryNot(const Value& a) {
 
 bool IsTruthy(const Value& v) { return v.is_bool() && v.AsBool(); }
 
+Status IntegerOverflow() {
+  return Status::EvaluationError("integer overflow");
+}
+
 namespace {
 
 // Connective operands and quantifier predicates are boolean or null; any
@@ -205,20 +210,42 @@ Result<Value> CypherArithmetic(BinaryOp op, const Value& a, const Value& b) {
         ValueKindToString(a.kind()) + " and " + ValueKindToString(b.kind()));
   }
   bool both_int = a.is_int() && b.is_int();
+  // Integer results that do not fit int64 fail the evaluation (and only
+  // the query that computed them) instead of wrapping or trapping.
+  int64_t result = 0;
   switch (op) {
     case BinaryOp::kAdd:
-      if (both_int) return Value::Int(a.AsInt() + b.AsInt());
+      if (both_int) {
+        if (__builtin_add_overflow(a.AsInt(), b.AsInt(), &result)) {
+          return IntegerOverflow();
+        }
+        return Value::Int(result);
+      }
       return Value::Float(a.AsNumber() + b.AsNumber());
     case BinaryOp::kSubtract:
-      if (both_int) return Value::Int(a.AsInt() - b.AsInt());
+      if (both_int) {
+        if (__builtin_sub_overflow(a.AsInt(), b.AsInt(), &result)) {
+          return IntegerOverflow();
+        }
+        return Value::Int(result);
+      }
       return Value::Float(a.AsNumber() - b.AsNumber());
     case BinaryOp::kMultiply:
-      if (both_int) return Value::Int(a.AsInt() * b.AsInt());
+      if (both_int) {
+        if (__builtin_mul_overflow(a.AsInt(), b.AsInt(), &result)) {
+          return IntegerOverflow();
+        }
+        return Value::Int(result);
+      }
       return Value::Float(a.AsNumber() * b.AsNumber());
     case BinaryOp::kDivide:
       if (both_int) {
         if (b.AsInt() == 0) {
           return Status::EvaluationError("integer division by zero");
+        }
+        if (a.AsInt() == std::numeric_limits<int64_t>::min() &&
+            b.AsInt() == -1) {
+          return IntegerOverflow();
         }
         return Value::Int(a.AsInt() / b.AsInt());
       }
@@ -228,6 +255,8 @@ Result<Value> CypherArithmetic(BinaryOp op, const Value& a, const Value& b) {
         if (b.AsInt() == 0) {
           return Status::EvaluationError("integer modulo by zero");
         }
+        // INT64_MIN % -1 traps on some hardware; it is 0.
+        if (b.AsInt() == -1) return Value::Int(0);
         return Value::Int(a.AsInt() % b.AsInt());
       }
       return Value::Float(std::fmod(a.AsNumber(), b.AsNumber()));
@@ -392,7 +421,12 @@ Result<Value> UnaryExpr::Eval(EvalContext& ctx) const {
       return TernaryNot(v);
     case UnaryOp::kNegate:
       if (v.is_null()) return Value::Null();
-      if (v.is_int()) return Value::Int(-v.AsInt());
+      if (v.is_int()) {
+        if (v.AsInt() == std::numeric_limits<int64_t>::min()) {
+          return IntegerOverflow();
+        }
+        return Value::Int(-v.AsInt());
+      }
       if (v.is_float()) return Value::Float(-v.AsFloat());
       if (v.is_duration()) return Value::Dur(-v.AsDuration());
       return Status::EvaluationError("unary minus requires a number");

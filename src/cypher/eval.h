@@ -137,6 +137,10 @@ Value TernaryNot(const Value& a);
 // "passing" — the WHERE-filter rule).
 bool IsTruthy(const Value& v);
 
+// The failure of integer arithmetic whose result does not fit int64
+// (kEvaluationError "integer overflow").
+Status IntegerOverflow();
+
 // x IN list: ternary membership (null element comparisons propagate).
 Value CypherIn(const Value& element, const Value& list);
 

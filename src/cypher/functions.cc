@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <cmath>
+#include <limits>
 #include <set>
 #include <unordered_set>
 
@@ -239,7 +240,12 @@ Result<Value> CallScalarFunction(const std::string& name,
     if (!args[0].is_number()) return TypeError(name, args[0], "NUMBER");
     double x = args[0].AsNumber();
     if (name == "abs") {
-      if (args[0].is_int()) return Value::Int(std::llabs(args[0].AsInt()));
+      if (args[0].is_int()) {
+        if (args[0].AsInt() == std::numeric_limits<int64_t>::min()) {
+          return IntegerOverflow();
+        }
+        return Value::Int(std::llabs(args[0].AsInt()));
+      }
       return Value::Float(std::fabs(x));
     }
     if (name == "ceil") return Value::Float(std::ceil(x));
@@ -483,15 +489,20 @@ Result<Value> ComputeAggregate(const std::string& name, bool distinct,
     bool all_int = true;
     double total = 0;
     int64_t itotal = 0;
+    bool overflow = false;
     for (const Value& v : values) {
       if (!v.is_number()) {
         return Status::EvaluationError("sum() over non-numeric values");
       }
       if (!v.is_int()) all_int = false;
       total += v.AsNumber();
-      if (v.is_int()) itotal += v.AsInt();
+      if (v.is_int() && !overflow) {
+        overflow = __builtin_add_overflow(itotal, v.AsInt(), &itotal);
+      }
     }
-    return all_int ? Value::Int(itotal) : Value::Float(total);
+    if (!all_int) return Value::Float(total);
+    if (overflow) return IntegerOverflow();
+    return Value::Int(itotal);
   }
   if (name == "avg" || name == "stdev" || name == "stdevp" ||
       name == "percentilecont" || name == "percentiledisc") {

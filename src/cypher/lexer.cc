@@ -1,7 +1,10 @@
 #include "cypher/lexer.h"
 
 #include <cctype>
+#include <charconv>
+#include <cstdint>
 #include <cstdlib>
+#include <limits>
 
 namespace seraph {
 
@@ -146,7 +149,25 @@ Result<std::vector<Token>> Tokenize(std::string_view text) {
         t.float_value = std::strtod(num.c_str(), nullptr);
       } else {
         t.kind = TokenKind::kInteger;
-        t.int_value = std::strtoll(num.c_str(), nullptr, 10);
+        // An int64 literal, or 9223372036854775808 right after a minus:
+        // the parser negates that one to INT64_MIN, the only integer token
+        // with a negative value.
+        uint64_t magnitude = 0;
+        const char* end = num.data() + num.size();
+        const auto parsed = std::from_chars(num.data(), end, magnitude);
+        const uint64_t min_magnitude = uint64_t{1} << 63;
+        const bool after_minus =
+            !tokens.empty() && tokens.back().kind == TokenKind::kMinus;
+        if (parsed.ec != std::errc() || magnitude > min_magnitude ||
+            (magnitude == min_magnitude && !after_minus)) {
+          return Status::ParseError("integer literal " + num +
+                                    " is out of range at line " +
+                                    std::to_string(line) + ", column " +
+                                    std::to_string(col));
+        }
+        t.int_value = magnitude == min_magnitude
+                          ? std::numeric_limits<int64_t>::min()
+                          : static_cast<int64_t>(magnitude);
       }
       tokens.push_back(std::move(t));
       continue;

@@ -1,5 +1,6 @@
 #include "cypher/parser.h"
 
+#include <limits>
 #include <optional>
 #include <utility>
 
@@ -654,6 +655,16 @@ Result<ExprPtr> Parser::ParseUnary() {
   UnaryOp op;
   if (Consume(TokenKind::kMinus)) {
     op = UnaryOp::kNegate;
+    // -9223372036854775808 is INT64_MIN; its magnitude alone is not an
+    // int64 (ParseAtom rejects it).
+    if (Peek().kind == TokenKind::kInteger &&
+        Peek().int_value == std::numeric_limits<int64_t>::min() &&
+        Peek(1).kind != TokenKind::kDot &&
+        Peek(1).kind != TokenKind::kLBracket) {
+      Advance();
+      return std::make_unique<LiteralExpr>(
+          Value::Int(std::numeric_limits<int64_t>::min()));
+    }
   } else if (Consume(TokenKind::kPlus)) {
     op = UnaryOp::kPlus;
   } else {
@@ -691,6 +702,9 @@ Result<ExprPtr> Parser::ParseAtom() {
   switch (t.kind) {
     case TokenKind::kInteger: {
       int64_t v = t.int_value;
+      if (v < 0) {
+        return ErrorHere("integer literal " + t.text + " is out of range");
+      }
       Advance();
       return std::make_unique<LiteralExpr>(Value::Int(v));
     }

@@ -1,5 +1,6 @@
 #include "io/graph_text.h"
 
+#include <charconv>
 #include <istream>
 #include <ostream>
 #include <sstream>
@@ -177,6 +178,20 @@ std::string EncodeGraph(const PropertyGraph& graph) {
 
 namespace {
 
+// The id in `field`: the whole field, a base-10 int64.
+Result<int64_t> ParseId(const std::string& field, const char* name,
+                        const std::string& line) {
+  int64_t id = 0;
+  const char* end = field.data() + field.size();
+  auto [ptr, ec] = std::from_chars(field.data(), end, id);
+  if (ec != std::errc() || ptr != end) {
+    return Status::InvalidArgument(std::string(name) + " '" + field +
+                                   "' is not a 64-bit integer: '" + line +
+                                   "'");
+  }
+  return id;
+}
+
 Status ApplyGraphLine(const std::string& line, PropertyGraph* graph) {
   std::vector<std::string> fields = SplitFields(line);
   if (fields.empty()) return Status::InvalidArgument("empty line");
@@ -185,6 +200,7 @@ Status ApplyGraphLine(const std::string& line, PropertyGraph* graph) {
       return Status::InvalidArgument("node line needs id and labels: '" +
                                      line + "'");
     }
+    SERAPH_ASSIGN_OR_RETURN(int64_t id, ParseId(fields[1], "node id", line));
     NodeData data;
     for (const std::string& label : StrSplit(fields[2], ',')) {
       if (label.empty()) continue;
@@ -195,7 +211,7 @@ Status ApplyGraphLine(const std::string& line, PropertyGraph* graph) {
       SERAPH_ASSIGN_OR_RETURN(auto kv, DecodeProperty(fields[i]));
       data.properties[kv.first] = std::move(kv.second);
     }
-    graph->MergeNode(NodeId{std::stoll(fields[1])}, data);
+    graph->MergeNode(NodeId{id}, data);
     return Status::OK();
   }
   if (fields[0] == "rel") {
@@ -203,15 +219,19 @@ Status ApplyGraphLine(const std::string& line, PropertyGraph* graph) {
       return Status::InvalidArgument(
           "rel line needs id, type, src, trg: '" + line + "'");
     }
+    SERAPH_ASSIGN_OR_RETURN(int64_t id,
+                            ParseId(fields[1], "relationship id", line));
+    SERAPH_ASSIGN_OR_RETURN(int64_t src, ParseId(fields[3], "source id", line));
+    SERAPH_ASSIGN_OR_RETURN(int64_t trg, ParseId(fields[4], "target id", line));
     RelData data;
     SERAPH_ASSIGN_OR_RETURN(data.type, Unescape(fields[2]));
-    data.src = NodeId{std::stoll(fields[3])};
-    data.trg = NodeId{std::stoll(fields[4])};
+    data.src = NodeId{src};
+    data.trg = NodeId{trg};
     for (size_t i = 5; i < fields.size(); ++i) {
       SERAPH_ASSIGN_OR_RETURN(auto kv, DecodeProperty(fields[i]));
       data.properties[kv.first] = std::move(kv.second);
     }
-    return graph->MergeRelationship(RelId{std::stoll(fields[1])}, data);
+    return graph->MergeRelationship(RelId{id}, data);
   }
   return Status::InvalidArgument("unknown line kind '" + fields[0] + "'");
 }

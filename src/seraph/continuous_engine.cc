@@ -94,6 +94,9 @@ struct QueryMetricHandles {
   Counter* delta_rebuilds = nullptr;
   Counter* delta_rows_projected = nullptr;
   Gauge* delta_entries = nullptr;
+  // Shared match-index maintenance (builds and repairs) charged to this
+  // query as its window's first due reader.
+  Counter* delta_repairs = nullptr;
 };
 
 // Each QueryStats count and the series it is a view of: StatsFor reads
@@ -120,8 +123,8 @@ constexpr std::pair<int64_t QueryStats::*, Counter* QueryMetricHandles::*>
 // windows"). Snapshot reducibility (Def. 5.8) makes a window's snapshot a
 // function of its stream and its configuration (ω0, α, β) alone, so every
 // registered query reading that pair reads this one snapshot. The
-// coordinator advances it once per batch, before fan-out; evaluations only
-// read it.
+// coordinator advances it once per batch, before fan-out, and repairs its
+// match indexes right after; evaluations only read them.
 struct ContinuousEngine::SharedWindow {
   SharedWindow(const PropertyGraphStream* source, std::string stream_name,
                const WindowConfig& window_config)
@@ -140,6 +143,10 @@ struct ContinuousEngine::SharedWindow {
   Timestamp advanced_to;
   int64_t advanced_batch = -1;
   Status advance_status;  // What the last advance returned.
+  // The match indexes of the window's delta readers, one per pattern
+  // skeleton (MatchIndex::SkeletonKey), each living while it has readers.
+  // Never checkpointed: a reset or restored window builds them afresh.
+  std::map<std::string, std::unique_ptr<MatchIndex>> indexes;
   // seraph_window_readers / seraph_window_snapshot_entities.
   Gauge* readers_gauge = nullptr;
   Gauge* entities_gauge = nullptr;
@@ -183,10 +190,11 @@ struct ContinuousEngine::QueryState {
   // set by the scheduler per batch (non-null only when the batch leaves
   // spare workers) and read by this query's single evaluating worker.
   MatchParallelism match_par;
-  // Delta-matching index (seraph/delta); null when the query is not
-  // eligible or delta matching is disabled. Rebuilt lazily — never
-  // serialized into checkpoints — and invalidated on evaluation failure,
-  // restore, and revive.
+  // Delta-matching reader (seraph/delta) of its window's match index for
+  // the query's skeleton; null when the query is not eligible or delta
+  // matching is disabled. Its cache is rebuilt lazily — never serialized
+  // into checkpoints — and invalidated on evaluation failure, restore, and
+  // revive, which touches neither the index nor its other readers.
   std::unique_ptr<DeltaIndex> delta;
 };
 
@@ -290,6 +298,7 @@ QueryMetricHandles MakeQueryMetrics(MetricsRegistry* registry,
   m.delta_rows_projected =
       registry->CounterFor("seraph_delta_rows_projected_total", q);
   m.delta_entries = registry->GaugeFor("seraph_delta_index_entries", q);
+  m.delta_repairs = registry->CounterFor("seraph_delta_repairs_total", q);
   return m;
 }
 
@@ -495,10 +504,23 @@ void ContinuousEngine::ResetWindow(SharedWindow* window) {
   }
   window->advanced_batch = -1;
   window->advance_status = Status::OK();
+  for (auto& [skeleton, index] : window->indexes) index->Invalidate();
   window->entities_gauge->Set(EntityCount(window->snapshotter.graph()));
 }
 
-ContinuousEngine::~ContinuousEngine() = default;
+void ContinuousEngine::ReleaseDelta(QueryState* state) {
+  if (state->delta == nullptr) return;
+  SharedWindow* window = state->windows.begin()->second.shared;
+  const auto& match = std::get<MatchClause>(state->query.clauses[0]);
+  state->delta.reset();  // Deregisters from its index.
+  auto it = window->indexes.find(MatchIndex::SkeletonKey(match.patterns[0]));
+  if (it->second->readers() == 0) window->indexes.erase(it);
+}
+
+ContinuousEngine::~ContinuousEngine() {
+  // Readers deregister from indexes their windows own.
+  queries_.clear();
+}
 
 void ContinuousEngine::AddSink(EmitSink* sink) {
   AddSink(sink, "sink" + std::to_string(sinks_.size()), SinkPolicy{});
@@ -669,12 +691,24 @@ Status ContinuousEngine::Register(RegisteredQuery query) {
   // clause-vector and body moves transfer heap buffers without relocating
   // elements. An entity-valued parameter rules the index out (its cached
   // rows could read an entity no match binds), as does an unbound one in
-  // a property value (Build would fail where the matcher need not).
+  // a property value (evaluating it would fail where the matcher need
+  // not). An eligible query has one window; it reads that window's index
+  // of its pattern's skeleton.
   if (options_.delta_matching && DeltaIndex::Eligible(state->query) &&
       DeltaIndex::ParametersAdmit(state->query, options_.parameters)) {
-    state->delta = std::make_unique<DeltaIndex>(
-        std::get_if<MatchClause>(&state->query.clauses[0]),
-        &state->query.projection);
+    const auto* match = std::get_if<MatchClause>(&state->query.clauses[0]);
+    const PathPattern& pattern = match->patterns[0];
+    Result<PatternProperties> properties =
+        DeltaIndex::EvaluateProperties(pattern, options_.parameters);
+    if (properties.ok()) {  // ParametersAdmit: it cannot fail.
+      std::unique_ptr<MatchIndex>& index =
+          state->windows.begin()->second.shared
+              ->indexes[MatchIndex::SkeletonKey(pattern)];
+      if (index == nullptr) index = std::make_unique<MatchIndex>(pattern);
+      state->delta =
+          std::make_unique<DeltaIndex>(match, &state->query.projection,
+                                       index.get(), std::move(*properties));
+    }
   }
   // Emit-latency cursors start at the streams' current sizes: elements
   // ingested before the query existed are not part of its latency SLO.
@@ -710,6 +744,7 @@ Status ContinuousEngine::Unregister(const std::string& name) {
   if (it == queries_.end()) {
     return Status::NotFound("query '" + name + "' is not registered");
   }
+  ReleaseDelta(it->second.get());
   for (auto& [key, ws] : it->second->windows) ReleaseWindow(ws.shared);
   queries_.erase(it);
   metrics_.GaugeFor("seraph_queries_registered")
@@ -875,15 +910,16 @@ Status ContinuousEngine::AdvanceTo(Timestamp now) {
 
     outputs.assign(batch.size(), PendingDelivery{});
     statuses.assign(batch.size(), Status::OK());
-    // Coordinator pre-pass: each shared window moves once, here; the
-    // evaluations below (on workers or not) only read the snapshots.
+    if (threads > 1 && pool_ == nullptr) {
+      pool_ = std::make_unique<ThreadPool>(threads);
+    }
+    // Pre-pass: each shared window moves once, and its match indexes are
+    // repaired once, here (windows side by side on the pool); the
+    // evaluations below (on workers or not) only read them.
     AdvanceSharedWindows(batch, t, &outputs);
     const bool parallel_queries = threads > 1 && batch.size() > 1;
     const bool parallel_match =
         threads > 1 && static_cast<int>(batch.size()) < threads;
-    if (threads > 1 && pool_ == nullptr) {
-      pool_ = std::make_unique<ThreadPool>(threads);
-    }
     for (QueryState* state : batch) {
       state->match_par.pool = parallel_match ? pool_.get() : nullptr;
     }
@@ -1165,47 +1201,115 @@ void ContinuousEngine::AdvanceSharedWindows(
       (options_.tracer != nullptr && options_.tracer->enabled())
           ? options_.tracer
           : nullptr;
+  // One move per window the batch reads that is not at t yet, charged to
+  // its first due reader in batch (= name) order, so serial, parallel and
+  // restored runs count alike. A window already at or past t is left
+  // alone: its readers trail it and catch up in EvaluateAt.
+  struct Move {
+    SharedWindow* window;
+    size_t reader;
+    SnapshotterStats before;
+    int64_t micros = 0;  // The advance plus the index repairs.
+    int64_t repairs = 0;
+    int64_t builds = 0;
+  };
+  std::vector<Move> moves;
   for (size_t i = 0; i < batch.size(); ++i) {
-    QueryState* state = batch[i];
-    for (auto& [key, ws] : state->windows) {
+    for (auto& [key, ws] : batch[i]->windows) {
       SharedWindow* window = ws.shared;
-      // Advanced to t by an earlier reader of this batch, or already at
-      // or past t: this reader trails it and catches up in EvaluateAt.
-      if (window->snapshotter.started() && window->advanced_to >= t) {
+      if (window->snapshotter.started() && window->advanced_to >= t) continue;
+      if (std::any_of(moves.begin(), moves.end(), [&](const Move& m) {
+            return m.window == window;
+          })) {
         continue;
       }
-      const int64_t start = TraceRecorder::NowMicros();
-      const SnapshotterStats before = window->snapshotter.stats();
-      window->advance_status =
-          window->snapshotter.Advance(EffectiveWindow(window->config, t));
-      window->advanced_to = t;
-      window->advanced_batch = batches_completed_;
-      const int64_t micros = TraceRecorder::NowMicros() - start;
-      window->entities_gauge->Set(EntityCount(window->snapshotter.graph()));
-      // Charged once, to this reader: the first due one in name order, so
-      // serial, parallel and restored runs count alike.
-      const SnapshotterStats& after = window->snapshotter.stats();
-      const int64_t added = after.elements_added - before.elements_added;
-      const int64_t evicted =
-          after.elements_evicted - before.elements_evicted;
-      if (window->advance_status.ok()) {
-        state->metrics.snapshots_incremental->Increment();
+      moves.push_back(Move{window, i, window->snapshotter.stats()});
+    }
+  }
+  // Advances the window, then brings each of its indexes to the new
+  // snapshot: a repair from the advance's dirty sets, or a build when the
+  // index is new, was invalidated or missed an advance. Shared work runs
+  // without a query's deadline, like the advance. Touches only the
+  // window's own state.
+  auto run = [&](Move* move) {
+    SharedWindow* window = move->window;
+    const std::string& charged_to = batch[move->reader]->query.name;
+    const int64_t start = TraceRecorder::NowMicros();
+    window->advance_status =
+        window->snapshotter.Advance(EffectiveWindow(window->config, t));
+    const int64_t advanced = TraceRecorder::NowMicros();
+    if (tracer != nullptr) {
+      tracer->AddComplete("shared_window", "engine", start, advanced - start,
+                          {{"stream", StreamLabel(window->stream)},
+                           {"window", WindowConfigLabel(window->config)},
+                           {"t", t.ToString()},
+                           {"readers", std::to_string(window->readers)},
+                           {"charged_to", charged_to}});
+    }
+    for (auto& [skeleton, index] : window->indexes) {
+      if (!window->advance_status.ok()) {
+        index->Invalidate();
+        continue;
       }
-      state->metrics.elements_added->Increment(added);
-      state->metrics.elements_evicted->Increment(evicted);
-      state->metrics.entities_recomputed->Increment(
-          after.entities_recomputed - before.entities_recomputed);
-      (*outputs)[i].charged_snapshot_micros += micros;
+      const int64_t repair_start = TraceRecorder::NowMicros();
+      index->ObserveAdvance(window->snapshotter);
+      const bool build = !index->valid();
+      if (build) {
+        // Cannot fail: no deadline. An index left invalid fails its
+        // readers' evaluations.
+        (void)index->Build(window->snapshotter.graph(),
+                           window->snapshotter.stats().advances, nullptr);
+        ++move->builds;
+      }
+      ++move->repairs;
       if (tracer != nullptr) {
         tracer->AddComplete(
-            "shared_window", "engine", start, micros,
-            {{"stream", StreamLabel(window->stream)},
-             {"window", WindowConfigLabel(window->config)},
-             {"t", t.ToString()},
-             {"readers", std::to_string(window->readers)},
-             {"charged_to", state->query.name}});
+            "delta_repair", "engine", repair_start,
+            TraceRecorder::NowMicros() - repair_start,
+            {{"window", WindowConfigLabel(window->config)},
+             {"mode", build ? "build" : "repair"},
+             {"readers", std::to_string(index->readers())},
+             {"inserted", std::to_string(build ? index->size()
+                                               : index->inserted().size())},
+             {"erased", std::to_string(build ? 0 : index->erased().size())},
+             {"charged_to", charged_to}});
       }
     }
+    move->micros = TraceRecorder::NowMicros() - start;
+  };
+  if (pool_ != nullptr && moves.size() > 1) {
+    std::vector<std::future<void>> futures;
+    futures.reserve(moves.size());
+    for (Move& move : moves) {
+      futures.push_back(pool_->Submit([&run, &move] {
+        TraceRecorder::SetCurrentThreadTid(ThreadPool::CurrentWorkerId() + 1);
+        run(&move);
+      }));
+    }
+    // Every window is done before any evaluation reads one (and before an
+    // exception from one task leaves the others running).
+    for (std::future<void>& future : futures) future.wait();
+    for (std::future<void>& future : futures) future.get();
+  } else {
+    for (Move& move : moves) run(&move);
+  }
+  for (const Move& move : moves) {
+    SharedWindow* window = move.window;
+    window->advanced_to = t;
+    window->advanced_batch = batches_completed_;
+    window->entities_gauge->Set(EntityCount(window->snapshotter.graph()));
+    const SnapshotterStats& after = window->snapshotter.stats();
+    QueryMetricHandles& charged = batch[move.reader]->metrics;
+    if (window->advance_status.ok()) charged.snapshots_incremental->Increment();
+    charged.elements_added->Increment(after.elements_added -
+                                      move.before.elements_added);
+    charged.elements_evicted->Increment(after.elements_evicted -
+                                        move.before.elements_evicted);
+    charged.entities_recomputed->Increment(after.entities_recomputed -
+                                           move.before.entities_recomputed);
+    charged.delta_repairs->Increment(move.repairs);
+    charged.delta_rebuilds->Increment(move.builds);
+    (*outputs)[move.reader].charged_snapshot_micros += move.micros;
   }
 }
 
@@ -1267,9 +1371,9 @@ Status ContinuousEngine::EvaluateAt(QueryState* state, Timestamp t,
     if (in_sync) {
       SERAPH_RETURN_IF_ERROR(window.advance_status);
       const IncrementalSnapshotter& shared = window.snapshotter;
-      // Churn-proportional repair of the partial-match index from this
-      // advance's dirty sets (eligible queries have exactly one window).
-      if (state->delta != nullptr) state->delta->ObserveAdvance(shared);
+      // The reader takes the churn its match index published when the
+      // pre-pass repaired it (eligible queries have exactly one window).
+      if (state->delta != nullptr) state->delta->Sync(shared.graph());
       snapshots[key] = &shared.graph();
       if (!ws.has_last_range || ws.last_lo != shared.window_begin() ||
           ws.last_hi != shared.window_end()) {

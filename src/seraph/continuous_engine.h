@@ -94,13 +94,14 @@ struct EngineOptions {
   // deterministic) — ablated in bench_result_reuse.
   bool reuse_unchanged_windows = true;
   // Delta matching (docs/INTERNALS.md, "Incremental evaluation"): for
-  // eligible single-pattern EMIT queries, keep a per-query partial-match
-  // index synchronized with its shared window's dirty sets so an
-  // evaluation costs work proportional to the window churn instead of
-  // the window size — ablated in bench_delta. Not used while a
-  // `parameters` value holds a node, relationship or path, or while a
-  // pattern property value names an unbound one
-  // (DeltaIndex::ParametersAdmit).
+  // eligible single-pattern EMIT queries, keep one partial-match index per
+  // (shared window, pattern skeleton), repaired from the window's dirty
+  // sets once per advance, and per query a reader that filters what each
+  // repair changed, so an evaluation costs work proportional to the window
+  // churn instead of the window size — ablated in bench_delta. Not used
+  // while a `parameters` value holds a node, relationship or path, or
+  // while a pattern property value names an unbound one
+  // (DeltaIndex::ParametersAdmit). Off, every query takes the full path.
   bool delta_matching = true;
   // Greedy MATCH join-order optimization — ablated in bench_match.
   bool optimize_match_order = true;
@@ -361,9 +362,10 @@ class ContinuousEngine {
   // window can still add or evict — so memory and checkpoints are bounded
   // by window contents, not uptime.
   // Instants are processed in batches (all queries due at the same
-  // instant form one batch). Before a batch fans out, the calling thread
-  // advances each shared window its queries read exactly once; the
-  // evaluations then only read those snapshots. With `eval_threads` > 1 a
+  // instant form one batch). Before a batch fans out, each shared window
+  // its queries read is advanced exactly once and its match indexes
+  // repaired once (distinct windows side by side when there is a pool);
+  // the evaluations then only read them. With `eval_threads` > 1 a
   // batch's evaluations run concurrently, while delivery to sinks always
   // happens sequentially on the calling thread in (timestamp, query name)
   // order.
@@ -455,8 +457,8 @@ class ContinuousEngine {
     // (latency_eval_start − arrival), so both ends must come from the
     // same clock.
     int64_t latency_eval_start_micros = 0;
-    // Shared-window advances charged to this evaluation by the
-    // coordinator's pre-pass (AdvanceSharedWindows), for its snapshot
+    // Shared-window advances and match-index repairs charged to this
+    // evaluation by the pre-pass (AdvanceSharedWindows), for its snapshot
     // stage.
     int64_t charged_snapshot_micros = 0;
   };
@@ -495,13 +497,18 @@ class ContinuousEngine {
   SharedWindow* AcquireWindow(const std::string& stream,
                               const WindowConfig& config);
   void ReleaseWindow(SharedWindow* window);
+  // Drops `state`'s delta reader, and with its last reader the match
+  // index it read.
+  void ReleaseDelta(QueryState* state);
   // Empties `window` back to its never-advanced state (the static graph
-  // only).
+  // only) and invalidates its match indexes.
   void ResetWindow(SharedWindow* window);
-  // The coordinator pre-pass of one batch: advances every window the
-  // batch's queries read to `t`, once, unless it is already there or
-  // ahead (its readers then catch up on their own), and charges each
-  // advance to the first such reader in batch (= name) order, whose
+  // The pre-pass of one batch: advances every window the batch's queries
+  // read to `t`, once, unless it is already there or ahead (its readers
+  // then catch up on their own), then repairs (or builds) each of that
+  // window's match indexes once. With a pool, distinct windows run as
+  // separate tasks, all joined before returning. Each window's work is
+  // charged to its first due reader in batch (= name) order, whose
   // snapshot-stage time lands in that reader's `outputs` entry.
   void AdvanceSharedWindows(const std::vector<QueryState*>& batch,
                             Timestamp t,

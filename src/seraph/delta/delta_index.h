@@ -1,53 +1,44 @@
-// Delta matching (docs/INTERNALS.md, "Incremental evaluation"): a
-// per-query partial-match index that keeps the MATCH-stage output of one
-// fixed-length pattern synchronized with the sliding window's snapshot
-// graph, so each evaluation costs work proportional to the window *churn*
-// (the snapshotter's dirty sets) instead of the window *size*.
+// Delta matching (docs/INTERNALS.md, "Incremental evaluation"): the
+// per-query half. A DeltaIndex reads a MatchIndex (the shared half, one
+// per shared window and pattern skeleton) and keeps the query's own part
+// of the MATCH-stage output in step with it, so each evaluation costs
+// work proportional to the window *churn* instead of the window *size*.
 //
-// The index stores every current match of the pattern keyed so that
-// iterating the index reproduces the serial DFS matcher's emission order
-// bit-identically — content and order. This hinges on two invariants:
-//  * PropertyGraph adjacency lists are in ascending relationship-id order
-//    (content-determined, not insertion-ordered), and
-//  * the matcher seeds node scans in ascending node-id order.
-// Under them, the serial matcher emits matches in lexicographic order of
-// the key [n0, b0, r0, b1, r1, ...] where n0 is the seed node, r_i the
-// i-th traversed relationship, and b_i the adjacency bucket it was found
-// in (0 = outgoing list, 1 = incoming list). The key also uniquely
-// determines the trail, so a std::map over keys *is* the canonical match
-// bag.
+// A reader holds its pattern's inline property values, evaluated once,
+// and re-checks them on every match the index hands it (the index applies
+// only the values all of its readers share). Per match that holds them it
+// caches its output — whether the match passes WHERE and, if so, its
+// projected row — computed once, at the first Output after the match
+// reached the reader. The cached row stays exact because WHERE and the
+// projection of an eligible query read only parameters and the match's
+// own entities, and the index's repair re-publishes every match touching
+// a changed entity. A parameter holding an entity breaks that premise (see
+// ParametersAdmit). Iterating the reader's matches in key order yields
+// the index's canonical order, filtered — the serial matcher's order.
 //
-// After each snapshotter Advance, the index repairs itself from the
-// published dirty sets: every indexed match touching a dirty entity is
-// removed, then every current match containing a dirty entity is
-// rediscovered by anchored bidirectional DFS (anchor each dirty entity at
-// each pattern position; duplicate discoveries collapse in the keyed
-// map).
-//
-// An index built with the query's projection also caches each match's
-// output — whether it passes WHERE and, if so, its projected row —
-// computed once, at the first Output after the match was indexed. The
-// cached row stays exact because WHERE and the projection of an eligible
-// query read only parameters and the match's own entities, and repair
-// re-inserts (so re-projects) every match touching a changed entity. A
-// parameter holding an entity breaks that premise (see ParametersAdmit).
-// Correctness is pinned by randomized delta-vs-full equivalence property
-// tests (tests/delta_equivalence_test.cc).
+// Per evaluation a reader consumes only what the index's last Build or
+// repair published (Sync). A reader that missed some (invalidated after a
+// failure, a revive, a late registration or a restore) rebuilds its cache
+// with one walk of the index (Build), without a DFS and without touching
+// the index or its other readers. Correctness is pinned by randomized
+// delta-vs-full equivalence property tests
+// (tests/delta_equivalence_test.cc).
 #ifndef SERAPH_SERAPH_DELTA_DELTA_INDEX_H_
 #define SERAPH_SERAPH_DELTA_DELTA_INDEX_H_
 
 #include <cstdint>
 #include <map>
+#include <memory>
 #include <optional>
 #include <set>
 #include <string>
-#include <utility>
 #include <vector>
 
 #include "common/result.h"
 #include "cypher/ast.h"
 #include "cypher/executor.h"
 #include "graph/property_graph.h"
+#include "seraph/delta/match_index.h"
 #include "seraph/seraph_query.h"
 #include "stream/snapshot.h"
 #include "table/record.h"
@@ -63,7 +54,7 @@ class DeltaIndex {
   // non-OPTIONAL MATCH clause with a single fixed-length kNormal pattern,
   // no exists() predicates anywhere, no aggregates in the projection, and
   // every inline property value a literal, a parameter, or a list or map
-  // of those (Build evaluates them once, up front, so no value may fail
+  // of those (they are evaluated once, up front, so no value may fail
   // where the matcher would never have evaluated it). Variable-length
   // patterns, shortestPath, and aggregation are follow-on work (see
   // ROADMAP.md).
@@ -71,47 +62,74 @@ class DeltaIndex {
 
   // Whether the index serves the Eligible `query` exactly under
   // `parameters`: false when a parameter an inline property value names is
-  // unbound (Build would fail on it), or when a value holds a node,
+  // unbound (evaluating it would fail), or when a value holds a node,
   // relationship or path (at any depth) — WHERE or the projection could
   // read an entity through it that no match binds, so a change to that
-  // entity would re-insert no match and leave rows stale.
+  // entity would re-publish no match and leave rows stale.
   static bool ParametersAdmit(const RegisteredQuery& query,
                               const std::map<std::string, Value>& parameters);
 
-  // `match` must satisfy Eligible's structural checks and outlive the
-  // index (it points into the registered query's clause list). An index
-  // built this way serves Emit only.
+  // The inline property values of an Eligible `pattern`, evaluated once
+  // under `parameters` (they cannot fail when ParametersAdmit holds).
+  static Result<PatternProperties> EvaluateProperties(
+      const PathPattern& pattern,
+      const std::map<std::string, Value>& parameters);
+
+  // A reader of the shared `index`, whose skeleton is `match`'s pattern's
+  // (MatchIndex::SkeletonKey), with the pattern's `properties`
+  // (EvaluateProperties). `match`, `projection` (the query's EMIT body) and
+  // `index` must outlive the reader; it registers with the index here and
+  // deregisters on destruction. A reader of an index that is not built yet
+  // takes its first Build whole; one joining a built index walks it at its
+  // first Build call.
+  DeltaIndex(const MatchClause* match, const ProjectionBody* projection,
+             MatchIndex* index, PatternProperties properties);
+
+  // A standalone index: the reader owns an index of its own, built by
+  // Build and repaired by ObserveAdvance. `match` must satisfy Eligible's
+  // structural checks and outlive the index. Built this way it serves
+  // Emit only; with `projection` (which must outlive it) Output too.
   explicit DeltaIndex(const MatchClause* match);
-  // Additionally caches each match's output under `projection` (the
-  // query's EMIT body, which must outlive the index) and serves Output.
   DeltaIndex(const MatchClause* match, const ProjectionBody* projection);
 
-  // Whether the index currently tracks some snapshot state (Build
-  // succeeded and no invalidation happened since).
-  bool valid() const { return valid_; }
-  // Matches currently indexed.
-  size_t size() const { return matches_.size(); }
-  int64_t applied_advances() const { return applied_advances_; }
-  // Matches whose WHERE and projection Output ran, over the index's life.
+  ~DeltaIndex();
+  DeltaIndex(const DeltaIndex&) = delete;
+  DeltaIndex& operator=(const DeltaIndex&) = delete;
+
+  // Whether the reader is in step with a valid index (Build succeeded and
+  // nothing invalidated it since).
+  bool valid() const;
+  // Matches the index holds (a superset of the reader's own).
+  size_t size() const { return index_->size(); }
+  // Matches whose WHERE and projection Output ran, over the reader's life.
   int64_t rows_projected() const { return rows_projected_; }
 
-  // Drops all state; the next evaluation must Build from scratch.
-  // Called on evaluation failure, checkpoint restore, and query revive —
-  // any point where the index may have diverged from the snapshot.
+  // Drops the reader's cache; the next evaluation must Build. Called on
+  // evaluation failure, checkpoint restore, and query revive — any point
+  // where the reader may have diverged from the index. A standalone index
+  // drops its own index too.
   void Invalidate();
 
-  // Full build against `graph` (the snapshotter's current snapshot) by the
-  // repair DFS, anchoring every candidate of pattern node 0, and records
-  // the snapshotter advance count the build corresponds to. `exec`
-  // supplies parameters and the cooperative deadline, checked per seed.
+  // Standalone: evaluates the property values under `exec`'s parameters,
+  // builds the owned index against `graph` (the snapshotter's current
+  // snapshot) by DFS as of advance `advances`, then fills the cache.
+  // Reader of a shared index: refills the cache with one walk of the
+  // index, which must be valid and current. `exec` supplies the
+  // cooperative deadline.
   Status Build(const PropertyGraph& graph, int64_t advances,
                const ExecutionOptions& exec);
 
-  // Counter-synchronization with the snapshotter, called right after its
-  // Advance: a single new advance is applied from the published dirty
-  // sets; anything else (missed advances, internal repair failure)
-  // invalidates the index. No-op while invalid.
+  // Standalone: repairs the owned index from the dirty sets of
+  // `snapshotter`'s last advance (called right after it), then Syncs; a
+  // missed advance invalidates. No-op while invalid.
   void ObserveAdvance(const IncrementalSnapshotter& snapshotter);
+
+  // Consumes what the index published since the reader last synced: the
+  // keys its repair erased and inserted (each inserted match re-checked
+  // against the reader's property values over `graph`, the snapshot the
+  // index was repaired against), or, after a Build, every match. A reader
+  // that missed a repair invalidates itself. No-op while invalid.
+  void Sync(const PropertyGraph& graph);
 
   // The MATCH-stage output table (post-WHERE, null-padded) in the
   // canonical serial emission order — bit-identical to ApplyMatch over
@@ -121,62 +139,40 @@ class DeltaIndex {
                      const ExecutionOptions& exec) const;
 
   // The query's output table — bit-identical to ExecuteSingleQuery of the
-  // projection alone over Emit(). Runs WHERE over the matches indexed
-  // since the last call (in key order, then the projection over those that
-  // pass, so a failing call reports the first error the full path would),
-  // then copies every cached row out in key order and applies the
-  // bag-level half (FinishProjection). Requires valid() and the
-  // projection constructor. A failed call leaves those matches pending,
-  // so a retry recomputes them.
+  // projection alone over Emit(). Runs WHERE over the matches that reached
+  // the reader since the last call (in key order, then the projection over
+  // those that pass, so a failing call reports the first error the full
+  // path would), then copies every cached row out in key order and applies
+  // the bag-level half (FinishProjection). Requires valid() and a
+  // projection. A failed call leaves those matches pending, so a retry
+  // recomputes them.
   Result<Table> Output(const PropertyGraph& graph,
                        const ExecutionOptions& exec);
 
  private:
-  // [n0, b0, r0, b1, r1, ...]; lexicographic order == serial DFS order.
-  using Key = std::vector<int64_t>;
-
-  // One indexed match and, once Output has run since it was indexed, its
-  // output.
+  // One match of the reader and, once Output has run since it arrived,
+  // its output. `trail` points into the index, which keeps it while the
+  // reader is in step.
   struct Entry {
-    PathValue trail;
+    const PathValue* trail = nullptr;
     bool passes = false;  // WHERE held.
     Record row;           // The projected row, when it passes.
   };
-  using Matches = std::map<Key, Entry>;
+  using Entries = std::map<MatchIndex::Key, Entry>;
   struct ByKey {
-    bool operator()(Matches::iterator a, Matches::iterator b) const {
+    bool operator()(Entries::iterator a, Entries::iterator b) const {
       return a->first < b->first;
     }
   };
 
-  // Removes matches touching dirty entities, then rediscovers all current
-  // matches containing at least one dirty entity via anchored DFS.
-  Status ApplyDirty(const PropertyGraph& graph,
-                    const std::vector<NodeId>& dirty_nodes,
-                    const std::vector<RelId>& dirty_rels);
-
-  // Evaluates the pattern's property values once (literals and parameters
-  // — Eligible guarantees it) into plain value lists.
-  Status PrecomputeProperties(const PropertyGraph& graph,
-                              const ExecutionOptions& exec);
-
-  // Constraint checks against precomputed property values.
-  bool NodeOk(const PropertyGraph& graph, size_t pos, NodeId id) const;
-  bool RelOk(const PropertyGraph& graph, size_t pos, RelId id) const;
-
-  // Indexes a match (no-op when already indexed) and, with a projection,
-  // marks it pending for the next Output.
-  void AddMatch(Key key, PathValue trail);
-  void RemoveMatch(const Key& key);
-
-  // Anchored rediscovery state and expansion (see delta_index.cc).
-  struct Search;
-  Status AnchorNode(const PropertyGraph& graph, NodeId id, size_t pos);
-  Status AnchorRel(const PropertyGraph& graph, RelId id, size_t pos);
-  Status ExtendRight(const PropertyGraph& graph, Search* s, size_t right,
-                     size_t left);
-  Status ExtendLeft(const PropertyGraph& graph, Search* s, size_t left);
-  Status RecordMatch(const Search& s);
+  // Takes `trail` under `key` when the reader's values hold and, with a
+  // projection, marks it pending for the next Output.
+  void Take(const PropertyGraph& graph, const MatchIndex::Key& key,
+            const PathValue& trail);
+  // Replaces the cache with every match of the index the reader's values
+  // admit.
+  Status Refill(const PropertyGraph& graph,
+                const CancellationToken* cancellation);
 
   // Reassembles the record the serial matcher would have emitted for
   // `trail` (node/rel/path variable bindings; repeated variables pin).
@@ -190,23 +186,19 @@ class DeltaIndex {
   const ProjectionBody* body_ = nullptr;
   std::optional<RowProjection> projection_;
 
+  // The index read: owned_ for a standalone index, else shared.
+  std::unique_ptr<MatchIndex> owned_;
+  MatchIndex* index_;
+  PatternProperties properties_;
+
   bool valid_ = false;
-  int64_t applied_advances_ = 0;
+  uint64_t synced_ = 0;  // The index version the cache reflects.
   int64_t rows_projected_ = 0;
 
-  // Precomputed pattern property constraints, per position.
-  std::vector<std::vector<std::pair<std::string, Value>>> node_props_;
-  std::vector<std::vector<std::pair<std::string, Value>>> rel_props_;
-  bool props_ready_ = false;
-
-  // The match bag, keyed in canonical order, plus the inverted
-  // entity→match index driving churn-proportional repair. Key pointers
-  // and iterators are stable (node-based map).
-  Matches matches_;
-  std::map<NodeId, std::set<const Key*>> node_keys_;
-  std::map<RelId, std::set<const Key*>> rel_keys_;
-  // Matches indexed since the last Output, in key order (projection only).
-  std::set<Matches::iterator, ByKey> pending_;
+  // The reader's matches, keyed in canonical order.
+  Entries entries_;
+  // Matches taken since the last Output, in key order (projection only).
+  std::set<Entries::iterator, ByKey> pending_;
 };
 
 }  // namespace seraph

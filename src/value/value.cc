@@ -39,7 +39,9 @@ int KindRank(ValueKind k) {
   return 11;
 }
 
-int Sign(int64_t x) { return x < 0 ? -1 : (x > 0 ? 1 : 0); }
+// Three-way comparison without subtracting (a - b overflows at the int64
+// extremes).
+int Compare3(int64_t a, int64_t b) { return a < b ? -1 : (a > b ? 1 : 0); }
 
 int CompareDouble(double a, double b) {
   if (a < b) return -1;
@@ -318,7 +320,7 @@ int Value::Compare(const Value& a, const Value& b) {
     }
     case ValueKind::kInt:
     case ValueKind::kFloat: {
-      if (a.is_int() && b.is_int()) return Sign(a.AsInt() - b.AsInt());
+      if (a.is_int() && b.is_int()) return Compare3(a.AsInt(), b.AsInt());
       return CompareDouble(a.AsNumber(), b.AsNumber());
     }
     case ValueKind::kString:
@@ -333,8 +335,8 @@ int Value::Compare(const Value& a, const Value& b) {
         int c = Compare(la[i], lb[i]);
         if (c != 0) return c;
       }
-      return Sign(static_cast<int64_t>(la.size()) -
-                  static_cast<int64_t>(lb.size()));
+      return Compare3(static_cast<int64_t>(la.size()),
+                      static_cast<int64_t>(lb.size()));
     }
     case ValueKind::kMap: {
       const auto& ma = a.AsMap();
@@ -347,17 +349,17 @@ int Value::Compare(const Value& a, const Value& b) {
         int vc = Compare(ia->second, ib->second);
         if (vc != 0) return vc;
       }
-      return Sign(static_cast<int64_t>(ma.size()) -
-                  static_cast<int64_t>(mb.size()));
+      return Compare3(static_cast<int64_t>(ma.size()),
+                      static_cast<int64_t>(mb.size()));
     }
     case ValueKind::kDateTime:
-      return Sign(a.AsDateTime().millis() - b.AsDateTime().millis());
+      return Compare3(a.AsDateTime().millis(), b.AsDateTime().millis());
     case ValueKind::kDuration:
-      return Sign(a.AsDuration().millis() - b.AsDuration().millis());
+      return Compare3(a.AsDuration().millis(), b.AsDuration().millis());
     case ValueKind::kNode:
-      return Sign(a.AsNode().value - b.AsNode().value);
+      return Compare3(a.AsNode().value, b.AsNode().value);
     case ValueKind::kRelationship:
-      return Sign(a.AsRelationship().value - b.AsRelationship().value);
+      return Compare3(a.AsRelationship().value, b.AsRelationship().value);
     case ValueKind::kPath: {
       const PathValue& pa = a.AsPath();
       const PathValue& pb = b.AsPath();

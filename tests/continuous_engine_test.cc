@@ -262,6 +262,32 @@ TEST(ContinuousEngineTest, NonBooleanWhereOperandFailsOnlyItsQuery) {
   EXPECT_EQ(sink.ResultsFor("sibling").size(), 4u);  // ET 5, 10, 15, 20.
 }
 
+// An int64 overflow in one query's projection (INT64_MIN / -1 used to end
+// the process with SIGFPE) fails that query's evaluations only.
+TEST(ContinuousEngineTest, IntegerOverflowFailsOnlyItsQuery) {
+  EngineOptions options;
+  options.query_error_budget = 2;
+  ContinuousEngine engine(options);
+  CollectingSink sink;
+  engine.AddSink(&sink);
+  ASSERT_TRUE(engine.RegisterText(R"(
+    REGISTER QUERY wrap STARTING AT '1970-01-01T00:05'
+    { MATCH (n:X) WITHIN PT30M EMIT (n.id - 1) / -1 AS v EVERY PT5M })")
+                  .ok());
+  ASSERT_TRUE(engine.RegisterText(CountQuery("sibling", "X", "PT30M", "PT5M"))
+                  .ok());
+  ASSERT_TRUE(engine.Ingest(Item(-9223372036854775807, 0), T(1)).ok());
+  ASSERT_TRUE(engine.AdvanceTo(T(20)).ok());
+  EXPECT_TRUE(engine.QueryDisabled("wrap"));
+  const QueryStats wrap = engine.StatsFor("wrap").value();
+  EXPECT_EQ(wrap.eval_failures, 2);
+  EXPECT_EQ(wrap.last_error.code(), StatusCode::kEvaluationError);
+  EXPECT_EQ(wrap.last_error.message(), "integer overflow");
+  EXPECT_EQ(sink.ResultsFor("wrap").size(), 0u);
+  EXPECT_FALSE(engine.QueryDisabled("sibling"));
+  EXPECT_EQ(sink.ResultsFor("sibling").size(), 4u);  // ET 5, 10, 15, 20.
+}
+
 // After `query_error_budget` consecutive failures the query is disabled
 // (the fleet keeps running); ReviveQuery resumes it from where its grid
 // stopped.

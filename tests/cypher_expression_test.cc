@@ -1,7 +1,10 @@
 // Expression evaluation under Cypher's ternary logic.
 #include <gtest/gtest.h>
 
+#include <limits>
+
 #include "cypher/eval.h"
+#include "cypher/executor.h"
 #include "cypher/parser.h"
 #include "graph/graph_builder.h"
 
@@ -68,6 +71,82 @@ TEST_F(ExpressionTest, ArithmeticNullPropagation) {
 TEST_F(ExpressionTest, DivisionByZeroIsError) {
   EXPECT_EQ(EvalError("1 / 0").code(), StatusCode::kEvaluationError);
   EXPECT_EQ(EvalError("1 % 0").code(), StatusCode::kEvaluationError);
+}
+
+TEST_F(ExpressionTest, IntegerOverflowIsAnEvaluationError) {
+  // Results outside int64 fail the evaluation instead of wrapping, or
+  // trapping the process (INT64_MIN / -1 raised SIGFPE).
+  for (const char* text :
+       {"9223372036854775807 + 1", "-9223372036854775808 - 1",
+        "-9223372036854775807 - 2", "4611686018427387904 * 2",
+        "-9223372036854775808 * -1", "-9223372036854775808 / -1",
+        "-(-9223372036854775808)", "(-9223372036854775807 - 1) / -1",
+        "abs(-9223372036854775808)"}) {
+    Status error = EvalError(text);
+    EXPECT_EQ(error.code(), StatusCode::kEvaluationError) << text;
+    EXPECT_EQ(error.message(), "integer overflow") << text;
+  }
+  // The edges themselves are fine.
+  const int64_t max = std::numeric_limits<int64_t>::max();
+  const int64_t min = std::numeric_limits<int64_t>::min();
+  EXPECT_EQ(Eval("9223372036854775806 + 1"), Value::Int(max));
+  EXPECT_EQ(Eval("-9223372036854775807 - 1"), Value::Int(min));
+  EXPECT_EQ(Eval("-9223372036854775808 % -1"), Value::Int(0));
+  EXPECT_EQ(Eval("-9223372036854775807 / -1"), Value::Int(max));
+  EXPECT_EQ(Eval("abs(-9223372036854775807)"), Value::Int(max));
+  EXPECT_EQ(Eval("-(-9223372036854775807)"), Value::Int(max));
+  // Float arithmetic does not overflow into an error.
+  EXPECT_TRUE(Eval("9223372036854775807 + 1.0").is_float());
+}
+
+TEST_F(ExpressionTest, ComparisonsAtTheInt64Extremes) {
+  EXPECT_EQ(Eval("9223372036854775807 > -1"), Value::Bool(true));
+  EXPECT_EQ(Eval("9223372036854775807 < -1"), Value::Bool(false));
+  EXPECT_EQ(Eval("-9223372036854775808 < 1"), Value::Bool(true));
+  EXPECT_EQ(Eval("-9223372036854775807 < 9223372036854775807"),
+            Value::Bool(true));
+}
+
+TEST(Int64ExtremesTest, OrderByMinMaxAndSumOverExtremeIds) {
+  // Nodes with ids max, -5 and -max, read as a.id: ORDER BY, min and max
+  // order them numerically, and a sum that leaves int64 fails.
+  const int64_t max = std::numeric_limits<int64_t>::max();
+  PropertyGraph graph = GraphBuilder()
+                            .Node(max, {"A"}, {{"id", Value::Int(max)}})
+                            .Node(-5, {"A"}, {{"id", Value::Int(-5)}})
+                            .Node(-max, {"A"}, {{"id", Value::Int(-max)}})
+                            .Build();
+  auto run = [&](std::string_view text) {
+    auto parsed = ParseCypherQuery(text);
+    EXPECT_TRUE(parsed.ok()) << parsed.status();
+    return ExecuteQueryOnGraph(*parsed, graph, ExecutionOptions{});
+  };
+  auto ordered = run("MATCH (a:A) RETURN a.id AS id ORDER BY id");
+  ASSERT_TRUE(ordered.ok()) << ordered.status();
+  ASSERT_EQ(ordered->size(), 3u);
+  EXPECT_EQ(ordered->rows()[0].GetOrNull("id"), Value::Int(-max));
+  EXPECT_EQ(ordered->rows()[1].GetOrNull("id"), Value::Int(-5));
+  EXPECT_EQ(ordered->rows()[2].GetOrNull("id"), Value::Int(max));
+  auto by_node = run("MATCH (a:A) RETURN a.id AS id ORDER BY a DESC");
+  ASSERT_TRUE(by_node.ok()) << by_node.status();
+  EXPECT_EQ(by_node->rows()[0].GetOrNull("id"), Value::Int(max));
+  EXPECT_EQ(by_node->rows()[2].GetOrNull("id"), Value::Int(-max));
+  auto filtered = run("MATCH (a:A) WHERE a.id > -1 RETURN a.id AS id");
+  ASSERT_TRUE(filtered.ok()) << filtered.status();
+  ASSERT_EQ(filtered->size(), 1u);
+  EXPECT_EQ(filtered->rows()[0].GetOrNull("id"), Value::Int(max));
+  auto extremes =
+      run("MATCH (a:A) RETURN min(a.id) AS lo, max(a.id) AS hi");
+  ASSERT_TRUE(extremes.ok()) << extremes.status();
+  EXPECT_EQ(extremes->rows()[0].GetOrNull("lo"), Value::Int(-max));
+  EXPECT_EQ(extremes->rows()[0].GetOrNull("hi"), Value::Int(max));
+  auto sum = run("MATCH (a:A) WHERE a.id > -10 RETURN sum(a.id) AS s");
+  ASSERT_TRUE(sum.ok()) << sum.status();
+  EXPECT_EQ(sum->rows()[0].GetOrNull("s"), Value::Int(max - 5));
+  auto overflow =
+      run("UNWIND [9223372036854775807, 1] AS x RETURN sum(x) AS s");
+  ASSERT_FALSE(overflow.ok());
+  EXPECT_EQ(overflow.status().message(), "integer overflow");
 }
 
 TEST_F(ExpressionTest, StringConcatenation) {

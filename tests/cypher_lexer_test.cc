@@ -1,5 +1,7 @@
 #include <gtest/gtest.h>
 
+#include <limits>
+
 #include "cypher/lexer.h"
 
 namespace seraph {
@@ -37,6 +39,25 @@ TEST(LexerTest, Numbers) {
   EXPECT_DOUBLE_EQ(tokens[2].float_value, 0.25);
   EXPECT_DOUBLE_EQ(tokens[3].float_value, 2000.0);
   EXPECT_DOUBLE_EQ(tokens[4].float_value, 0.01);
+}
+
+TEST(LexerTest, IntegerLiteralsOutOfInt64AreParseErrors) {
+  auto tokens = Lex("9223372036854775807");
+  EXPECT_EQ(tokens[0].int_value, std::numeric_limits<int64_t>::max());
+  // The literal's position is in the error.
+  for (const char* text : {"1 + 99999999999999999999", "1 + 9223372036854775808",
+                           "1 + 18446744073709551616"}) {
+    auto lexed = Tokenize(text);
+    ASSERT_FALSE(lexed.ok()) << text;
+    EXPECT_EQ(lexed.status().code(), StatusCode::kParseError);
+    EXPECT_NE(lexed.status().message().find("out of range at line 1, column 5"),
+              std::string::npos)
+        << lexed.status();
+  }
+  // Only right after a minus may the magnitude of INT64_MIN stand.
+  tokens = Lex("-9223372036854775808");
+  ASSERT_EQ(tokens.size(), 3u);  // Minus, integer, end.
+  EXPECT_EQ(tokens[1].int_value, std::numeric_limits<int64_t>::min());
 }
 
 TEST(LexerTest, IntegerFollowedByRange) {

@@ -1,6 +1,8 @@
 // Parser tests for the Fig. 3 Cypher core (plus WITHIN, Fig. 6).
 #include <gtest/gtest.h>
 
+#include <limits>
+
 #include "cypher/parser.h"
 
 namespace seraph {
@@ -261,6 +263,32 @@ TEST(ParserTest, ListingOneParses) {
   EXPECT_EQ(q.parts.size(), 1u);
   EXPECT_EQ(q.parts[0].clauses.size(), 3u);
   EXPECT_EQ(q.parts[0].ret.body.items.size(), 4u);
+}
+
+TEST(ParserTest, Int64LiteralBounds) {
+  // Unary minus directly on 9223372036854775808 is INT64_MIN; the
+  // magnitude anywhere else is an error at the literal.
+  auto min = ParseCypherExpression("-9223372036854775808");
+  ASSERT_TRUE(min.ok()) << min.status();
+  const auto* literal = dynamic_cast<const LiteralExpr*>(min->get());
+  ASSERT_NE(literal, nullptr);
+  EXPECT_EQ(literal->value(), Value::Int(std::numeric_limits<int64_t>::min()));
+  auto max = ParseCypherExpression("-9223372036854775807");
+  ASSERT_TRUE(max.ok()) << max.status();
+  for (const char* text :
+       {"1 - 9223372036854775808", "-9223372036854775808.x",
+        "- -9223372036854775808[0]", "[9223372036854775808]"}) {
+    auto parsed = ParseCypherExpression(text);
+    EXPECT_FALSE(parsed.ok()) << text;
+    if (!parsed.ok()) {
+      EXPECT_EQ(parsed.status().code(), StatusCode::kParseError) << text;
+    }
+  }
+  auto query = ParseCypherQuery("RETURN\n  99999999999999999999 AS x");
+  ASSERT_FALSE(query.ok());
+  EXPECT_NE(query.status().message().find("line 2, column 3"),
+            std::string::npos)
+      << query.status();
 }
 
 }  // namespace

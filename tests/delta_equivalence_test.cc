@@ -201,6 +201,16 @@ std::vector<std::string> FleetNames() {
   return names;
 }
 
+// One arm's engine options. The thread count comes from
+// SERAPH_EVAL_THREADS (1 when unset), so CI's TSan job runs every case
+// with a pool.
+EngineOptions Arm(bool delta) {
+  EngineOptions options;
+  options.delta_matching = delta;
+  options.eval_threads = EvalThreadsFromEnv(1);
+  return options;
+}
+
 using Timeline = std::vector<std::pair<std::string, TimeVaryingTable>>;
 
 // Per query: evaluation failures and the last error, in `names` order.
@@ -262,10 +272,8 @@ TEST(DeltaEquivalenceTest, TimelineIdenticalAcrossShapesPoliciesAndChurn) {
   for (int round = 0; round < FuzzRounds(3); ++round) {
     std::vector<Event> events =
         ChurnEvents(/*seed=*/101 + static_cast<uint32_t>(round), /*count=*/50);
-    EngineOptions full_opts;
-    full_opts.delta_matching = false;
-    EngineOptions delta_opts;
-    delta_opts.delta_matching = true;
+    EngineOptions full_opts = Arm(false);
+    EngineOptions delta_opts = Arm(true);
     Failures full_failures, delta_failures;
     Timeline full = RunEngine(full_opts, fleet, names, events, &full_failures);
     Timeline delta =
@@ -314,22 +322,20 @@ TEST(DeltaEquivalenceTest, IdenticalUnderMorselAndEvalParallelism) {
   }
 }
 
-TEST(DeltaEquivalenceTest, IdenticalAcrossCheckpointRestore) {
-  // Delta state is never serialized: a restored engine must rebuild its
-  // index and continue emitting exactly what an uninterrupted full
-  // engine would. Prefix runs on one delta engine, the suffix on a
-  // restored one; the concatenation must equal the one-life full run.
-  const std::vector<std::string> fleet = FullFleet();
-  const std::vector<std::string> names = FleetNames();
+// Delta state is never serialized: a restored engine must rebuild its
+// indexes and continue emitting exactly what an uninterrupted full engine
+// would. Prefix runs on one delta engine, the suffix on a restored one;
+// the concatenation must equal the one-life full run.
+void ExpectRestoreExact(const std::vector<std::string>& fleet,
+                        const std::vector<std::string>& names,
+                        uint32_t seed) {
   for (int round = 0; round < FuzzRounds(2); ++round) {
     std::vector<Event> events =
-        ChurnEvents(/*seed=*/301 + static_cast<uint32_t>(round), /*count=*/40);
+        ChurnEvents(seed + static_cast<uint32_t>(round), /*count=*/40);
     const int64_t mid = events[events.size() / 2].minute;
     const int64_t end = events.back().minute + 20;
 
-    EngineOptions full_opts;
-    full_opts.delta_matching = false;
-    ContinuousEngine full(full_opts);
+    ContinuousEngine full(Arm(false));
     CollectingSink full_sink;
     full.AddSink(&full_sink);
     for (const std::string& text : fleet) {
@@ -341,9 +347,7 @@ TEST(DeltaEquivalenceTest, IdenticalAcrossCheckpointRestore) {
     ASSERT_TRUE(full.AdvanceTo(T(mid)).ok());
     ASSERT_TRUE(full.AdvanceTo(T(end)).ok());
 
-    EngineOptions delta_opts;
-    delta_opts.delta_matching = true;
-    ContinuousEngine first_life(delta_opts);
+    ContinuousEngine first_life(Arm(true));
     CollectingSink first_sink;
     first_life.AddSink(&first_sink);
     for (const std::string& text : fleet) {
@@ -356,7 +360,7 @@ TEST(DeltaEquivalenceTest, IdenticalAcrossCheckpointRestore) {
     ASSERT_TRUE(first_life.AdvanceTo(T(mid)).ok());
     EngineCheckpoint checkpoint = first_life.CaptureCheckpoint();
 
-    ContinuousEngine second_life(delta_opts);
+    ContinuousEngine second_life(Arm(true));
     CollectingSink second_sink;
     second_life.AddSink(&second_sink);
     for (const std::string& text : fleet) {
@@ -394,6 +398,10 @@ TEST(DeltaEquivalenceTest, IdenticalAcrossCheckpointRestore) {
   }
 }
 
+TEST(DeltaEquivalenceTest, IdenticalAcrossCheckpointRestore) {
+  ExpectRestoreExact(FullFleet(), FleetNames(), /*seed=*/301);
+}
+
 class DeltaFaultTest : public ::testing::Test {
  protected:
   void SetUp() override { FaultInjector::Global().Reset(); }
@@ -410,8 +418,7 @@ TEST_F(DeltaFaultTest, IdenticalAfterInjectedDeadlineFailure) {
       QueryText(ShapeNamed("hop"), "SNAPSHOT", "_p0")};
   const std::vector<std::string> names = {"hop_p0"};
   std::vector<Event> events = ChurnEvents(/*seed=*/55, /*count=*/40);
-  EngineOptions full_opts;
-  full_opts.delta_matching = false;
+  EngineOptions full_opts = Arm(false);
   full_opts.eval_deadline_millis = 60'000;  // Plumbing only; never expires.
   EngineOptions delta_opts = full_opts;
   delta_opts.delta_matching = true;
@@ -430,9 +437,7 @@ TEST_F(DeltaFaultTest, IdenticalAfterInjectedDeadlineFailure) {
 }
 
 TEST(DeltaEquivalenceTest, MetricsDistinguishHitsRebuildsAndFallbacks) {
-  EngineOptions options;
-  options.delta_matching = true;
-  ContinuousEngine engine(options);
+  ContinuousEngine engine(Arm(true));
   CollectingSink sink;
   engine.AddSink(&sink);
   // One eligible query and one ineligible (variable-length) query.
@@ -467,9 +472,7 @@ TEST(DeltaEquivalenceTest, RowsProjectedGrowWithNewMatchesNotTheWindow) {
   // instant indexes one new match while the index holds about ten, so the
   // projection counter grows by one per instant; a rebuild projects the
   // whole index once.
-  EngineOptions options;
-  options.delta_matching = true;
-  ContinuousEngine engine(options);
+  ContinuousEngine engine(Arm(true));
   CollectingSink sink;
   engine.AddSink(&sink);
   ASSERT_TRUE(engine
@@ -542,8 +545,7 @@ TEST(DeltaEquivalenceTest, EntityParameterKeepsQueryOnFullPath) {
       "REGISTER QUERY ref STARTING AT '1970-01-01T00:01' { MATCH "
       "(a:A)-[r:R]->(b) WITHIN PT10M WHERE a.v < $ref.v EMIT a.v AS av "
       "SNAPSHOT EVERY PT1M }";
-  EngineOptions full_opts;
-  full_opts.delta_matching = false;
+  EngineOptions full_opts = Arm(false);
   full_opts.parameters["ref"] = Value::Node(NodeId{5});
   EngineOptions delta_opts = full_opts;
   delta_opts.delta_matching = true;
@@ -599,8 +601,7 @@ TEST(DeltaEquivalenceTest, PropertyValuesThatCanFailTakeTheFullPath) {
            " STARTING AT '1970-01-01T00:01' { MATCH (a:A {x: " + value +
            "})-[r:R]->(b) WITHIN PT2M EMIT a.x AS x SNAPSHOT EVERY PT1M }";
   };
-  EngineOptions full_opts;
-  full_opts.delta_matching = false;
+  EngineOptions full_opts = Arm(false);
   full_opts.parameters["one"] = Value::Int(1);
   EngineOptions delta_opts = full_opts;
   delta_opts.delta_matching = true;
@@ -708,6 +709,287 @@ TEST(DeltaEquivalenceTest, CachedOutputEqualsProjectionOverEmit) {
     }
   }
   EXPECT_EQ(shapes, 14);
+}
+
+// ---------------------------------------------------------------------------
+// Shared match indexes: one per (window, pattern skeleton), many readers
+// ---------------------------------------------------------------------------
+
+// Readers of one window. Most share the skeleton (:A)-[:R]->() under
+// different property maps (literals and parameters, on nodes and on the
+// relationship, under other variable names), WHERE clauses and
+// projections, so each must re-check its own values on what the shared
+// index hands it. The rest differ from it only in a label, the direction
+// or a repeated variable, so each needs an index of its own; "wider"
+// reads a second window. "zflaky" fails its WHERE at some instants.
+const Shape kSharedShapes[] = {
+    {"bare", "MATCH (a:A)-[r:R]->(b) WITHIN PT10M EMIT a.v AS av, b.v AS bv"},
+    {"sel3", "MATCH (a:A {v: 3})-[r:R]->(b) WITHIN PT10M EMIT b.v AS bv"},
+    {"param",
+     "MATCH (x:A {v: $three})-[e:R {w: 2}]->(y) WITHIN PT10M WHERE y.v > 2 "
+     "EMIT x.v AS xv, e.w AS ew"},
+    {"pathw",
+     "MATCH p = (a:A)-[r:R {w: 1}]->(b {v: 4}) WITHIN PT10M EMIT length(p) "
+     "AS l, a.v AS av"},
+    {"both3",
+     "MATCH (a:A {v: 3})-[r:R]->(b {v: $three}) WITHIN PT10M EMIT DISTINCT "
+     "r.w AS w ORDER BY w"},
+    {"labelled", "MATCH (a:A {v: 3})-[r:R]->(b:B) WITHIN PT10M EMIT b.v AS bv"},
+    {"incoming", "MATCH (a:A)<-[r:R]-(b {v: 3}) WITHIN PT10M EMIT a.v AS av"},
+    {"undirected",
+     "MATCH (a:A)-[r:R]-(b) WITHIN PT10M EMIT a.v AS av, b.v AS bv"},
+    {"loop", "MATCH (a:A)-[r:R]->(a) WITHIN PT10M EMIT a.v AS av"},
+    {"loopsel", "MATCH (a:A {v: 3})-[r:R]->(a) WITHIN PT10M EMIT r.w AS w"},
+    {"wider", "MATCH (a:A {v: 2})-[r:R]->(b) WITHIN PT15M EMIT b.v AS bv"},
+    {"zflaky",
+     "MATCH (a:A)-[r:R]->(b) WITHIN PT10M WHERE size(CASE WHEN a.v = 0 AND "
+     "r.w < 3 THEN a.v ELSE 'ok' END) > 0 EMIT a.v AS av"},
+};
+
+std::vector<std::string> SharedFleet() {
+  std::vector<std::string> fleet;
+  for (const Shape& shape : kSharedShapes) {
+    for (size_t p = 0; p < 3; ++p) {
+      fleet.push_back(
+          QueryText(shape, kPolicies[p], "_p" + std::to_string(p)));
+    }
+  }
+  return fleet;
+}
+
+std::vector<std::string> SharedNames() {
+  std::vector<std::string> names;
+  for (const Shape& shape : kSharedShapes) {
+    for (size_t p = 0; p < 3; ++p) {
+      names.push_back(std::string(shape.name) + "_p" + std::to_string(p));
+    }
+  }
+  return names;
+}
+
+EngineOptions SharedArm(bool delta, int threads) {
+  EngineOptions options = Arm(delta);
+  options.eval_threads = threads;
+  options.parameters["three"] = Value::Int(3);
+  return options;
+}
+
+int64_t SumCounter(const ContinuousEngine& engine, const char* name) {
+  int64_t total = 0;
+  for (const std::string& query : engine.QueryNames()) {
+    const Counter* counter =
+        engine.metrics().FindCounter(name, {{"query", query}});
+    if (counter != nullptr) total += counter->value();
+  }
+  return total;
+}
+
+TEST(DeltaSharedIndexTest, ReadersOfOneSkeletonMatchTheFullPath) {
+  const std::vector<std::string> fleet = SharedFleet();
+  const std::vector<std::string> names = SharedNames();
+  for (int threads : {1, 4}) {
+    for (int round = 0; round < FuzzRounds(2); ++round) {
+      std::vector<Event> events =
+          ChurnEvents(/*seed=*/701 + static_cast<uint32_t>(round), 60);
+      const std::string context = std::to_string(threads) + " threads round " +
+                                  std::to_string(round);
+      Failures full_failures, delta_failures;
+      Timeline full = RunEngine(SharedArm(false, threads), fleet, names,
+                                events, &full_failures);
+      Timeline delta = RunEngine(SharedArm(true, threads), fleet, names,
+                                 events, &delta_failures);
+      ExpectTimelinesIdentical(full, delta, context);
+      EXPECT_EQ(full_failures, delta_failures) << context;
+    }
+  }
+}
+
+// Runs the shared fleet through one schedule on both arms: a reader
+// registered late on the started window, disabled readers revived while
+// its siblings ran, and readers unregistered mid-run (which tightens the
+// skeleton's index to {v: 3} at node 0).
+TEST(DeltaSharedIndexTest, LateRegistrationReviveAndUnregister) {
+  std::vector<Event> events = ChurnEvents(/*seed=*/811, 60);
+  const int64_t end = events.back().minute + 20;
+  const std::string late =
+      "REGISTER QUERY late STARTING AT '1970-01-01T00:05' { MATCH (a:A)-[r:R "
+      "{w: 1}]->(b) WITHIN PT10M EMIT a.v AS av, r.w AS w ON ENTERING EVERY "
+      "PT5M }";
+  auto run = [&](bool delta, int threads, Failures* failures) {
+    EngineOptions options = SharedArm(delta, threads);
+    options.query_error_budget = 2;
+    ContinuousEngine engine(options);
+    CollectingSink sink;
+    engine.AddSink(&sink);
+    for (const std::string& text : SharedFleet()) {
+      EXPECT_TRUE(engine.RegisterText(text).ok()) << text;
+    }
+    for (const Event& event : events) {
+      EXPECT_TRUE(engine.Ingest(event.graph, T(event.minute)).ok());
+    }
+    // After the window's first instant, before the retention trim passes
+    // the late reader's first window: it catches up, then walks the index.
+    EXPECT_TRUE(engine.AdvanceTo(T(6)).ok());
+    EXPECT_TRUE(engine.RegisterText(late).ok());
+    EXPECT_TRUE(engine.AdvanceTo(T(end / 2)).ok());
+    for (const std::string& name : SharedNames()) {
+      if (engine.QueryDisabled(name)) EXPECT_TRUE(engine.ReviveQuery(name).ok());
+    }
+    for (const char* gone : {"bare", "pathw", "zflaky"}) {
+      for (int p = 0; p < 3; ++p) {
+        EXPECT_TRUE(
+            engine.Unregister(std::string(gone) + "_p" + std::to_string(p))
+                .ok());
+      }
+    }
+    EXPECT_TRUE(engine.AdvanceTo(T(3 * end / 4)).ok());
+    for (const std::string& name : engine.QueryNames()) {
+      if (engine.QueryDisabled(name)) EXPECT_TRUE(engine.ReviveQuery(name).ok());
+    }
+    EXPECT_TRUE(engine.AdvanceTo(T(end)).ok());
+    Timeline out;
+    for (const std::string& name : SharedNames()) {
+      out.emplace_back(name, sink.ResultsFor(name));
+    }
+    out.emplace_back("late", sink.ResultsFor("late"));
+    for (const std::string& name : engine.QueryNames()) {
+      QueryStats stats = *engine.StatsFor(name);
+      failures->emplace_back(stats.eval_failures, stats.last_error);
+    }
+    return out;
+  };
+  for (int threads : {1, 4}) {
+    const std::string context = std::to_string(threads) + " threads";
+    Failures full_failures, delta_failures;
+    Timeline full = run(false, threads, &full_failures);
+    Timeline delta = run(true, threads, &delta_failures);
+    ExpectTimelinesIdentical(full, delta, context);
+    EXPECT_EQ(full_failures, delta_failures) << context;
+    EXPECT_FALSE(full.back().second.entries().empty()) << context;
+  }
+}
+
+TEST(DeltaSharedIndexTest, IdenticalAcrossCheckpointRestore) {
+  // The restore arms run at SERAPH_EVAL_THREADS; the fleet's parameter
+  // comes from the options, so bind it through the query text instead.
+  std::vector<std::string> fleet;
+  for (std::string text : SharedFleet()) {
+    for (size_t at = text.find("$three"); at != std::string::npos;
+         at = text.find("$three")) {
+      text.replace(at, 6, "3");
+    }
+    fleet.push_back(std::move(text));
+  }
+  ExpectRestoreExact(fleet, SharedNames(), /*seed=*/901);
+}
+
+// A reader whose WHERE fails at some instants is invalidated alone: the
+// shared index is built once and repaired once per advance (one
+// (window, skeleton) pair here), its sibling rebuilds nothing, and the
+// failing reader rebuilds its own cache by walking the index. The counts
+// are the same at 1 and 4 threads, and every emission matches the full
+// path.
+TEST(DeltaSharedIndexTest, ReaderFailuresLeaveTheSharedIndexAlone) {
+  const std::vector<std::string> fleet = {
+      QueryText(ShapeNamed("hop"), "SNAPSHOT", "_a"),
+      QueryText(ShapeNamed("filtered"), "ON ENTERING", "_b"),
+      QueryText(ShapeNamed("type_error"), "SNAPSHOT", "_z"),
+  };
+  const std::vector<std::string> names = {"hop_a", "filtered_b",
+                                          "type_error_z"};
+  std::vector<Event> events = ChurnEvents(/*seed=*/103, /*count=*/50);
+  std::vector<std::map<std::string, int64_t>> counts;
+  for (int threads : {1, 4}) {
+    EngineOptions full_opts = Arm(false);
+    full_opts.eval_threads = threads;
+    full_opts.query_error_budget = 0;  // Never disable.
+    EngineOptions delta_opts = full_opts;
+    delta_opts.delta_matching = true;
+    Failures full_failures;
+    Timeline full = RunEngine(full_opts, fleet, names, events, &full_failures);
+    ContinuousEngine engine(delta_opts);
+    CollectingSink sink;
+    engine.AddSink(&sink);
+    for (const std::string& text : fleet) {
+      ASSERT_TRUE(engine.RegisterText(text).ok());
+    }
+    for (const Event& event : events) {
+      ASSERT_TRUE(engine.Ingest(event.graph, T(event.minute)).ok());
+    }
+    ASSERT_TRUE(engine.AdvanceTo(T(events.back().minute + 20)).ok());
+    Timeline delta;
+    Failures delta_failures;
+    for (const std::string& name : names) {
+      delta.emplace_back(name, sink.ResultsFor(name));
+      QueryStats stats = *engine.StatsFor(name);
+      delta_failures.emplace_back(stats.eval_failures, stats.last_error);
+    }
+    ExpectTimelinesIdentical(full, delta, std::to_string(threads));
+    EXPECT_EQ(full_failures, delta_failures);
+    const int64_t failed = delta_failures[2].first;
+    ASSERT_GT(failed, 0) << "the erroring reader never failed";
+    auto counter = [&](const char* name, const std::string& query) {
+      return engine.metrics().FindCounter(name, {{"query", query}})->value();
+    };
+    const int64_t advances =
+        SumCounter(engine, "seraph_query_snapshots_incremental_total");
+    // Once per instant: one maintenance per advance, the first a build.
+    EXPECT_EQ(SumCounter(engine, "seraph_delta_repairs_total"), advances);
+    EXPECT_EQ(counter("seraph_delta_repairs_total", "filtered_b"), advances);
+    EXPECT_EQ(counter("seraph_delta_rebuilds_total", "filtered_b"), 1);
+    EXPECT_EQ(counter("seraph_delta_rebuilds_total", "hop_a"), 0);
+    EXPECT_GT(counter("seraph_delta_rebuilds_total", "type_error_z"), 0);
+    EXPECT_LE(counter("seraph_delta_rebuilds_total", "type_error_z"), failed);
+    std::map<std::string, int64_t> seen;
+    for (const char* series :
+         {"seraph_delta_repairs_total", "seraph_delta_rebuilds_total",
+          "seraph_delta_hits_total", "seraph_delta_rows_projected_total"}) {
+      for (const std::string& name : names) {
+        seen[std::string(series) + name] = counter(series, name);
+      }
+    }
+    counts.push_back(std::move(seen));
+  }
+  EXPECT_EQ(counts[0], counts[1]);
+}
+
+TEST(DeltaSharedIndexTest, LoneSelectiveReaderIndexesOnlyItsMatches) {
+  // Alone, a reader's index applies all of its values, so it holds
+  // exactly the reader's matches (every row of this SNAPSHOT query); a
+  // sibling without the value loosens it to the bare skeleton.
+  std::vector<Event> events = ChurnEvents(/*seed=*/57, /*count=*/60);
+  const std::string text = QueryText(
+      {"sel", "MATCH (a:A {v: 3})-[r:R]->(b) WITHIN PT10M EMIT b.v AS bv"},
+      "SNAPSHOT", "");
+  const std::string bare = QueryText(ShapeNamed("hop"), "SNAPSHOT", "");
+  for (bool sibling : {false, true}) {
+    ContinuousEngine engine(Arm(true));
+    CollectingSink sink;
+    engine.AddSink(&sink);
+    ASSERT_TRUE(engine.RegisterText(text).ok());
+    if (sibling) ASSERT_TRUE(engine.RegisterText(bare).ok());
+    for (const Event& event : events) {
+      ASSERT_TRUE(engine.Ingest(event.graph, T(event.minute)).ok());
+    }
+    int64_t looser = 0;
+    for (int64_t m = 5; m <= events.back().minute + 10; m += 5) {
+      ASSERT_TRUE(engine.AdvanceTo(T(m)).ok());
+      const int64_t entries =
+          engine.metrics()
+              .GaugeFor("seraph_delta_index_entries", {{"query", "sel"}})
+              ->value();
+      const auto result = sink.ResultAt("sel", T(m));
+      ASSERT_TRUE(result.has_value()) << m;
+      const int64_t rows = static_cast<int64_t>(result->table.size());
+      if (!sibling) {
+        EXPECT_EQ(entries, rows) << "minute " << m;
+      } else {
+        EXPECT_GE(entries, rows) << "minute " << m;
+        if (entries > rows) ++looser;
+      }
+    }
+    if (sibling) EXPECT_GT(looser, 0);
+  }
 }
 
 }  // namespace

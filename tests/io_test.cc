@@ -2,6 +2,7 @@
 // predicates.
 #include <gtest/gtest.h>
 
+#include <limits>
 #include <sstream>
 
 #include "cypher/executor.h"
@@ -88,6 +89,39 @@ TEST(GraphTextTest, EventLogRejectsDisorderAndHeaderlessLines) {
   std::istringstream disordered(
       "@ 2022-01-01T01:00\nnode|1|A\n@ 2022-01-01T00:00\nnode|2|A\n");
   EXPECT_FALSE(io::ReadEventLog(&disordered).ok());
+}
+
+TEST(GraphTextTest, IdsParseStrictlyOrFailNamingFieldAndLine) {
+  // The whole field, base 10, within int64; anything else is an
+  // InvalidArgument naming the field and the line, never an exception.
+  const std::pair<const char*, const char*> bad[] = {
+      {"rel|1|551|2332|R|", "target id 'R'"},
+      {"rel|7|R|1|99999999999999999999", "target id '99999999999999999999'"},
+      {"node|1x|A|id=i:1", "node id '1x'"},
+      {"node||A", "node id ''"},
+      {"node|0x10|A", "node id '0x10'"},
+      {"node| 1|A", "node id ' 1'"},
+      {"rel|r1|R|1|2", "relationship id 'r1'"},
+      {"rel|1|R|+1|2", "source id '+1'"},
+  };
+  for (const auto& [line, field] : bad) {
+    std::istringstream log(std::string("@ 2022-01-01T00:00\n") + line + "\n");
+    auto events = io::ReadEventLog(&log);
+    ASSERT_FALSE(events.ok()) << line;
+    EXPECT_EQ(events.status().code(), StatusCode::kInvalidArgument) << line;
+    EXPECT_NE(events.status().message().find(field), std::string::npos)
+        << events.status();
+    EXPECT_NE(events.status().message().find(line), std::string::npos)
+        << events.status();
+  }
+  auto g = io::DecodeGraph(
+      "node|9223372036854775807|A\nnode|-9223372036854775808|A\n"
+      "rel|-1|R|9223372036854775807|-9223372036854775808\n");
+  ASSERT_TRUE(g.ok()) << g.status();
+  EXPECT_TRUE(g->HasNode(NodeId{std::numeric_limits<int64_t>::max()}));
+  EXPECT_TRUE(g->HasNode(NodeId{std::numeric_limits<int64_t>::min()}));
+  EXPECT_TRUE(g->HasRelationship(RelId{-1}));
+  EXPECT_FALSE(io::DecodeGraph("node|9223372036854775808|A").ok());
 }
 
 // ---------------------------------------------------------------------------

@@ -1,5 +1,7 @@
 #include <gtest/gtest.h>
 
+#include <limits>
+
 #include "value/value.h"
 
 namespace seraph {
@@ -13,6 +15,34 @@ TEST(ValueTest, KindsAndAccessors) {
   EXPECT_EQ(Value::String("hi").AsString(), "hi");
   EXPECT_EQ(Value::Node(NodeId{7}).AsNode().value, 7);
   EXPECT_EQ(Value::Relationship(RelId{9}).AsRelationship().value, 9);
+}
+
+TEST(ValueTest, CompareAtTheInt64Extremes) {
+  // Compare must not subtract: max - (-1) and min - 1 overflow.
+  const int64_t max = std::numeric_limits<int64_t>::max();
+  const int64_t min = std::numeric_limits<int64_t>::min();
+  EXPECT_EQ(Value::Compare(Value::Int(max), Value::Int(-1)), 1);
+  EXPECT_EQ(Value::Compare(Value::Int(-1), Value::Int(max)), -1);
+  EXPECT_EQ(Value::Compare(Value::Int(min), Value::Int(1)), -1);
+  EXPECT_EQ(Value::Compare(Value::Int(max), Value::Int(min)), 1);
+  EXPECT_EQ(Value::Compare(Value::Int(min), Value::Int(min)), 0);
+  EXPECT_EQ(Value::Compare(Value::Node(NodeId{max}), Value::Node(NodeId{-5})),
+            1);
+  EXPECT_EQ(Value::Compare(Value::Node(NodeId{min + 1}),
+                           Value::Node(NodeId{max})),
+            -1);
+  EXPECT_EQ(Value::Compare(Value::Relationship(RelId{max}),
+                           Value::Relationship(RelId{-1})),
+            1);
+  EXPECT_EQ(Value::Compare(Value::DateTime(Timestamp::FromMillis(max)),
+                           Value::DateTime(Timestamp::FromMillis(-1))),
+            1);
+  EXPECT_EQ(Value::Compare(Value::Dur(Duration::FromMillis(min)),
+                           Value::Dur(Duration::FromMillis(1))),
+            -1);
+  EXPECT_EQ(Value::Compare(Value::MakeList({Value::Int(max)}),
+                           Value::MakeList({Value::Int(-1)})),
+            1);
 }
 
 TEST(ValueTest, NumericCrossTypeEquality) {
